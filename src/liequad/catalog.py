@@ -87,9 +87,3 @@ def catalog() -> list[CatalogEntry]:
         ),
     ]
 
-
-def by_name(name: str) -> CatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    raise KeyError(name)

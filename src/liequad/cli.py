@@ -197,7 +197,9 @@ def cmd_reduce(algebra, forms, stop_after, tol_zero, tol_sample, samples, seed,
         omegas_ad = transform_forms(change, omegas)
         trace = reduce_full(omegas_ad, chain, cfg.basepoint, stop_after=stop_after, tol=cfg.tol_zero)
         report = Report()
-        report.add("structure equations at every level", True, "exact" if omegas[0].scls is RationalFunction else "symbolic")
+        worst = max(trace.residuals)
+        report.add("structure equations at every level", worst <= cfg.tol_zero,
+                   "exact" if omegas[0].scls is RationalFunction else "symbolic", worst)
         if trace.complete:
             group = build_group(chain)
             report.extend(

@@ -50,9 +50,18 @@ class NotClosed(LiequadError):
 
 
 class ResidualNonzero(LiequadError):
-    """Input forms fail the structure equations they were claimed to satisfy."""
+    """Input forms fail the structure equations they were claimed to satisfy.
+
+    ``level`` is the chain level whose block failed and ``residual`` the
+    measured worst coefficient, when known.
+    """
 
     code = "residual-nonzero"
+
+    def __init__(self, message: str, level: int | None = None, residual: float | None = None):
+        super().__init__(message)
+        self.level = level
+        self.residual = residual
 
 
 class NotSolvable(LiequadError):

@@ -471,12 +471,6 @@ class ExpPoly:
             result = result + piece
         return result
 
-    def extend_chart(self, target: VarSet) -> "ExpPoly":
-        """Reinterpret over a larger chart containing every variable."""
-        return self.substitute(
-            {name: ExpPoly.coordinate(target, name) for name in self.chart.names}
-        )
-
     # ------------------------------------------------------------------
     # serialization
 

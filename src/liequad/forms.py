@@ -21,6 +21,7 @@ from .errors import (
     BasepointOnPole,
     ClassMismatch,
     MismatchedVarSet,
+    NonAffineExponentSubstitution,
     NotClosed,
     PoleAtPoint,
 )
@@ -29,12 +30,6 @@ from .rational import LogExtendedScalar, RationalFunction
 from .varset import VarSet
 
 Index = tuple[int, ...]
-
-
-def _coerce_number(scls, chart: VarSet, value):
-    if scls is ExpPoly:
-        return ExpPoly.constant(chart, float(value))
-    return RationalFunction.constant(chart, value)
 
 
 def _scale_factor(scls, value):
@@ -193,29 +188,6 @@ class DiffForm:
                     c = -c
                 acc[rest] = acc[rest] + c if rest in acc else c
         return DiffForm(self.chart, self.degree - 1, acc, self.scls)
-
-    # ------------------------------------------------------------------
-    def coeff_matrix_at(self, point: Mapping[str, float]) -> np.ndarray:
-        """Degree-1 form coefficients as a numeric row vector."""
-        if self.degree != 1:
-            raise ValueError("only for 1-forms")
-        out = np.zeros(len(self.chart))
-        for (i,), c in self.coeffs.items():
-            out[i] = c.evaluate(point)
-        return out
-
-    def eval_on_vectors(self, point: Mapping[str, float], vectors: Sequence[np.ndarray]) -> float:
-        """alpha(point; v_1..v_p) with tangent vectors given numerically."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of tangent vectors")
-        total = 0.0
-        if self.degree == 0:
-            c = self.coeffs.get(())
-            return c.evaluate(point) if c is not None else 0.0
-        for I, a in self.coeffs.items():
-            sub = np.array([[v[i] for i in I] for v in vectors])
-            total += a.evaluate(point) * float(np.linalg.det(sub))
-        return total
 
     def __repr__(self):
         if not self.coeffs:
@@ -385,6 +357,14 @@ def _compose_scalar(c, phi: PointMap):
     return c.compose(bindings)
 
 
+def differential(f) -> DiffForm:
+    """df as a 1-form over f's chart; log-extended scalars have rational
+    differentials."""
+    scls = RationalFunction if isinstance(f, LogExtendedScalar) else type(f)
+    coeffs = {(j,): f.diff(name) for j, name in enumerate(f.chart.names)}
+    return DiffForm(f.chart, 1, coeffs, scls)
+
+
 def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
     """phi^* alpha, exact via the chain rule.
 
@@ -400,15 +380,7 @@ def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
         if c is None:
             return DiffForm.zero(phi.source, 0, scls)
         return DiffForm.function(_compose_scalar(c, phi))
-    # differentials of the components
-    dphi = []
-    for comp in phi.components:
-        coeffs = {}
-        for j, name in enumerate(phi.source.names):
-            d = comp.diff(name)
-            if not d.is_zero():
-                coeffs[(j,)] = d
-        dphi.append(DiffForm(phi.source, 1, coeffs, scls))
+    dphi = [differential(comp) for comp in phi.components]
     result = DiffForm.zero(phi.source, alpha.degree, scls)
     for I, a in alpha.coeffs.items():
         piece = DiffForm.function(_compose_scalar(a, phi))
@@ -416,6 +388,35 @@ def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
             piece = piece.wedge(dphi[i])
         result = result + piece
     return result
+
+
+def pullback_check(phi: PointMap, taus, omegas, mode: str, samples: int, rng, sample_point):
+    """Worst error of phi^* tau^i = omega^i for each i, and the mode used.
+
+    Symbolic unless mode is "numeric" or, in "auto" mode, the composition
+    leaves the class; the numeric check compares both sides on random
+    tangent vectors at `samples` points drawn by `sample_point(rng)`.
+    Returns (errors, mode, detail); when a "symbolic" run cannot compose,
+    errors is None and detail says why.
+    """
+    if mode != "numeric":
+        try:
+            errors = [(pullback(phi, t) - o).max_abs_coeff() for t, o in zip(taus, omegas)]
+            return errors, "symbolic", ""
+        except (ClassMismatch, NonAffineExponentSubstitution) as exc:
+            if mode == "symbolic":
+                return None, "symbolic", str(exc)
+    errors = [0.0] * len(taus)
+    for _ in range(samples):
+        pt = sample_point(rng)
+        vec = np.array([rng.uniform(-1, 1) for _ in range(len(phi.source))])
+        push = phi.jacobian_at(pt) @ vec
+        img = phi(pt)
+        for i, (tau, omega) in enumerate(zip(taus, omegas)):
+            lhs = sum(c.evaluate(img) * push[idx[0]] for idx, c in tau.coeffs.items())
+            rhs = sum(c.evaluate(pt) * vec[idx[0]] for idx, c in omega.coeffs.items())
+            errors[i] = max(errors[i], abs(lhs - rhs))
+    return errors, "numeric", ""
 
 
 def structure_residual(omegas: Sequence[DiffForm], sc) -> list[DiffForm]:
@@ -464,17 +465,9 @@ def potential(
         coeff = remaining.coeffs.get((vi,))
         if coeff is None or coeff.is_zero(tol):
             continue
-        if isinstance(coeff, ExpPoly):
-            g = coeff.antideriv(name, basepoint=None)
-        else:
-            g = coeff.antideriv(name, basepoint=None)
+        g = coeff.antideriv(name, basepoint=None)
         total = g if total is None else total + g
-        dg_coeffs = {}
-        for j, nm in enumerate(chart.names):
-            dgj = g.diff(nm)
-            if not dgj.is_zero():
-                dg_coeffs[(j,)] = dgj
-        remaining = remaining - DiffForm(chart, 1, dg_coeffs, scls)
+        remaining = remaining - differential(g)
     if total is None:
         total = scls.zero(chart)
     if not remaining.is_zero(tol):

@@ -3,7 +3,8 @@
 Everything in this module is exact Fraction arithmetic: antisymmetry and
 Jacobi validation, derived series, solvability, codimension-one ideal
 chains adapted to the derived series, and basis changes with the tensor
-transformation law.
+transformation law.  `lin_comb`, the scalar-matrix-row times vector
+helper, also serves the form and field layers.
 """
 
 from __future__ import annotations
@@ -35,16 +36,21 @@ def mat_identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, m, p = len(A), len(B), len(B[0])
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
-        for i in range(n)
-    ]
+def lin_comb(coeffs: Sequence, items: Sequence):
+    """sum_j items[j] * coeffs[j], skipping zero coefficients.
 
-
-def mat_vec(A: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((A[i][k] * v[k] for k in range(len(v))), Fraction(0)) for i in range(len(A))]
+    Items are forms, fields or scalars; coefficients are numbers or
+    scalars.  The item stays the left operand, because the term order of
+    an ExpPoly product depends on it.  With every coefficient zero the
+    result is items[0] * 0.
+    """
+    acc = None
+    for c, item in zip(coeffs, items):
+        if (c == 0) if isinstance(c, (int, float, Fraction)) else c.is_zero():
+            continue
+        piece = item * c
+        acc = piece if acc is None else acc + piece
+    return items[0] * 0 if acc is None else acc
 
 
 def mat_inverse(A: Matrix) -> Matrix:
@@ -167,14 +173,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.antisymmetry_violations and not self.jacobi_violations
 
-    def summary(self) -> str:
-        if self.ok:
-            return "valid: antisymmetry and Jacobi hold"
-        return (
-            f"{len(self.antisymmetry_violations)} antisymmetry and "
-            f"{len(self.jacobi_violations)} Jacobi violations"
-        )
-
 
 def validate(sc: StructureConstants) -> ValidationReport:
     n = sc.dim
@@ -290,20 +288,7 @@ def change_basis(sc: StructureConstants, change: BasisChange) -> StructureConsta
 
 def transform_forms(change: BasisChange, omegas: Sequence) -> list:
     """omega^i = P^i_j omega~^j for any objects supporting + and number *."""
-    P = change.matrix()
-    n = len(P)
-    out = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            if P[i][j] == 0:
-                continue
-            piece = omegas[j] * P[i][j]
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            acc = omegas[0] * 0
-        out.append(acc)
-    return out
+    return [lin_comb(row, omegas) for row in change.matrix()]
 
 
 # ----------------------------------------------------------------------

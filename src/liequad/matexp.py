@@ -10,6 +10,7 @@ exponential-polynomial class in one variable.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ import sympy as sp
 
 from .errors import EigenvalueClusterAmbiguity, NonAffineExponentSubstitution
 from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, ZERO_TOL
+from .liealg import lin_comb
 from .report import Report
 from .varset import VarSet
 
@@ -204,11 +206,20 @@ def sym_exp(
     cluster_tol: float = CLUSTER_TOL,
     zero_tol: float = ZERO_TOL,
 ) -> ExpMatrix:
-    """Closed-form e^{t A} by Putzer's recursion over the clustered spectrum."""
-    n = len(A)
+    """Closed-form e^{t A} by Putzer's recursion over the clustered spectrum.
+
+    Memoized on the exact matrix and the other arguments: callers share
+    the result and must not modify its entries.
+    """
     Af = tuple(tuple(Fraction(x) for x in row) for row in A)
-    if any(len(row) != n for row in Af):
+    if any(len(row) != len(Af) for row in Af):
         raise ValueError("matrix must be square")
+    return _putzer(Af, var, cluster_tol, zero_tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _putzer(Af: tuple, var: str, cluster_tol: float, zero_tol: float) -> ExpMatrix:
+    n = len(Af)
     chart = VarSet.of(var)
     if n == 0:
         return ExpMatrix(var, Af, [])
@@ -270,11 +281,7 @@ def derivative_residual(E: ExpMatrix) -> float:
     for a in range(n):
         for b in range(n):
             d = E.entries[a][b].diff(E.var)
-            s = ExpPoly.zero(E.chart)
-            for k in range(n):
-                c = E.source[a][k]
-                if c != 0:
-                    s = s + E.entries[k][b] * float(c)
+            s = lin_comb(E.source[a], [row[b] for row in E.entries])
             worst = max(worst, (d - s).max_abs_coeff())
     return worst
 
@@ -295,9 +302,7 @@ def exp_identities_check(
     worst = 0.0
     for a in range(n):
         for b in range(n):
-            s = ExpPoly.zero(E.chart)
-            for k in range(n):
-                s = s + E.entries[a][k] * Eneg.entries[k][b]
+            s = lin_comb([row[b] for row in Eneg.entries], E.entries[a])
             target = 1.0 if a == b else 0.0
             worst = max(worst, (s - ExpPoly.constant(E.chart, target)).max_abs_coeff())
     report.add("E(t)E(-t) = I", worst <= max(tol, 1e-9), "symbolic", worst)

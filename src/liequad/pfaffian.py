@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateTransversality, ResidualNonzero, SingularMatrix
-from .forms import DiffForm, Domain, VectorField, lie_bracket, pairing, structure_residual
-from .liealg import StructureConstants, adapted_chain, is_solvable, transform_forms
+from .forms import DiffForm, Domain, VectorField, differential, lie_bracket, pairing, structure_residual
+from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, transform_forms
 from .rational import RationalFunction
 from .reduction import reduce_full
 from .report import Report
@@ -50,15 +50,8 @@ class SymmetryAlgebra:
         worst_ok = True
         for j in range(n):
             for k in range(j + 1, n):
-                lhs = lie_bracket(self.fields[j], self.fields[k])
-                rhs = None
-                for i in range(n):
-                    c = self.constants.C[i][j][k]
-                    if c != 0:
-                        piece = self.fields[i] * c
-                        rhs = piece if rhs is None else rhs + piece
-                diff = lhs if rhs is None else lhs - rhs
-                if not diff.is_zero():
+                rhs = lin_comb([self.constants.C[i][j][k] for i in range(n)], self.fields)
+                if not (lie_bracket(self.fields[j], self.fields[k]) - rhs).is_zero():
                     worst_ok = False
         report.add("[Z_j, Z_k] = C^i_jk Z_i", worst_ok, "exact")
         return report
@@ -88,61 +81,35 @@ def _scalar_matrix_inverse(M: list[list[RationalFunction]]):
     return [row[n:] for row in aug]
 
 
-def _det(M: list[list[RationalFunction]]) -> RationalFunction:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    chart = M[0][0].chart
-    total = RationalFunction.zero(chart)
-    for j in range(n):
-        if M[0][j].is_zero():
-            continue
-        minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = M[0][j] * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
 def transversality(
     theta: Sequence[DiffForm], fields: Sequence[VectorField]
-) -> list[list[RationalFunction]]:
-    """Pairing matrix P^i_j = <theta^i, Z_j>; its determinant must not vanish
-    identically (the zero set joins the excluded hypersurfaces)."""
+) -> tuple[list[list[RationalFunction]], list[list[RationalFunction]]]:
+    """Pairing matrix P^i_j = <theta^i, Z_j> and its exact inverse.  The
+    determinant of P must not vanish identically (the zero set joins the
+    excluded hypersurfaces); the inversion proves it."""
     if len(theta) != len(fields):
         raise ValueError("need as many symmetry fields as generators")
     P = [[pairing(t, Z) for Z in fields] for t in theta]
-    if _det(P).is_zero():
-        raise DegenerateTransversality("det <theta^i, Z_j> vanishes identically")
-    return P
+    try:
+        return P, _scalar_matrix_inverse(P)
+    except SingularMatrix as exc:
+        raise DegenerateTransversality("det <theta^i, Z_j> vanishes identically") from exc
 
 
 def normalize(
     theta: Sequence[DiffForm],
     fields: Sequence[VectorField],
     constants: StructureConstants,
-    check_residual: bool = True,
 ) -> list[DiffForm]:
     """omega^i = (P^{-1})^i_j theta^j; satisfies the structure equations of
-    the symmetry algebra exactly."""
-    P = transversality(theta, fields)
-    Pinv = _scalar_matrix_inverse(P)
-    n = len(theta)
-    omegas = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            if Pinv[i][j].is_zero():
-                continue
-            piece = theta[j] * Pinv[i][j]
-            acc = piece if acc is None else acc + piece
-        omegas.append(acc)
-    if check_residual:
-        res = structure_residual(omegas, constants)
-        if not all(r.is_zero() for r in res):
-            raise ResidualNonzero(
-                "normalized generators fail the structure equations; the fields "
-                "are not symmetries of the system or the constants are wrong"
-            )
+    the symmetry algebra exactly, so that <omega^i, Z_j> = delta^i_j."""
+    _, Pinv = transversality(theta, fields)
+    omegas = [lin_comb(row, theta) for row in Pinv]
+    if not all(r.is_zero() for r in structure_residual(omegas, constants)):
+        raise ResidualNonzero(
+            "normalized generators fail the structure equations; the fields "
+            "are not symmetries of the system or the constants are wrong"
+        )
     return omegas
 
 
@@ -167,8 +134,6 @@ def first_integrals(
         raise NotSolvable("symmetry algebra is not solvable")
     theta = system.theta
     fields = symmetry.fields
-    P = transversality(theta, fields)
-    Pinv = _scalar_matrix_inverse(P)
     omegas = normalize(theta, fields, sc)
     report.add("structure equations of omega = P^{-1} theta", True, "exact")
 
@@ -179,30 +144,11 @@ def first_integrals(
 
     chart = system.domain.chart
     n = len(theta)
-    membership_ok = True
-    dfs = []
-    for f in functions:
-        coeffs = {}
-        for j, nm in enumerate(chart.names):
-            d = f.diff(nm)
-            if not d.is_zero():
-                coeffs[(j,)] = d
-        dfs.append(DiffForm(chart, 1, coeffs, RationalFunction))
-    for i, df in enumerate(dfs):
-        pair_row = [pairing(df, Z) for Z in fields]
-        c = [
-            sum((pair_row[j] * Pinv[j][l] for j in range(n)), RationalFunction.zero(chart))
-            for l in range(n)
-        ]
-        recon = None
-        for l in range(n):
-            if c[l].is_zero():
-                continue
-            piece = theta[l] * c[l]
-            recon = piece if recon is None else recon + piece
-        resid = df if recon is None else df - recon
-        if not resid.is_zero():
-            membership_ok = False
+    dfs = [differential(f) for f in functions]
+    # df = sum_j <df, Z_j> omega^j exactly when df lies in span{omega} = span{theta}
+    membership_ok = all(
+        (df - lin_comb([pairing(df, Z) for Z in fields], omegas)).is_zero() for df in dfs
+    )
     report.add("df^i in span{theta^j} (exact membership)", membership_ok, "exact")
 
     # functional independence: df^1 ^ ... ^ df^n nonzero

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import NonElementaryInClass, ResidualNonzero
 from .exppoly import ZERO_TOL
-from .forms import DiffForm, PointMap, potential, pullback, structure_residual
-from .liealg import AdaptedChain
+from .forms import DiffForm, PointMap, differential, potential, pullback_check, structure_residual
+from .liealg import AdaptedChain, lin_comb
 from .matexp import sym_exp
 from .rational import LogExtendedScalar, RationalFunction
 from .report import Report
@@ -43,10 +41,23 @@ class ReductionTrace:
     steps: list[ReductionStep] = field(default_factory=list)
     functions: list = field(default_factory=list)  # f^1..f^n (f^i at index i-1)
     residual_forms: list = field(default_factory=list)  # nonempty on early stop
+    residuals: list[float] = field(default_factory=list)  # worst structure residual per level
 
     @property
     def complete(self) -> bool:
         return len(self.steps) == self.chain.n
+
+
+class StepResult(tuple):
+    """The (f, omega-hat) pair of one reduction step.  It also carries the
+    step's factor matrix and the measured residual of its input block,
+    which reduce_full records in the trace."""
+
+    def __new__(cls, f, hat, factor, residual: float):
+        pair = super().__new__(cls, (f, hat))
+        pair.factor = factor
+        pair.residual = residual
+        return pair
 
 
 def _factor_matrix(chain: AdaptedChain, s: int, f):
@@ -117,25 +128,17 @@ def _log_factor(E, f: LogExtendedScalar):
     return out
 
 
-def _apply_factor(factor, omegas: Sequence[DiffForm]) -> list[DiffForm]:
-    m = len(omegas)
-    out = []
-    for i in range(m):
-        acc = None
-        for j in range(m):
-            c = factor[i][j]
-            if c.is_zero():
-                continue
-            piece = omegas[j] * c
-            acc = piece if acc is None else acc + piece
-        out.append(acc if acc is not None else omegas[i] * 0)
-    return out
-
-
-def _residual_ok(omegas, sc, tol):
-    res = structure_residual(omegas, sc)
+def _check_level(omegas: Sequence[DiffForm], chain: AdaptedChain, s: int, tol: float) -> float:
+    """Worst structure residual of the level-s block; raises past tol."""
+    res = structure_residual(omegas, chain.base.restricted(chain.n - s))
     worst = max((r.max_abs_coeff() for r in res), default=0.0)
-    return worst <= tol, worst
+    if worst > tol:
+        raise ResidualNonzero(
+            f"forms fail the level-{s} structure equations (residual {worst:.3e})",
+            level=s,
+            residual=worst,
+        )
+    return worst
 
 
 def reduce_step(
@@ -144,8 +147,7 @@ def reduce_step(
     s: int,
     basepoint: Mapping[str, object] | None = None,
     tol: float = ZERO_TOL,
-    check_residual: bool = True,
-):
+) -> StepResult:
     """One reduction at ideal depth s: returns (f, omega-hat list).
 
     The input block has n - s forms satisfying the structure equations of
@@ -155,24 +157,11 @@ def reduce_step(
     m = chain.n - s
     if len(omegas) != m:
         raise ValueError(f"expected {m} forms at level {s}, got {len(omegas)}")
-    if check_residual:
-        ok, worst = _residual_ok(omegas, chain.base.restricted(m), tol)
-        if not ok:
-            raise ResidualNonzero(
-                f"input forms fail the level-{s} structure equations "
-                f"(residual {worst:.3e})"
-            )
+    worst = _check_level(omegas, chain, s, tol)
     f = potential(omegas[m - 1], basepoint, tol=tol)
     factor = _factor_matrix(chain, s, f)
-    hat = list(omegas) if factor is None else _apply_factor(factor, omegas)
-    if check_residual and m >= 2:
-        ok, worst = _residual_ok(hat[: m - 1], chain.base.restricted(m - 1), tol)
-        if not ok:
-            raise ResidualNonzero(
-                f"reduced forms fail the level-{s + 1} structure equations "
-                f"(residual {worst:.3e})"
-            )
-    return f, hat
+    hat = list(omegas) if factor is None else [lin_comb(row, omegas) for row in factor]
+    return StepResult(f, hat, factor, worst)
 
 
 def reduce_full(
@@ -181,12 +170,13 @@ def reduce_full(
     basepoint: Mapping[str, object] | None = None,
     stop_after: int | None = None,
     tol: float = ZERO_TOL,
-    check_residual: bool = True,
 ) -> ReductionTrace:
     """Run the reduction to exact differentials (or stop after r steps).
 
     Produces functions f^1..f^n with f^i(basepoint) = 0 whose differentials
-    are the fully transformed input forms.
+    are the fully transformed input forms.  Each level's block is checked
+    against its structure equations once, the remaining block included
+    on an early stop.
     """
     n = chain.n
     if len(omegas) != n:
@@ -204,11 +194,15 @@ def reduce_full(
     current = list(omegas)
     for s in range(r):
         m = n - s
-        f, hat = reduce_step(current, chain, s, basepoint, tol, check_residual)
-        trace.steps.append(ReductionStep(s, f, _factor_matrix(chain, s, f)))
+        step = reduce_step(current, chain, s, basepoint, tol)
+        f, hat = step
+        trace.steps.append(ReductionStep(s, f, step.factor))
+        trace.residuals.append(step.residual)
         trace.functions[m - 1] = f
         current = hat[: m - 1]
-    trace.residual_forms = current if r < n else []
+    if r < n:
+        trace.residuals.append(_check_level(current, chain, r, tol))
+        trace.residual_forms = current
     return trace
 
 
@@ -219,26 +213,14 @@ def reassemble(trace: ReductionTrace, tol: float = ZERO_TOL) -> list[DiffForm]:
         raise ValueError("reassembly needs a complete trace")
     chain = trace.chain
     n = chain.n
-    chart = trace.chart
-    scls = type(trace.functions[0]) if not isinstance(trace.functions[0], LogExtendedScalar) else RationalFunction
-    forms = []
-    for f in trace.functions:
-        coeffs = {}
-        for j, nm in enumerate(chart.names):
-            d = f.diff(nm)
-            if not d.is_zero():
-                coeffs[(j,)] = d
-        forms.append(DiffForm(chart, 1, coeffs, scls))
+    forms = [differential(f) for f in trace.functions]
     for step in reversed(trace.steps):
-        s = step.level
-        m = n - s
-        ad = chain.ad_matrix(s)
-        if all(x == 0 for row in ad for x in row):
+        if step.factor is None:
             continue
-        neg_ad = [[-x for x in row] for row in ad]
+        m = n - step.level
+        neg_ad = [[-x for x in row] for row in chain.ad_matrix(step.level)]
         inv_factor = _compose_factor(sym_exp(neg_ad, "_t"), step.f)
-        block = _apply_factor(inv_factor, forms[:m])
-        forms = block + forms[m:]
+        forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
     return forms
 
 
@@ -269,49 +251,22 @@ def verify_rho(
 ) -> Report:
     """Check rho^* tau^i = omega^i, symbolically when the composition stays
     in class, otherwise numerically on random tangent vectors."""
-    from .errors import ClassMismatch, NonAffineExponentSubstitution
+    rho = rho_map(trace, taus[0].chart)
+    names = trace.chart.names
 
-    report = Report()
-    target = taus[0].chart
-    rho = rho_map(trace, target)
-    if mode in ("auto", "symbolic"):
-        try:
-            for i, (tau, omega) in enumerate(zip(taus, omegas)):
-                diff = pullback(rho, tau) - omega
-                if omega.scls is RationalFunction:
-                    ok = diff.is_zero()
-                    worst = 0.0 if ok else 1.0
-                else:
-                    worst = diff.max_abs_coeff()
-                    ok = worst <= max(tol, ZERO_TOL)
-                report.add(f"rho^* tau^{i + 1} = omega^{i + 1}", ok, "symbolic", worst)
-            return report
-        except (ClassMismatch, NonAffineExponentSubstitution) as exc:
-            if mode == "symbolic":
-                report.add("rho^* tau^i = omega^i", False, "symbolic", None, str(exc))
-                return report
-            report = Report()
-    rng = random.Random(seed)
-    chart = trace.chart
-    nsrc = len(chart)
-    worst = [0.0] * len(taus)
-    for _ in range(samples):
+    def sample_point(rng):
         if domain is not None:
-            pt = domain.sample(rng)
-        else:
-            pt = {nm: rng.uniform(-1.5, 1.5) for nm in chart.names}
-        J = rho.jacobian_at(pt)
-        img = rho(pt)
-        vec = np.array([rng.uniform(-1, 1) for _ in range(nsrc)])
-        push = J @ vec
-        for i, (tau, omega) in enumerate(zip(taus, omegas)):
-            lhs = sum(
-                c.evaluate(img) * push[idx[0]] for idx, c in tau.coeffs.items()
-            )
-            rhs = sum(
-                c.evaluate(pt) * vec[idx[0]] for idx, c in omega.coeffs.items()
-            )
-            worst[i] = max(worst[i], abs(lhs - rhs))
-    for i, w in enumerate(worst):
-        report.add(f"rho^* tau^{i + 1} = omega^{i + 1}", w <= tol, "numeric", w)
+            return domain.sample(rng)
+        return {nm: rng.uniform(-1.5, 1.5) for nm in names}
+
+    errors, used, detail = pullback_check(
+        rho, taus, omegas, mode, samples, random.Random(seed), sample_point
+    )
+    report = Report()
+    if errors is None:
+        report.add("rho^* tau^i = omega^i", False, "symbolic", None, detail)
+        return report
+    bound = tol if used == "numeric" else max(tol, ZERO_TOL)
+    for i, w in enumerate(errors):
+        report.add(f"rho^* tau^{i + 1} = omega^{i + 1}", w <= bound, used, w)
     return report

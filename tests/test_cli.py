@@ -123,6 +123,8 @@ def test_reduce_on_golden_forms(tmp_path):
     assert doc["complete"] is True
     assert len(doc["functions"]) == 3
     assert doc["report"]["passed"] is True
+    # the per-level residual line records the measured worst residual
+    assert doc["report"]["checks"][0]["error"] == 0.0
 
 
 def test_reduce_partial_stop(tmp_path):

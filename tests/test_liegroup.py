@@ -309,3 +309,17 @@ def test_preadjoint_oracle_consistency():
         law = multiplication(chain)
         report = preadjoint_oracle(chain, law, samples=60, seed=9)
         assert report.passed, str(report)
+
+
+def test_group_law_builds_each_matrix_exponential_once(monkeypatch):
+    """The 5-dim law and its cross-check need 13 distinct exponentials."""
+    import liequad.matexp as matexp
+
+    calls = []
+    counted = matexp._snap_spectrum
+    monkeypatch.setattr(matexp, "_snap_spectrum", lambda *a: calls.append(1) or counted(*a))
+    matexp._putzer.cache_clear()
+    _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
+    law = multiplication(chain)
+    assert preadjoint_oracle(chain, law, samples=5).passed
+    assert len(calls) == 13

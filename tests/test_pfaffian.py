@@ -31,7 +31,7 @@ def test_transversality_identity_case():
     V = VarSet.of("x1", "x2")
     theta = [DiffForm.d_coordinate(V, n, RationalFunction) for n in V.names]
     Z = [VectorField.coordinate(V, n, RationalFunction) for n in V.names]
-    P = transversality(theta, Z)
+    P, _ = transversality(theta, Z)
     for i in range(2):
         for j in range(2):
             assert P[i][j] == RationalFunction.constant(V, int(i == j))
@@ -40,7 +40,7 @@ def test_transversality_identity_case():
 def test_transversality_determinant_on_ode_example(
     ode_chart, ode_theta, ode_symmetry_fields
 ):
-    P = transversality(ode_theta, ode_symmetry_fields)
+    P, _ = transversality(ode_theta, ode_symmetry_fields)
     # independent determinant via sympy on the raw pairing matrix
     M = sp.Matrix(
         [[P[i][j].expr for j in range(3)] for i in range(3)]
@@ -95,11 +95,20 @@ def test_first_integrals_ode_goldens(
     heisenberg,
     ode_basepoint,
     ode_goldens,
+    monkeypatch,
 ):
+    import liequad.pfaffian as pfaffian
+
+    inversions = []
+    counted = pfaffian._scalar_matrix_inverse
+    monkeypatch.setattr(
+        pfaffian, "_scalar_matrix_inverse", lambda M: inversions.append(1) or counted(M)
+    )
     system = PfaffianSystem(ode_domain, ode_theta)
     sym = SymmetryAlgebra(ode_symmetry_fields, heisenberg)
     fns, report = first_integrals(system, sym, ode_basepoint)
     assert report.passed, str(report)
+    assert len(inversions) == 1
     for name, idx in (("f1", 0), ("f2", 1), ("f3", 2)):
         golden = ode_goldens[name]
         shift = golden.evaluate_exact(ode_basepoint)

@@ -148,15 +148,30 @@ def test_identity_case_returns_coordinates():
 def test_residual_check_rejects_wrong_constants(omega_normalized, ode_basepoint):
     wrong = StructureConstants.from_brackets(3, {(2, 3): {1: F(2)}})
     chain = chain_from_adapted(wrong)
-    with pytest.raises(ResidualNonzero):
+    with pytest.raises(ResidualNonzero) as info:
         reduce_full(omega_normalized, chain, ode_basepoint)
+    assert info.value.level == 0 and info.value.residual == 1.0
 
 
-def test_partial_reduction_early_stop():
+def test_partial_reduction_early_stop(monkeypatch):
+    import liequad.reduction as reduction
+
+    calls = []
+    counted = reduction.structure_residual
+    monkeypatch.setattr(
+        reduction, "structure_residual", lambda *a: calls.append(1) or counted(*a)
+    )
     sc = five_dim_constants(F(1), F(2))
     _, chain = adapted_chain(sc)
     _, D, omegas = product_group_forms(chain)
+    # one structure-residual check per level
+    full = reduce_full(omegas, chain)
+    assert len(calls) == 5 and len(full.residuals) == 5
+    calls.clear()
     trace = reduce_full(omegas, chain, stop_after=2)
+    # levels 0 and 1 in the steps, level 2 for the remaining block
+    assert len(calls) == 3 and len(trace.residuals) == 3
+    assert max(trace.residuals) < 1e-10
     assert not trace.complete
     assert len(trace.residual_forms) == 3
     assert trace.functions[4] is not None and trace.functions[3] is not None
