@@ -238,12 +238,6 @@ class ExpPoly:
         """Polynomial of total degree <= 1 (legal in exp/trig positions)."""
         return self.is_polynomial() and all(sum(k) <= 1 for (k, _, _, _) in self.terms)
 
-    def depends_on(self, name: str) -> bool:
-        i = self.chart.index(name)
-        return any(
-            k[i] != 0 or a[i] != 0.0 or b[i] != 0.0 for (k, a, b, _) in self.terms
-        )
-
     def variables_in_rates(self) -> set[str]:
         """Names appearing inside an exp or trig rate of some term."""
         out = set()
@@ -292,11 +286,11 @@ class ExpPoly:
                     put((k, a, b, KIND_COS), c * b[i])
         return ExpPoly(self.chart, acc)
 
-    def antideriv(self, name: str, basepoint: float | None = 0.0) -> "ExpPoly":
+    def antideriv(self, name: str) -> "ExpPoly":
         """Antiderivative in one variable, exact inside the class.
 
-        The result vanishes at ``name = basepoint`` (pass ``None`` to skip
-        the normalization).
+        The constant of integration is not fixed; `forms.potential`
+        normalizes at a basepoint.
         """
         i = self.chart.index(name)
         acc: dict[Key, float] = {}
@@ -346,11 +340,7 @@ class ExpPoly:
                         # Im[p e^{(a+ib).x}]
                         put((k2, a, b, KIND_COS), pj.imag)
                         put((k2, a, b, KIND_SIN), pj.real)
-        result = ExpPoly(self.chart, acc)
-        if basepoint is not None:
-            at_base = result.substitute_partial({name: float(basepoint)})
-            result = result - at_base
-        return result
+        return ExpPoly(self.chart, acc)
 
     # ------------------------------------------------------------------
     # evaluation and substitution

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -30,13 +31,6 @@ from .rational import LogExtendedScalar, RationalFunction
 from .varset import VarSet
 
 Index = tuple[int, ...]
-
-
-def _scale_factor(scls, value):
-    """Number form usable on the right of scalar *."""
-    if scls is ExpPoly:
-        return float(value)
-    return Fraction(value) if not isinstance(value, Fraction) else value
 
 
 class DiffForm:
@@ -108,13 +102,8 @@ class DiffForm:
 
     def __mul__(self, other):
         """Multiply by a scalar or a plain number."""
-        if isinstance(other, (int, float, Fraction)):
-            if other == 0:
-                return DiffForm.zero(self.chart, self.degree, self.scls)
-            f = _scale_factor(self.scls, other)
-            return DiffForm(
-                self.chart, self.degree, {i: c * f for i, c in self.coeffs.items()}, self.scls
-            )
+        if isinstance(other, (int, float, Fraction)) and other == 0:
+            return DiffForm.zero(self.chart, self.degree, self.scls)
         return DiffForm(
             self.chart, self.degree, {i: c * other for i, c in self.coeffs.items()}, self.scls
         )
@@ -254,8 +243,6 @@ class VectorField:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = _scale_factor(self.scls, other)
         return VectorField(self.chart, [c * other for c in self.components], self.scls)
 
     __rmul__ = __mul__
@@ -326,11 +313,16 @@ class PointMap:
             for name, comp in zip(self.target.names, self.components)
         }
 
+    @cached_property
+    def differentials(self) -> list[DiffForm]:
+        """The differential of each component, computed once per map."""
+        return [differential(comp) for comp in self.components]
+
     def jacobian_at(self, point: Mapping[str, float]) -> np.ndarray:
         J = np.zeros((len(self.target), len(self.source)))
-        for i, comp in enumerate(self.components):
-            for j, name in enumerate(self.source.names):
-                J[i, j] = comp.diff(name).evaluate(point)
+        for i, dcomp in enumerate(self.differentials):
+            for (j,), c in dcomp.coeffs.items():
+                J[i, j] = c.evaluate(point)
         return J
 
     @classmethod
@@ -380,7 +372,7 @@ def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
         if c is None:
             return DiffForm.zero(phi.source, 0, scls)
         return DiffForm.function(_compose_scalar(c, phi))
-    dphi = [differential(comp) for comp in phi.components]
+    dphi = phi.differentials
     result = DiffForm.zero(phi.source, alpha.degree, scls)
     for I, a in alpha.coeffs.items():
         piece = DiffForm.function(_compose_scalar(a, phi))
@@ -465,7 +457,7 @@ def potential(
         coeff = remaining.coeffs.get((vi,))
         if coeff is None or coeff.is_zero(tol):
             continue
-        g = coeff.antideriv(name, basepoint=None)
+        g = coeff.antideriv(name)
         total = g if total is None else total + g
         remaining = remaining - differential(g)
     if total is None:
@@ -475,23 +467,12 @@ def potential(
             "variable peeling left a nonzero residual; the form is not exact "
             "over this chart"
         )
-    # normalize at the basepoint
-    if isinstance(total, ExpPoly):
-        const = total.substitute_partial({n: float(basepoint[n]) for n in chart.names})
-        total = total - const
-    elif isinstance(total, RationalFunction):
-        try:
-            const = total.substitute_partial(basepoint)
-        except PoleAtPoint as exc:
-            raise BasepointOnPole(str(exc)) from exc
-        total = total - const
-    elif isinstance(total, LogExtendedScalar):
-        try:
-            const = total.rational_part.substitute_partial(basepoint)
-        except PoleAtPoint as exc:
-            raise BasepointOnPole(str(exc)) from exc
-        total = LogExtendedScalar(chart, total.rational_part - const, total.log_terms)
-    return total
+    # normalize at the basepoint; log terms are left as they are
+    part = total.rational_part if isinstance(total, LogExtendedScalar) else total
+    try:
+        return total - part.substitute_partial(basepoint)
+    except PoleAtPoint as exc:
+        raise BasepointOnPole(str(exc)) from exc
 
 
 def line_integral(

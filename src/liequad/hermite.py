@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .errors import NonElementaryInClass, PoleAtPoint
+from .errors import NonElementaryInClass
 from .rational import LogExtendedScalar, RationalFunction, _sym, chart_symbols
 
 
@@ -60,10 +60,10 @@ def _integrate_poly_part(Q, v):
     return total
 
 
-def integrate_rational(rf: RationalFunction, name: str, basepoint=Fraction(0)):
+def integrate_rational(rf: RationalFunction, name: str):
     """Antiderivative of ``rf`` in ``name``; result is a RationalFunction or
-    a LogExtendedScalar, normalized to vanish at ``name = basepoint`` when
-    that value is not a pole (rational part only for log-bearing results).
+    a LogExtendedScalar.  The constant of integration is not fixed;
+    `forms.potential` normalizes at a basepoint.
     """
     chart = rf.chart
     v = _sym(name)
@@ -106,27 +106,9 @@ def integrate_rational(rf: RationalFunction, name: str, basepoint=Fraction(0)):
                 log_terms.extend(_log_part(pr, d, v, K))
 
     total_rational = sp.cancel(sp.together(total_rational))
-    rational_part = RationalFunction(chart, total_rational)
-
-    if not log_terms:
-        result = rational_part
-        if basepoint is not None:
-            try:
-                result = result - result.substitute_partial({name: basepoint})
-            except PoleAtPoint:
-                pass
-        _check_derivative(result, rf, name)
-        return result
-
-    result = LogExtendedScalar(chart, rational_part, log_terms)
-    if basepoint is not None:
-        try:
-            const = result.rational_part.substitute_partial({name: basepoint})
-            result = LogExtendedScalar(
-                chart, result.rational_part - const, result.log_terms
-            )
-        except PoleAtPoint:
-            pass
+    result = RationalFunction(chart, total_rational)
+    if log_terms:
+        result = LogExtendedScalar(chart, result, log_terms)
     _check_derivative(result, rf, name)
     return result
 

@@ -4,7 +4,8 @@ Everything in this module is exact Fraction arithmetic: antisymmetry and
 Jacobi validation, derived series, solvability, codimension-one ideal
 chains adapted to the derived series, and basis changes with the tensor
 transformation law.  `lin_comb`, the scalar-matrix-row times vector
-helper, also serves the form and field layers.
+helper, and the Gauss-Jordan elimination behind `rref` and `mat_inverse`
+also serve the form layers, whose entries are exact scalars.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def mat_identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def _is_zero(c) -> bool:
+    """Zero test for a number (== 0) or a scalar (.is_zero())."""
+    return (c == 0) if isinstance(c, (int, float, Fraction)) else c.is_zero()
+
+
 def lin_comb(coeffs: Sequence, items: Sequence):
     """sum_j items[j] * coeffs[j], skipping zero coefficients.
 
@@ -46,7 +52,7 @@ def lin_comb(coeffs: Sequence, items: Sequence):
     """
     acc = None
     for c, item in zip(coeffs, items):
-        if (c == 0) if isinstance(c, (int, float, Fraction)) else c.is_zero():
+        if _is_zero(c):
             continue
         piece = item * c
         acc = piece if acc is None else acc + piece
@@ -54,40 +60,37 @@ def lin_comb(coeffs: Sequence, items: Sequence):
 
 
 def mat_inverse(A: Matrix) -> Matrix:
+    """Exact inverse as the reduced row echelon form of [A | I]; entries
+    are Fractions or exact scalars (rational functions)."""
     n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    if n == 0:
+        return []
+    zero = A[0][0] * 0
+    one = zero + 1
+    rows = rref([list(A[i]) + [one if i == j else zero for j in range(n)] for i in range(n)])
+    # a pivot right of the diagonal leaves a zero on it: A is singular
+    if any(_is_zero(rows[i][i]) for i in range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    return [list(row[n:]) for row in rows]
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> list[Vector]:
-    """Reduced row echelon form; returns the nonzero rows."""
-    rows = [list(map(Fraction, r)) for r in rows]
+def rref(rows: Iterable[Sequence]) -> list[tuple]:
+    """Reduced row echelon form over exact entries (Fractions or exact
+    scalars); returns the nonzero rows."""
+    rows = [list(r) for r in rows]
     if not rows:
         return []
     ncols = len(rows[0])
-    out: list[list[Fraction]] = []
     lead = 0
-    rows = [r[:] for r in rows]
     for col in range(ncols):
-        pivot = next((i for i in range(lead, len(rows)) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(lead, len(rows)) if not _is_zero(rows[i][col])), None)
         if pivot is None:
             continue
         rows[lead], rows[pivot] = rows[pivot], rows[lead]
         pv = rows[lead][col]
         rows[lead] = [x / pv for x in rows[lead]]
         for i in range(len(rows)):
-            if i != lead and rows[i][col] != 0:
+            if i != lead and not _is_zero(rows[i][col]):
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[lead])]
         lead += 1
@@ -342,10 +345,10 @@ def adapted_chain(sc: StructureConstants) -> tuple[BasisChange, AdaptedChain]:
     Deterministic: complements are taken in echelon order of the input
     basis.  Raises NotSolvable when the derived series does not reach zero.
     """
-    if not is_solvable(sc):
+    series = derived_series(sc)
+    if series[-1]:
         raise NotSolvable("derived series does not terminate at 0")
     n = sc.dim
-    series = derived_series(sc)
     flag: list[Vector] = []
     flag_rref: list[Vector] = []
     for sub in reversed(series):

@@ -22,8 +22,7 @@ from .errors import NonConvergence, ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
 from .forms import DiffForm, PointMap, VectorField, lie_bracket, pairing, pullback_check, structure_residual
 from .liealg import AdaptedChain, lin_comb
-from .matexp import sym_exp
-from .reduction import ReductionTrace, reduce_full
+from .reduction import ReductionTrace, _factor_matrix, reduce_full
 from .report import Report
 from .varset import VarSet, coordinate_chart, doubled_chart
 
@@ -64,18 +63,9 @@ class GroupLaw:
 # ----------------------------------------------------------------------
 # coframe / frame
 
-def _is_zero_matrix(M) -> bool:
-    return all(x == 0 for row in M for x in row)
-
-
 def _block_apply(factor, items, m):
     """Apply an m x m scalar matrix to the first m items (forms or fields)."""
     return [lin_comb(row, items[:m]) for row in factor] + list(items[m:])
-
-
-def _exp_factor(ad_matrix, chart: VarSet, var: str, negate: bool):
-    A = [[-x for x in row] for row in ad_matrix] if negate else ad_matrix
-    return sym_exp(A, "_t").compose(ExpPoly.coordinate(chart, var))
 
 
 def coframe(chain: AdaptedChain, chart: VarSet | None = None) -> list[DiffForm]:
@@ -86,11 +76,10 @@ def coframe(chain: AdaptedChain, chart: VarSet | None = None) -> list[DiffForm]:
     vec: list[DiffForm] = [DiffForm.d_coordinate(chart, nm, ExpPoly) for nm in chart.names]
     for s in range(n - 2, -1, -1):
         m = n - s
-        ad = chain.ad_matrix(s)
-        if _is_zero_matrix(ad):
-            continue
-        E = _exp_factor(ad, chart, chart.names[m - 1], negate=True)
-        vec = _block_apply(E, vec, m)
+        neg_ad = [[-x for x in row] for row in chain.ad_matrix(s)]
+        E = _factor_matrix(neg_ad, ExpPoly.coordinate(chart, chart.names[m - 1]))
+        if E is not None:
+            vec = _block_apply(E, vec, m)
     return vec
 
 
@@ -102,12 +91,10 @@ def frame(chain: AdaptedChain, chart: VarSet | None = None) -> list[VectorField]
     fields = [VectorField.coordinate(chart, nm, ExpPoly) for nm in chart.names]
     for s in range(n - 2, -1, -1):
         m = n - s
-        ad = chain.ad_matrix(s)
-        if _is_zero_matrix(ad):
-            continue
-        adT = [[ad[j][i] for j in range(m)] for i in range(m)]
-        E = _exp_factor(adT, chart, chart.names[m - 1], negate=False)
-        fields = _block_apply(E, fields, m)
+        adT = [list(col) for col in zip(*chain.ad_matrix(s))]
+        E = _factor_matrix(adT, ExpPoly.coordinate(chart, chart.names[m - 1]))
+        if E is not None:
+            fields = _block_apply(E, fields, m)
     return fields
 
 
@@ -130,27 +117,26 @@ def ad_product(
     chain: AdaptedChain,
     chart: VarSet,
     var_names: Sequence[str],
-    negate: bool = False,
-    reverse: bool = False,
+    inverse: bool = False,
 ):
-    """Product of exp(±v_j [ad(e_j)]) over the full adjoint matrices, in
-    ascending j (or descending when reverse)."""
+    """Ad(v) = e^{v_1 [ad e_1]} ... e^{v_n [ad e_n]} over the full adjoint
+    matrices; with inverse, Ad(v)^{-1} = e^{-v_n [ad e_n]} ... e^{-v_1 [ad e_1]}."""
     n = chain.n
     M = _scalar_identity(chart, n)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for j in order:
+    for j in (range(n - 1, -1, -1) if inverse else range(n)):
         A = chain.base.ad_matrix(j)
-        if _is_zero_matrix(A):
-            continue
-        E = _exp_factor(A, chart, var_names[j], negate=negate)
-        M = [[lin_comb(col, row) for col in zip(*E)] for row in M]
+        if inverse:
+            A = [[-x for x in row] for row in A]
+        E = _factor_matrix(A, ExpPoly.coordinate(chart, var_names[j]))
+        if E is not None:
+            M = [[lin_comb(col, row) for col in zip(*E)] for row in M]
     return M
 
 
 def ad_rep(chain: AdaptedChain, chart: VarSet | None = None):
     """Ad(x) = e^{x^1 [ad e_1]} ... e^{x^n [ad e_n]} over the group chart."""
     chart = chart or coordinate_chart(chain.n)
-    return ad_product(chain, chart, list(chart.names), negate=False, reverse=False)
+    return ad_product(chain, chart, list(chart.names))
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +169,7 @@ def product_group_forms(chain: AdaptedChain, group: SolvGroup | None = None):
     y_names = list(D.names[n:])
     pi1 = _pi_pullback(group.tau, D, 0)
     pi2 = _pi_pullback(group.tau, D, n)
-    ad_y_inv = ad_product(chain, D, y_names, negate=True, reverse=True)
+    ad_y_inv = ad_product(chain, D, y_names, inverse=True)
     omegas = [pi2[i] + lin_comb(ad_y_inv[i], pi1) for i in range(n)]
     return group, D, omegas
 
@@ -363,7 +349,7 @@ def preadjoint_forms(chain: AdaptedChain, group: SolvGroup | None = None):
     x_names = list(D.names[:n])
     pi1 = _pi_pullback(group.tau, D, 0)
     pi2 = _pi_pullback(group.tau, D, n)
-    M = ad_product(chain, D, x_names, negate=False, reverse=False)
+    M = ad_product(chain, D, x_names)
     theta = [pi2[i] - pi1[i] for i in range(n)]
     return D, [lin_comb(row, theta) for row in M]
 

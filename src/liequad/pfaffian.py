@@ -10,14 +10,16 @@ All arithmetic in this module is exact.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTransversality, ResidualNonzero, SingularMatrix
-from .forms import DiffForm, Domain, VectorField, differential, lie_bracket, pairing, structure_residual
-from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, transform_forms
+from .errors import DegenerateTransversality, NotSolvable, SingularMatrix
+from .forms import DiffForm, Domain, VectorField, differential, lie_bracket, pairing
+from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, transform_forms
 from .rational import RationalFunction
 from .reduction import reduce_full
 from .report import Report
@@ -57,30 +59,6 @@ class SymmetryAlgebra:
         return report
 
 
-def _scalar_matrix_inverse(M: list[list[RationalFunction]]):
-    """Exact inverse over the rational function field (Gauss-Jordan with
-    symbolic pivoting)."""
-    n = len(M)
-    chart = M[0][0].chart
-    aug = [
-        [M[i][j] for j in range(n)]
-        + [RationalFunction.constant(chart, int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrix("matrix of rational functions is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def transversality(
     theta: Sequence[DiffForm], fields: Sequence[VectorField]
 ) -> tuple[list[list[RationalFunction]], list[list[RationalFunction]]]:
@@ -91,7 +69,7 @@ def transversality(
         raise ValueError("need as many symmetry fields as generators")
     P = [[pairing(t, Z) for Z in fields] for t in theta]
     try:
-        return P, _scalar_matrix_inverse(P)
+        return P, mat_inverse(P)
     except SingularMatrix as exc:
         raise DegenerateTransversality("det <theta^i, Z_j> vanishes identically") from exc
 
@@ -101,16 +79,15 @@ def normalize(
     fields: Sequence[VectorField],
     constants: StructureConstants,
 ) -> list[DiffForm]:
-    """omega^i = (P^{-1})^i_j theta^j; satisfies the structure equations of
-    the symmetry algebra exactly, so that <omega^i, Z_j> = delta^i_j."""
+    """omega^i = (P^{-1})^i_j theta^j, so that <omega^i, Z_j> = delta^i_j.
+
+    The omegas satisfy the structure equations of `constants` exactly when
+    the fields are symmetries of the system with these constants; they are
+    not checked here but once, by the first level of the reduction in
+    `first_integrals`, in the adapted basis.
+    """
     _, Pinv = transversality(theta, fields)
-    omegas = [lin_comb(row, theta) for row in Pinv]
-    if not all(r.is_zero() for r in structure_residual(omegas, constants)):
-        raise ResidualNonzero(
-            "normalized generators fail the structure equations; the fields "
-            "are not symmetries of the system or the constants are wrong"
-        )
-    return omegas
+    return [lin_comb(row, theta) for row in Pinv]
 
 
 def first_integrals(
@@ -129,17 +106,13 @@ def first_integrals(
     report.extend(symmetry.verify_brackets())
     sc = symmetry.constants
     if not is_solvable(sc):
-        from .errors import NotSolvable
-
         raise NotSolvable("symmetry algebra is not solvable")
     theta = system.theta
     fields = symmetry.fields
     omegas = normalize(theta, fields, sc)
-    report.add("structure equations of omega = P^{-1} theta", True, "exact")
-
     change, chain = adapted_chain(sc)
-    omegas_ad = transform_forms(change, omegas)
-    trace = reduce_full(omegas_ad, chain, basepoint)
+    trace = reduce_full(transform_forms(change, omegas), chain, basepoint)
+    report.add("structure equations of omega = P^{-1} theta", True, "exact", trace.residuals[0])
     functions = trace.functions
 
     chart = system.domain.chart
@@ -157,18 +130,14 @@ def first_integrals(
         top = top.wedge(df)
     indep_symbolic = not top.is_zero()
     report.add("df^1 ^ ... ^ df^n not identically zero", indep_symbolic, "exact")
-    import random
 
+    partials = [[df.coefficient((j,)) for j in range(len(chart))] for df in dfs]
     rng = random.Random(seed)
     indep_points = True
     for _ in range(verify_samples):
         pt = system.domain.sample(rng)
-        grad = np.array(
-            [[f.diff(nm).evaluate(pt) for nm in chart.names] for f in functions]
-        )
+        grad = np.array([[p.evaluate(pt) for p in row] for row in partials])
         # rank check via the largest absolute n x n minor
-        from itertools import combinations
-
         best = 0.0
         for cols in combinations(range(len(chart)), n):
             best = max(best, abs(float(np.linalg.det(grad[:, cols]))))

@@ -182,20 +182,18 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.expr.is_polynomial(*chart_symbols(self.chart))
 
-    def depends_on(self, name: str) -> bool:
-        return _sym(name) in self.expr.free_symbols
-
     # ------------------------------------------------------------------
     # calculus
 
     def diff(self, name: str) -> "RationalFunction":
         return RationalFunction(self.chart, sp.diff(self.expr, _sym(name)))
 
-    def antideriv(self, name: str, basepoint=Fraction(0)):
-        """Exact antiderivative in ``name`` within the rational+log class."""
+    def antideriv(self, name: str):
+        """Exact antiderivative in ``name`` within the rational+log class,
+        without a fixed constant of integration (see `integrate_rational`)."""
         from .hermite import integrate_rational
 
-        return integrate_rational(self, name, basepoint)
+        return integrate_rational(self, name)
 
     # ------------------------------------------------------------------
     # evaluation / substitution
@@ -378,11 +376,6 @@ class LogExtendedScalar:
 
     def is_zero(self, tol: float | None = None) -> bool:
         return self.rational_part.is_zero() and not self.log_terms
-
-    def depends_on(self, name: str) -> bool:
-        return self.rational_part.depends_on(name) or any(
-            _sym(name) in a.free_symbols for _, a in self.log_terms
-        )
 
     def diff(self, name: str) -> RationalFunction:
         s = _sym(name)

@@ -60,21 +60,19 @@ class StepResult(tuple):
         return pair
 
 
-def _factor_matrix(chain: AdaptedChain, s: int, f):
-    """e^{f [ad_s(e_{n-s})]} as a scalar matrix over f's chart, or None
-    when the restriction vanishes."""
-    ad = chain.ad_matrix(s)
-    if all(x == 0 for row in ad for x in row):
+def _factor_matrix(A, f):
+    """e^{f A} as a scalar matrix in f's class, or None when A = 0.
+
+    A is a rational matrix and f a scalar: an ExpPoly, a rational function,
+    or a log-extended scalar, whose log terms need `_log_factor`.
+    """
+    if all(x == 0 for row in A for x in row):
         return None
-    return _compose_factor(sym_exp(ad, "_t"), f)
-
-
-def _compose_factor(E, f):
+    E = sym_exp(A, "_t")
     if isinstance(f, LogExtendedScalar):
-        if f.is_pure_rational:
-            f = f.as_rational()
-        else:
+        if not f.is_pure_rational:
             return _log_factor(E, f)
+        f = f.as_rational()
     return E.compose(f)
 
 
@@ -159,7 +157,7 @@ def reduce_step(
         raise ValueError(f"expected {m} forms at level {s}, got {len(omegas)}")
     worst = _check_level(omegas, chain, s, tol)
     f = potential(omegas[m - 1], basepoint, tol=tol)
-    factor = _factor_matrix(chain, s, f)
+    factor = _factor_matrix(chain.ad_matrix(s), f)
     hat = list(omegas) if factor is None else [lin_comb(row, omegas) for row in factor]
     return StepResult(f, hat, factor, worst)
 
@@ -219,7 +217,7 @@ def reassemble(trace: ReductionTrace, tol: float = ZERO_TOL) -> list[DiffForm]:
             continue
         m = n - step.level
         neg_ad = [[-x for x in row] for row in chain.ad_matrix(step.level)]
-        inv_factor = _compose_factor(sym_exp(neg_ad, "_t"), step.f)
+        inv_factor = _factor_matrix(neg_ad, step.f)
         forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
     return forms
 

@@ -206,6 +206,13 @@ def test_potential_of_coordinate_differential():
     assert f.isclose(ExpPoly.coordinate(V, "x1"))
 
 
+def test_potential_exppoly_vanishes_at_basepoint():
+    f = ExpPoly.term(V, 2.0, powers={"x1": 2}, exp_rates={"x1": -1.0})
+    g = potential(dx("x1") * f, {"x1": 0.5})
+    assert (g.diff("x1") - f).is_zero()
+    assert g.substitute_partial({"x1": 0.5}).max_abs_coeff() < 1e-12
+
+
 def test_potential_of_five_dim_reduced_form():
     # hand-typed reduced product-group form for (a, b) = (1, 2):
     # dx1 + e^{-x5-2x4}(dy1 - 2 y1 dx4 - y1 dx5)

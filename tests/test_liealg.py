@@ -16,7 +16,7 @@ from liequad import (
     validate,
 )
 from liequad.catalog import filiform4, five_dim_two_parameter, heisenberg, sl2
-from liequad.liealg import in_span, mat_identity, rref
+from liequad.liealg import in_span, mat_identity, mat_inverse, rref
 
 F = Fraction
 
@@ -198,3 +198,15 @@ def test_rref_and_span_helpers():
     basis = rref(rows)
     assert in_span(basis, (F(2), F(1), F(3)))
     assert not in_span(basis, (F(0), F(0), F(1)))
+
+
+def test_mat_inverse_over_rational_functions():
+    from liequad import RationalFunction, SingularMatrix, VarSet
+
+    V = VarSet.of("x", "u")
+    rf = lambda s: RationalFunction.parse(V, s)
+    # the zero pivot in the first column forces a row swap
+    inv = mat_inverse([[rf("0"), rf("x")], [rf("1"), rf("u")]])
+    assert inv == [[rf("-u/x"), rf("1")], [rf("1/x"), rf("0")]]
+    with pytest.raises(SingularMatrix):
+        mat_inverse([[rf("x"), rf("u")], [rf("x^2"), rf("x*u")]])

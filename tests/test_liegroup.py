@@ -100,7 +100,7 @@ def test_ad_inverse_matches_worked_example():
 
     _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
     D = doubled_chart(5)
-    M = ad_product(chain, D, list(D.names[5:]), negate=True, reverse=True)
+    M = ad_product(chain, D, list(D.names[5:]), inverse=True)
     t = ExpPoly.term
     e_ab = t(D, 1.0, exp_rates={"y4": 2.0, "y5": 1.0})
     e4 = {"y4": 1.0}
@@ -323,3 +323,18 @@ def test_group_law_builds_each_matrix_exponential_once(monkeypatch):
     law = multiplication(chain)
     assert preadjoint_oracle(chain, law, samples=5).passed
     assert len(calls) == 13
+
+
+def test_verify_group_differentiates_once_per_map(monkeypatch):
+    """The Jacobian's partial derivatives do not depend on the sample count."""
+    calls = []
+    counted = ExpPoly.diff
+    monkeypatch.setattr(ExpPoly, "diff", lambda self, name: calls.append(1) or counted(self, name))
+    _, chain = adapted_chain(heisenberg())
+    counts = []
+    for samples in (5, 10):
+        law = multiplication(chain)
+        calls.clear()
+        assert verify_group(law, samples=samples, seed=3).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -14,6 +14,7 @@ from liequad import (
     NotSolvable,
     PfaffianSystem,
     RationalFunction,
+    ResidualNonzero,
     StructureConstants,
     SymmetryAlgebra,
     VarSet,
@@ -100,19 +101,48 @@ def test_first_integrals_ode_goldens(
     import liequad.pfaffian as pfaffian
 
     inversions = []
-    counted = pfaffian._scalar_matrix_inverse
-    monkeypatch.setattr(
-        pfaffian, "_scalar_matrix_inverse", lambda M: inversions.append(1) or counted(M)
-    )
+    counted = pfaffian.mat_inverse
+    monkeypatch.setattr(pfaffian, "mat_inverse", lambda M: inversions.append(1) or counted(M))
     system = PfaffianSystem(ode_domain, ode_theta)
     sym = SymmetryAlgebra(ode_symmetry_fields, heisenberg)
     fns, report = first_integrals(system, sym, ode_basepoint)
     assert report.passed, str(report)
     assert len(inversions) == 1
+    check = next(c for c in report.checks if c.name.startswith("structure equations of omega"))
+    assert check.error == 0.0
     for name, idx in (("f1", 0), ("f2", 1), ("f3", 2)):
         golden = ode_goldens[name]
         shift = golden.evaluate_exact(ode_basepoint)
         assert fns[idx] == golden - RationalFunction.constant(golden.chart, shift)
+
+
+def test_first_integrals_differentiate_once_per_function(
+    ode_domain, ode_theta, ode_symmetry_fields, heisenberg, ode_basepoint, monkeypatch
+):
+    calls = []
+    counted = RationalFunction.diff
+    monkeypatch.setattr(
+        RationalFunction, "diff", lambda self, name: calls.append(1) or counted(self, name)
+    )
+    system = PfaffianSystem(ode_domain, ode_theta)
+    sym = SymmetryAlgebra(ode_symmetry_fields, heisenberg)
+    counts = []
+    for samples in (2, 6):
+        calls.clear()
+        _, report = first_integrals(system, sym, ode_basepoint, verify_samples=samples)
+        assert report.passed, str(report)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_wrong_constants_fail_at_the_first_reduction_level(
+    ode_domain, ode_theta, ode_symmetry_fields, ode_basepoint
+):
+    system = PfaffianSystem(ode_domain, ode_theta)
+    sym = SymmetryAlgebra(ode_symmetry_fields, StructureConstants.abelian(3))
+    with pytest.raises(ResidualNonzero) as exc:
+        first_integrals(system, sym, ode_basepoint)
+    assert exc.value.level == 0
 
 
 def test_first_integrals_annihilate_the_ode_flow(

@@ -58,12 +58,12 @@ def test_evaluate_exact_and_pole():
 
 
 def test_antideriv_inverse_square():
-    F = rf("1/u_x^2").antideriv("u_x", basepoint=None)
+    F = rf("1/u_x^2").antideriv("u_x")
     assert F == rf("-1/u_x")
 
 
 def test_antideriv_log_case():
-    G = rf("1/x").antideriv("x", basepoint=None)
+    G = rf("1/x").antideriv("x")
     assert isinstance(G, LogExtendedScalar)
     assert G.rational_part.is_zero()
     assert len(G.log_terms) == 1
@@ -71,21 +71,21 @@ def test_antideriv_log_case():
 
 
 def test_antideriv_rational_root_logs():
-    H = rf("1/(x^2-1)").antideriv("x", basepoint=None)
+    H = rf("1/(x^2-1)").antideriv("x")
     assert isinstance(H, LogExtendedScalar)
     assert sorted(c for c, _ in H.log_terms) == [Fraction(-1, 2), Fraction(1, 2)]
     assert H.diff("x") == rf("1/(x^2-1)")
 
 
 def test_antideriv_hermite_multiplicities():
-    F = rf("1/(x-1)^2").antideriv("x", basepoint=None)
+    F = rf("1/(x-1)^2").antideriv("x")
     assert F == rf("-1/(x-1)")
-    G = rf("(2*x+1)/(x^2*(x+1))").antideriv("x", basepoint=None)
+    G = rf("(2*x+1)/(x^2*(x+1))").antideriv("x")
     assert G.diff("x") == rf("(2*x+1)/(x^2*(x+1))")
 
 
 def test_antideriv_whole_log_of_irreducible_quadratic():
-    G = rf("x/(x^2+1)").antideriv("x", basepoint=None)
+    G = rf("x/(x^2+1)").antideriv("x")
     assert isinstance(G, LogExtendedScalar)
     assert G.diff("x") == rf("x/(x^2+1)")
 
@@ -102,28 +102,20 @@ def test_non_elementary_cases_raise():
 
 def test_antideriv_parametric_linear_factors():
     # multiplicity two with a parametric root
-    F1 = rf("1/(u-x)^2").antideriv("u", basepoint=None)
+    F1 = rf("1/(u-x)^2").antideriv("u")
     assert F1 == rf("-1/(u-x)")
     # parametric log argument, rational coefficient
-    G = rf("1/(u-x)").antideriv("u", basepoint=None)
+    G = rf("1/(u-x)").antideriv("u")
     assert isinstance(G, LogExtendedScalar)
     assert G.diff("u") == rf("1/(u-x)")
     assert G.diff("x") == rf("-1/(u-x)")
 
 
 def test_antideriv_with_parameters_in_coefficients():
-    F = rf("3*u_x^8/u_xx^3").antideriv("u_x", basepoint=None)
+    F = rf("3*u_x^8/u_xx^3").antideriv("u_x")
     assert F == rf("u_x^9/(3*u_xx^3)")
-    G = rf("u/(u_x*u_xx)").antideriv("u", basepoint=None)
+    G = rf("u/(u_x*u_xx)").antideriv("u")
     assert G == rf("u^2/(2*u_x*u_xx)")
-
-
-def test_basepoint_normalization_and_pole_skip():
-    F = rf("1/u_x^2").antideriv("u_x", basepoint=Fraction(1))
-    assert F == rf("1 - 1/u_x")
-    # basepoint 0 is a pole of the antiderivative: left un-normalized
-    G = rf("1/u_x^2").antideriv("u_x", basepoint=Fraction(0))
-    assert G == rf("-1/u_x")
 
 
 def test_log_extended_merges_proportional_arguments():

@@ -50,7 +50,7 @@ def test_single_step_on_ode_forms(heisenberg, omega_normalized, ode_basepoint):
     # the step factor is exp(f * ad(e_3)) = [[1, -f, 0], [0, 1, 0], [0, 0, 1]]
     from liequad.reduction import _factor_matrix
 
-    E = _factor_matrix(chain, 0, f3)
+    E = _factor_matrix(chain.ad_matrix(0), f3)
     assert E[0][0] == RationalFunction.one(chart)
     assert E[0][1] == -1 * f3
     assert E[0][2].is_zero() and E[1][0].is_zero()
@@ -188,7 +188,7 @@ def test_step_factor_is_bracket_automorphism():
     f5, _ = reduce_step(omegas, chain, 0, None)
     from liequad.reduction import _factor_matrix
 
-    E = _factor_matrix(chain, 0, f5)
+    E = _factor_matrix(chain.ad_matrix(0), f5)
     rng = random.Random(21)
     for _ in range(10):
         u = [rng.uniform(-1, 1) for _ in range(5)]

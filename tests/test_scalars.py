@@ -52,20 +52,13 @@ def test_antideriv_exp_cos():
     # integral of e^{at} cos(bt) = (a cos bt + b sin bt) e^{at} / (a^2+b^2)
     a, b = 1.0, 2.0
     g = ExpPoly.term(V, 1.0, exp_rates={"t": a}, trig_rates={"t": b}, kind=KIND_COS)
-    G = g.antideriv("t", basepoint=None)
+    G = g.antideriv("t")
     expected = (
         ExpPoly.term(V, a / (a * a + b * b), exp_rates={"t": a}, trig_rates={"t": b}, kind=KIND_COS)
         + ExpPoly.term(V, b / (a * a + b * b), exp_rates={"t": a}, trig_rates={"t": b}, kind=KIND_SIN)
     )
     assert G.isclose(expected, 1e-12)
     assert (G.diff("t") - g).is_zero()
-
-
-def test_antideriv_basepoint_normalization():
-    f = ExpPoly.term(V, 2.0, powers={"t": 2}, exp_rates={"t": -1.0})
-    F = f.antideriv("t", basepoint=0.5)
-    val = F.substitute_partial({"t": 0.5})
-    assert val.max_abs_coeff() < 1e-12
 
 
 def test_evaluate_examples():
@@ -131,7 +124,7 @@ def test_antideriv_diff_roundtrip_200_random():
     for i in range(200):
         p = _random_exppoly(rng)
         v = rng.choice(V.names)
-        F = p.antideriv(v, basepoint=None)
+        F = p.antideriv(v)
         assert (F.diff(v) - p).is_zero(1e-10), f"case {i} failed"
 
 
