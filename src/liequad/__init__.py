@@ -17,7 +17,6 @@ from .errors import (
     LiequadError,
     MismatchedVarSet,
     NonAffineExponentSubstitution,
-    NonConvergence,
     NonElementaryInClass,
     NotClosed,
     NotSolvable,
@@ -60,7 +59,6 @@ from .liegroup import (
     coframe,
     frame,
     group_invariants_report,
-    inverse_at,
     multiplication,
     preadjoint_oracle,
     verify_group,

@@ -84,10 +84,6 @@ class EigenvalueClusterAmbiguity(LiequadError):
     code = "eigenvalue-cluster-ambiguity"
 
 
-class NonConvergence(LiequadError):
-    code = "non-convergence"
-
-
 class SchemaError(LiequadError):
     """Malformed JSON input."""
 

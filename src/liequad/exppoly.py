@@ -55,6 +55,13 @@ def _canon_trig(b: tuple[float, ...], kind: int, coeff: float):
     return b, kind, coeff
 
 
+def _put(acc: dict, key: Key, c: float) -> None:
+    """Add c at key to an accumulator, the trig part canonicalized."""
+    b2, kind2, c2 = _canon_trig(key[2], key[3], c)
+    key = (key[0], key[1], b2, kind2)
+    acc[key] = acc.get(key, 0.0) + c2
+
+
 class ExpPoly:
     __slots__ = ("chart", "terms")
 
@@ -158,40 +165,34 @@ class ExpPoly:
             return NotImplemented
         self._check_chart(other)
         acc: dict[Key, float] = {}
-
-        def put(key, c):
-            b2, kind2, c2 = _canon_trig(key[2], key[3], c)
-            key = (key[0], key[1], b2, kind2)
-            acc[key] = acc.get(key, 0.0) + c2
-
         for (k1, a1, b1, t1), c1 in self.terms.items():
             for (k2, a2, b2, t2), c2 in other.terms.items():
                 k = tuple(x + y for x, y in zip(k1, k2))
                 a = tuple(x + y for x, y in zip(a1, a2))
                 c = c1 * c2
                 if t1 == KIND_ONE:
-                    put((k, a, b2, t2), c)
+                    _put(acc, (k, a, b2, t2), c)
                 elif t2 == KIND_ONE:
-                    put((k, a, b1, t1), c)
+                    _put(acc, (k, a, b1, t1), c)
                 else:
                     bsum = tuple(x + y for x, y in zip(b1, b2))
                     bdif = tuple(x - y for x, y in zip(b1, b2))
                     if t1 == KIND_COS and t2 == KIND_COS:
                         # cos u cos v = (cos(u-v) + cos(u+v)) / 2
-                        put((k, a, bdif, KIND_COS), 0.5 * c)
-                        put((k, a, bsum, KIND_COS), 0.5 * c)
+                        _put(acc, (k, a, bdif, KIND_COS), 0.5 * c)
+                        _put(acc, (k, a, bsum, KIND_COS), 0.5 * c)
                     elif t1 == KIND_SIN and t2 == KIND_SIN:
                         # sin u sin v = (cos(u-v) - cos(u+v)) / 2
-                        put((k, a, bdif, KIND_COS), 0.5 * c)
-                        put((k, a, bsum, KIND_COS), -0.5 * c)
+                        _put(acc, (k, a, bdif, KIND_COS), 0.5 * c)
+                        _put(acc, (k, a, bsum, KIND_COS), -0.5 * c)
                     elif t1 == KIND_SIN and t2 == KIND_COS:
                         # sin u cos v = (sin(u+v) + sin(u-v)) / 2
-                        put((k, a, bsum, KIND_SIN), 0.5 * c)
-                        put((k, a, bdif, KIND_SIN), 0.5 * c)
+                        _put(acc, (k, a, bsum, KIND_SIN), 0.5 * c)
+                        _put(acc, (k, a, bdif, KIND_SIN), 0.5 * c)
                     else:
                         # cos u sin v = (sin(u+v) - sin(u-v)) / 2
-                        put((k, a, bsum, KIND_SIN), 0.5 * c)
-                        put((k, a, bdif, KIND_SIN), -0.5 * c)
+                        _put(acc, (k, a, bsum, KIND_SIN), 0.5 * c)
+                        _put(acc, (k, a, bdif, KIND_SIN), -0.5 * c)
         return ExpPoly(self.chart, acc)
 
     __rmul__ = __mul__
@@ -266,24 +267,18 @@ class ExpPoly:
     def diff(self, name: str) -> "ExpPoly":
         i = self.chart.index(name)
         acc: dict[Key, float] = {}
-
-        def put(key, c):
-            b2, kind2, c2 = _canon_trig(key[2], key[3], c)
-            key = (key[0], key[1], b2, kind2)
-            acc[key] = acc.get(key, 0.0) + c2
-
         for (k, a, b, kind), c in self.terms.items():
             if k[i] > 0:
                 k2 = list(k)
                 k2[i] -= 1
-                put((tuple(k2), a, b, kind), c * k[i])
+                _put(acc, (tuple(k2), a, b, kind), c * k[i])
             if a[i] != 0.0:
-                put((k, a, b, kind), c * a[i])
+                _put(acc, (k, a, b, kind), c * a[i])
             if b[i] != 0.0:
                 if kind == KIND_COS:
-                    put((k, a, b, KIND_SIN), -c * b[i])
+                    _put(acc, (k, a, b, KIND_SIN), -c * b[i])
                 elif kind == KIND_SIN:
-                    put((k, a, b, KIND_COS), c * b[i])
+                    _put(acc, (k, a, b, KIND_COS), c * b[i])
         return ExpPoly(self.chart, acc)
 
     def antideriv(self, name: str) -> "ExpPoly":
@@ -294,19 +289,13 @@ class ExpPoly:
         """
         i = self.chart.index(name)
         acc: dict[Key, float] = {}
-
-        def put(key, c):
-            b2, kind2, c2 = _canon_trig(key[2], key[3], c)
-            key = (key[0], key[1], b2, kind2)
-            acc[key] = acc.get(key, 0.0) + c2
-
         for (k, a, b, kind), c in self.terms.items():
             kv, av, bv = k[i], a[i], b[i]
             if av == 0.0 and bv == 0.0:
                 # the exp/trig part does not involve the variable
                 k2 = list(k)
                 k2[i] += 1
-                put((tuple(k2), a, b, kind), c / (kv + 1))
+                _put(acc, (tuple(k2), a, b, kind), c / (kv + 1))
             elif bv == 0.0:
                 # real rate: integrate v^kv e^{av v} by parts, closed form
                 p = [0.0] * (kv + 1)
@@ -318,7 +307,7 @@ class ExpPoly:
                         continue
                     k2 = list(k)
                     k2[i] = j
-                    put((tuple(k2), a, b, kind), pj)
+                    _put(acc, (tuple(k2), a, b, kind), pj)
             else:
                 # complexify the v-dependence: z = av + i bv
                 z = complex(av, bv)
@@ -334,12 +323,12 @@ class ExpPoly:
                     )
                     if kind == KIND_COS:
                         # Re[p e^{(a+ib).x}]
-                        put((k2, a, b, KIND_COS), pj.real)
-                        put((k2, a, b, KIND_SIN), -pj.imag)
+                        _put(acc, (k2, a, b, KIND_COS), pj.real)
+                        _put(acc, (k2, a, b, KIND_SIN), -pj.imag)
                     else:
                         # Im[p e^{(a+ib).x}]
-                        put((k2, a, b, KIND_COS), pj.imag)
-                        put((k2, a, b, KIND_SIN), pj.real)
+                        _put(acc, (k2, a, b, KIND_COS), pj.imag)
+                        _put(acc, (k2, a, b, KIND_SIN), pj.real)
         return ExpPoly(self.chart, acc)
 
     # ------------------------------------------------------------------

@@ -435,13 +435,11 @@ def potential(
 ):
     """Scalar f with df = omega for a closed 1-form, by peeling the chart
     variables in order; f vanishes at the basepoint when that value is
-    representable in the class.
+    representable in the class.  A form that is not closed leaves a
+    nonzero residual after the peeling and raises NotClosed.
     """
     if omega.degree != 1:
         raise ValueError("potential needs a 1-form")
-    d = omega.exterior_d()
-    if not d.is_zero(tol):
-        raise NotClosed(f"d(omega) has coefficient of size {d.max_abs_coeff():.3e}")
     chart = omega.chart
     scls = omega.scls
     if basepoint is None:

@@ -45,6 +45,8 @@ def load_algebra(doc: dict) -> StructureConstants:
         dim = int(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("algebra document needs an integer 'dim'") from exc
+    if dim < 1:
+        raise SchemaError(f"algebra dimension must be at least 1, got {dim}")
     params = {}
     for name, value in (doc.get("params") or {}).items():
         try:

@@ -166,28 +166,29 @@ class ExpMatrix:
     def compose(self, f) -> list[list]:
         """Entries with the variable replaced by a scalar f.
 
-        ExpPoly f must be affine wherever t occurs in a rate; any scalar
-        class works when the entries are polynomial in t (nilpotent source).
+        ExpPoly f must be affine wherever t occurs in a rate.  Any other
+        scalar class needs a nilpotent source A and gets the exact finite
+        sum e^{f A} = sum_k f^k A^k / k! from the rational A, since the
+        float entries carry coefficients such as 1/6 inexactly.
         """
         if isinstance(f, ExpPoly):
             return [[e.substitute({self.var: f}) for e in row] for row in self.entries]
-        # rational scalar: only legal for polynomial entries
-        out = []
-        for row in self.entries:
-            new_row = []
-            for e in row:
-                if not e.is_polynomial():
-                    raise NonAffineExponentSubstitution(
-                        "matrix exponential entry has exponential/trig terms; "
-                        "cannot compose with a non-exponential scalar"
-                    )
-                cls = type(f)
-                acc = cls.zero(f.chart)
-                for (k, _, _, _), c in e.terms.items():
-                    acc = acc + (f ** k[0]) * Fraction(c)
-                new_row.append(acc)
-            out.append(new_row)
-        return out
+        A = self.source
+        n = len(A)
+        term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # A^k / k!
+        terms = []
+        while any(x != 0 for row in term for x in row):
+            if len(terms) == n:
+                raise NonAffineExponentSubstitution(
+                    "the matrix is not nilpotent, so its exponential has "
+                    "exponential/trig terms; cannot compose with a "
+                    "non-exponential scalar"
+                )
+            terms.append(term)
+            k = len(terms)
+            term = [[sum(row[m] * A[m][j] for m in range(n)) / k for j in range(n)] for row in term]
+        powers = [f ** k for k in range(len(terms))]
+        return [[lin_comb([t[a][b] for t in terms], powers) for b in range(n)] for a in range(n)]
 
     def scaled_variable(self, factor: float) -> "ExpMatrix":
         """E(factor * t) as a new ExpMatrix (used for E(-t))."""

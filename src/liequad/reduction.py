@@ -204,7 +204,7 @@ def reduce_full(
     return trace
 
 
-def reassemble(trace: ReductionTrace, tol: float = ZERO_TOL) -> list[DiffForm]:
+def reassemble(trace: ReductionTrace) -> list[DiffForm]:
     """Invert the reduction: apply the inverse factors to (df^1..df^n).
     Equal to the original input forms when the trace is complete."""
     if not trace.complete:

@@ -55,6 +55,16 @@ def test_validate_schema_error_exit_code(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+@pytest.mark.parametrize("command", ["validate", "coframe", "multiply"])
+def test_dimension_below_one_is_schema_error(tmp_path, command, dim):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": dim, "brackets": []}))
+    res = _run([command, str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["code"] == "schema-error"
+
+
 def test_multiply_matches_golden_law(tmp_path):
     out = tmp_path / "grouplaw.json"
     res = _run(["multiply", fixture_path("algebra_fiveparam_a1_b2.json"), "-o", str(out)])

@@ -234,6 +234,9 @@ def test_potential_raises_on_nonclosed():
     x2 = ExpPoly.coordinate(V, "x2")
     with pytest.raises(NotClosed):
         potential(dx("x1") * x2)
+    W = VarSet.of("x", "y")
+    with pytest.raises(NotClosed):
+        potential(DiffForm(W, 1, {(0,): RationalFunction.parse(W, "y")}))
 
 
 def test_potential_rational_basepoint_pole():

@@ -1,7 +1,6 @@
 """Group synthesis: coframe/frame goldens, adjoint representation,
 multiplication map, axiom verification, the cross-check oracle."""
 
-import pytest
 import random
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from liequad import (
     build_group,
     coordinate_chart,
     group_invariants_report,
-    inverse_at,
     multiplication,
     pairing,
     preadjoint_oracle,
@@ -259,37 +257,46 @@ def test_verify_group_detects_broken_law():
     D = law.mu.source
     bad_components = list(law.mu.components)
     bad_components[0] = bad_components[0] + ExpPoly.coordinate(D, "x2") * 0.01
-    bad_law = GroupLaw(
-        law.group, PointMap(D, law.group.chart, bad_components), law.ad, law.omega, law.trace
-    )
+    bad_law = GroupLaw(law.group, PointMap(D, law.group.chart, bad_components), law.ad, law.omega)
     report = verify_group(bad_law, samples=40, seed=6)
     assoc = next(c for c in report.checks if c.name.startswith("assoc"))
     assert not assoc.passed
+    # the cross-check reports the broken law in its rho line, without raising
+    oracle = preadjoint_oracle(chain, bad_law, samples=40, seed=6)
+    rho_line = next(c for c in oracle.checks if c.name == "rho(x,y) = mu(y, x^{-1})")
+    assert not rho_line.passed and rho_line.error > 1e-3
 
 
-def test_inverse_at_properties():
+def _inverse_of(chain):
+    """x -> rho(x, 0), the inverse from the preadjoint reduction."""
+    from liequad import preadjoint_forms, reduce_full
+
+    _, theta_t = preadjoint_forms(chain)
+    trace = reduce_full(theta_t, chain)
+
+    def inverse(x):
+        point = {f"x{i + 1}": v for i, v in enumerate(x)}
+        point.update({f"y{i + 1}": 0.0 for i in range(len(x))})
+        return np.array([f.evaluate(point) for f in trace.functions])
+
+    return inverse
+
+
+def test_preadjoint_inverse_properties():
     _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
     law = multiplication(chain)
-    assert np.abs(inverse_at(law, np.zeros(5))).max() < 1e-12
+    inverse = _inverse_of(chain)
+    assert np.abs(inverse(np.zeros(5))).max() < 1e-12
     rng = random.Random(8)
     for _ in range(50):
         x = np.array([rng.uniform(-1, 1) for _ in range(5)])
-        xi = inverse_at(law, x)
+        xi = inverse(x)
         assert np.abs(law.multiply(x, xi)).max() < 1e-9
+        assert np.abs(law.multiply(xi, x)).max() < 1e-9
     # abelian: inverse is negation
     _, ab = adapted_chain(StructureConstants.abelian(3))
-    ab_law = multiplication(ab)
     x = np.array([0.4, -1.2, 2.0])
-    assert np.abs(inverse_at(ab_law, x) + x).max() < 1e-10
-
-
-def test_inverse_at_nonconvergence_error():
-    from liequad import NonConvergence
-
-    _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
-    law = multiplication(chain)
-    with pytest.raises(NonConvergence):
-        inverse_at(law, np.array([0.5, 0.5, 0.5, 0.5, 0.5]), max_iter=1)
+    assert np.abs(_inverse_of(ab)(x) + x).max() < 1e-10
 
 
 def test_preadjoint_oracle_abelian_gives_difference():

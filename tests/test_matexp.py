@@ -130,6 +130,12 @@ def test_compose_polynomial_entries_with_rational_scalar():
     assert M[0][0] == RationalFunction.one(V)
     assert M[0][1] == -1 * f
     assert M[1][1] == RationalFunction.one(V)
+    # e^{u N} of the 4 x 4 shift is exact: its corner is u^3/6
+    N = [[F(int(j == i + 1)) for j in range(4)] for i in range(4)]
+    M = sym_exp(N, "t").compose(RationalFunction.coordinate(V, "u"))
+    assert M[0][3] == RationalFunction.parse(V, "u^3/6")
+    assert M[0][2] == RationalFunction.parse(V, "u^2/2")
+    assert M[3][0] == RationalFunction.zero(V)
 
 
 def test_compose_exponential_entries_with_rational_scalar_raises():

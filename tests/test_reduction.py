@@ -145,6 +145,25 @@ def test_identity_case_returns_coordinates():
             )
 
 
+def test_rational_reduction_of_filiform_coframes_is_exact():
+    """Over exact rational functions the L5 and L6 coframes, whose factors
+    carry x^3/6 and x^4/24, reduce to the coordinates."""
+    from liequad.convert import exppoly_to_rational
+
+    for n in (5, 6):
+        sc = StructureConstants.from_brackets(n, {(n, k): {k - 1: F(1)} for k in range(2, n)})
+        _, chain = adapted_chain(sc)
+        group = build_group(chain)
+        forms = [
+            DiffForm(group.chart, 1, {idx: exppoly_to_rational(c) for idx, c in t.coeffs.items()},
+                     RationalFunction)
+            for t in group.tau
+        ]
+        trace = reduce_full(forms, chain)
+        for i, f in enumerate(trace.functions):
+            assert f == RationalFunction.coordinate(group.chart, group.chart.names[i])
+
+
 def test_residual_check_rejects_wrong_constants(omega_normalized, ode_basepoint):
     wrong = StructureConstants.from_brackets(3, {(2, 3): {1: F(2)}})
     chain = chain_from_adapted(wrong)
