@@ -65,8 +65,16 @@ from .liegroup import (
 )
 from .matexp import ExpMatrix, exp_identities_check, sym_exp
 from .pfaffian import PfaffianSystem, SymmetryAlgebra, first_integrals, normalize, transversality
-from .rational import LogExtendedScalar, RationalFunction
 from .reduction import ReductionTrace, reassemble, reduce_full, reduce_step, rho_map, verify_rho
 from .varset import VarSet, coordinate_chart, doubled_chart
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the rational classes load sympy, so they are imported on first use
+    if name in ("LogExtendedScalar", "RationalFunction"):
+        from . import rational
+
+        return getattr(rational, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

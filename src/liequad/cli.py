@@ -16,6 +16,7 @@ import click
 
 from . import jsonio
 from .errors import LiequadError, SchemaError
+from .exppoly import ExpPoly
 from .liealg import adapted_chain, is_solvable, transform_forms, validate as validate_constants
 from .liegroup import (
     build_group,
@@ -25,7 +26,6 @@ from .liegroup import (
     verify_group,
 )
 from .pfaffian import first_integrals
-from .rational import RationalFunction
 from .reduction import reduce_full, verify_rho
 from .report import Report
 
@@ -199,7 +199,7 @@ def cmd_reduce(algebra, forms, stop_after, tol_zero, tol_sample, samples, seed,
         report = Report()
         worst = max(trace.residuals)
         report.add("structure equations at every level", worst <= cfg.tol_zero,
-                   "exact" if omegas[0].scls is RationalFunction else "symbolic", worst)
+                   "symbolic" if omegas[0].scls is ExpPoly else "exact", worst)
         if trace.complete:
             group = build_group(chain)
             report.extend(

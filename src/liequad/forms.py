@@ -17,17 +17,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .convert import exppoly_to_rational, rational_to_exppoly
 from .errors import (
     BasepointOnPole,
     ClassMismatch,
     MismatchedVarSet,
     NonAffineExponentSubstitution,
+    NonElementaryInClass,
     NotClosed,
     PoleAtPoint,
 )
 from .exppoly import ExpPoly, ZERO_TOL
-from .rational import LogExtendedScalar, RationalFunction
 from .varset import VarSet
 
 Index = tuple[int, ...]
@@ -336,11 +335,17 @@ def _compose_scalar(c, phi: PointMap):
     if isinstance(c, target_scls):
         pass
     elif isinstance(c, ExpPoly):
+        # the map has rational components, so the rational class is loaded
+        from .convert import exppoly_to_rational
+
         c = exppoly_to_rational(c)
-    elif isinstance(c, RationalFunction):
-        c = rational_to_exppoly(c)
     else:
-        raise ClassMismatch(f"cannot compose {type(c).__name__} along this map")
+        from .convert import rational_to_exppoly
+        from .rational import RationalFunction
+
+        if not isinstance(c, RationalFunction):
+            raise ClassMismatch(f"cannot compose {type(c).__name__} along this map")
+        c = rational_to_exppoly(c)
     bindings = {
         name: comp for name, comp in zip(phi.target.names, phi.components)
     }
@@ -350,11 +355,10 @@ def _compose_scalar(c, phi: PointMap):
 
 
 def differential(f) -> DiffForm:
-    """df as a 1-form over f's chart; log-extended scalars have rational
-    differentials."""
-    scls = RationalFunction if isinstance(f, LogExtendedScalar) else type(f)
+    """df as a 1-form over f's chart, in the class f.diff returns
+    (log-extended scalars have rational differentials)."""
     coeffs = {(j,): f.diff(name) for j, name in enumerate(f.chart.names)}
-    return DiffForm(f.chart, 1, coeffs, scls)
+    return DiffForm(f.chart, 1, coeffs)
 
 
 def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
@@ -451,13 +455,19 @@ def potential(
 
     remaining = omega
     total = None
-    for vi, name in enumerate(chart.names):
-        coeff = remaining.coeffs.get((vi,))
-        if coeff is None or coeff.is_zero(tol):
-            continue
-        g = coeff.antideriv(name)
-        total = g if total is None else total + g
-        remaining = remaining - differential(g)
+    try:
+        for vi, name in enumerate(chart.names):
+            coeff = remaining.coeffs.get((vi,))
+            if coeff is None or coeff.is_zero(tol):
+                continue
+            g = coeff.antideriv(name)
+            total = g if total is None else total + g
+            remaining = remaining - differential(g)
+    except NonElementaryInClass as exc:
+        # an out-of-class antiderivative may come from a form that is not closed
+        if not omega.exterior_d().is_zero(tol):
+            raise NotClosed("d(omega) is nonzero; the form is not closed") from exc
+        raise
     if total is None:
         total = scls.zero(chart)
     if not remaining.is_zero(tol):
@@ -466,7 +476,12 @@ def potential(
             "over this chart"
         )
     # normalize at the basepoint; log terms are left as they are
-    part = total.rational_part if isinstance(total, LogExtendedScalar) else total
+    part = total
+    if not isinstance(total, ExpPoly):
+        from .rational import LogExtendedScalar
+
+        if isinstance(total, LogExtendedScalar):
+            part = total.rational_part
     try:
         return total - part.substitute_partial(basepoint)
     except PoleAtPoint as exc:

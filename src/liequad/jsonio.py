@@ -7,34 +7,58 @@ re-parse to structurally equal values.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 from fractions import Fraction
 from typing import Mapping
-
-import sympy as sp
 
 from .errors import SchemaError
 from .exppoly import ExpPoly
 from .forms import DiffForm, Domain, VectorField
 from .liealg import StructureConstants
-from .rational import LogExtendedScalar, RationalFunction, _sym
 from .varset import VarSet
 
-SCALAR_KINDS = {"exppoly": ExpPoly, "rational": RationalFunction}
+
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
 
 
 def _coeff_to_fraction(text, params: Mapping[str, Fraction]) -> Fraction:
+    """Exact value of a bracket coefficient: numbers, bound parameter names,
+    unary +/-, + - * / and ** (or ^) with an integer exponent."""
+    source = str(text).strip().replace("^", "**")
+
+    def value(node) -> Fraction:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return Fraction(ast.get_source_segment(source, node))
+        if isinstance(node, ast.Name):
+            if node.id not in params:
+                raise SchemaError(
+                    f"coefficient {text!r} does not reduce to a rational; bind all parameters"
+                )
+            return params[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            x = value(node.operand)
+            return -x if isinstance(node.op, ast.USub) else x
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = value(node.right)
+            if exponent.denominator != 1:
+                raise SchemaError(f"coefficient {text!r} has the non-integer exponent {exponent}")
+            return value(node.left) ** exponent.numerator
+        raise SchemaError(f"bad coefficient {text!r}: {type(node).__name__} is not allowed")
+
     try:
-        expr = sp.sympify(str(text), rational=True)
-        expr = expr.subs({sp.Symbol(k): sp.Rational(v.numerator, v.denominator) for k, v in params.items()})
-        if not expr.is_Rational:
-            raise SchemaError(
-                f"coefficient {text!r} does not reduce to a rational; bind all parameters"
-            )
-        return Fraction(int(expr.p), int(expr.q))
-    except SchemaError:
-        raise
-    except Exception as exc:
+        return value(ast.parse(source, mode="eval").body)
+    except ZeroDivisionError as exc:
+        raise SchemaError(f"bad coefficient {text!r}: division by zero") from exc
+    except (SyntaxError, ValueError) as exc:
         raise SchemaError(f"bad coefficient {text!r}: {exc}") from exc
 
 
@@ -93,9 +117,13 @@ def dump_algebra(sc: StructureConstants, params: dict | None = None) -> dict:
 def dump_scalar(s) -> dict:
     if isinstance(s, ExpPoly):
         return {"kind": "exppoly", "text": s.to_text()}
+    from .rational import LogExtendedScalar, RationalFunction
+
     if isinstance(s, RationalFunction):
         return {"kind": "rational", "text": s.to_text()}
     if isinstance(s, LogExtendedScalar):
+        import sympy as sp
+
         return {
             "kind": "log-extended",
             "rational": s.rational_part.to_text(),
@@ -106,13 +134,27 @@ def dump_scalar(s) -> dict:
     raise SchemaError(f"unknown scalar type {type(s).__name__}")
 
 
+def _scalar_class(kind: str):
+    """ExpPoly for "exppoly", RationalFunction for "rational", which
+    loads the rational class on first use."""
+    if kind == "exppoly":
+        return ExpPoly
+    if kind == "rational":
+        from .rational import RationalFunction
+
+        return RationalFunction
+    raise KeyError(kind)
+
+
 def load_scalar(doc: dict, chart: VarSet):
     kind = doc.get("kind")
-    if kind == "exppoly":
-        return ExpPoly.parse(chart, doc["text"])
-    if kind == "rational":
-        return RationalFunction.parse(chart, doc["text"])
+    if kind in ("exppoly", "rational"):
+        return _scalar_class(kind).parse(chart, doc["text"])
     if kind == "log-extended":
+        import sympy as sp
+
+        from .rational import LogExtendedScalar, RationalFunction, _sym
+
         rat = RationalFunction.parse(chart, doc["rational"])
         logs = []
         local = {n: _sym(n) for n in chart.names}
@@ -139,7 +181,7 @@ def dump_form(form: DiffForm) -> dict:
 def load_form(doc: dict, chart: VarSet) -> DiffForm:
     try:
         degree = int(doc["degree"])
-        scls = SCALAR_KINDS[doc["scalar_kind"]]
+        scls = _scalar_class(doc["scalar_kind"])
         coeffs = {}
         for term in doc["terms"]:
             idx = tuple(int(i) - 1 for i in term["idx"])
@@ -170,6 +212,7 @@ def load_pfaffian_file(doc: dict):
     """{"chart": [...], "excluded": [poly-strings], "theta": [form-docs],
     "symmetry": [{"components": [rational-strings]}], "brackets": algebra-doc}"""
     from .pfaffian import PfaffianSystem, SymmetryAlgebra
+    from .rational import RationalFunction
 
     try:
         chart = VarSet(tuple(doc["chart"]))

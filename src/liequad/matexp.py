@@ -2,7 +2,8 @@
 
 Eigenvalues are computed numerically (balanced QR via LAPACK), clustered
 at an absolute tolerance, snapped back to exact rational / quadratic
-values when the exact characteristic polynomial confirms them, and fed to
+values when exact singularity of A - lambda I confirms them (Gauss-Jordan
+over Fractions; for lambda = a +/- ib, of (A - aI)^2 + b^2 I), and fed to
 Putzer's recursion.  Complex pairs become real cos/sin terms, repeated
 eigenvalues become polynomial factors t^k, so the entries live in the
 exponential-polynomial class in one variable.
@@ -17,11 +18,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
 
 from .errors import EigenvalueClusterAmbiguity, NonAffineExponentSubstitution
 from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, ZERO_TOL
-from .liealg import lin_comb
+from .liealg import lin_comb, rref
 from .report import Report
 from .varset import VarSet
 
@@ -65,22 +65,26 @@ def _cluster_spectrum(eigs: np.ndarray, tol: float) -> list[tuple[complex, int]]
     return clusters
 
 
+def _is_singular(M: list[list[Fraction]]) -> bool:
+    return len(rref(M)) < len(M)
+
+
 def _snap_spectrum(
     clusters: list[tuple[complex, int]], A: Sequence[Sequence[Fraction]], tol: float
 ) -> list[tuple[complex, int]]:
     """Replace cluster representatives by exact rational (or rational +/- i
-    rational) values whenever the exact characteristic polynomial confirms
-    them; keeps golden outputs bit-stable."""
+    rational) values whenever A - lambda I is exactly singular at them;
+    keeps golden outputs bit-stable."""
     n = len(A)
-    lam = sp.Symbol("lambda")
-    M = sp.Matrix([[sp.Rational(A[i][j].numerator, A[i][j].denominator) for j in range(n)] for i in range(n)])
-    charpoly = M.charpoly(lam).as_expr()
+
+    def shifted(c: Fraction) -> list[list[Fraction]]:
+        return [[A[i][j] - c if i == j else A[i][j] for j in range(n)] for i in range(n)]
 
     def try_real(x: float):
         cand = Fraction(x).limit_denominator(10 ** 6)
         if abs(float(cand) - x) > tol:
             return None
-        if charpoly.subs(lam, sp.Rational(cand.numerator, cand.denominator)) == 0:
+        if _is_singular(shifted(cand)):
             return float(cand)
         return None
 
@@ -89,10 +93,14 @@ def _snap_spectrum(
         ci = Fraction(im).limit_denominator(10 ** 6)
         if abs(float(cr) - re) > tol or abs(float(ci) - im) > tol:
             return None
-        a = sp.Rational(cr.numerator, cr.denominator)
-        b = sp.Rational(ci.numerator, ci.denominator)
-        quad = lam ** 2 - 2 * a * lam + (a ** 2 + b ** 2)
-        if sp.rem(charpoly, quad, lam) == 0:
+        # det q(A) = prod q(lambda_i) for q(z) = (z - a)^2 + b^2, so q(A) is
+        # singular exactly when a +/- ib are eigenvalues
+        B = shifted(cr)
+        q = [
+            [sum(B[i][m] * B[m][j] for m in range(n)) + (ci * ci if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        if _is_singular(q):
             return complex(float(cr), float(ci))
         return None
 

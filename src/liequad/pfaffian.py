@@ -13,16 +13,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateTransversality, NotSolvable, SingularMatrix
 from .forms import DiffForm, Domain, VectorField, differential, lie_bracket, pairing
 from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, transform_forms
-from .rational import RationalFunction
 from .reduction import reduce_full
 from .report import Report
+
+if TYPE_CHECKING:
+    from .rational import RationalFunction
 
 
 @dataclass
@@ -31,6 +33,8 @@ class PfaffianSystem:
     theta: list[DiffForm]
 
     def __post_init__(self):
+        from .rational import RationalFunction
+
         for t in self.theta:
             if t.degree != 1:
                 raise ValueError("Pfaffian generators must be 1-forms")

@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import NonElementaryInClass, ResidualNonzero
-from .exppoly import ZERO_TOL
+from .exppoly import ExpPoly, ZERO_TOL
 from .forms import DiffForm, PointMap, differential, potential, pullback_check, structure_residual
 from .liealg import AdaptedChain, lin_comb
 from .matexp import sym_exp
-from .rational import LogExtendedScalar, RationalFunction
 from .report import Report
 from .varset import VarSet
 
@@ -69,18 +68,23 @@ def _factor_matrix(A, f):
     if all(x == 0 for row in A for x in row):
         return None
     E = sym_exp(A, "_t")
-    if isinstance(f, LogExtendedScalar):
-        if not f.is_pure_rational:
-            return _log_factor(E, f)
-        f = f.as_rational()
+    if not isinstance(f, ExpPoly):
+        from .rational import LogExtendedScalar
+
+        if isinstance(f, LogExtendedScalar):
+            if not f.is_pure_rational:
+                return _log_factor(E, f)
+            f = f.as_rational()
     return E.compose(f)
 
 
-def _log_factor(E, f: LogExtendedScalar):
+def _log_factor(E, f):
     """exp of (sum c_i log p_i) times the adjoint: rational exactly when
     every eigenvalue times every log coefficient is an integer, turning
     e^{lambda f} into a product of integer powers p_i^{lambda c_i}.
     The classical integrating-factor situation."""
+    from .rational import RationalFunction
+
     chart = f.chart
     if not f.rational_part.is_zero():
         raise NonElementaryInClass(
@@ -231,8 +235,11 @@ def rho_map(trace: ReductionTrace, target: VarSet | None = None) -> PointMap:
         target = VarSet(tuple(f"x{i}" for i in range(1, n + 1)))
     comps = []
     for f in trace.functions:
-        if isinstance(f, LogExtendedScalar):
-            f = f.as_rational()  # raises when log terms are present
+        if not isinstance(f, ExpPoly):
+            from .rational import LogExtendedScalar
+
+            if isinstance(f, LogExtendedScalar):
+                f = f.as_rational()  # raises when log terms are present
         comps.append(f)
     return PointMap(trace.chart, target, comps)
 

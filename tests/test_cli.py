@@ -1,6 +1,9 @@
 """CLI surface: JSON I/O, golden outputs, determinism, error codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from fractions import Fraction
@@ -319,3 +322,52 @@ def test_unbound_parameter_is_schema_error(tmp_path):
     res = _run(["validate", str(path)])
     assert res.exit_code == 2
     assert "schema-error" in res.output or "schema-error" in (res.stderr or "")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/2", Fraction(1, 2)),
+    ("-b", Fraction(-2)),
+    ("2*a - b/3", Fraction(7, 3)),
+    ("0.25", Fraction(1, 4)),
+    ("a^2", Fraction(9, 4)),
+    ("(a+1)/2", Fraction(5, 4)),
+])
+def test_bracket_coefficients_load_exactly(text, value):
+    doc = {
+        "dim": 2,
+        "params": {"a": "3/2", "b": "2"},
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"1": text}}],
+    }
+    assert jsonio.load_algebra(doc).C[0][0][1] == value
+
+
+@pytest.mark.parametrize("text", ["sqrt(4)", "1/0", "a**(1/2)", "__import__('os')"])
+def test_bad_bracket_coefficient_is_schema_error(tmp_path, text):
+    doc = {
+        "dim": 2,
+        "params": {"a": "3/2"},
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"1": text}}],
+    }
+    path = tmp_path / "bad_coeff.json"
+    path.write_text(json.dumps(doc))
+    res = _run(["validate", str(path)])
+    assert res.exit_code == 2
+    assert "schema-error" in res.output or "schema-error" in (res.stderr or "")
+
+
+def test_exppoly_commands_do_not_load_sympy(tmp_path):
+    algebra = fixture_path("algebra_fiveparam_a1_b2.json")
+    script = f"""
+import sys
+import liequad
+from liequad.cli import main
+for command in ("validate", "coframe", "multiply"):
+    main([command, {algebra!r}, "-o", {str(tmp_path / "out.json")!r}], standalone_mode=False)
+assert "sympy" not in sys.modules, "sympy was loaded"
+from liequad import RationalFunction
+assert "sympy" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jsonio.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

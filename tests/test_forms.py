@@ -237,6 +237,9 @@ def test_potential_raises_on_nonclosed():
     W = VarSet.of("x", "y")
     with pytest.raises(NotClosed):
         potential(DiffForm(W, 1, {(0,): RationalFunction.parse(W, "y")}))
+    # peeling x first needs an antiderivative outside the class
+    with pytest.raises(NotClosed):
+        potential(DiffForm(W, 1, {(0,): RationalFunction.parse(W, "1/(x^2 + y)")}))
 
 
 def test_potential_rational_basepoint_pole():

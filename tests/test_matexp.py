@@ -6,11 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from liequad import EigenvalueClusterAmbiguity, ExpPoly, VarSet, exp_identities_check, sym_exp
+from liequad import (
+    EigenvalueClusterAmbiguity,
+    ExpPoly,
+    StructureConstants,
+    VarSet,
+    exp_identities_check,
+    sym_exp,
+)
 from liequad.catalog import five_dim_two_parameter
-from liequad.liealg import adapted_chain
-from liequad.matexp import derivative_residual
+from liequad.liealg import adapted_chain, mat_inverse
+from liequad.matexp import CLUSTER_TOL, _cluster_spectrum, _snap_spectrum, derivative_residual
 
 F = Fraction
 T = VarSet.of("t")
@@ -145,3 +154,101 @@ def test_compose_exponential_entries_with_rational_scalar_raises():
     E = sym_exp([[F(1)]], "t")
     with pytest.raises(NonAffineExponentSubstitution):
         E.compose(RationalFunction.parse(V, "1/u"))
+
+
+# ----------------------------------------------------------------------
+# the exact eigenvalue snap
+
+
+def _candidate(x: float) -> Fraction:
+    """The rational the snap tries for a float coordinate."""
+    return Fraction(x).limit_denominator(10 ** 6)
+
+
+def test_snap_rejects_close_irrational_candidate():
+    A = [[F(0), F(2)], [F(1), F(0)]]  # eigenvalues +- sqrt(2)
+    clusters = _cluster_spectrum(np.linalg.eigvals(np.array([[0.0, 2.0], [1.0, 0.0]])), CLUSTER_TOL)
+    for rep, _ in clusters:
+        # the candidate is within tolerance, so only the exact test rejects it
+        assert abs(float(_candidate(rep.real)) - rep.real) <= CLUSTER_TOL
+    assert _snap_spectrum(clusters, A, CLUSTER_TOL) == clusters
+    assert [v.real for v, _ in clusters] == pytest.approx([-2 ** 0.5, 2 ** 0.5])
+
+
+@pytest.mark.parametrize("a, b", [(F(0), F(1)), (F(1, 2), F(3, 2))])
+def test_snap_confirms_gaussian_rational_pair(a, b):
+    A = [[a, -b], [b, a]]  # eigenvalues a +- ib
+    clusters = [(complex(a + 3e-9, -b - 2e-9), 1), (complex(a + 3e-9, b + 2e-9), 1)]
+    assert _snap_spectrum(clusters, A, CLUSTER_TOL) == [
+        (complex(float(a), -float(b)), 1),
+        (complex(float(a), float(b)), 1),
+    ]
+
+
+def test_snap_confirms_repeated_eigenvalue():
+    A = [[F(2), F(1)], [F(0), F(2)]]
+    assert _snap_spectrum([(complex(2 + 4e-9, 0.0), 2)], A, CLUSTER_TOL) == [(2 + 0j, 2)]
+
+
+def test_snap_of_nilpotent_filiform_adjoint_is_zero():
+    # L_16: [e_16, e_k] = e_{k-1} for k = 2..15
+    sc = StructureConstants.from_brackets(16, {(16, k): {k - 1: F(1)} for k in range(2, 16)})
+    _, chain = adapted_chain(sc)
+    A = chain.ad_matrix(0)
+    n = len(A)
+    clusters = _cluster_spectrum(np.linalg.eigvals(np.array([[float(x) for x in r] for r in A])), CLUSTER_TOL)
+    assert _snap_spectrum(clusters, A, CLUSTER_TOL) == [(0j, n)]
+    assert _snap_spectrum([(complex(5e-9, 0.0), n)], A, CLUSTER_TOL) == [(0j, n)]
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Small rational matrices: random entries, or a unimodular conjugate of
+    a block matrix with rational eigenvalues and rational +- i rational pairs
+    (so both the accepting and the rejecting branch run)."""
+    n = draw(st.integers(2, 4))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if draw(st.booleans()):
+        return [[draw(small) for _ in range(n)] for _ in range(n)]
+    D = [[F(0)] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and draw(st.booleans()):
+            a, b = draw(small), draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+            D[i][i] = D[i + 1][i + 1] = a
+            D[i][i + 1], D[i + 1][i] = -b, b
+            i += 2
+        else:
+            D[i][i] = draw(small)
+            i += 1
+    P = [[F(int(r == c)) if c <= r else F(draw(st.integers(-2, 2))) for c in range(n)] for r in range(n)]
+    Pinv = mat_inverse(P)
+    M = [[sum(P[r][k] * D[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+    return [[sum(M[r][k] * Pinv[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rational_matrices())
+def test_snap_accepts_exactly_the_roots_of_the_characteristic_polynomial(A):
+    lam = sp.Symbol("lambda")
+    charpoly = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in A]).charpoly(lam).as_expr()
+    try:
+        clusters = _cluster_spectrum(np.linalg.eigvals(np.array([[float(x) for x in r] for r in A])), CLUSTER_TOL)
+    except EigenvalueClusterAmbiguity:
+        return
+    for rep, mult in clusters:
+        if rep.imag < 0:
+            continue
+        ((value, _),) = _snap_spectrum([(rep, mult)], A, CLUSTER_TOL)
+        cr = _candidate(rep.real)
+        if abs(rep.imag) <= CLUSTER_TOL:
+            ci, root = F(0), sp.Rational(cr.numerator, cr.denominator)
+            in_tol = abs(float(cr) - rep.real) <= CLUSTER_TOL
+        else:
+            ci = _candidate(rep.imag)
+            root = sp.Rational(cr.numerator, cr.denominator) + sp.I * sp.Rational(ci.numerator, ci.denominator)
+            in_tol = abs(float(cr) - rep.real) <= CLUSTER_TOL and abs(float(ci) - rep.imag) <= CLUSTER_TOL
+        if not in_tol:
+            continue
+        is_root = sp.expand(charpoly.subs(lam, root)) == 0
+        assert (value == complex(float(cr), float(ci))) == is_root, (A, rep, value)
