@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy as sp
+from sympy.polys.domains import QQ
 
 from .errors import ClassMismatch
 from .exppoly import ExpPoly, KIND_ONE
-from .rational import RationalFunction, chart_symbols
+from .rational import RationalFunction, chart_field
 
 
 def exppoly_to_rational(p: ExpPoly) -> RationalFunction:
@@ -22,29 +22,23 @@ def exppoly_to_rational(p: ExpPoly) -> RationalFunction:
         raise ClassMismatch(
             "exponential/trig terms cannot be converted to a rational function"
         )
-    syms = chart_symbols(p.chart)
-    expr = sp.Integer(0)
+    terms = {}
     for (k, _, _, _), c in p.terms.items():
         fr = Fraction(c).limit_denominator(10 ** 12)
         if abs(float(fr) - c) > 1e-12 * max(1.0, abs(c)):
             raise ClassMismatch(f"coefficient {c} is not recognizably rational")
-        mono = sp.Rational(fr.numerator, fr.denominator)
-        for i, ki in enumerate(k):
-            if ki:
-                mono *= syms[i] ** ki
-        expr += mono
-    return RationalFunction(p.chart, expr)
+        terms[tuple(k)] = QQ(fr.numerator, fr.denominator)
+    return RationalFunction(p.chart, chart_field(p.chart).ring.from_dict(terms))
 
 
 def rational_to_exppoly(r: RationalFunction) -> ExpPoly:
-    num, den = sp.fraction(r.expr)
-    if den.free_symbols:
+    num, den = r.frac.numer, r.frac.denom
+    if not den.is_ground:
         raise ClassMismatch("non-constant denominator cannot become an ExpPoly")
-    syms = chart_symbols(r.chart)
-    poly = sp.Poly(num / den, *syms)
-    n = len(syms)
+    n = len(r.chart)
+    d = Fraction(int(den.LC))
     terms = {}
-    for monom, coeff in poly.terms():
+    for monom, coeff in num.terms():
         key = (tuple(monom), (0.0,) * n, (0.0,) * n, KIND_ONE)
-        terms[key] = float(coeff)
+        terms[key] = float(Fraction(int(coeff.numerator), int(coeff.denominator)) / d)
     return ExpPoly(r.chart, terms)

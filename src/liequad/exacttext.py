@@ -1,0 +1,74 @@
+"""Exact evaluation of the arithmetic text in documents.
+
+This is the one reader of formula text: bracket coefficients evaluate to
+Fractions, rational-function text to elements of the chart's rational
+function field.  The text is parsed with :mod:`ast` and walked, never
+evaluated as Python.  Admitted are numeric literals (read from their
+source text, so long decimals stay exact), bound names, unary +/-,
+``+ - * /``, and ``**`` or ``^`` with an integer exponent; anything else
+(calls, attributes, subscripts, comparisons, ...) is a
+:class:`~liequad.errors.SchemaError`.
+"""
+
+from __future__ import annotations
+
+import ast
+import operator
+from fractions import Fraction
+from typing import Callable, Mapping
+
+from .errors import SchemaError
+
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+
+
+def evaluate_text(
+    text,
+    names: Mapping[str, object],
+    number: Callable[[Fraction], object] = lambda q: q,
+    what: str = "coefficient",
+    unbound: str = "bind all parameters",
+):
+    """Value of ``text`` in the ring of ``names``' values.
+
+    ``number`` embeds a literal (a Fraction) into that ring.  Exponents are
+    evaluated in Fractions, so they may use only names bound to Fractions.
+    ``what`` names the text in error messages and ``unbound`` says how to
+    fix a name that is not bound.
+    """
+    source = str(text).strip().replace("^", "**")
+
+    def value(node, numeric: bool):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            q = Fraction(ast.get_source_segment(source, node))
+            return q if numeric else number(q)
+        if isinstance(node, ast.Name):
+            if node.id not in names:
+                raise SchemaError(f"{what} {text!r} uses the unbound name {node.id!r}; {unbound}")
+            v = names[node.id]
+            if numeric and not isinstance(v, Fraction):
+                raise SchemaError(f"{what} {text!r} has a non-constant exponent")
+            return v
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            x = value(node.operand, numeric)
+            return -x if isinstance(node.op, ast.USub) else x
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](value(node.left, numeric), value(node.right, numeric))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = value(node.right, True)
+            if exponent.denominator != 1:
+                raise SchemaError(f"{what} {text!r} has the non-integer exponent {exponent}")
+            return value(node.left, numeric) ** exponent.numerator
+        raise SchemaError(f"bad {what} {text!r}: {type(node).__name__} is not allowed")
+
+    try:
+        return value(ast.parse(source, mode="eval").body, False)
+    except ZeroDivisionError as exc:
+        raise SchemaError(f"bad {what} {text!r}: division by zero") from exc
+    except (SyntaxError, ValueError) as exc:
+        raise SchemaError(f"bad {what} {text!r}: {exc}") from exc

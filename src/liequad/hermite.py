@@ -1,27 +1,68 @@
 """One-variable integration of rational functions within the rational+log
 class.
 
-The rational part of the antiderivative is produced by Hermite reduction
-(integration by parts against the squarefree factorization, no linear
-solves), the transcendental part only by exact factorization over Q: a
-squarefree denominator factor p contributes ``c*log(p)`` when its partial
-fraction numerator is exactly ``c * dp/dv`` with constant rational ``c``.
-Everything else (algebraic or complex log arguments, non-constant log
-coefficients) raises :class:`~liequad.errors.NonElementaryInClass`.
+The integrand's numerator and denominator are read as polynomials in the
+integration variable v over K = Q(other chart variables), elements of
+sympy's sparse ring K[v].  The rational part of the antiderivative is
+produced by Hermite reduction (integration by parts against the
+squarefree factorization, no linear solves; Bronstein, *Symbolic
+Integration I*, ch. 2), the transcendental part only by exact
+factorization over Q: a squarefree denominator factor p contributes
+``c*log(p)`` when its partial fraction numerator is exactly ``c * dp/dv``
+with constant rational ``c``.  Everything else (algebraic or complex log
+arguments, non-constant log coefficients) raises
+:class:`~liequad.errors.NonElementaryInClass`.  Results go back to the
+chart's rational function field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing
 
 from .errors import NonElementaryInClass
-from .rational import LogExtendedScalar, RationalFunction, _sym, chart_symbols
+from .rational import LogExtendedScalar, RationalFunction, _integer_or_fraction, chart_field
+from .varset import VarSet
 
 
-def _field(others):
-    return sp.QQ.frac_field(*others) if others else sp.QQ
+@lru_cache(maxsize=None)
+def _univariate_ring(chart: VarSet, name: str) -> PolyRing:
+    """K[v] for v = name and K = Q(other chart variables), or Q[v]."""
+    symbols = chart_field(chart).symbols
+    i = chart.index(name)
+    others = symbols[:i] + symbols[i + 1:]
+    K = QQ.frac_field(*others) if others else QQ
+    return PolyRing((symbols[i],), K)
+
+
+def _to_univariate(poly: PolyElement, R: PolyRing, i: int) -> PolyElement:
+    """A chart polynomial as an element of K[v], v the i-th variable."""
+    K = R.domain
+    if K is QQ:
+        return R.from_dict({(m[i],): c for m, c in poly.items()})
+    inner = K.field.ring
+    groups: dict[int, dict] = {}
+    for m, c in poly.items():
+        groups.setdefault(m[i], {})[m[:i] + m[i + 1:]] = c
+    return R.from_dict({(e,): K.field(inner.from_dict(d)) for e, d in groups.items()})
+
+
+def _to_chart(p: PolyElement, chart: VarSet, i: int):
+    """An element of K[v] as an element of the chart field."""
+    F = chart_field(chart)
+    if p.ring.domain is QQ:  # v is the only chart variable
+        return F(F.ring.from_dict(dict(p.items())))
+
+    def lift(q, e):
+        return F.ring.from_dict({m[:i] + (e,) + m[i:]: c for m, c in q.items()})
+
+    total = F(0)
+    for (e,), c in p.items():
+        total += F.new(lift(c.numer, e), lift(c.denom, 0))
+    return total
 
 
 def _split_prime_powers(A, factors):
@@ -35,29 +76,21 @@ def _split_prime_powers(A, factors):
         return [(A, d, m)]
     d, m = factors[0]
     P = d ** m
-    Q = sp.Poly(1, *A.gens, domain=A.domain)
+    Q = A.ring.one
     for dj, mj in factors[1:]:
         Q = Q * dj ** mj
-    s, t, g = sp.gcdex(P, Q)
-    if not g.is_one:
+    s, t, g = P.gcdex(Q)
+    if g != 1:
         raise NonElementaryInClass("denominator factors are not coprime")
-    At = A * t
-    carry, A1 = sp.div(At, P)
+    carry, A1 = divmod(A * t, P)
     A2 = A * s + carry * Q
     return [(A1, d, m)] + _split_prime_powers(A2, factors[1:])
 
 
-def _integrate_poly_part(Q, v):
+def _integrate_poly_part(Q: PolyElement) -> PolyElement:
     """Antiderivative of a polynomial in v (coefficients may involve other
     variables)."""
-    total = sp.Integer(0)
-    if Q.is_zero:
-        return total
-    expr = Q.as_expr()
-    poly = sp.Poly(expr, v)
-    for (k,), c in poly.terms():
-        total += c * v ** (k + 1) / (k + 1)
-    return total
+    return Q.ring.from_dict({(k + 1,): c / (k + 1) for (k,), c in Q.items()})
 
 
 def integrate_rational(rf: RationalFunction, name: str):
@@ -66,46 +99,46 @@ def integrate_rational(rf: RationalFunction, name: str):
     `forms.potential` normalizes at a basepoint.
     """
     chart = rf.chart
-    v = _sym(name)
-    chart.index(name)
-    others = [s for s in chart_symbols(chart) if s != v]
-    K = _field(others)
+    i = chart.index(name)
+    R = _univariate_ring(chart, name)
+    K = R.domain
+    v = R.gens[0]
 
-    num, den = sp.fraction(rf.expr)
-    N = sp.Poly(num, v, domain=K)
-    D = sp.Poly(den, v, domain=K)
+    N = _to_univariate(rf.frac.numer, R, i)
+    D = _to_univariate(rf.frac.denom, R, i)
 
-    quo, rem = sp.div(N, D)
-    total_rational = _integrate_poly_part(quo, v)
-    log_terms: list[tuple[Fraction, sp.Expr]] = []
+    quo, rem = divmod(N, D)
+    total_rational = _to_chart(_integrate_poly_part(quo), chart, i)
+    log_terms: list[tuple[Fraction, PolyElement]] = []
 
-    if not rem.is_zero:
-        lc = D.LC()
+    if rem:
+        lc = D.LC
         D = D.monic()
         rem = rem.quo_ground(lc)
-        g = sp.gcd(rem, D)
+        g = rem.gcd(D)
         if g.degree() > 0:
-            rem = sp.div(rem, g)[0]
-            D = sp.div(D, g)[0]
-        _, sqf = sp.sqf_list(D)
+            rem = rem.exquo(g)
+            D = D.exquo(g)
+        _, sqf = D.sqf_list()
         pieces = _split_prime_powers(rem, sqf)
 
         for A, d, m in pieces:
-            dp = d.diff()
+            dp = d.diff(v)
             while m > 1:
-                s, t, g = sp.gcdex(d, dp)
-                if not g.is_one:
+                s, t, g = d.gcdex(dp)
+                if g != 1:
                     raise NonElementaryInClass("squarefree factor shares a root with its derivative")
                 u = A * t
-                total_rational += (-u.as_expr() / (m - 1)) / d.as_expr() ** (m - 1)
-                A = A * s + u.diff().quo_ground(K.convert(m - 1))
+                total_rational += _to_chart(u.quo_ground(K.convert(1 - m)), chart, i) / _to_chart(
+                    d, chart, i
+                ) ** (m - 1)
+                A = A * s + u.diff(v).quo_ground(K.convert(m - 1))
                 m -= 1
-            pq, pr = sp.div(A, d)
-            total_rational += _integrate_poly_part(pq, v)
-            if not pr.is_zero:
-                log_terms.extend(_log_part(pr, d, v, K))
+            pq, pr = divmod(A, d)
+            total_rational += _to_chart(_integrate_poly_part(pq), chart, i)
+            if pr:
+                log_terms.extend(_log_part(pr, d, chart, i))
 
-    total_rational = sp.cancel(sp.together(total_rational))
     result = RationalFunction(chart, total_rational)
     if log_terms:
         result = LogExtendedScalar(chart, result, log_terms)
@@ -113,13 +146,15 @@ def integrate_rational(rf: RationalFunction, name: str):
     return result
 
 
-def _log_part(r, d, v, K):
+def _log_part(r, d, chart: VarSet, i: int):
     """Logarithmic contributions of the proper fraction r/d with d squarefree.
 
     Each irreducible factor p of d over Q must receive a numerator which is
     an exact constant multiple of dp/dv; the constant must be rational.
     """
-    const, factors = sp.factor_list(d)
+    K = r.ring.domain
+    v = r.ring.gens[0]
+    const, factors = d.factor_list()
     fs = []
     for p, mult in factors:
         if p.degree() <= 0:
@@ -131,23 +166,19 @@ def _log_part(r, d, v, K):
     pieces = _split_prime_powers(A, fs)
     out = []
     for B, p, _ in pieces:
-        dp = p.diff()
-        q, rem = sp.div(B, dp)
-        if not rem.is_zero or q.degree() > 0:
+        q, rem = divmod(B, p.diff(v))
+        if rem or q.degree() > 0:
             raise NonElementaryInClass(
                 f"integrand needs log arguments outside Q-factorization: {p.as_expr()}"
             )
-        c_expr = q.as_expr()
-        if c_expr.free_symbols:
-            raise NonElementaryInClass(
-                f"log coefficient {c_expr} is not a rational constant"
-            )
-        c = sp.Rational(c_expr)
-        arg = sp.together(p.as_expr())
-        arg_num, arg_den = sp.fraction(arg)
-        if arg_den.has(v):
-            raise NonElementaryInClass("log argument has a denominator in the integration variable")
-        out.append((Fraction(int(c.p), int(c.q)), sp.expand(arg_num)))
+        c = q.LC
+        if K is not QQ:
+            if not (c.numer.is_ground and c.denom.is_ground):
+                raise NonElementaryInClass(
+                    f"log coefficient {q.as_expr()} is not a rational constant"
+                )
+            c = c.numer.LC / c.denom.LC
+        out.append((Fraction(_integer_or_fraction(c)), _to_chart(p, chart, i).numer))
     return out
 
 

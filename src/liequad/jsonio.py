@@ -7,59 +7,15 @@ re-parse to structurally equal values.
 
 from __future__ import annotations
 
-import ast
 import json
-import operator
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import SchemaError
+from .exacttext import evaluate_text
 from .exppoly import ExpPoly
 from .forms import DiffForm, Domain, VectorField
 from .liealg import StructureConstants
 from .varset import VarSet
-
-
-_BINARY_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-}
-
-
-def _coeff_to_fraction(text, params: Mapping[str, Fraction]) -> Fraction:
-    """Exact value of a bracket coefficient: numbers, bound parameter names,
-    unary +/-, + - * / and ** (or ^) with an integer exponent."""
-    source = str(text).strip().replace("^", "**")
-
-    def value(node) -> Fraction:
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return Fraction(ast.get_source_segment(source, node))
-        if isinstance(node, ast.Name):
-            if node.id not in params:
-                raise SchemaError(
-                    f"coefficient {text!r} does not reduce to a rational; bind all parameters"
-                )
-            return params[node.id]
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            x = value(node.operand)
-            return -x if isinstance(node.op, ast.USub) else x
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-            return _BINARY_OPS[type(node.op)](value(node.left), value(node.right))
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            exponent = value(node.right)
-            if exponent.denominator != 1:
-                raise SchemaError(f"coefficient {text!r} has the non-integer exponent {exponent}")
-            return value(node.left) ** exponent.numerator
-        raise SchemaError(f"bad coefficient {text!r}: {type(node).__name__} is not allowed")
-
-    try:
-        return value(ast.parse(source, mode="eval").body)
-    except ZeroDivisionError as exc:
-        raise SchemaError(f"bad coefficient {text!r}: division by zero") from exc
-    except (SyntaxError, ValueError) as exc:
-        raise SchemaError(f"bad coefficient {text!r}: {exc}") from exc
 
 
 def load_algebra(doc: dict) -> StructureConstants:
@@ -81,7 +37,7 @@ def load_algebra(doc: dict) -> StructureConstants:
     for entry in doc.get("brackets", []):
         try:
             i, j = int(entry["i"]), int(entry["j"])
-            coeffs = {int(k): _coeff_to_fraction(v, params) for k, v in entry["coeffs"].items()}
+            coeffs = {int(k): evaluate_text(v, params) for k, v in entry["coeffs"].items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad bracket entry {entry!r}") from exc
         key = (i, j)
@@ -128,7 +84,7 @@ def dump_scalar(s) -> dict:
             "kind": "log-extended",
             "rational": s.rational_part.to_text(),
             "logs": [
-                {"coeff": str(c), "arg": sp.sstr(a)} for c, a in s.log_terms
+                {"coeff": str(c), "arg": sp.sstr(a.as_expr())} for c, a in s.log_terms
             ],
         }
     raise SchemaError(f"unknown scalar type {type(s).__name__}")
@@ -151,18 +107,17 @@ def load_scalar(doc: dict, chart: VarSet):
     if kind in ("exppoly", "rational"):
         return _scalar_class(kind).parse(chart, doc["text"])
     if kind == "log-extended":
-        import sympy as sp
+        from .rational import LogExtendedScalar, RationalFunction
 
-        from .rational import LogExtendedScalar, RationalFunction, _sym
-
-        rat = RationalFunction.parse(chart, doc["rational"])
-        logs = []
-        local = {n: _sym(n) for n in chart.names}
-        for item in doc["logs"]:
-            logs.append(
-                (Fraction(item["coeff"]), sp.sympify(item["arg"], locals=local))
-            )
-        return LogExtendedScalar(chart, rat, logs)
+        try:
+            rat = RationalFunction.parse(chart, doc["rational"])
+            logs = [
+                (Fraction(item["coeff"]), RationalFunction.parse(chart, item["arg"]))
+                for item in doc["logs"]
+            ]
+            return LogExtendedScalar(chart, rat, logs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad log-extended scalar: {exc}") from exc
     raise SchemaError(f"unknown scalar kind {kind!r}")
 
 

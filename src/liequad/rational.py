@@ -1,7 +1,13 @@
 """Exact multivariate rational functions and their log extension.
 
-:class:`RationalFunction` wraps a canceled sympy expression over the chart
-symbols; all arithmetic is exact over Q and zero testing is decidable.
+:class:`RationalFunction` holds an element of the rational function field
+Q(chart), one sympy sparse field per chart (``sympy.polys.fields``).  The
+field keeps numerator and denominator as coprime integer polynomials with
+a positive lex-leading denominator coefficient, so every value has one
+representation: arithmetic never runs a separate cancellation, and
+equality and zero testing are structural.  Evaluation runs Horner's
+method on the two polynomials, over Fractions at a point or over the
+target field for a composition.
 :class:`LogExtendedScalar` adjoins terms ``c * log(p)`` with exact rational
 ``c`` and primitive integer polynomial arguments ``p``; this is the closure
 of the supported quadrature over rational coefficients.
@@ -19,90 +25,138 @@ from fractions import Fraction
 from typing import Mapping
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.rings import PolyElement
 
 from .errors import ClassMismatch, MismatchedVarSet, PoleAtPoint
+from .exacttext import evaluate_text
 from .varset import VarSet
 
-_SYMBOL_CACHE: dict[str, sp.Symbol] = {}
+_FIELDS: dict[tuple[str, ...], FracField] = {}
 
 
-def _sym(name: str) -> sp.Symbol:
-    s = _SYMBOL_CACHE.get(name)
-    if s is None:
-        s = sp.Symbol(name)
-        _SYMBOL_CACHE[name] = s
-    return s
+def chart_field(chart: VarSet) -> FracField:
+    """Q(chart), built once per chart; its generators follow the chart order
+    and its monomial order is lex."""
+    K = _FIELDS.get(chart.names)
+    if K is None:
+        K = FracField(tuple(sp.Symbol(n) for n in chart.names), QQ)
+        _FIELDS[chart.names] = K
+    return K
 
 
-def chart_symbols(chart: VarSet) -> tuple[sp.Symbol, ...]:
-    return tuple(_sym(n) for n in chart.names)
-
-
-def _to_rational(value) -> sp.Rational:
-    if isinstance(value, Fraction):
-        return sp.Rational(value.numerator, value.denominator)
-    if isinstance(value, int):
-        return sp.Integer(value)
-    if isinstance(value, float):
-        fr = Fraction(value)
-        return sp.Rational(fr.numerator, fr.denominator)
-    if isinstance(value, sp.Rational):
-        return value
+def _to_fraction(value) -> Fraction:
+    if isinstance(value, (Fraction, int, float)):
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-class RationalFunction:
-    __slots__ = ("chart", "expr")
+def _to_rational(value):
+    """An exact number as an element of QQ (field arithmetic can return
+    such elements, since a zero operand yields the other one unchanged)."""
+    if isinstance(value, QQ.dtype):
+        return value
+    q = _to_fraction(value)
+    return QQ(q.numerator, q.denominator)
 
-    def __init__(self, chart: VarSet, expr):
-        expr = sp.cancel(sp.together(sp.sympify(expr)))
-        syms = set(chart_symbols(chart))
-        free = expr.free_symbols
-        if not free <= syms:
-            raise MismatchedVarSet(
-                f"expression uses symbols {free - syms} outside chart {chart.names}"
-            )
-        if not expr.is_rational_function(*chart_symbols(chart)):
-            raise ValueError(f"not a rational function: {expr}")
+
+def _integer_or_fraction(c):
+    return int(c.numerator) if c.denominator == 1 else Fraction(int(c.numerator), int(c.denominator))
+
+
+def _horner_scheme(poly: PolyElement, n: int):
+    """Nested sparse Horner form of a polynomial in n variables: a number at
+    depth n, else the pairs (exponent, inner scheme) of the variable at
+    that depth in descending exponent order."""
+    return _nest([(m, _integer_or_fraction(c)) for m, c in poly.items()], 0, n)
+
+
+def _nest(terms, depth: int, n: int):
+    if depth == n:
+        return terms[0][1]
+    groups: dict[int, list] = {}
+    for m, c in terms:
+        groups.setdefault(m[depth], []).append((m, c))
+    return tuple((e, _nest(groups[e], depth + 1, n)) for e in sorted(groups, reverse=True))
+
+
+def _horner_eval(scheme, values, depth: int = 0):
+    """Value of a Horner scheme at values (one per variable) in any ring
+    that adds and multiplies with integers; the empty scheme is 0."""
+    if depth == len(values):
+        return scheme
+    if not scheme:
+        return 0
+    x = values[depth]
+    prev, inner = scheme[0]
+    acc = _horner_eval(inner, values, depth + 1)
+    for e, inner in scheme[1:]:
+        acc = acc * x ** (prev - e) + _horner_eval(inner, values, depth + 1)
+        prev = e
+    return acc * x ** prev if prev else acc
+
+
+class RationalFunction:
+    __slots__ = ("chart", "frac", "_schemes")
+
+    def __init__(self, chart: VarSet, value):
+        """``value`` is an element of ``chart_field(chart)`` or anything it
+        converts: a polynomial of its ring or an exact number."""
+        K = chart_field(chart)
+        if isinstance(value, FracElement):
+            if value.field is not K:
+                raise MismatchedVarSet(f"value lies outside the field of chart {chart.names}")
+        elif isinstance(value, PolyElement):
+            if value.ring is not K.ring:
+                raise MismatchedVarSet(f"value lies outside the field of chart {chart.names}")
+            value = K(value)
+        else:
+            value = K(_to_rational(value))
         self.chart = chart
-        self.expr = expr
+        self.frac = value
+        self._schemes = None
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, chart: VarSet) -> "RationalFunction":
-        return cls(chart, sp.Integer(0))
+        return cls(chart, 0)
 
     @classmethod
     def one(cls, chart: VarSet) -> "RationalFunction":
-        return cls(chart, sp.Integer(1))
+        return cls(chart, 1)
 
     @classmethod
     def constant(cls, chart: VarSet, value) -> "RationalFunction":
-        return cls(chart, _to_rational(value))
+        return cls(chart, value)
 
     @classmethod
     def coordinate(cls, chart: VarSet, name: str) -> "RationalFunction":
-        chart.index(name)
-        return cls(chart, _sym(name))
+        return cls(chart, chart_field(chart).gens[chart.index(name)])
 
     @classmethod
     def parse(cls, chart: VarSet, text: str) -> "RationalFunction":
-        local = {n: _sym(n) for n in chart.names}
-        expr = sp.sympify(text.replace("^", "**"), locals=local, rational=True)
-        return cls(chart, expr)
+        """Exact value of document text over the chart variables (see
+        :mod:`liequad.exacttext`); malformed text raises SchemaError."""
+        K = chart_field(chart)
+        value = evaluate_text(
+            text,
+            dict(zip(chart.names, K.gens)),
+            number=lambda q: K(QQ(q.numerator, q.denominator)),
+            what="rational function",
+            unbound=f"names must be chart variables {chart.names}",
+        )
+        return cls(chart, value)
 
     # ------------------------------------------------------------------
     # structure
 
     @property
-    def numerator(self):
-        return sp.fraction(self.expr)[0]
-
-    @property
-    def denominator(self):
-        return sp.fraction(self.expr)[1]
+    def expr(self) -> sp.Expr:
+        """The value as a sympy expression, built on each access."""
+        return self.frac.as_expr()
 
     def _check_chart(self, other):
         if self.chart != other.chart:
@@ -110,83 +164,84 @@ class RationalFunction:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.chart, self.expr + _to_rational(other))
+            return RationalFunction(self.chart, self.frac + _to_rational(other))
         if isinstance(other, LogExtendedScalar):
             return other + self
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check_chart(other)
-        return RationalFunction(self.chart, self.expr + other.expr)
+        return RationalFunction(self.chart, self.frac + other.frac)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(self.chart, -self.expr)
+        return RationalFunction(self.chart, -self.frac)
 
     def __sub__(self, other):
         if isinstance(other, LogExtendedScalar):
             return (-other) + self
-        return self + (-other if isinstance(other, RationalFunction) else -_to_rational(other))
+        return self + (-other if isinstance(other, RationalFunction) else -_to_fraction(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            return RationalFunction(self.chart, self.expr * _to_rational(other))
+            return RationalFunction(self.chart, self.frac * _to_rational(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check_chart(other)
-        return RationalFunction(self.chart, self.expr * other.expr)
+        return RationalFunction(self.chart, self.frac * other.frac)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.chart, self.expr / _to_rational(other))
+            if other == 0:
+                raise ZeroDivisionError("division by the zero rational function")
+            return RationalFunction(self.chart, self.frac / _to_rational(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check_chart(other)
-        if other.expr == 0:
+        if not other.frac:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.chart, self.expr / other.expr)
+        return RationalFunction(self.chart, self.frac / other.frac)
 
     def __pow__(self, n: int):
-        return RationalFunction(self.chart, self.expr ** int(n))
+        return RationalFunction(self.chart, self.frac ** int(n))
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalFunction)
             and self.chart == other.chart
-            and sp.cancel(self.expr - other.expr) == 0
+            and self.frac == other.frac
         )
 
     def __hash__(self):
-        return hash((self.chart, self.expr))
+        return hash((self.chart, self.frac))
 
     # ------------------------------------------------------------------
     # predicates
 
     def is_zero(self, tol: float | None = None) -> bool:
-        return self.expr == 0
+        return not self.frac
 
     def is_constant(self) -> bool:
-        return not self.expr.free_symbols
+        return self.frac.numer.is_ground and self.frac.denom.is_ground
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant")
-        r = sp.Rational(self.expr)
-        return Fraction(int(r.p), int(r.q))
-
-    def is_polynomial(self) -> bool:
-        return self.expr.is_polynomial(*chart_symbols(self.chart))
+        return Fraction(_integer_or_fraction(self.frac.numer.LC)) / _integer_or_fraction(
+            self.frac.denom.LC
+        )
 
     # ------------------------------------------------------------------
     # calculus
 
     def diff(self, name: str) -> "RationalFunction":
-        return RationalFunction(self.chart, sp.diff(self.expr, _sym(name)))
+        x = chart_field(self.chart).gens[self.chart.index(name)]
+        return RationalFunction(self.chart, self.frac.diff(x))
 
     def antideriv(self, name: str):
         """Exact antiderivative in ``name`` within the rational+log class,
@@ -198,92 +253,106 @@ class RationalFunction:
     # ------------------------------------------------------------------
     # evaluation / substitution
 
-    def _subs_exact(self, point: Mapping[str, object]):
-        sub = {_sym(n): _to_rational(v) for n, v in point.items()}
-        num, den = sp.fraction(self.expr)
-        dval = den.subs(sub)
-        nval = num.subs(sub)
-        return nval, dval
+    def _substitute(self, values: list):
+        """(numerator, denominator) at one value per chart variable."""
+        if self._schemes is None:
+            n = len(self.chart)
+            self._schemes = (
+                _horner_scheme(self.frac.numer, n), _horner_scheme(self.frac.denom, n)
+            )
+        num, den = self._schemes
+        return _horner_eval(num, values), _horner_eval(den, values)
+
+    def _point(self, point: Mapping[str, object]) -> list[Fraction]:
+        return [_to_fraction(point[n]) for n in self.chart.names]
 
     def evaluate(self, point: Mapping[str, float]) -> float:
-        nval, dval = self._subs_exact(point)
+        nval, dval = self._substitute(self._point(point))
         if dval == 0:
             raise PoleAtPoint(f"denominator vanishes at {dict(point)}")
+        if self.frac.denom.is_ground and len(self.frac.numer) > 1:
+            # a polynomial with several terms is rounded once, as one exact
+            # sum; report numbers depend on this rounding bit for bit
+            return float(Fraction(nval) / dval)
         return float(nval) / float(dval)
 
     def evaluate_exact(self, point: Mapping[str, Fraction]) -> Fraction:
-        nval, dval = self._subs_exact(point)
+        nval, dval = self._substitute(self._point(point))
         if dval == 0:
             raise PoleAtPoint(f"denominator vanishes at {dict(point)}")
-        r = sp.Rational(nval, dval)
-        return Fraction(int(r.p), int(r.q))
+        return Fraction(nval) / dval
 
     def substitute_partial(self, values: Mapping[str, object]) -> "RationalFunction":
-        sub = {_sym(n): _to_rational(v) for n, v in values.items()}
-        num, den = sp.fraction(self.expr)
-        dval = den.subs(sub)
+        K = chart_field(self.chart)
+        point = [
+            _to_fraction(values[n]) if n in values else g
+            for n, g in zip(self.chart.names, K.gens)
+        ]
+        nval, dval = self._substitute(point)
         if dval == 0:
             raise PoleAtPoint(f"denominator vanishes on {dict(values)}")
-        return RationalFunction(self.chart, num.subs(sub) / dval)
+        return RationalFunction(self.chart, K(nval) / K(dval))
 
     def compose(self, bindings: Mapping[str, "RationalFunction"]) -> "RationalFunction":
         if bindings:
             target = next(iter(bindings.values())).chart
         else:
             target = self.chart
-        sub = {}
+        K = chart_field(target)
+        point = []
         for name in self.chart.names:
             if name in bindings:
                 b = bindings[name]
                 if b.chart != target:
                     raise MismatchedVarSet("bindings must share one target chart")
-                sub[_sym(name)] = b.expr
+                point.append(b.frac)
             elif name in target:
-                sub[_sym(name)] = _sym(name)
+                point.append(K.gens[target.index(name)])
             else:
                 raise MismatchedVarSet(f"unbound variable {name!r}")
-        expr = sp.cancel(sp.together(self.expr.subs(sub, simultaneous=True)))
-        if expr.has(sp.zoo) or expr.has(sp.nan):
+        nval, dval = self._substitute(point)
+        if not dval:
             raise PoleAtPoint("composition hits a pole identically")
-        return RationalFunction(target, expr)
+        return RationalFunction(target, K(nval) / K(dval))
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_text(self) -> str:
-        num, den = sp.fraction(self.expr)
-        syms = chart_symbols(self.chart)
-        if den == 1:
-            return _poly_text(num, syms)
-        den_poly = sp.Poly(den, *syms)
-        content, prim = den_poly.primitive()
-        if prim.LC(order="lex") < 0:
-            content, prim = -content, -prim
-        num_scaled = sp.expand(num / content)
-        return f"({_poly_text(num_scaled, syms)})/({_poly_text(prim.as_expr(), syms)})"
+        num, den = self.frac.numer, self.frac.denom
+        if den.is_ground:
+            # the canonical text writes a single term with a fractional
+            # coefficient as (c*m)/(1), any other polynomial as its terms
+            if den.LC == 1 or len(num) > 1:
+                return _poly_text(num.quo_ground(den.LC))
+            return f"({_poly_text(num.quo_ground(den.LC))})/(1)"
+        # the field keeps the lex-leading denominator coefficient positive
+        content, prim = den.primitive()
+        return f"({_poly_text(num.quo_ground(content))})/({_poly_text(prim)})"
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()})"
 
 
-def _poly_text(expr, syms) -> str:
-    expr = sp.expand(expr)
-    if expr == 0:
+def _poly_text(poly: PolyElement) -> str:
+    """Terms in lex order, each as coefficient * powers, joined by " + "."""
+    if not poly:
         return "0"
-    poly = sp.Poly(expr, *syms)
+    names = [str(s) for s in poly.ring.symbols]
     parts = []
-    for monom, coeff in poly.terms(order="lex"):
+    for monom, coeff in poly.terms():
+        coeff = _integer_or_fraction(coeff)
         factors = []
-        if all(m == 0 for m in monom):
+        if not any(monom):
             factors.append(str(coeff))
         else:
             if coeff == -1:
                 factors.append("-1")
             elif coeff != 1:
                 factors.append(str(coeff))
-            for s, m in zip(syms, monom):
+            for s, m in zip(names, monom):
                 if m == 1:
-                    factors.append(str(s))
+                    factors.append(s)
                 elif m > 1:
                     factors.append(f"{s}^{m}")
         parts.append("*".join(factors))
@@ -292,32 +361,27 @@ def _poly_text(expr, syms) -> str:
 
 class LogExtendedScalar:
     """rational part + sum of c_i * log(p_i) with rational c_i and primitive
-    integer-polynomial arguments p_i, pairwise distinct."""
+    integer-polynomial arguments p_i (elements of the chart field's
+    polynomial ring), pairwise distinct."""
 
     __slots__ = ("chart", "rational_part", "log_terms")
 
     def __init__(self, chart: VarSet, rational_part: RationalFunction, log_terms):
+        """Log arguments are polynomials of the chart ring, polynomial
+        RationalFunctions or field elements, or sympy expressions, which
+        are converted once."""
         if rational_part.chart != chart:
             raise MismatchedVarSet("rational part chart mismatch")
         merged: dict = {}
-        order: list = []
         for coeff, arg in log_terms:
             coeff = Fraction(coeff)
-            arg = sp.expand(sp.sympify(arg))
-            coeff, arg = _normalize_log_argument(coeff, arg, chart)
-            if coeff == 0 or arg == 1:
+            arg = _normalize_log_argument(_log_argument(arg, chart))
+            if coeff == 0 or arg is None:
                 continue
-            key = sp.srepr(arg)
-            if key in merged:
-                merged[key] = (merged[key][0] + coeff, arg)
-            else:
-                merged[key] = (coeff, arg)
-                order.append(key)
+            merged[arg] = merged.get(arg, 0) + coeff
         self.chart = chart
         self.rational_part = rational_part
-        self.log_terms = tuple(
-            merged[k] for k in order if merged[k][0] != 0
-        )
+        self.log_terms = tuple((c, a) for a, c in merged.items() if c != 0)
 
     @property
     def is_pure_rational(self) -> bool:
@@ -378,28 +442,28 @@ class LogExtendedScalar:
         return self.rational_part.is_zero() and not self.log_terms
 
     def diff(self, name: str) -> RationalFunction:
-        s = _sym(name)
+        K = chart_field(self.chart)
+        x = K.ring.gens[self.chart.index(name)]
         out = self.rational_part.diff(name)
         for c, a in self.log_terms:
-            out = out + RationalFunction(self.chart, sp.diff(a, s) / a) * c
+            out = out + RationalFunction(self.chart, K(a.diff(x)) / K(a)) * c
         return out
 
     def evaluate(self, point: Mapping[str, float]) -> float:
         """Numeric value using the log|p| convention for the log terms."""
         total = self.rational_part.evaluate(point)
-        sub = {_sym(n): _to_rational(v) for n, v in point.items()}
+        values = [_to_fraction(point[n]) for n in self.chart.names]
         for c, a in self.log_terms:
-            val = float(a.subs(sub))
+            val = float(_horner_eval(_horner_scheme(a, len(values)), values))
             if val == 0.0:
                 raise PoleAtPoint(f"log argument vanishes at {dict(point)}")
             total += float(c) * math.log(abs(val))
         return total
 
     def to_text(self) -> str:
-        syms = chart_symbols(self.chart)
         parts = [self.rational_part.to_text()]
-        for c, a in sorted(self.log_terms, key=lambda t: sp.srepr(t[1])):
-            parts.append(f"{sp.Rational(c.numerator, c.denominator)}*log({_poly_text(a, syms)})")
+        for c, a in sorted(self.log_terms, key=lambda t: sp.srepr(t[1].as_expr())):
+            parts.append(f"{c}*log({_poly_text(a)})")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -410,22 +474,36 @@ class LogExtendedScalar:
             isinstance(other, LogExtendedScalar)
             and self.chart == other.chart
             and self.rational_part == other.rational_part
-            and sorted(
-                ((c, sp.srepr(a)) for c, a in self.log_terms)
-            )
-            == sorted(((c, sp.srepr(a)) for c, a in other.log_terms))
+            and {a: c for c, a in self.log_terms} == {a: c for c, a in other.log_terms}
         )
 
 
-def _normalize_log_argument(coeff: Fraction, arg, chart: VarSet):
+def _log_argument(arg, chart: VarSet) -> PolyElement:
+    """A log argument as a polynomial of the chart field's ring."""
+    K = chart_field(chart)
+    if isinstance(arg, RationalFunction):
+        if arg.chart != chart:
+            raise MismatchedVarSet("log argument chart mismatch")
+        arg = arg.frac
+    elif isinstance(arg, sp.Expr):
+        arg = K.from_expr(arg)
+    if isinstance(arg, FracElement):
+        if arg.field != K:
+            raise MismatchedVarSet("log argument chart mismatch")
+        if not arg.denom.is_ground:
+            raise ValueError(f"log argument {arg} is not a polynomial")
+        return arg.numer
+    if isinstance(arg, PolyElement) and arg.ring == K.ring:
+        return arg
+    raise TypeError(f"cannot use {arg!r} as a log argument over {chart.names}")
+
+
+def _normalize_log_argument(arg: PolyElement) -> PolyElement | None:
     """Factor out rational content and fix the sign so arguments are
-    primitive integer polynomials with positive lex-leading coefficient.
-    Dropped constants only shift the antiderivative by a constant."""
-    syms = chart_symbols(chart)
-    if not arg.free_symbols:
-        return Fraction(0), sp.Integer(1)
-    poly = sp.Poly(arg, *syms)
-    _, prim = poly.primitive()
-    if prim.LC(order="lex") < 0:
-        prim = -prim
-    return coeff, prim.as_expr()
+    primitive integer polynomials with positive lex-leading coefficient;
+    None for a constant.  Dropped constants only shift the antiderivative
+    by a constant."""
+    if arg.is_ground:
+        return None
+    _, prim = arg.primitive()
+    return -prim if prim.LC < 0 else prim

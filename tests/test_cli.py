@@ -371,3 +371,106 @@ assert "sympy" in sys.modules
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# ----------------------------------------------------------------------
+# document text is parsed, never evaluated
+
+PAYLOAD = "__import__('os')._exit(7)"
+BASEPOINT = "x=0,u=0,u_x=1,u_xx=1"
+
+
+def _subprocess(args, cwd):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jsonio.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def _assert_schema_error(proc):
+    assert proc.returncode == 2, (proc.returncode, proc.stdout, proc.stderr)
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]["code"] == "schema-error"
+
+
+def _pfaffian_doc():
+    return json.loads(open(fixture_path("pfaffian_third_order_ode.json")).read())
+
+
+def test_form_coefficient_is_not_executed(tmp_path):
+    doc = json.loads(open(fixture_path("forms_normalized_third_order.json")).read())
+    doc["forms"][0]["terms"][1]["coeff"] = PAYLOAD
+    (tmp_path / "forms.json").write_text(json.dumps(doc))
+    proc = _subprocess(["-m", "liequad.cli", "reduce", fixture_path("algebra_heisenberg.json"),
+                        "forms.json", "--basepoint", BASEPOINT], tmp_path)
+    _assert_schema_error(proc)
+
+
+@pytest.mark.parametrize("where", ["symmetry", "excluded"])
+def test_pfaffian_text_is_not_executed(tmp_path, where):
+    doc = _pfaffian_doc()
+    if where == "symmetry":
+        doc["symmetry"][2]["components"][0] = PAYLOAD
+    else:
+        doc["excluded"].append(PAYLOAD)
+    (tmp_path / "system.json").write_text(json.dumps(doc))
+    proc = _subprocess(["-m", "liequad.cli", "pfaff", "system.json", "--basepoint", BASEPOINT], tmp_path)
+    _assert_schema_error(proc)
+
+
+def test_log_argument_is_not_executed(tmp_path):
+    doc = {"kind": "log-extended", "rational": "0", "logs": [{"coeff": "1", "arg": PAYLOAD}]}
+    script = f"""
+import sys
+from liequad import SchemaError, VarSet, jsonio
+try:
+    jsonio.load_scalar({doc!r}, VarSet.of("x", "u"))
+except SchemaError as exc:
+    print('{{"error": {{"code": "%s"}}}}' % exc.code, file=sys.stderr)
+    sys.exit(2)
+"""
+    _assert_schema_error(_subprocess(["-c", script], tmp_path))
+
+
+@pytest.mark.parametrize("text", ["sqrt(x)", "x.real", "x[0]", "x < u", "exp(x)", "x^u", "x^(1/2)", "1/(x - x)"])
+def test_bad_rational_text_is_schema_error(text):
+    from liequad import SchemaError
+
+    with pytest.raises(SchemaError):
+        RationalFunction.parse(VarSet.of("x", "u"), text)
+
+
+def test_rational_text_grammar():
+    V = VarSet.of("x", "u")
+    x, u = RationalFunction.coordinate(V, "x"), RationalFunction.coordinate(V, "u")
+    parse = lambda text: RationalFunction.parse(V, text)
+    assert parse("x^2 - u**3") == x * x - u * u * u
+    assert parse("(x + 1)*(x - 1)/(u^2 + 1)") == (x * x - 1) / (u * u + 1)
+    assert parse("(x^2 - 1)/(x + 1)") == x - 1
+    assert parse("-x^-2 + 0.25*u") == RationalFunction.constant(V, -1) / (x * x) + u * Fraction(1, 4)
+    doc = json.loads(open(fixture_path("golden_integrals_third_order.json")).read())
+    W = VarSet.of(*doc["basepoint"])
+    X, U, UX, UXX = (RationalFunction.coordinate(W, n) for n in W.names)
+    f3 = RationalFunction.parse(W, doc["integrals"]["f3"])
+    assert f3 == RationalFunction.one(W) / UX - UX * UX * UX / UXX
+    f2 = RationalFunction.parse(W, doc["integrals"]["f2"])
+    assert f2 == (UX ** 6 + U * UXX * UXX * 2) / (UXX * UXX * 2)
+    f1 = RationalFunction.parse(W, doc["integrals"]["f1"])
+    num = UX ** 10 + U * UXX ** 2 * UX ** 4 * 3 + X * UX * UXX ** 3 * 3 - U * UXX ** 3 * 3
+    assert f1 == num / (UX * UXX ** 3 * 3)
+
+
+def test_no_document_text_reaches_sympify():
+    """The exact parser is the only reader of document text: no module of
+    the package names sympify (which evaluates strings as Python)."""
+    import ast
+    import pathlib
+
+    package = pathlib.Path(jsonio.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "sympify")
+                or (isinstance(node, ast.Attribute) and node.attr == "sympify")
+                or (isinstance(node, ast.alias) and "sympify" in (node.name, node.asname))
+            )
+            assert not named, f"{path.name}:{getattr(node, 'lineno', '?')} names sympify"

@@ -161,3 +161,116 @@ def test_canonical_text_is_stable_under_construction_order():
     a = rf("1/u_x") + rf("u_x^3/u_xx")
     b = rf("u_x^3/u_xx") + rf("1/u_x")
     assert a.to_text() == b.to_text()
+
+
+PINNED_TEXT = [
+    # the three golden first integrals of the third-order ODE system
+    ("(u_x^10 + 3*u*u_xx^2*u_x^4 + 3*x*u_x*u_xx^3 - 3*u*u_xx^3)/(3*u_x*u_xx^3)",
+     "(x*u_x*u_xx^3 + u*u_x^4*u_xx^2 + -1*u*u_xx^3 + 1/3*u_x^10)/(u_x*u_xx^3)"),
+    ("(u_x^6 + 2*u*u_xx^2)/(2*u_xx^2)", "(u*u_xx^2 + 1/2*u_x^6)/(u_xx^2)"),
+    ("1/u_x - u_x^3/u_xx", "(-1*u_x^4 + u_xx)/(u_x*u_xx)"),
+    # lex-leading coefficient of the denominator is negative
+    ("3/(6*u - 4*x)", "(-3/2)/(2*x + -3*u)"),
+    ("1/(u - x^2)", "(-1)/(x^2 + -1*u)"),
+    # constants and polynomials
+    ("-3/2", "(-3/2)/(1)"),
+    ("5", "5"),
+    ("0", "0"),
+    ("x/3", "(1/3*x)/(1)"),
+    ("x^2*u - 1/7*u_xx", "x^2*u + -1/7*u_xx"),
+]
+
+
+@pytest.mark.parametrize("text, canonical", PINNED_TEXT)
+def test_canonical_text_is_pinned(text, canonical):
+    assert rf(text).to_text() == canonical
+    assert rf(canonical).to_text() == canonical
+
+
+def test_log_extended_text_is_pinned():
+    from liequad import jsonio
+
+    G = (rf("1/(x^2-1)") + rf("u/x^2")).antideriv("x")
+    assert jsonio.dump_scalar(G) == {
+        "kind": "log-extended",
+        "rational": "(-1*u)/(x)",
+        "logs": [{"coeff": "1/2", "arg": "x - 1"}, {"coeff": "-1/2", "arg": "x + 1"}],
+    }
+    assert G.to_text() == "(-1*u)/(x) + 1/2*log(x + -1) + -1/2*log(x + 1)"
+    H = (rf("1/(u-x)") + rf("3/(2*u+4)")).antideriv("u")
+    assert jsonio.dump_scalar(H) == {
+        "kind": "log-extended",
+        "rational": "0",
+        "logs": [{"coeff": "3/2", "arg": "u + 2"}, {"coeff": "1", "arg": "-u + x"}],
+    }
+    assert H.to_text() == "0 + 1*log(x + -1*u) + 3/2*log(u + 2)"
+    assert jsonio.load_scalar(jsonio.dump_scalar(H), V) == H
+
+
+# ----------------------------------------------------------------------
+# field arithmetic against sympy's cancel
+
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+
+W3 = VarSet.of("x", "y", "z")
+SYMS = sp.symbols("x y z")
+
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+)
+
+
+def _poly_source(terms):
+    return " + ".join(
+        f"({c})*x^{i}*y^{j}*z^{k}" for (i, j, k), c in sorted(terms.items())
+    )
+
+
+def _poly_expr(terms):
+    return sum(c * SYMS[0] ** i * SYMS[1] ** j * SYMS[2] ** k for (i, j, k), c in terms.items())
+
+
+@st.composite
+def _rational_functions(draw):
+    """(RationalFunction, sympy expression) over x, y, z from the same terms."""
+    num, den = draw(_polys), draw(_polys)
+    text = f"({_poly_source(num)})/({_poly_source(den)})"
+    return RationalFunction.parse(W3, text), _poly_expr(num) / _poly_expr(den)
+
+
+def _agrees(f, expected):
+    """f equals the sympy value, and its numerator and denominator are
+    those of sp.cancel up to one constant factor."""
+    expected = sp.cancel(expected)
+    if sp.cancel(f.expr - expected) != 0:
+        return False
+    n, d = sp.fraction(expected)
+    ratio = sp.cancel(f.frac.numer.as_expr() * d / (f.frac.denom.as_expr() * n)) if n != 0 else sp.Integer(1)
+    return ratio.is_number
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_rational_functions(), _rational_functions(), st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 3))
+def test_field_arithmetic_matches_sympy_cancel(fa, fb, point):
+    (a, ea), (b, eb) = fa, fb
+    assert _agrees(a + b, ea + eb)
+    assert _agrees(a - b, ea - eb)
+    assert _agrees(a * b, ea * eb)
+    assert _agrees(a / b, ea / eb)
+    for name, s in zip(W3.names, SYMS):
+        assert _agrees(a.diff(name), sp.diff(ea, s))
+    composed = sp.cancel(ea.subs(SYMS[0], eb))
+    if sp.fraction(sp.cancel(sp.together(ea)))[1].subs(SYMS[0], eb) == 0 or composed.has(sp.zoo, sp.nan):
+        with pytest.raises(PoleAtPoint):
+            a.compose({"x": b})
+    else:
+        assert _agrees(a.compose({"x": b}), composed)
+    den_value = sp.fraction(sp.cancel(ea))[1].subs(dict(zip(SYMS, point)))
+    if den_value == 0:
+        with pytest.raises(PoleAtPoint):
+            a.evaluate_exact(dict(zip(W3.names, point)))
+    else:
+        value = sp.cancel(ea).subs(dict(zip(SYMS, map(sp.Rational, point))))
+        assert a.evaluate_exact(dict(zip(W3.names, point))) == Fraction(int(value.p), int(value.q))
+    assert RationalFunction.parse(W3, a.to_text()) == a
