@@ -14,6 +14,7 @@ from .errors import (
     ClassMismatch,
     DegenerateTransversality,
     EigenvalueClusterAmbiguity,
+    EmptyDomain,
     LiequadError,
     MismatchedVarSet,
     NonAffineExponentSubstitution,

@@ -7,6 +7,7 @@ iff every check passed.  Runs are deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -28,15 +29,18 @@ from .liegroup import (
 from .pfaffian import first_integrals
 from .reduction import reduce_full, verify_rho
 from .report import Report
+from .varset import VarSet
 
 
 @dataclass
 class RunConfig:
+    """The settings of one run; its defaults are the option defaults."""
+
     tol_zero: float = 1e-10
     tol_sample: float = 1e-8
     samples: int = 100
     seed: int = 0
-    basepoint: dict | None = None
+    basepoint: str | None = None
     mode: str = "auto"
 
     def __post_init__(self):
@@ -45,62 +49,70 @@ class RunConfig:
         if self.samples < 1:
             raise SchemaError("sample count must be >= 1")
 
-
-def _parse_basepoint(text: str | None) -> dict | None:
-    if not text:
-        return None
-    out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise SchemaError(f"bad basepoint entry {piece!r}; expected name=value")
-        name, value = piece.split("=", 1)
-        try:
-            out[name.strip()] = Fraction(value.strip())
-        except ValueError as exc:
-            raise SchemaError(f"bad basepoint value {value!r}") from exc
-    return out
-
-
-def common_options(fn):
-    fn = click.option("--tol-zero", type=float, default=1e-10, show_default=True,
-                      help="coefficient zero tolerance")(fn)
-    fn = click.option("--tol-sample", type=float, default=1e-8, show_default=True,
-                      help="numeric sampling tolerance")(fn)
-    fn = click.option("--samples", type=int, default=100, show_default=True,
-                      help="number of sample points per numeric check")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="seed for all sampling")(fn)
-    fn = click.option("--basepoint", type=str, default=None,
-                      help="quadrature basepoint, e.g. 'x=0,u_x=1'")(fn)
-    fn = click.option("--mode", type=click.Choice(["auto", "symbolic", "numeric"]),
-                      default="auto", show_default=True,
-                      help="verification mode for pullback checks")(fn)
-    fn = click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
-                      help="write the JSON result here (default: stdout)")(fn)
-    return fn
+    def basepoint_on(self, chart: VarSet) -> dict | None:
+        """The --basepoint values, every name checked against the chart."""
+        if not self.basepoint:
+            return None
+        out = {}
+        for piece in filter(None, (p.strip() for p in self.basepoint.split(","))):
+            name, eq, value = (part.strip() for part in piece.partition("="))
+            if not eq:
+                raise SchemaError(f"bad basepoint entry {piece!r}; expected name=value")
+            if name not in chart.names:
+                raise SchemaError(f"basepoint name {name!r} is not in the chart {list(chart.names)}")
+            try:
+                out[name] = Fraction(value)
+            except ValueError as exc:
+                raise SchemaError(f"bad basepoint value {value!r}") from exc
+        return out
 
 
-def _emit(doc: dict, report: Report | None, output: str | None):
-    if report is not None:
-        doc = dict(doc)
-        doc["report"] = report.to_dict()
-        for line in report.lines():
-            click.echo(line)
-    if output:
-        jsonio.write_json(output, doc)
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    if report is not None and not report.passed:
-        sys.exit(1)
+# RunConfig field -> (click type, help); the flag is the field name in dashes
+OPTIONS = {
+    "tol_zero": (float, "bound on the measured symbolic residuals"),
+    "tol_sample": (float, "numeric sampling tolerance"),
+    "samples": (int, "number of sample points per numeric check"),
+    "seed": (int, "seed for all sampling"),
+    "basepoint": (str, "quadrature basepoint, e.g. 'x=0,u_x=1'"),
+    "mode": (click.Choice(["auto", "symbolic", "numeric"]), "verification mode for pullback checks"),
+}
 
 
-def _fail(exc: LiequadError):
-    click.echo(json.dumps({"error": {"code": exc.code, "message": str(exc)}}, sort_keys=True), err=True)
-    sys.exit(2)
+def run_options(*names: str, **defaults):
+    """Give a command the options `names` of OPTIONS (defaults from RunConfig
+    unless `defaults` overrides them) and -o.  The body gets the RunConfig
+    and returns (doc, report); a LiequadError becomes the exit-2 error
+    document."""
+
+    def decorate(body):
+        @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
+                      help="write the JSON result here (default: stdout)")
+        @functools.wraps(body)
+        def command(output, **params):
+            try:
+                doc, report = body(RunConfig(**{name: params.pop(name) for name in names}), **params)
+            except LiequadError as exc:
+                error = {"error": {"code": exc.code, "message": str(exc)}}
+                click.echo(json.dumps(error, sort_keys=True), err=True)
+                sys.exit(2)
+            for line in report.lines():
+                click.echo(line)
+            doc = {**doc, "report": report.to_dict()}
+            if output:
+                jsonio.write_json(output, doc)
+                click.echo(f"wrote {output}")
+            else:
+                click.echo(json.dumps(doc, indent=2, sort_keys=True))
+            if not report.passed:
+                sys.exit(1)
+
+        for name in reversed(names):
+            kind, text = OPTIONS[name]
+            command = click.option("--" + name.replace("_", "-"), name, type=kind, show_default=True,
+                                   default=defaults.get(name, getattr(RunConfig, name)), help=text)(command)
+        return command
+
+    return decorate
 
 
 @click.group()
@@ -111,71 +123,57 @@ def main():
 
 @main.command("validate")
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@common_options
-def cmd_validate(algebra, tol_zero, tol_sample, samples, seed, basepoint, mode, output):
+@run_options("seed")
+def cmd_validate(cfg, algebra):
     """Check antisymmetry/Jacobi, solvability, and build the adapted chain."""
-    try:
-        RunConfig(tol_zero, tol_sample, samples, seed, _parse_basepoint(basepoint), mode)
-        sc = jsonio.load_algebra(jsonio.read_json(algebra))
-        report = Report()
-        vr = validate_constants(sc)
-        report.add("antisymmetry", not vr.antisymmetry_violations, "exact",
-                   detail=f"{len(vr.antisymmetry_violations)} violations")
-        report.add("Jacobi identity", not vr.jacobi_violations, "exact",
-                   detail=f"{len(vr.jacobi_violations)} violations")
-        doc = {"dim": sc.dim, "valid": vr.ok}
-        solvable = vr.ok and is_solvable(sc)
-        report.add("solvable", solvable, "exact")
-        doc["solvable"] = solvable
-        if solvable:
-            change, chain = adapted_chain(sc)
-            doc["basis_change"] = [[str(x) for x in row] for row in change.matrix()]
-            doc["ad_restricted"] = [
-                [[str(x) for x in row] for row in chain.ad_matrix(s)]
-                for s in range(chain.n)
-            ]
-        _emit(doc, report, output)
-    except LiequadError as exc:
-        _fail(exc)
+    sc = jsonio.load_algebra(jsonio.read_json(algebra))
+    report = Report()
+    vr = validate_constants(sc)
+    report.add("antisymmetry", not vr.antisymmetry_violations, "exact",
+               detail=f"{len(vr.antisymmetry_violations)} violations")
+    report.add("Jacobi identity", not vr.jacobi_violations, "exact",
+               detail=f"{len(vr.jacobi_violations)} violations")
+    solvable = vr.ok and is_solvable(sc)
+    report.add("solvable", solvable, "exact")
+    doc = {"dim": sc.dim, "valid": vr.ok, "solvable": solvable}
+    if solvable:
+        change, chain = adapted_chain(sc)
+        doc["basis_change"] = [[str(x) for x in row] for row in change.matrix()]
+        doc["ad_restricted"] = [
+            [[str(x) for x in row] for row in chain.ad_matrix(s)]
+            for s in range(chain.n)
+        ]
+    return doc, report
 
 
 @main.command("coframe")
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@common_options
-def cmd_coframe(algebra, tol_zero, tol_sample, samples, seed, basepoint, mode, output):
+@run_options("tol_zero", "samples", "seed", samples=50)
+def cmd_coframe(cfg, algebra):
     """Left-invariant coframe and frame on R^n, with invariant checks."""
-    try:
-        cfg = RunConfig(tol_zero, tol_sample, samples, seed, _parse_basepoint(basepoint), mode)
-        sc = jsonio.load_algebra(jsonio.read_json(algebra))
-        _, chain = adapted_chain(sc)
-        group = build_group(chain)
-        report = group_invariants_report(group, samples=min(cfg.samples, 50), seed=cfg.seed,
-                                         tol_symbolic=cfg.tol_zero, tol_numeric=1e-9)
-        doc = jsonio.dump_forms_file(group.chart, group.tau)
-        doc["frame"] = [
-            [c.to_text() for c in X.components] for X in group.frame
-        ]
-        _emit(doc, report, output)
-    except LiequadError as exc:
-        _fail(exc)
+    sc = jsonio.load_algebra(jsonio.read_json(algebra))
+    _, chain = adapted_chain(sc)
+    group = build_group(chain)
+    report = group_invariants_report(group, samples=cfg.samples, seed=cfg.seed,
+                                     tol_symbolic=cfg.tol_zero)
+    doc = jsonio.dump_forms_file(group.chart, group.tau)
+    doc["frame"] = [
+        [c.to_text() for c in X.components] for X in group.frame
+    ]
+    return doc, report
 
 
 @main.command("multiply")
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@common_options
-def cmd_multiply(algebra, tol_zero, tol_sample, samples, seed, basepoint, mode, output):
+@run_options("tol_zero", "tol_sample", "samples", "seed", "mode")
+def cmd_multiply(cfg, algebra):
     """Global multiplication map, verified and cross-checked."""
-    try:
-        cfg = RunConfig(tol_zero, tol_sample, samples, seed, _parse_basepoint(basepoint), mode)
-        sc = jsonio.load_algebra(jsonio.read_json(algebra))
-        _, chain = adapted_chain(sc)
-        law = multiplication(chain, tol=cfg.tol_zero)
-        report = verify_group(law, samples=cfg.samples, seed=cfg.seed, tol=cfg.tol_sample, mode=cfg.mode)
-        report.extend(preadjoint_oracle(chain, law, samples=cfg.samples, seed=cfg.seed + 1, tol=cfg.tol_sample))
-        doc = jsonio.dump_grouplaw(law)
-        _emit(doc, report, output)
-    except LiequadError as exc:
-        _fail(exc)
+    sc = jsonio.load_algebra(jsonio.read_json(algebra))
+    _, chain = adapted_chain(sc)
+    law = multiplication(chain, tol=cfg.tol_zero)
+    report = verify_group(law, samples=cfg.samples, seed=cfg.seed, tol=cfg.tol_sample, mode=cfg.mode)
+    report.extend(preadjoint_oracle(chain, law, samples=cfg.samples, seed=cfg.seed + 1, tol=cfg.tol_sample))
+    return jsonio.dump_grouplaw(law), report
 
 
 @main.command("reduce")
@@ -183,57 +181,47 @@ def cmd_multiply(algebra, tol_zero, tol_sample, samples, seed, basepoint, mode, 
 @click.argument("forms", type=click.Path(exists=True, dir_okay=False))
 @click.option("--stop-after", type=int, default=None,
               help="partial reduction: stop after r quadratures")
-@common_options
-def cmd_reduce(algebra, forms, stop_after, tol_zero, tol_sample, samples, seed,
-               basepoint, mode, output):
+@run_options("tol_zero", "tol_sample", "samples", "seed", "basepoint", "mode")
+def cmd_reduce(cfg, algebra, forms, stop_after):
     """Reduce structure-equation forms to exact differentials; emit the trace."""
-    try:
-        cfg = RunConfig(tol_zero, tol_sample, samples, seed, _parse_basepoint(basepoint), mode)
-        sc = jsonio.load_algebra(jsonio.read_json(algebra))
-        chart, omegas = jsonio.load_forms_file(jsonio.read_json(forms))
-        if len(omegas) != sc.dim:
-            raise SchemaError(f"expected {sc.dim} forms, found {len(omegas)}")
-        change, chain = adapted_chain(sc)
-        omegas_ad = transform_forms(change, omegas)
-        trace = reduce_full(omegas_ad, chain, cfg.basepoint, stop_after=stop_after, tol=cfg.tol_zero)
-        report = Report()
-        worst = max(trace.residuals)
-        report.add("structure equations at every level", worst <= cfg.tol_zero,
-                   "symbolic" if omegas[0].scls is ExpPoly else "exact", worst)
-        if trace.complete:
-            group = build_group(chain)
-            report.extend(
-                verify_rho(trace, group.tau, omegas_ad, samples=cfg.samples, seed=cfg.seed,
-                           tol=cfg.tol_sample, mode=cfg.mode)
-            )
-        doc = jsonio.dump_trace(trace)
-        _emit(doc, report, output)
-    except LiequadError as exc:
-        _fail(exc)
+    if stop_after is not None and stop_after < 0:
+        raise SchemaError(f"--stop-after must be >= 0, got {stop_after}")
+    sc = jsonio.load_algebra(jsonio.read_json(algebra))
+    chart, omegas = jsonio.load_forms_file(jsonio.read_json(forms))
+    if len(omegas) != sc.dim:
+        raise SchemaError(f"expected {sc.dim} forms, found {len(omegas)}")
+    basepoint = cfg.basepoint_on(chart)
+    change, chain = adapted_chain(sc)
+    omegas_ad = transform_forms(change, omegas)
+    trace = reduce_full(omegas_ad, chain, basepoint, stop_after=stop_after, tol=cfg.tol_zero)
+    report = Report()
+    worst = max(trace.residuals)
+    report.add("structure equations at every level", worst <= cfg.tol_zero,
+               "symbolic" if omegas[0].scls is ExpPoly else "exact", worst)
+    if trace.complete:
+        group = build_group(chain)
+        report.extend(
+            verify_rho(trace, group.tau, omegas_ad, samples=cfg.samples, seed=cfg.seed,
+                       tol=cfg.tol_sample, mode=cfg.mode)
+        )
+    return jsonio.dump_trace(trace), report
 
 
 @main.command("pfaff")
 @click.argument("system", type=click.Path(exists=True, dir_okay=False))
-@common_options
-def cmd_pfaff(system, tol_zero, tol_sample, samples, seed, basepoint, mode, output):
+@run_options("samples", "seed", "basepoint", samples=20)
+def cmd_pfaff(cfg, system):
     """First integrals of a Pfaffian system with solvable symmetry."""
-    try:
-        cfg = RunConfig(tol_zero, tol_sample, samples, seed, _parse_basepoint(basepoint), mode)
-        psys, sym = jsonio.load_pfaffian_file(jsonio.read_json(system))
-        bp = cfg.basepoint
-        if bp is None:
-            bp = {nm: Fraction(0) for nm in psys.domain.chart.names}
-        functions, report = first_integrals(
-            psys, sym, bp, verify_samples=min(cfg.samples, 20), seed=cfg.seed
-        )
-        doc = {
-            "chart": list(psys.domain.chart.names),
-            "basepoint": {k: str(v) for k, v in bp.items()},
-            "integrals": [jsonio.dump_scalar(f) for f in functions],
-        }
-        _emit(doc, report, output)
-    except LiequadError as exc:
-        _fail(exc)
+    psys, sym = jsonio.load_pfaffian_file(jsonio.read_json(system))
+    chart = psys.domain.chart
+    bp = cfg.basepoint_on(chart) or {nm: Fraction(0) for nm in chart.names}
+    functions, report = first_integrals(psys, sym, bp, verify_samples=cfg.samples, seed=cfg.seed)
+    doc = {
+        "chart": list(chart.names),
+        "basepoint": {k: str(v) for k, v in bp.items()},
+        "integrals": [jsonio.dump_scalar(f) for f in functions],
+    }
+    return doc, report
 
 
 if __name__ == "__main__":

@@ -84,6 +84,12 @@ class EigenvalueClusterAmbiguity(LiequadError):
     code = "eigenvalue-cluster-ambiguity"
 
 
+class EmptyDomain(LiequadError):
+    """No sample point was found off the excluded hypersurfaces."""
+
+    code = "empty-domain"
+
+
 class SchemaError(LiequadError):
     """Malformed JSON input."""
 

@@ -65,7 +65,7 @@ def _put(acc: dict, key: Key, c: float) -> None:
 class ExpPoly:
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: VarSet, terms: Mapping[Key, float] | None = None, *, tol: float = ZERO_TOL):
+    def __init__(self, chart: VarSet, terms: Mapping[Key, float] | None = None):
         acc: dict[Key, float] = {}
         if terms:
             for (k, a, b, kind), c in terms.items():
@@ -73,7 +73,7 @@ class ExpPoly:
                 key = (tuple(k), tuple(v + 0.0 for v in a), b2, kind2)
                 acc[key] = acc.get(key, 0.0) + c2
         self.chart = chart
-        self.terms = {k: c for k, c in acc.items() if abs(c) > tol}
+        self.terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
 
     # ------------------------------------------------------------------
     # constructors

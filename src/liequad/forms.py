@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BasepointOnPole,
     ClassMismatch,
+    EmptyDomain,
     MismatchedVarSet,
     NonAffineExponentSubstitution,
     NonElementaryInClass,
@@ -492,7 +493,6 @@ def line_integral(
     omega: DiffForm,
     start: Mapping[str, float],
     end: Mapping[str, float],
-    rel_tol: float = 1e-8,
 ) -> float:
     """Numeric integral of a 1-form along the straight segment start->end;
     the independent oracle for :func:`potential`."""
@@ -511,7 +511,7 @@ def line_integral(
             total += c.evaluate(point) * direction[i]
         return total
 
-    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200)
+    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)
     return value
 
 
@@ -522,13 +522,14 @@ class Domain:
     chart: VarSet
     excluded: tuple = ()
 
-    def sample(self, rng: random.Random, box: float = 2.0, margin: float = 0.05, max_tries: int = 200) -> dict[str, float]:
-        for _ in range(max_tries):
-            pt = {n: rng.uniform(-box, box) for n in self.chart.names}
+    def sample(self, rng: random.Random) -> dict[str, float]:
+        """A point of the box [-2, 2]^n at least 0.05 off every excluded set."""
+        for _ in range(200):
+            pt = {n: rng.uniform(-2.0, 2.0) for n in self.chart.names}
             ok = True
             for p in self.excluded:
                 try:
-                    if abs(p.evaluate(pt)) < margin:
+                    if abs(p.evaluate(pt)) < 0.05:
                         ok = False
                         break
                 except PoleAtPoint:
@@ -536,4 +537,4 @@ class Domain:
                     break
             if ok:
                 return pt
-        raise RuntimeError("could not sample a point off the excluded sets")
+        raise EmptyDomain("200 points drawn in [-2, 2]^n all fell on or near the excluded sets")

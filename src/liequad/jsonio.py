@@ -38,7 +38,7 @@ def load_algebra(doc: dict) -> StructureConstants:
         try:
             i, j = int(entry["i"]), int(entry["j"])
             coeffs = {int(k): evaluate_text(v, params) for k, v in entry["coeffs"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad bracket entry {entry!r}") from exc
         key = (i, j)
         acc = brackets.setdefault(key, {})
@@ -171,19 +171,19 @@ def load_pfaffian_file(doc: dict):
 
     try:
         chart = VarSet(tuple(doc["chart"]))
+        domain = Domain(chart, tuple(RationalFunction.parse(chart, t) for t in doc.get("excluded", [])))
+        theta = [load_form(d, chart) for d in doc["theta"]]
+        fields = [
+            VectorField(chart, [RationalFunction.parse(chart, t) for t in vf["components"]],
+                        RationalFunction)
+            for vf in doc["symmetry"]
+        ]
+        constants = load_algebra(doc["brackets"])
+        if not len(theta) == len(fields) == constants.dim:
+            raise SchemaError("need as many generators and symmetry fields as the algebra's dimension")
+        return PfaffianSystem(domain, theta), SymmetryAlgebra(fields, constants)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad chart: {exc}") from exc
-    excluded = tuple(
-        RationalFunction.parse(chart, text) for text in doc.get("excluded", [])
-    )
-    domain = Domain(chart, excluded)
-    theta = [load_form(d, chart) for d in doc.get("theta", [])]
-    fields = []
-    for vf in doc.get("symmetry", []):
-        comps = [RationalFunction.parse(chart, t) for t in vf["components"]]
-        fields.append(VectorField(chart, comps, RationalFunction))
-    constants = load_algebra(doc["brackets"])
-    return PfaffianSystem(domain, theta), SymmetryAlgebra(fields, constants)
+        raise SchemaError(f"bad Pfaffian system document: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -200,7 +200,6 @@ def group_invariants_report(
     samples: int = 50,
     seed: int = 0,
     tol_symbolic: float = ZERO_TOL,
-    tol_numeric: float = 1e-9,
 ) -> Report:
     """Structure equations of the coframe (symbolic), bracket relations of
     the frame (numeric), duality pairing (symbolic) and pointwise
@@ -231,7 +230,7 @@ def group_invariants_report(
             diff = lie_bracket(group.frame[i], group.frame[j]) - rhs
             for pt in points:
                 worst_br = max(worst_br, float(np.abs(diff.at(pt)).max()))
-    report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= tol_numeric, "numeric", worst_br)
+    report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 
     worst_det = 1.0
     for pt in points:

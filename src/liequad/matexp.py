@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EigenvalueClusterAmbiguity, NonAffineExponentSubstitution
-from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, ZERO_TOL
+from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
 from .liealg import lin_comb, rref
 from .report import Report
 from .varset import VarSet
@@ -213,7 +213,6 @@ def sym_exp(
     A: Sequence[Sequence[object]],
     var: str = "t",
     cluster_tol: float = CLUSTER_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> ExpMatrix:
     """Closed-form e^{t A} by Putzer's recursion over the clustered spectrum.
 
@@ -223,11 +222,11 @@ def sym_exp(
     Af = tuple(tuple(Fraction(x) for x in row) for row in A)
     if any(len(row) != len(Af) for row in Af):
         raise ValueError("matrix must be square")
-    return _putzer(Af, var, cluster_tol, zero_tol)
+    return _putzer(Af, var, cluster_tol)
 
 
 @functools.lru_cache(maxsize=256)
-def _putzer(Af: tuple, var: str, cluster_tol: float, zero_tol: float) -> ExpMatrix:
+def _putzer(Af: tuple, var: str, cluster_tol: float) -> ExpMatrix:
     n = len(Af)
     chart = VarSet.of(var)
     if n == 0:
@@ -278,7 +277,7 @@ def _putzer(Af: tuple, var: str, cluster_tol: float, zero_tol: float) -> ExpMatr
                     ks = (kk, aa, (beta,), KIND_SIN)
                     terms[kc] = terms.get(kc, 0.0) + c.real
                     terms[ks] = terms.get(ks, 0.0) - c.imag
-            row.append(ExpPoly(chart, terms, tol=zero_tol))
+            row.append(ExpPoly(chart, terms))
         entries.append(row)
     return ExpMatrix(var, Af, entries)
 

@@ -207,6 +207,11 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.chart, self.frac / other.frac)
 
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return RationalFunction.constant(self.chart, other) / self
+
     def __pow__(self, n: int):
         return RationalFunction(self.chart, self.frac ** int(n))
 

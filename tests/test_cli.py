@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import click
 import pytest
 from fractions import Fraction
 
@@ -295,6 +296,14 @@ def test_form_bad_index_length_rejected(tmp_path):
         jsonio.load_forms_file(doc)
 
 
+def test_bracket_coefficients_not_a_mapping_is_schema_error(tmp_path):
+    path = tmp_path / "list_coeffs.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]}))
+    res = _run(["validate", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["code"] == "schema-error"
+
+
 def test_duplicate_bracket_entries_accumulate():
     doc = {
         "dim": 3,
@@ -308,8 +317,82 @@ def test_duplicate_bracket_entries_accumulate():
 
 
 def test_nonpositive_tolerance_rejected():
-    res = _run(["validate", fixture_path("algebra_abelian3.json"), "--tol-zero", "-1"])
+    res = _run(["coframe", fixture_path("algebra_abelian3.json"), "--tol-zero", "-1"])
     assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["code"] == "schema-error"
+
+
+OPTIONS = {
+    "validate": {"--seed", "-o"},
+    "coframe": {"--tol-zero", "--samples", "--seed", "-o"},
+    "multiply": {"--tol-zero", "--tol-sample", "--samples", "--seed", "--mode", "-o"},
+    "reduce": {"--tol-zero", "--tol-sample", "--samples", "--seed", "--basepoint", "--mode",
+               "--stop-after", "-o"},
+    "pfaff": {"--samples", "--seed", "--basepoint", "-o"},
+}
+FLAG_VALUES = {"--tol-zero": "1e-10", "--tol-sample": "1e-8", "--samples": "5", "--seed": "0",
+               "--basepoint": "x=0", "--mode": "auto", "--stop-after": "1", "-o": "out.json"}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_command_takes_only_the_options_it_reads(command):
+    listed = {p.opts[0] for p in main.commands[command].params if isinstance(p, click.Option)}
+    assert listed == OPTIONS[command]
+    help_text = _run([command, "--help"]).output
+    for flag in FLAG_VALUES:
+        assert (flag in help_text) == (flag in OPTIONS[command]), flag
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in sorted(OPTIONS) for flag in sorted(FLAG_VALUES)
+    if flag not in OPTIONS[command]
+])
+def test_removed_flag_is_a_usage_error(command, flag):
+    res = _run([command, fixture_path("algebra_abelian3.json"), flag, FLAG_VALUES[flag]])
+    assert res.exit_code == 2
+    assert "No such option" in res.output and flag in res.output
+
+
+def _assert_error_document(res, code):
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.stderr.strip().splitlines()[-1])["error"]["code"] == code
+
+
+def test_negative_stop_after_is_schema_error():
+    res = _run(["reduce", fixture_path("algebra_fiveparam_a1_b2.json"),
+                fixture_path("forms_product_group_fiveparam_a1_b2.json"), "--stop-after", "-1"])
+    _assert_error_document(res, "schema-error")
+
+
+@pytest.mark.parametrize("command", ["reduce", "pfaff"])
+def test_basepoint_name_outside_the_chart_is_schema_error(command):
+    if command == "reduce":
+        files = [fixture_path("algebra_heisenberg.json"), fixture_path("forms_normalized_third_order.json")]
+    else:
+        files = [fixture_path("pfaffian_third_order_ode.json")]
+    res = _run([command, *files, "--basepoint", "x=0,u=0,u_x=1,u_xx=1,q=5"])
+    _assert_error_document(res, "schema-error")
+    assert "'q'" in json.loads(res.stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize("where", ["brackets", "components"])
+def test_pfaffian_document_missing_key_is_schema_error(tmp_path, where):
+    doc = _pfaffian_doc()
+    if where == "brackets":
+        del doc["brackets"]
+    else:
+        del doc["symmetry"][1]["components"]
+    (tmp_path / "system.json").write_text(json.dumps(doc))
+    res = _run(["pfaff", str(tmp_path / "system.json"), "--basepoint", BASEPOINT])
+    _assert_error_document(res, "schema-error")
+
+
+def test_excluded_sets_covering_the_box_give_an_error_document(tmp_path):
+    doc = _pfaffian_doc()
+    doc["excluded"] = ["0"]
+    (tmp_path / "system.json").write_text(json.dumps(doc))
+    res = _run(["pfaff", str(tmp_path / "system.json"), "--basepoint", BASEPOINT])
+    _assert_error_document(res, "empty-domain")
 
 
 def test_unbound_parameter_is_schema_error(tmp_path):
@@ -474,3 +557,48 @@ def test_no_document_text_reaches_sympify():
                 or (isinstance(node, ast.alias) and "sympify" in (node.name, node.asname))
             )
             assert not named, f"{path.name}:{getattr(node, 'lineno', '?')} names sympify"
+
+
+# ----------------------------------------------------------------------
+# malformed documents end in a report or an error document, never a traceback
+
+def _documents_with_a_key_deleted(doc):
+    """Each top-level key deleted, then each key of the first list or dict
+    entry under it."""
+    for key, value in doc.items():
+        yield key, {k: v for k, v in doc.items() if k != key}
+        entry = value[0] if isinstance(value, list) and value else value
+        if isinstance(entry, dict):
+            for inner in entry:
+                cut = json.loads(json.dumps(doc))
+                target = cut[key][0] if isinstance(value, list) else cut[key]
+                del target[inner]
+                yield f"{key}.{inner}", cut
+
+
+# each input fixture with the command that reads it; "{}" is the document
+READERS = {
+    "algebra_abelian3.json": ["validate", "{}"],
+    "algebra_heisenberg.json": ["validate", "{}"],
+    "algebra_fiveparam_a1_b2.json": ["validate", "{}"],
+    "forms_normalized_third_order.json": ["reduce", fixture_path("algebra_heisenberg.json"), "{}",
+                                          "--basepoint", BASEPOINT],
+    "forms_product_group_fiveparam_a1_b2.json": ["reduce", fixture_path("algebra_fiveparam_a1_b2.json"),
+                                                 "{}", "--samples", "5"],
+    "pfaffian_third_order_ode.json": ["pfaff", "{}", "--basepoint", BASEPOINT],
+}
+MALFORMED = [
+    (name, deleted, doc)
+    for name in READERS
+    for deleted, doc in _documents_with_a_key_deleted(json.loads(open(fixture_path(name)).read()))
+]
+
+
+@pytest.mark.parametrize("name, deleted, doc", MALFORMED, ids=[f"{n}-{d}" for n, d, _ in MALFORMED])
+def test_document_with_a_key_deleted_exits_cleanly(tmp_path, name, deleted, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    res = _run([str(path) if arg == "{}" else arg for arg in READERS[name]])
+    assert res.exit_code in (0, 1, 2), res.output
+    if res.exit_code == 2:
+        assert "error" in json.loads(res.stderr.strip().splitlines()[-1])

@@ -46,6 +46,14 @@ def test_arithmetic_is_exact():
     assert third == RationalFunction.one(V)
 
 
+def test_number_divided_by_rational_function():
+    f = rf("u_x^2/(x + 1)")
+    assert 1 / f == rf("(x + 1)/u_x^2")
+    assert Fraction(1, 2) / f == rf("(x + 1)/(2*u_x^2)")
+    with pytest.raises(ZeroDivisionError):
+        1 / RationalFunction.zero(V)
+
+
 def test_diff_power_rule():
     assert rf("u_x^3/u_xx").diff("u_xx") == rf("-u_x^3/u_xx^2")
 
