@@ -12,13 +12,35 @@ coefficient tolerance.
 
 Rates are plain floats and are only ever copied or added, never
 recomputed from scratch, so structurally equal keys compare exactly.
+
+Canonical keys.  A stored key has its -0.0 entries normalized to 0.0; a
+"one" key has b = 0; a trig key has b != 0 with its first nonzero entry
+positive (cos(-u) = cos u, sin(-u) = -sin u move the sign into the
+coefficient).  Every stored coefficient exceeds ZERO_TOL.  `__init__`,
+`term`, `parse` and `substitute` establish this from arbitrary input.
+The ring operations build their results from keys that are canonical
+already: sums, negation, scaling and `diff`/`antideriv` keep b and only
+swap cos and sin on a nonzero b, and `__mul__` canonicalizes each new trig
+part in `_put`.  They go through `_canonical`, which applies only the
+ZERO_TOL cut.
+
+Compiled form.  On first evaluation a polynomial caches its T terms as
+arrays (`Compiled`): exponents K and rates A, B (each T x n), kind and
+coefficient (each T).  `evaluate_batch` evaluates them at N points in one
+numpy pass, in the order of the scalar formula: c * x1^k1 * ... * xn^kn
+in variable order, then * exp(a.x), then * cos or sin(b.x), the dot
+products summed in variable order and the terms in term order.
+`evaluate` is its one-point case.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add, sub
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import MismatchedVarSet, NonAffineExponentSubstitution
 from .varset import VarSet
@@ -55,15 +77,43 @@ def _canon_trig(b: tuple[float, ...], kind: int, coeff: float):
     return b, kind, coeff
 
 
+def _add(acc: dict, key: Key, c: float) -> None:
+    """Add c at a canonical key to an accumulator."""
+    acc[key] = acc.get(key, 0.0) + c
+
+
 def _put(acc: dict, key: Key, c: float) -> None:
-    """Add c at key to an accumulator, the trig part canonicalized."""
-    b2, kind2, c2 = _canon_trig(key[2], key[3], c)
-    key = (key[0], key[1], b2, kind2)
-    acc[key] = acc.get(key, 0.0) + c2
+    """Add c at key to an accumulator, the trig part canonicalized; a
+    "one" key comes from canonical keys, so its b is zero already."""
+    if key[3] != KIND_ONE:
+        b2, kind2, c = _canon_trig(key[2], key[3], c)
+        key = (key[0], key[1], b2, kind2)
+    _add(acc, key, c)
+
+
+class Compiled(NamedTuple):
+    """The terms of an ExpPoly as arrays, one row per term in term order,
+    and the evaluation steps read off them."""
+
+    K: np.ndarray  # T x n exponents
+    A: np.ndarray  # T x n exponential rates
+    B: np.ndarray  # T x n trigonometric rates
+    kind: np.ndarray  # T
+    coeff: np.ndarray  # T
+    # (i, rows, k): the terms in rows are multiplied by x_i^k, i ascending
+    powers: tuple
+    # (fn, rows, m, ((i, r), ...)): the m terms in rows are multiplied by
+    # fn(sum over ascending i of r * x_i); exp, then cos, then sin
+    factors: tuple
+
+
+def _rows(mask: np.ndarray):
+    """Index of the terms in mask; a full slice when that is all of them."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 class ExpPoly:
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_compiled")
 
     def __init__(self, chart: VarSet, terms: Mapping[Key, float] | None = None):
         acc: dict[Key, float] = {}
@@ -74,6 +124,17 @@ class ExpPoly:
                 acc[key] = acc.get(key, 0.0) + c2
         self.chart = chart
         self.terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
+        self._compiled = None
+
+    @classmethod
+    def _canonical(cls, chart: VarSet, acc: Mapping[Key, float]) -> "ExpPoly":
+        """Trusted constructor for keys that are canonical already (see the
+        module docstring); applies only the ZERO_TOL cut."""
+        self = object.__new__(cls)
+        self.chart = chart
+        self.terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
+        self._compiled = None
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -87,7 +148,7 @@ class ExpPoly:
         n = len(chart)
         zk = (0,) * n
         zr = (0.0,) * n
-        return cls(chart, {(zk, zr, zr, KIND_ONE): float(value)})
+        return cls._canonical(chart, {(zk, zr, zr, KIND_ONE): float(value)})
 
     @classmethod
     def one(cls, chart: VarSet) -> "ExpPoly":
@@ -99,7 +160,7 @@ class ExpPoly:
         k = [0] * n
         k[chart.index(name)] = 1
         zr = (0.0,) * n
-        return cls(chart, {(tuple(k), zr, zr, KIND_ONE): 1.0})
+        return cls._canonical(chart, {(tuple(k), zr, zr, KIND_ONE): 1.0})
 
     @classmethod
     def term(
@@ -144,12 +205,12 @@ class ExpPoly:
         acc = dict(self.terms)
         for key, c in other.terms.items():
             acc[key] = acc.get(key, 0.0) + c
-        return ExpPoly(self.chart, acc)
+        return ExpPoly._canonical(self.chart, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly(self.chart, {k: -c for k, c in self.terms.items()})
+        return ExpPoly._canonical(self.chart, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, ExpPoly) else -float(other))
@@ -160,23 +221,23 @@ class ExpPoly:
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             f = float(other)
-            return ExpPoly(self.chart, {k: c * f for k, c in self.terms.items()})
+            return ExpPoly._canonical(self.chart, {k: c * f for k, c in self.terms.items()})
         if not isinstance(other, ExpPoly):
             return NotImplemented
         self._check_chart(other)
         acc: dict[Key, float] = {}
         for (k1, a1, b1, t1), c1 in self.terms.items():
             for (k2, a2, b2, t2), c2 in other.terms.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                a = tuple(x + y for x, y in zip(a1, a2))
+                k = tuple(map(add, k1, k2))
+                a = tuple(map(add, a1, a2))
                 c = c1 * c2
                 if t1 == KIND_ONE:
                     _put(acc, (k, a, b2, t2), c)
                 elif t2 == KIND_ONE:
                     _put(acc, (k, a, b1, t1), c)
                 else:
-                    bsum = tuple(x + y for x, y in zip(b1, b2))
-                    bdif = tuple(x - y for x, y in zip(b1, b2))
+                    bsum = tuple(map(add, b1, b2))
+                    bdif = tuple(map(sub, b1, b2))
                     if t1 == KIND_COS and t2 == KIND_COS:
                         # cos u cos v = (cos(u-v) + cos(u+v)) / 2
                         _put(acc, (k, a, bdif, KIND_COS), 0.5 * c)
@@ -193,7 +254,7 @@ class ExpPoly:
                         # cos u sin v = (sin(u+v) - sin(u-v)) / 2
                         _put(acc, (k, a, bsum, KIND_SIN), 0.5 * c)
                         _put(acc, (k, a, bdif, KIND_SIN), -0.5 * c)
-        return ExpPoly(self.chart, acc)
+        return ExpPoly._canonical(self.chart, acc)
 
     __rmul__ = __mul__
 
@@ -213,6 +274,9 @@ class ExpPoly:
     # predicates
 
     def is_zero(self, tol: float = ZERO_TOL) -> bool:
+        if tol <= ZERO_TOL:
+            # every stored coefficient exceeds ZERO_TOL
+            return not self.terms
         return all(abs(c) <= tol for c in self.terms.values())
 
     def max_abs_coeff(self) -> float:
@@ -271,15 +335,15 @@ class ExpPoly:
             if k[i] > 0:
                 k2 = list(k)
                 k2[i] -= 1
-                _put(acc, (tuple(k2), a, b, kind), c * k[i])
+                _add(acc, (tuple(k2), a, b, kind), c * k[i])
             if a[i] != 0.0:
-                _put(acc, (k, a, b, kind), c * a[i])
+                _add(acc, (k, a, b, kind), c * a[i])
             if b[i] != 0.0:
                 if kind == KIND_COS:
-                    _put(acc, (k, a, b, KIND_SIN), -c * b[i])
+                    _add(acc, (k, a, b, KIND_SIN), -c * b[i])
                 elif kind == KIND_SIN:
-                    _put(acc, (k, a, b, KIND_COS), c * b[i])
-        return ExpPoly(self.chart, acc)
+                    _add(acc, (k, a, b, KIND_COS), c * b[i])
+        return ExpPoly._canonical(self.chart, acc)
 
     def antideriv(self, name: str) -> "ExpPoly":
         """Antiderivative in one variable, exact inside the class.
@@ -295,7 +359,7 @@ class ExpPoly:
                 # the exp/trig part does not involve the variable
                 k2 = list(k)
                 k2[i] += 1
-                _put(acc, (tuple(k2), a, b, kind), c / (kv + 1))
+                _add(acc, (tuple(k2), a, b, kind), c / (kv + 1))
             elif bv == 0.0:
                 # real rate: integrate v^kv e^{av v} by parts, closed form
                 p = [0.0] * (kv + 1)
@@ -307,7 +371,7 @@ class ExpPoly:
                         continue
                     k2 = list(k)
                     k2[i] = j
-                    _put(acc, (tuple(k2), a, b, kind), pj)
+                    _add(acc, (tuple(k2), a, b, kind), pj)
             else:
                 # complexify the v-dependence: z = av + i bv
                 z = complex(av, bv)
@@ -323,33 +387,64 @@ class ExpPoly:
                     )
                     if kind == KIND_COS:
                         # Re[p e^{(a+ib).x}]
-                        _put(acc, (k2, a, b, KIND_COS), pj.real)
-                        _put(acc, (k2, a, b, KIND_SIN), -pj.imag)
+                        _add(acc, (k2, a, b, KIND_COS), pj.real)
+                        _add(acc, (k2, a, b, KIND_SIN), -pj.imag)
                     else:
                         # Im[p e^{(a+ib).x}]
-                        _put(acc, (k2, a, b, KIND_COS), pj.imag)
-                        _put(acc, (k2, a, b, KIND_SIN), pj.real)
-        return ExpPoly(self.chart, acc)
+                        _add(acc, (k2, a, b, KIND_COS), pj.imag)
+                        _add(acc, (k2, a, b, KIND_SIN), pj.real)
+        return ExpPoly._canonical(self.chart, acc)
 
     # ------------------------------------------------------------------
     # evaluation and substitution
 
+    def compiled(self) -> Compiled:
+        """The terms as arrays, built on first use and cached."""
+        if self._compiled is None:
+            n = len(self.chart)
+            keys = list(self.terms)
+            K = np.array([k for k, _, _, _ in keys], dtype=np.int64).reshape(-1, n)
+            A = np.array([a for _, a, _, _ in keys], dtype=float).reshape(-1, n)
+            B = np.array([b for _, _, b, _ in keys], dtype=float).reshape(-1, n)
+            kind = np.array([t for _, _, _, t in keys], dtype=np.int64)
+            coeff = np.array(list(self.terms.values()), dtype=float)
+            powers = []
+            for i in np.flatnonzero(K.any(axis=0)):
+                rows = _rows(K[:, i] != 0)
+                powers.append((i, rows, K[rows, i]))
+            factors = []
+            for fn, M, mask in (
+                (np.exp, A, A.any(axis=1)),
+                (np.cos, B, kind == KIND_COS),
+                (np.sin, B, kind == KIND_SIN),
+            ):
+                if mask.any():
+                    rows = _rows(mask)
+                    R = M[rows]
+                    rates = tuple((i, R[:, i]) for i in np.flatnonzero(R.any(axis=0)))
+                    factors.append((fn, rows, len(R), rates))
+            self._compiled = Compiled(K, A, B, kind, coeff, tuple(powers), tuple(factors))
+        return self._compiled
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Values at N points, given as an N x n array in chart order."""
+        c = self.compiled()
+        P = np.asarray(points, dtype=float).reshape(-1, len(self.chart))
+        if not len(c.coeff):
+            return np.zeros(len(P))
+        v = np.repeat(c.coeff[None, :], len(P), axis=0)
+        for i, rows, k in c.powers:
+            v[:, rows] *= P[:, i, None] ** k
+        for fn, rows, m, rates in c.factors:
+            arg = np.zeros((len(P), m))
+            for i, r in rates:
+                arg += P[:, i, None] * r
+            v[:, rows] *= fn(arg)
+        # a running sum, so the terms add up in term order
+        return np.cumsum(v, axis=1)[:, -1]
+
     def evaluate(self, point: Mapping[str, float]) -> float:
-        vals = [float(point[name]) for name in self.chart.names]
-        total = 0.0
-        for (k, a, b, kind), c in self.terms.items():
-            v = c
-            for i, ki in enumerate(k):
-                if ki:
-                    v *= vals[i] ** ki
-            e = sum(ai * vals[i] for i, ai in enumerate(a) if ai != 0.0)
-            if e:
-                v *= math.exp(e)
-            if kind != KIND_ONE:
-                th = sum(bi * vals[i] for i, bi in enumerate(b) if bi != 0.0)
-                v *= math.cos(th) if kind == KIND_COS else math.sin(th)
-            total += v
-        return total
+        return float(self.evaluate_batch([[point[name] for name in self.chart.names]])[0])
 
     def substitute_partial(self, values: Mapping[str, float]) -> "ExpPoly":
         """Bind some variables to numeric constants; stays in the class."""

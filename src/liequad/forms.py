@@ -250,8 +250,12 @@ class VectorField:
     def is_zero(self, tol: float = ZERO_TOL) -> bool:
         return all(c.is_zero(tol) for c in self.components)
 
+    def at_batch(self, points) -> np.ndarray:
+        """Components at N points (rows in chart order), as an N x n array."""
+        return np.column_stack([c.evaluate_batch(points) for c in self.components])
+
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        return np.array([c.evaluate(point) for c in self.components])
+        return self.at_batch([[point[n] for n in self.chart.names]])[0]
 
     def __repr__(self):
         parts = [
@@ -307,23 +311,30 @@ class PointMap:
             if c.chart != self.source:
                 raise MismatchedVarSet("components must live over the source chart")
 
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Images of N source points (rows in chart order), as an N x m array
+        in target chart order."""
+        return np.column_stack([comp.evaluate_batch(points) for comp in self.components])
+
     def __call__(self, point: Mapping[str, float]) -> dict[str, float]:
-        return {
-            name: comp.evaluate(point)
-            for name, comp in zip(self.target.names, self.components)
-        }
+        values = self.evaluate_batch([[point[n] for n in self.source.names]])[0]
+        return dict(zip(self.target.names, values.tolist()))
 
     @cached_property
     def differentials(self) -> list[DiffForm]:
         """The differential of each component, computed once per map."""
         return [differential(comp) for comp in self.components]
 
-    def jacobian_at(self, point: Mapping[str, float]) -> np.ndarray:
-        J = np.zeros((len(self.target), len(self.source)))
+    def jacobian_batch(self, points) -> np.ndarray:
+        """Jacobian matrices at N source points, as an N x m x n array."""
+        J = np.zeros((len(points), len(self.target), len(self.source)))
         for i, dcomp in enumerate(self.differentials):
             for (j,), c in dcomp.coeffs.items():
-                J[i, j] = c.evaluate(point)
+                J[:, i, j] = c.evaluate_batch(points)
         return J
+
+    def jacobian_at(self, point: Mapping[str, float]) -> np.ndarray:
+        return self.jacobian_batch([[point[n] for n in self.source.names]])[0]
 
     @classmethod
     def identity(cls, chart: VarSet, scls=ExpPoly):
@@ -403,16 +414,21 @@ def pullback_check(phi: PointMap, taus, omegas, mode: str, samples: int, rng, sa
         except (ClassMismatch, NonAffineExponentSubstitution) as exc:
             if mode == "symbolic":
                 return None, "symbolic", str(exc)
-    errors = [0.0] * len(taus)
+    names = phi.source.names
+    draws = []
     for _ in range(samples):
         pt = sample_point(rng)
-        vec = np.array([rng.uniform(-1, 1) for _ in range(len(phi.source))])
-        push = phi.jacobian_at(pt) @ vec
-        img = phi(pt)
-        for i, (tau, omega) in enumerate(zip(taus, omegas)):
-            lhs = sum(c.evaluate(img) * push[idx[0]] for idx, c in tau.coeffs.items())
-            rhs = sum(c.evaluate(pt) * vec[idx[0]] for idx, c in omega.coeffs.items())
-            errors[i] = max(errors[i], abs(lhs - rhs))
+        draws.append([pt[nm] for nm in names] + [rng.uniform(-1, 1) for _ in names])
+    # a point and a tangent vector at it per sample, drawn in that order
+    draws = np.array(draws, dtype=float).reshape(samples, 2, len(names))
+    P, vecs = draws[:, 0], draws[:, 1]
+    push = (phi.jacobian_batch(P) @ vecs[:, :, None])[:, :, 0]
+    img = phi.evaluate_batch(P)
+    errors = []
+    for tau, omega in zip(taus, omegas):
+        lhs = sum(c.evaluate_batch(img) * push[:, idx[0]] for idx, c in tau.coeffs.items())
+        rhs = sum(c.evaluate_batch(P) * vecs[:, idx[0]] for idx, c in omega.coeffs.items())
+        errors.append(float(np.max(np.abs(lhs - rhs), initial=0.0)))
     return errors, "numeric", ""
 
 

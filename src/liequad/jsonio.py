@@ -140,6 +140,10 @@ def load_form(doc: dict, chart: VarSet) -> DiffForm:
         coeffs = {}
         for term in doc["terms"]:
             idx = tuple(int(i) - 1 for i in term["idx"])
+            if not all(0 <= i < len(chart) for i in idx):
+                raise SchemaError(
+                    f"form index {term['idx']} outside 1..{len(chart)} of the chart"
+                )
             coeffs[idx] = scls.parse(chart, term["coeff"])
         return DiffForm(chart, degree, coeffs, scls)
     except SchemaError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
 from .forms import DiffForm, PointMap, VectorField, lie_bracket, pairing, pullback_check, structure_residual
 from .liealg import AdaptedChain, lin_comb
-from .reduction import _factor_matrix, reduce_full
+from .reduction import _factor_matrix, reduce_full, rho_map
 from .report import Report
 from .varset import VarSet, coordinate_chart, doubled_chart
 
@@ -39,9 +39,10 @@ class SolvGroup:
     def n(self) -> int:
         return self.chain.n
 
-    def frame_matrix_at(self, point: Mapping[str, float]) -> np.ndarray:
-        """Columns are the frame fields evaluated at the point."""
-        return np.column_stack([X.at(point) for X in self.frame])
+    def frame_matrix_batch(self, points) -> np.ndarray:
+        """Frame matrices at N points (rows in chart order), N x n x n; the
+        columns of each are the frame fields there."""
+        return np.stack([X.at_batch(points) for X in self.frame], axis=2)
 
 
 @dataclass
@@ -51,9 +52,16 @@ class GroupLaw:
     ad: list  # Ad(x) as an ExpPoly matrix over the group chart
     omega: list  # the product-group forms mu pulls the coframe back to
 
+    def multiply_batch(self, a, b) -> np.ndarray:
+        """Row r is a_r * b_r, for N x n arrays of group points."""
+        n = self.group.n
+        a = np.asarray(a, dtype=float).reshape(-1, n)
+        b = np.asarray(b, dtype=float).reshape(-1, n)
+        # the doubled chart is (x1..xn, y1..yn)
+        return self.mu.evaluate_batch(np.hstack([a, b]))
+
     def multiply(self, a: Sequence[float], b: Sequence[float]) -> np.ndarray:
-        z = self.mu(_pair_point(a, b))
-        return np.array([z[nm] for nm in self.group.chart.names])
+        return self.multiply_batch([a], [b])[0]
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +191,20 @@ def multiplication(
     return GroupLaw(group, mu, ad, omegas)
 
 
-def _pair_point(a: Sequence[float], b: Sequence[float]) -> dict[str, float]:
-    """The point (a, b) of the doubled chart."""
-    point = {}
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        point[f"x{i + 1}"] = float(ai)
-        point[f"y{i + 1}"] = float(bi)
-    return point
+def _matrix_batch(M, points) -> np.ndarray:
+    """A matrix of scalars at N points, as an N x rows x cols array."""
+    return np.stack([np.column_stack([e.evaluate_batch(points) for e in row]) for row in M], axis=1)
+
+
+def _rel_error(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Per sample (first axis): max |got - want| / max(1, max |want|)."""
+    axes = tuple(range(1, want.ndim))
+    return np.abs(got - want).max(axis=axes) / np.maximum(1.0, np.abs(want).max(axis=axes))
+
+
+def _worst(errors) -> float:
+    """The largest of the errors, 0 when there are none."""
+    return float(np.max(errors, initial=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -220,22 +235,20 @@ def group_invariants_report(
     report.add("<tau^i, X_j> = delta^i_j", worst_pair <= tol_symbolic, "symbolic", worst_pair)
 
     rng = random.Random(seed)
-    points = [
-        {nm: rng.uniform(-1.5, 1.5) for nm in group.chart.names} for _ in range(samples)
-    ]
+    points = np.array(
+        [[rng.uniform(-1.5, 1.5) for _ in group.chart.names] for _ in range(samples)]
+    ).reshape(samples, n)
     worst_br = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             rhs = lin_comb([sc.C[k][i][j] for k in range(n)], group.frame)
             diff = lie_bracket(group.frame[i], group.frame[j]) - rhs
-            for pt in points:
-                worst_br = max(worst_br, float(np.abs(diff.at(pt)).max()))
+            worst_br = max(worst_br, _worst(np.abs(diff.at_batch(points))))
     report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 
-    worst_det = 1.0
-    for pt in points:
-        M = np.array([[c.evaluate(pt) for c in [t.coefficient((k,)) for k in range(n)]] for t in group.tau])
-        worst_det = min(worst_det, abs(float(np.linalg.det(M))))
+    tau = [[t.coefficient((k,)) for k in range(n)] for t in group.tau]
+    dets = np.abs(np.linalg.det(_matrix_batch(tau, points)))
+    worst_det = float(np.min(dets, initial=1.0))
     report.add("coframe pointwise independent", worst_det > 1e-12, "numeric", worst_det)
     return report
 
@@ -253,42 +266,27 @@ def verify_group(
     rng = random.Random(seed)
     report = Report()
 
-    def rand_pt():
-        return np.array([rng.uniform(-1.2, 1.2) for _ in range(n)])
+    # a, b, c of each sample, drawn in that order
+    draws = np.array(
+        [[rng.uniform(-1.2, 1.2) for _ in range(3 * n)] for _ in range(samples)]
+    ).reshape(samples, 3, n)
+    a, b, c = draws[:, 0], draws[:, 1], draws[:, 2]
+    mul = law.multiply_batch
+    ab = mul(a, b)
+    lhs = mul(a, mul(b, c))
+    rhs = mul(ab, c)
+    worst_assoc = _worst(_rel_error(lhs, rhs))
 
-    worst_assoc = 0.0
-    worst_ident = 0.0
-    worst_ad = 0.0
-    worst_left = 0.0
-    zero = np.zeros(n)
-    for _ in range(samples):
-        a, b, c = rand_pt(), rand_pt(), rand_pt()
-        lhs = law.multiply(a, law.multiply(b, c))
-        rhs = law.multiply(law.multiply(a, b), c)
-        scale = max(1.0, float(np.abs(rhs).max()))
-        worst_assoc = max(worst_assoc, float(np.abs(lhs - rhs).max()) / scale)
+    zero = np.zeros_like(a)
+    worst_ident = _worst(np.abs(np.hstack([mul(zero, a) - a, mul(a, zero) - a])))
 
-        worst_ident = max(
-            worst_ident,
-            float(np.abs(law.multiply(zero, a) - a).max()),
-            float(np.abs(law.multiply(a, zero) - a).max()),
-        )
+    Ad_z = _matrix_batch(law.ad, ab)
+    worst_ad = _worst(_rel_error(_matrix_batch(law.ad, a) @ _matrix_batch(law.ad, b), Ad_z))
 
-        pa = dict(zip(group.chart.names, a))
-        pb = dict(zip(group.chart.names, b))
-        pz = dict(zip(group.chart.names, law.multiply(a, b)))
-        Ad_a = np.array([[e.evaluate(pa) for e in row] for row in law.ad])
-        Ad_b = np.array([[e.evaluate(pb) for e in row] for row in law.ad])
-        Ad_z = np.array([[e.evaluate(pz) for e in row] for row in law.ad])
-        scale = max(1.0, float(np.abs(Ad_z).max()))
-        worst_ad = max(worst_ad, float(np.abs(Ad_z - Ad_a @ Ad_b).max()) / scale)
-
-        # left invariance: dL_a|_b X_i(b) = X_i(a*b)
-        J = law.mu.jacobian_at(_pair_point(a, b))[:, n:]
-        Mb = group.frame_matrix_at(pb)
-        Mab = group.frame_matrix_at(pz)
-        scale = max(1.0, float(np.abs(Mab).max()))
-        worst_left = max(worst_left, float(np.abs(J @ Mb - Mab).max()) / scale)
+    # left invariance: dL_a|_b X_i(b) = X_i(a*b)
+    J = law.mu.jacobian_batch(np.hstack([a, b]))[:, :, n:]
+    Mab = group.frame_matrix_batch(ab)
+    worst_left = _worst(_rel_error(J @ group.frame_matrix_batch(b), Mab))
 
     report.add("associativity mu(a, mu(b,c)) = mu(mu(a,b), c)", worst_assoc <= tol, "numeric", worst_assoc)
     report.add("identity mu(0,a) = a = mu(a,0)", worst_ident <= tol, "numeric", worst_ident)
@@ -354,23 +352,18 @@ def preadjoint_oracle(
         return report
     report.add(name, True, "symbolic", trace.residuals[0])
 
-    def rho(x, y):
-        point = _pair_point(x, y)
-        return np.array([f.evaluate(point) for f in trace.functions])
-
+    rho = rho_map(trace, law.group.chart)
     rng = random.Random(seed)
-    zero = np.zeros(n)
-    worst = 0.0
-    for _ in range(samples):
-        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-        y = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-        x_inv = rho(x, zero)
-        mu_val = law.multiply(y, x_inv)
-        scale = max(1.0, float(np.abs(mu_val).max()))
-        worst = max(
-            worst,
-            float(np.abs(rho(x, y) - mu_val).max()) / scale,
-            float(np.abs(law.multiply(x, x_inv)).max()),
-        )
+    # x, y of each sample, drawn in that order
+    draws = np.array(
+        [[rng.uniform(-1.0, 1.0) for _ in range(2 * n)] for _ in range(samples)]
+    ).reshape(samples, 2 * n)
+    x = draws[:, :n]
+    x_inv = rho.evaluate_batch(np.hstack([x, np.zeros_like(x)]))
+    mu_val = law.multiply_batch(draws[:, n:], x_inv)
+    worst = _worst(np.concatenate([
+        _rel_error(rho.evaluate_batch(draws), mu_val),
+        np.abs(law.multiply_batch(x, x_inv)).max(axis=1),
+    ]))
     report.add("rho(x,y) = mu(y, x^{-1})", worst <= tol, "numeric", worst)
     return report

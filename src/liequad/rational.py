@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement, FracField
@@ -280,6 +281,13 @@ class RationalFunction:
             # sum; report numbers depend on this rounding bit for bit
             return float(Fraction(nval) / dval)
         return float(nval) / float(dval)
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Values at N points (rows in chart order), one Horner evaluation
+        per row."""
+        names = self.chart.names
+        rows = points.tolist() if isinstance(points, np.ndarray) else points
+        return np.array([self.evaluate(dict(zip(names, row))) for row in rows], dtype=float)
 
     def evaluate_exact(self, point: Mapping[str, Fraction]) -> Fraction:
         nval, dval = self._substitute(self._point(point))

@@ -296,6 +296,16 @@ def test_form_bad_index_length_rejected(tmp_path):
         jsonio.load_forms_file(doc)
 
 
+@pytest.mark.parametrize("index", [0, 9])
+def test_form_index_outside_the_chart_is_schema_error(tmp_path, index):
+    doc = json.loads(open(fixture_path("forms_normalized_third_order.json")).read())
+    doc["forms"][0]["terms"][1]["idx"] = [index]
+    (tmp_path / "forms.json").write_text(json.dumps(doc))
+    res = _run(["reduce", fixture_path("algebra_heisenberg.json"), str(tmp_path / "forms.json"),
+                "--basepoint", BASEPOINT])
+    _assert_error_document(res, "schema-error")
+
+
 def test_bracket_coefficients_not_a_mapping_is_schema_error(tmp_path):
     path = tmp_path / "list_coeffs.json"
     path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]}))

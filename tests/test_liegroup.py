@@ -17,13 +17,14 @@ from liequad import (
     build_group,
     coordinate_chart,
     group_invariants_report,
+    jsonio,
     multiplication,
     pairing,
     preadjoint_oracle,
     verify_group,
 )
 from liequad.catalog import catalog, filiform4, heisenberg
-from conftest import five_dim_constants, golden_coframe_a1_b2, golden_mu_a1_b2
+from conftest import five_dim_constants, fixture_path, golden_coframe_a1_b2, golden_mu_a1_b2
 
 F = Fraction
 
@@ -345,3 +346,107 @@ def test_verify_group_differentiates_once_per_map(monkeypatch):
         assert verify_group(law, samples=samples, seed=3).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# ----------------------------------------------------------------------
+# the batched checks against their failure modes and a per-sample loop
+
+def _filiform(n):
+    return StructureConstants.from_brackets(n, {(n, k): {k - 1: F(1)} for k in range(2, n)})
+
+
+def _fixture_law():
+    sc = jsonio.load_algebra(jsonio.read_json(fixture_path("algebra_fiveparam_a1_b2.json")))
+    _, chain = adapted_chain(sc)
+    return chain, multiplication(chain)
+
+
+def _check(report, prefix):
+    return next(c for c in report.checks if c.name.startswith(prefix))
+
+
+def test_verify_group_rejects_a_perturbed_mu_coefficient():
+    _, law = _fixture_law()
+    z1 = law.mu.components[0]
+    key = next(k for k, c in z1.terms.items() if c == 1.0 and sum(k[0]) == 1)
+    bad = list(law.mu.components)
+    bad[0] = ExpPoly(z1.chart, {**z1.terms, key: z1.terms[key] + 1e-6})
+    bad_law = GroupLaw(law.group, PointMap(law.mu.source, law.group.chart, bad), law.ad, law.omega)
+    report = verify_group(bad_law, samples=100, seed=1)
+    assert not (_check(report, "associativity").passed and _check(report, "left invariance").passed)
+
+
+def test_oracle_rejects_a_perturbed_rho(monkeypatch):
+    import liequad.liegroup as liegroup
+
+    chain, law = _fixture_law()
+    reduce_full = liegroup.reduce_full
+
+    def perturbed(*args, **kwargs):
+        trace = reduce_full(*args, **kwargs)
+        f = trace.functions[0]
+        key = next(iter(f.terms))
+        trace.functions[0] = ExpPoly(f.chart, {**f.terms, key: f.terms[key] + 1e-6})
+        return trace
+
+    assert _check(preadjoint_oracle(chain, law, samples=100, seed=2), "rho(x,y)").passed
+    monkeypatch.setattr(liegroup, "reduce_full", perturbed)
+    line = _check(preadjoint_oracle(chain, law, samples=100, seed=2), "rho(x,y)")
+    assert not line.passed and line.error > 1e-7
+
+
+def _per_sample_errors(law, samples, seed):
+    """The four axiom errors of verify_group, one sample at a time through
+    the one-point API, at the same seeded points."""
+    rng = random.Random(seed)
+    n = law.group.n
+    names = law.group.chart.names
+    zero = np.zeros(n)
+
+    def ad(p):
+        point = dict(zip(names, p))
+        return np.array([[e.evaluate(point) for e in row] for row in law.ad])
+
+    def frame(p):
+        point = dict(zip(names, p))
+        return np.column_stack([X.at(point) for X in law.group.frame])
+
+    def rel(got, want):
+        return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+    worst = dict.fromkeys(("assoc", "ident", "ad", "left"), 0.0)
+    for _ in range(samples):
+        a = np.array([rng.uniform(-1.2, 1.2) for _ in range(n)])
+        b = np.array([rng.uniform(-1.2, 1.2) for _ in range(n)])
+        c = np.array([rng.uniform(-1.2, 1.2) for _ in range(n)])
+        ab = law.multiply(a, b)
+        worst["assoc"] = max(worst["assoc"], rel(law.multiply(a, law.multiply(b, c)), law.multiply(ab, c)))
+        worst["ident"] = max(worst["ident"], np.abs(law.multiply(zero, a) - a).max(),
+                             np.abs(law.multiply(a, zero) - a).max())
+        worst["ad"] = max(worst["ad"], rel(ad(a) @ ad(b), ad(ab)))
+        J = law.mu.jacobian_at(dict(zip(law.mu.source.names, np.concatenate([a, b]))))[:, n:]
+        worst["left"] = max(worst["left"], rel(J @ frame(b), frame(ab)))
+    return worst
+
+
+def _batched_errors(law, samples, seed):
+    report = verify_group(law, samples=samples, seed=seed)
+    prefixes = {"assoc": "associativity", "ident": "identity", "ad": "Ad(", "left": "left invariance"}
+    return {key: _check(report, prefix).error for key, prefix in prefixes.items()}
+
+
+def test_batched_verify_group_matches_a_per_sample_loop():
+    _, chain = adapted_chain(_filiform(6))
+    laws = [multiplication(chain), _fixture_law()[1]]
+    # a law that is off by a point-dependent amount, so that the errors
+    # measure where the samples fall and not only rounding
+    law = laws[1]
+    z2 = law.mu.components[1] + ExpPoly.term(law.mu.source, 1e-3, powers={"x1": 1, "y3": 2})
+    bad = [law.mu.components[0], z2] + list(law.mu.components[2:])
+    laws.append(GroupLaw(law.group, PointMap(law.mu.source, law.group.chart, bad), law.ad, law.omega))
+    for law in laws:
+        batched = _batched_errors(law, 40, 11)
+        scalar = _per_sample_errors(law, 40, 11)
+        for key, value in scalar.items():
+            assert abs(batched[key] - value) <= 1e-12 * max(1.0, value), (key, batched[key], value)
+    assert batched["assoc"] > 1e-5 and batched["left"] > 1e-5

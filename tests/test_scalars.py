@@ -1,12 +1,15 @@
 """Exponential-polynomial coefficient ring: canonical form, calculus,
 substitution, serialization."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liequad import ExpPoly, MismatchedVarSet, NonAffineExponentSubstitution, VarSet
-from liequad.exppoly import KIND_COS, KIND_SIN
+from liequad.exppoly import KIND_COS, KIND_ONE, KIND_SIN
 
 
 V = VarSet.of("x", "y", "t")
@@ -174,3 +177,99 @@ def test_text_is_deterministic_and_sorted():
     p = _random_exppoly(random.Random(9), terms=5)
     q = ExpPoly(V, dict(reversed(list(p.terms.items()))))
     assert p.to_text() == q.to_text()
+
+
+# ----------------------------------------------------------------------
+# properties: batched evaluation, and ring results already canonical
+
+CHARTS = [VarSet(tuple(f"v{i}" for i in range(1, n + 1))) for n in range(1, 5)]
+RATES = [-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 1.5]
+
+
+@st.composite
+def _exppolys(draw, chart, max_terms=4):
+    """Sums of random terms of all three kinds; trig rate vectors may lead
+    with a negative entry, and a "one" term may carry a trig vector (both
+    are canonicalized on construction)."""
+    n = len(chart)
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        k = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        a = tuple(draw(st.sampled_from(RATES)) for _ in range(n))
+        b = tuple(draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0])) for _ in range(n))
+        kind = draw(st.sampled_from([KIND_ONE, KIND_COS, KIND_SIN]))
+        c = draw(st.floats(-3.0, 3.0, allow_nan=False))
+        terms.append(ExpPoly(chart, {(k, a, b, kind): c}))
+    return sum(terms, ExpPoly.zero(chart))
+
+
+def _scalar_terms(p, values):
+    """Each term of p at one point, by the scalar formula, in term order."""
+    out = []
+    for (k, a, b, kind), c in p.terms.items():
+        v = c
+        for x, ki in zip(values, k):
+            v *= x ** ki
+        v *= math.exp(sum(ai * x for ai, x in zip(a, values)))
+        if kind == KIND_COS:
+            v *= math.cos(sum(bi * x for bi, x in zip(b, values)))
+        elif kind == KIND_SIN:
+            v *= math.sin(sum(bi * x for bi, x in zip(b, values)))
+        out.append(v)
+    return out
+
+
+@st.composite
+def _poly_and_points(draw):
+    chart = draw(st.sampled_from(CHARTS))
+    p = draw(st.one_of(
+        _exppolys(chart),
+        st.just(ExpPoly.zero(chart)),
+        st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: ExpPoly.constant(chart, c)),
+    ))
+    N = draw(st.sampled_from([0, 1, 2, 5]))
+    coords = st.floats(-1.5, 1.5, allow_nan=False)
+    points = [[draw(coords) for _ in chart.names] for _ in range(N)]
+    return p, np.array(points, dtype=float).reshape(N, len(chart))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_poly_and_points())
+def test_evaluate_batch_agrees_with_the_scalar_formula(case):
+    p, P = case
+    got = p.evaluate_batch(P)
+    assert got.shape == (len(P),)
+    for row, value in zip(P, got):
+        terms = _scalar_terms(p, row.tolist())
+        assert abs(value - sum(terms)) <= 8 * np.finfo(float).eps * sum(abs(t) for t in terms)
+
+
+def _assert_canonical(p):
+    assert p == ExpPoly(p.chart, p.terms)
+
+
+@st.composite
+def _operands(draw):
+    chart = draw(st.sampled_from(CHARTS))
+    return chart, draw(_exppolys(chart, 3)), draw(_exppolys(chart, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operands(), st.floats(-3.0, 3.0, allow_nan=False))
+def test_ring_results_are_canonical(operands, scale):
+    chart, p, q = operands
+    for result in (p + q, p - q, -p, p * q, p * scale, scale * q, p + scale):
+        _assert_canonical(result)
+    for name in chart.names:
+        _assert_canonical(p.diff(name))
+        _assert_canonical(p.antideriv(name))
+
+
+def test_sin_cos_products_with_equal_rates_are_canonical():
+    W = VarSet.of("u", "v")
+    s = ExpPoly.term(W, 1.5, trig_rates={"u": -1.0, "v": 2.0}, kind=KIND_SIN)
+    c = ExpPoly.term(W, 0.5, trig_rates={"u": 1.0, "v": -2.0}, kind=KIND_COS)
+    for product in (s * c, c * s, s * s, c * c):
+        _assert_canonical(product)
+    # sin u cos u = sin(2u) / 2, and the sin(0) half drops out
+    assert s * c == ExpPoly.term(W, -0.375, trig_rates={"u": 2.0, "v": -4.0}, kind=KIND_SIN)
