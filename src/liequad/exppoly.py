@@ -24,6 +24,22 @@ swap cos and sin on a nonzero b, and `__mul__` canonicalizes each new trig
 part in `_put`.  They go through `_canonical`, which applies only the
 ZERO_TOL cut.
 
+A polynomial is never modified after construction, so a result may be
+one of the operands.  Shortcuts skip work whose answer is known, with the
+same keys, term order and coefficient bits as the general formula:
+
+- A zero operand: a sum is the other operand (0.0 + c is c), a product
+  is zero.  Scaling by 1.0 returns the polynomial, by 0.0 zero.
+- A product with a one-term constant operand c is the other operand
+  scaled by c.  The double loop would add zero vectors to each key and
+  multiply each coefficient by c, and float `*` commutes.
+- A `substitute` whose bindings are all bare coordinates of the target,
+  in increasing position, is a renaming: each key's k, a and b are copied
+  to the new positions.  An order-preserving renaming keeps canonical keys
+  canonical, the first nonzero b entry included, so nothing is
+  re-canonicalized; the general formula would multiply every coefficient
+  by exp(0) = cos(0) = 1.
+
 Compiled form.  On first evaluation a polynomial caches its T terms as
 arrays (`Compiled`): exponents K and rates A, B (each T x n), kind and
 coefficient (each T).  `evaluate_batch` evaluates them at N points in one
@@ -35,9 +51,11 @@ products summed in variable order and the terms in term order.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from operator import add, sub
+from itertools import compress
+from operator import add, lt, sub
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -75,6 +93,12 @@ def _canon_trig(b: tuple[float, ...], kind: int, coeff: float):
     # normalize -0.0 to 0.0 so keys hash consistently
     b = tuple(v + 0.0 for v in b)
     return b, kind, coeff
+
+
+@functools.lru_cache(maxsize=None)
+def _constant_key(n: int) -> Key:
+    """The key of the constant term over n variables."""
+    return ((0,) * n, (0.0,) * n, (0.0,) * n, KIND_ONE)
 
 
 def _add(acc: dict, key: Key, c: float) -> None:
@@ -141,14 +165,11 @@ class ExpPoly:
 
     @classmethod
     def zero(cls, chart: VarSet) -> "ExpPoly":
-        return cls(chart)
+        return cls._canonical(chart, {})
 
     @classmethod
     def constant(cls, chart: VarSet, value: float) -> "ExpPoly":
-        n = len(chart)
-        zk = (0,) * n
-        zr = (0.0,) * n
-        return cls._canonical(chart, {(zk, zr, zr, KIND_ONE): float(value)})
+        return cls._canonical(chart, {_constant_key(len(chart)): float(value)})
 
     @classmethod
     def one(cls, chart: VarSet) -> "ExpPoly":
@@ -197,11 +218,15 @@ class ExpPoly:
             raise MismatchedVarSet(f"{self.chart.names} vs {other.chart.names}")
 
     def __add__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = ExpPoly.constant(self.chart, float(other))
         if not isinstance(other, ExpPoly):
-            return NotImplemented
+            if not isinstance(other, (int, float, Fraction)):
+                return NotImplemented
+            other = ExpPoly.constant(self.chart, float(other))
         self._check_chart(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
         for key, c in other.terms.items():
             acc[key] = acc.get(key, 0.0) + c
@@ -218,13 +243,28 @@ class ExpPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, f: float) -> "ExpPoly":
+        if f == 1.0:
+            return self
+        if f == 0.0:
+            return ExpPoly.zero(self.chart)
+        return ExpPoly._canonical(self.chart, {k: c * f for k, c in self.terms.items()})
+
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            f = float(other)
-            return ExpPoly._canonical(self.chart, {k: c * f for k, c in self.terms.items()})
         if not isinstance(other, ExpPoly):
-            return NotImplemented
+            if not isinstance(other, (int, float, Fraction)):
+                return NotImplemented
+            return self._scaled(float(other))
         self._check_chart(other)
+        if not self.terms or not other.terms:
+            return ExpPoly.zero(self.chart)
+        # a one-term constant scales the other operand (module docstring)
+        f = other._one_constant()
+        if f is not None:
+            return self._scaled(f)
+        f = self._one_constant()
+        if f is not None:
+            return other._scaled(f)
         acc: dict[Key, float] = {}
         for (k1, a1, b1, t1), c1 in self.terms.items():
             for (k2, a2, b2, t2), c2 in other.terms.items():
@@ -282,15 +322,24 @@ class ExpPoly:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
+    def _one_constant(self) -> float | None:
+        """The coefficient when the polynomial is one constant term."""
+        if len(self.terms) == 1:
+            ((key, c),) = self.terms.items()
+            if key == _constant_key(len(self.chart)):
+                return c
+        return None
+
     def is_constant(self) -> bool:
-        n = len(self.chart)
-        triv = ((0,) * n, (0.0,) * n, (0.0,) * n, KIND_ONE)
-        return all(k == triv for k in self.terms)
+        return not self.terms or self._one_constant() is not None
 
     def constant_value(self) -> float:
-        if not self.is_constant():
+        if not self.terms:
+            return 0.0
+        c = self._one_constant()
+        if c is None:
             raise ValueError("not a constant")
-        return next(iter(self.terms.values()), 0.0)
+        return c
 
     def is_polynomial(self) -> bool:
         """No exponential or trigonometric part in any term."""
@@ -302,6 +351,17 @@ class ExpPoly:
     def is_affine(self) -> bool:
         """Polynomial of total degree <= 1 (legal in exp/trig positions)."""
         return self.is_polynomial() and all(sum(k) <= 1 for (k, _, _, _) in self.terms)
+
+    def occurring(self) -> list[int]:
+        """Positions of the variables in some term's k, a or b: the only
+        ones with a nonzero derivative."""
+        positions = range(len(self.chart))
+        used: set[int] = set()
+        for k, a, b, _ in self.terms:
+            used.update(compress(positions, k))
+            used.update(compress(positions, a))
+            used.update(compress(positions, b))
+        return sorted(used)
 
     def variables_in_rates(self) -> set[str]:
         """Names appearing inside an exp or trig rate of some term."""
@@ -479,6 +539,10 @@ class ExpPoly:
                     )
                 full[name] = ExpPoly.coordinate(target, name)
 
+        positions = [full[name]._coordinate_position() for name in self.chart.names]
+        if None not in positions and all(map(lt, positions, positions[1:])):
+            return self._renamed(target, positions)
+
         rate_vars = self.variables_in_rates()
         affine: dict[str, tuple[float, dict[int, float]]] = {}
         for name in rate_vars:
@@ -544,6 +608,28 @@ class ExpPoly:
                     piece = piece * (full[self.chart.names[i]] ** ki)
             result = result + piece
         return result
+
+    def _coordinate_position(self) -> int | None:
+        """j when the polynomial is the bare coordinate x_j, else None."""
+        if len(self.terms) != 1:
+            return None
+        ((key, c),) = self.terms.items()
+        k, a, _, kind = key
+        if c != 1.0 or kind != KIND_ONE or any(a) or sum(k) != 1:
+            return None
+        return k.index(1)
+
+    def _renamed(self, target: VarSet, positions: list[int]) -> "ExpPoly":
+        """Variable i moved to target position positions[i], the positions
+        increasing, so the keys stay canonical (module docstring)."""
+        nt = len(target)
+        acc: dict[Key, float] = {}
+        for (k, a, b, kind), c in self.terms.items():
+            k2, a2, b2 = [0] * nt, [0.0] * nt, [0.0] * nt
+            for i, j in enumerate(positions):
+                k2[j], a2[j], b2[j] = k[i], a[i], b[i]
+            acc[(tuple(k2), tuple(a2), tuple(b2), kind)] = c
+        return ExpPoly._canonical(target, acc)
 
     # ------------------------------------------------------------------
     # serialization

@@ -149,10 +149,11 @@ class DiffForm:
             return DiffForm.zero(chart, self.degree, self.scls)
         acc: dict[Index, object] = {}
         for I, a in self.coeffs.items():
-            for v, name in enumerate(chart.names):
+            # along any other variable the derivative is zero
+            for v in a.occurring():
                 if v in I:
                     continue
-                da = a.diff(name)
+                da = a.diff(chart.names[v])
                 if da.is_zero():
                     continue
                 merged, sign = _merge_sorted((v,), I)
@@ -369,7 +370,10 @@ def _compose_scalar(c, phi: PointMap):
 def differential(f) -> DiffForm:
     """df as a 1-form over f's chart, in the class f.diff returns
     (log-extended scalars have rational differentials)."""
-    coeffs = {(j,): f.diff(name) for j, name in enumerate(f.chart.names)}
+    names = f.chart.names
+    # along the other variables the derivative is zero; a constant keeps
+    # one zero coefficient, which gives the form its class
+    coeffs = {(j,): f.diff(names[j]) for j in f.occurring()} or {(0,): f.diff(names[0])}
     return DiffForm(f.chart, 1, coeffs)
 
 

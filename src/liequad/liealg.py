@@ -38,12 +38,13 @@ def mat_identity(n: int) -> Matrix:
 
 
 def _is_zero(c) -> bool:
-    """Zero test for a number (== 0) or a scalar (.is_zero())."""
-    return (c == 0) if isinstance(c, (int, float, Fraction)) else c.is_zero()
+    """Zero test for a scalar, form or field (.is_zero()) or a number (== 0)."""
+    is_zero = getattr(c, "is_zero", None)
+    return c == 0 if is_zero is None else is_zero()
 
 
 def lin_comb(coeffs: Sequence, items: Sequence):
-    """sum_j items[j] * coeffs[j], skipping zero coefficients.
+    """sum_j items[j] * coeffs[j], skipping zero coefficients and items.
 
     Items are forms, fields or scalars; coefficients are numbers or
     scalars.  The item stays the left operand, because the term order of
@@ -52,7 +53,7 @@ def lin_comb(coeffs: Sequence, items: Sequence):
     """
     acc = None
     for c, item in zip(coeffs, items):
-        if _is_zero(c):
+        if _is_zero(c) or _is_zero(item):
             continue
         piece = item * c
         acc = piece if acc is None else acc + piece

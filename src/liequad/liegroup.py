@@ -23,6 +23,7 @@ from .errors import ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
 from .forms import DiffForm, PointMap, VectorField, lie_bracket, pairing, pullback_check, structure_residual
 from .liealg import AdaptedChain, lin_comb
+from .matexp import matrix_batch
 from .reduction import _factor_matrix, reduce_full, rho_map
 from .report import Report
 from .varset import VarSet, coordinate_chart, doubled_chart
@@ -117,6 +118,16 @@ def _scalar_identity(chart: VarSet, n: int):
     ]
 
 
+def _times_factor(M, E):
+    """M E for scalar matrices, reading only the nonzero entries of each
+    column of E, in row order; an exponential E has no zero column."""
+    columns = [[(j, e) for j, e in enumerate(col) if not e.is_zero()] for col in zip(*E)]
+    return [
+        [lin_comb([e for _, e in col], [row[j] for j, _ in col]) for col in columns]
+        for row in M
+    ]
+
+
 def ad_product(
     chain: AdaptedChain,
     chart: VarSet,
@@ -133,7 +144,7 @@ def ad_product(
             A = [[-x for x in row] for row in A]
         E = _factor_matrix(A, ExpPoly.coordinate(chart, var_names[j]))
         if E is not None:
-            M = [[lin_comb(col, row) for col in zip(*E)] for row in M]
+            M = _times_factor(M, E)
     return M
 
 
@@ -146,15 +157,19 @@ def ad_rep(chain: AdaptedChain, chart: VarSet | None = None):
 # ----------------------------------------------------------------------
 # multiplication map
 
-def _pi_pullback(tau: Sequence[DiffForm], double: VarSet, offset: int) -> list[DiffForm]:
-    """Projection pullbacks: reinterpret the coframe over the doubled chart,
-    binding x_i to the first (offset 0) or second (offset n) copy."""
-    n = len(tau)
-    src = tau[0].chart
-    bind = {
+def _copy_bindings(src: VarSet, double: VarSet, offset: int) -> dict[str, ExpPoly]:
+    """Bind x_i of the group chart to the first (offset 0) or second
+    (offset n) copy in the doubled chart: a renaming."""
+    return {
         nm: ExpPoly.coordinate(double, double.names[offset + i])
         for i, nm in enumerate(src.names)
     }
+
+
+def _pi_pullback(tau: Sequence[DiffForm], double: VarSet, offset: int) -> list[DiffForm]:
+    """Projection pullbacks: reinterpret the coframe over the doubled chart
+    on the copy at offset."""
+    bind = _copy_bindings(tau[0].chart, double, offset)
     out = []
     for t in tau:
         coeffs = {}
@@ -189,11 +204,6 @@ def multiplication(
     mu = PointMap(D, group.chart, trace.functions)
     ad = ad_rep(chain, group.chart)
     return GroupLaw(group, mu, ad, omegas)
-
-
-def _matrix_batch(M, points) -> np.ndarray:
-    """A matrix of scalars at N points, as an N x rows x cols array."""
-    return np.stack([np.column_stack([e.evaluate_batch(points) for e in row]) for row in M], axis=1)
 
 
 def _rel_error(got: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -247,7 +257,7 @@ def group_invariants_report(
     report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 
     tau = [[t.coefficient((k,)) for k in range(n)] for t in group.tau]
-    dets = np.abs(np.linalg.det(_matrix_batch(tau, points)))
+    dets = np.abs(np.linalg.det(matrix_batch(tau, points)))
     worst_det = float(np.min(dets, initial=1.0))
     report.add("coframe pointwise independent", worst_det > 1e-12, "numeric", worst_det)
     return report
@@ -280,8 +290,8 @@ def verify_group(
     zero = np.zeros_like(a)
     worst_ident = _worst(np.abs(np.hstack([mul(zero, a) - a, mul(a, zero) - a])))
 
-    Ad_z = _matrix_batch(law.ad, ab)
-    worst_ad = _worst(_rel_error(_matrix_batch(law.ad, a) @ _matrix_batch(law.ad, b), Ad_z))
+    Ad_z = matrix_batch(law.ad, ab)
+    worst_ad = _worst(_rel_error(matrix_batch(law.ad, a) @ matrix_batch(law.ad, b), Ad_z))
 
     # left invariance: dL_a|_b X_i(b) = X_i(a*b)
     J = law.mu.jacobian_batch(np.hstack([a, b]))[:, :, n:]
@@ -308,16 +318,22 @@ def verify_group(
     return report
 
 
-def preadjoint_forms(chain: AdaptedChain, group: SolvGroup | None = None):
+def preadjoint_forms(chain: AdaptedChain, group: SolvGroup | None = None, ad=None):
     """theta~ = e^{x^1 ad(e_1)} ... e^{x^n ad(e_n)} (pi_2^* tau - pi_1^* tau)
-    on the doubled chart; reducing these yields (x, y) -> mu(y, x^{-1})."""
+    on the doubled chart; reducing these yields (x, y) -> mu(y, x^{-1}).
+
+    ad is Ad(x) over the group chart (a law's `ad`), built by `ad_rep`
+    when not given; it is renamed onto the first copy of the chart.
+    """
     group = group or build_group(chain)
     n = group.n
     D = doubled_chart(n)
-    x_names = list(D.names[:n])
     pi1 = _pi_pullback(group.tau, D, 0)
     pi2 = _pi_pullback(group.tau, D, n)
-    M = ad_product(chain, D, x_names)
+    if ad is None:
+        ad = ad_rep(chain, group.chart)
+    bind = _copy_bindings(group.chart, D, 0)
+    M = [[e.substitute(bind) for e in row] for row in ad]
     theta = [pi2[i] - pi1[i] for i in range(n)]
     return D, [lin_comb(row, theta) for row in M]
 
@@ -339,7 +355,7 @@ def preadjoint_oracle(
     """
     law = law or multiplication(chain)
     n = law.group.n
-    _, theta_t = preadjoint_forms(chain, law.group)
+    _, theta_t = preadjoint_forms(chain, law.group, law.ad)
 
     report = Report()
     name = "d theta~^i + 1/2 C^i_jk theta~^j ^ theta~^k = 0"

@@ -150,6 +150,11 @@ def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
     return {k: c for k, c in out.items() if c != 0j}
 
 
+def matrix_batch(M, points) -> np.ndarray:
+    """A matrix of scalars at N points, as an N x rows x cols array."""
+    return np.stack([np.column_stack([e.evaluate_batch(points) for e in row]) for row in M], axis=1)
+
+
 @dataclass
 class ExpMatrix:
     """Symbolic e^{t A} with exponential-polynomial entries in one variable."""
@@ -166,10 +171,12 @@ class ExpMatrix:
     def chart(self) -> VarSet:
         return self.entries[0][0].chart
 
+    def at_batch(self, ts) -> np.ndarray:
+        """E(t) at N values of t, as an N x n x n array."""
+        return matrix_batch(self.entries, np.asarray(ts, dtype=float).reshape(-1, 1))
+
     def at(self, t: float) -> np.ndarray:
-        return np.array(
-            [[e.evaluate({self.var: t}) for e in row] for row in self.entries]
-        )
+        return self.at_batch([t])[0]
 
     def compose(self, f) -> list[list]:
         """Entries with the variable replaced by a scalar f.
@@ -180,7 +187,9 @@ class ExpMatrix:
         float entries carry coefficients such as 1/6 inexactly.
         """
         if isinstance(f, ExpPoly):
-            return [[e.substitute({self.var: f}) for e in row] for row in self.entries]
+            bind = {self.var: f}
+            zero = ExpPoly.zero(f.chart)
+            return [[e.substitute(bind) if e.terms else zero for e in row] for row in self.entries]
         A = self.source
         n = len(A)
         term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # A^k / k!
@@ -251,13 +260,14 @@ def _putzer(Af: tuple, var: str, cluster_tol: float) -> ExpMatrix:
     # assemble entries
     acc: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for r, Pj in zip(rs, P):
+        # a zero entry of P_j contributes nothing
+        support = np.argwhere(Pj).tolist()
         for (k, mu), c in r.items():
-            for a in range(n):
-                for b in range(n):
-                    w = c * Pj[a, b]
-                    if w != 0j:
-                        d = acc[a][b]
-                        d[(k, mu)] = d.get((k, mu), 0j) + w
+            for a, b in support:
+                w = c * Pj[a, b]
+                if w != 0j:
+                    d = acc[a][b]
+                    d[(k, mu)] = d.get((k, mu), 0j) + w
 
     entries = []
     for a in range(n):
@@ -315,12 +325,14 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     report.add("E(t)E(-t) = I", worst <= EXP_CHECK_TOL, "symbolic", worst)
 
     tr = float(sum(E.source[i][i] for i in range(n)))
+    # t, s of each sample, drawn in that order
+    draws = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(samples)]
+    E_t = E.at_batch([t for t, _ in draws])
+    E_s = E.at_batch([s for _, s in draws])
+    E_st = E.at_batch([s + t for t, s in draws])
     worst_det = 0.0
     worst_group = 0.0
-    for _ in range(samples):
-        t = rng.uniform(-3, 3)
-        s = rng.uniform(-3, 3)
-        Emat = E.at(t)
+    for (t, s), Emat, Es, rhs in zip(draws, E_t, E_s, E_st):
         det = float(np.linalg.det(Emat))
         expected = float(np.exp(tr * t))
         # determinants of large-entry exponentials cancel catastrophically;
@@ -330,9 +342,7 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
         noise = n * emax ** n * 1e-13
         scale = max(1.0, abs(expected), noise / EXP_CHECK_TOL)
         worst_det = max(worst_det, abs(det - expected) / scale)
-        Es = E.at(s)
         lhs = Es @ Emat
-        rhs = E.at(s + t)
         amp = n * float(np.abs(Es).max()) * emax * 1e-13
         scale = max(1.0, float(np.abs(rhs).max()), amp / EXP_CHECK_TOL)
         worst_group = max(worst_group, float(np.abs(lhs - rhs).max()) / scale)

@@ -235,6 +235,12 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.frac.numer.is_ground and self.frac.denom.is_ground
 
+    def occurring(self) -> list[int]:
+        """Positions of the variables in the numerator or denominator: the
+        only ones with a nonzero derivative."""
+        degrees = zip(self.frac.numer.degrees(), self.frac.denom.degrees())
+        return [i for i, (p, q) in enumerate(degrees) if p > 0 or q > 0]
+
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant")
@@ -453,6 +459,13 @@ class LogExtendedScalar:
 
     def is_zero(self, tol: float | None = None) -> bool:
         return self.rational_part.is_zero() and not self.log_terms
+
+    def occurring(self) -> list[int]:
+        """Positions of the variables in the rational part or a log argument."""
+        used = set(self.rational_part.occurring())
+        for _, a in self.log_terms:
+            used.update(i for i, d in enumerate(a.degrees()) if d > 0)
+        return sorted(used)
 
     def diff(self, name: str) -> RationalFunction:
         K = chart_field(self.chart)

@@ -450,3 +450,91 @@ def test_batched_verify_group_matches_a_per_sample_loop():
         for key, value in scalar.items():
             assert abs(batched[key] - value) <= 1e-12 * max(1.0, value), (key, batched[key], value)
     assert batched["assoc"] > 1e-5 and batched["left"] > 1e-5
+
+
+def _borel(k):
+    """b_k: upper-triangular k x k matrices, basis E_ij (i <= j)."""
+    basis = [(i, j) for i in range(k) for j in range(i, k)]
+    index = {e: p + 1 for p, e in enumerate(basis)}
+    brackets = {}
+    for p, (i, j) in enumerate(basis):
+        for q in range(p + 1, len(basis)):
+            kk, ll = basis[q]
+            if j == kk:
+                brackets[(p + 1, q + 1)] = {index[(i, ll)]: F(1)}
+            elif ll == i:
+                brackets[(p + 1, q + 1)] = {index[(kk, j)]: F(-1)}
+    return StructureConstants.from_brackets(len(basis), brackets)
+
+
+def _ladder_laws():
+    chains = [adapted_chain(sc)[1] for sc in (_filiform(6), _borel(3))]
+    laws = [multiplication(chain) for chain in chains]
+    chain, law = _fixture_law()
+    return list(zip(chains + [chain], laws + [law]))
+
+
+def _scalar_bits(p):
+    return [(k, tuple(map(float.hex, a)), tuple(map(float.hex, b)), kind, c.hex())
+            for (k, a, b, kind), c in p.terms.items()]
+
+
+def _form_bits(form):
+    return [(idx, _scalar_bits(c)) for idx, c in form.coeffs.items()]
+
+
+def test_preadjoint_forms_reuse_the_law_ad_term_for_term():
+    """theta~ from the law's Ad(x), renamed onto the doubled chart, equals
+    theta~ from Ad(x) built over the doubled chart."""
+    from liequad import preadjoint_forms
+    from liequad.liealg import lin_comb
+    from liequad.liegroup import _pi_pullback, ad_product
+    from liequad.varset import doubled_chart
+
+    for chain, law in _ladder_laws():
+        n = chain.n
+        D = doubled_chart(n)
+        M = ad_product(chain, D, list(D.names[:n]))
+        pi1 = _pi_pullback(law.group.tau, D, 0)
+        pi2 = _pi_pullback(law.group.tau, D, n)
+        theta = [pi2[i] - pi1[i] for i in range(n)]
+        want = [lin_comb(row, theta) for row in M]
+        for ad in (law.ad, None):
+            D2, got = preadjoint_forms(chain, law.group, ad)
+            assert D2 == D
+            assert [_form_bits(f) for f in got] == [_form_bits(f) for f in want]
+
+
+def _dense_ad_product(chain, chart, names, inverse):
+    """Ad(v) (or its inverse) by the full n x n x n matrix products."""
+    from liequad.reduction import _factor_matrix
+
+    n = chain.n
+    M = [[ExpPoly.one(chart) if i == j else ExpPoly.zero(chart) for j in range(n)] for i in range(n)]
+    for j in (range(n - 1, -1, -1) if inverse else range(n)):
+        A = chain.base.ad_matrix(j)
+        if inverse:
+            A = [[-x for x in row] for row in A]
+        E = _factor_matrix(A, ExpPoly.coordinate(chart, names[j]))
+        if E is None:
+            continue
+        M = [
+            [sum((M[r][m] * E[m][c] for m in range(n)), ExpPoly.zero(chart)) for c in range(n)]
+            for r in range(n)
+        ]
+    return M
+
+
+def test_sparse_ad_product_equals_the_dense_product():
+    from liequad.liegroup import ad_product
+    from liequad.varset import doubled_chart
+
+    for chain, _ in _ladder_laws():
+        n = chain.n
+        D = doubled_chart(n)
+        for inverse in (False, True):
+            names = list(D.names[n:])
+            got = ad_product(chain, D, names, inverse=inverse)
+            want = _dense_ad_product(chain, D, names, inverse)
+            assert [[_scalar_bits(e) for e in row] for row in got] == \
+                [[_scalar_bits(e) for e in row] for row in want]

@@ -252,3 +252,45 @@ def test_snap_accepts_exactly_the_roots_of_the_characteristic_polynomial(A):
             continue
         is_root = sp.expand(charpoly.subs(lam, root)) == 0
         assert (value == complex(float(cr), float(ci))) == is_root, (A, rep, value)
+
+
+def _per_sample_exp_errors(E, samples, seed):
+    """The two numeric errors of exp_identities_check, one sample at a time
+    through one-point evaluation, at the same seeded points."""
+    rng = random.Random(seed)
+    n = E.n
+    tr = float(sum(E.source[i][i] for i in range(n)))
+
+    def at(t):
+        return np.array([[e.evaluate({E.var: t}) for e in row] for row in E.entries])
+
+    worst_det = worst_group = 0.0
+    for _ in range(samples):
+        t = rng.uniform(-3, 3)
+        s = rng.uniform(-3, 3)
+        Et, Es, Est = at(t), at(s), at(s + t)
+        expected = float(np.exp(tr * t))
+        emax = max(1.0, float(np.abs(Et).max()))
+        scale = max(1.0, abs(expected), n * emax ** n * 1e-13 / 1e-8)
+        worst_det = max(worst_det, abs(float(np.linalg.det(Et)) - expected) / scale)
+        amp = n * float(np.abs(Es).max()) * emax * 1e-13
+        scale = max(1.0, float(np.abs(Est).max()), amp / 1e-8)
+        worst_group = max(worst_group, float(np.abs(Es @ Et - Est).max()) / scale)
+    return worst_det, worst_group
+
+
+def test_batched_exp_identities_check_matches_a_per_sample_loop():
+    _, chain = adapted_chain(five_dim_two_parameter(F(1), F(2)))
+    matrices = [
+        chain.ad_matrix(0),
+        [[-x for x in row] for row in chain.ad_matrix(1)],
+        [[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(0), F(0), F(0)]],
+        [[F(2), F(1)], [F(0), F(2)]],
+        [[F(1, 2), F(-3)], [F(2), F(-1, 3)]],
+    ]
+    for seed, A in enumerate(matrices):
+        E = sym_exp(A, "t")
+        assert np.array_equal(E.at_batch([0.5, -1.25]), np.stack([E.at(0.5), E.at(-1.25)]))
+        report = exp_identities_check(E, samples=25, seed=seed)
+        det_line, group_line = report.checks[1:]
+        assert (det_line.error, group_line.error) == _per_sample_exp_errors(E, 25, seed)

@@ -273,3 +273,218 @@ def test_sin_cos_products_with_equal_rates_are_canonical():
         _assert_canonical(product)
     # sin u cos u = sin(2u) / 2, and the sin(0) half drops out
     assert s * c == ExpPoly.term(W, -0.375, trig_rates={"u": 2.0, "v": -4.0}, kind=KIND_SIN)
+
+
+# ----------------------------------------------------------------------
+# properties: the shortcuts equal the general formulas they skip, with
+# the same keys, in the same order, and bit-equal coefficients
+
+def _bits(p):
+    """Terms in order, every float as its exact hex form."""
+    return p.chart, [
+        (k, tuple(map(float.hex, a)), tuple(map(float.hex, b)), kind, c.hex())
+        for (k, a, b, kind), c in p.terms.items()
+    ]
+
+
+def _general_renaming(p, target, positions):
+    """The term-by-term substitution formula for x_i -> y_positions[i]:
+    the rates re-indexed, the phase and exponential constant 0, then the
+    monomial multiplied in one variable at a time."""
+    nt = len(target)
+    zk, zr = (0,) * nt, (0.0,) * nt
+    result = ExpPoly.zero(target)
+    for (k, a, b, kind), c in p.terms.items():
+        a_new, b_new = [0.0] * nt, [0.0] * nt
+        for i, j in enumerate(positions):
+            if a[i] != 0.0:
+                a_new[j] += a[i] * 1.0
+            if b[i] != 0.0:
+                b_new[j] += b[i] * 1.0
+        rates = (zk, tuple(a_new), tuple(b_new))
+        if kind == KIND_ONE:
+            terms = {(zk, tuple(a_new), zr, KIND_ONE): c * 1.0}
+        elif kind == KIND_COS:
+            terms = {rates + (KIND_COS,): c * math.cos(0.0), rates + (KIND_SIN,): -c * math.sin(0.0)}
+        else:
+            terms = {rates + (KIND_COS,): c * math.sin(0.0), rates + (KIND_SIN,): c * math.cos(0.0)}
+        piece = ExpPoly(target, terms)
+        for i, ki in enumerate(k):
+            if ki:
+                power = [0] * nt
+                power[positions[i]] = ki
+                piece = piece * ExpPoly(target, {(tuple(power), zr, zr, KIND_ONE): 1.0})
+        result = result + piece
+    return result
+
+
+@st.composite
+def _renamings(draw):
+    chart = draw(st.sampled_from(CHARTS))
+    p = draw(_exppolys(chart))
+    n = len(chart)
+    nt = n + draw(st.integers(0, 3))
+    positions = draw(st.lists(st.integers(0, nt - 1), min_size=n, max_size=n, unique=True))
+    # increasing positions make a renaming; any other order takes the
+    # general path, which the same formula describes
+    if draw(st.booleans()):
+        positions.sort()
+    # the target keeps each source name at its new position, so a name may
+    # also be left unbound and bind to itself
+    names = [f"w{j}" for j in range(nt)]
+    for name, j in zip(chart.names, positions):
+        names[j] = name
+    target = VarSet(tuple(names))
+    bound = draw(st.lists(st.sampled_from(chart.names), min_size=1, unique=True))
+    bindings = {name: ExpPoly.coordinate(target, name) for name in bound}
+    return p, target, positions, bindings
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_renamings())
+def test_renaming_substitute_equals_the_general_formula(case):
+    p, target, positions, bindings = case
+    assert _bits(p.substitute(bindings)) == _bits(_general_renaming(p, target, positions))
+
+
+def test_renaming_keeps_trig_signs_and_negative_rates():
+    W = VarSet.of("u", "v")
+    D = VarSet.of("x1", "x2", "y1", "y2")
+    p = ExpPoly.term(W, -1.5, powers={"v": 2}, exp_rates={"u": -0.5}, trig_rates={"u": 1.0, "v": -2.0}, kind=KIND_SIN)
+    q = p.substitute({"u": ExpPoly.coordinate(D, "x2"), "v": ExpPoly.coordinate(D, "y2")})
+    assert q == ExpPoly.term(D, -1.5, powers={"y2": 2}, exp_rates={"x2": -0.5},
+                             trig_rates={"x2": 1.0, "y2": -2.0}, kind=KIND_SIN)
+    assert _bits(q) == _bits(_general_renaming(p, D, [1, 3]))
+
+
+def _double_loop_product(p, q):
+    """The product's double loop, for operands one of which has only
+    "one" terms (so no product-to-sum rewriting is needed)."""
+    acc = {}
+    for (k1, a1, b1, t1), c1 in p.terms.items():
+        for (k2, a2, b2, t2), c2 in q.terms.items():
+            b, kind = (b2, t2) if t1 == KIND_ONE else (b1, t1)
+            key = (tuple(x + y for x, y in zip(k1, k2)), tuple(x + y for x, y in zip(a1, a2)), b, kind)
+            acc[key] = acc.get(key, 0.0) + c1 * c2
+    return ExpPoly(p.chart, acc)
+
+
+def _key0(chart):
+    n = len(chart)
+    return ((0,) * n, (0.0,) * n, (0.0,) * n, KIND_ONE)
+
+
+def _general_sum(p, q):
+    acc = dict(p.terms)
+    for key, c in q.terms.items():
+        acc[key] = acc.get(key, 0.0) + c
+    return ExpPoly(p.chart, acc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operands(), st.floats(-3.0, 3.0, allow_nan=False))
+def test_product_with_a_constant_or_zero_equals_the_double_loop(operands, value):
+    chart, p, _ = operands
+    for c in (ExpPoly.constant(chart, value), ExpPoly.zero(chart)):
+        assert _bits(p * c) == _bits(_double_loop_product(p, c))
+        assert _bits(c * p) == _bits(_double_loop_product(c, p))
+        assert _bits(c * c) == _bits(_double_loop_product(c, c))
+    for f in (1.0, 0.0):
+        assert _bits(p * f) == _bits(_double_loop_product(p, ExpPoly(chart, {_key0(chart): f})))
+    zero = ExpPoly.zero(chart)
+    assert _bits(p + zero) == _bits(_general_sum(p, zero))
+    assert _bits(zero + p) == _bits(_general_sum(zero, p))
+
+
+@st.composite
+def _forms(draw):
+    from liequad.forms import DiffForm
+
+    chart = draw(st.sampled_from(CHARTS))
+    n = len(chart)
+    degree = draw(st.integers(0, n))
+    indices = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree, unique=True).map(sorted),
+        max_size=3,
+    ))
+    coeffs = {tuple(idx): draw(_exppolys(chart, 3)) for idx in indices}
+    return DiffForm(chart, degree, coeffs, ExpPoly)
+
+
+def _d_along_every_variable(form):
+    """d by differentiating each coefficient along every variable."""
+    from liequad.forms import DiffForm, _merge_sorted
+
+    chart = form.chart
+    if form.degree >= len(chart):
+        return DiffForm.zero(chart, form.degree, form.scls)
+    acc = {}
+    for I, a in form.coeffs.items():
+        for v, name in enumerate(chart.names):
+            if v in I:
+                continue
+            da = a.diff(name)
+            if da.is_zero():
+                continue
+            merged, sign = _merge_sorted((v,), I)
+            c = da if sign > 0 else -da
+            acc[merged] = acc[merged] + c if merged in acc else c
+    return DiffForm(chart, form.degree + 1, acc, form.scls)
+
+
+def _form_bits(form):
+    return form.degree, [(idx, _bits(c)) for idx, c in form.coeffs.items()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_forms())
+def test_exterior_d_equals_differentiating_along_every_variable(form):
+    assert _form_bits(form.exterior_d()) == _form_bits(_d_along_every_variable(form))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operands(), st.floats(-3.0, 3.0, allow_nan=False))
+def test_differential_equals_differentiating_along_every_variable(operands, value):
+    from liequad.forms import DiffForm, differential
+
+    chart, p, _ = operands
+    for f in (p, ExpPoly.constant(chart, value), ExpPoly.zero(chart)):
+        want = DiffForm(chart, 1, {(j,): f.diff(name) for j, name in enumerate(chart.names)})
+        got = differential(f)
+        assert got.scls is want.scls
+        assert _form_bits(got) == _form_bits(want)
+
+
+@st.composite
+def _combinations(draw):
+    from fractions import Fraction
+
+    chart = draw(st.sampled_from(CHARTS))
+    m = draw(st.integers(1, 4))
+    items = [draw(st.one_of(st.just(ExpPoly.zero(chart)), _exppolys(chart, 3))) for _ in range(m)]
+    coeffs = [draw(st.one_of(
+        st.sampled_from([0, 1, -2]),
+        st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-5, 2)]),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )) for _ in range(m)]
+    return coeffs, items
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_combinations())
+def test_lin_comb_skipping_zero_items_equals_the_unskipped_sum(case):
+    from liequad.forms import DiffForm
+    from liequad.liealg import lin_comb
+
+    coeffs, items = case
+    acc = None
+    for c, item in zip(coeffs, items):
+        if c != 0:
+            piece = item * c
+            acc = piece if acc is None else acc + piece
+    want = items[0] * 0 if acc is None else acc
+    assert _bits(lin_comb(coeffs, items)) == _bits(want)
+    # the same over forms, with the items as coefficients of dx
+    forms = [DiffForm(p.chart, 1, {(0,): p}, ExpPoly) for p in items]
+    want_form = sum((f * c for c, f in zip(coeffs, forms) if c != 0), DiffForm.zero(items[0].chart, 1))
+    assert _form_bits(lin_comb(coeffs, forms)) == _form_bits(want_form)
