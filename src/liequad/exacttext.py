@@ -2,12 +2,15 @@
 
 This is the one reader of formula text: bracket coefficients evaluate to
 Fractions, rational-function text to elements of the chart's rational
-function field.  The text is parsed with :mod:`ast` and walked, never
-evaluated as Python.  Admitted are numeric literals (read from their
-source text, so long decimals stay exact), bound names, unary +/-,
-``+ - * /``, and ``**`` or ``^`` with an integer exponent; anything else
-(calls, attributes, subscripts, comparisons, ...) is a
-:class:`~liequad.errors.SchemaError`.
+function field, exponential-polynomial text to ExpPolys over the chart.
+The text is parsed with :mod:`ast` and walked, never evaluated as Python.
+Admitted are numeric literals (read from their source text, so long
+decimals stay exact), bound names, unary +/-, ``+ - * /``, ``**`` or
+``^`` with an integer exponent, and calls of the one-argument functions a
+caller allows (exp, cos and sin for exponential polynomials, none for the
+others).  Anything else (other calls, attributes, subscripts,
+comparisons, ...), and an operation the target ring lacks or that
+overflows, is a :class:`~liequad.errors.SchemaError`.
 """
 
 from __future__ import annotations
@@ -33,13 +36,15 @@ def evaluate_text(
     number: Callable[[Fraction], object] = lambda q: q,
     what: str = "coefficient",
     unbound: str = "bind all parameters",
+    functions: Mapping[str, Callable[[object], object]] = {},
 ):
     """Value of ``text`` in the ring of ``names``' values.
 
     ``number`` embeds a literal (a Fraction) into that ring.  Exponents are
     evaluated in Fractions, so they may use only names bound to Fractions.
     ``what`` names the text in error messages and ``unbound`` says how to
-    fix a name that is not bound.
+    fix a name that is not bound.  ``functions`` maps a function name to
+    its one-argument value in the ring; it may raise ValueError.
     """
     source = str(text).strip().replace("^", "**")
 
@@ -64,11 +69,16 @@ def evaluate_text(
             if exponent.denominator != 1:
                 raise SchemaError(f"{what} {text!r} has the non-integer exponent {exponent}")
             return value(node.left, numeric) ** exponent.numerator
+        if (
+            isinstance(node, ast.Call) and not numeric and isinstance(node.func, ast.Name)
+            and node.func.id in functions and len(node.args) == 1 and not node.keywords
+        ):
+            return functions[node.func.id](value(node.args[0], False))
         raise SchemaError(f"bad {what} {text!r}: {type(node).__name__} is not allowed")
 
     try:
         return value(ast.parse(source, mode="eval").body, False)
     except ZeroDivisionError as exc:
         raise SchemaError(f"bad {what} {text!r}: division by zero") from exc
-    except (SyntaxError, ValueError) as exc:
+    except (OverflowError, SyntaxError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {what} {text!r}: {exc}") from exc

@@ -40,6 +40,13 @@ same keys, term order and coefficient bits as the general formula:
   re-canonicalized; the general formula would multiply every coefficient
   by exp(0) = cos(0) = 1.
 
+Text.  `to_text` writes the terms in key order; `parse` reads text with
+the one exact parser, `exacttext.evaluate_text`, evaluating it in the
+ring: each number is a constant, each chart name a coordinate, and exp,
+cos and sin of an affine argument are exp(t), cos(t) and sin(t) composed
+with it by `substitute`.  Text outside the class, or with a value that is
+not a finite float, is a SchemaError.
+
 Compiled form.  On first evaluation a polynomial caches its T terms as
 arrays (`Compiled`): exponents K and rates A, B (each T x n), kind and
 coefficient (each T).  `evaluate_batch` evaluates them at N points in one
@@ -60,7 +67,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import MismatchedVarSet, NonAffineExponentSubstitution
+from .errors import MismatchedVarSet, NonAffineExponentSubstitution, SchemaError
+from .exacttext import evaluate_text
 from .varset import VarSet
 
 # Coefficients at or below this magnitude are treated as zero.
@@ -659,37 +667,22 @@ class ExpPoly:
 
     @classmethod
     def parse(cls, chart: VarSet, text: str) -> "ExpPoly":
-        text = text.strip()
-        if text == "0":
-            return cls.zero(chart)
-        n = len(chart)
-        acc: dict[Key, float] = {}
-        for term_text in _split_top(text, " + "):
-            coeff = 1.0
-            k = [0] * n
-            a = [0.0] * n
-            b = [0.0] * n
-            kind = KIND_ONE
-            for factor in _split_top(term_text, "*"):
-                factor = factor.strip()
-                if factor.startswith(("exp(", "cos(", "sin(")):
-                    inner = factor[4:-1]
-                    rates = _parse_lin(chart, inner)
-                    if factor.startswith("exp"):
-                        a = [x + y for x, y in zip(a, rates)]
-                    else:
-                        b = [x + y for x, y in zip(b, rates)]
-                        kind = KIND_COS if factor.startswith("cos") else KIND_SIN
-                elif "^" in factor:
-                    name, p = factor.split("^")
-                    k[chart.index(name.strip())] += int(p)
-                elif factor in chart:
-                    k[chart.index(factor)] += 1
-                else:
-                    coeff *= float(factor)
-            key = (tuple(k), tuple(a), tuple(b), kind)
-            acc[key] = acc.get(key, 0.0) + coeff
-        return cls(chart, acc)
+        """Value of document text over the chart, read by
+        :func:`liequad.exacttext.evaluate_text`: chart coordinates, numbers
+        (each a constant), ``+ - *``, nonnegative integer powers, and exp,
+        cos and sin of an affine argument.  Other text, and a coefficient
+        or rate that is not a finite float, raises SchemaError."""
+        value = evaluate_text(
+            text,
+            {name: cls.coordinate(chart, name) for name in chart.names},
+            number=lambda q: cls.constant(chart, float(q)),
+            what="exponential polynomial",
+            unbound=f"names must be chart coordinates {chart.names}",
+            functions=_FUNCTIONS,
+        )
+        if not all(math.isfinite(x) for (_, a, b, _), c in value.terms.items() for x in (c, *a, *b)):
+            raise SchemaError(f"exponential polynomial {text!r} has a value that is not a finite float")
+        return value
 
     def __repr__(self):
         return f"ExpPoly({self.to_text()})"
@@ -709,33 +702,18 @@ def _lin_text(chart: VarSet, rates: Iterable[float]) -> str:
     return out
 
 
-def _parse_lin(chart: VarSet, text: str) -> list[float]:
-    rates = [0.0] * len(chart)
-    text = text.replace(" - ", " + -")
-    for piece in text.split(" + "):
-        r, name = piece.split("*")
-        rates[chart.index(name.strip())] += float(r)
-    return rates
+def _at_affine(unit: ExpPoly, arg: ExpPoly) -> ExpPoly:
+    """unit(t) at t = arg, for an affine arg."""
+    if not arg.is_affine():
+        raise ValueError(f"the argument {arg.to_text()!r} is not affine")
+    return unit.substitute({"_t": arg})
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on a separator at paren depth zero."""
-    parts = []
-    depth = 0
-    cur = ""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and text.startswith(sep, i):
-            parts.append(cur)
-            cur = ""
-            i += len(sep)
-            continue
-        cur += ch
-        i += 1
-    parts.append(cur)
-    return parts
+# exp, cos and sin in the text: exp(t), cos(t) and sin(t) over the chart (_t,),
+# composed with their argument by `substitute`
+_T = VarSet.of("_t")
+_FUNCTIONS = {
+    "exp": functools.partial(_at_affine, ExpPoly.term(_T, 1.0, exp_rates={"_t": 1.0})),
+    "cos": functools.partial(_at_affine, ExpPoly.term(_T, 1.0, trig_rates={"_t": 1.0}, kind=KIND_COS)),
+    "sin": functools.partial(_at_affine, ExpPoly.term(_T, 1.0, trig_rates={"_t": 1.0}, kind=KIND_SIN)),
+}

@@ -461,7 +461,8 @@ def potential(
     """Scalar f with df = omega for a closed 1-form, by peeling the chart
     variables in order; f vanishes at the basepoint when that value is
     representable in the class.  A form that is not closed leaves a
-    nonzero residual after the peeling and raises NotClosed.
+    residual above ``tol`` after the peeling and raises NotClosed; only an
+    exactly zero coefficient is skipped.
     """
     if omega.degree != 1:
         raise ValueError("potential needs a 1-form")
@@ -479,7 +480,7 @@ def potential(
     try:
         for vi, name in enumerate(chart.names):
             coeff = remaining.coeffs.get((vi,))
-            if coeff is None or coeff.is_zero(tol):
+            if coeff is None or coeff.is_zero():
                 continue
             g = coeff.antideriv(name)
             total = g if total is None else total + g

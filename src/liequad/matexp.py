@@ -207,16 +207,6 @@ class ExpMatrix:
         powers = [f ** k for k in range(len(terms))]
         return [[lin_comb([t[a][b] for t in terms], powers) for b in range(n)] for a in range(n)]
 
-    def scaled_variable(self, factor: float) -> "ExpMatrix":
-        """E(factor * t) as a new ExpMatrix (used for E(-t))."""
-        chart = self.chart
-        sub = {self.var: ExpPoly.coordinate(chart, self.var) * factor}
-        return ExpMatrix(
-            self.var,
-            self.source,
-            [[e.substitute(sub) for e in row] for row in self.entries],
-        )
-
 
 def sym_exp(
     A: Sequence[Sequence[object]],
@@ -315,7 +305,8 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     n = E.n
     report = Report()
 
-    Eneg = E.scaled_variable(-1.0)
+    # E(-t) = e^{t (-A)}
+    Eneg = sym_exp([[-x for x in row] for row in E.source], E.var)
     worst = 0.0
     for a in range(n):
         for b in range(n):

@@ -271,7 +271,6 @@ def verify_rho(
     if errors is None:
         report.add("rho^* tau^i = omega^i", False, "symbolic", None, detail)
         return report
-    bound = tol if used == "numeric" else max(tol, ZERO_TOL)
     for i, w in enumerate(errors):
-        report.add(f"rho^* tau^{i + 1} = omega^{i + 1}", w <= bound, used, w)
+        report.add(f"rho^* tau^{i + 1} = omega^{i + 1}", w <= tol, used, w)
     return report

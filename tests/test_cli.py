@@ -181,6 +181,47 @@ def test_reduce_full_product_group_forms(tmp_path):
         assert computed.isclose(ExpPoly.parse(D, golden["mu"][key]), 1e-10)
 
 
+def _abelian3_forms(tmp_path, *coeffs):
+    """Forms coeffs[i] dx_{i+1} over (x1, x2, x3), as a forms file."""
+    doc = {"chart": ["x1", "x2", "x3"], "forms": [
+        {"degree": 1, "scalar_kind": "exppoly", "terms": [{"idx": [i + 1], "coeff": c}]}
+        for i, c in enumerate(coeffs)
+    ]}
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _reduce_abelian3(tmp_path, forms, *options):
+    out = tmp_path / "trace.json"
+    res = _run(["reduce", fixture_path("algebra_abelian3.json"), forms, "-o", str(out), *options])
+    return res, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def test_reduce_integrates_cos_times_sin(tmp_path):
+    res, doc = _reduce_abelian3(tmp_path, _abelian3_forms(tmp_path, "1.0", "1.0", "cos(1.0*x3)*sin(1.0*x3)"))
+    assert res.exit_code == 0, res.output
+    assert doc["functions"][2]["text"] == "0.25 + -0.25*cos(2.0*x3)"
+
+
+def test_tol_zero_does_not_drop_a_small_coefficient(tmp_path):
+    """--tol-zero bounds the measured residuals; a quadrature of a small
+    nonzero coefficient is not skipped."""
+    forms = _abelian3_forms(tmp_path, "0.001", "1.0", "1.0")
+    res, doc = _reduce_abelian3(tmp_path, forms, "--tol-zero", "0.01")
+    assert res.exit_code == 0, res.output
+    assert doc["functions"][0]["text"] == "0.001*x1"
+
+
+@pytest.mark.parametrize("text", [
+    "nan*x1", "inf*x1", "1e400", "exp(x1*x2)", "x1/x2", "sqrt(x1)", "x1^-1", "z1",
+])
+def test_bad_exppoly_form_text_is_schema_error(tmp_path, text):
+    res, _ = _reduce_abelian3(tmp_path, _abelian3_forms(tmp_path, text, "1.0", "1.0"))
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["code"] == "schema-error"
+
+
 def test_coframe_abelian(tmp_path):
     out = tmp_path / "coframe.json"
     res = _run(["coframe", fixture_path("algebra_abelian3.json"), "-o", str(out)])
@@ -497,6 +538,12 @@ def test_form_coefficient_is_not_executed(tmp_path):
     _assert_schema_error(proc)
 
 
+def test_exppoly_form_coefficient_is_not_executed(tmp_path):
+    forms = _abelian3_forms(tmp_path, PAYLOAD, "1.0", "1.0")
+    proc = _subprocess(["-m", "liequad.cli", "reduce", fixture_path("algebra_abelian3.json"), forms], tmp_path)
+    _assert_schema_error(proc)
+
+
 @pytest.mark.parametrize("where", ["symmetry", "excluded"])
 def test_pfaffian_text_is_not_executed(tmp_path, where):
     doc = _pfaffian_doc()
@@ -567,6 +614,29 @@ def test_no_document_text_reaches_sympify():
                 or (isinstance(node, ast.alias) and "sympify" in (node.name, node.asname))
             )
             assert not named, f"{path.name}:{getattr(node, 'lineno', '?')} names sympify"
+
+
+def test_every_parse_classmethod_reads_text_with_evaluate_text():
+    """Each scalar class reads document text through the one exact parser:
+    every `parse` classmethod of the package calls evaluate_text."""
+    import ast
+    import pathlib
+
+    package = pathlib.Path(jsonio.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and fn.name == "parse"
+                        and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list)):
+                    continue
+                calls = {node.func.id for node in ast.walk(fn)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+                assert "evaluate_text" in calls, f"{path.name}: {cls.name}.parse does not call evaluate_text"
+                found.append(cls.name)
+    assert {"ExpPoly", "RationalFunction"} <= set(found)
 
 
 # ----------------------------------------------------------------------

@@ -93,13 +93,16 @@ def test_ad_rep_abelian_is_identity():
 
 
 def test_ad_inverse_matches_worked_example():
-    """Ad(y^{-1}) for (a,b)=(1,2) against the hand-typed matrix."""
-    from liequad.liegroup import ad_product
+    """Ad(y^{-1}) for (a,b)=(1,2), built over the group chart and renamed
+    onto the y copy as `product_group_forms` does, against the hand-typed
+    matrix."""
+    from liequad.liegroup import _copy_bindings, ad_product
     from liequad.varset import doubled_chart
 
     _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
     D = doubled_chart(5)
-    M = ad_product(chain, D, list(D.names[5:]), inverse=True)
+    bind = _copy_bindings(coordinate_chart(5), D, 5)
+    M = [[e.substitute(bind) for e in row] for row in ad_product(chain, coordinate_chart(5), inverse=True)]
     t = ExpPoly.term
     e_ab = t(D, 1.0, exp_rates={"y4": 2.0, "y5": 1.0})
     e4 = {"y4": 1.0}
@@ -488,13 +491,13 @@ def test_preadjoint_forms_reuse_the_law_ad_term_for_term():
     theta~ from Ad(x) built over the doubled chart."""
     from liequad import preadjoint_forms
     from liequad.liealg import lin_comb
-    from liequad.liegroup import _pi_pullback, ad_product
+    from liequad.liegroup import _pi_pullback
     from liequad.varset import doubled_chart
 
     for chain, law in _ladder_laws():
         n = chain.n
         D = doubled_chart(n)
-        M = ad_product(chain, D, list(D.names[:n]))
+        M = _dense_ad_product(chain, D, list(D.names[:n]), False)
         pi1 = _pi_pullback(law.group.tau, D, 0)
         pi2 = _pi_pullback(law.group.tau, D, n)
         theta = [pi2[i] - pi1[i] for i in range(n)]
@@ -526,15 +529,18 @@ def _dense_ad_product(chain, chart, names, inverse):
 
 
 def test_sparse_ad_product_equals_the_dense_product():
-    from liequad.liegroup import ad_product
+    """Ad(y) and Ad(y)^{-1}, built over the group chart and renamed onto the
+    y copy, equal the dense products over the doubled chart term for term."""
+    from liequad.liegroup import _copy_bindings, ad_product
     from liequad.varset import doubled_chart
 
-    for chain, _ in _ladder_laws():
+    for chain, law in _ladder_laws():
         n = chain.n
         D = doubled_chart(n)
+        bind = _copy_bindings(law.group.chart, D, n)
         for inverse in (False, True):
-            names = list(D.names[n:])
-            got = ad_product(chain, D, names, inverse=inverse)
-            want = _dense_ad_product(chain, D, names, inverse)
+            M = ad_product(chain, law.group.chart, inverse=inverse)
+            got = [[e.substitute(bind) for e in row] for row in M]
+            want = _dense_ad_product(chain, D, list(D.names[n:]), inverse)
             assert [[_scalar_bits(e) for e in row] for row in got] == \
                 [[_scalar_bits(e) for e in row] for row in want]

@@ -1,6 +1,7 @@
 """Exponential-polynomial coefficient ring: canonical form, calculus,
 substitution, serialization."""
 
+import json
 import math
 import random
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liequad import ExpPoly, MismatchedVarSet, NonAffineExponentSubstitution, VarSet
+from liequad import ExpPoly, MismatchedVarSet, NonAffineExponentSubstitution, SchemaError, VarSet, jsonio
 from liequad.exppoly import KIND_COS, KIND_ONE, KIND_SIN
+from conftest import fixture_path
 
 
 V = VarSet.of("x", "y", "t")
@@ -177,6 +179,61 @@ def test_text_is_deterministic_and_sorted():
     p = _random_exppoly(random.Random(9), terms=5)
     q = ExpPoly(V, dict(reversed(list(p.terms.items()))))
     assert p.to_text() == q.to_text()
+
+
+def test_text_grammar():
+    """Text without spaces, with '-', a constant inside exp and parentheses
+    reads as the same polynomial built in the ring."""
+    x, y = coord("x"), coord("y")
+    e_y = ExpPoly.term(V, 1.0, exp_rates={"y": 1.0})
+    parse = lambda text: ExpPoly.parse(V, text)
+    assert parse("2.0*x-1.0") == 2.0 * x - 1.0
+    assert parse("x*exp(y)") == x * e_y
+    assert parse("exp(1.0 + y)") == math.exp(1.0) * e_y
+    assert parse("(x + y)*(x - y)") == x * x - y * y
+    assert parse("-x^2 + 3*y**2") == -(x * x) + 3.0 * y * y
+    assert parse("exp(-y)*cos(2*x - t)") == ExpPoly.term(
+        V, 1.0, exp_rates={"y": -1.0}, trig_rates={"x": 2.0, "t": -1.0}, kind=KIND_COS
+    )
+
+
+def test_text_cos_times_sin_is_half_the_double_angle_sine():
+    assert ExpPoly.parse(V, "cos(1.0*x)*sin(1.0*x)") == ExpPoly.term(
+        V, 0.5, trig_rates={"x": 2.0}, kind=KIND_SIN
+    )
+
+
+X3 = VarSet.of("x1", "x2", "x3")
+# not a finite float, outside the class, or not a chart coordinate
+BAD_TEXTS = ["nan*x1", "inf*x1", "1e400", "1e300*1e300*x1", "exp(x1*x2)", "x1/x2", "sqrt(x1)",
+             "x1^-1", "z1", "__import__('os')._exit(7)"]
+
+
+@pytest.mark.parametrize("text", BAD_TEXTS)
+def test_bad_text_is_schema_error(text):
+    with pytest.raises(SchemaError):
+        ExpPoly.parse(X3, text)
+    with pytest.raises(SchemaError):
+        jsonio.load_scalar({"kind": "exppoly", "text": text}, X3)
+
+
+def _term_bits(rows):
+    return [[list(k), [v.hex() for v in a], [v.hex() for v in b], kind, c.hex()]
+            for k, a, b, kind, c in rows]
+
+
+def test_parse_keeps_the_pinned_terms_of_the_fixture_texts():
+    """Keys, term order and coefficient bits of every exponential-polynomial
+    text of the 5-dim fixtures, pinned in golden_parse_fiveparam_a1_b2.json."""
+    pinned = json.loads(open(fixture_path("golden_parse_fiveparam_a1_b2.json")).read())
+    mu = json.loads(open(fixture_path("golden_mu_fiveparam_a1_b2.json")).read())["mu"]
+    forms = json.loads(open(fixture_path("forms_product_group_fiveparam_a1_b2.json")).read())
+    texts = set(mu.values()) | {t["coeff"] for f in forms["forms"] for t in f["terms"]}
+    assert set(pinned["terms"]) == texts
+    D = VarSet(tuple(pinned["chart"]))
+    for text, rows in pinned["terms"].items():
+        got = [(k, a, b, kind, c) for (k, a, b, kind), c in ExpPoly.parse(D, text).terms.items()]
+        assert _term_bits(got) == _term_bits(rows), text
 
 
 # ----------------------------------------------------------------------
