@@ -19,6 +19,7 @@ from .errors import (
     MismatchedVarSet,
     NonAffineExponentSubstitution,
     NonElementaryInClass,
+    NonFiniteCoefficient,
     NotClosed,
     NotSolvable,
     PoleAtPoint,
@@ -32,6 +33,7 @@ from .forms import (
     Domain,
     PointMap,
     VectorField,
+    full_basepoint,
     lie_bracket,
     line_integral,
     pairing,
@@ -66,7 +68,7 @@ from .liegroup import (
 )
 from .matexp import ExpMatrix, exp_identities_check, sym_exp
 from .pfaffian import PfaffianSystem, SymmetryAlgebra, first_integrals, normalize, transversality
-from .reduction import ReductionTrace, reassemble, reduce_full, reduce_step, rho_map, verify_rho
+from .reduction import ReductionTrace, reassemble, reduce_full, reduce_step, rho_map, unreduce, verify_rho
 from .varset import VarSet, coordinate_chart, doubled_chart
 
 __version__ = "0.1.0"

@@ -18,9 +18,11 @@ import click
 from . import jsonio
 from .errors import LiequadError, SchemaError
 from .exppoly import ExpPoly
+from .forms import full_basepoint
 from .liealg import adapted_chain, is_solvable, transform_forms, validate as validate_constants
 from .liegroup import (
     build_group,
+    coframe,
     group_invariants_report,
     multiplication,
     preadjoint_oracle,
@@ -199,9 +201,8 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
     report.add("structure equations at every level", worst <= cfg.tol_zero,
                "symbolic" if omegas[0].scls is ExpPoly else "exact", worst)
     if trace.complete:
-        group = build_group(chain)
         report.extend(
-            verify_rho(trace, group.tau, omegas_ad, samples=cfg.samples, seed=cfg.seed,
+            verify_rho(trace, coframe(chain), omegas_ad, samples=cfg.samples, seed=cfg.seed,
                        tol=cfg.tol_sample, mode=cfg.mode)
         )
     return jsonio.dump_trace(trace), report
@@ -214,7 +215,7 @@ def cmd_pfaff(cfg, system):
     """First integrals of a Pfaffian system with solvable symmetry."""
     psys, sym = jsonio.load_pfaffian_file(jsonio.read_json(system))
     chart = psys.domain.chart
-    bp = cfg.basepoint_on(chart) or {nm: Fraction(0) for nm in chart.names}
+    bp = full_basepoint(chart, cfg.basepoint_on(chart))
     functions, report = first_integrals(psys, sym, bp, verify_samples=cfg.samples, seed=cfg.seed)
     doc = {
         "chart": list(chart.names),

@@ -35,6 +35,14 @@ class NonElementaryInClass(LiequadError):
     code = "non-elementary-in-class"
 
 
+class NonFiniteCoefficient(LiequadError):
+    """A float coefficient became NaN, as when an overflow to infinity
+    cancels (inf - inf), or a quadrature's value at the basepoint, which
+    normalizes it, overflows."""
+
+    code = "non-finite-coefficient"
+
+
 class PoleAtPoint(LiequadError):
     code = "pole-at-point"
 

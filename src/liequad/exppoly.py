@@ -16,13 +16,15 @@ recomputed from scratch, so structurally equal keys compare exactly.
 Canonical keys.  A stored key has its -0.0 entries normalized to 0.0; a
 "one" key has b = 0; a trig key has b != 0 with its first nonzero entry
 positive (cos(-u) = cos u, sin(-u) = -sin u move the sign into the
-coefficient).  Every stored coefficient exceeds ZERO_TOL.  `__init__`,
+coefficient).  Every stored coefficient exceeds ZERO_TOL.  The cut keeps
+no NaN: a NaN coefficient (an overflow that cancels, inf - inf) raises
+NonFiniteCoefficient instead of passing as zero.  `__init__`,
 `term`, `parse` and `substitute` establish this from arbitrary input.
 The ring operations build their results from keys that are canonical
 already: sums, negation, scaling and `diff`/`antideriv` keep b and only
 swap cos and sin on a nonzero b, and `__mul__` canonicalizes each new trig
 part in `_put`.  They go through `_canonical`, which applies only the
-ZERO_TOL cut.
+ZERO_TOL cut (`_cut`).
 
 A polynomial is never modified after construction, so a result may be
 one of the operands.  Shortcuts skip work whose answer is known, with the
@@ -45,7 +47,7 @@ the one exact parser, `exacttext.evaluate_text`, evaluating it in the
 ring: each number is a constant, each chart name a coordinate, and exp,
 cos and sin of an affine argument are exp(t), cos(t) and sin(t) composed
 with it by `substitute`.  Text outside the class, or with a value that is
-not a finite float, is a SchemaError.
+not a finite float (a NaN along the way included), is a SchemaError.
 
 Compiled form.  On first evaluation a polynomial caches its T terms as
 arrays (`Compiled`): exponents K and rates A, B (each T x n), kind and
@@ -67,7 +69,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import MismatchedVarSet, NonAffineExponentSubstitution, SchemaError
+from .errors import MismatchedVarSet, NonAffineExponentSubstitution, NonFiniteCoefficient, SchemaError
 from .exacttext import evaluate_text
 from .varset import VarSet
 
@@ -107,6 +109,15 @@ def _canon_trig(b: tuple[float, ...], kind: int, coeff: float):
 def _constant_key(n: int) -> Key:
     """The key of the constant term over n variables."""
     return ((0,) * n, (0.0,) * n, (0.0,) * n, KIND_ONE)
+
+
+def _cut(acc: Mapping[Key, float]) -> dict[Key, float]:
+    """The terms above ZERO_TOL.  A NaN fails that test too, so the
+    coefficients the cut removes are checked for one."""
+    terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
+    if len(terms) < len(acc) and any(map(math.isnan, acc.values())):
+        raise NonFiniteCoefficient("an exponential-polynomial coefficient is NaN")
+    return terms
 
 
 def _add(acc: dict, key: Key, c: float) -> None:
@@ -155,7 +166,7 @@ class ExpPoly:
                 key = (tuple(k), tuple(v + 0.0 for v in a), b2, kind2)
                 acc[key] = acc.get(key, 0.0) + c2
         self.chart = chart
-        self.terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
+        self.terms = _cut(acc)
         self._compiled = None
 
     @classmethod
@@ -164,7 +175,7 @@ class ExpPoly:
         module docstring); applies only the ZERO_TOL cut."""
         self = object.__new__(cls)
         self.chart = chart
-        self.terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
+        self.terms = _cut(acc)
         self._compiled = None
         return self
 
@@ -514,16 +525,6 @@ class ExpPoly:
     def evaluate(self, point: Mapping[str, float]) -> float:
         return float(self.evaluate_batch([[point[name] for name in self.chart.names]])[0])
 
-    def substitute_partial(self, values: Mapping[str, float]) -> "ExpPoly":
-        """Bind some variables to numeric constants; stays in the class."""
-        bindings = {
-            name: ExpPoly.constant(self.chart, v) for name, v in values.items()
-        }
-        for name in self.chart.names:
-            if name not in bindings:
-                bindings[name] = ExpPoly.coordinate(self.chart, name)
-        return self.substitute(bindings)
-
     def substitute(self, bindings: Mapping[str, "ExpPoly"]) -> "ExpPoly":
         """Exact composition.  Variables appearing inside exp/trig rates must
         be bound to affine expressions; polynomial positions take arbitrary
@@ -672,16 +673,20 @@ class ExpPoly:
         (each a constant), ``+ - *``, nonnegative integer powers, and exp,
         cos and sin of an affine argument.  Other text, and a coefficient
         or rate that is not a finite float, raises SchemaError."""
-        value = evaluate_text(
-            text,
-            {name: cls.coordinate(chart, name) for name in chart.names},
-            number=lambda q: cls.constant(chart, float(q)),
-            what="exponential polynomial",
-            unbound=f"names must be chart coordinates {chart.names}",
-            functions=_FUNCTIONS,
-        )
+        not_finite = f"exponential polynomial {text!r} has a value that is not a finite float"
+        try:
+            value = evaluate_text(
+                text,
+                {name: cls.coordinate(chart, name) for name in chart.names},
+                number=lambda q: cls.constant(chart, float(q)),
+                what="exponential polynomial",
+                unbound=f"names must be chart coordinates {chart.names}",
+                functions=_FUNCTIONS,
+            )
+        except NonFiniteCoefficient as exc:
+            raise SchemaError(not_finite) from exc
         if not all(math.isfinite(x) for (_, a, b, _), c in value.terms.items() for x in (c, *a, *b)):
-            raise SchemaError(f"exponential polynomial {text!r} has a value that is not a finite float")
+            raise SchemaError(not_finite)
         return value
 
     def __repr__(self):

@@ -9,6 +9,7 @@ structural: coefficients are indexed by strictly increasing index tuples.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +25,7 @@ from .errors import (
     MismatchedVarSet,
     NonAffineExponentSubstitution,
     NonElementaryInClass,
+    NonFiniteCoefficient,
     NotClosed,
     PoleAtPoint,
 )
@@ -453,27 +455,30 @@ def structure_residual(omegas: Sequence[DiffForm], sc) -> list[DiffForm]:
     return out
 
 
+def full_basepoint(chart: VarSet, basepoint: Mapping[str, object] | None = None) -> dict:
+    """The basepoint with every chart coordinate it leaves out set to 0."""
+    full = dict(basepoint or {})
+    for name in chart.names:
+        full.setdefault(name, 0)
+    return full
+
+
 def potential(
     omega: DiffForm,
     basepoint: Mapping[str, object] | None = None,
     tol: float = ZERO_TOL,
 ):
     """Scalar f with df = omega for a closed 1-form, by peeling the chart
-    variables in order; f vanishes at the basepoint when that value is
-    representable in the class.  A form that is not closed leaves a
-    residual above ``tol`` after the peeling and raises NotClosed; only an
-    exactly zero coefficient is skipped.
+    variables in order.  The antiderivative's value at the basepoint
+    (missing coordinates are 0) is subtracted, so f vanishes there; with
+    log terms only the rational part's value is.  A form that is not
+    closed leaves a residual above ``tol`` after the peeling and raises
+    NotClosed; only an exactly zero coefficient is skipped.
     """
     if omega.degree != 1:
         raise ValueError("potential needs a 1-form")
     chart = omega.chart
     scls = omega.scls
-    if basepoint is None:
-        basepoint = {n: 0 for n in chart.names}
-    else:
-        basepoint = dict(basepoint)
-        for n in chart.names:
-            basepoint.setdefault(n, 0)
 
     remaining = omega
     total = None
@@ -497,17 +502,20 @@ def potential(
             "variable peeling left a nonzero residual; the form is not exact "
             "over this chart"
         )
-    # normalize at the basepoint; log terms are left as they are
-    part = total
-    if not isinstance(total, ExpPoly):
-        from .rational import LogExtendedScalar
+    # subtract the value at the basepoint; log terms are left as they are
+    basepoint = full_basepoint(chart, basepoint)
+    if isinstance(total, ExpPoly):
+        value = total.evaluate(basepoint)
+        if not math.isfinite(value):
+            raise NonFiniteCoefficient(f"the antiderivative is {value} at the basepoint {basepoint}")
+        return total - ExpPoly.constant(chart, value)
+    from .rational import LogExtendedScalar
 
-        if isinstance(total, LogExtendedScalar):
-            part = total.rational_part
+    part = total.rational_part if isinstance(total, LogExtendedScalar) else total
     try:
-        return total - part.substitute_partial(basepoint)
+        return total - part.evaluate_exact(basepoint)
     except PoleAtPoint as exc:
-        raise BasepointOnPole(str(exc)) from exc
+        raise BasepointOnPole(f"denominator vanishes on {basepoint}") from exc
 
 
 def line_integral(

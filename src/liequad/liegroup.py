@@ -1,14 +1,17 @@
 """Constructive group synthesis on R^n for a solvable chain.
 
 From the restricted adjoint matrices of a chain-adapted basis this module
-builds the left-invariant coframe and frame (products of one-variable
-matrix exponentials applied to coordinate differentials), the adjoint
-representation as a product of exponentials, and the global multiplication
-map: the product-group forms are reduced to exact differentials whose
-functions, normalized at the origin, are the components of the group law.
-A second, independent derivation of the multiplication map (through forms
-that pull back along (x, y) -> y * x^{-1}) serves as a cross-check oracle;
-its map at y = 0 is the inverse x^{-1}, again in closed form.
+builds the left-invariant coframe and frame, the adjoint representation as
+a product of exponentials, and the global multiplication map.  The coframe
+is the un-reduction of the coordinates (`reduction.unreduce` of x^1..x^n):
+the forms whose reduction yields the coordinates, so rho = id.  The frame
+applies the transposes of the forward factors e^{x ad_s} to the coordinate
+vector fields.  For the multiplication map the product-group forms are
+reduced to exact differentials whose functions, normalized at the origin,
+are the components of the group law.  A second, independent derivation of
+the multiplication map (through forms that pull back along
+(x, y) -> y * x^{-1}) serves as a cross-check oracle; its map at y = 0 is
+the inverse x^{-1}, again in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .exppoly import ExpPoly, ZERO_TOL
 from .forms import DiffForm, PointMap, VectorField, lie_bracket, pairing, pullback_check, structure_residual
 from .liealg import AdaptedChain, lin_comb
 from .matexp import matrix_batch
-from .reduction import _factor_matrix, reduce_full, rho_map
+from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
 from .report import Report
 from .varset import VarSet, coordinate_chart, doubled_chart
 
@@ -39,11 +42,6 @@ class SolvGroup:
     @property
     def n(self) -> int:
         return self.chain.n
-
-    def frame_matrix_batch(self, points) -> np.ndarray:
-        """Frame matrices at N points (rows in chart order), N x n x n; the
-        columns of each are the frame fields there."""
-        return np.stack([X.at_batch(points) for X in self.frame], axis=2)
 
 
 @dataclass
@@ -68,44 +66,34 @@ class GroupLaw:
 # ----------------------------------------------------------------------
 # coframe / frame
 
-def _block_apply(factor, items, m):
-    """Apply an m x m scalar matrix to the first m items (forms or fields)."""
-    return [lin_comb(row, items[:m]) for row in factor] + list(items[m:])
+def _coordinates(chart: VarSet) -> list[ExpPoly]:
+    return [ExpPoly.coordinate(chart, nm) for nm in chart.names]
 
 
-def coframe(chain: AdaptedChain, chart: VarSet | None = None) -> list[DiffForm]:
-    """Left-invariant coframe: nested inverse exponential factors applied to
-    the coordinate differentials."""
+def coframe(chain: AdaptedChain) -> list[DiffForm]:
+    """Left-invariant coframe over the coordinate chart: the un-reduction
+    of the coordinates, the forms whose reduction yields x^1..x^n."""
+    return unreduce(chain, _coordinates(coordinate_chart(chain.n)))
+
+
+def frame(chain: AdaptedChain) -> list[VectorField]:
+    """Dual frame over the coordinate chart: the transposed forward factors
+    e^{x^{n-s} [ad_s]}, from the deepest level up, applied to the
+    coordinate vector fields."""
     n = chain.n
-    chart = chart or coordinate_chart(n)
-    vec: list[DiffForm] = [DiffForm.d_coordinate(chart, nm, ExpPoly) for nm in chart.names]
-    for s in range(n - 2, -1, -1):
-        m = n - s
-        neg_ad = [[-x for x in row] for row in chain.ad_matrix(s)]
-        E = _factor_matrix(neg_ad, ExpPoly.coordinate(chart, chart.names[m - 1]))
-        if E is not None:
-            vec = _block_apply(E, vec, m)
-    return vec
-
-
-def frame(chain: AdaptedChain, chart: VarSet | None = None) -> list[VectorField]:
-    """Dual frame: transposed exponential factors applied to the coordinate
-    vector fields."""
-    n = chain.n
-    chart = chart or coordinate_chart(n)
+    chart = coordinate_chart(n)
+    x = _coordinates(chart)
     fields = [VectorField.coordinate(chart, nm, ExpPoly) for nm in chart.names]
-    for s in range(n - 2, -1, -1):
+    for s in range(n - 1, -1, -1):
         m = n - s
-        adT = [list(col) for col in zip(*chain.ad_matrix(s))]
-        E = _factor_matrix(adT, ExpPoly.coordinate(chart, chart.names[m - 1]))
+        E = _factor_matrix(chain.ad_matrix(s), x[m - 1])
         if E is not None:
-            fields = _block_apply(E, fields, m)
+            fields = [lin_comb(col, fields[:m]) for col in zip(*E)] + fields[m:]
     return fields
 
 
 def build_group(chain: AdaptedChain) -> SolvGroup:
-    chart = coordinate_chart(chain.n)
-    return SolvGroup(chain, chart, coframe(chain, chart), frame(chain, chart))
+    return SolvGroup(chain, coordinate_chart(chain.n), coframe(chain), frame(chain))
 
 
 # ----------------------------------------------------------------------
@@ -128,26 +116,22 @@ def _times_factor(M, E):
     ]
 
 
-def ad_product(chain: AdaptedChain, chart: VarSet, inverse: bool = False):
-    """Ad(v) = e^{v_1 [ad e_1]} ... e^{v_n [ad e_n]} over the full adjoint
-    matrices, v the chart coordinates; with inverse,
-    Ad(v)^{-1} = e^{-v_n [ad e_n]} ... e^{-v_1 [ad e_1]}."""
+def ad_rep(chain: AdaptedChain, inverse: bool = False):
+    """Ad(x) = e^{x^1 [ad e_1]} ... e^{x^n [ad e_n]} over the full adjoint
+    matrices and the group chart; with inverse,
+    Ad(x)^{-1} = e^{-x^n [ad e_n]} ... e^{-x^1 [ad e_1]}."""
     n = chain.n
+    chart = coordinate_chart(n)
+    x = _coordinates(chart)
     M = _scalar_identity(chart, n)
     for j in (range(n - 1, -1, -1) if inverse else range(n)):
         A = chain.base.ad_matrix(j)
         if inverse:
-            A = [[-x for x in row] for row in A]
-        E = _factor_matrix(A, ExpPoly.coordinate(chart, chart.names[j]))
+            A = [[-v for v in row] for row in A]
+        E = _factor_matrix(A, x[j])
         if E is not None:
             M = _times_factor(M, E)
     return M
-
-
-def ad_rep(chain: AdaptedChain, chart: VarSet | None = None):
-    """Ad(x) = e^{x^1 [ad e_1]} ... e^{x^n [ad e_n]} over the group chart."""
-    chart = chart or coordinate_chart(chain.n)
-    return ad_product(chain, chart)
 
 
 # ----------------------------------------------------------------------
@@ -175,31 +159,26 @@ def _pi_pullback(tau: Sequence[DiffForm], double: VarSet, offset: int) -> list[D
     return out
 
 
-def product_group_forms(chain: AdaptedChain, group: SolvGroup | None = None):
-    """The forms Ad(y^{-1}) pi_1^* tau + pi_2^* tau on G x G whose reduction
-    yields the multiplication map."""
-    group = group or build_group(chain)
+def product_group_forms(chain: AdaptedChain):
+    """The group and the forms Ad(y^{-1}) pi_1^* tau + pi_2^* tau on G x G
+    whose reduction yields the multiplication map."""
+    group = build_group(chain)
     n = chain.n
     D = doubled_chart(n)
     pi1 = _pi_pullback(group.tau, D, 0)
     pi2 = _pi_pullback(group.tau, D, n)
     bind = _copy_bindings(group.chart, D, n)
-    ad_y_inv = [[e.substitute(bind) for e in row] for row in ad_product(chain, group.chart, inverse=True)]
+    ad_y_inv = [[e.substitute(bind) for e in row] for row in ad_rep(chain, inverse=True)]
     omegas = [pi2[i] + lin_comb(ad_y_inv[i], pi1) for i in range(n)]
     return group, D, omegas
 
 
-def multiplication(
-    chain: AdaptedChain,
-    tol: float = ZERO_TOL,
-    group: SolvGroup | None = None,
-) -> GroupLaw:
+def multiplication(chain: AdaptedChain, tol: float = ZERO_TOL) -> GroupLaw:
     """Group law with identity at the origin, by n quadratures on G x G."""
-    group, D, omegas = product_group_forms(chain, group)
+    group, D, omegas = product_group_forms(chain)
     trace = reduce_full(omegas, chain, basepoint=None, tol=tol)
     mu = PointMap(D, group.chart, trace.functions)
-    ad = ad_rep(chain, group.chart)
-    return GroupLaw(group, mu, ad, omegas)
+    return GroupLaw(group, mu, ad_rep(chain), omegas)
 
 
 def _rel_error(got: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -289,10 +268,12 @@ def verify_group(
     Ad_z = matrix_batch(law.ad, ab)
     worst_ad = _worst(_rel_error(matrix_batch(law.ad, a) @ matrix_batch(law.ad, b), Ad_z))
 
-    # left invariance: dL_a|_b X_i(b) = X_i(a*b)
+    # left invariance: dL_a|_b X_i(b) = X_i(a*b); the frame fields are the
+    # columns of the frame matrix
     J = law.mu.jacobian_batch(np.hstack([a, b]))[:, :, n:]
-    Mab = group.frame_matrix_batch(ab)
-    worst_left = _worst(_rel_error(J @ group.frame_matrix_batch(b), Mab))
+    frame_matrix = list(zip(*(X.components for X in group.frame)))
+    Mab = matrix_batch(frame_matrix, ab)
+    worst_left = _worst(_rel_error(J @ matrix_batch(frame_matrix, b), Mab))
 
     report.add("associativity mu(a, mu(b,c)) = mu(mu(a,b), c)", worst_assoc <= tol, "numeric", worst_assoc)
     report.add("identity mu(0,a) = a = mu(a,0)", worst_ident <= tol, "numeric", worst_ident)
@@ -326,7 +307,7 @@ def preadjoint_forms(chain: AdaptedChain, group: SolvGroup | None = None, ad=Non
     pi1 = _pi_pullback(group.tau, D, 0)
     pi2 = _pi_pullback(group.tau, D, n)
     if ad is None:
-        ad = ad_rep(chain, group.chart)
+        ad = ad_rep(chain)
     bind = _copy_bindings(group.chart, D, 0)
     M = [[e.substitute(bind) for e in row] for row in ad]
     theta = [pi2[i] - pi1[i] for i in range(n)]

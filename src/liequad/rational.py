@@ -301,17 +301,6 @@ class RationalFunction:
             raise PoleAtPoint(f"denominator vanishes at {dict(point)}")
         return Fraction(nval) / dval
 
-    def substitute_partial(self, values: Mapping[str, object]) -> "RationalFunction":
-        K = chart_field(self.chart)
-        point = [
-            _to_fraction(values[n]) if n in values else g
-            for n, g in zip(self.chart.names, K.gens)
-        ]
-        nval, dval = self._substitute(point)
-        if dval == 0:
-            raise PoleAtPoint(f"denominator vanishes on {dict(values)}")
-        return RationalFunction(self.chart, K(nval) / K(dval))
-
     def compose(self, bindings: Mapping[str, "RationalFunction"]) -> "RationalFunction":
         if bindings:
             target = next(iter(bindings.values())).chart

@@ -7,6 +7,11 @@ exponential of f times the restricted adjoint; the block shrinks by one
 and the structure equations restrict to the ideal.  Running all n steps
 turns the forms into exact differentials df^1..df^n; the functions double
 as the coordinates of the map onto the synthesized group.
+
+`unreduce` runs the steps backwards: the inverse factors e^{-f ad_s},
+applied to (df^1..df^n) from the deepest level up, give back the forms
+whose reduction yields f^1..f^n.  Un-reducing the coordinate functions
+gives the left-invariant coframe (`liegroup.coframe`).
 """
 
 from __future__ import annotations
@@ -18,7 +23,15 @@ from typing import Mapping, Sequence
 
 from .errors import NonElementaryInClass, ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
-from .forms import DiffForm, PointMap, differential, potential, pullback_check, structure_residual
+from .forms import (
+    DiffForm,
+    PointMap,
+    differential,
+    full_basepoint,
+    potential,
+    pullback_check,
+    structure_residual,
+)
 from .liealg import AdaptedChain, lin_comb
 from .matexp import sym_exp
 from .report import Report
@@ -184,12 +197,7 @@ def reduce_full(
     if len(omegas) != n:
         raise ValueError(f"expected {n} forms, got {len(omegas)}")
     chart = omegas[0].chart
-    if basepoint is None:
-        basepoint = {nm: 0 for nm in chart.names}
-    else:
-        basepoint = dict(basepoint)
-        for nm in chart.names:
-            basepoint.setdefault(nm, 0)
+    basepoint = full_basepoint(chart, basepoint)
     r = n if stop_after is None else min(stop_after, n)
     trace = ReductionTrace(chain, chart, basepoint)
     trace.functions = [None] * n
@@ -208,22 +216,27 @@ def reduce_full(
     return trace
 
 
+def unreduce(chain: AdaptedChain, functions: Sequence) -> list[DiffForm]:
+    """The forms whose reduction yields f^1..f^n (functions[i] is f^{i+1}):
+    the inverse factors e^{-f^{n-s} [ad_s]} applied to (df^1..df^n), from
+    the deepest level s = n-1 up to s = 0."""
+    n = chain.n
+    forms = [differential(f) for f in functions]
+    for s in range(n - 1, -1, -1):
+        m = n - s
+        neg_ad = [[-x for x in row] for row in chain.ad_matrix(s)]
+        inv_factor = _factor_matrix(neg_ad, functions[m - 1])
+        if inv_factor is not None:
+            forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
+    return forms
+
+
 def reassemble(trace: ReductionTrace) -> list[DiffForm]:
-    """Invert the reduction: apply the inverse factors to (df^1..df^n).
+    """Invert the reduction: `unreduce` of the trace's functions.
     Equal to the original input forms when the trace is complete."""
     if not trace.complete:
         raise ValueError("reassembly needs a complete trace")
-    chain = trace.chain
-    n = chain.n
-    forms = [differential(f) for f in trace.functions]
-    for step in reversed(trace.steps):
-        if step.factor is None:
-            continue
-        m = n - step.level
-        neg_ad = [[-x for x in row] for row in chain.ad_matrix(step.level)]
-        inv_factor = _factor_matrix(neg_ad, step.f)
-        forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
-    return forms
+    return unreduce(trace.chain, trace.functions)
 
 
 def rho_map(trace: ReductionTrace, target: VarSet | None = None) -> PointMap:

@@ -426,6 +426,27 @@ def test_basepoint_name_outside_the_chart_is_schema_error(command):
     assert "'q'" in json.loads(res.stderr)["error"]["message"]
 
 
+def test_reduce_basepoint_on_a_pole_is_an_error_document():
+    """Without --basepoint the basepoint is the origin, where u_x = 0 is a
+    pole of the quadratures of the normalized ODE forms."""
+    res = _run(["reduce", fixture_path("algebra_heisenberg.json"),
+                fixture_path("forms_normalized_third_order.json")])
+    _assert_error_document(res, "basepoint-on-pole")
+    res = _run(["reduce", fixture_path("algebra_heisenberg.json"),
+                fixture_path("forms_normalized_third_order.json"), "--basepoint", "x=1,u_xx=1"])
+    _assert_error_document(res, "basepoint-on-pole")
+
+
+def test_pfaff_records_every_coordinate_of_the_basepoint(tmp_path):
+    """A partial --basepoint is completed with zeros, as `reduce` does."""
+    out = tmp_path / "integrals.json"
+    res = _run(["pfaff", fixture_path("pfaffian_third_order_ode.json"),
+                "--basepoint", "u_x=1,u_xx=1", "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    assert doc["basepoint"] == {"x": "0", "u": "0", "u_x": "1", "u_xx": "1"}
+
+
 @pytest.mark.parametrize("where", ["brackets", "components"])
 def test_pfaffian_document_missing_key_is_schema_error(tmp_path, where):
     doc = _pfaffian_doc()

@@ -17,6 +17,7 @@ from liequad import (
     StructureConstants,
     VarSet,
     VectorField,
+    full_basepoint,
     lie_bracket,
     line_integral,
     pairing,
@@ -210,7 +211,7 @@ def test_potential_exppoly_vanishes_at_basepoint():
     f = ExpPoly.term(V, 2.0, powers={"x1": 2}, exp_rates={"x1": -1.0})
     g = potential(dx("x1") * f, {"x1": 0.5})
     assert (g.diff("x1") - f).is_zero()
-    assert g.substitute_partial({"x1": 0.5}).max_abs_coeff() < 1e-12
+    assert abs(g.evaluate(full_basepoint(V, {"x1": 0.5}))) < 1e-12
 
 
 def test_potential_of_five_dim_reduced_form():
@@ -249,6 +250,35 @@ def test_potential_rational_basepoint_pole():
         potential(omega, {"u": 0})
     f = potential(omega, {"u": Fraction(1)})
     assert f == RationalFunction.parse(W, "1 - 1/u")
+
+
+def test_potential_log_extended_basepoint_pole():
+    """With log terms the rational part is normalized, so a pole of the
+    rational part at the basepoint is a BasepointOnPole."""
+    from liequad import LogExtendedScalar
+
+    W = VarSet.of("u")
+    omega = DiffForm(W, 1, {(0,): RationalFunction.parse(W, "1/u^2 + 1/(u - 1)")})
+    with pytest.raises(BasepointOnPole):
+        potential(omega, {"u": 0})
+    with pytest.raises(BasepointOnPole):
+        potential(omega)
+    f = potential(omega, {"u": Fraction(2)})
+    assert isinstance(f, LogExtendedScalar) and len(f.log_terms) == 1
+    assert f.rational_part == RationalFunction.parse(W, "1/2 - 1/u")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_potential_value_overflowing_at_the_basepoint_is_a_typed_error():
+    """e^{800 x} at x = 1 is not a float; the normalizing constant would be
+    infinite."""
+    from liequad import NonFiniteCoefficient
+
+    W = VarSet.of("x")
+    omega = DiffForm(W, 1, {(0,): ExpPoly.term(W, 800.0, exp_rates={"x": 800.0})})
+    with pytest.raises(NonFiniteCoefficient):
+        potential(omega, {"x": 1})
+    assert potential(omega).isclose(ExpPoly.term(W, 1.0, exp_rates={"x": 800.0}) - 1.0)
 
 
 def test_potential_matches_line_integral_oracle():

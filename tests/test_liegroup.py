@@ -96,13 +96,13 @@ def test_ad_inverse_matches_worked_example():
     """Ad(y^{-1}) for (a,b)=(1,2), built over the group chart and renamed
     onto the y copy as `product_group_forms` does, against the hand-typed
     matrix."""
-    from liequad.liegroup import _copy_bindings, ad_product
+    from liequad.liegroup import _copy_bindings
     from liequad.varset import doubled_chart
 
     _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
     D = doubled_chart(5)
     bind = _copy_bindings(coordinate_chart(5), D, 5)
-    M = [[e.substitute(bind) for e in row] for row in ad_product(chain, coordinate_chart(5), inverse=True)]
+    M = [[e.substitute(bind) for e in row] for row in ad_rep(chain, inverse=True)]
     t = ExpPoly.term
     e_ab = t(D, 1.0, exp_rates={"y4": 2.0, "y5": 1.0})
     e4 = {"y4": 1.0}
@@ -323,7 +323,9 @@ def test_preadjoint_oracle_consistency():
 
 
 def test_group_law_builds_each_matrix_exponential_once(monkeypatch):
-    """The 5-dim law and its cross-check need 13 distinct exponentials."""
+    """The 5-dim law and its cross-check need 12 distinct exponentials; the
+    frame transposes the forward factors e^{x ad_s} that the reduction of
+    the product-group forms builds."""
     import liequad.matexp as matexp
 
     calls = []
@@ -333,7 +335,7 @@ def test_group_law_builds_each_matrix_exponential_once(monkeypatch):
     _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
     law = multiplication(chain)
     assert preadjoint_oracle(chain, law, samples=5).passed
-    assert len(calls) == 13
+    assert len(calls) == 12
 
 
 def test_verify_group_differentiates_once_per_map(monkeypatch):
@@ -531,7 +533,7 @@ def _dense_ad_product(chain, chart, names, inverse):
 def test_sparse_ad_product_equals_the_dense_product():
     """Ad(y) and Ad(y)^{-1}, built over the group chart and renamed onto the
     y copy, equal the dense products over the doubled chart term for term."""
-    from liequad.liegroup import _copy_bindings, ad_product
+    from liequad.liegroup import _copy_bindings
     from liequad.varset import doubled_chart
 
     for chain, law in _ladder_laws():
@@ -539,8 +541,58 @@ def test_sparse_ad_product_equals_the_dense_product():
         D = doubled_chart(n)
         bind = _copy_bindings(law.group.chart, D, n)
         for inverse in (False, True):
-            M = ad_product(chain, law.group.chart, inverse=inverse)
+            M = ad_rep(chain, inverse=inverse)
             got = [[e.substitute(bind) for e in row] for row in M]
             want = _dense_ad_product(chain, D, list(D.names[n:]), inverse)
             assert [[_scalar_bits(e) for e in row] for row in got] == \
                 [[_scalar_bits(e) for e in row] for row in want]
+
+
+def _reference_coframe(chain):
+    """The coframe by its own loop: the inverse factors e^{-x^m [ad_s]}
+    applied to the coordinate differentials, from s = n-2 up."""
+    from liequad.liealg import lin_comb
+    from liequad.reduction import _factor_matrix
+
+    n = chain.n
+    chart = coordinate_chart(n)
+    vec = [DiffForm.d_coordinate(chart, nm, ExpPoly) for nm in chart.names]
+    for s in range(n - 2, -1, -1):
+        m = n - s
+        neg_ad = [[-x for x in row] for row in chain.ad_matrix(s)]
+        E = _factor_matrix(neg_ad, ExpPoly.coordinate(chart, chart.names[m - 1]))
+        if E is not None:
+            vec = [lin_comb(row, vec[:m]) for row in E] + vec[m:]
+    return vec
+
+
+def _reference_frame(chain):
+    """The frame by exponentiating the transposed matrices ad_s^T."""
+    from liequad import VectorField
+    from liequad.liealg import lin_comb
+    from liequad.reduction import _factor_matrix
+
+    n = chain.n
+    chart = coordinate_chart(n)
+    fields = [VectorField.coordinate(chart, nm, ExpPoly) for nm in chart.names]
+    for s in range(n - 2, -1, -1):
+        m = n - s
+        adT = [list(col) for col in zip(*chain.ad_matrix(s))]
+        E = _factor_matrix(adT, ExpPoly.coordinate(chart, chart.names[m - 1]))
+        if E is not None:
+            fields = [lin_comb(row, fields[:m]) for row in E] + fields[m:]
+    return fields
+
+
+def test_coframe_and_frame_equal_the_reference_loops_bit_for_bit():
+    """The coframe as un-reduction of the coordinates, and the frame from the
+    transposed forward factors, equal the direct loops term for term."""
+    from liequad import coframe, frame
+
+    chains = [chain for chain, _ in _ladder_laws()]
+    chains += [adapted_chain(entry.constants)[1] for entry in catalog()]
+    for chain in chains:
+        assert [_form_bits(t) for t in coframe(chain)] == [_form_bits(t) for t in _reference_coframe(chain)]
+        assert [[_scalar_bits(c) for c in X.components] for X in frame(chain)] == \
+            [[_scalar_bits(c) for c in X.components] for X in _reference_frame(chain)]
+

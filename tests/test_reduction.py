@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from liequad import (
+    BasepointOnPole,
     DiffForm,
     ExpPoly,
     RationalFunction,
@@ -162,6 +163,17 @@ def test_rational_reduction_of_filiform_coframes_is_exact():
         trace = reduce_full(forms, chain)
         for i, f in enumerate(trace.functions):
             assert f == RationalFunction.coordinate(group.chart, group.chart.names[i])
+
+
+def test_basepoint_on_a_pole_stops_the_reduction(heisenberg, omega_normalized):
+    """The basepoint is completed with zeros; u_x = 0 is a pole of the
+    first quadrature."""
+    chain = chain_from_adapted(heisenberg)
+    for basepoint in (None, {"x": F(1), "u_xx": F(1)}):
+        with pytest.raises(BasepointOnPole) as info:
+            reduce_full(omega_normalized, chain, basepoint)
+        assert info.value.code == "basepoint-on-pole"
+        assert "denominator vanishes on" in str(info.value)
 
 
 def test_residual_check_rejects_wrong_constants(omega_normalized, ode_basepoint):

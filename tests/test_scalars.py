@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liequad import ExpPoly, MismatchedVarSet, NonAffineExponentSubstitution, SchemaError, VarSet, jsonio
+from liequad import (
+    ExpPoly,
+    LiequadError,
+    MismatchedVarSet,
+    NonAffineExponentSubstitution,
+    NonFiniteCoefficient,
+    SchemaError,
+    VarSet,
+    jsonio,
+)
 from liequad.exppoly import KIND_COS, KIND_ONE, KIND_SIN
 from conftest import fixture_path
 
@@ -206,7 +215,7 @@ def test_text_cos_times_sin_is_half_the_double_angle_sine():
 X3 = VarSet.of("x1", "x2", "x3")
 # not a finite float, outside the class, or not a chart coordinate
 BAD_TEXTS = ["nan*x1", "inf*x1", "1e400", "1e300*1e300*x1", "exp(x1*x2)", "x1/x2", "sqrt(x1)",
-             "x1^-1", "z1", "__import__('os')._exit(7)"]
+             "x1^-1", "z1", "__import__('os')._exit(7)", "1e200*1e200*x1 - 1e200*1e200*x1"]
 
 
 @pytest.mark.parametrize("text", BAD_TEXTS)
@@ -215,6 +224,19 @@ def test_bad_text_is_schema_error(text):
         ExpPoly.parse(X3, text)
     with pytest.raises(SchemaError):
         jsonio.load_scalar({"kind": "exppoly", "text": text}, X3)
+
+
+def test_nan_from_a_ring_operation_is_a_typed_error():
+    """inf - inf is NaN, which the ZERO_TOL cut must not pass as zero."""
+    big = ExpPoly.term(X3, float("inf"), powers={"x1": 1})
+    for make in (lambda: big - big, lambda: big + (-big), lambda: (big * big) - (big * big),
+                 lambda: ExpPoly(X3, {((1, 0, 0), (0.0,) * 3, (0.0,) * 3, KIND_ONE): math.nan})):
+        with pytest.raises(NonFiniteCoefficient) as info:
+            make()
+        assert isinstance(info.value, LiequadError) and info.value.code == "non-finite-coefficient"
+    # a cut without a NaN still drops the cancelled term
+    x1 = ExpPoly.coordinate(X3, "x1")
+    assert (x1 + ExpPoly.one(X3) - x1) == ExpPoly.one(X3)
 
 
 def _term_bits(rows):
