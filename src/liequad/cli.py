@@ -22,7 +22,6 @@ from .forms import full_basepoint
 from .liealg import adapted_chain, is_solvable, transform_forms, validate as validate_constants
 from .liegroup import (
     build_group,
-    coframe,
     group_invariants_report,
     multiplication,
     preadjoint_oracle,
@@ -202,7 +201,7 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
                "symbolic" if omegas[0].scls is ExpPoly else "exact", worst)
     if trace.complete:
         report.extend(
-            verify_rho(trace, coframe(chain), omegas_ad, samples=cfg.samples, seed=cfg.seed,
+            verify_rho(trace, omegas_ad, samples=cfg.samples, seed=cfg.seed,
                        tol=cfg.tol_sample, mode=cfg.mode)
         )
     return jsonio.dump_trace(trace), report

@@ -595,7 +595,17 @@ class ExpPoly:
                 phase += bi * const
                 for j, lj in lin.items():
                     b_new[j] += bi * lj
-            coeff = c * (math.exp(exp_const) if exp_const else 1.0)
+            coeff = c
+            if exp_const:
+                try:
+                    coeff = c * math.exp(exp_const)
+                except OverflowError:
+                    coeff = math.inf
+                if not math.isfinite(coeff):
+                    raise NonFiniteCoefficient(
+                        f"the substitution scales a coefficient {c!r} by exp({exp_const!r}), "
+                        "which is not finite"
+                    )
             zk = (0,) * nt
             if kind == KIND_ONE:
                 piece = ExpPoly(

@@ -345,25 +345,13 @@ class PointMap:
 
 
 def _compose_scalar(c, phi: PointMap):
-    """c over phi.target composed with phi, converting classes as needed."""
-    target_scls = type(phi.components[0])
-    if isinstance(c, target_scls):
-        pass
-    elif isinstance(c, ExpPoly):
-        # the map has rational components, so the rational class is loaded
-        from .convert import exppoly_to_rational
-
-        c = exppoly_to_rational(c)
-    else:
-        from .convert import rational_to_exppoly
-        from .rational import RationalFunction
-
-        if not isinstance(c, RationalFunction):
-            raise ClassMismatch(f"cannot compose {type(c).__name__} along this map")
-        c = rational_to_exppoly(c)
-    bindings = {
-        name: comp for name, comp in zip(phi.target.names, phi.components)
-    }
+    """c over phi.target composed with phi within one scalar class:
+    `substitute` for ExpPoly, `compose` for RationalFunction.  A coefficient
+    of another class than the map's components raises ClassMismatch."""
+    scls = type(phi.components[0])
+    if not isinstance(c, scls):
+        raise ClassMismatch(f"cannot compose {type(c).__name__} along a map with {scls.__name__} components")
+    bindings = dict(zip(phi.target.names, phi.components))
     if isinstance(c, ExpPoly):
         return c.substitute(bindings)
     return c.compose(bindings)
@@ -383,7 +371,8 @@ def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
     """phi^* alpha, exact via the chain rule.
 
     Raises NonAffineExponentSubstitution when an exponential-polynomial
-    coefficient composition leaves the class; callers then fall back to
+    coefficient composition leaves the class, and ClassMismatch when the
+    form's class differs from the map's; callers then fall back to
     numeric sampling.
     """
     if alpha.chart != phi.target:

@@ -294,29 +294,27 @@ def verify_group(
     return report
 
 
-def preadjoint_forms(chain: AdaptedChain, group: SolvGroup | None = None, ad=None):
+def preadjoint_forms(law: GroupLaw):
     """theta~ = e^{x^1 ad(e_1)} ... e^{x^n ad(e_n)} (pi_2^* tau - pi_1^* tau)
     on the doubled chart; reducing these yields (x, y) -> mu(y, x^{-1}).
 
-    ad is Ad(x) over the group chart (a law's `ad`), built by `ad_rep`
-    when not given; it is renamed onto the first copy of the chart.
+    The product of exponentials is the law's `ad`, Ad(x) over the group
+    chart, renamed onto the first copy of the doubled chart.
     """
-    group = group or build_group(chain)
+    group = law.group
     n = group.n
     D = doubled_chart(n)
     pi1 = _pi_pullback(group.tau, D, 0)
     pi2 = _pi_pullback(group.tau, D, n)
-    if ad is None:
-        ad = ad_rep(chain)
     bind = _copy_bindings(group.chart, D, 0)
-    M = [[e.substitute(bind) for e in row] for row in ad]
+    M = [[e.substitute(bind) for e in row] for row in law.ad]
     theta = [pi2[i] - pi1[i] for i in range(n)]
     return D, [lin_comb(row, theta) for row in M]
 
 
 def preadjoint_oracle(
     chain: AdaptedChain,
-    law: GroupLaw | None = None,
+    law: GroupLaw,
     samples: int = 100,
     seed: int = 0,
     tol: float = 1e-8,
@@ -329,9 +327,8 @@ def preadjoint_oracle(
     at seeded sample points.  The inverse is rho's own x^{-1} = rho(x, 0),
     so the same line also measures mu(x, x^{-1}) = 0.
     """
-    law = law or multiplication(chain)
     n = law.group.n
-    _, theta_t = preadjoint_forms(chain, law.group, law.ad)
+    _, theta_t = preadjoint_forms(law)
 
     report = Report()
     name = "d theta~^i + 1/2 C^i_jk theta~^j ^ theta~^k = 0"
@@ -344,7 +341,7 @@ def preadjoint_oracle(
         return report
     report.add(name, True, "symbolic", trace.residuals[0])
 
-    rho = rho_map(trace, law.group.chart)
+    rho = rho_map(trace)
     rng = random.Random(seed)
     # x, y of each sample, drawn in that order
     draws = np.array(

@@ -11,7 +11,8 @@ as the coordinates of the map onto the synthesized group.
 `unreduce` runs the steps backwards: the inverse factors e^{-f ad_s},
 applied to (df^1..df^n) from the deepest level up, give back the forms
 whose reduction yields f^1..f^n.  Un-reducing the coordinate functions
-gives the left-invariant coframe (`liegroup.coframe`).
+gives the left-invariant coframe (`liegroup.coframe`); `verify_rho`
+un-reduces them in the class of rho's components.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .forms import (
 from .liealg import AdaptedChain, lin_comb
 from .matexp import sym_exp
 from .report import Report
-from .varset import VarSet
+from .varset import VarSet, coordinate_chart
 
 
 @dataclass
@@ -239,13 +240,12 @@ def reassemble(trace: ReductionTrace) -> list[DiffForm]:
     return unreduce(trace.chain, trace.functions)
 
 
-def rho_map(trace: ReductionTrace, target: VarSet | None = None) -> PointMap:
-    """The map onto the group chart assembled from the quadrature functions."""
+def rho_map(trace: ReductionTrace) -> PointMap:
+    """The map onto the group chart x1..xn (`coordinate_chart`) assembled
+    from the quadrature functions, in their class; a log-extended function
+    becomes rational, and one with log terms raises ClassMismatch."""
     if not trace.complete:
         raise ValueError("rho needs a complete trace")
-    n = trace.chain.n
-    if target is None:
-        target = VarSet(tuple(f"x{i}" for i in range(1, n + 1)))
     comps = []
     for f in trace.functions:
         if not isinstance(f, ExpPoly):
@@ -254,12 +254,11 @@ def rho_map(trace: ReductionTrace, target: VarSet | None = None) -> PointMap:
             if isinstance(f, LogExtendedScalar):
                 f = f.as_rational()  # raises when log terms are present
         comps.append(f)
-    return PointMap(trace.chart, target, comps)
+    return PointMap(trace.chart, coordinate_chart(trace.chain.n), comps)
 
 
 def verify_rho(
     trace: ReductionTrace,
-    taus: Sequence[DiffForm],
     omegas: Sequence[DiffForm],
     samples: int = 100,
     seed: int = 0,
@@ -268,8 +267,18 @@ def verify_rho(
     mode: str = "auto",
 ) -> Report:
     """Check rho^* tau^i = omega^i, symbolically when the composition stays
-    in class, otherwise numerically on random tangent vectors."""
-    rho = rho_map(trace, taus[0].chart)
+    in class, otherwise numerically on random tangent vectors.
+
+    tau is the un-reduction of the coordinates of rho's target chart, in
+    the class of rho's components, so the check composes within one class.
+    For exponential polynomials it is `liegroup.coframe`.  For rational
+    functions every factor is the exact nilpotent series: a complete trace
+    with a rational rho only meets nilpotent nonzero ad_s, since any other
+    factor of a rational quadrature raises during the reduction.
+    """
+    rho = rho_map(trace)
+    scls = type(rho.components[0])
+    taus = unreduce(trace.chain, [scls.coordinate(rho.target, nm) for nm in rho.target.names])
     names = trace.chart.names
 
     def sample_point(rng):

@@ -181,6 +181,37 @@ def test_reduce_full_product_group_forms(tmp_path):
         assert computed.isclose(ExpPoly.parse(D, golden["mu"][key]), 1e-10)
 
 
+def test_reduce_exact_filiform16_forms(tmp_path):
+    """The L16 coframe un-reduced over Q: rho^* tau = omega holds exactly,
+    with tau built in rho's rational class."""
+    from liequad import StructureConstants, adapted_chain, coordinate_chart, unreduce
+
+    n = 16
+    sc = StructureConstants.from_brackets(n, {(n, k): {k - 1: Fraction(1)} for k in range(2, n)})
+    change, chain = adapted_chain(sc)
+    # the forms are the chain's own, so the input basis must be adapted already
+    assert change.matrix() == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    U = coordinate_chart(n, "u")
+    forms = unreduce(chain, [RationalFunction.coordinate(U, nm) for nm in U.names])
+    algebra, forms_file, out = tmp_path / "algebra.json", tmp_path / "forms.json", tmp_path / "trace.json"
+    jsonio.write_json(str(algebra), jsonio.dump_algebra(sc))
+    jsonio.write_json(str(forms_file), jsonio.dump_forms_file(U, forms))
+    res = _run(["reduce", str(algebra), str(forms_file), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    checks = json.loads(out.read_text())["report"]["checks"]
+    rho_lines = [c for c in checks if c["name"].startswith("rho^* tau^")]
+    assert len(rho_lines) == n
+    assert all(c["mode"] == "symbolic" and c["error"] == 0.0 for c in rho_lines)
+
+
+def test_reduce_overflowing_exponential_is_an_error_document():
+    """At x4 = -1000 the normalized product-group functions carry constants
+    whose exponentials overflow in the symbolic pullback."""
+    res = _run(["reduce", fixture_path("algebra_fiveparam_a1_b2.json"),
+                fixture_path("forms_product_group_fiveparam_a1_b2.json"), "--basepoint", "x4=-1000"])
+    _assert_error_document(res, "non-finite-coefficient")
+
+
 def _abelian3_forms(tmp_path, *coeffs):
     """Forms coeffs[i] dx_{i+1} over (x1, x2, x3), as a forms file."""
     doc = {"chart": ["x1", "x2", "x3"], "forms": [
@@ -658,6 +689,26 @@ def test_every_parse_classmethod_reads_text_with_evaluate_text():
                 assert "evaluate_text" in calls, f"{path.name}: {cls.name}.parse does not call evaluate_text"
                 found.append(cls.name)
     assert {"ExpPoly", "RationalFunction"} <= set(found)
+
+
+def test_limit_denominator_only_where_exactness_is_confirmed():
+    """No float is guessed back into a rational outside two places:
+    `matexp._snap_spectrum`, which confirms each candidate eigenvalue by
+    exact Gauss-Jordan, and `reduction._log_factor` (still to be made exact).
+    Each use is located by the top-level function that contains it."""
+    import ast
+    import pathlib
+
+    package = pathlib.Path(jsonio.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "limit_denominator") or (
+                        isinstance(node, ast.Name) and node.id == "limit_denominator"):
+                    found.add((path.stem, getattr(top, "name", f"line {top.lineno}")))
+    assert ("matexp", "_snap_spectrum") in found
+    assert found <= {("matexp", "_snap_spectrum"), ("reduction", "_log_factor")}, found
 
 
 # ----------------------------------------------------------------------

@@ -342,6 +342,32 @@ def test_pullback_escaping_the_class_raises():
         pullback(phi, alpha)
 
 
+def test_pullback_across_classes_falls_back_to_numeric():
+    """A form whose class differs from the map's is not converted, even when
+    its coefficients are polynomials: the symbolic pullback raises
+    ClassMismatch, and the check runs numerically in auto mode."""
+    from liequad import ClassMismatch
+    from liequad.forms import pullback_check
+
+    W = VarSet.of("s", "t")
+    texts = ("s*t", "t", "s + 1")
+    phi = PointMap(W, V, [RationalFunction.parse(W, text) for text in texts])
+    taus = [dx("x1") * ExpPoly.coordinate(V, "x3"), dx("x2")]
+    # the same map over exponential polynomials gives the expected pullbacks
+    same = PointMap(W, V, [ExpPoly.parse(W, text) for text in texts])
+    omegas = [pullback(same, t) for t in taus]
+    with pytest.raises(ClassMismatch):
+        pullback(phi, taus[0])
+
+    def sample_point(rng):
+        return {nm: rng.uniform(-1, 1) for nm in W.names}
+
+    errors, used, _ = pullback_check(phi, taus, omegas, "auto", 20, random.Random(3), sample_point)
+    assert used == "numeric" and max(errors) < 1e-12
+    errors, used, detail = pullback_check(phi, taus, omegas, "symbolic", 20, random.Random(3), sample_point)
+    assert errors is None and used == "symbolic" and "cannot compose" in detail
+
+
 def test_domain_sampling_avoids_exclusions():
     W = VarSet.of("u", "w")
     dom = Domain(W, (RationalFunction.parse(W, "u"), RationalFunction.parse(W, "w-1")))

@@ -275,7 +275,7 @@ def _inverse_of(chain):
     """x -> rho(x, 0), the inverse from the preadjoint reduction."""
     from liequad import preadjoint_forms, reduce_full
 
-    _, theta_t = preadjoint_forms(chain)
+    _, theta_t = preadjoint_forms(multiplication(chain))
     trace = reduce_full(theta_t, chain)
 
     def inverse(x):
@@ -307,7 +307,7 @@ def test_preadjoint_oracle_abelian_gives_difference():
     from liequad import preadjoint_forms, reduce_full
 
     _, chain = adapted_chain(StructureConstants.abelian(3))
-    D, theta_t = preadjoint_forms(chain)
+    D, theta_t = preadjoint_forms(multiplication(chain))
     trace = reduce_full(theta_t, chain)
     for i in range(3):
         expected = ExpPoly.coordinate(D, f"y{i + 1}") - ExpPoly.coordinate(D, f"x{i + 1}")
@@ -504,10 +504,9 @@ def test_preadjoint_forms_reuse_the_law_ad_term_for_term():
         pi2 = _pi_pullback(law.group.tau, D, n)
         theta = [pi2[i] - pi1[i] for i in range(n)]
         want = [lin_comb(row, theta) for row in M]
-        for ad in (law.ad, None):
-            D2, got = preadjoint_forms(chain, law.group, ad)
-            assert D2 == D
-            assert [_form_bits(f) for f in got] == [_form_bits(f) for f in want]
+        D2, got = preadjoint_forms(law)
+        assert D2 == D
+        assert [_form_bits(f) for f in got] == [_form_bits(f) for f in want]
 
 
 def _dense_ad_product(chain, chart, names, inverse):

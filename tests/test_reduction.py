@@ -23,6 +23,7 @@ from liequad import (
     reduce_step,
     rho_map,
     structure_residual,
+    unreduce,
     verify_rho,
 )
 from liequad.liegroup import product_group_forms
@@ -149,17 +150,11 @@ def test_identity_case_returns_coordinates():
 def test_rational_reduction_of_filiform_coframes_is_exact():
     """Over exact rational functions the L5 and L6 coframes, whose factors
     carry x^3/6 and x^4/24, reduce to the coordinates."""
-    from liequad.convert import exppoly_to_rational
-
     for n in (5, 6):
         sc = StructureConstants.from_brackets(n, {(n, k): {k - 1: F(1)} for k in range(2, n)})
         _, chain = adapted_chain(sc)
         group = build_group(chain)
-        forms = [
-            DiffForm(group.chart, 1, {idx: exppoly_to_rational(c) for idx, c in t.coeffs.items()},
-                     RationalFunction)
-            for t in group.tau
-        ]
+        forms = unreduce(chain, [RationalFunction.coordinate(group.chart, nm) for nm in group.chart.names])
         trace = reduce_full(forms, chain)
         for i, f in enumerate(trace.functions):
             assert f == RationalFunction.coordinate(group.chart, group.chart.names[i])
@@ -250,22 +245,38 @@ def test_verify_rho_on_ode_example(
     chain = chain_from_adapted(heisenberg)
     trace = reduce_full(omega_normalized, chain, ode_basepoint)
     group = build_group(chain)
-    report = verify_rho(trace, group.tau, omega_normalized)
+    report = verify_rho(trace, omega_normalized)
     assert report.passed
     assert all(c.mode == "symbolic" for c in report.checks)
-    rho = rho_map(trace, group.chart)
+    rho = rho_map(trace)
     assert rho.target == group.chart
 
 
 def test_verify_rho_numeric_mode(heisenberg, omega_normalized, ode_basepoint, ode_domain):
     chain = chain_from_adapted(heisenberg)
     trace = reduce_full(omega_normalized, chain, ode_basepoint)
-    group = build_group(chain)
     report = verify_rho(
-        trace, group.tau, omega_normalized, mode="numeric", domain=ode_domain, samples=40
+        trace, omega_normalized, mode="numeric", domain=ode_domain, samples=40
     )
     assert report.passed, str(report)
     assert all(c.mode == "numeric" for c in report.checks)
+
+
+def test_verify_rho_on_exact_filiform16_forms_is_exact():
+    """The L16 coframe un-reduced over Q carries x^14/14!, a coefficient
+    below ZERO_TOL; rho^* tau = omega still holds with error 0, because tau
+    is built in rho's own rational class."""
+    n = 16
+    sc = StructureConstants.from_brackets(n, {(n, k): {k - 1: F(1)} for k in range(2, n)})
+    _, chain = adapted_chain(sc)
+    U = coordinate_chart(n, "u")
+    forms = unreduce(chain, [RationalFunction.coordinate(U, nm) for nm in U.names])
+    trace = reduce_full(forms, chain)
+    assert trace.functions == [RationalFunction.coordinate(U, nm) for nm in U.names]
+    report = verify_rho(trace, forms)
+    assert report.passed, str(report)
+    assert len(report.checks) == n
+    assert all(c.mode == "symbolic" and c.error == 0 for c in report.checks)
 
 
 def test_log_quadrature_with_integrating_factor():

@@ -239,6 +239,21 @@ def test_nan_from_a_ring_operation_is_a_typed_error():
     assert (x1 + ExpPoly.one(X3) - x1) == ExpPoly.one(X3)
 
 
+def test_substitution_overflowing_an_exponential_is_a_typed_error():
+    """A binding's constant part moves into the coefficient as exp(const);
+    an overflow there, or in the scaled coefficient, is not finite."""
+    x1, x2 = ExpPoly.coordinate(X3, "x1"), ExpPoly.coordinate(X3, "x2")
+    for coeff, const in ((1.0, 1000.0), (1e308, 10.0), (-1e308, 10.0)):
+        e = ExpPoly.term(X3, coeff, exp_rates={"x1": 1.0})
+        with pytest.raises(NonFiniteCoefficient) as info:
+            e.substitute({"x1": x2 + const})
+        assert info.value.code == "non-finite-coefficient"
+    # a large but finite scale is kept
+    got = ExpPoly.term(X3, 1.0, exp_rates={"x1": 1.0}).substitute({"x1": x2 + 700.0})
+    assert got == ExpPoly.term(X3, math.exp(700.0), exp_rates={"x2": 1.0})
+    assert x1.substitute({"x1": x2 + 1000.0}) == x2 + 1000.0
+
+
 def _term_bits(rows):
     return [[list(k), [v.hex() for v in a], [v.hex() for v in b], kind, c.hex()]
             for k, a, b, kind, c in rows]
