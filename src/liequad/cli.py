@@ -173,7 +173,8 @@ def cmd_multiply(cfg, algebra):
     _, chain = adapted_chain(sc)
     law = multiplication(chain, tol=cfg.tol_zero)
     report = verify_group(law, samples=cfg.samples, seed=cfg.seed, tol=cfg.tol_sample, mode=cfg.mode)
-    report.extend(preadjoint_oracle(chain, law, samples=cfg.samples, seed=cfg.seed + 1, tol=cfg.tol_sample))
+    report.extend(preadjoint_oracle(chain, law, samples=cfg.samples, seed=cfg.seed + 1,
+                                    tol=cfg.tol_sample, tol_zero=cfg.tol_zero))
     return jsonio.dump_grouplaw(law), report
 
 

@@ -49,10 +49,11 @@ cos and sin of an affine argument are exp(t), cos(t) and sin(t) composed
 with it by `substitute`.  Text outside the class, or with a value that is
 not a finite float (a NaN along the way included), is a SchemaError.
 
-Compiled form.  On first evaluation a polynomial caches its T terms as
-arrays (`Compiled`): exponents K and rates A, B (each T x n), kind and
-coefficient (each T).  `evaluate_batch` evaluates them at N points in one
-numpy pass, in the order of the scalar formula: c * x1^k1 * ... * xn^kn
+Compiled form.  On first evaluation a polynomial reads its T terms as
+arrays, exponents K and rates A, B (each T x n) and kinds (T), and caches
+its T coefficients with the evaluation steps read off those arrays
+(`Compiled`).  `evaluate_batch` evaluates them at N points in one numpy
+pass, in the order of the scalar formula: c * x1^k1 * ... * xn^kn
 in variable order, then * exp(a.x), then * cos or sin(b.x), the dot
 products summed in variable order and the terms in term order.
 `evaluate` is its one-point case.
@@ -79,8 +80,6 @@ ZERO_TOL = 1e-10
 KIND_ONE = 0
 KIND_COS = 1
 KIND_SIN = 2
-
-_KIND_NAME = {KIND_ONE: "one", KIND_COS: "cos", KIND_SIN: "sin"}
 
 # key = (k: tuple[int], a: tuple[float], b: tuple[float], kind: int)
 Key = tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], int]
@@ -135,13 +134,9 @@ def _put(acc: dict, key: Key, c: float) -> None:
 
 
 class Compiled(NamedTuple):
-    """The terms of an ExpPoly as arrays, one row per term in term order,
-    and the evaluation steps read off them."""
+    """The coefficients of an ExpPoly's terms, in term order, and the
+    evaluation steps read off the terms."""
 
-    K: np.ndarray  # T x n exponents
-    A: np.ndarray  # T x n exponential rates
-    B: np.ndarray  # T x n trigonometric rates
-    kind: np.ndarray  # T
     coeff: np.ndarray  # T
     # (i, rows, k): the terms in rows are multiplied by x_i^k, i ascending
     powers: tuple
@@ -349,17 +344,6 @@ class ExpPoly:
                 return c
         return None
 
-    def is_constant(self) -> bool:
-        return not self.terms or self._one_constant() is not None
-
-    def constant_value(self) -> float:
-        if not self.terms:
-            return 0.0
-        c = self._one_constant()
-        if c is None:
-            raise ValueError("not a constant")
-        return c
-
     def is_polynomial(self) -> bool:
         """No exponential or trigonometric part in any term."""
         return all(
@@ -478,7 +462,7 @@ class ExpPoly:
     # evaluation and substitution
 
     def compiled(self) -> Compiled:
-        """The terms as arrays, built on first use and cached."""
+        """The coefficients and evaluation steps, built on first use and cached."""
         if self._compiled is None:
             n = len(self.chart)
             keys = list(self.terms)
@@ -502,7 +486,7 @@ class ExpPoly:
                     R = M[rows]
                     rates = tuple((i, R[:, i]) for i in np.flatnonzero(R.any(axis=0)))
                     factors.append((fn, rows, len(R), rates))
-            self._compiled = Compiled(K, A, B, kind, coeff, tuple(powers), tuple(factors))
+            self._compiled = Compiled(coeff, tuple(powers), tuple(factors))
         return self._compiled
 
     def evaluate_batch(self, points) -> np.ndarray:

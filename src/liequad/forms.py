@@ -163,24 +163,6 @@ class DiffForm:
                 acc[merged] = acc[merged] + c if merged in acc else c
         return DiffForm(chart, self.degree + 1, acc, self.scls)
 
-    def interior(self, X: "VectorField") -> "DiffForm":
-        if self.chart != X.chart:
-            raise MismatchedVarSet("vector field over a different chart")
-        if self.degree == 0:
-            raise ValueError("interior product needs degree >= 1")
-        acc: dict[Index, object] = {}
-        for I, a in self.coeffs.items():
-            for t, i in enumerate(I):
-                comp = X.components[i]
-                if comp.is_zero():
-                    continue
-                rest = I[:t] + I[t + 1:]
-                c = a * comp
-                if t % 2:
-                    c = -c
-                acc[rest] = acc[rest] + c if rest in acc else c
-        return DiffForm(self.chart, self.degree - 1, acc, self.scls)
-
     def __repr__(self):
         if not self.coeffs:
             return "DiffForm(0)"
@@ -344,7 +326,7 @@ class PointMap:
         return cls(chart, chart, [scls.coordinate(chart, n) for n in chart.names])
 
 
-def _compose_scalar(c, phi: PointMap):
+def compose(c, phi: PointMap):
     """c over phi.target composed with phi within one scalar class:
     `substitute` for ExpPoly, `compose` for RationalFunction.  A coefficient
     of another class than the map's components raises ClassMismatch."""
@@ -382,11 +364,11 @@ def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
         c = alpha.coeffs.get(())
         if c is None:
             return DiffForm.zero(phi.source, 0, scls)
-        return DiffForm.function(_compose_scalar(c, phi))
+        return DiffForm.function(compose(c, phi))
     dphi = phi.differentials
     result = DiffForm.zero(phi.source, alpha.degree, scls)
     for I, a in alpha.coeffs.items():
-        piece = DiffForm.function(_compose_scalar(a, phi))
+        piece = DiffForm.function(compose(a, phi))
         for i in I:
             piece = piece.wedge(dphi[i])
         result = result + piece

@@ -10,7 +10,7 @@ also serve the form layers, whose entries are exact scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -128,6 +128,8 @@ class StructureConstants:
             if not (1 <= j <= dim and 1 <= k <= dim and j != k):
                 raise ValueError(f"bad bracket indices ({j},{k})")
             for i, c in comps.items():
+                if not 1 <= i <= dim:
+                    raise ValueError(f"bad bracket target index {i} in [e_{j}, e_{k}]")
                 c = _frac(c)
                 C[i - 1][j - 1][k - 1] += c
                 C[i - 1][k - 1][j - 1] -= c
@@ -157,7 +159,7 @@ class StructureConstants:
     def ad_matrix(self, j: int) -> Matrix:
         """Full n x n matrix of ad(e_j): entry [i][k] = C^i_{jk} (0-based j)."""
         n = self.dim
-        return [[Fraction(self.C[i][j][k]) for k in range(n)] for i in range(n)]
+        return [[self.C[i][j][k] for k in range(n)] for i in range(n)]
 
     def restricted(self, m: int) -> "StructureConstants":
         """Constants of the subalgebra spanned by the first m basis vectors."""
@@ -301,19 +303,20 @@ def transform_forms(change: BasisChange, omegas: Sequence) -> list:
 @dataclass(frozen=True)
 class AdaptedChain:
     """Structure constants in a basis adapted to a full chain of
-    codimension-one ideals k_s = span{e_1..e_{n-s}}, with the restricted
-    adjoint matrices [ad_s(e_{n-s})]."""
+    codimension-one ideals k_s = span{e_1..e_{n-s}}."""
 
     base: StructureConstants
-    ad_restricted: tuple[tuple[Vector, ...], ...] = field(repr=False)
 
     @property
     def n(self):
         return self.base.dim
 
     def ad_matrix(self, s: int) -> Matrix:
-        """(n-s) x (n-s) matrix of ad(e_{n-s}) restricted to k_s."""
-        return [list(row) for row in self.ad_restricted[s]]
+        """(n-s) x (n-s) matrix of ad(e_{n-s}) restricted to k_s: entry
+        [i][k] = C^i_{n-s, k}, read from the constants."""
+        m = self.n - s
+        C = self.base.C
+        return [[C[i][m - 1][k] for k in range(m)] for i in range(m)]
 
     def verify_ideals(self):
         """Raise if some k_s is not an ideal in k_{s-1}."""
@@ -329,15 +332,6 @@ class AdaptedChain:
                                 f"k_{s} is not an ideal in k_{s-1}: "
                                 f"[e_{u+1}, e_{v+1}] has e_{i+1} component {C[i][u][v]}"
                             )
-
-
-def _restricted_ad(sc: StructureConstants, s: int) -> tuple[Vector, ...]:
-    n = sc.dim
-    m = n - s
-    j = m - 1  # index of e_{n-s}
-    return tuple(
-        tuple(Fraction(sc.C[i][j][k]) for k in range(m)) for i in range(m)
-    )
 
 
 def adapted_chain(sc: StructureConstants) -> tuple[BasisChange, AdaptedChain]:
@@ -364,15 +358,13 @@ def adapted_chain(sc: StructureConstants) -> tuple[BasisChange, AdaptedChain]:
     P = mat_inverse(A)
     change = BasisChange(tuple(tuple(row) for row in P))
     adapted = change_basis(sc, change)
-    chain = AdaptedChain(
-        adapted, tuple(_restricted_ad(adapted, s) for s in range(n))
-    )
+    chain = AdaptedChain(adapted)
     chain.verify_ideals()
     return change, chain
 
 
 def chain_from_adapted(sc: StructureConstants) -> AdaptedChain:
     """Chain for constants already given in an adapted basis."""
-    chain = AdaptedChain(sc, tuple(_restricted_ad(sc, s) for s in range(sc.dim)))
+    chain = AdaptedChain(sc)
     chain.verify_ideals()
     return chain

@@ -24,7 +24,17 @@ import numpy as np
 
 from .errors import ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
-from .forms import DiffForm, PointMap, VectorField, lie_bracket, pairing, pullback_check, structure_residual
+from .forms import (
+    DiffForm,
+    PointMap,
+    VectorField,
+    compose,
+    lie_bracket,
+    pairing,
+    pullback,
+    pullback_check,
+    structure_residual,
+)
 from .liealg import AdaptedChain, lin_comb
 from .matexp import matrix_batch
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
@@ -137,40 +147,24 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
 # ----------------------------------------------------------------------
 # multiplication map
 
-def _copy_bindings(src: VarSet, double: VarSet, offset: int) -> dict[str, ExpPoly]:
-    """Bind x_i of the group chart to the first (offset 0) or second
-    (offset n) copy in the doubled chart: a renaming."""
-    return {
-        nm: ExpPoly.coordinate(double, double.names[offset + i])
-        for i, nm in enumerate(src.names)
-    }
-
-
-def _pi_pullback(tau: Sequence[DiffForm], double: VarSet, offset: int) -> list[DiffForm]:
-    """Projection pullbacks: reinterpret the coframe over the doubled chart
-    on the copy at offset."""
-    bind = _copy_bindings(tau[0].chart, double, offset)
-    out = []
-    for t in tau:
-        coeffs = {}
-        for (k,), c in t.coeffs.items():
-            coeffs[(offset + k,)] = c.substitute(bind)
-        out.append(DiffForm(double, 1, coeffs, ExpPoly))
-    return out
+def _projections(n: int) -> list[PointMap]:
+    """pi_1, pi_2: G x G -> G, the doubled chart onto its first and its
+    second copy of the group chart."""
+    D = doubled_chart(n)
+    xy = _coordinates(D)
+    return [PointMap(D, coordinate_chart(n), xy[offset:offset + n]) for offset in (0, n)]
 
 
 def product_group_forms(chain: AdaptedChain):
     """The group and the forms Ad(y^{-1}) pi_1^* tau + pi_2^* tau on G x G
     whose reduction yields the multiplication map."""
     group = build_group(chain)
-    n = chain.n
-    D = doubled_chart(n)
-    pi1 = _pi_pullback(group.tau, D, 0)
-    pi2 = _pi_pullback(group.tau, D, n)
-    bind = _copy_bindings(group.chart, D, n)
-    ad_y_inv = [[e.substitute(bind) for e in row] for row in ad_rep(chain, inverse=True)]
-    omegas = [pi2[i] + lin_comb(ad_y_inv[i], pi1) for i in range(n)]
-    return group, D, omegas
+    p1, p2 = _projections(chain.n)
+    pi1 = [pullback(p1, t) for t in group.tau]
+    pi2 = [pullback(p2, t) for t in group.tau]
+    ad_y_inv = [[compose(e, p2) for e in row] for row in ad_rep(chain, inverse=True)]
+    omegas = [t + lin_comb(row, pi1) for t, row in zip(pi2, ad_y_inv)]
+    return group, p1.source, omegas
 
 
 def multiplication(chain: AdaptedChain, tol: float = ZERO_TOL) -> GroupLaw:
@@ -299,17 +293,11 @@ def preadjoint_forms(law: GroupLaw):
     on the doubled chart; reducing these yields (x, y) -> mu(y, x^{-1}).
 
     The product of exponentials is the law's `ad`, Ad(x) over the group
-    chart, renamed onto the first copy of the doubled chart.
+    chart, composed with the projection pi_1 onto the first copy.
     """
-    group = law.group
-    n = group.n
-    D = doubled_chart(n)
-    pi1 = _pi_pullback(group.tau, D, 0)
-    pi2 = _pi_pullback(group.tau, D, n)
-    bind = _copy_bindings(group.chart, D, 0)
-    M = [[e.substitute(bind) for e in row] for row in law.ad]
-    theta = [pi2[i] - pi1[i] for i in range(n)]
-    return D, [lin_comb(row, theta) for row in M]
+    p1, p2 = _projections(law.group.n)
+    theta = [pullback(p2, t) - pullback(p1, t) for t in law.group.tau]
+    return p1.source, [lin_comb([compose(e, p1) for e in row], theta) for row in law.ad]
 
 
 def preadjoint_oracle(
@@ -318,6 +306,8 @@ def preadjoint_oracle(
     samples: int = 100,
     seed: int = 0,
     tol: float = 1e-8,
+    *,
+    tol_zero: float = ZERO_TOL,
 ) -> Report:
     """Independent derivation of the multiplication map.
 
@@ -325,7 +315,8 @@ def preadjoint_oracle(
     reduces it to a map rho, reporting the structure residual the
     reduction measured at level 0, and verifies rho(x, y) = mu(y, x^{-1})
     at seeded sample points.  The inverse is rho's own x^{-1} = rho(x, 0),
-    so the same line also measures mu(x, x^{-1}) = 0.
+    so the same line also measures mu(x, x^{-1}) = 0.  The reduction
+    accepts residuals up to ``tol_zero``, as in `multiplication`.
     """
     n = law.group.n
     _, theta_t = preadjoint_forms(law)
@@ -333,7 +324,7 @@ def preadjoint_oracle(
     report = Report()
     name = "d theta~^i + 1/2 C^i_jk theta~^j ^ theta~^k = 0"
     try:
-        trace = reduce_full(theta_t, chain, basepoint=None)
+        trace = reduce_full(theta_t, chain, basepoint=None, tol=tol_zero)
     except ResidualNonzero as exc:
         if exc.level != 0:
             raise

@@ -114,7 +114,7 @@ def _snap_spectrum(
             if snapped is not None:
                 val = snapped if rep.imag > 0 else snapped.conjugate()
             else:
-                val = rep
+                val = complex(rep)
             out.append((val, mult))
     # enforce exact conjugate symmetry between paired clusters
     for i, (rep, mult) in enumerate(out):

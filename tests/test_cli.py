@@ -69,6 +69,52 @@ def test_dimension_below_one_is_schema_error(tmp_path, command, dim):
     assert json.loads(res.stderr)["error"]["code"] == "schema-error"
 
 
+@pytest.mark.parametrize("target", ["0", "9"])
+def test_bracket_target_out_of_range_is_schema_error(tmp_path, target):
+    """A coefficient on e_0 would silently become one on e_3 (C[-1]); one
+    on e_9 would index past the constants."""
+    path = tmp_path / "bad_target.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": {target: "1"}}]}))
+    res = _run(["validate", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["code"] == "schema-error"
+
+
+def test_multiply_tol_zero_reaches_the_oracle(tmp_path):
+    """On L16 both reductions meet a level-0 residual of about 1.6e-10; at
+    --tol-zero 1e-6 the oracle accepts it as the law's reduction does."""
+    from liequad import StructureConstants
+
+    n = 16
+    sc = StructureConstants.from_brackets(n, {(n, k): {k - 1: Fraction(1)} for k in range(2, n)})
+    algebra = tmp_path / "filiform16.json"
+    jsonio.write_json(str(algebra), jsonio.dump_algebra(sc))
+    res = _run(["multiply", str(algebra), "--tol-zero", "1e-6", "-o", str(tmp_path / "grouplaw.json")])
+    line = next(ln for ln in res.output.splitlines() if "d theta~^i" in ln)
+    assert line.startswith("[pass]"), res.output
+
+
+def test_multiply_irrational_spectrum_writes_readable_text(tmp_path):
+    """[e3,e1] = e1 + e2, [e3,e2] = -e1: ad e3 has the eigenvalues
+    (1 +- i sqrt 3)/2, which do not snap.  The written law and Ad hold
+    plain numbers, and ExpPoly.parse reads every entry."""
+    path, out = tmp_path / "algebra.json", tmp_path / "grouplaw.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 3, "j": 1, "coeffs": {"1": "1", "2": "1"}},
+        {"i": 3, "j": 2, "coeffs": {"1": "-1"}},
+    ]}))
+    _run(["multiply", str(path), "-o", str(out)])
+    doc = json.loads(out.read_text())
+    texts = list(doc["mu"].values()) + [t for row in doc["ad"] for t in row]
+    assert not any("np." in t for t in texts)
+    D, G = VarSet(tuple(doc["doubled_chart"])), VarSet(tuple(doc["chart"]))
+    for t in doc["mu"].values():
+        ExpPoly.parse(D, t)
+    for row in doc["ad"]:
+        for t in row:
+            ExpPoly.parse(G, t)
+
+
 def test_multiply_matches_golden_law(tmp_path):
     out = tmp_path / "grouplaw.json"
     res = _run(["multiply", fixture_path("algebra_fiveparam_a1_b2.json"), "-o", str(out)])

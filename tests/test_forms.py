@@ -125,15 +125,6 @@ def test_antiderivation_law():
         assert (lhs - rhs).is_zero(1e-8)
 
 
-def test_interior_product_antiderivation():
-    rng = random.Random(13)
-    X = VectorField(V, [_random_exppoly(rng, V, 1) for _ in V.names])
-    a = _random_form(rng, V, 2)
-    assert a.interior(X).interior(X).is_zero(1e-9)
-    twice = a.interior(X)
-    assert twice.degree == 1
-
-
 def test_lie_bracket_coordinate_fields_commute():
     X = VectorField.coordinate(V, "x1")
     Y = VectorField.coordinate(V, "x2")

@@ -110,6 +110,13 @@ def test_chain_requires_solvability():
         adapted_chain(sl2())
 
 
+@pytest.mark.parametrize("target", [0, 4, 9])
+def test_bracket_target_index_out_of_range_is_rejected(target):
+    """e_0 would read C[-1], the last row; e_4 and e_9 lie past dim 3."""
+    with pytest.raises(ValueError, match="target index"):
+        StructureConstants.from_brackets(3, {(2, 3): {target: F(1)}})
+
+
 def test_restricted_ad_has_zero_last_row():
     for sc in (five_dim_two_parameter(F(1), F(2)), heisenberg(), filiform4()):
         _, chain = adapted_chain(sc)

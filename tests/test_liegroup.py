@@ -96,7 +96,6 @@ def test_ad_inverse_matches_worked_example():
     """Ad(y^{-1}) for (a,b)=(1,2), built over the group chart and renamed
     onto the y copy as `product_group_forms` does, against the hand-typed
     matrix."""
-    from liequad.liegroup import _copy_bindings
     from liequad.varset import doubled_chart
 
     _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
@@ -488,12 +487,50 @@ def _form_bits(form):
     return [(idx, _scalar_bits(c)) for idx, c in form.coeffs.items()]
 
 
+def _copy_bindings(src, double, offset):
+    """Bind x_i of the group chart to the first (offset 0) or second
+    (offset n) copy in the doubled chart: a renaming."""
+    return {
+        nm: ExpPoly.coordinate(double, double.names[offset + i])
+        for i, nm in enumerate(src.names)
+    }
+
+
+def _pi_pullback(tau, double, offset):
+    """Projection pullbacks by renaming: the coframe reinterpreted over the
+    doubled chart on the copy at offset."""
+    bind = _copy_bindings(tau[0].chart, double, offset)
+    out = []
+    for t in tau:
+        coeffs = {}
+        for (k,), c in t.coeffs.items():
+            coeffs[(offset + k,)] = c.substitute(bind)
+        out.append(DiffForm(double, 1, coeffs, ExpPoly))
+    return out
+
+
+def test_projection_pullbacks_equal_the_renaming_bit_for_bit():
+    """pi_1^* tau and pi_2^* tau by `forms.pullback` along the projection
+    maps equal the coframe renamed onto each copy, for every ladder and
+    catalog coframe."""
+    from liequad import pullback
+    from liequad.liegroup import _projections
+
+    chains = [chain for chain, _ in _ladder_laws()]
+    chains += [adapted_chain(entry.constants)[1] for entry in catalog()]
+    for chain in chains:
+        tau = build_group(chain).tau
+        n = chain.n
+        for offset, pi in zip((0, n), _projections(n)):
+            want = _pi_pullback(tau, pi.source, offset)
+            assert [_form_bits(pullback(pi, t)) for t in tau] == [_form_bits(f) for f in want]
+
+
 def test_preadjoint_forms_reuse_the_law_ad_term_for_term():
     """theta~ from the law's Ad(x), renamed onto the doubled chart, equals
     theta~ from Ad(x) built over the doubled chart."""
     from liequad import preadjoint_forms
     from liequad.liealg import lin_comb
-    from liequad.liegroup import _pi_pullback
     from liequad.varset import doubled_chart
 
     for chain, law in _ladder_laws():
@@ -532,7 +569,6 @@ def _dense_ad_product(chain, chart, names, inverse):
 def test_sparse_ad_product_equals_the_dense_product():
     """Ad(y) and Ad(y)^{-1}, built over the group chart and renamed onto the
     y copy, equal the dense products over the doubled chart term for term."""
-    from liequad.liegroup import _copy_bindings
     from liequad.varset import doubled_chart
 
     for chain, law in _ladder_laws():
