@@ -41,6 +41,10 @@ same keys, term order and coefficient bits as the general formula:
   canonical, the first nonzero b entry included, so nothing is
   re-canonicalized; the general formula would multiply every coefficient
   by exp(0) = cos(0) = 1.
+- Negation and that renaming build their result with `_stored`, which
+  skips the ZERO_TOL cut too: every coefficient keeps the magnitude of a
+  stored one, which exceeds ZERO_TOL and is never NaN, and a renaming
+  maps keys one to one, so no two terms merge.
 
 Text.  `to_text` writes the terms in key order; `parse` reads text with
 the one exact parser, `exacttext.evaluate_text`, evaluating it in the
@@ -174,6 +178,16 @@ class ExpPoly:
         self._compiled = None
         return self
 
+    @classmethod
+    def _stored(cls, chart: VarSet, terms: dict[Key, float]) -> "ExpPoly":
+        """Trusted constructor for canonical keys whose coefficients are
+        above ZERO_TOL already (module docstring); no cut."""
+        self = object.__new__(cls)
+        self.chart = chart
+        self.terms = terms
+        self._compiled = None
+        return self
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -249,7 +263,7 @@ class ExpPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly._canonical(self.chart, {k: -c for k, c in self.terms.items()})
+        return ExpPoly._stored(self.chart, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, ExpPoly) else -float(other))
@@ -632,7 +646,7 @@ class ExpPoly:
             for i, j in enumerate(positions):
                 k2[j], a2[j], b2[j] = k[i], a[i], b[i]
             acc[(tuple(k2), tuple(a2), tuple(b2), kind)] = c
-        return ExpPoly._canonical(target, acc)
+        return ExpPoly._stored(target, acc)
 
     # ------------------------------------------------------------------
     # serialization

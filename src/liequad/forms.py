@@ -5,6 +5,22 @@ operator.
 Coefficients are either exponential polynomials or exact rational
 functions; the two classes never mix inside one form.  Antisymmetry is
 structural: coefficients are indexed by strictly increasing index tuples.
+
+A form is never modified after construction, so a result may be one of
+the operands and a form may keep what it derives:
+
+- `exterior_d` computes d once per form and stores it on the form; later
+  calls return the same object.
+- Multiplying a form by the number 1, or by the exponential-polynomial
+  constant 1.0, returns the form itself, with its stored d.  The general
+  formula would give every coefficient back unchanged (`ExpPoly` scaling
+  by 1.0 returns the polynomial), so no value moves.  A `lin_comb` over a
+  unit row of a factor matrix therefore passes its form on, and the next
+  reduction level does not differentiate it again.
+- `+`, `-`, scalar `*`, `wedge`, `exterior_d` and `differential` build
+  their results from index tuples that are valid already, through the
+  trusted constructor `DiffForm._trusted`: it drops zero coefficients
+  but skips the index validation of the public `DiffForm(...)`.
 """
 
 from __future__ import annotations
@@ -36,7 +52,15 @@ Index = tuple[int, ...]
 
 
 class DiffForm:
-    __slots__ = ("chart", "degree", "coeffs", "scls")
+    """A p-form: coefficients indexed by strictly increasing index tuples.
+
+    Never modified after construction (module docstring): `exterior_d` is
+    computed on the first call and kept, a unit scalar times the form is
+    the form itself, and the operations build their results with
+    `_trusted`, which skips the index validation `DiffForm(...)` does.
+    """
+
+    __slots__ = ("chart", "degree", "coeffs", "scls", "_d")
 
     def __init__(self, chart: VarSet, degree: int, coeffs: Mapping[Index, object], scls=None):
         if degree < 0 or degree > len(chart):
@@ -57,6 +81,19 @@ class DiffForm:
         self.degree = degree
         self.coeffs = clean
         self.scls = scls
+        self._d = None
+
+    @classmethod
+    def _trusted(cls, chart: VarSet, degree: int, coeffs: Mapping[Index, object], scls):
+        """Trusted constructor for index tuples that are strictly increasing
+        of length `degree` already: drops zero coefficients only."""
+        self = object.__new__(cls)
+        self.chart = chart
+        self.degree = degree
+        self.coeffs = {idx: c for idx, c in coeffs.items() if not c.is_zero()}
+        self.scls = scls
+        self._d = None
+        return self
 
     # ------------------------------------------------------------------
     @classmethod
@@ -94,19 +131,28 @@ class DiffForm:
         acc = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             acc[idx] = acc[idx] + c if idx in acc else c
-        return DiffForm(self.chart, self.degree, acc, self.scls)
+        return DiffForm._trusted(self.chart, self.degree, acc, self.scls)
 
     def __neg__(self):
-        return DiffForm(self.chart, self.degree, {i: -c for i, c in self.coeffs.items()}, self.scls)
+        neg = {i: -c for i, c in self.coeffs.items()}
+        return DiffForm._trusted(self.chart, self.degree, neg, self.scls)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Multiply by a scalar or a plain number."""
-        if isinstance(other, (int, float, Fraction)) and other == 0:
-            return DiffForm.zero(self.chart, self.degree, self.scls)
-        return DiffForm(
+        """Multiply by a scalar or a plain number; a unit returns the form
+        itself (module docstring)."""
+        if isinstance(other, ExpPoly):
+            # a class or chart mismatch still raises in the general formula
+            if self.scls is ExpPoly and other._one_constant() == 1.0 and other.chart == self.chart:
+                return self
+        elif isinstance(other, (int, float, Fraction)):
+            if other == 0:
+                return DiffForm.zero(self.chart, self.degree, self.scls)
+            if other == 1:
+                return self
+        return DiffForm._trusted(
             self.chart, self.degree, {i: c * other for i, c in self.coeffs.items()}, self.scls
         )
 
@@ -142,9 +188,15 @@ class DiffForm:
                 merged, sign = _merge_sorted(I, J)
                 c = a * b if sign > 0 else -(a * b)
                 acc[merged] = acc[merged] + c if merged in acc else c
-        return DiffForm(self.chart, p + q, acc, self.scls)
+        return DiffForm._trusted(self.chart, p + q, acc, self.scls)
 
     def exterior_d(self) -> "DiffForm":
+        """d of the form, computed on the first call and kept."""
+        if self._d is None:
+            self._d = self._differentiate()
+        return self._d
+
+    def _differentiate(self) -> "DiffForm":
         chart = self.chart
         if self.degree >= len(chart):
             # a top-degree form has vanishing differential
@@ -161,7 +213,7 @@ class DiffForm:
                 merged, sign = _merge_sorted((v,), I)
                 c = da if sign > 0 else -da
                 acc[merged] = acc[merged] + c if merged in acc else c
-        return DiffForm(chart, self.degree + 1, acc, self.scls)
+        return DiffForm._trusted(chart, self.degree + 1, acc, self.scls)
 
     def __repr__(self):
         if not self.coeffs:
@@ -346,7 +398,7 @@ def differential(f) -> DiffForm:
     # along the other variables the derivative is zero; a constant keeps
     # one zero coefficient, which gives the form its class
     coeffs = {(j,): f.diff(names[j]) for j in f.occurring()} or {(0,): f.diff(names[0])}
-    return DiffForm(f.chart, 1, coeffs)
+    return DiffForm._trusted(f.chart, 1, coeffs, type(next(iter(coeffs.values()))))
 
 
 def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:

@@ -40,10 +40,9 @@ def load_algebra(doc: dict) -> StructureConstants:
             coeffs = {int(k): evaluate_text(v, params) for k, v in entry["coeffs"].items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad bracket entry {entry!r}") from exc
-        key = (i, j)
-        acc = brackets.setdefault(key, {})
-        for k, c in coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
+        if (i, j) in brackets:
+            raise SchemaError(f"bracket [e_{i}, e_{j}] is listed twice")
+        brackets[(i, j)] = coeffs
     try:
         return StructureConstants.from_brackets(dim, brackets)
     except ValueError as exc:

@@ -122,11 +122,14 @@ class StructureConstants:
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict[tuple[int, int], dict[int, object]]):
-        """brackets[(j, k)][i] = C^i_{jk}, 1-based indices, j < k."""
+        """brackets[(j, k)][i] = C^i_{jk}, 1-based indices, j != k.  Each
+        pair is given in one order only; (j, k) with (k, j) is an error."""
         C = [[[Fraction(0) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
         for (j, k), comps in brackets.items():
             if not (1 <= j <= dim and 1 <= k <= dim and j != k):
                 raise ValueError(f"bad bracket indices ({j},{k})")
+            if (k, j) in brackets:
+                raise ValueError(f"bracket [e_{j}, e_{k}] is given twice, as ({j},{k}) and ({k},{j})")
             for i, c in comps.items():
                 if not 1 <= i <= dim:
                     raise ValueError(f"bad bracket target index {i} in [e_{j}, e_{k}]")
@@ -160,6 +163,13 @@ class StructureConstants:
         """Full n x n matrix of ad(e_j): entry [i][k] = C^i_{jk} (0-based j)."""
         n = self.dim
         return [[self.C[i][j][k] for k in range(n)] for i in range(n)]
+
+    def neg_ad_matrix(self, j: int) -> Matrix:
+        """-ad(e_j), read by antisymmetry: entry [i][k] = C^i_{kj} = -C^i_{jk}.
+        No entry is negated; the constants are antisymmetric as built by
+        `from_brackets` and kept by `change_basis` and `restricted`."""
+        n = self.dim
+        return [[self.C[i][k][j] for k in range(n)] for i in range(n)]
 
     def restricted(self, m: int) -> "StructureConstants":
         """Constants of the subalgebra spanned by the first m basis vectors."""
@@ -317,6 +327,13 @@ class AdaptedChain:
         m = self.n - s
         C = self.base.C
         return [[C[i][m - 1][k] for k in range(m)] for i in range(m)]
+
+    def neg_ad_matrix(self, s: int) -> Matrix:
+        """-ad_s, the exponent of the inverse factor e^{-f ad_s}, read like
+        `StructureConstants.neg_ad_matrix`: entry [i][k] = C^i_{k, n-s}."""
+        m = self.n - s
+        C = self.base.C
+        return [[C[i][k][m - 1] for k in range(m)] for i in range(m)]
 
     def verify_ideals(self):
         """Raise if some k_s is not an ideal in k_{s-1}."""

@@ -216,9 +216,10 @@ def sym_exp(
     """Closed-form e^{t A} by Putzer's recursion over the clustered spectrum.
 
     Memoized on the exact matrix and the other arguments: callers share
-    the result and must not modify its entries.
+    the result and must not modify its entries.  Entries that are
+    Fractions already enter the cache key as they are.
     """
-    Af = tuple(tuple(Fraction(x) for x in row) for row in A)
+    Af = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in A)
     if any(len(row) != len(Af) for row in Af):
         raise ValueError("matrix must be square")
     return _putzer(Af, var, cluster_tol)

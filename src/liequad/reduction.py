@@ -225,8 +225,7 @@ def unreduce(chain: AdaptedChain, functions: Sequence) -> list[DiffForm]:
     forms = [differential(f) for f in functions]
     for s in range(n - 1, -1, -1):
         m = n - s
-        neg_ad = [[-x for x in row] for row in chain.ad_matrix(s)]
-        inv_factor = _factor_matrix(neg_ad, functions[m - 1])
+        inv_factor = _factor_matrix(chain.neg_ad_matrix(s), functions[m - 1])
         if inv_factor is not None:
             forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
     return forms

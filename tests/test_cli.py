@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from liequad import ExpPoly, RationalFunction, VarSet
+from liequad import ExpPoly, RationalFunction, SchemaError, StructureConstants, VarSet
 from liequad.cli import main
 from liequad import jsonio
 from conftest import fixture_path
@@ -432,16 +432,36 @@ def test_bracket_coefficients_not_a_mapping_is_schema_error(tmp_path):
     assert json.loads(res.stderr)["error"]["code"] == "schema-error"
 
 
-def test_duplicate_bracket_entries_accumulate():
-    doc = {
-        "dim": 3,
-        "brackets": [
-            {"i": 2, "j": 3, "coeffs": {"1": "1/2"}},
-            {"i": 2, "j": 3, "coeffs": {"1": "1/2"}},
-        ],
-    }
+# a pair listed twice was summed: the first two cancel to the abelian
+# algebra, the third doubles C^1_12, the fourth splits one bracket
+TWICE_LISTED = {
+    "opposite_signs_cancel": [(1, 2, "1"), (2, 1, "1")],
+    "consistent_pair_doubles": [(1, 2, "1"), (2, 1, "-1")],
+    "same_order": [(1, 2, "1/2"), (1, 2, "1/2")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWICE_LISTED))
+@pytest.mark.parametrize("command", ["validate", "multiply"])
+def test_bracket_pair_listed_twice_is_schema_error(tmp_path, case, command):
+    doc = {"dim": 2, "brackets": [{"i": i, "j": j, "coeffs": {"1": c}}
+                                  for i, j, c in TWICE_LISTED[case]]}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="twice"):
+        jsonio.load_algebra(doc)
+    res = _run([command, str(path)])
+    _assert_error_document(res, "schema-error")
+
+
+def test_bracket_pair_written_high_index_first_is_legal():
+    """[e_2, e_1] = -e_1 alone is [e_1, e_2] = e_1, as filiform generators write it."""
+    doc = {"dim": 2, "brackets": [{"i": 2, "j": 1, "coeffs": {"1": "-1"}}]}
     sc = jsonio.load_algebra(doc)
-    assert sc.C[0][1][2] == Fraction(1)
+    assert sc.C[0][0][1] == Fraction(1) and sc.C[0][1][0] == Fraction(-1)
+    assert sc == StructureConstants.from_brackets(2, {(1, 2): {1: Fraction(1)}})
+    with pytest.raises(ValueError, match="twice"):
+        StructureConstants.from_brackets(2, {(1, 2): {1: Fraction(1)}, (2, 1): {1: Fraction(-1)}})
 
 
 def test_nonpositive_tolerance_rejected():

@@ -367,3 +367,50 @@ def test_domain_sampling_avoids_exclusions():
         pt = dom.sample(rng)
         assert abs(pt["u"]) >= 0.05
         assert abs(pt["w"] - 1) >= 0.05
+
+
+# ----------------------------------------------------------------------
+# the memoized d, the unit-scalar shortcut and the trusted constructor
+
+def test_exterior_d_is_computed_once_per_form():
+    w = _random_form(random.Random(5), V, 1)
+    d = w.exterior_d()
+    assert w.exterior_d() is d
+    # a fresh copy computes its own d, with the same coefficients
+    copy = DiffForm(V, 1, dict(w.coeffs))
+    assert copy.exterior_d() is not d
+    assert copy.exterior_d().coeffs == d.coeffs
+
+
+def test_unit_scalars_return_the_form_itself():
+    from liequad.liealg import lin_comb
+
+    w = _random_form(random.Random(6), V, 1)
+    d = w.exterior_d()
+    one, zero = ExpPoly.one(V), ExpPoly.zero(V)
+    for unit in (1, 1.0, Fraction(1), one):
+        assert w * unit is w
+    # a unit row of a factor matrix passes the form on, its d included
+    forms = [_random_form(random.Random(7), V, 1), w, dx("x3")]
+    out = lin_comb([zero, one, zero], forms)
+    assert out is w and out.exterior_d() is d
+    # any other constant scales every coefficient
+    assert (w * ExpPoly.constant(V, 2.0)).coeffs == {i: c * 2.0 for i, c in w.coeffs.items()}
+    # a one over another chart, or for a rational form, is no unit
+    from liequad import MismatchedVarSet
+
+    with pytest.raises(MismatchedVarSet):
+        w * ExpPoly.one(VarSet.of("u", "v", "w"))
+    with pytest.raises(TypeError):
+        DiffForm.d_coordinate(V, "x1", RationalFunction) * one
+
+
+def test_public_constructor_validates_what_the_operations_trust():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DiffForm(V, 2, {(1, 0): ExpPoly.one(V)})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DiffForm(V, 1, {(0, 1): ExpPoly.one(V)})
+    # results of the operations drop zero coefficients all the same
+    w = dx("x1") * ExpPoly.coordinate(V, "x2")
+    assert (w - w).coeffs == {}
+    assert dx("x1").wedge(dx("x1")).coeffs == {}

@@ -2,6 +2,7 @@
 multiplication map, axiom verification, the cross-check oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -631,3 +632,50 @@ def test_coframe_and_frame_equal_the_reference_loops_bit_for_bit():
         assert [[_scalar_bits(c) for c in X.components] for X in frame(chain)] == \
             [[_scalar_bits(c) for c in X.components] for X in _reference_frame(chain)]
 
+
+
+# ----------------------------------------------------------------------
+# each form is differentiated once, and the memo moves no value
+
+def test_multiplication_differentiates_no_form_twice(monkeypatch):
+    """Unit rows of e^{f ad_s} pass a form on to the next level, which
+    reads its stored d instead of differentiating it again.  Forms are
+    counted by value, so an equal copy cannot hide a second computation."""
+    computed = Counter()
+    original = DiffForm._differentiate
+
+    def counting(form):
+        computed[(form.degree, frozenset(form.coeffs.items()))] += 1
+        return original(form)
+
+    monkeypatch.setattr(DiffForm, "_differentiate", counting)
+    _, chain = adapted_chain(_filiform(10))
+    multiplication(chain)
+    assert computed and max(computed.values()) == 1
+
+
+def test_level_residuals_equal_those_of_fresh_copies(monkeypatch):
+    """Every residual the reduction records equals, bit for bit, the one
+    recomputed on copies of that level's block that carry no stored d."""
+    from liequad import reduction
+    from liequad.forms import structure_residual
+    from liequad.liegroup import product_group_forms
+
+    blocks = []
+    original = reduction._check_level
+
+    def recording(omegas, chain, s, tol):
+        blocks.append((s, list(omegas)))
+        return original(omegas, chain, s, tol)
+
+    monkeypatch.setattr(reduction, "_check_level", recording)
+    for sc in (_filiform(10), _borel(4), five_dim_constants(F(-3, 2), F(2, 3))):
+        _, chain = adapted_chain(sc)
+        blocks.clear()
+        _, _, omegas = product_group_forms(chain)
+        trace = reduction.reduce_full(omegas, chain)
+        assert [s for s, _ in blocks] == list(range(chain.n))
+        for (s, block), recorded in zip(blocks, trace.residuals):
+            fresh = [DiffForm(w.chart, w.degree, dict(w.coeffs), w.scls) for w in block]
+            res = structure_residual(fresh, chain.base.restricted(chain.n - s))
+            assert max((r.max_abs_coeff() for r in res), default=0.0) == recorded, (sc.dim, s)
