@@ -197,8 +197,9 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
     omegas_ad = transform_forms(change, omegas)
     trace = reduce_full(omegas_ad, chain, basepoint, stop_after=stop_after, tol=cfg.tol_zero)
     report = Report()
-    worst = max(trace.residuals)
-    report.add("structure equations at every level", worst <= cfg.tol_zero,
+    worst = max(trace.residuals.values())
+    checked = "the input forms" if trace.complete else "the input and the remaining forms"
+    report.add(f"structure equations of {checked}", worst <= cfg.tol_zero,
                "symbolic" if omegas[0].scls is ExpPoly else "exact", worst)
     if trace.complete:
         report.extend(

@@ -52,9 +52,16 @@ class BasepointOnPole(LiequadError):
 
 
 class NotClosed(LiequadError):
-    """A 1-form expected to be closed has a nonzero exterior derivative."""
+    """A 1-form expected to be closed has a nonzero exterior derivative.
+
+    ``level`` is the chain level whose quadrature form failed, when known.
+    """
 
     code = "not-closed"
+
+    def __init__(self, message: str, level: int | None = None):
+        super().__init__(message)
+        self.level = level
 
 
 class ResidualNonzero(LiequadError):

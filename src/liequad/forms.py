@@ -7,16 +7,13 @@ functions; the two classes never mix inside one form.  Antisymmetry is
 structural: coefficients are indexed by strictly increasing index tuples.
 
 A form is never modified after construction, so a result may be one of
-the operands and a form may keep what it derives:
+the operands.  Two shortcuts rest on that:
 
-- `exterior_d` computes d once per form and stores it on the form; later
-  calls return the same object.
 - Multiplying a form by the number 1, or by the exponential-polynomial
-  constant 1.0, returns the form itself, with its stored d.  The general
-  formula would give every coefficient back unchanged (`ExpPoly` scaling
-  by 1.0 returns the polynomial), so no value moves.  A `lin_comb` over a
-  unit row of a factor matrix therefore passes its form on, and the next
-  reduction level does not differentiate it again.
+  constant 1.0, returns the form itself.  The general formula would give
+  every coefficient back unchanged (`ExpPoly` scaling by 1.0 returns the
+  polynomial), so no value moves.  A `lin_comb` over a unit row of a
+  factor matrix therefore passes its form on without a copy.
 - `+`, `-`, scalar `*`, `wedge`, `exterior_d` and `differential` build
   their results from index tuples that are valid already, through the
   trusted constructor `DiffForm._trusted`: it drops zero coefficients
@@ -54,13 +51,13 @@ Index = tuple[int, ...]
 class DiffForm:
     """A p-form: coefficients indexed by strictly increasing index tuples.
 
-    Never modified after construction (module docstring): `exterior_d` is
-    computed on the first call and kept, a unit scalar times the form is
-    the form itself, and the operations build their results with
-    `_trusted`, which skips the index validation `DiffForm(...)` does.
+    Never modified after construction (module docstring): a unit scalar
+    times the form is the form itself, with no copy of its coefficients,
+    and the operations build their results with `_trusted`, which skips
+    the index validation `DiffForm(...)` does.
     """
 
-    __slots__ = ("chart", "degree", "coeffs", "scls", "_d")
+    __slots__ = ("chart", "degree", "coeffs", "scls")
 
     def __init__(self, chart: VarSet, degree: int, coeffs: Mapping[Index, object], scls=None):
         if degree < 0 or degree > len(chart):
@@ -81,7 +78,6 @@ class DiffForm:
         self.degree = degree
         self.coeffs = clean
         self.scls = scls
-        self._d = None
 
     @classmethod
     def _trusted(cls, chart: VarSet, degree: int, coeffs: Mapping[Index, object], scls):
@@ -92,7 +88,6 @@ class DiffForm:
         self.degree = degree
         self.coeffs = {idx: c for idx, c in coeffs.items() if not c.is_zero()}
         self.scls = scls
-        self._d = None
         return self
 
     # ------------------------------------------------------------------
@@ -191,12 +186,7 @@ class DiffForm:
         return DiffForm._trusted(self.chart, p + q, acc, self.scls)
 
     def exterior_d(self) -> "DiffForm":
-        """d of the form, computed on the first call and kept."""
-        if self._d is None:
-            self._d = self._differentiate()
-        return self._d
-
-    def _differentiate(self) -> "DiffForm":
+        """d of the form, computed on each call."""
         chart = self.chart
         if self.degree >= len(chart):
             # a top-degree form has vanishing differential

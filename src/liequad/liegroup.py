@@ -324,11 +324,9 @@ def preadjoint_oracle(
     try:
         trace = reduce_full(theta_t, chain, basepoint=None, tol=tol_zero)
     except ResidualNonzero as exc:
-        if exc.level != 0:
-            raise
         report.add(name, False, "symbolic", exc.residual)
         return report
-    report.add(name, True, "symbolic", trace.residuals[0])
+    report.add(name, trace.residuals[0] <= tol_zero, "symbolic", trace.residuals[0])
 
     rho = rho_map(trace)
     rng = random.Random(seed)

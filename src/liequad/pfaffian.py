@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateTransversality, NotSolvable, SingularMatrix
+from .exppoly import ZERO_TOL
 from .forms import DiffForm, Domain, VectorField, differential, lie_bracket, pairing
 from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, transform_forms
 from .reduction import reduce_full
@@ -87,7 +88,7 @@ def normalize(
 
     The omegas satisfy the structure equations of `constants` exactly when
     the fields are symmetries of the system with these constants; they are
-    not checked here but once, by the first level of the reduction in
+    not checked here but once, on the input of the reduction in
     `first_integrals`, in the adapted basis.
     """
     _, Pinv = transversality(theta, fields)
@@ -115,8 +116,9 @@ def first_integrals(
     fields = symmetry.fields
     omegas = normalize(theta, fields, sc)
     change, chain = adapted_chain(sc)
-    trace = reduce_full(transform_forms(change, omegas), chain, basepoint)
-    report.add("structure equations of omega = P^{-1} theta", True, "exact", trace.residuals[0])
+    trace = reduce_full(transform_forms(change, omegas), chain, basepoint, tol=ZERO_TOL)
+    residual = trace.residuals[0]
+    report.add("structure equations of omega = P^{-1} theta", residual <= ZERO_TOL, "exact", residual)
     functions = trace.functions
 
     chart = system.domain.chart

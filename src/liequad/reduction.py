@@ -8,6 +8,15 @@ and the structure equations restrict to the ideal.  Running all n steps
 turns the forms into exact differentials df^1..df^n; the functions double
 as the coordinates of the map onto the synthesized group.
 
+The reduction rests on one lemma: a step maps a block that satisfies the
+structure equations of k_s to one that satisfies those of k_{s+1}.  So
+the structure equations are checked once, by `reduce_full`: on the input
+block (level 0) and, on an early stop, on the block it hands back.  The
+steps check nothing.  A deeper block that fails all the same, after a
+float truncation, shows as a typed error of a later step, as a rule
+`NotClosed` naming its level, or in the check each pipeline makes of its
+own result.
+
 `unreduce` runs the steps backwards: the inverse factors e^{-f ad_s},
 applied to (df^1..df^n) from the deepest level up, give back the forms
 whose reduction yields f^1..f^n.  Un-reducing the coordinate functions
@@ -22,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NonElementaryInClass, ResidualNonzero
+from .errors import NonElementaryInClass, NotClosed, ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
 from .forms import (
     DiffForm,
@@ -54,23 +63,12 @@ class ReductionTrace:
     steps: list[ReductionStep] = field(default_factory=list)
     functions: list = field(default_factory=list)  # f^1..f^n (f^i at index i-1)
     residual_forms: list = field(default_factory=list)  # nonempty on early stop
-    residuals: list[float] = field(default_factory=list)  # worst structure residual per level
+    # worst structure residual of each checked level: 0, and r on an early stop
+    residuals: dict[int, float] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
         return len(self.steps) == self.chain.n
-
-
-class StepResult(tuple):
-    """The (f, omega-hat) pair of one reduction step.  It also carries the
-    step's factor matrix and the measured residual of its input block,
-    which reduce_full records in the trace."""
-
-    def __new__(cls, f, hat, factor, residual: float):
-        pair = super().__new__(cls, (f, hat))
-        pair.factor = factor
-        pair.residual = residual
-        return pair
 
 
 def _factor_matrix(A, f):
@@ -163,21 +161,20 @@ def reduce_step(
     s: int,
     basepoint: Mapping[str, object] | None = None,
     tol: float = ZERO_TOL,
-) -> StepResult:
-    """One reduction at ideal depth s: returns (f, omega-hat list).
+) -> tuple[ReductionStep, list[DiffForm]]:
+    """One reduction at ideal depth s: returns the step and the omega-hat list.
 
     The input block has n - s forms satisfying the structure equations of
-    k_s; the output block satisfies those of k_{s+1} x R and its last form
-    is df.
+    k_s, which the step does not check (module docstring); the output
+    block satisfies those of k_{s+1} x R and its last form is df.
     """
     m = chain.n - s
     if len(omegas) != m:
         raise ValueError(f"expected {m} forms at level {s}, got {len(omegas)}")
-    worst = _check_level(omegas, chain, s, tol)
     f = potential(omegas[m - 1], basepoint, tol=tol)
     factor = _factor_matrix(chain.ad_matrix(s), f)
     hat = list(omegas) if factor is None else [lin_comb(row, omegas) for row in factor]
-    return StepResult(f, hat, factor, worst)
+    return ReductionStep(s, f, factor), hat
 
 
 def reduce_full(
@@ -190,9 +187,9 @@ def reduce_full(
     """Run the reduction to exact differentials (or stop after r steps).
 
     Produces functions f^1..f^n with f^i(basepoint) = 0 whose differentials
-    are the fully transformed input forms.  Each level's block is checked
-    against its structure equations once, the remaining block included
-    on an early stop.
+    are the fully transformed input forms.  The structure equations are
+    checked on the input block and on the remaining block of an early stop;
+    a quadrature form that is not closed raises NotClosed with its level.
     """
     n = chain.n
     if len(omegas) != n:
@@ -201,18 +198,22 @@ def reduce_full(
     basepoint = full_basepoint(chart, basepoint)
     r = n if stop_after is None else min(stop_after, n)
     trace = ReductionTrace(chain, chart, basepoint)
+    trace.residuals[0] = _check_level(omegas, chain, 0, tol)
     trace.functions = [None] * n
     current = list(omegas)
     for s in range(r):
         m = n - s
-        step = reduce_step(current, chain, s, basepoint, tol)
-        f, hat = step
-        trace.steps.append(ReductionStep(s, f, step.factor))
-        trace.residuals.append(step.residual)
-        trace.functions[m - 1] = f
+        try:
+            step, hat = reduce_step(current, chain, s, basepoint, tol)
+        except NotClosed as exc:
+            raise NotClosed(f"the level-{s} quadrature form is not closed: {exc}", level=s) from exc
+        trace.steps.append(step)
+        trace.functions[m - 1] = step.f
         current = hat[: m - 1]
     if r < n:
-        trace.residuals.append(_check_level(current, chain, r, tol))
+        # at r = 0 the remaining block is the input block, checked above
+        if r > 0:
+            trace.residuals[r] = _check_level(current, chain, r, tol)
         trace.residual_forms = current
     return trace
 

@@ -127,6 +127,21 @@ def five_dim_constants(a: Fraction, b: Fraction) -> StructureConstants:
     )
 
 
+def borel_constants(k: int) -> StructureConstants:
+    """b_k: upper-triangular k x k matrices, basis E_ij (i <= j)."""
+    basis = [(i, j) for i in range(k) for j in range(i, k)]
+    index = {e: p + 1 for p, e in enumerate(basis)}
+    brackets = {}
+    for p, (i, j) in enumerate(basis):
+        for q in range(p + 1, len(basis)):
+            kk, ll = basis[q]
+            if j == kk:
+                brackets[(p + 1, q + 1)] = {index[(i, ll)]: Fraction(1)}
+            elif ll == i:
+                brackets[(p + 1, q + 1)] = {index[(kk, j)]: Fraction(-1)}
+    return StructureConstants.from_brackets(len(basis), brackets)
+
+
 def golden_coframe_a1_b2(chart: VarSet):
     """Coframe of the 5-dim family at (a, b) = (1, 2), hand-typed."""
     t = ExpPoly.term

@@ -183,7 +183,8 @@ def test_reduce_on_golden_forms(tmp_path):
     assert doc["complete"] is True
     assert len(doc["functions"]) == 3
     assert doc["report"]["passed"] is True
-    # the per-level residual line records the measured worst residual
+    # the input-forms line records the measured worst residual
+    assert doc["report"]["checks"][0]["name"] == "structure equations of the input forms"
     assert doc["report"]["checks"][0]["error"] == 0.0
 
 
@@ -205,6 +206,10 @@ def test_reduce_partial_stop(tmp_path):
     assert doc["complete"] is False
     assert len(doc["residual_forms"]) == 3
     assert len(doc["steps"]) == 2
+    # one line for the input block and the remaining block
+    check = doc["report"]["checks"][0]
+    assert check["name"] == "structure equations of the input and the remaining forms"
+    assert check["passed"] and check["error"] < 1e-10
 
 
 def test_reduce_full_product_group_forms(tmp_path):

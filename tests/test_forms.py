@@ -370,15 +370,12 @@ def test_domain_sampling_avoids_exclusions():
 
 
 # ----------------------------------------------------------------------
-# the memoized d, the unit-scalar shortcut and the trusted constructor
+# exterior_d, the unit-scalar shortcut and the trusted constructor
 
-def test_exterior_d_is_computed_once_per_form():
+def test_exterior_d_of_a_copy_equals_that_of_the_form():
     w = _random_form(random.Random(5), V, 1)
     d = w.exterior_d()
-    assert w.exterior_d() is d
-    # a fresh copy computes its own d, with the same coefficients
     copy = DiffForm(V, 1, dict(w.coeffs))
-    assert copy.exterior_d() is not d
     assert copy.exterior_d().coeffs == d.coeffs
 
 
@@ -386,14 +383,12 @@ def test_unit_scalars_return_the_form_itself():
     from liequad.liealg import lin_comb
 
     w = _random_form(random.Random(6), V, 1)
-    d = w.exterior_d()
     one, zero = ExpPoly.one(V), ExpPoly.zero(V)
     for unit in (1, 1.0, Fraction(1), one):
         assert w * unit is w
-    # a unit row of a factor matrix passes the form on, its d included
+    # a unit row of a factor matrix passes the form on
     forms = [_random_form(random.Random(7), V, 1), w, dx("x3")]
-    out = lin_comb([zero, one, zero], forms)
-    assert out is w and out.exterior_d() is d
+    assert lin_comb([zero, one, zero], forms) is w
     # any other constant scales every coefficient
     assert (w * ExpPoly.constant(V, 2.0)).coeffs == {i: c * 2.0 for i, c in w.coeffs.items()}
     # a one over another chart, or for a rational form, is no unit

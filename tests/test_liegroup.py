@@ -25,7 +25,13 @@ from liequad import (
     verify_group,
 )
 from liequad.catalog import catalog, filiform4, heisenberg
-from conftest import five_dim_constants, fixture_path, golden_coframe_a1_b2, golden_mu_a1_b2
+from conftest import (
+    borel_constants,
+    five_dim_constants,
+    fixture_path,
+    golden_coframe_a1_b2,
+    golden_mu_a1_b2,
+)
 
 F = Fraction
 
@@ -457,23 +463,8 @@ def test_batched_verify_group_matches_a_per_sample_loop():
     assert batched["assoc"] > 1e-5 and batched["left"] > 1e-5
 
 
-def _borel(k):
-    """b_k: upper-triangular k x k matrices, basis E_ij (i <= j)."""
-    basis = [(i, j) for i in range(k) for j in range(i, k)]
-    index = {e: p + 1 for p, e in enumerate(basis)}
-    brackets = {}
-    for p, (i, j) in enumerate(basis):
-        for q in range(p + 1, len(basis)):
-            kk, ll = basis[q]
-            if j == kk:
-                brackets[(p + 1, q + 1)] = {index[(i, ll)]: F(1)}
-            elif ll == i:
-                brackets[(p + 1, q + 1)] = {index[(kk, j)]: F(-1)}
-    return StructureConstants.from_brackets(len(basis), brackets)
-
-
 def _ladder_laws():
-    chains = [adapted_chain(sc)[1] for sc in (_filiform(6), _borel(3))]
+    chains = [adapted_chain(sc)[1] for sc in (_filiform(6), borel_constants(3))]
     laws = [multiplication(chain) for chain in chains]
     chain, law = _fixture_law()
     return list(zip(chains + [chain], laws + [law]))
@@ -635,28 +626,29 @@ def test_coframe_and_frame_equal_the_reference_loops_bit_for_bit():
 
 
 # ----------------------------------------------------------------------
-# each form is differentiated once, and the memo moves no value
+# each form is differentiated once, and the checked residuals are exact
 
 def test_multiplication_differentiates_no_form_twice(monkeypatch):
-    """Unit rows of e^{f ad_s} pass a form on to the next level, which
-    reads its stored d instead of differentiating it again.  Forms are
-    counted by value, so an equal copy cannot hide a second computation."""
+    """The structure equations are checked on the input block only, and
+    the steps check nothing, so no form is differentiated twice.  Forms
+    are counted by value, so an equal copy cannot hide a second call."""
     computed = Counter()
-    original = DiffForm._differentiate
+    original = DiffForm.exterior_d
 
     def counting(form):
         computed[(form.degree, frozenset(form.coeffs.items()))] += 1
         return original(form)
 
-    monkeypatch.setattr(DiffForm, "_differentiate", counting)
+    monkeypatch.setattr(DiffForm, "exterior_d", counting)
     _, chain = adapted_chain(_filiform(10))
     multiplication(chain)
     assert computed and max(computed.values()) == 1
 
 
 def test_level_residuals_equal_those_of_fresh_copies(monkeypatch):
-    """Every residual the reduction records equals, bit for bit, the one
-    recomputed on copies of that level's block that carry no stored d."""
+    """Every residual the reduction records, of the input block and of the
+    remaining block of an early stop, equals bit for bit the one
+    recomputed on fresh copies of that block."""
     from liequad import reduction
     from liequad.forms import structure_residual
     from liequad.liegroup import product_group_forms
@@ -669,13 +661,15 @@ def test_level_residuals_equal_those_of_fresh_copies(monkeypatch):
         return original(omegas, chain, s, tol)
 
     monkeypatch.setattr(reduction, "_check_level", recording)
-    for sc in (_filiform(10), _borel(4), five_dim_constants(F(-3, 2), F(2, 3))):
+    for sc in (_filiform(10), borel_constants(4), five_dim_constants(F(-3, 2), F(2, 3))):
         _, chain = adapted_chain(sc)
-        blocks.clear()
         _, _, omegas = product_group_forms(chain)
-        trace = reduction.reduce_full(omegas, chain)
-        assert [s for s, _ in blocks] == list(range(chain.n))
-        for (s, block), recorded in zip(blocks, trace.residuals):
-            fresh = [DiffForm(w.chart, w.degree, dict(w.coeffs), w.scls) for w in block]
-            res = structure_residual(fresh, chain.base.restricted(chain.n - s))
-            assert max((r.max_abs_coeff() for r in res), default=0.0) == recorded, (sc.dim, s)
+        for stop_after, levels in ((None, [0]), (2, [0, 2])):
+            blocks.clear()
+            trace = reduction.reduce_full(omegas, chain, stop_after=stop_after)
+            assert [s for s, _ in blocks] == levels == list(trace.residuals)
+            for s, block in blocks:
+                fresh = [DiffForm(w.chart, w.degree, dict(w.coeffs), w.scls) for w in block]
+                res = structure_residual(fresh, chain.base.restricted(chain.n - s))
+                worst = max((r.max_abs_coeff() for r in res), default=0.0)
+                assert worst == trace.residuals[s], (sc.dim, s)

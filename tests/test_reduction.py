@@ -10,6 +10,8 @@ from liequad import (
     BasepointOnPole,
     DiffForm,
     ExpPoly,
+    LiequadError,
+    NotClosed,
     RationalFunction,
     ResidualNonzero,
     StructureConstants,
@@ -18,16 +20,19 @@ from liequad import (
     build_group,
     chain_from_adapted,
     coordinate_chart,
+    multiplication,
+    preadjoint_oracle,
     reassemble,
     reduce_full,
     reduce_step,
     rho_map,
     structure_residual,
     unreduce,
+    verify_group,
     verify_rho,
 )
 from liequad.liegroup import product_group_forms
-from conftest import five_dim_constants, golden_mu_a1_b2
+from conftest import borel_constants, five_dim_constants, golden_mu_a1_b2
 
 F = Fraction
 
@@ -45,7 +50,8 @@ def test_abelian_reduction_is_trivial():
 
 def test_single_step_on_ode_forms(heisenberg, omega_normalized, ode_basepoint):
     chain = chain_from_adapted(heisenberg)
-    f3, hat = reduce_step(omega_normalized, chain, 0, ode_basepoint)
+    step, hat = reduce_step(omega_normalized, chain, 0, ode_basepoint)
+    f3 = step.f
     chart = omega_normalized[0].chart
     rf = lambda s: RationalFunction.parse(chart, s)
     assert f3 == rf("1/u_x - u_x^3/u_xx")
@@ -102,11 +108,13 @@ def test_five_dim_product_group_reduction_matches_worked_example():
     _, chain = adapted_chain(sc)
     group, D, omegas = product_group_forms(chain)
     # steps s = 0, 1 use f5 = x5 + y5 and f4 = x4 + y4
-    f5, hat = reduce_step(omegas, chain, 0, None)
+    step, hat = reduce_step(omegas, chain, 0, None)
+    f5 = step.f
     assert f5.isclose(
         ExpPoly.coordinate(D, "x5") + ExpPoly.coordinate(D, "y5"), 1e-12
     )
-    f4, hat2 = reduce_step(hat[:4], chain, 1, None)
+    step, hat2 = reduce_step(hat[:4], chain, 1, None)
+    f4 = step.f
     assert f4.isclose(
         ExpPoly.coordinate(D, "x4") + ExpPoly.coordinate(D, "y4"), 1e-12
     )
@@ -190,14 +198,18 @@ def test_partial_reduction_early_stop(monkeypatch):
     sc = five_dim_constants(F(1), F(2))
     _, chain = adapted_chain(sc)
     _, D, omegas = product_group_forms(chain)
-    # one structure-residual check per level
+    # the structure equations are checked once, on the input block
     full = reduce_full(omegas, chain)
-    assert len(calls) == 5 and len(full.residuals) == 5
+    assert len(calls) == 1 and list(full.residuals) == [0]
     calls.clear()
     trace = reduce_full(omegas, chain, stop_after=2)
-    # levels 0 and 1 in the steps, level 2 for the remaining block
-    assert len(calls) == 3 and len(trace.residuals) == 3
-    assert max(trace.residuals) < 1e-10
+    # level 0 for the input block, level 2 for the remaining block
+    assert len(calls) == 2 and list(trace.residuals) == [0, 2]
+    assert max(trace.residuals.values()) < 1e-10
+    calls.clear()
+    # with no step the remaining block is the input block
+    assert list(reduce_full(omegas, chain, stop_after=0).residuals) == [0]
+    assert len(calls) == 1
     assert not trace.complete
     assert len(trace.residual_forms) == 3
     assert trace.functions[4] is not None and trace.functions[3] is not None
@@ -211,7 +223,8 @@ def test_step_factor_is_bracket_automorphism():
     sc = five_dim_constants(F(1), F(2))
     _, chain = adapted_chain(sc)
     _, D, omegas = product_group_forms(chain)
-    f5, _ = reduce_step(omegas, chain, 0, None)
+    step, _ = reduce_step(omegas, chain, 0, None)
+    f5 = step.f
     from liequad.reduction import _factor_matrix
 
     E = _factor_matrix(chain.ad_matrix(0), f5)
@@ -327,3 +340,61 @@ def test_log_factor_guards_reject_out_of_class_scalars():
     mixed = LogExtendedScalar(V, rf("x"), [(Fraction(1), rf("u").expr)])
     with pytest.raises(NonElementaryInClass):
         _log_factor(E, mixed)
+
+
+# ----------------------------------------------------------------------
+# a corrupted factor below the checked input block is still caught
+
+def _corrupt_level_factor(monkeypatch, chain, s):
+    """Add f/2 to one entry of the level-s factor e^{f ad_s}: the row of
+    the form the next level integrates, in its first column.  Returns the
+    list of corrupted factors, one per reduction that reached level s."""
+    import liequad.reduction as reduction
+
+    original = reduction._factor_matrix
+    forward = chain.ad_matrix(s)
+    m = chain.n - s
+    hits = []
+
+    def corrupted(A, f):
+        E = original(A, f)
+        # the forward factor of level s only; unreduce asks for -ad_s
+        if E is not None and A == forward:
+            E = [list(row) for row in E]
+            E[m - 2][0] = E[m - 2][0] + f * 0.5
+            hits.append(s)
+        return E
+
+    monkeypatch.setattr(reduction, "_factor_matrix", corrupted)
+    return hits
+
+
+@pytest.mark.parametrize("sc, s", [
+    (borel_constants(4), 1),
+    (borel_constants(4), 2),
+    (borel_constants(4), 3),
+    (five_dim_constants(F(1), F(2)), 1),
+], ids=["borel4-level1", "borel4-level2", "borel4-level3", "five-dim-level1"])
+def test_corrupted_factor_ends_in_an_error_or_a_failing_check(monkeypatch, sc, s):
+    """The structure equations are checked on the input block only.  A
+    wrong level-s factor breaks them from level s + 1 on, so the run must
+    end in a typed error naming a deeper level or in a failing report line."""
+    _, chain = adapted_chain(sc)
+    hits = _corrupt_level_factor(monkeypatch, chain, s)
+    try:
+        law = multiplication(chain)
+        report = verify_group(law)
+        report.extend(preadjoint_oracle(chain, law))
+    except LiequadError as exc:
+        assert getattr(exc, "level", None) is not None and exc.level > s, repr(exc)
+    else:
+        assert not report.passed, str(report)
+    assert hits
+
+
+def test_not_closed_names_its_level(monkeypatch):
+    _, chain = adapted_chain(borel_constants(4))
+    _corrupt_level_factor(monkeypatch, chain, 1)
+    with pytest.raises(NotClosed, match="the level-2 quadrature form is not closed") as info:
+        multiplication(chain)
+    assert info.value.level == 2 and info.value.code == "not-closed"
