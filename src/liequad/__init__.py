@@ -13,7 +13,6 @@ from .errors import (
     BasepointOnPole,
     ClassMismatch,
     DegenerateTransversality,
-    EigenvalueClusterAmbiguity,
     EmptyDomain,
     LiequadError,
     MismatchedVarSet,

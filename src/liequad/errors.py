@@ -7,6 +7,7 @@ consumed programmatically.
 
 class LiequadError(Exception):
     code = "error"
+    level: int | None = None  # the reduction step's chain level, when known
 
 
 class MismatchedVarSet(LiequadError):
@@ -52,16 +53,9 @@ class BasepointOnPole(LiequadError):
 
 
 class NotClosed(LiequadError):
-    """A 1-form expected to be closed has a nonzero exterior derivative.
-
-    ``level`` is the chain level whose quadrature form failed, when known.
-    """
+    """A 1-form expected to be closed has a nonzero exterior derivative."""
 
     code = "not-closed"
-
-    def __init__(self, message: str, level: int | None = None):
-        super().__init__(message)
-        self.level = level
 
 
 class ResidualNonzero(LiequadError):
@@ -91,12 +85,6 @@ class DegenerateTransversality(LiequadError):
     """det <theta^i, Z_j> vanishes identically."""
 
     code = "degenerate-transversality"
-
-
-class EigenvalueClusterAmbiguity(LiequadError):
-    """Numeric eigenvalues cannot be stably grouped at the cluster tolerance."""
-
-    code = "eigenvalue-cluster-ambiguity"
 
 
 class EmptyDomain(LiequadError):

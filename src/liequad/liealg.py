@@ -164,13 +164,6 @@ class StructureConstants:
         n = self.dim
         return [[self.C[i][j][k] for k in range(n)] for i in range(n)]
 
-    def neg_ad_matrix(self, j: int) -> Matrix:
-        """-ad(e_j), read by antisymmetry: entry [i][k] = C^i_{kj} = -C^i_{jk}.
-        No entry is negated; the constants are antisymmetric as built by
-        `from_brackets` and kept by `change_basis` and `restricted`."""
-        n = self.dim
-        return [[self.C[i][k][j] for k in range(n)] for i in range(n)]
-
     def restricted(self, m: int) -> "StructureConstants":
         """Constants of the subalgebra spanned by the first m basis vectors."""
         C = tuple(
@@ -327,13 +320,6 @@ class AdaptedChain:
         m = self.n - s
         C = self.base.C
         return [[C[i][m - 1][k] for k in range(m)] for i in range(m)]
-
-    def neg_ad_matrix(self, s: int) -> Matrix:
-        """-ad_s, the exponent of the inverse factor e^{-f ad_s}, read like
-        `StructureConstants.neg_ad_matrix`: entry [i][k] = C^i_{k, n-s}."""
-        m = self.n - s
-        C = self.base.C
-        return [[C[i][k][m - 1] for k in range(m)] for i in range(m)]
 
     def verify_ideals(self):
         """Raise if some k_s is not an ideal in k_{s-1}."""

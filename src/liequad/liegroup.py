@@ -135,8 +135,7 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
     x = _coordinates(chart)
     M = _scalar_identity(chart, n)
     for j in (range(n - 1, -1, -1) if inverse else range(n)):
-        A = chain.base.neg_ad_matrix(j) if inverse else chain.base.ad_matrix(j)
-        E = _factor_matrix(A, x[j])
+        E = _factor_matrix(chain.base.ad_matrix(j), x[j], inverse)
         if E is not None:
             M = _times_factor(M, E)
     return M

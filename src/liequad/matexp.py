@@ -1,17 +1,20 @@
 """Closed-form exponential of t*A for rational square matrices.
 
-Eigenvalues are computed numerically (balanced QR via LAPACK), clustered
-at an absolute tolerance, snapped back to exact rational / quadratic
-values when exact singularity of A - lambda I confirms them (Gauss-Jordan
-over Fractions; for lambda = a +/- ib, of (A - aI)^2 + b^2 I), and fed to
-Putzer's recursion.  Complex pairs become real cos/sin terms, repeated
-eigenvalues become polynomial factors t^k, so the entries live in the
-exponential-polynomial class in one variable.
+The spectrum is decided exactly, once per matrix: the characteristic
+polynomial of the integer matrix dA (d the lcm of A's denominators) over
+Z, split square-free by Yun's algorithm for exact multiplicities.  By
+Gauss's lemma, rounded numeric roots give the only candidate factors,
+integer roots and monic integer quadratics, each confirmed by exact
+division; only roots of a leftover factor of degree >= 3 stay numeric.
+A nilpotent A gets the exact series sum t^k A^k / k!; any other spectrum
+feeds Putzer's recursion (complex pairs become cos/sin terms, repeated
+eigenvalues factors t^k).  e^{-tA} is e^{tA} at -t (`ExpMatrix.inverse`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,112 +22,121 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EigenvalueClusterAmbiguity, NonAffineExponentSubstitution
+from .errors import NonAffineExponentSubstitution
 from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
-from .liealg import lin_comb, rref
+from .liealg import lin_comb
 from .report import Report
 from .varset import VarSet
-
-CLUSTER_TOL = 1e-7
 
 QuasiPoly = dict[tuple[int, complex], complex]  # (power, rate) -> coeff
 
 
-def _cluster_spectrum(eigs: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    """Group numerically equal eigenvalues; error out when the grouping is
-    not stable at the tolerance."""
-    pts = list(eigs)
-    n = len(pts)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pts[i] - pts[j]) <= tol:
-                parent[find(i)] = find(j)
-    comps: dict[int, list[complex]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(pts[i])
-    clusters = []
-    for members in comps.values():
-        diam = max(
-            (abs(a - b) for a in members for b in members), default=0.0
-        )
-        if diam > tol:
-            raise EigenvalueClusterAmbiguity(
-                f"cluster diameter {diam:.3e} exceeds tolerance {tol:.1e}"
-            )
-        rep = sum(members) / len(members)
-        clusters.append((rep, len(members)))
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters
+def _charpoly(B: list[list[int]]) -> tuple[list[int], list]:
+    """det(x I - B) for an integer matrix, constant first, by Faddeev-LeVerrier
+    over Z: M_1 = I, c_{n-k} = -tr(B M_k) / k (exact) and M_{k+1} = B M_k +
+    c_{n-k} I.  Also returns M_1, M_2, ... up to the last nonzero one, which
+    for a nilpotent B (every c_{n-k} = 0) are its powers B^0, B^1 and so on."""
+    n = len(B)
+    rows = [[(m, b) for m, b in enumerate(row) if b] for row in B]
+    c = [0] * n + [1]
+    Ms = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, n + 1):
+        N = []
+        for row in rows:
+            acc = [0] * n
+            for m, b in row:
+                acc = [x + b * y for x, y in zip(acc, Ms[-1][m])]
+            N.append(acc)
+        c[n - k] = -sum(N[i][i] for i in range(n)) // k
+        for i in range(n):
+            N[i][i] += c[n - k]
+        if not any(map(any, N)):
+            break
+        Ms.append(N)
+    return c, Ms
 
 
-def _is_singular(M: list[list[Fraction]]) -> bool:
-    return len(rref(M)) < len(M)
+# Polynomials over Q are coefficient lists, constant first, with no
+# trailing zero (the zero polynomial is []).
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def _snap_spectrum(
-    clusters: list[tuple[complex, int]], A: Sequence[Sequence[Fraction]], tol: float
-) -> list[tuple[complex, int]]:
-    """Replace cluster representatives by exact rational (or rational +/- i
-    rational) values whenever A - lambda I is exactly singular at them;
-    keeps golden outputs bit-stable."""
-    n = len(A)
+def _divmod(p: list, q: list) -> tuple[list, list]:
+    r = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = c = r[i + len(q) - 1] / q[-1]
+        for j, qj in enumerate(q):
+            r[i + j] -= c * qj
+    return quo, _trim(r[: len(q) - 1])
 
-    def shifted(c: Fraction) -> list[list[Fraction]]:
-        return [[A[i][j] - c if i == j else A[i][j] for j in range(n)] for i in range(n)]
 
-    def try_real(x: float):
-        cand = Fraction(x).limit_denominator(10 ** 6)
-        if abs(float(cand) - x) > tol:
-            return None
-        if _is_singular(shifted(cand)):
-            return float(cand)
-        return None
+def _deriv(p: list) -> list:
+    return [i * c for i, c in enumerate(p)][1:]
 
-    def try_pair(re: float, im: float):
-        cr = Fraction(re).limit_denominator(10 ** 6)
-        ci = Fraction(im).limit_denominator(10 ** 6)
-        if abs(float(cr) - re) > tol or abs(float(ci) - im) > tol:
-            return None
-        # det q(A) = prod q(lambda_i) for q(z) = (z - a)^2 + b^2, so q(A) is
-        # singular exactly when a +/- ib are eigenvalues
-        B = shifted(cr)
-        q = [
-            [sum(B[i][m] * B[m][j] for m in range(n)) + (ci * ci if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        if _is_singular(q):
-            return complex(float(cr), float(ci))
-        return None
 
+def _gcd(p: list, q: list) -> list:
+    """The monic gcd of a nonzero p and q."""
+    while q:
+        p, q = q, _divmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+def _square_free(p: list) -> list[tuple[list, int]]:
+    """Yun's split of a monic p into pairwise coprime, monic, square-free
+    factors, each with its multiplicity."""
+    a = _gcd(p, _deriv(p))
+    b, c = _divmod(p, a)[0], _divmod(_deriv(p), a)[0]
     out = []
-    for rep, mult in clusters:
-        if abs(rep.imag) <= tol:
-            snapped = try_real(rep.real)
-            out.append((complex(snapped, 0.0) if snapped is not None else complex(rep.real, 0.0), mult))
-        else:
-            snapped = try_pair(rep.real, abs(rep.imag))
-            if snapped is not None:
-                val = snapped if rep.imag > 0 else snapped.conjugate()
-            else:
-                val = complex(rep)
-            out.append((val, mult))
-    # enforce exact conjugate symmetry between paired clusters
-    for i, (rep, mult) in enumerate(out):
-        if rep.imag > 0:
-            for j, (other, mult2) in enumerate(out):
-                if other.imag < 0 and abs(other - rep.conjugate()) <= 2 * tol and mult2 == mult:
-                    out[j] = (rep.conjugate(), mult2)
-                    break
-    out.sort(key=lambda c: (c[0].real, c[0].imag))
+    for mult in range(1, len(p)):
+        if len(b) == 1:
+            break
+        d = _trim([x - y for x, y in zip(c + [0] * len(b), _deriv(b) + [0] * len(c))])
+        a = _gcd(b, d)
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        if len(a) > 1:
+            out.append((a, mult))
     return out
+
+
+def _low_roots(g: list, d: int) -> list[complex]:
+    """The roots, divided by d, of a monic g of degree 1 or 2; a square root
+    is exact when its argument is a rational square, else rounded once."""
+    if len(g) == 2:
+        return [complex(float(Fraction(-g[0], d)))]
+    a = Fraction(-g[1], 2 * d)
+    disc = a * a - Fraction(g[0], d * d)
+    r = Fraction(math.isqrt(abs(disc).numerator), math.isqrt(abs(disc).denominator))
+    if r * r != abs(disc):
+        r = math.sqrt(abs(disc))
+    if disc > 0:
+        return [complex(float(a - r)), complex(float(a + r))]
+    return [complex(float(a), -float(r)), complex(float(a), float(r))]
+
+
+def _factor_roots(f: list, d: int) -> list[complex]:
+    """The roots, divided by d, of a monic square-free integer factor f:
+    exact for each integer root and each integer quadratic factor, whose
+    candidates are rounded from the numeric roots; numeric for what is left
+    of degree >= 3."""
+    roots = []
+    while len(f) > 3:
+        zs = [complex(z) for z in np.roots([float(c) for c in reversed(f)])]
+        candidates = [[-round(z.real), 1] for z in zs] + [[round((z * w).real), -round((z + w).real), 1]
+                                                          for i, z in enumerate(zs) for w in zs[i + 1:]]
+        for g in candidates:
+            quo, rem = _divmod(f, g)
+            if not rem:
+                break
+        else:
+            return roots + [z / d for z in zs]
+        roots += _low_roots(g, d)
+        f = quo
+    return roots + _low_roots(f, d)
 
 
 def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
@@ -157,11 +169,13 @@ def matrix_batch(M, points) -> np.ndarray:
 
 @dataclass
 class ExpMatrix:
-    """Symbolic e^{t A} with exponential-polynomial entries in one variable."""
+    """Symbolic e^{t A} with exponential-polynomial entries in one variable.
+    `series` holds the exact A^k / k! (k = 0, 1, ...) when A is nilpotent."""
 
     var: str
     source: tuple[tuple[Fraction, ...], ...]
     entries: list[list[ExpPoly]]
+    series: list | None = None
 
     @property
     def n(self) -> int:
@@ -178,77 +192,90 @@ class ExpMatrix:
     def at(self, t: float) -> np.ndarray:
         return self.at_batch([t])[0]
 
-    def compose(self, f) -> list[list]:
-        """Entries with the variable replaced by a scalar f.
+    @functools.cached_property
+    def inverse(self) -> "ExpMatrix":
+        """e^{-tA} = E(-t), by a map of the keys: each rate negated, the
+        coefficient of t^k times (-1)^k, and sin terms negated."""
 
-        ExpPoly f must be affine wherever t occurs in a rate.  Any other
-        scalar class needs a nilpotent source A and gets the exact finite
-        sum e^{f A} = sum_k f^k A^k / k! from the rational A, since the
-        float entries carry coefficients such as 1/6 inexactly.
-        """
+        def at_minus_t(e: ExpPoly) -> ExpPoly:
+            return ExpPoly._stored(e.chart, {
+                (k, (0.0 - a[0],), b, kind): -c if (k[0] % 2 == 1) != (kind == KIND_SIN) else c
+                for (k, a, b, kind), c in e.terms.items()
+            })
+
+        source = tuple(tuple(-x for x in row) for row in self.source)
+        series = self.series and [[[-x for x in row] for row in S] if k % 2 else S
+                                  for k, S in enumerate(self.series)]
+        return ExpMatrix(self.var, source, [[at_minus_t(e) for e in row] for row in self.entries], series)
+
+    def compose(self, f) -> list[list]:
+        """Entries with the variable replaced by a scalar f.  ExpPoly f must be
+        affine wherever t occurs in a rate; any other scalar class needs a
+        nilpotent A and gets e^{f A} = sum_k f^k A^k / k! from `series`."""
         if isinstance(f, ExpPoly):
             bind = {self.var: f}
             zero = ExpPoly.zero(f.chart)
             return [[e.substitute(bind) if e.terms else zero for e in row] for row in self.entries]
-        A = self.source
-        n = len(A)
-        term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # A^k / k!
-        terms = []
-        while any(x != 0 for row in term for x in row):
-            if len(terms) == n:
-                raise NonAffineExponentSubstitution(
-                    "the matrix is not nilpotent, so its exponential has "
-                    "exponential/trig terms; cannot compose with a "
-                    "non-exponential scalar"
-                )
-            terms.append(term)
-            k = len(terms)
-            term = [[sum(row[m] * A[m][j] for m in range(n)) / k for j in range(n)] for row in term]
-        powers = [f ** k for k in range(len(terms))]
-        return [[lin_comb([t[a][b] for t in terms], powers) for b in range(n)] for a in range(n)]
+        if self.series is None:
+            raise NonAffineExponentSubstitution("the matrix is not nilpotent, so its exponential has "
+                                                "exponential/trig terms; cannot compose with a non-exponential scalar")
+        powers = [f ** k for k in range(len(self.series))]
+        n = self.n
+        return [[lin_comb([S[a][b] for S in self.series], powers) for b in range(n)] for a in range(n)]
 
 
-def sym_exp(
-    A: Sequence[Sequence[object]],
-    var: str = "t",
-    cluster_tol: float = CLUSTER_TOL,
-) -> ExpMatrix:
-    """Closed-form e^{t A} by Putzer's recursion over the clustered spectrum.
+def sym_exp(A: Sequence[Sequence[object]], var: str = "t") -> ExpMatrix:
+    """Closed-form e^{t A} over the exactly decided spectrum (module docstring).
 
-    Memoized on the exact matrix and the other arguments: callers share
-    the result and must not modify its entries.  Entries that are
-    Fractions already enter the cache key as they are.
+    Memoized on the exact matrix and the variable: callers share the
+    result and must not modify its entries.  Entries that are Fractions
+    already enter the cache key as they are.
     """
     Af = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in A)
     if any(len(row) != len(Af) for row in Af):
         raise ValueError("matrix must be square")
-    return _putzer(Af, var, cluster_tol)
+    return _exp(Af, var)
 
 
 @functools.lru_cache(maxsize=256)
-def _putzer(Af: tuple, var: str, cluster_tol: float) -> ExpMatrix:
+def _exp(Af: tuple, var: str) -> ExpMatrix:
     n = len(Af)
     chart = VarSet.of(var)
-    if n == 0:
-        return ExpMatrix(var, Af, [])
+    d = math.lcm(*(x.denominator for row in Af for x in row))
+    B = [[x.numerator * (d // x.denominator) for x in row] for row in Af]
+    p, powers = _charpoly(B)
+    if not any(p[:n]):
+        series = [[[Fraction(x, d ** k * math.factorial(k)) if x else 0 for x in row] for row in P]
+                  for k, P in enumerate(powers)]
+        entries = [[ExpPoly._canonical(chart, {
+            ((k,), (0.0,), (0.0,), KIND_ONE): float(S[a][b]) for k, S in enumerate(series) if S[a][b]
+        }) for b in range(n)] for a in range(n)]
+        return ExpMatrix(var, Af, entries, series)
+    lams = [z for z, mult in _spectrum(p, d) for _ in range(mult)]
+    return ExpMatrix(var, Af, _putzer(Af, lams, chart))
+
+
+def _spectrum(p: list[int], d: int) -> list[tuple[complex, int]]:
+    """The eigenvalues of A with multiplicities, from the characteristic
+    polynomial p of dA, sorted by modulus: an order negation keeps up to
+    ties, so Putzer's recursion for -A rounds as `ExpMatrix.inverse` does."""
+    return sorted(
+        ((z, mult) for f, mult in _square_free([Fraction(c) for c in p]) for z in _factor_roots(f, d)),
+        key=lambda c: (abs(c[0]), c[0].real, c[0].imag),
+    )
+
+
+def _putzer(Af: tuple, lams: list[complex], chart: VarSet) -> list[list[ExpPoly]]:
+    """The entries of e^{tA} by Putzer's recursion over the eigenvalues lams,
+    each listed as often as its multiplicity."""
+    n = len(Af)
     An = np.array([[float(x) for x in row] for row in Af])
-    clusters = _cluster_spectrum(np.linalg.eigvals(An), cluster_tol)
-    clusters = _snap_spectrum(clusters, Af, cluster_tol)
-    lams: list[complex] = []
-    for rep, mult in clusters:
-        lams.extend([rep] * mult)
-
-    # Putzer matrices P_0 = I, P_j = prod_{k<=j} (A - lam_k I)
+    # Putzer matrices P_0 = I, P_j = prod_{k<=j} (A - lam_k I), coefficients r_j
     P = [np.eye(n, dtype=complex)]
-    for j in range(1, n):
-        P.append(P[-1] @ (An.astype(complex) - lams[j - 1] * np.eye(n)))
-
-    # Putzer coefficient functions
     rs: list[QuasiPoly] = [{(0, lams[0]): 1.0 + 0j}]
     for j in range(1, n):
+        P.append(P[-1] @ (An.astype(complex) - lams[j - 1] * np.eye(n)))
         rs.append(_ode_step(rs[-1], lams[j]))
-
-    # assemble entries
     acc: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for r, Pj in zip(rs, P):
         # a zero entry of P_j contributes nothing
@@ -260,27 +287,21 @@ def _putzer(Af: tuple, var: str, cluster_tol: float) -> ExpMatrix:
                     d = acc[a][b]
                     d[(k, mu)] = d.get((k, mu), 0j) + w
 
-    entries = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            terms = {}
-            for (k, mu), c in acc[a][b].items():
-                alpha, beta = mu.real, mu.imag
-                kk = (k,)
-                aa = (alpha,)
-                if beta == 0.0:
-                    key = (kk, aa, (0.0,), KIND_ONE)
-                    terms[key] = terms.get(key, 0.0) + c.real
-                else:
-                    # Re[c t^k e^{(alpha+i beta) t}]
-                    kc = (kk, aa, (beta,), KIND_COS)
-                    ks = (kk, aa, (beta,), KIND_SIN)
-                    terms[kc] = terms.get(kc, 0.0) + c.real
-                    terms[ks] = terms.get(ks, 0.0) - c.imag
-            row.append(ExpPoly(chart, terms))
-        entries.append(row)
-    return ExpMatrix(var, Af, entries)
+    def entry(quasi: dict) -> ExpPoly:
+        """Re sum c t^k e^{mu t}: Re[c t^k e^{(alpha + i beta) t}] is a cos
+        and a sin term."""
+        terms = {}
+        for (k, mu), c in quasi.items():
+            if mu.imag == 0.0:
+                parts = [(((k,), (mu.real,), (0.0,), KIND_ONE), c.real)]
+            else:
+                parts = [(((k,), (mu.real,), (mu.imag,), KIND_COS), c.real),
+                         (((k,), (mu.real,), (mu.imag,), KIND_SIN), -c.imag)]
+            for key, v in parts:
+                terms[key] = terms.get(key, 0.0) + v
+        return ExpPoly(chart, terms)
+
+    return [[entry(quasi) for quasi in row] for row in acc]
 
 
 def derivative_residual(E: ExpMatrix) -> float:
@@ -306,8 +327,7 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     n = E.n
     report = Report()
 
-    # E(-t) = e^{t (-A)}
-    Eneg = sym_exp([[-x for x in row] for row in E.source], E.var)
+    Eneg = E.inverse
     worst = 0.0
     for a in range(n):
         for b in range(n):

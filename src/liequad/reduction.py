@@ -13,9 +13,9 @@ structure equations of k_s to one that satisfies those of k_{s+1}.  So
 the structure equations are checked once, by `reduce_full`: on the input
 block (level 0) and, on an early stop, on the block it hands back.  The
 steps check nothing.  A deeper block that fails all the same, after a
-float truncation, shows as a typed error of a later step, as a rule
-`NotClosed` naming its level, or in the check each pipeline makes of its
-own result.
+float truncation, shows as a typed error of a later step (as a rule
+`NotClosed`), which `reduce_full` marks with the step's level, or in the
+check each pipeline makes of its own result.
 
 `unreduce` runs the steps backwards: the inverse factors e^{-f ad_s},
 applied to (df^1..df^n) from the deepest level up, give back the forms
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NonElementaryInClass, NotClosed, ResidualNonzero
+from .errors import LiequadError, NonElementaryInClass, NotClosed, ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
 from .forms import (
     DiffForm,
@@ -71,8 +71,8 @@ class ReductionTrace:
         return len(self.steps) == self.chain.n
 
 
-def _factor_matrix(A, f):
-    """e^{f A} as a scalar matrix in f's class, or None when A = 0.
+def _factor_matrix(A, f, inverse: bool = False):
+    """e^{f A} (e^{-f A} with inverse) in f's class, or None when A = 0.
 
     A is a rational matrix and f a scalar: an ExpPoly, a rational function,
     or a log-extended scalar, whose log terms need `_log_factor`.
@@ -80,6 +80,8 @@ def _factor_matrix(A, f):
     if all(x == 0 for row in A for x in row):
         return None
     E = sym_exp(A, "_t")
+    if inverse:
+        E = E.inverse
     if not isinstance(f, ExpPoly):
         from .rational import LogExtendedScalar
 
@@ -189,7 +191,7 @@ def reduce_full(
     Produces functions f^1..f^n with f^i(basepoint) = 0 whose differentials
     are the fully transformed input forms.  The structure equations are
     checked on the input block and on the remaining block of an early stop;
-    a quadrature form that is not closed raises NotClosed with its level.
+    a typed error of a step carries that step's level.
     """
     n = chain.n
     if len(omegas) != n:
@@ -205,8 +207,11 @@ def reduce_full(
         m = n - s
         try:
             step, hat = reduce_step(current, chain, s, basepoint, tol)
-        except NotClosed as exc:
-            raise NotClosed(f"the level-{s} quadrature form is not closed: {exc}", level=s) from exc
+        except LiequadError as exc:
+            exc.level = s
+            if isinstance(exc, NotClosed):
+                exc.args = (f"the level-{s} quadrature form is not closed: {exc}",)
+            raise
         trace.steps.append(step)
         trace.functions[m - 1] = step.f
         current = hat[: m - 1]
@@ -226,7 +231,7 @@ def unreduce(chain: AdaptedChain, functions: Sequence) -> list[DiffForm]:
     forms = [differential(f) for f in functions]
     for s in range(n - 1, -1, -1):
         m = n - s
-        inv_factor = _factor_matrix(chain.neg_ad_matrix(s), functions[m - 1])
+        inv_factor = _factor_matrix(chain.ad_matrix(s), functions[m - 1], inverse=True)
         if inv_factor is not None:
             forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
     return forms

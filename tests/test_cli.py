@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from liequad import ExpPoly, RationalFunction, SchemaError, StructureConstants, VarSet
+from liequad import ExpPoly, RationalFunction, SchemaError, StructureConstants, VarSet, adapted_chain, multiplication
 from liequad.cli import main
 from liequad import jsonio
 from conftest import fixture_path
@@ -96,23 +96,27 @@ def test_multiply_tol_zero_reaches_the_oracle(tmp_path):
 
 def test_multiply_irrational_spectrum_writes_readable_text(tmp_path):
     """[e3,e1] = e1 + e2, [e3,e2] = -e1: ad e3 has the eigenvalues
-    (1 +- i sqrt 3)/2, which do not snap.  The written law and Ad hold
-    plain numbers, and ExpPoly.parse reads every entry."""
+    (1 +- i sqrt 3)/2, decided as a = 1/2 exactly and b = sqrt(3/4) rounded
+    once.  The rates agree exactly, so the symbolic check passes, and every
+    entry of the law and of Ad reads back from its text."""
     path, out = tmp_path / "algebra.json", tmp_path / "grouplaw.json"
-    path.write_text(json.dumps({"dim": 3, "brackets": [
+    brackets = [
         {"i": 3, "j": 1, "coeffs": {"1": "1", "2": "1"}},
         {"i": 3, "j": 2, "coeffs": {"1": "-1"}},
-    ]}))
-    _run(["multiply", str(path), "-o", str(out)])
+    ]
+    path.write_text(json.dumps({"dim": 3, "brackets": brackets}))
+    res = _run(["multiply", str(path), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    line = next(ln for ln in res.output.splitlines() if "mu^* tau^i = omega^i" in ln)
+    assert line.startswith("[pass]") and "[symbolic]" in line, line
     doc = json.loads(out.read_text())
     texts = list(doc["mu"].values()) + [t for row in doc["ad"] for t in row]
     assert not any("np." in t for t in texts)
-    D, G = VarSet(tuple(doc["doubled_chart"])), VarSet(tuple(doc["chart"]))
-    for t in doc["mu"].values():
-        ExpPoly.parse(D, t)
-    for row in doc["ad"]:
-        for t in row:
-            ExpPoly.parse(G, t)
+    law = multiplication(adapted_chain(jsonio.load_algebra({"dim": 3, "brackets": brackets}))[1])
+    entries = list(law.mu.components) + [e for row in law.ad for e in row]
+    assert len(entries) == 12
+    for p in entries:
+        assert ExpPoly.parse(p.chart, p.to_text()) == p, p.to_text()
 
 
 def test_multiply_matches_golden_law(tmp_path):
@@ -762,11 +766,9 @@ def test_every_parse_classmethod_reads_text_with_evaluate_text():
     assert {"ExpPoly", "RationalFunction"} <= set(found)
 
 
-def test_limit_denominator_only_where_exactness_is_confirmed():
-    """No float is guessed back into a rational outside two places:
-    `matexp._snap_spectrum`, which confirms each candidate eigenvalue by
-    exact Gauss-Jordan, and `reduction._log_factor` (still to be made exact).
-    Each use is located by the top-level function that contains it."""
+def _uses(name: str) -> set:
+    """(module, top-level definition) of every use of a name or attribute in
+    the package."""
     import ast
     import pathlib
 
@@ -775,11 +777,24 @@ def test_limit_denominator_only_where_exactness_is_confirmed():
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr == "limit_denominator") or (
-                        isinstance(node, ast.Name) and node.id == "limit_denominator"):
+                if (isinstance(node, ast.Attribute) and node.attr == name) or (
+                        isinstance(node, ast.Name) and node.id == name):
                     found.add((path.stem, getattr(top, "name", f"line {top.lineno}")))
-    assert ("matexp", "_snap_spectrum") in found
-    assert found <= {("matexp", "_snap_spectrum"), ("reduction", "_log_factor")}, found
+    return found
+
+
+def test_limit_denominator_only_where_exactness_is_confirmed():
+    """No float is guessed back into a rational outside
+    `reduction._log_factor` (still to be made exact): `matexp` decides each
+    spectrum from the exact characteristic polynomial."""
+    assert _uses("limit_denominator") == {("reduction", "_log_factor")}
+
+
+def test_no_numeric_eigenvalues_outside_the_root_step():
+    """No module asks numpy for eigenvalues; numeric roots are taken only of
+    the square-free factors in `matexp._factor_roots`."""
+    assert not _uses("eigvals") | _uses("eig")
+    assert _uses("roots") == {("matexp", "_factor_roots")}
 
 
 # ----------------------------------------------------------------------

@@ -329,19 +329,23 @@ def test_preadjoint_oracle_consistency():
 
 
 def test_group_law_builds_each_matrix_exponential_once(monkeypatch):
-    """The 5-dim law and its cross-check need 12 distinct exponentials; the
-    frame transposes the forward factors e^{x ad_s} that the reduction of
-    the product-group forms builds."""
+    """The 5-dim law and its cross-check decide 6 spectra: one per matrix
+    up to sign, since e^{-tA} is the key map of e^{tA}, and the frame
+    transposes the forward factors that the reduction of the product-group
+    forms builds.  Only the three non-nilpotent ones run Putzer's recursion."""
     import liequad.matexp as matexp
 
-    calls = []
-    counted = matexp._snap_spectrum
-    monkeypatch.setattr(matexp, "_snap_spectrum", lambda *a: calls.append(1) or counted(*a))
-    matexp._putzer.cache_clear()
+    decided, putzer = [], []
+    charpoly, recursion = matexp._charpoly, matexp._putzer
+    monkeypatch.setattr(matexp, "_charpoly", lambda B: decided.append(B) or charpoly(B))
+    monkeypatch.setattr(matexp, "_putzer", lambda *a: putzer.append(1) or recursion(*a))
+    matexp._exp.cache_clear()
     _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
     law = multiplication(chain)
     assert preadjoint_oracle(chain, law, samples=5).passed
-    assert len(calls) == 12
+    assert (len(decided), len(putzer)) == (6, 3)
+    negated = [[[-x for x in row] for row in B] for B in decided]
+    assert not any(B in decided[:i] or B in negated[:i] for i, B in enumerate(decided))
 
 
 def test_verify_group_differentiates_once_per_map(monkeypatch):

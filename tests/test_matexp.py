@@ -1,5 +1,7 @@
-"""Symbolic matrix exponential: Putzer over a clustered spectrum."""
+"""Symbolic matrix exponential: the exact spectrum decision, the nilpotent
+series, Putzer's recursion and the key map of e^{-tA}."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liequad import (
-    EigenvalueClusterAmbiguity,
     ExpPoly,
     StructureConstants,
     VarSet,
@@ -18,8 +19,9 @@ from liequad import (
     sym_exp,
 )
 from liequad.catalog import five_dim_two_parameter
-from liequad.liealg import adapted_chain, mat_inverse
-from liequad.matexp import CLUSTER_TOL, _cluster_spectrum, _snap_spectrum, derivative_residual
+from liequad.errors import SingularMatrix
+from liequad.liealg import BasisChange, adapted_chain, change_basis, mat_inverse
+from liequad.matexp import _charpoly, _exp, _putzer, _spectrum, derivative_residual
 
 F = Fraction
 T = VarSet.of("t")
@@ -118,14 +120,19 @@ def test_rational_snap_hits_exact_rates():
     assert a2[0] == float(F(1, 3))
 
 
-def test_cluster_ambiguity_detection():
+def test_close_eigenvalues_are_decided_exactly():
+    """Eigenvalues 6e-8 apart, which no float clustering tolerance of 1e-7
+    separates, are three exact rates."""
     A = [[F(0), F(0), F(0)],
          [F(0), F(1, 20000000), F(0)],
          [F(0), F(0), F(3, 25000000)]]
-    with pytest.raises(EigenvalueClusterAmbiguity):
-        sym_exp(A, "t", cluster_tol=1e-7)
-    E = sym_exp(A, "t", cluster_tol=1e-9)  # resolvable at a finer tolerance
-    assert E.at(0.0) == pytest.approx(np.eye(3))
+    assert _decide(A) == [(0j, 1), (complex(float(F(1, 20000000))), 1), (complex(float(F(3, 25000000))), 1)]
+    E = sym_exp(A, "t")
+    assert E.entries[0][0] == ExpPoly.one(T)
+    for i, rate in ((1, F(1, 20000000)), (2, F(3, 25000000))):
+        ((key, c),) = E.entries[i][i].terms.items()
+        assert key[1] == (float(rate),) and c == pytest.approx(1.0, abs=1e-15)
+    assert derivative_residual(E) == 0.0
 
 
 def test_compose_polynomial_entries_with_rational_scalar():
@@ -157,29 +164,35 @@ def test_compose_exponential_entries_with_rational_scalar_raises():
 
 
 # ----------------------------------------------------------------------
-# the exact eigenvalue snap
+# the exact eigenvalue decision
+
+
+def _decide(A) -> list[tuple[complex, int]]:
+    """The spectrum `sym_exp` feeds to Putzer's recursion, as (value,
+    multiplicity) pairs."""
+    d = math.lcm(*(F(x).denominator for row in A for x in row))
+    return _spectrum(_charpoly([[int(F(x) * d) for x in row] for row in A])[0], d)
 
 
 def _candidate(x: float) -> Fraction:
-    """The rational the snap tries for a float coordinate."""
+    """A rational guessed from a float coordinate, for the reference check."""
     return Fraction(x).limit_denominator(10 ** 6)
 
 
 def test_snap_rejects_close_irrational_candidate():
     A = [[F(0), F(2)], [F(1), F(0)]]  # eigenvalues +- sqrt(2)
-    clusters = _cluster_spectrum(np.linalg.eigvals(np.array([[0.0, 2.0], [1.0, 0.0]])), CLUSTER_TOL)
-    for rep, _ in clusters:
-        # the candidate is within tolerance, so only the exact test rejects it
-        assert abs(float(_candidate(rep.real)) - rep.real) <= CLUSTER_TOL
-    assert _snap_spectrum(clusters, A, CLUSTER_TOL) == clusters
-    assert [v.real for v, _ in clusters] == pytest.approx([-2 ** 0.5, 2 ** 0.5])
+    spectrum = _decide(A)
+    assert [v for v, _ in spectrum] == pytest.approx([-2 ** 0.5, 2 ** 0.5])
+    for v, mult in spectrum:
+        cand = _candidate(v.real)
+        # a rational within 1e-7 of the root exists; the decision does not return it
+        assert mult == 1 and abs(float(cand) - v.real) <= 1e-7 and v.real != float(cand)
 
 
 @pytest.mark.parametrize("a, b", [(F(0), F(1)), (F(1, 2), F(3, 2))])
 def test_snap_confirms_gaussian_rational_pair(a, b):
     A = [[a, -b], [b, a]]  # eigenvalues a +- ib
-    clusters = [(complex(a + 3e-9, -b - 2e-9), 1), (complex(a + 3e-9, b + 2e-9), 1)]
-    assert _snap_spectrum(clusters, A, CLUSTER_TOL) == [
+    assert _decide(A) == [
         (complex(float(a), -float(b)), 1),
         (complex(float(a), float(b)), 1),
     ]
@@ -187,18 +200,34 @@ def test_snap_confirms_gaussian_rational_pair(a, b):
 
 def test_snap_confirms_repeated_eigenvalue():
     A = [[F(2), F(1)], [F(0), F(2)]]
-    assert _snap_spectrum([(complex(2 + 4e-9, 0.0), 2)], A, CLUSTER_TOL) == [(2 + 0j, 2)]
+    assert _decide(A) == [(2 + 0j, 2)]
 
 
-def test_snap_of_nilpotent_filiform_adjoint_is_zero():
+def test_snap_of_nilpotent_filiform_adjoint_is_zero(monkeypatch):
+    """L_16's adjoint has the characteristic polynomial x^16, and its
+    exponential is the exact series: no numpy root and no Putzer step."""
+    import liequad.matexp as matexp
+
     # L_16: [e_16, e_k] = e_{k-1} for k = 2..15
     sc = StructureConstants.from_brackets(16, {(16, k): {k - 1: F(1)} for k in range(2, 16)})
     _, chain = adapted_chain(sc)
     A = chain.ad_matrix(0)
     n = len(A)
-    clusters = _cluster_spectrum(np.linalg.eigvals(np.array([[float(x) for x in r] for r in A])), CLUSTER_TOL)
-    assert _snap_spectrum(clusters, A, CLUSTER_TOL) == [(0j, n)]
-    assert _snap_spectrum([(complex(5e-9, 0.0), n)], A, CLUSTER_TOL) == [(0j, n)]
+    assert _charpoly([[int(x) for x in row] for row in A])[0] == [0] * n + [1]
+
+    def refuse(*args):
+        raise AssertionError("a nilpotent matrix reached a numeric step")
+
+    monkeypatch.setattr(matexp, "_putzer", refuse)
+    monkeypatch.setattr(matexp.np, "roots", refuse)
+    _exp.cache_clear()
+    E = sym_exp(A, "t")
+    assert len(E.series) == 15 and E.series[0] == [[int(i == j) for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            want = {((k,), (0.0,), (0.0,), 0): float(S[a][b]) for k, S in enumerate(E.series) if S[a][b]}
+            # the ZERO_TOL cut drops t^14/14! (ROADMAP item C)
+            assert E.entries[a][b].terms == {k: c for k, c in want.items() if abs(c) > 1e-10}
 
 
 @st.composite
@@ -230,28 +259,131 @@ def _rational_matrices(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_rational_matrices())
 def test_snap_accepts_exactly_the_roots_of_the_characteristic_polynomial(A):
+    """A decided eigenvalue that a rational guess reproduces within 1e-7
+    equals the guess exactly when the guess is a root of sympy's
+    characteristic polynomial, and then has its multiplicity there."""
     lam = sp.Symbol("lambda")
     charpoly = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in A]).charpoly(lam).as_expr()
-    try:
-        clusters = _cluster_spectrum(np.linalg.eigvals(np.array([[float(x) for x in r] for r in A])), CLUSTER_TOL)
-    except EigenvalueClusterAmbiguity:
-        return
-    for rep, mult in clusters:
-        if rep.imag < 0:
+    multiplicity = sp.roots(charpoly, lam)
+    spectrum = _decide(A)
+    assert sum(mult for _, mult in spectrum) == len(A)
+    for value, mult in spectrum:
+        if value.imag < 0:
             continue
-        ((value, _),) = _snap_spectrum([(rep, mult)], A, CLUSTER_TOL)
-        cr = _candidate(rep.real)
-        if abs(rep.imag) <= CLUSTER_TOL:
-            ci, root = F(0), sp.Rational(cr.numerator, cr.denominator)
-            in_tol = abs(float(cr) - rep.real) <= CLUSTER_TOL
-        else:
-            ci = _candidate(rep.imag)
-            root = sp.Rational(cr.numerator, cr.denominator) + sp.I * sp.Rational(ci.numerator, ci.denominator)
-            in_tol = abs(float(cr) - rep.real) <= CLUSTER_TOL and abs(float(ci) - rep.imag) <= CLUSTER_TOL
-        if not in_tol:
+        cr = _candidate(value.real)
+        ci = _candidate(value.imag) if value.imag else F(0)
+        root = sp.Rational(cr.numerator, cr.denominator) + sp.I * sp.Rational(ci.numerator, ci.denominator)
+        if abs(float(cr) - value.real) > 1e-7 or abs(float(ci) - value.imag) > 1e-7:
             continue
         is_root = sp.expand(charpoly.subs(lam, root)) == 0
-        assert (value == complex(float(cr), float(ci))) == is_root, (A, rep, value)
+        assert (value == complex(float(cr), float(ci))) == is_root, (A, value)
+        if is_root:
+            assert multiplicity[root] == mult, (A, value)
+
+
+# ----------------------------------------------------------------------
+# defective spectra in unfriendly bases
+
+
+def _conjugate(J, P):
+    """P J P^{-1} over Q; raises SingularMatrix when P is singular."""
+    n = len(J)
+    Pinv = mat_inverse(P)
+    M = [[sum(P[r][k] * J[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+    return [[sum(M[r][k] * Pinv[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+
+def _random_invertible(rng: random.Random, n: int):
+    """A random n x n matrix with entries in {-2, ..., 2}, redrawn until invertible."""
+    while True:
+        P = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        try:
+            mat_inverse(P)
+            return P
+        except SingularMatrix:
+            pass
+
+
+@st.composite
+def _conjugated_jordan_forms(draw):
+    """P J P^{-1}: J a Jordan form of size <= 5 with blocks of size <= 4 and
+    small rational eigenvalues, P with entries in {-2, ..., 2}."""
+    blocks = []
+    while not blocks or (sum(size for size, _ in blocks) < 5 and draw(st.booleans())):
+        size = draw(st.integers(1, min(4, 5 - sum(s for s, _ in blocks))))
+        blocks.append((size, draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))))
+    n = sum(size for size, _ in blocks)
+    J = [[F(0)] * n for _ in range(n)]
+    i = 0
+    for size, value in blocks:
+        for k in range(i, i + size):
+            J[k][k] = value
+            if k + 1 < i + size:
+                J[k][k + 1] = F(1)
+        i += size
+    P = [[F(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(n)]
+    try:
+        return _conjugate(J, P)
+    except SingularMatrix:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_conjugated_jordan_forms())
+def test_conjugated_jordan_forms_exponentiate_exactly(A):
+    assert derivative_residual(sym_exp(A, "t")) == 0.0
+
+
+def test_conjugated_jordan_block_of_the_baseline():
+    """The 3 x 3 Jordan block with eigenvalue 1 in small-integer bases:
+    float eigenvalues scatter it by about eps^(1/3)."""
+    J = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]]
+    for seed in range(4):
+        A = _conjugate(J, _random_invertible(random.Random(seed), 3))
+        assert _decide(A) == [(1 + 0j, 3)]
+        E = sym_exp(A, "t")
+        assert derivative_residual(E) == 0.0
+        An = np.array([[float(x) for x in row] for row in A])
+        assert np.abs(E.at(1.5) - scipy.linalg.expm(1.5 * An)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_filiform_adjoints_in_random_bases_are_exact(n, seed):
+    """L_6 and L_8 rewritten in a random rational basis: every adjoint
+    matrix the reduction and Ad exponentiate is nilpotent but not
+    triangular, and its exponential is the exact series."""
+    sc = StructureConstants.from_brackets(n, {(n, k): {k - 1: F(1)} for k in range(2, n)})
+    P = _random_invertible(random.Random(seed), n)
+    _, chain = adapted_chain(change_basis(sc, BasisChange(tuple(map(tuple, P)))))
+    for A in [chain.ad_matrix(s) for s in range(n)] + [chain.base.ad_matrix(j) for j in range(n)]:
+        E = sym_exp(A, "t")
+        assert E.series is not None and derivative_residual(E) == 0.0
+
+
+# ----------------------------------------------------------------------
+# e^{-tA} as a map of the keys of e^{tA}
+
+
+def test_inverse_is_the_exponential_at_minus_t():
+    _, chain = adapted_chain(five_dim_two_parameter(F(1), F(2)))
+    N = [[F(int(j == i + 1)) for j in range(4)] for i in range(4)]
+    for A in (chain.ad_matrix(0), chain.ad_matrix(1), [[F(2), F(1)], [F(0), F(2)]], N):
+        E = sym_exp(A, "t")
+        inv = E.inverse
+        assert inv.source == tuple(tuple(-x for x in row) for row in E.source)
+        assert derivative_residual(inv) == 0.0
+        assert [[e.terms for e in row] for row in inv.inverse.entries] == [[e.terms for e in row] for row in E.entries]
+        for t in (0.7, -1.3):
+            assert np.abs(inv.at(t) - E.at(-t)).max() < 1e-15
+            assert np.abs(inv.at(t) @ E.at(t) - np.eye(len(A))).max() < 1e-12
+        if E.series is None:
+            # Putzer's recursion for -A over the negated spectrum rounds alike
+            lams = [-z for z, mult in _decide(A) for _ in range(mult)]
+            direct = _putzer(inv.source, lams, T)
+            assert [[e.terms for e in row] for row in direct] == [[e.terms for e in row] for row in inv.entries]
+    # the nilpotent series maps with the signs (-1)^k
+    assert sym_exp(N, "t").inverse.series[3][0][3] == F(-1, 6)
 
 
 def _per_sample_exp_errors(E, samples, seed):

@@ -11,6 +11,7 @@ from liequad import (
     DiffForm,
     ExpPoly,
     LiequadError,
+    NonAffineExponentSubstitution,
     NotClosed,
     RationalFunction,
     ResidualNonzero,
@@ -345,9 +346,9 @@ def test_log_factor_guards_reject_out_of_class_scalars():
 # ----------------------------------------------------------------------
 # a corrupted factor below the checked input block is still caught
 
-def _corrupt_level_factor(monkeypatch, chain, s):
+def _corrupt_level_factor(monkeypatch, chain, s, column=0):
     """Add f/2 to one entry of the level-s factor e^{f ad_s}: the row of
-    the form the next level integrates, in its first column.  Returns the
+    the form the next level integrates, in the given column.  Returns the
     list of corrupted factors, one per reduction that reached level s."""
     import liequad.reduction as reduction
 
@@ -356,12 +357,12 @@ def _corrupt_level_factor(monkeypatch, chain, s):
     m = chain.n - s
     hits = []
 
-    def corrupted(A, f):
-        E = original(A, f)
-        # the forward factor of level s only; unreduce asks for -ad_s
-        if E is not None and A == forward:
+    def corrupted(A, f, inverse=False):
+        E = original(A, f, inverse)
+        # the forward factor of level s only; unreduce asks for the inverse
+        if E is not None and not inverse and A == forward:
             E = [list(row) for row in E]
-            E[m - 2][0] = E[m - 2][0] + f * 0.5
+            E[m - 2][column] = E[m - 2][column] + f * 0.5
             hits.append(s)
         return E
 
@@ -369,26 +370,33 @@ def _corrupt_level_factor(monkeypatch, chain, s):
     return hits
 
 
-@pytest.mark.parametrize("sc, s", [
-    (borel_constants(4), 1),
-    (borel_constants(4), 2),
-    (borel_constants(4), 3),
-    (five_dim_constants(F(1), F(2)), 1),
-], ids=["borel4-level1", "borel4-level2", "borel4-level3", "five-dim-level1"])
-def test_corrupted_factor_ends_in_an_error_or_a_failing_check(monkeypatch, sc, s):
+@pytest.mark.parametrize("sc, s, last_column", [
+    (borel_constants(4), 1, False),
+    (borel_constants(4), 2, False),
+    (borel_constants(4), 3, False),
+    (five_dim_constants(F(1), F(2)), 1, False),
+    (borel_constants(4), 1, True),
+    (borel_constants(4), 2, True),
+], ids=["borel4-level1", "borel4-level2", "borel4-level3", "five-dim-level1",
+        "borel4-level1-last-column", "borel4-level2-last-column"])
+def test_corrupted_factor_ends_in_an_error_or_a_failing_check(monkeypatch, sc, s, last_column):
     """The structure equations are checked on the input block only.  A
     wrong level-s factor breaks them from level s + 1 on, so the run must
-    end in a typed error naming a deeper level or in a failing report line."""
+    end in a typed error naming a deeper level or in a failing report line.
+    In the last column, the next quadrature is closed but quadratic, and
+    the next factor cannot compose with it: the error names level s + 1."""
     _, chain = adapted_chain(sc)
-    hits = _corrupt_level_factor(monkeypatch, chain, s)
+    hits = _corrupt_level_factor(monkeypatch, chain, s, chain.n - s - 1 if last_column else 0)
     try:
         law = multiplication(chain)
         report = verify_group(law)
         report.extend(preadjoint_oracle(chain, law))
     except LiequadError as exc:
-        assert getattr(exc, "level", None) is not None and exc.level > s, repr(exc)
+        assert exc.level is not None and exc.level > s, repr(exc)
+        if last_column:
+            assert isinstance(exc, NonAffineExponentSubstitution) and exc.level == s + 1, repr(exc)
     else:
-        assert not report.passed, str(report)
+        assert not last_column and not report.passed, str(report)
     assert hits
 
 
