@@ -14,6 +14,7 @@ from .errors import (
     ClassMismatch,
     DegenerateTransversality,
     EmptyDomain,
+    ExponentOverflow,
     LiequadError,
     MismatchedVarSet,
     NonAffineExponentSubstitution,

@@ -44,6 +44,13 @@ class NonFiniteCoefficient(LiequadError):
     code = "non-finite-coefficient"
 
 
+class ExponentOverflow(LiequadError):
+    """A monomial exponent exceeds the largest one an exponential
+    polynomial stores (exppoly.MAX_EXPONENT)."""
+
+    code = "exponent-overflow"
+
+
 class PoleAtPoint(LiequadError):
     code = "pole-at-point"
 

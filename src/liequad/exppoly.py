@@ -13,18 +13,33 @@ coefficient tolerance.
 Rates are plain floats and are only ever copied or added, never
 recomputed from scratch, so structurally equal keys compare exactly.
 
-Canonical keys.  A stored key has its -0.0 entries normalized to 0.0; a
-"one" key has b = 0; a trig key has b != 0 with its first nonzero entry
-positive (cos(-u) = cos u, sin(-u) = -sin u move the sign into the
-coefficient).  Every stored coefficient exceeds ZERO_TOL.  The cut keeps
-no NaN: a NaN coefficient (an overflow that cancels, inf - inf) raises
-NonFiniteCoefficient instead of passing as zero.  `__init__`,
+Canonical keys.  A term (k, a, b, kind) has its -0.0 rate entries
+normalized to 0.0; a "one" term has b = 0; a trig term has b != 0 with its
+first nonzero entry positive (cos(-u) = cos u, sin(-u) = -sin u move the
+sign into the coefficient).  Every stored coefficient exceeds ZERO_TOL.
+The cut keeps no NaN: a NaN coefficient (an overflow that cancels, inf -
+inf) raises NonFiniteCoefficient instead of passing as zero.  `__init__`,
 `term`, `parse` and `substitute` establish this from arbitrary input.
-The ring operations build their results from keys that are canonical
+The ring operations build their results from terms that are canonical
 already: sums, negation, scaling and `diff`/`antideriv` keep b and only
 swap cos and sin on a nonzero b, and `__mul__` canonicalizes each new trig
-part in `_put`.  They go through `_canonical`, which applies only the
-ZERO_TOL cut (`_cut`).
+part.  They go through `_canonical`, which applies only the ZERO_TOL cut
+(`_cut`).
+
+Packed keys.  A polynomial stores the term (k, a, b, kind) under the key
+(K, r, kind), private to this module.  K packs the exponents into one
+int, 16 bits per variable, x_i at bit 16 i.  r is the id of the rate pair
+(a, b) in a table shared by all charts of n variables (`_Layout`), kept
+for the life of the process; id 0 is a = b = 0.  The top bit of each
+exponent field stays clear, so an exponent is at most MAX_EXPONENT, and
+K1 + K2 packs the sum of two exponent vectors without a carry between
+fields; a result that sets a top bit raises ExponentOverflow.  The table
+memoizes, per pair of ids, the id of (a1 + a2, b1 + b2) and of
+(a1 + a2, b1 - b2) with its trig part canonical, computed once with the
+float additions of the tuple formula; a product of two terms then adds
+two ints and looks up one or two ids.  `terms` decodes the store into a
+read-only {(k, a, b, kind): c} in term order, and `to_text` sorts the
+decoded keys.
 
 A polynomial is never modified after construction, so a result may be
 one of the operands.  Shortcuts skip work whose answer is known, with the
@@ -37,14 +52,21 @@ same keys, term order and coefficient bits as the general formula:
   multiply each coefficient by c, and float `*` commutes.
 - A `substitute` whose bindings are all bare coordinates of the target,
   in increasing position, is a renaming: each key's k, a and b are copied
-  to the new positions.  An order-preserving renaming keeps canonical keys
-  canonical, the first nonzero b entry included, so nothing is
-  re-canonicalized; the general formula would multiply every coefficient
-  by exp(0) = cos(0) = 1.
-- Negation and that renaming build their result with `_stored`, which
-  skips the ZERO_TOL cut too: every coefficient keeps the magnitude of a
-  stored one, which exceeds ZERO_TOL and is never NaN, and a renaming
-  maps keys one to one, so no two terms merge.
+  to the new positions (K shifted, when the positions are consecutive).
+  An order-preserving renaming keeps canonical keys canonical, the first
+  nonzero b entry included, so nothing is re-canonicalized; the general
+  formula would multiply every coefficient by exp(0) = cos(0) = 1.
+- Negation, that renaming and `at_negated` build their result with
+  `_stored`, which skips the ZERO_TOL cut too: every coefficient keeps the
+  magnitude of a stored one, which exceeds ZERO_TOL and is never NaN, and
+  each maps keys one to one, so no two terms merge.
+
+Substitution.  `substitute` takes its bindings as a mapping or as a
+`Substitution` prepared once for many polynomials over one chart (a
+`forms.PointMap` keeps one): it holds the renaming positions, and it
+memoizes the affine part of each binding and what each rate pair becomes.
+The general formula adds its pieces into one accumulator that cuts only
+the keys a piece touches, which is the cut of the running sum.
 
 Text.  `to_text` writes the terms in key order; `parse` reads text with
 the one exact parser, `exacttext.evaluate_text`, evaluating it in the
@@ -53,28 +75,36 @@ cos and sin of an affine argument are exp(t), cos(t) and sin(t) composed
 with it by `substitute`.  Text outside the class, or with a value that is
 not a finite float (a NaN along the way included), is a SchemaError.
 
-Compiled form.  On first evaluation a polynomial reads its T terms as
-arrays, exponents K and rates A, B (each T x n) and kinds (T), and caches
-its T coefficients with the evaluation steps read off those arrays
-(`Compiled`).  `evaluate_batch` evaluates them at N points in one numpy
-pass, in the order of the scalar formula: c * x1^k1 * ... * xn^kn
-in variable order, then * exp(a.x), then * cos or sin(b.x), the dot
-products summed in variable order and the terms in term order.
-`evaluate` is its one-point case.
+Compiled form.  On first evaluation a polynomial decodes its T terms
+into arrays, exponents K (the packed fields read as 16-bit integers) and
+rates A, B (each T x n) and kinds (T), and caches its T coefficients with
+the evaluation steps read off those arrays (`Compiled`).  `evaluate_batch`
+evaluates them at N points in one numpy pass, in the order of the scalar
+formula: c * x1^k1 * ... * xn^kn in variable order, then * exp(a.x), then
+* cos or sin(b.x), the dot products summed in variable order and the terms
+in term order.  `evaluate` is its one-point case.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
+import threading
 from fractions import Fraction
-from itertools import compress
-from operator import add, lt, sub
-from typing import Iterable, Mapping, NamedTuple
+from operator import add, itemgetter, lt, or_, sub
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import MismatchedVarSet, NonAffineExponentSubstitution, NonFiniteCoefficient, SchemaError
+from .errors import (
+    ExponentOverflow,
+    MismatchedVarSet,
+    NonAffineExponentSubstitution,
+    NonFiniteCoefficient,
+    SchemaError,
+)
 from .exacttext import evaluate_text
 from .varset import VarSet
 
@@ -85,8 +115,27 @@ KIND_ONE = 0
 KIND_COS = 1
 KIND_SIN = 2
 
-# key = (k: tuple[int], a: tuple[float], b: tuple[float], kind: int)
+# a decoded term key: (k: tuple[int], a: tuple[float], b: tuple[float], kind: int)
 Key = tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], int]
+
+# bits of one exponent field of a packed key; the top bit stays clear
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
+
+# the packed key of the constant term, over any chart
+_CONSTANT = (0, 0, KIND_ONE)
+
+
+def _canonical_b(b: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
+    """(b', sign): b with -0.0 normalized to 0.0, negated (sign -1) when its
+    first nonzero entry is negative, else sign 1; sign 0 when b = 0."""
+    first = next((v for v in b if v != 0.0), None)
+    if first is None:
+        return tuple(0.0 for _ in b), 0
+    if first < 0.0:
+        return tuple(-v + 0.0 for v in b), -1
+    return tuple(v + 0.0 for v in b), 1
 
 
 def _canon_trig(b: tuple[float, ...], kind: int, coeff: float):
@@ -94,47 +143,159 @@ def _canon_trig(b: tuple[float, ...], kind: int, coeff: float):
     (sin drops), otherwise flip b so its first nonzero entry is positive."""
     if kind == KIND_ONE:
         return tuple(0.0 for _ in b), KIND_ONE, coeff
-    if all(v == 0.0 for v in b):
-        if kind == KIND_SIN:
-            return tuple(0.0 for _ in b), KIND_ONE, 0.0
-        return tuple(0.0 for _ in b), KIND_ONE, coeff
-    first = next(v for v in b if v != 0.0)
-    if first < 0.0:
-        b = tuple(-v for v in b)
-        if kind == KIND_SIN:
-            coeff = -coeff
-    # normalize -0.0 to 0.0 so keys hash consistently
-    b = tuple(v + 0.0 for v in b)
-    return b, kind, coeff
+    b, sign = _canonical_b(b)
+    if not sign:
+        return b, KIND_ONE, 0.0 if kind == KIND_SIN else coeff
+    return b, kind, -coeff if sign < 0 and kind == KIND_SIN else coeff
 
 
-@functools.lru_cache(maxsize=None)
-def _constant_key(n: int) -> Key:
-    """The key of the constant term over n variables."""
-    return ((0,) * n, (0.0,) * n, (0.0,) * n, KIND_ONE)
+class _Memo(dict):
+    """fn(x), computed on the first lookup of x."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
 
 
-def _cut(acc: Mapping[Key, float]) -> dict[Key, float]:
-    """The terms above ZERO_TOL.  A NaN fails that test too, so the
-    coefficients the cut removes are checked for one."""
+class _Layout:
+    """The packed keys over n variables: the exponent fields, the table of
+    rate pairs, and rate arithmetic memoized per id (module docstring)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.fields = struct.Struct(f"<{n}H")
+        self.guard = int.from_bytes(self.fields.pack(*[1 << (_BITS - 1)] * n), "little")
+        zero = (0.0,) * n
+        self.rates = [(zero, zero)]  # id -> (a, b)
+        self.ids = {(zero, zero): 0}  # (a, b) -> id
+        # sums[r1][r2]: the id of (a1 + a2, b1 + b2)
+        self.sums = _Memo(lambda r1: _Memo(functools.partial(self._sum, r1)))
+        # difs[r1][r2]: (id, sign) of (a1 + a2, b1 - b2) with b canonical:
+        # sign -1 when b was negated, 0 when b1 - b2 = 0 (b is then zero)
+        self.difs = _Memo(lambda r1: _Memo(functools.partial(self._dif, r1)))
+        # support[r]: the positions where a or b is nonzero
+        self.support = _Memo(self._support)
+        # renamed[(nt, positions)][r]: the id over nt variables of the rates
+        # of r moved to increasing positions
+        self.renamed = _Memo(self._renaming)
+        # negated[i][r]: (id, flipped) of the rates of r with a_i and b_i
+        # negated, b canonical again (flipped when that negated b)
+        self.negated = _Memo(lambda i: _Memo(functools.partial(self._negation, i)))
+
+    def rate(self, a: tuple[float, ...], b: tuple[float, ...]) -> int:
+        """The id of a canonical rate pair, interned on first use."""
+        r = self.ids.get((a, b))
+        if r is None:
+            with _INTERNING:
+                r = self.ids.get((a, b))
+                if r is None:
+                    r = len(self.rates)
+                    self.rates.append((a, b))
+                    self.ids[(a, b)] = r
+        return r
+
+    def pack(self, k) -> int:
+        k = tuple(k)
+        if len(k) != self.n:
+            raise ValueError(f"{len(k)} exponents for {self.n} variables")
+        if min(k, default=0) < 0:
+            raise ValueError("monomial exponents must be nonnegative")
+        if max(k, default=0) > MAX_EXPONENT:
+            raise ExponentOverflow(f"a monomial exponent exceeds {MAX_EXPONENT}")
+        return int.from_bytes(self.fields.pack(*k), "little")
+
+    def unpack(self, K: int) -> tuple[int, ...]:
+        return self.fields.unpack(K.to_bytes(2 * self.n, "little"))
+
+    def key(self, K: int, r: int, kind: int) -> Key:
+        """The decoded key of a packed one."""
+        a, b = self.rates[r]
+        return self.unpack(K), a, b, kind
+
+    def _sum(self, r1: int, r2: int) -> int:
+        (a1, b1), (a2, b2) = self.rates[r1], self.rates[r2]
+        return self.rate(tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
+
+    def _dif(self, r1: int, r2: int) -> tuple[int, int]:
+        (a1, b1), (a2, b2) = self.rates[r1], self.rates[r2]
+        b, sign = _canonical_b(tuple(map(sub, b1, b2)))
+        return self.rate(tuple(map(add, a1, a2)), b), sign
+
+    def _support(self, r: int) -> frozenset[int]:
+        a, b = self.rates[r]
+        return frozenset(i for i in range(self.n) if a[i] != 0.0 or b[i] != 0.0)
+
+    def _renaming(self, spec: tuple[int, tuple[int, ...]]) -> _Memo:
+        nt, positions = spec
+        target = _layout(nt)
+
+        def moved(r: int) -> int:
+            a, b = self.rates[r]
+            a2, b2 = [0.0] * nt, [0.0] * nt
+            for i, j in enumerate(positions):
+                a2[j], b2[j] = a[i], b[i]
+            return target.rate(tuple(a2), tuple(b2))
+
+        return _Memo(moved)
+
+    def _negation(self, i: int, r: int) -> tuple[int, bool]:
+        a, b = self.rates[r]
+        a = a[:i] + (0.0 - a[i],) + a[i + 1:]
+        if b[i] == 0.0:
+            return self.rate(a, b), False
+        b, sign = _canonical_b(b[:i] + (0.0 - b[i],) + b[i + 1:])
+        return self.rate(a, b), sign < 0
+
+
+# one layout per number of variables, for the life of the process; the
+# lock makes each layout and each rate id once, whatever thread asks first
+_LAYOUTS: dict[int, _Layout] = {}
+_INTERNING = threading.Lock()
+
+
+def _layout(n: int) -> _Layout:
+    lay = _LAYOUTS.get(n)
+    if lay is None:
+        with _INTERNING:
+            lay = _LAYOUTS.get(n)
+            if lay is None:
+                lay = _LAYOUTS[n] = _Layout(n)
+    return lay
+
+
+def _position(K: int) -> int | None:
+    """j when K packs the exponents of x_j alone, to the first power."""
+    if K and not K & (K - 1):
+        j, rest = divmod(K.bit_length() - 1, _BITS)
+        if not rest:
+            return j
+    return None
+
+
+def _exponent_bits(store) -> int:
+    """The OR of the packed exponents of a store: each field is at least
+    the largest exponent of its variable."""
+    return functools.reduce(or_, map(itemgetter(0), store), 0)
+
+
+_above_tol = ZERO_TOL.__lt__
+
+
+def _cut(acc: dict) -> dict:
+    """The terms above ZERO_TOL, acc itself when that is all of them.  A
+    NaN fails that test too, so the coefficients the cut removes are
+    checked for one."""
+    if all(map(_above_tol, map(abs, acc.values()))):
+        return acc
     terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
-    if len(terms) < len(acc) and any(map(math.isnan, acc.values())):
+    if any(map(math.isnan, acc.values())):
         raise NonFiniteCoefficient("an exponential-polynomial coefficient is NaN")
     return terms
-
-
-def _add(acc: dict, key: Key, c: float) -> None:
-    """Add c at a canonical key to an accumulator."""
-    acc[key] = acc.get(key, 0.0) + c
-
-
-def _put(acc: dict, key: Key, c: float) -> None:
-    """Add c at key to an accumulator, the trig part canonicalized; a
-    "one" key comes from canonical keys, so its b is zero already."""
-    if key[3] != KIND_ONE:
-        b2, kind2, c = _canon_trig(key[2], key[3], c)
-        key = (key[0], key[1], b2, kind2)
-    _add(acc, key, c)
 
 
 class Compiled(NamedTuple):
@@ -155,49 +316,55 @@ def _rows(mask: np.ndarray):
 
 
 class ExpPoly:
-    __slots__ = ("chart", "terms", "_compiled")
+    __slots__ = ("chart", "_lay", "_t", "_compiled")
 
     def __init__(self, chart: VarSet, terms: Mapping[Key, float] | None = None):
-        acc: dict[Key, float] = {}
+        lay = _layout(len(chart))
+        acc: dict = {}
         if terms:
             for (k, a, b, kind), c in terms.items():
                 b2, kind2, c2 = _canon_trig(tuple(b), kind, float(c))
-                key = (tuple(k), tuple(v + 0.0 for v in a), b2, kind2)
+                key = (lay.pack(k), lay.rate(tuple(v + 0.0 for v in a), b2), kind2)
                 acc[key] = acc.get(key, 0.0) + c2
         self.chart = chart
-        self.terms = _cut(acc)
+        self._lay = lay
+        self._t = _cut(acc)
         self._compiled = None
 
     @classmethod
-    def _canonical(cls, chart: VarSet, acc: Mapping[Key, float]) -> "ExpPoly":
-        """Trusted constructor for keys that are canonical already (see the
-        module docstring); applies only the ZERO_TOL cut."""
+    def _canonical(cls, chart: VarSet, lay: _Layout, acc: dict) -> "ExpPoly":
+        """Trusted constructor for packed keys that are canonical already
+        (see the module docstring); applies only the ZERO_TOL cut."""
+        return cls._stored(chart, lay, _cut(acc))
+
+    @classmethod
+    def _stored(cls, chart: VarSet, lay: _Layout, terms: dict) -> "ExpPoly":
+        """Trusted constructor for canonical packed keys whose coefficients
+        are above ZERO_TOL already (module docstring); no cut."""
         self = object.__new__(cls)
         self.chart = chart
-        self.terms = _cut(acc)
+        self._lay = lay
+        self._t = terms
         self._compiled = None
         return self
 
-    @classmethod
-    def _stored(cls, chart: VarSet, terms: dict[Key, float]) -> "ExpPoly":
-        """Trusted constructor for canonical keys whose coefficients are
-        above ZERO_TOL already (module docstring); no cut."""
-        self = object.__new__(cls)
-        self.chart = chart
-        self.terms = terms
-        self._compiled = None
-        return self
+    @property
+    def terms(self) -> Mapping[Key, float]:
+        """The terms {(k, a, b, kind): c} in term order, decoded from the
+        packed store; read-only."""
+        key = self._lay.key
+        return MappingProxyType({key(*packed): c for packed, c in self._t.items()})
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, chart: VarSet) -> "ExpPoly":
-        return cls._canonical(chart, {})
+        return cls._stored(chart, _layout(len(chart)), {})
 
     @classmethod
     def constant(cls, chart: VarSet, value: float) -> "ExpPoly":
-        return cls._canonical(chart, {_constant_key(len(chart)): float(value)})
+        return cls._canonical(chart, _layout(len(chart)), {_CONSTANT: float(value)})
 
     @classmethod
     def one(cls, chart: VarSet) -> "ExpPoly":
@@ -205,11 +372,17 @@ class ExpPoly:
 
     @classmethod
     def coordinate(cls, chart: VarSet, name: str) -> "ExpPoly":
-        n = len(chart)
-        k = [0] * n
-        k[chart.index(name)] = 1
-        zr = (0.0,) * n
-        return cls._canonical(chart, {(tuple(k), zr, zr, KIND_ONE): 1.0})
+        K = 1 << (_BITS * chart.index(name))
+        return cls._stored(chart, _layout(len(chart)), {(K, 0, KIND_ONE): 1.0})
+
+    @classmethod
+    def polynomial_in(cls, chart: VarSet, name: str, coeffs: Sequence[float]) -> "ExpPoly":
+        """sum_k coeffs[k] * name^k, the terms in increasing k."""
+        if len(coeffs) > MAX_EXPONENT + 1:
+            raise ExponentOverflow(f"a monomial exponent exceeds {MAX_EXPONENT}")
+        shift = _BITS * chart.index(name)
+        acc = {(k << shift, 0, KIND_ONE): float(c) for k, c in enumerate(coeffs) if c}
+        return cls._canonical(chart, _layout(len(chart)), acc)
 
     @classmethod
     def term(
@@ -242,7 +415,7 @@ class ExpPoly:
     # ring structure
 
     def _check_chart(self, other: "ExpPoly"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise MismatchedVarSet(f"{self.chart.names} vs {other.chart.names}")
 
     def __add__(self, other):
@@ -251,19 +424,20 @@ class ExpPoly:
                 return NotImplemented
             other = ExpPoly.constant(self.chart, float(other))
         self._check_chart(other)
-        if not other.terms:
+        if not other._t:
             return self
-        if not self.terms:
+        if not self._t:
             return other
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, 0.0) + c
-        return ExpPoly._canonical(self.chart, acc)
+        acc = self._t.copy()
+        get = acc.get
+        for key, c in other._t.items():
+            acc[key] = get(key, 0.0) + c
+        return ExpPoly._canonical(self.chart, self._lay, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly._stored(self.chart, {k: -c for k, c in self.terms.items()})
+        return ExpPoly._stored(self.chart, self._lay, {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, ExpPoly) else -float(other))
@@ -275,8 +449,8 @@ class ExpPoly:
         if f == 1.0:
             return self
         if f == 0.0:
-            return ExpPoly.zero(self.chart)
-        return ExpPoly._canonical(self.chart, {k: c * f for k, c in self.terms.items()})
+            return ExpPoly._stored(self.chart, self._lay, {})
+        return ExpPoly._canonical(self.chart, self._lay, {k: c * f for k, c in self._t.items()})
 
     def __mul__(self, other):
         if not isinstance(other, ExpPoly):
@@ -284,8 +458,8 @@ class ExpPoly:
                 return NotImplemented
             return self._scaled(float(other))
         self._check_chart(other)
-        if not self.terms or not other.terms:
-            return ExpPoly.zero(self.chart)
+        if not self._t or not other._t:
+            return ExpPoly._stored(self.chart, self._lay, {})
         # a one-term constant scales the other operand (module docstring)
         f = other._one_constant()
         if f is not None:
@@ -293,36 +467,53 @@ class ExpPoly:
         f = self._one_constant()
         if f is not None:
             return other._scaled(f)
-        acc: dict[Key, float] = {}
-        for (k1, a1, b1, t1), c1 in self.terms.items():
-            for (k2, a2, b2, t2), c2 in other.terms.items():
-                k = tuple(map(add, k1, k2))
-                a = tuple(map(add, a1, a2))
+        lay = self._lay
+        sums, difs = lay.sums, lay.difs
+        acc: dict = {}
+        get = acc.get
+        right = [(K, r, t, c) for (K, r, t), c in other._t.items()]
+        for (K1, r1, t1), c1 in self._t.items():
+            srow = sums[r1]
+            if t1 == KIND_ONE:
+                # b1 = 0: the sum of the rates is (a1 + a2, b2)
+                for K2, r2, t2, c2 in right:
+                    key = (K1 + K2, srow[r2], t2)
+                    acc[key] = get(key, 0.0) + c1 * c2
+                continue
+            drow = difs[r1]
+            for K2, r2, t2, c2 in right:
+                K = K1 + K2
                 c = c1 * c2
-                if t1 == KIND_ONE:
-                    _put(acc, (k, a, b2, t2), c)
-                elif t2 == KIND_ONE:
-                    _put(acc, (k, a, b1, t1), c)
+                if t2 == KIND_ONE:
+                    key = (K, srow[r2], t1)
+                    acc[key] = get(key, 0.0) + c
+                    continue
+                # b1 + b2 is canonical, as b1 and b2 are; b1 - b2 may flip or vanish
+                rd, sign = drow[r2]
+                if t1 == t2:
+                    # cos u cos v = (cos(u-v) + cos(u+v)) / 2
+                    # sin u sin v = (cos(u-v) - cos(u+v)) / 2
+                    key = (K, rd, KIND_COS if sign else KIND_ONE)
+                    acc[key] = get(key, 0.0) + 0.5 * c
+                    key = (K, srow[r2], KIND_COS)
+                    acc[key] = get(key, 0.0) + (0.5 * c if t1 == KIND_COS else -0.5 * c)
                 else:
-                    bsum = tuple(map(add, b1, b2))
-                    bdif = tuple(map(sub, b1, b2))
-                    if t1 == KIND_COS and t2 == KIND_COS:
-                        # cos u cos v = (cos(u-v) + cos(u+v)) / 2
-                        _put(acc, (k, a, bdif, KIND_COS), 0.5 * c)
-                        _put(acc, (k, a, bsum, KIND_COS), 0.5 * c)
-                    elif t1 == KIND_SIN and t2 == KIND_SIN:
-                        # sin u sin v = (cos(u-v) - cos(u+v)) / 2
-                        _put(acc, (k, a, bdif, KIND_COS), 0.5 * c)
-                        _put(acc, (k, a, bsum, KIND_COS), -0.5 * c)
-                    elif t1 == KIND_SIN and t2 == KIND_COS:
-                        # sin u cos v = (sin(u+v) + sin(u-v)) / 2
-                        _put(acc, (k, a, bsum, KIND_SIN), 0.5 * c)
-                        _put(acc, (k, a, bdif, KIND_SIN), 0.5 * c)
+                    # sin u cos v = (sin(u+v) + sin(u-v)) / 2
+                    # cos u sin v = (sin(u+v) - sin(u-v)) / 2
+                    key = (K, srow[r2], KIND_SIN)
+                    acc[key] = get(key, 0.0) + 0.5 * c
+                    if sign:
+                        d = 0.5 * c if t1 == KIND_SIN else -0.5 * c
+                        key = (K, rd, KIND_SIN)
+                        acc[key] = get(key, 0.0) + (d if sign > 0 else -d)
                     else:
-                        # cos u sin v = (sin(u+v) - sin(u-v)) / 2
-                        _put(acc, (k, a, bsum, KIND_SIN), 0.5 * c)
-                        _put(acc, (k, a, bdif, KIND_SIN), -0.5 * c)
-        return ExpPoly._canonical(self.chart, acc)
+                        # sin(0) = 0
+                        key = (K, rd, KIND_ONE)
+                        acc[key] = get(key, 0.0) + 0.0
+        if (_exponent_bits(self._t) + _exponent_bits(other._t)) & lay.guard:
+            if any(K & lay.guard for K, _, _ in acc):
+                raise ExponentOverflow(f"a product has a monomial exponent above {MAX_EXPONENT}")
+        return ExpPoly._canonical(self.chart, lay, acc)
 
     __rmul__ = __mul__
 
@@ -344,60 +535,67 @@ class ExpPoly:
     def is_zero(self, tol: float = ZERO_TOL) -> bool:
         if tol <= ZERO_TOL:
             # every stored coefficient exceeds ZERO_TOL
-            return not self.terms
-        return all(abs(c) <= tol for c in self.terms.values())
+            return not self._t
+        return all(abs(c) <= tol for c in self._t.values())
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return max(map(abs, self._t.values()), default=0.0)
 
     def _one_constant(self) -> float | None:
         """The coefficient when the polynomial is one constant term."""
-        if len(self.terms) == 1:
-            ((key, c),) = self.terms.items()
-            if key == _constant_key(len(self.chart)):
+        if len(self._t) == 1:
+            ((key, c),) = self._t.items()
+            if key == _CONSTANT:
                 return c
         return None
 
     def is_polynomial(self) -> bool:
         """No exponential or trigonometric part in any term."""
-        return all(
-            all(v == 0.0 for v in a) and kind == KIND_ONE
-            for (_, a, _, kind) in self.terms
-        )
+        # rate id 0 is a = b = 0, and a trig term has b != 0
+        return not any(map(itemgetter(1), self._t))
 
     def is_affine(self) -> bool:
         """Polynomial of total degree <= 1 (legal in exp/trig positions)."""
-        return self.is_polynomial() and all(sum(k) <= 1 for (k, _, _, _) in self.terms)
+        return self.is_polynomial() and all(
+            K == 0 or _position(K) is not None for K, _, _ in self._t)
+
+    def _rate_positions(self) -> set[int]:
+        """Positions of the variables in some term's a or b."""
+        support = self._lay.support
+        return set().union(*(support[r] for r in {r for _, r, _ in self._t}))
 
     def occurring(self) -> list[int]:
         """Positions of the variables in some term's k, a or b: the only
         ones with a nonzero derivative."""
-        positions = range(len(self.chart))
-        used: set[int] = set()
-        for k, a, b, _ in self.terms:
-            used.update(compress(positions, k))
-            used.update(compress(positions, a))
-            used.update(compress(positions, b))
+        used = self._rate_positions()
+        fields = self._lay.unpack(_exponent_bits(self._t))
+        used.update(i for i, f in enumerate(fields) if f)
         return sorted(used)
 
     def variables_in_rates(self) -> set[str]:
         """Names appearing inside an exp or trig rate of some term."""
-        out = set()
-        for (_, a, b, _) in self.terms:
-            for i, name in enumerate(self.chart.names):
-                if a[i] != 0.0 or b[i] != 0.0:
-                    out.add(name)
-        return out
+        return {self.chart.names[i] for i in self._rate_positions()}
+
+    def exponential_terms(self) -> list[tuple[tuple[float, ...] | None, float]]:
+        """(a, c) for each term c * exp(a.x), in term order; a is None for
+        a term with a monomial or a trigonometric factor."""
+        rates = self._lay.rates
+        return [(rates[r][0] if not K and t == KIND_ONE else None, c)
+                for (K, r, t), c in self._t.items()]
+
+    def __reduce__(self):
+        # rate ids belong to this process: pickle and copy the decoded terms
+        return ExpPoly, (self.chart, dict(self.terms))
 
     def __eq__(self, other):
         return (
             isinstance(other, ExpPoly)
             and self.chart == other.chart
-            and self.terms == other.terms
+            and self._t == other._t
         )
 
     def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.terms.items()))))
+        return hash((self.chart, frozenset(self._t.items())))
 
     def isclose(self, other: "ExpPoly", tol: float = ZERO_TOL) -> bool:
         return (self - other).is_zero(tol)
@@ -407,20 +605,29 @@ class ExpPoly:
 
     def diff(self, name: str) -> "ExpPoly":
         i = self.chart.index(name)
-        acc: dict[Key, float] = {}
-        for (k, a, b, kind), c in self.terms.items():
-            if k[i] > 0:
-                k2 = list(k)
-                k2[i] -= 1
-                _add(acc, (tuple(k2), a, b, kind), c * k[i])
-            if a[i] != 0.0:
-                _add(acc, (k, a, b, kind), c * a[i])
-            if b[i] != 0.0:
-                if kind == KIND_COS:
-                    _add(acc, (k, a, b, KIND_SIN), -c * b[i])
-                elif kind == KIND_SIN:
-                    _add(acc, (k, a, b, KIND_COS), c * b[i])
-        return ExpPoly._canonical(self.chart, acc)
+        shift = _BITS * i
+        unit = 1 << shift
+        rates = self._lay.rates
+        acc: dict = {}
+        get = acc.get
+        for (K, r, kind), c in self._t.items():
+            kv = (K >> shift) & _FIELD
+            if kv:
+                key = (K - unit, r, kind)
+                acc[key] = get(key, 0.0) + c * kv
+            if r:
+                a, b = rates[r]
+                if a[i] != 0.0:
+                    key = (K, r, kind)
+                    acc[key] = get(key, 0.0) + c * a[i]
+                if b[i] != 0.0:
+                    if kind == KIND_COS:
+                        key = (K, r, KIND_SIN)
+                        acc[key] = get(key, 0.0) + -c * b[i]
+                    elif kind == KIND_SIN:
+                        key = (K, r, KIND_COS)
+                        acc[key] = get(key, 0.0) + c * b[i]
+        return ExpPoly._canonical(self.chart, self._lay, acc)
 
     def antideriv(self, name: str) -> "ExpPoly":
         """Antiderivative in one variable, exact inside the class.
@@ -429,14 +636,23 @@ class ExpPoly:
         normalizes at a basepoint.
         """
         i = self.chart.index(name)
-        acc: dict[Key, float] = {}
-        for (k, a, b, kind), c in self.terms.items():
-            kv, av, bv = k[i], a[i], b[i]
+        shift = _BITS * i
+        rates = self._lay.rates
+        acc: dict = {}
+        get = acc.get
+
+        def put(key, c):
+            acc[key] = get(key, 0.0) + c
+
+        for (K, r, kind), c in self._t.items():
+            kv = (K >> shift) & _FIELD
+            av, bv = rates[r][0][i], rates[r][1][i]
+            base = K - (kv << shift)
             if av == 0.0 and bv == 0.0:
                 # the exp/trig part does not involve the variable
-                k2 = list(k)
-                k2[i] += 1
-                _add(acc, (tuple(k2), a, b, kind), c / (kv + 1))
+                if kv == MAX_EXPONENT:
+                    raise ExponentOverflow(f"an antiderivative has a monomial exponent above {MAX_EXPONENT}")
+                put((K + (1 << shift), r, kind), c / (kv + 1))
             elif bv == 0.0:
                 # real rate: integrate v^kv e^{av v} by parts, closed form
                 p = [0.0] * (kv + 1)
@@ -446,9 +662,7 @@ class ExpPoly:
                 for j, pj in enumerate(p):
                     if pj == 0.0:
                         continue
-                    k2 = list(k)
-                    k2[i] = j
-                    _add(acc, (tuple(k2), a, b, kind), pj)
+                    put((base + (j << shift), r, kind), pj)
             else:
                 # complexify the v-dependence: z = av + i bv
                 z = complex(av, bv)
@@ -459,18 +673,30 @@ class ExpPoly:
                 for j, pj in enumerate(p):
                     if pj == 0j:
                         continue
-                    k2 = tuple(
-                        (k[t] if t != i else j) for t in range(len(k))
-                    )
+                    K2 = base + (j << shift)
                     if kind == KIND_COS:
                         # Re[p e^{(a+ib).x}]
-                        _add(acc, (k2, a, b, KIND_COS), pj.real)
-                        _add(acc, (k2, a, b, KIND_SIN), -pj.imag)
+                        put((K2, r, KIND_COS), pj.real)
+                        put((K2, r, KIND_SIN), -pj.imag)
                     else:
                         # Im[p e^{(a+ib).x}]
-                        _add(acc, (k2, a, b, KIND_COS), pj.imag)
-                        _add(acc, (k2, a, b, KIND_SIN), pj.real)
-        return ExpPoly._canonical(self.chart, acc)
+                        put((K2, r, KIND_COS), pj.imag)
+                        put((K2, r, KIND_SIN), pj.real)
+        return ExpPoly._canonical(self.chart, self._lay, acc)
+
+    def at_negated(self, name: str) -> "ExpPoly":
+        """The polynomial at x_name -> -x_name, by a map of the keys: the
+        rates of x_name negated, the coefficient times (-1)^k, and a sin
+        term negated when its rate vector flips back to canonical."""
+        i = self.chart.index(name)
+        shift = _BITS * i
+        negated = self._lay.negated[i]
+        terms = {}
+        for (K, r, kind), c in self._t.items():
+            r2, flipped = negated[r]
+            odd = (K >> shift) & 1 == 1
+            terms[(K, r2, kind)] = -c if odd != (flipped and kind == KIND_SIN) else c
+        return ExpPoly._stored(self.chart, self._lay, terms)
 
     # ------------------------------------------------------------------
     # evaluation and substitution
@@ -478,13 +704,16 @@ class ExpPoly:
     def compiled(self) -> Compiled:
         """The coefficients and evaluation steps, built on first use and cached."""
         if self._compiled is None:
-            n = len(self.chart)
-            keys = list(self.terms)
-            K = np.array([k for k, _, _, _ in keys], dtype=np.int64).reshape(-1, n)
-            A = np.array([a for _, a, _, _ in keys], dtype=float).reshape(-1, n)
-            B = np.array([b for _, _, b, _ in keys], dtype=float).reshape(-1, n)
-            kind = np.array([t for _, _, _, t in keys], dtype=np.int64)
-            coeff = np.array(list(self.terms.values()), dtype=float)
+            lay = self._lay
+            n = lay.n
+            keys = list(self._t)
+            packed = b"".join(K.to_bytes(2 * n, "little") for K, _, _ in keys)
+            K = np.frombuffer(packed, dtype="<u2").astype(np.int64).reshape(-1, n)
+            pairs = [lay.rates[r] for _, r, _ in keys]
+            A = np.array([a for a, _ in pairs], dtype=float).reshape(-1, n)
+            B = np.array([b for _, b in pairs], dtype=float).reshape(-1, n)
+            kind = np.array([t for _, _, t in keys], dtype=np.int64)
+            coeff = np.array(list(self._t.values()), dtype=float)
             powers = []
             for i in np.flatnonzero(K.any(axis=0)):
                 rows = _rows(K[:, i] != 0)
@@ -523,76 +752,28 @@ class ExpPoly:
     def evaluate(self, point: Mapping[str, float]) -> float:
         return float(self.evaluate_batch([[point[name] for name in self.chart.names]])[0])
 
-    def substitute(self, bindings: Mapping[str, "ExpPoly"]) -> "ExpPoly":
+    def substitute(self, bindings: Mapping[str, "ExpPoly"] | "Substitution") -> "ExpPoly":
         """Exact composition.  Variables appearing inside exp/trig rates must
         be bound to affine expressions; polynomial positions take arbitrary
         exponential polynomials.  Unbound variables must exist in the target
-        chart and are bound to themselves."""
-        if bindings:
-            target = next(iter(bindings.values())).chart
-        else:
-            target = self.chart
-        full: dict[str, ExpPoly] = {}
-        for name in self.chart.names:
-            if name in bindings:
-                bound = bindings[name]
-                if bound.chart != target:
-                    raise MismatchedVarSet("bindings must share one target chart")
-                full[name] = bound
-            else:
-                if name not in target:
-                    raise MismatchedVarSet(
-                        f"unbound variable {name!r} missing from target chart"
-                    )
-                full[name] = ExpPoly.coordinate(target, name)
+        chart and are bound to themselves.  `bindings` may be a
+        `Substitution` prepared for this chart, shared by many calls."""
+        plan = bindings
+        if not isinstance(plan, Substitution) or (plan.source is not self.chart and plan.source != self.chart):
+            plan = Substitution(self.chart, getattr(bindings, "bindings", bindings))
+        if plan.renaming is not None:
+            return self._renamed(plan)
 
-        positions = [full[name]._coordinate_position() for name in self.chart.names]
-        if None not in positions and all(map(lt, positions, positions[1:])):
-            return self._renamed(target, positions)
-
-        rate_vars = self.variables_in_rates()
-        affine: dict[str, tuple[float, dict[int, float]]] = {}
-        for name in rate_vars:
-            val = full[name]
-            if not val.is_affine():
-                raise NonAffineExponentSubstitution(
-                    f"variable {name!r} occurs in an exp/trig rate but is bound "
-                    "to a non-affine expression"
-                )
-            const = 0.0
-            lin: dict[int, float] = {}
-            for (k, _, _, _), c in val.terms.items():
-                deg = sum(k)
-                if deg == 0:
-                    const += c
-                else:
-                    j = next(t for t, kt in enumerate(k) if kt)
-                    lin[j] = lin.get(j, 0.0) + c
-            affine[name] = (const, lin)
-
-        nt = len(target)
-        result = ExpPoly.zero(target)
-        for (k, a, b, kind), c in self.terms.items():
-            # exp part
-            a_new = [0.0] * nt
-            exp_const = 0.0
-            for i, ai in enumerate(a):
-                if ai == 0.0:
-                    continue
-                const, lin = affine[self.chart.names[i]]
-                exp_const += ai * const
-                for j, lj in lin.items():
-                    a_new[j] += ai * lj
-            # trig part
-            b_new = [0.0] * nt
-            phase = 0.0
-            for i, bi in enumerate(b):
-                if bi == 0.0:
-                    continue
-                const, lin = affine[self.chart.names[i]]
-                phase += bi * const
-                for j, lj in lin.items():
-                    b_new[j] += bi * lj
+        # the bindings of every rate variable must be affine
+        for i in sorted(self._rate_positions()):
+            plan.affine[i]
+        target, tl = plan.target, plan.layout
+        unpack = self._lay.unpack
+        powers: dict[tuple[int, int], ExpPoly] = {}
+        acc: dict = {}
+        get = acc.get
+        for (K, r, kind), c in self._t.items():
+            exp_const, one, trig, flipped, cth, sth = plan.rate_images[r]
             coeff = c
             if exp_const:
                 try:
@@ -604,49 +785,61 @@ class ExpPoly:
                         f"the substitution scales a coefficient {c!r} by exp({exp_const!r}), "
                         "which is not finite"
                     )
-            zk = (0,) * nt
             if kind == KIND_ONE:
-                piece = ExpPoly(
-                    target, {(zk, tuple(a_new), (0.0,) * nt, KIND_ONE): coeff}
-                )
+                piece = {(0, one, KIND_ONE): 0.0 + coeff}
             else:
-                cth, sth = math.cos(phase), math.sin(phase)
-                terms: dict[Key, float] = {}
-                if kind == KIND_COS:
-                    # cos(phase + L) = cos(phase) cos L - sin(phase) sin L
-                    terms[(zk, tuple(a_new), tuple(b_new), KIND_COS)] = coeff * cth
-                    terms[(zk, tuple(a_new), tuple(b_new), KIND_SIN)] = -coeff * sth
+                # cos(phase + L) = cos(phase) cos L - sin(phase) sin L
+                # sin(phase + L) = sin(phase) cos L + cos(phase) sin L
+                cv, sv = (coeff * cth, -coeff * sth) if kind == KIND_COS else (coeff * sth, coeff * cth)
+                if trig is None:
+                    # L = 0: the sin term drops
+                    piece = {(0, one, KIND_ONE): 0.0 + cv + 0.0}
                 else:
-                    terms[(zk, tuple(a_new), tuple(b_new), KIND_COS)] = coeff * sth
-                    terms[(zk, tuple(a_new), tuple(b_new), KIND_SIN)] = coeff * cth
-                piece = ExpPoly(target, terms)
-            for i, ki in enumerate(k):
-                if ki:
-                    piece = piece * (full[self.chart.names[i]] ** ki)
-            result = result + piece
-        return result
+                    piece = {(0, trig, KIND_COS): 0.0 + cv, (0, trig, KIND_SIN): 0.0 + (-sv if flipped else sv)}
+            p = ExpPoly._canonical(target, tl, piece)
+            if K:
+                for i, ki in enumerate(unpack(K)):
+                    if ki:
+                        power = powers.get((i, ki))
+                        if power is None:
+                            power = powers[(i, ki)] = plan.full[i] ** ki
+                        p = p * power
+            # result + p, cutting only the keys p touches
+            for key, v in p._t.items():
+                total = get(key, 0.0) + v
+                if abs(total) > ZERO_TOL:
+                    acc[key] = total
+                elif math.isnan(total):
+                    raise NonFiniteCoefficient("an exponential-polynomial coefficient is NaN")
+                else:
+                    del acc[key]
+        return ExpPoly._stored(target, tl, acc)
 
     def _coordinate_position(self) -> int | None:
         """j when the polynomial is the bare coordinate x_j, else None."""
-        if len(self.terms) != 1:
+        if len(self._t) != 1:
             return None
-        ((key, c),) = self.terms.items()
-        k, a, _, kind = key
-        if c != 1.0 or kind != KIND_ONE or any(a) or sum(k) != 1:
+        (((K, r, kind), c),) = self._t.items()
+        if c != 1.0 or r or kind != KIND_ONE:
             return None
-        return k.index(1)
+        return _position(K)
 
-    def _renamed(self, target: VarSet, positions: list[int]) -> "ExpPoly":
-        """Variable i moved to target position positions[i], the positions
-        increasing, so the keys stay canonical (module docstring)."""
-        nt = len(target)
-        acc: dict[Key, float] = {}
-        for (k, a, b, kind), c in self.terms.items():
-            k2, a2, b2 = [0] * nt, [0.0] * nt, [0.0] * nt
-            for i, j in enumerate(positions):
-                k2[j], a2[j], b2[j] = k[i], a[i], b[i]
-            acc[(tuple(k2), tuple(a2), tuple(b2), kind)] = c
-        return ExpPoly._stored(target, acc)
+    def _renamed(self, plan: "Substitution") -> "ExpPoly":
+        """Variable i moved to target position plan.renaming[i], the
+        positions increasing, so the keys stay canonical (module
+        docstring); consecutive positions shift the packed exponents."""
+        positions = plan.renaming
+        moved = self._lay.renamed[(len(plan.target), positions)]
+        if positions == tuple(range(positions[0], positions[0] + len(positions))):
+            shift = _BITS * positions[0]
+            terms = {(K << shift, moved[r], t): c for (K, r, t), c in self._t.items()}
+        else:
+            unpack = self._lay.unpack
+            terms = {
+                (sum(f << (_BITS * j) for f, j in zip(unpack(K), positions)), moved[r], t): c
+                for (K, r, t), c in self._t.items()
+            }
+        return ExpPoly._stored(plan.target, plan.layout, terms)
 
     # ------------------------------------------------------------------
     # serialization
@@ -655,7 +848,7 @@ class ExpPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
         parts = []
         for (k, a, b, kind), c in self.sorted_terms():
@@ -679,8 +872,9 @@ class ExpPoly:
         """Value of document text over the chart, read by
         :func:`liequad.exacttext.evaluate_text`: chart coordinates, numbers
         (each a constant), ``+ - *``, nonnegative integer powers, and exp,
-        cos and sin of an affine argument.  Other text, and a coefficient
-        or rate that is not a finite float, raises SchemaError."""
+        cos and sin of an affine argument.  Other text, a coefficient or
+        rate that is not a finite float, and an exponent above
+        MAX_EXPONENT raise SchemaError."""
         not_finite = f"exponential polynomial {text!r} has a value that is not a finite float"
         try:
             value = evaluate_text(
@@ -693,12 +887,100 @@ class ExpPoly:
             )
         except NonFiniteCoefficient as exc:
             raise SchemaError(not_finite) from exc
+        except ExponentOverflow as exc:
+            raise SchemaError(f"exponential polynomial {text!r}: {exc}") from exc
         if not all(math.isfinite(x) for (_, a, b, _), c in value.terms.items() for x in (c, *a, *b)):
             raise SchemaError(not_finite)
         return value
 
     def __repr__(self):
         return f"ExpPoly({self.to_text()})"
+
+
+class Substitution:
+    """The bindings x_i -> bindings[x_i] of `ExpPoly.substitute`, prepared
+    once for the polynomials over `source`: the binding of every source
+    variable, the renaming positions when each is a bare target coordinate
+    in increasing position, and, on first use, the affine part of a
+    binding and the image of each rate pair."""
+
+    def __init__(self, source: VarSet, bindings: Mapping[str, ExpPoly]):
+        target = next(iter(bindings.values())).chart if bindings else source
+        full = []
+        for name in source.names:
+            if name in bindings:
+                bound = bindings[name]
+                if bound.chart != target:
+                    raise MismatchedVarSet("bindings must share one target chart")
+            else:
+                if name not in target:
+                    raise MismatchedVarSet(
+                        f"unbound variable {name!r} missing from target chart"
+                    )
+                bound = ExpPoly.coordinate(target, name)
+            full.append(bound)
+        self.source = source
+        self.bindings = bindings
+        self.target = target
+        self.layout = _layout(len(target))
+        self.full = full
+        positions = [p._coordinate_position() for p in full]
+        increasing = None not in positions and all(map(lt, positions, positions[1:]))
+        self.renaming = tuple(positions) if increasing and positions else None
+        # affine[i]: (const, {j: lin_j}) of the binding of x_i
+        self.affine = _Memo(self._affine)
+        # rate_images[r]: what a source rate pair becomes in the target
+        self.rate_images = _Memo(self._rate_image)
+
+    def _affine(self, i: int) -> tuple[float, dict[int, float]]:
+        val = self.full[i]
+        if not val.is_affine():
+            raise NonAffineExponentSubstitution(
+                f"variable {self.source.names[i]!r} occurs in an exp/trig rate but is bound "
+                "to a non-affine expression"
+            )
+        const = 0.0
+        lin: dict[int, float] = {}
+        for (K, _, _), c in val._t.items():
+            if not K:
+                const += c
+            else:
+                j = _position(K)
+                lin[j] = lin.get(j, 0.0) + c
+        return const, lin
+
+    def _rate_image(self, r: int):
+        """(exp_const, one, trig, flipped, cos(phase), sin(phase)) for the
+        rates (a, b) of id r: a.x at the bindings is exp_const + a'.y and
+        b.x is phase + b'.y; one is the target id of (a', 0), trig that of
+        (a', b') with b' canonical (None when b' = 0), flipped when that
+        negated b'."""
+        a, b = _layout(len(self.source)).rates[r]
+        nt = len(self.target)
+        a_new = [0.0] * nt
+        exp_const = 0.0
+        for i, ai in enumerate(a):
+            if ai == 0.0:
+                continue
+            const, lin = self.affine[i]
+            exp_const += ai * const
+            for j, lj in lin.items():
+                a_new[j] += ai * lj
+        b_new = [0.0] * nt
+        phase = 0.0
+        for i, bi in enumerate(b):
+            if bi == 0.0:
+                continue
+            const, lin = self.affine[i]
+            phase += bi * const
+            for j, lj in lin.items():
+                b_new[j] += bi * lj
+        a2 = tuple(v + 0.0 for v in a_new)
+        b2, sign = _canonical_b(tuple(b_new))
+        one = self.layout.rate(a2, (0.0,) * nt)
+        trig = self.layout.rate(a2, b2) if sign else None
+        flipped = sign < 0
+        return exp_const, one, trig, flipped, math.cos(phase), math.sin(phase)
 
 
 def _lin_text(chart: VarSet, rates: Iterable[float]) -> str:

@@ -42,7 +42,7 @@ from .errors import (
     NotClosed,
     PoleAtPoint,
 )
-from .exppoly import ExpPoly, ZERO_TOL
+from .exppoly import ExpPoly, Substitution, ZERO_TOL
 from .varset import VarSet
 
 Index = tuple[int, ...]
@@ -348,6 +348,15 @@ class PointMap:
         return dict(zip(self.target.names, values.tolist()))
 
     @cached_property
+    def bindings(self):
+        """Each target coordinate bound to its component, as `compose` takes
+        them: for ExpPoly components a `Substitution`, prepared once per map."""
+        bindings = dict(zip(self.target.names, self.components))
+        if isinstance(self.components[0], ExpPoly):
+            return Substitution(self.target, bindings)
+        return bindings
+
+    @cached_property
     def differentials(self) -> list[DiffForm]:
         """The differential of each component, computed once per map."""
         return [differential(comp) for comp in self.components]
@@ -375,10 +384,9 @@ def compose(c, phi: PointMap):
     scls = type(phi.components[0])
     if not isinstance(c, scls):
         raise ClassMismatch(f"cannot compose {type(c).__name__} along a map with {scls.__name__} components")
-    bindings = dict(zip(phi.target.names, phi.components))
     if isinstance(c, ExpPoly):
-        return c.substitute(bindings)
-    return c.compose(bindings)
+        return c.substitute(phi.bindings)
+    return c.compose(phi.bindings)
 
 
 def differential(f) -> DiffForm:

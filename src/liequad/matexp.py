@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonAffineExponentSubstitution
-from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
+from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, Substitution
 from .liealg import lin_comb
 from .report import Report
 from .varset import VarSet
@@ -194,28 +194,22 @@ class ExpMatrix:
 
     @functools.cached_property
     def inverse(self) -> "ExpMatrix":
-        """e^{-tA} = E(-t), by a map of the keys: each rate negated, the
-        coefficient of t^k times (-1)^k, and sin terms negated."""
-
-        def at_minus_t(e: ExpPoly) -> ExpPoly:
-            return ExpPoly._stored(e.chart, {
-                (k, (0.0 - a[0],), b, kind): -c if (k[0] % 2 == 1) != (kind == KIND_SIN) else c
-                for (k, a, b, kind), c in e.terms.items()
-            })
-
+        """e^{-tA} = E(-t), each entry by `ExpPoly.at_negated`: each rate
+        negated, the coefficient of t^k times (-1)^k, and sin terms negated."""
         source = tuple(tuple(-x for x in row) for row in self.source)
         series = self.series and [[[-x for x in row] for row in S] if k % 2 else S
                                   for k, S in enumerate(self.series)]
-        return ExpMatrix(self.var, source, [[at_minus_t(e) for e in row] for row in self.entries], series)
+        entries = [[e.at_negated(self.var) for e in row] for row in self.entries]
+        return ExpMatrix(self.var, source, entries, series)
 
     def compose(self, f) -> list[list]:
         """Entries with the variable replaced by a scalar f.  ExpPoly f must be
         affine wherever t occurs in a rate; any other scalar class needs a
         nilpotent A and gets e^{f A} = sum_k f^k A^k / k! from `series`."""
         if isinstance(f, ExpPoly):
-            bind = {self.var: f}
+            bind = Substitution(self.chart, {self.var: f})
             zero = ExpPoly.zero(f.chart)
-            return [[e.substitute(bind) if e.terms else zero for e in row] for row in self.entries]
+            return [[zero if e.is_zero() else e.substitute(bind) for e in row] for row in self.entries]
         if self.series is None:
             raise NonAffineExponentSubstitution("the matrix is not nilpotent, so its exponential has "
                                                 "exponential/trig terms; cannot compose with a non-exponential scalar")
@@ -247,9 +241,8 @@ def _exp(Af: tuple, var: str) -> ExpMatrix:
     if not any(p[:n]):
         series = [[[Fraction(x, d ** k * math.factorial(k)) if x else 0 for x in row] for row in P]
                   for k, P in enumerate(powers)]
-        entries = [[ExpPoly._canonical(chart, {
-            ((k,), (0.0,), (0.0,), KIND_ONE): float(S[a][b]) for k, S in enumerate(series) if S[a][b]
-        }) for b in range(n)] for a in range(n)]
+        entries = [[ExpPoly.polynomial_in(chart, var, [float(S[a][b]) for S in series])
+                    for b in range(n)] for a in range(n)]
         return ExpMatrix(var, Af, entries, series)
     lams = [z for z, mult in _spectrum(p, d) for _ in range(mult)]
     return ExpMatrix(var, Af, _putzer(Af, lams, chart))

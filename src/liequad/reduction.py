@@ -120,8 +120,8 @@ def _log_factor(E, f):
         new_row = []
         for entry in row:
             acc = RationalFunction.zero(chart)
-            for (k, a, b, kind), c in entry.terms.items():
-                if k[0] != 0 or any(v != 0.0 for v in b):
+            for a, c in entry.exponential_terms():
+                if a is None:
                     raise NonElementaryInClass(
                         "polynomial or trigonometric dependence on the "
                         "quadrature function leaves the supported class"

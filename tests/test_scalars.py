@@ -1,15 +1,19 @@
 """Exponential-polynomial coefficient ring: canonical form, calculus,
 substitution, serialization."""
 
+import ast
 import json
 import math
+import pathlib
 import random
+from operator import add, sub
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liequad import (
+    ExponentOverflow,
     ExpPoly,
     LiequadError,
     MismatchedVarSet,
@@ -19,7 +23,7 @@ from liequad import (
     VarSet,
     jsonio,
 )
-from liequad.exppoly import KIND_COS, KIND_ONE, KIND_SIN
+from liequad.exppoly import KIND_COS, KIND_ONE, KIND_SIN, MAX_EXPONENT, _canon_trig
 from conftest import fixture_path
 
 
@@ -413,16 +417,21 @@ def _general_renaming(p, target, positions):
 
 
 @st.composite
-def _renamings(draw):
-    chart = draw(st.sampled_from(CHARTS))
-    p = draw(_exppolys(chart))
+def _renamings(draw, charts=CHARTS, polys=None, extra=3):
+    chart = draw(st.sampled_from(charts))
+    p = draw((polys or _exppolys)(chart))
     n = len(chart)
-    nt = n + draw(st.integers(0, 3))
+    nt = n + draw(st.integers(0, extra))
     positions = draw(st.lists(st.integers(0, nt - 1), min_size=n, max_size=n, unique=True))
-    # increasing positions make a renaming; any other order takes the
-    # general path, which the same formula describes
-    if draw(st.booleans()):
+    # increasing positions make a renaming (consecutive ones shift the
+    # packed exponents); any other order takes the general path, which the
+    # same formula describes
+    order = draw(st.sampled_from(["any", "increasing", "consecutive"]))
+    if order == "increasing":
         positions.sort()
+    elif order == "consecutive":
+        offset = draw(st.integers(0, nt - n))
+        positions = list(range(offset, offset + n))
     # the target keeps each source name at its new position, so a name may
     # also be left unbound and bind to itself
     names = [f"w{j}" for j in range(nt)]
@@ -582,3 +591,226 @@ def test_lin_comb_skipping_zero_items_equals_the_unskipped_sum(case):
     forms = [DiffForm(p.chart, 1, {(0,): p}, ExpPoly) for p in items]
     want_form = sum((f * c for c, f in zip(coeffs, forms) if c != 0), DiffForm.zero(items[0].chart, 1))
     assert _form_bits(lin_comb(coeffs, forms)) == _form_bits(want_form)
+
+
+# ----------------------------------------------------------------------
+# properties on a wide chart: 32 variables, as many as the doubled chart
+# of filiform L16 has, each checked bit for bit against the formula on
+# decoded (k, a, b, kind) keys
+
+WIDE = VarSet(tuple(f"v{i}" for i in range(1, 33)))
+
+
+@st.composite
+def _sparse_exppolys(draw, chart=WIDE, max_terms=4):
+    """Sums of random terms that each involve a few variables, often the
+    first, second and last ones, so that rates meet and cancel."""
+    n = len(chart)
+    position = st.one_of(st.integers(0, n - 1), st.sampled_from([0, 1, n - 1]))
+    positions = st.lists(position, max_size=3, unique=True)
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        k, a, b = [0] * n, [0.0] * n, [0.0] * n
+        for i in draw(positions):
+            k[i] = draw(st.integers(1, 3))
+        for i in draw(positions):
+            a[i] = draw(st.sampled_from(RATES))
+        for i in draw(positions):
+            b[i] = draw(st.sampled_from([-1.0, 1.0, 2.0]))
+        kind = draw(st.sampled_from([KIND_ONE, KIND_COS, KIND_SIN]))
+        c = draw(st.floats(-3.0, 3.0, allow_nan=False))
+        terms.append(ExpPoly(chart, {(tuple(k), tuple(a), tuple(b), kind): c}))
+    return sum(terms, ExpPoly.zero(chart))
+
+
+def _tuple_product(p, q):
+    """The product's double loop on decoded keys: exponents and rates
+    added, two trig factors rewritten by the product-to-sum identities,
+    each new trig part canonicalized."""
+    acc = {}
+
+    def put(k, a, b, kind, c):
+        b, kind, c = _canon_trig(b, kind, c)
+        acc[(k, a, b, kind)] = acc.get((k, a, b, kind), 0.0) + c
+
+    for (k1, a1, b1, t1), c1 in p.terms.items():
+        for (k2, a2, b2, t2), c2 in q.terms.items():
+            k, a, c = tuple(map(add, k1, k2)), tuple(map(add, a1, a2)), c1 * c2
+            if t1 == KIND_ONE:
+                put(k, a, b2, t2, c)
+            elif t2 == KIND_ONE:
+                put(k, a, b1, t1, c)
+            else:
+                bsum, bdif = tuple(map(add, b1, b2)), tuple(map(sub, b1, b2))
+                if t1 == t2 == KIND_COS:
+                    put(k, a, bdif, KIND_COS, 0.5 * c)
+                    put(k, a, bsum, KIND_COS, 0.5 * c)
+                elif t1 == t2 == KIND_SIN:
+                    put(k, a, bdif, KIND_COS, 0.5 * c)
+                    put(k, a, bsum, KIND_COS, -0.5 * c)
+                elif t1 == KIND_SIN:
+                    put(k, a, bsum, KIND_SIN, 0.5 * c)
+                    put(k, a, bdif, KIND_SIN, 0.5 * c)
+                else:
+                    put(k, a, bsum, KIND_SIN, 0.5 * c)
+                    put(k, a, bdif, KIND_SIN, -0.5 * c)
+    return ExpPoly(p.chart, acc)
+
+
+def _tuple_diff(p, name):
+    """d/dx_i term by term: k_i x^(k_i - 1), a_i, and -b_i sin or b_i cos."""
+    i = p.chart.index(name)
+    acc = {}
+
+    def put(key, c):
+        acc[key] = acc.get(key, 0.0) + c
+
+    for (k, a, b, kind), c in p.terms.items():
+        if k[i]:
+            put((k[:i] + (k[i] - 1,) + k[i + 1:], a, b, kind), c * k[i])
+        if a[i] != 0.0:
+            put((k, a, b, kind), c * a[i])
+        if b[i] != 0.0 and kind == KIND_COS:
+            put((k, a, b, KIND_SIN), -c * b[i])
+        elif b[i] != 0.0 and kind == KIND_SIN:
+            put((k, a, b, KIND_COS), c * b[i])
+    return ExpPoly(p.chart, acc)
+
+
+def _tuple_antideriv(p, name):
+    """The integral of each term in x_i: x_i^(k_i + 1) / (k_i + 1) when x_i
+    is in no rate, else by parts, with a complex rate a_i + i b_i for a
+    trig term."""
+    i = p.chart.index(name)
+    acc = {}
+
+    def put(k, j, rest, c):
+        key = (k[:i] + (j,) + k[i + 1:],) + rest
+        acc[key] = acc.get(key, 0.0) + c
+
+    for (k, a, b, kind), c in p.terms.items():
+        kv, z = k[i], complex(a[i], b[i])
+        if z == 0:
+            put(k, kv + 1, (a, b, kind), c / (kv + 1))
+            continue
+        real = b[i] == 0.0
+        z = z.real if real else z
+        coeffs = [0.0 if real else 0j] * (kv + 1)
+        coeffs[kv] = c / z
+        for j in range(kv - 1, -1, -1):
+            coeffs[j] = -(j + 1) * coeffs[j + 1] / z
+        for j, pj in enumerate(coeffs):
+            if pj == 0:
+                continue
+            if real:
+                put(k, j, (a, b, kind), pj)
+            elif kind == KIND_COS:
+                put(k, j, (a, b, KIND_COS), pj.real)
+                put(k, j, (a, b, KIND_SIN), -pj.imag)
+            else:
+                put(k, j, (a, b, KIND_COS), pj.imag)
+                put(k, j, (a, b, KIND_SIN), pj.real)
+    return ExpPoly(p.chart, acc)
+
+
+WIDE_NAMES = st.sampled_from(["v1", "v2", "v16", "v17", "v31", "v32"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sparse_exppolys(), _sparse_exppolys())
+def test_wide_chart_products_and_sums_equal_the_tuple_formulas(p, q):
+    assert _bits(p * q) == _bits(_tuple_product(p, q))
+    assert _bits(q * p) == _bits(_tuple_product(q, p))
+    assert _bits(p * p) == _bits(_tuple_product(p, p))
+    assert _bits(p + q) == _bits(_general_sum(p, q))
+    assert _bits(p - q) == _bits(_general_sum(p, -q))
+    _assert_canonical(p * q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sparse_exppolys(), WIDE_NAMES)
+def test_wide_chart_diff_and_antideriv_equal_the_tuple_formulas(p, name):
+    assert _bits(p.diff(name)) == _bits(_tuple_diff(p, name))
+    assert _bits(p.antideriv(name)) == _bits(_tuple_antideriv(p, name))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_renamings(charts=[WIDE], polys=_sparse_exppolys, extra=32))
+def test_wide_chart_renaming_equals_the_general_formula(case):
+    p, target, positions, bindings = case
+    assert _bits(p.substitute(bindings)) == _bits(_general_renaming(p, target, positions))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_sparse_exppolys(), _operands().map(lambda ops: ops[1])), st.data())
+def test_at_negated_equals_substituting_minus_the_variable(p, data):
+    name = data.draw(st.sampled_from(p.chart.names))
+    minus = -ExpPoly.coordinate(p.chart, name)
+    assert _bits(p.at_negated(name)) == _bits(p.substitute({name: minus}))
+
+
+def test_the_formulas_cover_cancelling_trig_rates_on_the_wide_chart():
+    """sin u cos u, cos u cos(-u) and sin u sin(u + v_32) on the wide chart:
+    b1 - b2 vanishes or leads with a negative entry."""
+    def trig(coeff, rates, kind):
+        return ExpPoly.term(WIDE, coeff, {"v2": 1}, {"v31": 0.5}, rates, kind)
+
+    s = trig(1.5, {"v1": -1.0, "v32": 2.0}, KIND_SIN)
+    c = trig(0.5, {"v1": 1.0, "v32": -2.0}, KIND_COS)
+    s2 = trig(-2.0, {"v1": 1.0, "v32": -1.0}, KIND_SIN)
+    for p, q in ((s, c), (c, s), (c, c), (s, s2), (s2, c), (s + c, s2 - c)):
+        assert _bits(p * q) == _bits(_tuple_product(p, q))
+
+
+def test_exponents_that_do_not_fit_raise_typed_errors():
+    """An exponent above MAX_EXPONENT never carries into the next
+    variable: it is refused with ExponentOverflow, or SchemaError in
+    text."""
+    zr = (0.0,) * 32
+    v1, v2 = ExpPoly.coordinate(WIDE, "v1"), ExpPoly.coordinate(WIDE, "v2")
+    top = ExpPoly.parse(WIDE, f"v1^{MAX_EXPONENT}*v32^{MAX_EXPONENT}")
+    assert top.terms == {((MAX_EXPONENT,) + (0,) * 30 + (MAX_EXPONENT,), zr, zr, KIND_ONE): 1.0}
+    assert (top * v2).terms == {((MAX_EXPONENT, 1) + (0,) * 29 + (MAX_EXPONENT,), zr, zr, KIND_ONE): 1.0}
+    assert top.antideriv("v2") == top * v2
+    too_big = [
+        lambda: top * v1,
+        lambda: top * top,
+        lambda: v1 ** (MAX_EXPONENT + 1),
+        lambda: top.antideriv("v32"),
+        lambda: ExpPoly.term(WIDE, 1.0, {"v1": 70000}),
+        lambda: ExpPoly(WIDE, {((70000,) + (0,) * 31, zr, zr, KIND_ONE): 1.0}),
+        lambda: ExpPoly.polynomial_in(WIDE, "v1", [1.0] * (MAX_EXPONENT + 2)),
+    ]
+    for make in too_big:
+        with pytest.raises(ExponentOverflow) as info:
+            make()
+        assert isinstance(info.value, LiequadError) and info.value.code == "exponent-overflow"
+    for text in ("v1^70000", f"v1^{MAX_EXPONENT}*v1", f"v31*v32^{MAX_EXPONENT + 1}"):
+        with pytest.raises(SchemaError):
+            ExpPoly.parse(WIDE, text)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_sparse_exppolys())
+def test_pickle_and_copy_keep_the_terms(p):
+    import copy
+    import pickle
+
+    for again in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert _bits(again) == _bits(p)
+
+
+def test_no_module_reads_the_terms_of_an_exponential_polynomial():
+    """The packed store stays private to exppoly: no other module of the
+    package reads the decoded `.terms` view (a call `.terms()` is the
+    method of sympy's polynomials, which `rational` uses)."""
+    package = pathlib.Path(jsonio.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exppoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "terms" and id(node) not in called]
+    assert not found, found
