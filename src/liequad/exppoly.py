@@ -400,8 +400,6 @@ class ExpPoly:
         a = [0.0] * n
         b = [0.0] * n
         for name, p in (powers or {}).items():
-            if p < 0:
-                raise ValueError("monomial exponents must be nonnegative")
             k[chart.index(name)] = int(p)
         for name, r in (exp_rates or {}).items():
             a[chart.index(name)] = float(r)
