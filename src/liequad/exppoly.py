@@ -60,6 +60,10 @@ same keys, term order and coefficient bits as the general formula:
   `_stored`, which skips the ZERO_TOL cut too: every coefficient keeps the
   magnitude of a stored one, which exceeds ZERO_TOL and is never NaN, and
   each maps keys one to one, so no two terms merge.
+- `evaluate` at the origin sums, in term order, the coefficients of the
+  terms whose exponents are all 0, sin terms left out: there exp(0) =
+  cos(0) = 1 and sin(0) = 0, and every other term is a zero, so this is
+  the kernel's value up to the sign of a zero.
 
 Substitution.  `substitute` takes its bindings as a mapping or as a
 `Substitution` prepared once for many polynomials over one chart (a
@@ -75,26 +79,36 @@ cos and sin of an affine argument are exp(t), cos(t) and sin(t) composed
 with it by `substitute`.  Text outside the class, or with a value that is
 not a finite float (a NaN along the way included), is a SchemaError.
 
-Compiled form.  On first evaluation a polynomial decodes its T terms
-into arrays, exponents K (the packed fields read as 16-bit integers) and
-rates A, B (each T x n) and kinds (T), and caches its T coefficients with
-the evaluation steps read off those arrays (`Compiled`).  `evaluate_batch`
-evaluates them at N points in one numpy pass, in the order of the scalar
-formula: c * x1^k1 * ... * xn^kn in variable order, then * exp(a.x), then
-* cos or sin(b.x), the dot products summed in variable order and the terms
-in term order.  `evaluate` is its one-point case.
+Evaluation.  A `Family` compiles m polynomials over one chart into one
+set of arrays: the T coefficients of all their terms, the nonzero
+exponents of each term by variable, and the distinct exp, cos and sin rate
+rows with an index from each term to its row.  The terms are stored rank by
+rank, the members sorted by decreasing number of terms, so the members
+that still have a term at a rank are a prefix.  `Family.evaluate` evaluates
+all m at N points in one numpy pass, an N x m array, in the order of the
+scalar formula: c * x_i^k_i for i ascending, then * exp(a.x), then * cos or
+sin(b.x), the dot products summed in variable order and each member's
+terms in term order, by running sums (`cumsum` adds in order;
+`np.add.reduceat` need not).  Every power comes from one numpy call on
+flat operands of one length, so a term's value does not depend on the
+family that holds it.  Each owner of a set of polynomials compiles its
+family once and keeps it: `forms.PointMap` (components and Jacobian
+entries), `forms.VectorField`, `matexp.ExpMatrix`, and the Ad and frame
+matrices of `liegroup`.  `evaluate_batch` is the one-member family, kept on
+the polynomial, and `evaluate` its one-point case.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 import threading
 from fractions import Fraction
 from operator import add, itemgetter, lt, or_, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -298,25 +312,111 @@ def _cut(acc: dict) -> dict:
     return terms
 
 
-class Compiled(NamedTuple):
-    """The coefficients of an ExpPoly's terms, in term order, and the
-    evaluation steps read off the terms."""
+class Family:
+    """m exponential polynomials over one chart, compiled into one set of
+    arrays and evaluated at N points in one numpy pass (module docstring)."""
 
-    coeff: np.ndarray  # T
-    # (i, rows, k): the terms in rows are multiplied by x_i^k, i ascending
-    powers: tuple
-    # (fn, rows, m, ((i, r), ...)): the m terms in rows are multiplied by
-    # fn(sum over ascending i of r * x_i); exp, then cos, then sin
-    factors: tuple
+    __slots__ = ("n", "m", "coeff", "powers", "levels", "factors", "blocks", "place")
+
+    def __init__(self, chart: VarSet, members: Sequence["ExpPoly"]):
+        n = len(chart)
+        lay = _layout(n)
+        stores = []
+        for p in members:
+            if p.chart is not chart and p.chart != chart:
+                raise MismatchedVarSet(f"{p.chart.names} vs {chart.names}")
+            stores.append(list(p._t.items()))
+        # the members by decreasing number of terms, and their terms rank by
+        # rank: the members still summing at each rank are a prefix
+        order = sorted(range(len(stores)), key=lambda j: -len(stores[j]))
+        lengths = [len(stores[j]) for j in order]
+        counts = [sum(length > r for length in lengths) for r in range(lengths[0] if lengths else 0)]
+        terms = [stores[j][r] for r, count in enumerate(counts) for j in order[:count]]
+        self.n = n
+        self.m = len(stores)
+        self.coeff = np.array([c for _, c in terms], dtype=float)
+        # (count, depth): `depth` ranks in a row at which `count` members sum
+        self.blocks = [(count, len(list(run))) for count, run in itertools.groupby(counts)]
+        self.place = np.argsort(np.array(order, dtype=np.int64))
+
+        # the powers x_i^k, k >= 2, that some term has, as rows n, n + 1, ...
+        # of a table whose row i < n is x_i (x^1 is x itself); level d
+        # multiplies each term by the row of its d-th variable's power
+        powers: dict[tuple[int, int], int] = {}
+        factors = [[i if k == 1 else powers.setdefault((i, k), n + len(powers))
+                    for i, k in enumerate(lay.unpack(K)) if k] for (K, _, _), _ in terms]
+        self.powers = (np.array([i for i, _ in powers], dtype=np.int64),
+                       np.array([k for _, k in powers], dtype=np.int64))
+        self.levels = []
+        for d in range(max(map(len, factors), default=0)):
+            rows = [t for t, row in enumerate(factors) if len(row) > d]
+            index = np.array([factors[t][d] for t in rows], dtype=np.int64)
+            self.levels.append((_rows(rows, len(terms)), index))
+
+        # (fn, rates, cols, rows, index): the terms in rows are multiplied by
+        # fn of the rate row `index` dotted with the point, summed over the
+        # variables cols in ascending order; exp, then cos, then sin
+        self.factors = []
+        for fn, part, picks in (
+            (np.exp, 0, lambda a, kind: any(a)),
+            (np.cos, 1, lambda a, kind: kind == KIND_COS),
+            (np.sin, 1, lambda a, kind: kind == KIND_SIN),
+        ):
+            rows, index, distinct = [], [], {}
+            for t, ((_, r, kind), _) in enumerate(terms):
+                rate = lay.rates[r]
+                if picks(rate[0], kind):
+                    rows.append(t)
+                    index.append(distinct.setdefault(rate[part], len(distinct)))
+            if rows:
+                rates = np.array(list(distinct), dtype=float).reshape(-1, n)
+                cols = np.flatnonzero(rates.any(axis=0)).tolist()
+                self.factors.append((fn, rates, cols, _rows(rows, len(terms)), np.array(index, dtype=np.int64)))
+
+    def evaluate(self, points) -> np.ndarray:
+        """Values at N points, given as an N x n array in chart order, as an
+        N x m array with one column per member."""
+        P = np.asarray(points, dtype=float).reshape(-1, self.n)
+        N = len(P)
+        Pt = P.T
+        V = np.repeat(self.coeff[:, None], N, axis=1)
+        if self.levels:
+            var, exponent = self.powers
+            table = np.empty((self.n + len(var), N))
+            table[:self.n] = Pt
+            # flat operands of one length: numpy's power then takes the same
+            # path for every entry, whatever the family
+            table[self.n:] = np.power(Pt[var].ravel(), np.repeat(exponent, N)).reshape(len(var), N)
+            for rows, index in self.levels:
+                V[rows] *= table[index]
+        for fn, rates, cols, rows, index in self.factors:
+            arg = np.zeros((len(rates), N))
+            for i in cols:
+                arg += Pt[i] * rates[:, i, None]
+            V[rows] *= fn(arg)[index]
+        # running sums (cumsum adds in order), so each member's terms add up
+        # in term order
+        out = np.zeros((self.m, N))
+        start = 0
+        for count, depth in self.blocks:
+            block = V[start:start + count * depth].reshape(depth, count, N)
+            if not start:
+                out[:count] = np.cumsum(block, axis=0)[-1]
+            elif depth == 1:
+                out[:count] += block[0]
+            else:
+                out[:count] = np.cumsum(np.concatenate([out[None, :count], block]), axis=0)[-1]
+            start += count * depth
+        return out[self.place].T
 
 
-def _rows(mask: np.ndarray):
-    """Index of the terms in mask; a full slice when that is all of them."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
+def _rows(rows: list[int], total: int):
+    """Index of the terms in rows; a full slice when that is all of them."""
+    return slice(None) if len(rows) == total else np.array(rows, dtype=np.int64)
 
 
 class ExpPoly:
-    __slots__ = ("chart", "_lay", "_t", "_compiled")
+    __slots__ = ("chart", "_lay", "_t", "_family")
 
     def __init__(self, chart: VarSet, terms: Mapping[Key, float] | None = None):
         lay = _layout(len(chart))
@@ -329,7 +429,7 @@ class ExpPoly:
         self.chart = chart
         self._lay = lay
         self._t = _cut(acc)
-        self._compiled = None
+        self._family = None
 
     @classmethod
     def _canonical(cls, chart: VarSet, lay: _Layout, acc: dict) -> "ExpPoly":
@@ -345,7 +445,7 @@ class ExpPoly:
         self.chart = chart
         self._lay = lay
         self._t = terms
-        self._compiled = None
+        self._family = None
         return self
 
     @property
@@ -699,56 +799,26 @@ class ExpPoly:
     # ------------------------------------------------------------------
     # evaluation and substitution
 
-    def compiled(self) -> Compiled:
-        """The coefficients and evaluation steps, built on first use and cached."""
-        if self._compiled is None:
-            lay = self._lay
-            n = lay.n
-            keys = list(self._t)
-            packed = b"".join(K.to_bytes(2 * n, "little") for K, _, _ in keys)
-            K = np.frombuffer(packed, dtype="<u2").astype(np.int64).reshape(-1, n)
-            pairs = [lay.rates[r] for _, r, _ in keys]
-            A = np.array([a for a, _ in pairs], dtype=float).reshape(-1, n)
-            B = np.array([b for _, b in pairs], dtype=float).reshape(-1, n)
-            kind = np.array([t for _, _, t in keys], dtype=np.int64)
-            coeff = np.array(list(self._t.values()), dtype=float)
-            powers = []
-            for i in np.flatnonzero(K.any(axis=0)):
-                rows = _rows(K[:, i] != 0)
-                powers.append((i, rows, K[rows, i]))
-            factors = []
-            for fn, M, mask in (
-                (np.exp, A, A.any(axis=1)),
-                (np.cos, B, kind == KIND_COS),
-                (np.sin, B, kind == KIND_SIN),
-            ):
-                if mask.any():
-                    rows = _rows(mask)
-                    R = M[rows]
-                    rates = tuple((i, R[:, i]) for i in np.flatnonzero(R.any(axis=0)))
-                    factors.append((fn, rows, len(R), rates))
-            self._compiled = Compiled(coeff, tuple(powers), tuple(factors))
-        return self._compiled
+    @classmethod
+    def family(cls, chart: VarSet, members: Sequence["ExpPoly"]) -> Family:
+        """The members, polynomials over chart, compiled for evaluation as
+        one family."""
+        return Family(chart, members)
 
     def evaluate_batch(self, points) -> np.ndarray:
-        """Values at N points, given as an N x n array in chart order."""
-        c = self.compiled()
-        P = np.asarray(points, dtype=float).reshape(-1, len(self.chart))
-        if not len(c.coeff):
-            return np.zeros(len(P))
-        v = np.repeat(c.coeff[None, :], len(P), axis=0)
-        for i, rows, k in c.powers:
-            v[:, rows] *= P[:, i, None] ** k
-        for fn, rows, m, rates in c.factors:
-            arg = np.zeros((len(P), m))
-            for i, r in rates:
-                arg += P[:, i, None] * r
-            v[:, rows] *= fn(arg)
-        # a running sum, so the terms add up in term order
-        return np.cumsum(v, axis=1)[:, -1]
+        """Values at N points, given as an N x n array in chart order: the
+        one-member family, compiled on first use and kept."""
+        if self._family is None:
+            self._family = Family(self.chart, [self])
+        return self._family.evaluate(points)[:, 0]
 
     def evaluate(self, point: Mapping[str, float]) -> float:
-        return float(self.evaluate_batch([[point[name] for name in self.chart.names]])[0])
+        values = [point[name] for name in self.chart.names]
+        if not any(values):
+            # at the origin: the constant terms (module docstring)
+            return functools.reduce(add, (c for (K, _, kind), c in self._t.items()
+                                          if not K and kind != KIND_SIN), 0.0)
+        return float(self.evaluate_batch([values])[0])
 
     def substitute(self, bindings: Mapping[str, "ExpPoly"] | "Substitution") -> "ExpPoly":
         """Exact composition.  Variables appearing inside exp/trig rates must

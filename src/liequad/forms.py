@@ -236,7 +236,7 @@ def _merge_sorted(I: Index, J: Index) -> tuple[Index, int]:
 
 
 class VectorField:
-    __slots__ = ("chart", "components", "scls")
+    __slots__ = ("chart", "components", "scls", "_family")
 
     def __init__(self, chart: VarSet, components: Sequence[object], scls=None):
         components = list(components)
@@ -247,6 +247,7 @@ class VectorField:
         self.chart = chart
         self.components = components
         self.scls = scls
+        self._family = None
 
     @classmethod
     def coordinate(cls, chart: VarSet, name: str, scls=ExpPoly):
@@ -278,8 +279,11 @@ class VectorField:
         return all(c.is_zero(tol) for c in self.components)
 
     def at_batch(self, points) -> np.ndarray:
-        """Components at N points (rows in chart order), as an N x n array."""
-        return np.column_stack([c.evaluate_batch(points) for c in self.components])
+        """Components at N points (rows in chart order), as an N x n array;
+        the components are compiled as one family on first use."""
+        if self._family is None:
+            self._family = self.scls.family(self.chart, self.components)
+        return self._family.evaluate(points)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         return self.at_batch([[point[n] for n in self.chart.names]])[0]
@@ -325,7 +329,10 @@ def pairing(alpha: DiffForm, X: VectorField):
 
 @dataclass
 class PointMap:
-    """Smooth map between charts, one scalar component per target coordinate."""
+    """Smooth map between charts, one scalar component per target coordinate.
+
+    Its components, and its Jacobian entries, are compiled as one family
+    each on first evaluation and kept."""
 
     source: VarSet
     target: VarSet
@@ -338,10 +345,15 @@ class PointMap:
             if c.chart != self.source:
                 raise MismatchedVarSet("components must live over the source chart")
 
+    @cached_property
+    def _family(self):
+        """The components, compiled as one family by their class."""
+        return type(self.components[0]).family(self.source, self.components)
+
     def evaluate_batch(self, points) -> np.ndarray:
         """Images of N source points (rows in chart order), as an N x m array
         in target chart order."""
-        return np.column_stack([comp.evaluate_batch(points) for comp in self.components])
+        return self._family.evaluate(points)
 
     def __call__(self, point: Mapping[str, float]) -> dict[str, float]:
         values = self.evaluate_batch([[point[n] for n in self.source.names]])[0]
@@ -361,12 +373,22 @@ class PointMap:
         """The differential of each component, computed once per map."""
         return [differential(comp) for comp in self.components]
 
+    @cached_property
+    def _jacobian(self):
+        """The nonzero Jacobian entries, compiled as one family by their
+        class, and their rows and columns."""
+        entries = [(i, j, c) for i, dcomp in enumerate(self.differentials) for (j,), c in dcomp.coeffs.items()]
+        family = self.differentials[0].scls.family(self.source, [c for _, _, c in entries])
+        rows = np.array([i for i, _, _ in entries], dtype=np.int64)
+        cols = np.array([j for _, j, _ in entries], dtype=np.int64)
+        return family, rows, cols
+
     def jacobian_batch(self, points) -> np.ndarray:
         """Jacobian matrices at N source points, as an N x m x n array."""
-        J = np.zeros((len(points), len(self.target), len(self.source)))
-        for i, dcomp in enumerate(self.differentials):
-            for (j,), c in dcomp.coeffs.items():
-                J[:, i, j] = c.evaluate_batch(points)
+        family, rows, cols = self._jacobian
+        values = family.evaluate(points)
+        J = np.zeros((len(values), len(self.target), len(self.source)))
+        J[:, rows, cols] = values
         return J
 
     def jacobian_at(self, point: Mapping[str, float]) -> np.ndarray:
@@ -450,13 +472,22 @@ def pullback_check(phi: PointMap, taus, omegas, mode: str, samples: int, rng, sa
     draws = np.array(draws, dtype=float).reshape(samples, 2, len(names))
     P, vecs = draws[:, 0], draws[:, 1]
     push = (phi.jacobian_batch(P) @ vecs[:, :, None])[:, :, 0]
-    img = phi.evaluate_batch(P)
-    errors = []
-    for tau, omega in zip(taus, omegas):
-        lhs = sum(c.evaluate_batch(img) * push[:, idx[0]] for idx, c in tau.coeffs.items())
-        rhs = sum(c.evaluate_batch(P) * vecs[:, idx[0]] for idx, c in omega.coeffs.items())
-        errors.append(float(np.max(np.abs(lhs - rhs), initial=0.0)))
+    lhs = _pairings(taus, phi.evaluate_batch(P), push)
+    rhs = _pairings(omegas, P, vecs)
+    errors = [float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(lhs, rhs)]
     return errors, "numeric", ""
+
+
+def _pairings(forms: Sequence[DiffForm], points, vectors) -> list:
+    """<alpha, v> of each 1-form alpha at N points and N vectors, summed in
+    coefficient order; the coefficients of all the forms are evaluated as
+    one family."""
+    entries = [(k, j, c) for k, alpha in enumerate(forms) for (j,), c in alpha.coeffs.items()]
+    values = forms[0].scls.family(forms[0].chart, [c for _, _, c in entries]).evaluate(points)
+    sums = [0] * len(forms)
+    for col, (k, j, _) in enumerate(entries):
+        sums[k] = sums[k] + values[:, col] * vectors[:, j]
+    return sums
 
 
 def structure_residual(omegas: Sequence[DiffForm], sc) -> list[DiffForm]:

@@ -38,9 +38,10 @@ def mat_identity(n: int) -> Matrix:
 
 
 def _is_zero(c) -> bool:
-    """Zero test for a scalar, form or field (.is_zero()) or a number (== 0)."""
-    is_zero = getattr(c, "is_zero", None)
-    return c == 0 if is_zero is None else is_zero()
+    """Zero test for a number (== 0) or a scalar, form or field (.is_zero())."""
+    if isinstance(c, (Fraction, int, float)):
+        return c == 0
+    return c.is_zero()
 
 
 def lin_comb(coeffs: Sequence, items: Sequence):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .forms import (
     structure_residual,
 )
 from .liealg import AdaptedChain, lin_comb
-from .matexp import matrix_batch
+from .matexp import matrix_batch, matrix_family
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
 from .report import Report
 from .varset import VarSet, coordinate_chart, doubled_chart
@@ -53,6 +54,16 @@ class SolvGroup:
     def n(self) -> int:
         return self.chain.n
 
+    @cached_property
+    def _frame_family(self):
+        """The frame matrix, whose columns are the frame fields, compiled
+        as one family."""
+        return matrix_family(list(zip(*(X.components for X in self.frame))))
+
+    def frame_batch(self, points) -> np.ndarray:
+        """The frame matrix at N group points, as an N x n x n array."""
+        return matrix_batch(self._frame_family, points, self.n)
+
 
 @dataclass
 class GroupLaw:
@@ -60,6 +71,15 @@ class GroupLaw:
     mu: PointMap
     ad: list  # Ad(x) as an ExpPoly matrix over the group chart
     omega: list  # the product-group forms mu pulls the coframe back to
+
+    @cached_property
+    def _ad_family(self):
+        """The entries of Ad(x), compiled as one family."""
+        return matrix_family(self.ad)
+
+    def ad_batch(self, points) -> np.ndarray:
+        """Ad at N group points, as an N x n x n array."""
+        return matrix_batch(self._ad_family, points, self.group.n)
 
     def multiply_batch(self, a, b) -> np.ndarray:
         """Row r is a_r * b_r, for N x n arrays of group points."""
@@ -110,20 +130,30 @@ def build_group(chain: AdaptedChain) -> SolvGroup:
 # adjoint representation
 
 def _scalar_identity(chart: VarSet, n: int):
-    return [
-        [ExpPoly.one(chart) if i == j else ExpPoly.zero(chart) for j in range(n)]
-        for i in range(n)
-    ]
+    zero = ExpPoly.zero(chart)
+    return [[ExpPoly.one(chart) if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _times_factor(M, E):
-    """M E for scalar matrices, reading only the nonzero entries of each
-    column of E, in row order; an exponential E has no zero column."""
+    """M E for scalar matrices over one chart.  Each entry sums
+    M[i][j] * E[j][k] over the j where both are nonzero, in row order with
+    the M entry as the left operand, as `lin_comb` does; an entry with no
+    such j is one shared zero."""
     columns = [[(j, e) for j, e in enumerate(col) if not e.is_zero()] for col in zip(*E)]
-    return [
-        [lin_comb([e for _, e in col], [row[j] for j, _ in col]) for col in columns]
-        for row in M
-    ]
+    zero = ExpPoly.zero(M[0][0].chart)
+    out = []
+    for row in M:
+        nonzero = {j: x for j, x in enumerate(row) if not x.is_zero()}
+        new_row = []
+        for col in columns:
+            acc = None
+            for j, e in col:
+                x = nonzero.get(j)
+                if x is not None:
+                    acc = x * e if acc is None else acc + x * e
+            new_row.append(zero if acc is None else acc)
+        out.append(new_row)
+    return out
 
 
 def ad_rep(chain: AdaptedChain, inverse: bool = False):
@@ -214,16 +244,16 @@ def group_invariants_report(
     points = np.array(
         [[rng.uniform(-1.5, 1.5) for _ in group.chart.names] for _ in range(samples)]
     ).reshape(samples, n)
-    worst_br = 0.0
+    brackets = []
     for i in range(n):
         for j in range(i + 1, n):
             rhs = lin_comb([sc.C[k][i][j] for k in range(n)], group.frame)
-            diff = lie_bracket(group.frame[i], group.frame[j]) - rhs
-            worst_br = max(worst_br, _worst(np.abs(diff.at_batch(points))))
+            brackets += (lie_bracket(group.frame[i], group.frame[j]) - rhs).components
+    worst_br = _worst(np.abs(ExpPoly.family(group.chart, brackets).evaluate(points)))
     report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 
     tau = [[t.coefficient((k,)) for k in range(n)] for t in group.tau]
-    dets = np.abs(np.linalg.det(matrix_batch(tau, points)))
+    dets = np.abs(np.linalg.det(matrix_batch(matrix_family(tau), points, n)))
     worst_det = float(np.min(dets, initial=1.0))
     report.add("coframe pointwise independent", worst_det > 1e-12, "numeric", worst_det)
     return report
@@ -247,24 +277,21 @@ def verify_group(
         [[rng.uniform(-1.2, 1.2) for _ in range(3 * n)] for _ in range(samples)]
     ).reshape(samples, 3, n)
     a, b, c = draws[:, 0], draws[:, 1], draws[:, 2]
-    mul = law.multiply_batch
-    ab = mul(a, b)
-    lhs = mul(a, mul(b, c))
-    rhs = mul(ab, c)
-    worst_assoc = _worst(_rel_error(lhs, rhs))
-
     zero = np.zeros_like(a)
-    worst_ident = _worst(np.abs(np.hstack([mul(zero, a) - a, mul(a, zero) - a])))
+    # the independent products in one evaluation, then the two that use them
+    ab, bc, za, az = np.split(law.multiply_batch(np.vstack([a, b, zero, a]), np.vstack([b, c, a, zero])), 4)
+    lhs, rhs = np.split(law.multiply_batch(np.vstack([a, ab]), np.vstack([bc, c])), 2)
+    worst_assoc = _worst(_rel_error(lhs, rhs))
+    worst_ident = _worst(np.abs(np.hstack([za - a, az - a])))
 
-    Ad_z = matrix_batch(law.ad, ab)
-    worst_ad = _worst(_rel_error(matrix_batch(law.ad, a) @ matrix_batch(law.ad, b), Ad_z))
+    Ad_a, Ad_b, Ad_ab = np.split(law.ad_batch(np.vstack([a, b, ab])), 3)
+    worst_ad = _worst(_rel_error(Ad_a @ Ad_b, Ad_ab))
 
     # left invariance: dL_a|_b X_i(b) = X_i(a*b); the frame fields are the
     # columns of the frame matrix
     J = law.mu.jacobian_batch(np.hstack([a, b]))[:, :, n:]
-    frame_matrix = list(zip(*(X.components for X in group.frame)))
-    Mab = matrix_batch(frame_matrix, ab)
-    worst_left = _worst(_rel_error(J @ matrix_batch(frame_matrix, b), Mab))
+    M_b, M_ab = np.split(group.frame_batch(np.vstack([b, ab])), 2)
+    worst_left = _worst(_rel_error(J @ M_b, M_ab))
 
     report.add("associativity mu(a, mu(b,c)) = mu(mu(a,b), c)", worst_assoc <= tol, "numeric", worst_assoc)
     report.add("identity mu(0,a) = a = mu(a,0)", worst_ident <= tol, "numeric", worst_ident)
@@ -333,12 +360,11 @@ def preadjoint_oracle(
     draws = np.array(
         [[rng.uniform(-1.0, 1.0) for _ in range(2 * n)] for _ in range(samples)]
     ).reshape(samples, 2 * n)
-    x = draws[:, :n]
-    x_inv = rho.evaluate_batch(np.hstack([x, np.zeros_like(x)]))
-    mu_val = law.multiply_batch(draws[:, n:], x_inv)
-    worst = _worst(np.concatenate([
-        _rel_error(rho.evaluate_batch(draws), mu_val),
-        np.abs(law.multiply_batch(x, x_inv)).max(axis=1),
-    ]))
+    x, y = draws[:, :n], draws[:, n:]
+    # rho at (x, 0) and at (x, y) in one evaluation, then mu at (y, x^{-1})
+    # and at (x, x^{-1})
+    x_inv, rho_xy = np.split(rho.evaluate_batch(np.vstack([np.hstack([x, np.zeros_like(x)]), draws])), 2)
+    mu_val, unit = np.split(law.multiply_batch(np.vstack([y, x]), np.vstack([x_inv, x_inv])), 2)
+    worst = _worst(np.concatenate([_rel_error(rho_xy, mu_val), np.abs(unit).max(axis=1)]))
     report.add("rho(x,y) = mu(y, x^{-1})", worst <= tol, "numeric", worst)
     return report

@@ -162,9 +162,17 @@ def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
     return {k: c for k, c in out.items() if c != 0j}
 
 
-def matrix_batch(M, points) -> np.ndarray:
-    """A matrix of scalars at N points, as an N x rows x cols array."""
-    return np.stack([np.column_stack([e.evaluate_batch(points) for e in row]) for row in M], axis=1)
+def matrix_family(M):
+    """The entries of a matrix of scalars, row by row, compiled as one
+    family by their class."""
+    entries = [e for row in M for e in row]
+    return type(entries[0]).family(entries[0].chart, entries)
+
+
+def matrix_batch(family, points, n: int) -> np.ndarray:
+    """An n x n matrix compiled by `matrix_family` at N points, as an
+    N x n x n array."""
+    return family.evaluate(points).reshape(-1, n, n)
 
 
 @dataclass
@@ -185,21 +193,27 @@ class ExpMatrix:
     def chart(self) -> VarSet:
         return self.entries[0][0].chart
 
+    @functools.cached_property
+    def _family(self):
+        """The entries, compiled as one family."""
+        return matrix_family(self.entries)
+
     def at_batch(self, ts) -> np.ndarray:
         """E(t) at N values of t, as an N x n x n array."""
-        return matrix_batch(self.entries, np.asarray(ts, dtype=float).reshape(-1, 1))
+        return matrix_batch(self._family, np.asarray(ts, dtype=float).reshape(-1, 1), self.n)
 
     def at(self, t: float) -> np.ndarray:
         return self.at_batch([t])[0]
 
     @functools.cached_property
     def inverse(self) -> "ExpMatrix":
-        """e^{-tA} = E(-t), each entry by `ExpPoly.at_negated`: each rate
-        negated, the coefficient of t^k times (-1)^k, and sin terms negated."""
+        """e^{-tA} = E(-t), each nonzero entry by `ExpPoly.at_negated`: each
+        rate negated, the coefficient of t^k times (-1)^k, and sin terms
+        negated; a zero entry stays the same zero."""
         source = tuple(tuple(-x for x in row) for row in self.source)
         series = self.series and [[[-x for x in row] for row in S] if k % 2 else S
                                   for k, S in enumerate(self.series)]
-        entries = [[e.at_negated(self.var) for e in row] for row in self.entries]
+        entries = [[e if e.is_zero() else e.at_negated(self.var) for e in row] for row in self.entries]
         return ExpMatrix(self.var, source, entries, series)
 
     def compose(self, f) -> list[list]:
@@ -241,8 +255,11 @@ def _exp(Af: tuple, var: str) -> ExpMatrix:
     if not any(p[:n]):
         series = [[[Fraction(x, d ** k * math.factorial(k)) if x else 0 for x in row] for row in P]
                   for k, P in enumerate(powers)]
+        # an entry that is zero in every power is one shared zero
+        support = {(a, b) for P in powers for a, row in enumerate(P) for b, x in enumerate(row) if x}
+        zero = ExpPoly.zero(chart)
         entries = [[ExpPoly.polynomial_in(chart, var, [float(S[a][b]) for S in series])
-                    for b in range(n)] for a in range(n)]
+                    if (a, b) in support else zero for b in range(n)] for a in range(n)]
         return ExpMatrix(var, Af, entries, series)
     lams = [z for z, mult in _spectrum(p, d) for _ in range(mult)]
     return ExpMatrix(var, Af, _putzer(Af, lams, chart))
@@ -294,7 +311,8 @@ def _putzer(Af: tuple, lams: list[complex], chart: VarSet) -> list[list[ExpPoly]
                 terms[key] = terms.get(key, 0.0) + v
         return ExpPoly(chart, terms)
 
-    return [[entry(quasi) for quasi in row] for row in acc]
+    zero = ExpPoly.zero(chart)
+    return [[entry(quasi) if quasi else zero for quasi in row] for row in acc]
 
 
 def derivative_residual(E: ExpMatrix) -> float:

@@ -295,6 +295,11 @@ class RationalFunction:
         rows = points.tolist() if isinstance(points, np.ndarray) else points
         return np.array([self.evaluate(dict(zip(names, row))) for row in rows], dtype=float)
 
+    @classmethod
+    def family(cls, chart: VarSet, members) -> "_Family":
+        """The members, functions over chart, to be evaluated together."""
+        return _Family(chart, members)
+
     def evaluate_exact(self, point: Mapping[str, Fraction]) -> Fraction:
         nval, dval = self._substitute(self._point(point))
         if dval == 0:
@@ -340,6 +345,25 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()})"
+
+
+class _Family:
+    """Rational functions over one chart, evaluated at N points one member
+    at a time, each by its Horner schemes."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, chart: VarSet, members):
+        for f in members:
+            if f.chart != chart:
+                raise MismatchedVarSet(f"{f.chart.names} vs {chart.names}")
+        self.members = list(members)
+
+    def evaluate(self, points) -> np.ndarray:
+        """Values at N points (rows in chart order), as an N x m array with
+        one column per member."""
+        columns = [f.evaluate_batch(points) for f in self.members]
+        return np.column_stack(columns) if columns else np.zeros((len(points), 0))
 
 
 def _poly_text(poly: PolyElement) -> str:

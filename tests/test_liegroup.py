@@ -467,6 +467,39 @@ def test_batched_verify_group_matches_a_per_sample_loop():
     assert batched["assoc"] > 1e-5 and batched["left"] > 1e-5
 
 
+def test_owners_compile_their_family_once(monkeypatch):
+    """A point map (components and Jacobian entries), a vector field, a
+    law's Ad, a group's frame matrix and a matrix exponential each compile
+    one family, on first use, and keep it."""
+    from liequad import exppoly
+    from liequad.matexp import ExpMatrix, sym_exp
+
+    _, law = _fixture_law()
+    group = law.group
+    E = sym_exp([[F(0), F(1)], [F(-1), F(0)]], "t")
+    E = ExpMatrix(E.var, E.source, E.entries)
+    compiled = []
+    init = exppoly.Family.__init__
+
+    def counting(self, chart, members):
+        compiled.append(len(members))
+        init(self, chart, members)
+
+    monkeypatch.setattr(exppoly.Family, "__init__", counting)
+    rng = np.random.default_rng(3)
+    for N in (1, 4, 7):
+        x, xy = rng.uniform(-1, 1, (N, group.n)), rng.uniform(-1, 1, (N, 2 * group.n))
+        law.mu.evaluate_batch(xy)
+        law.mu.jacobian_batch(xy)
+        group.frame[0].at_batch(x)
+        law.ad_batch(x)
+        group.frame_batch(x)
+        E.at_batch(x[:, 0])
+    n = group.n
+    jacobian = sum(len(d.coeffs) for d in law.mu.differentials)
+    assert sorted(compiled) == sorted([n, jacobian, n, n * n, n * n, 4])
+
+
 def _ladder_laws():
     chains = [adapted_chain(sc)[1] for sc in (_filiform(6), borel_constants(3))]
     laws = [multiplication(chain) for chain in chains]

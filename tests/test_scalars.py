@@ -342,6 +342,66 @@ def test_evaluate_batch_agrees_with_the_scalar_formula(case):
         assert abs(value - sum(terms)) <= 8 * np.finfo(float).eps * sum(abs(t) for t in terms)
 
 
+FAMILY_CHARTS = [VarSet(tuple(f"v{i}" for i in range(1, n + 1))) for n in (1, 3, 8)]
+
+
+@st.composite
+def _families(draw):
+    """Families over one chart: possibly no member, zero members among
+    random ones of all three kinds, or only zero members."""
+    chart = draw(st.sampled_from(FAMILY_CHARTS))
+    zero = ExpPoly.zero(chart)
+    member = st.one_of(
+        _exppolys(chart),
+        st.just(zero),
+        st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: ExpPoly.constant(chart, c)),
+    )
+    members = draw(st.one_of(st.lists(member, max_size=5), st.lists(st.just(zero), max_size=3)))
+    N = draw(st.sampled_from([0, 1, 5]))
+    coords = st.floats(-1.5, 1.5, allow_nan=False)
+    points = [[draw(coords) for _ in chart.names] for _ in range(N)]
+    return chart, members, np.array(points, dtype=float).reshape(N, len(chart))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_families())
+def test_each_family_column_is_its_member_evaluated_alone(case):
+    chart, members, P = case
+    got = ExpPoly.family(chart, members).evaluate(P)
+    assert got.shape == (len(P), len(members))
+    for column, p in zip(got.T, members):
+        assert np.array_equal(column, p.evaluate_batch(P))
+        for row, value in zip(P, column):
+            terms = _scalar_terms(p, row.tolist())
+            assert abs(value - sum(terms)) <= 8 * np.finfo(float).eps * sum(abs(t) for t in terms)
+
+
+def test_a_term_evaluates_bit_for_bit_alike_in_any_family():
+    """x1^2 alone, beside x1^2 * x2^2 (zero at x2 = 0), in a family with
+    other members, and at one point at a time: numpy computes a square
+    with a one-element exponent array as x*x, and with a longer one by its
+    vector power, which differs in the last bit at some points."""
+    chart = VarSet.of("x1", "x2")
+    square = ExpPoly.term(chart, 1.0, powers={"x1": 2})
+    pair = square + ExpPoly.term(chart, 1.0, powers={"x1": 2, "x2": 2})
+    rng = np.random.default_rng(0)
+    P = np.column_stack([rng.uniform(-1.5, 1.5, 2000), np.zeros(2000)])
+    alone = square.evaluate_batch(P)
+    assert np.array_equal(pair.evaluate_batch(P), alone)
+    others = [ExpPoly.term(chart, 2.0, powers={"x1": 3}), ExpPoly.zero(chart)]
+    assert np.array_equal(ExpPoly.family(chart, others + [square]).evaluate(P)[:, 2], alone)
+    assert [square.evaluate({"x1": x, "x2": 0.0}) for x in P[:200, 0]] == alone[:200].tolist()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(CHARTS).flatmap(lambda chart: _exppolys(chart, 6)))
+def test_evaluate_at_the_origin_reads_the_constant_terms(p):
+    value = p.evaluate({name: 0 for name in p.chart.names})
+    # the shortcut compiles nothing, and equals the kernel up to the sign of a zero
+    assert p._family is None
+    assert value == p.evaluate_batch(np.zeros((1, len(p.chart))))[0]
+
+
 def _assert_canonical(p):
     assert p == ExpPoly(p.chart, p.terms)
 
