@@ -17,7 +17,6 @@ import click
 
 from . import jsonio
 from .errors import LiequadError, SchemaError
-from .exppoly import ExpPoly
 from .forms import full_basepoint
 from .liealg import adapted_chain, is_solvable, transform_forms, validate as validate_constants
 from .liegroup import (
@@ -200,7 +199,7 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
     worst = max(trace.residuals.values())
     checked = "the input forms" if trace.complete else "the input and the remaining forms"
     report.add(f"structure equations of {checked}", worst <= cfg.tol_zero,
-               "symbolic" if omegas[0].scls is ExpPoly else "exact", worst)
+               omegas[0].scls.check_mode, worst)
     if trace.complete:
         report.extend(
             verify_rho(trace, omegas_ad, samples=cfg.samples, seed=cfg.seed,

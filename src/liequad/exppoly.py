@@ -418,6 +418,8 @@ def _rows(rows: list[int], total: int):
 class ExpPoly:
     __slots__ = ("chart", "_lay", "_t", "_family")
 
+    check_mode = "symbolic"  # the mode a report names for a symbolic check in this class
+
     def __init__(self, chart: VarSet, terms: Mapping[Key, float] | None = None):
         lay = _layout(len(chart))
         acc: dict = {}
@@ -639,6 +641,9 @@ class ExpPoly:
     def max_abs_coeff(self) -> float:
         return max(map(abs, self._t.values()), default=0.0)
 
+    def is_one(self) -> bool:
+        return self._one_constant() == 1.0
+
     def _one_constant(self) -> float | None:
         """The coefficient when the polynomial is one constant term."""
         if len(self._t) == 1:
@@ -669,10 +674,6 @@ class ExpPoly:
         fields = self._lay.unpack(_exponent_bits(self._t))
         used.update(i for i, f in enumerate(fields) if f)
         return sorted(used)
-
-    def variables_in_rates(self) -> set[str]:
-        """Names appearing inside an exp or trig rate of some term."""
-        return {self.chart.names[i] for i in self._rate_positions()}
 
     def exponential_terms(self) -> list[tuple[tuple[float, ...] | None, float]]:
         """(a, c) for each term c * exp(a.x), in term order; a is None for
@@ -908,6 +909,28 @@ class ExpPoly:
                 for (K, r, t), c in self._t.items()
             }
         return ExpPoly._stored(plan.target, plan.layout, terms)
+
+    @classmethod
+    def bind(cls, chart: VarSet, bindings: Mapping[str, "ExpPoly"]):
+        """Composition with bindings, prepared once for polynomials over chart."""
+        plan = Substitution(chart, bindings)
+        return lambda p: p.substitute(plan)
+
+    def map_component(self) -> "ExpPoly":
+        return self
+
+    def basepoint_value(self, point: Mapping[str, object]) -> float:
+        """The value `forms.potential` subtracts at the basepoint; finite."""
+        value = self.evaluate(point)
+        if not math.isfinite(value):
+            raise NonFiniteCoefficient(f"the antiderivative is {value} at the basepoint {point}")
+        return value
+
+    def exp_matrix(self, E) -> list[list["ExpPoly"]]:
+        """The entries of the `matexp.ExpMatrix` E = e^{tA} at t = self."""
+        bind = Substitution(E.chart, {E.var: self})
+        zero = ExpPoly.zero(self.chart)
+        return [[zero if e.is_zero() else e.substitute(bind) for e in row] for row in E.entries]
 
     # ------------------------------------------------------------------
     # serialization

@@ -9,11 +9,11 @@ structural: coefficients are indexed by strictly increasing index tuples.
 A form is never modified after construction, so a result may be one of
 the operands.  Two shortcuts rest on that:
 
-- Multiplying a form by the number 1, or by the exponential-polynomial
-  constant 1.0, returns the form itself.  The general formula would give
-  every coefficient back unchanged (`ExpPoly` scaling by 1.0 returns the
-  polynomial), so no value moves.  A `lin_comb` over a unit row of a
-  factor matrix therefore passes its form on without a copy.
+- Multiplying a form by the number 1, or by a scalar of its own class
+  and chart that `is_one`, returns the form itself.  The general formula
+  would give every coefficient back unchanged (`ExpPoly` scaling by 1.0
+  returns the polynomial), so no value moves.  A `lin_comb` over a unit
+  row of a factor matrix therefore passes its form on without a copy.
 - `+`, `-`, scalar `*`, `wedge`, `exterior_d` and `differential` build
   their results from index tuples that are valid already, through the
   trusted constructor `DiffForm._trusted`: it drops zero coefficients
@@ -22,7 +22,6 @@ the operands.  Two shortcuts rest on that:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,17 +31,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    BasepointOnPole,
     ClassMismatch,
     EmptyDomain,
     MismatchedVarSet,
     NonAffineExponentSubstitution,
     NonElementaryInClass,
-    NonFiniteCoefficient,
     NotClosed,
     PoleAtPoint,
 )
-from .exppoly import ExpPoly, Substitution, ZERO_TOL
+from .exppoly import ExpPoly, ZERO_TOL
 from .varset import VarSet
 
 Index = tuple[int, ...]
@@ -138,9 +135,9 @@ class DiffForm:
     def __mul__(self, other):
         """Multiply by a scalar or a plain number; a unit returns the form
         itself (module docstring)."""
-        if isinstance(other, ExpPoly):
-            # a class or chart mismatch still raises in the general formula
-            if self.scls is ExpPoly and other._one_constant() == 1.0 and other.chart == self.chart:
+        if type(other) is self.scls:
+            # a chart mismatch still raises in the general formula
+            if other.is_one() and other.chart == self.chart:
                 return self
         elif isinstance(other, (int, float, Fraction)):
             if other == 0:
@@ -157,13 +154,7 @@ class DiffForm:
         return all(c.is_zero(tol) for c in self.coeffs.values())
 
     def max_abs_coeff(self) -> float:
-        worst = 0.0
-        for c in self.coeffs.values():
-            if isinstance(c, ExpPoly):
-                worst = max(worst, c.max_abs_coeff())
-            elif not c.is_zero():
-                worst = max(worst, 1.0)
-        return worst
+        return max((c.max_abs_coeff() for c in self.coeffs.values()), default=0.0)
 
     def isclose(self, other: "DiffForm", tol: float = ZERO_TOL) -> bool:
         return (self - other).is_zero(tol)
@@ -360,13 +351,10 @@ class PointMap:
         return dict(zip(self.target.names, values.tolist()))
 
     @cached_property
-    def bindings(self):
-        """Each target coordinate bound to its component, as `compose` takes
-        them: for ExpPoly components a `Substitution`, prepared once per map."""
-        bindings = dict(zip(self.target.names, self.components))
-        if isinstance(self.components[0], ExpPoly):
-            return Substitution(self.target, bindings)
-        return bindings
+    def composition(self):
+        """A scalar over the target composed with the map, as a callable
+        that the components' class prepares once per map (`bind`)."""
+        return type(self.components[0]).bind(self.target, dict(zip(self.target.names, self.components)))
 
     @cached_property
     def differentials(self) -> list[DiffForm]:
@@ -400,15 +388,13 @@ class PointMap:
 
 
 def compose(c, phi: PointMap):
-    """c over phi.target composed with phi within one scalar class:
-    `substitute` for ExpPoly, `compose` for RationalFunction.  A coefficient
-    of another class than the map's components raises ClassMismatch."""
+    """c over phi.target composed with phi within one scalar class, by the
+    map's `composition`.  A coefficient of another class than the map's
+    components raises ClassMismatch."""
     scls = type(phi.components[0])
     if not isinstance(c, scls):
         raise ClassMismatch(f"cannot compose {type(c).__name__} along a map with {scls.__name__} components")
-    if isinstance(c, ExpPoly):
-        return c.substitute(phi.bindings)
-    return c.compose(phi.bindings)
+    return phi.composition(c)
 
 
 def differential(f) -> DiffForm:
@@ -555,19 +541,7 @@ def potential(
             "over this chart"
         )
     # subtract the value at the basepoint; log terms are left as they are
-    basepoint = full_basepoint(chart, basepoint)
-    if isinstance(total, ExpPoly):
-        value = total.evaluate(basepoint)
-        if not math.isfinite(value):
-            raise NonFiniteCoefficient(f"the antiderivative is {value} at the basepoint {basepoint}")
-        return total - ExpPoly.constant(chart, value)
-    from .rational import LogExtendedScalar
-
-    part = total.rational_part if isinstance(total, LogExtendedScalar) else total
-    try:
-        return total - part.evaluate_exact(basepoint)
-    except PoleAtPoint as exc:
-        raise BasepointOnPole(f"denominator vanishes on {basepoint}") from exc
+    return total - total.basepoint_value(full_basepoint(chart, basepoint))
 
 
 def line_integral(

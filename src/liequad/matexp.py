@@ -22,8 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonAffineExponentSubstitution
-from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, Substitution
+from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
 from .liealg import lin_comb
 from .report import Report
 from .varset import VarSet
@@ -215,21 +214,6 @@ class ExpMatrix:
                                   for k, S in enumerate(self.series)]
         entries = [[e if e.is_zero() else e.at_negated(self.var) for e in row] for row in self.entries]
         return ExpMatrix(self.var, source, entries, series)
-
-    def compose(self, f) -> list[list]:
-        """Entries with the variable replaced by a scalar f.  ExpPoly f must be
-        affine wherever t occurs in a rate; any other scalar class needs a
-        nilpotent A and gets e^{f A} = sum_k f^k A^k / k! from `series`."""
-        if isinstance(f, ExpPoly):
-            bind = Substitution(self.chart, {self.var: f})
-            zero = ExpPoly.zero(f.chart)
-            return [[zero if e.is_zero() else e.substitute(bind) for e in row] for row in self.entries]
-        if self.series is None:
-            raise NonAffineExponentSubstitution("the matrix is not nilpotent, so its exponential has "
-                                                "exponential/trig terms; cannot compose with a non-exponential scalar")
-        powers = [f ** k for k in range(len(self.series))]
-        n = self.n
-        return [[lin_comb([S[a][b] for S in self.series], powers) for b in range(n)] for a in range(n)]
 
 
 def sym_exp(A: Sequence[Sequence[object]], var: str = "t") -> ExpMatrix:

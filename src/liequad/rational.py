@@ -30,8 +30,10 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.rings import PolyElement
 
-from .errors import ClassMismatch, MismatchedVarSet, PoleAtPoint
+from .errors import (BasepointOnPole, ClassMismatch, MismatchedVarSet, NonAffineExponentSubstitution,
+                     NonElementaryInClass, PoleAtPoint)
 from .exacttext import evaluate_text
+from .liealg import lin_comb
 from .varset import VarSet
 
 _FIELDS: dict[tuple[str, ...], FracField] = {}
@@ -100,6 +102,8 @@ def _horner_eval(scheme, values, depth: int = 0):
 
 class RationalFunction:
     __slots__ = ("chart", "frac", "_schemes")
+
+    check_mode = "exact"  # the mode a report names for a symbolic check in this class
 
     def __init__(self, chart: VarSet, value):
         """``value`` is an element of ``chart_field(chart)`` or anything it
@@ -232,6 +236,13 @@ class RationalFunction:
     def is_zero(self, tol: float | None = None) -> bool:
         return not self.frac
 
+    def is_one(self) -> bool:
+        return self.frac == 1
+
+    def max_abs_coeff(self) -> float:
+        """1.0 unless the function is zero: an exact residual has no size."""
+        return 0.0 if self.is_zero() else 1.0
+
     def is_constant(self) -> bool:
         return self.frac.numer.is_ground and self.frac.denom.is_ground
 
@@ -328,6 +339,28 @@ class RationalFunction:
             raise PoleAtPoint("composition hits a pole identically")
         return RationalFunction(target, K(nval) / K(dval))
 
+    @classmethod
+    def bind(cls, chart: VarSet, bindings: Mapping[str, "RationalFunction"]):
+        return lambda f: f.compose(bindings)
+
+    def map_component(self) -> "RationalFunction":
+        return self
+
+    def basepoint_value(self, point: Mapping[str, Fraction]) -> Fraction:
+        """The exact value `forms.potential` subtracts at the basepoint."""
+        try:
+            return self.evaluate_exact(point)
+        except PoleAtPoint as exc:
+            raise BasepointOnPole(f"denominator vanishes on {point}") from exc
+
+    def exp_matrix(self, E) -> list[list["RationalFunction"]]:
+        """e^{fA} from the series that E = e^{tA} keeps for a nilpotent A."""
+        if E.series is None:
+            raise NonAffineExponentSubstitution("the matrix is not nilpotent, so its exponential has "
+                                                "exponential/trig terms; cannot compose with a non-exponential scalar")
+        powers = [self ** k for k in range(len(E.series))]
+        return [[lin_comb([S[a][b] for S in E.series], powers) for b in range(E.n)] for a in range(E.n)]
+
     # ------------------------------------------------------------------
     # serialization
 
@@ -415,14 +448,19 @@ class LogExtendedScalar:
         self.rational_part = rational_part
         self.log_terms = tuple((c, a) for a, c in merged.items() if c != 0)
 
-    @property
-    def is_pure_rational(self) -> bool:
-        return not self.log_terms
-
-    def as_rational(self) -> RationalFunction:
+    def map_component(self) -> RationalFunction:
+        """The value as a component of a point map: rational, without log terms."""
         if self.log_terms:
             raise ClassMismatch("value carries log terms")
         return self.rational_part
+
+    def basepoint_value(self, point: Mapping[str, Fraction]) -> Fraction:
+        """The value of the rational part; log terms are left as they are."""
+        return self.rational_part.basepoint_value(point)
+
+    def exp_matrix(self, E) -> list[list[RationalFunction]]:
+        """e^{fA} by `_log_factor`, or in the rational class without log terms."""
+        return _log_factor(E, self) if self.log_terms else self.rational_part.exp_matrix(E)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -515,6 +553,56 @@ class LogExtendedScalar:
             and self.rational_part == other.rational_part
             and {a: c for c, a in self.log_terms} == {a: c for c, a in other.log_terms}
         )
+
+
+def _log_factor(E, f: LogExtendedScalar) -> list[list[RationalFunction]]:
+    """exp of (sum c_i log p_i) times the adjoint: rational exactly when
+    every eigenvalue times every log coefficient is an integer, turning
+    e^{lambda f} into a product of integer powers p_i^{lambda c_i}.
+    The classical integrating-factor situation."""
+    chart = f.chart
+    if not f.rational_part.is_zero():
+        raise NonElementaryInClass(
+            "quadrature produced a log term with a nonzero rational part and "
+            "the next adjoint matrix is nonzero; the exponential factor "
+            "leaves the supported class"
+        )
+
+    def _as_fraction(x: float) -> Fraction:
+        fr = Fraction(x).limit_denominator(10 ** 9)
+        if abs(float(fr) - x) > 1e-9 * max(1.0, abs(x)):
+            raise NonElementaryInClass(
+                f"matrix exponential coefficient {x} is not recognizably rational"
+            )
+        return fr
+
+    out = []
+    for row in E.entries:
+        new_row = []
+        for entry in row:
+            acc = RationalFunction.zero(chart)
+            for a, c in entry.exponential_terms():
+                if a is None:
+                    raise NonElementaryInClass(
+                        "polynomial or trigonometric dependence on the "
+                        "quadrature function leaves the supported class"
+                    )
+                lam = _as_fraction(a[0])
+                piece = RationalFunction.constant(chart, _as_fraction(c))
+                for coeff, arg in f.log_terms:
+                    power = lam * coeff
+                    if power.denominator != 1:
+                        raise NonElementaryInClass(
+                            f"factor needs the non-integer power {power} of a "
+                            "log argument; outside the rational class"
+                        )
+                    if power != 0:
+                        base = RationalFunction(chart, arg)
+                        piece = piece * base ** int(power)
+                acc = acc + piece
+            new_row.append(acc)
+        out.append(new_row)
+    return out
 
 
 def _log_argument(arg, chart: VarSet) -> PolyElement:

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import LiequadError, NonElementaryInClass, NotClosed, ResidualNonzero
-from .exppoly import ExpPoly, ZERO_TOL
+from .errors import LiequadError, NotClosed, ResidualNonzero
+from .exppoly import ZERO_TOL
 from .forms import (
     DiffForm,
     PointMap,
@@ -74,74 +73,13 @@ class ReductionTrace:
 def _factor_matrix(A, f, inverse: bool = False):
     """e^{f A} (e^{-f A} with inverse) in f's class, or None when A = 0.
 
-    A is a rational matrix and f a scalar: an ExpPoly, a rational function,
-    or a log-extended scalar, whose log terms need `_log_factor`.
+    A is a rational matrix and f a scalar, whose `exp_matrix` composes
+    e^{tA} with it (a log-extended scalar by `rational._log_factor`).
     """
     if all(x == 0 for row in A for x in row):
         return None
     E = sym_exp(A, "_t")
-    if inverse:
-        E = E.inverse
-    if not isinstance(f, ExpPoly):
-        from .rational import LogExtendedScalar
-
-        if isinstance(f, LogExtendedScalar):
-            if not f.is_pure_rational:
-                return _log_factor(E, f)
-            f = f.as_rational()
-    return E.compose(f)
-
-
-def _log_factor(E, f):
-    """exp of (sum c_i log p_i) times the adjoint: rational exactly when
-    every eigenvalue times every log coefficient is an integer, turning
-    e^{lambda f} into a product of integer powers p_i^{lambda c_i}.
-    The classical integrating-factor situation."""
-    from .rational import RationalFunction
-
-    chart = f.chart
-    if not f.rational_part.is_zero():
-        raise NonElementaryInClass(
-            "quadrature produced a log term with a nonzero rational part and "
-            "the next adjoint matrix is nonzero; the exponential factor "
-            "leaves the supported class"
-        )
-
-    def _as_fraction(x: float) -> Fraction:
-        fr = Fraction(x).limit_denominator(10 ** 9)
-        if abs(float(fr) - x) > 1e-9 * max(1.0, abs(x)):
-            raise NonElementaryInClass(
-                f"matrix exponential coefficient {x} is not recognizably rational"
-            )
-        return fr
-
-    out = []
-    for row in E.entries:
-        new_row = []
-        for entry in row:
-            acc = RationalFunction.zero(chart)
-            for a, c in entry.exponential_terms():
-                if a is None:
-                    raise NonElementaryInClass(
-                        "polynomial or trigonometric dependence on the "
-                        "quadrature function leaves the supported class"
-                    )
-                lam = _as_fraction(a[0])
-                piece = RationalFunction.constant(chart, _as_fraction(c))
-                for coeff, arg in f.log_terms:
-                    power = lam * coeff
-                    if power.denominator != 1:
-                        raise NonElementaryInClass(
-                            f"factor needs the non-integer power {power} of a "
-                            "log argument; outside the rational class"
-                        )
-                    if power != 0:
-                        base = RationalFunction(chart, arg)
-                        piece = piece * base ** int(power)
-                acc = acc + piece
-            new_row.append(acc)
-        out.append(new_row)
-    return out
+    return f.exp_matrix(E.inverse if inverse else E)
 
 
 def _check_level(omegas: Sequence[DiffForm], chain: AdaptedChain, s: int, tol: float) -> float:
@@ -247,18 +185,11 @@ def reassemble(trace: ReductionTrace) -> list[DiffForm]:
 
 def rho_map(trace: ReductionTrace) -> PointMap:
     """The map onto the group chart x1..xn (`coordinate_chart`) assembled
-    from the quadrature functions, in their class; a log-extended function
-    becomes rational, and one with log terms raises ClassMismatch."""
+    from the `map_component` of each quadrature function: a log-extended
+    function becomes rational, and one with log terms raises ClassMismatch."""
     if not trace.complete:
         raise ValueError("rho needs a complete trace")
-    comps = []
-    for f in trace.functions:
-        if not isinstance(f, ExpPoly):
-            from .rational import LogExtendedScalar
-
-            if isinstance(f, LogExtendedScalar):
-                f = f.as_rational()  # raises when log terms are present
-        comps.append(f)
+    comps = [f.map_component() for f in trace.functions]
     return PointMap(trace.chart, coordinate_chart(trace.chain.n), comps)
 
 

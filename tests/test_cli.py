@@ -290,6 +290,19 @@ def test_reduce_integrates_cos_times_sin(tmp_path):
     assert doc["functions"][2]["text"] == "0.25 + -0.25*cos(2.0*x3)"
 
 
+def test_rho_with_log_terms_is_a_class_mismatch(tmp_path):
+    """dx/x integrates to log x: the reduction completes, but rho has no
+    rational component there, so the run ends in an error document."""
+    doc = {"chart": ["x", "y", "z"], "forms": [
+        {"degree": 1, "scalar_kind": "rational", "terms": [{"idx": [i + 1], "coeff": c}]}
+        for i, c in enumerate(["1/x", "1", "1"])
+    ]}
+    forms = tmp_path / "forms.json"
+    forms.write_text(json.dumps(doc))
+    res = _run(["reduce", fixture_path("algebra_abelian3.json"), str(forms), "--basepoint", "x=1"])
+    _assert_error_document(res, "class-mismatch")
+
+
 def test_tol_zero_does_not_drop_a_small_coefficient(tmp_path):
     """--tol-zero bounds the measured residuals; a quadrature of a small
     nonzero coefficient is not skipped."""
@@ -618,12 +631,14 @@ def test_bad_bracket_coefficient_is_schema_error(tmp_path, text):
 
 def test_exppoly_commands_do_not_load_sympy(tmp_path):
     algebra = fixture_path("algebra_fiveparam_a1_b2.json")
+    forms = fixture_path("forms_product_group_fiveparam_a1_b2.json")
     script = f"""
 import sys
 import liequad
 from liequad.cli import main
 for command in ("validate", "coframe", "multiply"):
     main([command, {algebra!r}, "-o", {str(tmp_path / "out.json")!r}], standalone_mode=False)
+main(["reduce", {algebra!r}, {forms!r}, "-o", {str(tmp_path / "out.json")!r}], standalone_mode=False)
 assert "sympy" not in sys.modules, "sympy was loaded"
 from liequad import RationalFunction
 assert "sympy" in sys.modules
@@ -785,9 +800,59 @@ def _uses(name: str) -> set:
 
 def test_limit_denominator_only_where_exactness_is_confirmed():
     """No float is guessed back into a rational outside
-    `reduction._log_factor` (still to be made exact): `matexp` decides each
+    `rational._log_factor` (still to be made exact): `matexp` decides each
     spectrum from the exact characteristic polynomial."""
-    assert _uses("limit_denominator") == {("reduction", "_log_factor")}
+    assert _uses("limit_denominator") == {("rational", "_log_factor")}
+
+
+SCALAR_CLASSES = {"ExpPoly", "RationalFunction", "LogExtendedScalar"}
+
+
+def _scalar_class_tests(source: str) -> list:
+    """Lines of source that test a value against a scalar class (isinstance,
+    issubclass, or an is / == comparison with the class) or import the
+    rational module."""
+    import ast
+
+    def is_class(node):
+        return (isinstance(node, ast.Name) and node.id in SCALAR_CLASSES) or (
+            isinstance(node, ast.Attribute) and node.attr in SCALAR_CLASSES)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in (
+                "isinstance", "issubclass") and len(node.args) == 2:
+            if any(is_class(n) for n in ast.walk(node.args[1])):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops):
+            if any(is_class(n) for n in [node.left, *node.comparators]):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            if module in (".rational", "liequad.rational") or (
+                    module in (".", "liequad") and any(a.name == "rational" for a in node.names)):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name == "liequad.rational" for a in node.names):
+            found.append(node.lineno)
+    return found
+
+
+def test_pipeline_modules_never_test_the_scalar_class():
+    """Each class-specific step is a method of the scalar classes, so the
+    modules that run the pipeline over any class neither test which class
+    a value has nor import `rational`."""
+    import pathlib
+
+    for bad in ("isinstance(c, ExpPoly)", "isinstance(c, (int, RationalFunction))", "issubclass(t, ExpPoly)",
+                "f.scls is ExpPoly", "type(f) is not rational.LogExtendedScalar", "type(f) == ExpPoly",
+                "from .rational import LogExtendedScalar", "from . import rational", "import liequad.rational"):
+        assert _scalar_class_tests(bad) == [1], bad
+    assert _scalar_class_tests("isinstance(c, scls)\ntype(c) is self.scls\nfrom .exppoly import ExpPoly") == []
+    package = pathlib.Path(jsonio.__file__).parent
+    for stem in ("forms", "matexp", "reduction", "liegroup", "cli"):
+        lines = _scalar_class_tests((package / f"{stem}.py").read_text())
+        assert not lines, f"{stem}.py tests the scalar class or imports rational at lines {lines}"
 
 
 def test_no_numeric_eigenvalues_outside_the_root_step():

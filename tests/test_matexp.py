@@ -142,13 +142,13 @@ def test_compose_polynomial_entries_with_rational_scalar():
     A = [[F(0), F(-1)], [F(0), F(0)]]
     E = sym_exp(A, "t")
     f = RationalFunction.parse(V, "1/u - u^3/w")
-    M = E.compose(f)
+    M = f.exp_matrix(E)
     assert M[0][0] == RationalFunction.one(V)
     assert M[0][1] == -1 * f
     assert M[1][1] == RationalFunction.one(V)
     # e^{u N} of the 4 x 4 shift is exact: its corner is u^3/6
     N = [[F(int(j == i + 1)) for j in range(4)] for i in range(4)]
-    M = sym_exp(N, "t").compose(RationalFunction.coordinate(V, "u"))
+    M = RationalFunction.coordinate(V, "u").exp_matrix(sym_exp(N, "t"))
     assert M[0][3] == RationalFunction.parse(V, "u^3/6")
     assert M[0][2] == RationalFunction.parse(V, "u^2/2")
     assert M[3][0] == RationalFunction.zero(V)
@@ -160,7 +160,7 @@ def test_compose_exponential_entries_with_rational_scalar_raises():
     V = VarSet.of("u")
     E = sym_exp([[F(1)]], "t")
     with pytest.raises(NonAffineExponentSubstitution):
-        E.compose(RationalFunction.parse(V, "1/u"))
+        RationalFunction.parse(V, "1/u").exp_matrix(E)
 
 
 # ----------------------------------------------------------------------

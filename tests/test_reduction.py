@@ -327,7 +327,7 @@ def test_log_factor_guards_reject_out_of_class_scalars():
     reach these states, so the guards are unit-tested directly."""
     from fractions import Fraction
     from liequad import LogExtendedScalar, NonElementaryInClass, sym_exp
-    from liequad.reduction import _log_factor
+    from liequad.rational import _log_factor
 
     V = VarSet.of("x", "u")
     rf = lambda s: RationalFunction.parse(V, s)
