@@ -18,11 +18,20 @@ from .liealg import StructureConstants
 from .varset import VarSet
 
 
+def _integer(value, field: str) -> int:
+    """An integer field: an int, an integral float or a decimal-integer
+    string.  A bool or a non-integral number is a schema error, not
+    truncated; other malformed values raise TypeError or ValueError."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise SchemaError(f"{field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_algebra(doc: dict) -> StructureConstants:
     """{"dim": n, "brackets": [{"i":…, "j":…, "coeffs": {k: rational-string}}],
     "params": {name: rational-string}}"""
     try:
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"], "dim")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("algebra document needs an integer 'dim'") from exc
     if dim < 1:
@@ -36,8 +45,8 @@ def load_algebra(doc: dict) -> StructureConstants:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in doc.get("brackets", []):
         try:
-            i, j = int(entry["i"]), int(entry["j"])
-            coeffs = {int(k): evaluate_text(v, params) for k, v in entry["coeffs"].items()}
+            i, j = _integer(entry["i"], "i"), _integer(entry["j"], "j")
+            coeffs = {_integer(k, "target"): evaluate_text(v, params) for k, v in entry["coeffs"].items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad bracket entry {entry!r}") from exc
         if (i, j) in brackets:
@@ -134,11 +143,11 @@ def dump_form(form: DiffForm) -> dict:
 
 def load_form(doc: dict, chart: VarSet) -> DiffForm:
     try:
-        degree = int(doc["degree"])
+        degree = _integer(doc["degree"], "degree")
         scls = _scalar_class(doc["scalar_kind"])
         coeffs = {}
         for term in doc["terms"]:
-            idx = tuple(int(i) - 1 for i in term["idx"])
+            idx = tuple(_integer(i, "idx") - 1 for i in term["idx"])
             if not all(0 <= i < len(chart) for i in idx):
                 raise SchemaError(
                     f"form index {term['idx']} outside 1..{len(chart)} of the chart"

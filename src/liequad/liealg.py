@@ -2,10 +2,10 @@
 
 Everything in this module is exact Fraction arithmetic: antisymmetry and
 Jacobi validation, derived series, solvability, codimension-one ideal
-chains adapted to the derived series, and basis changes with the tensor
-transformation law.  `lin_comb`, the scalar-matrix-row times vector
-helper, and the Gauss-Jordan elimination behind `rref` and `mat_inverse`
-also serve the form layers, whose entries are exact scalars.
+chains adapted to the derived series, grown as one incremental echelon
+(`remainder`), and basis changes as brackets of the new basis vectors.
+`lin_comb` and the Gauss-Jordan elimination behind `rref` and
+`mat_inverse` also serve the form layers, whose entries are exact scalars.
 """
 
 from __future__ import annotations
@@ -101,14 +101,16 @@ def rref(rows: Iterable[Sequence]) -> list[tuple]:
     return [tuple(r) for r in rows[:lead]]
 
 
-def in_span(basis_rref: Sequence[Vector], vec: Sequence[Fraction]) -> bool:
+def remainder(echelon: Sequence[Vector], vec: Sequence[Fraction]) -> list[Fraction]:
+    """vec reduced by echelon rows, each with leading entry 1 and zero at the
+    leading entries of the rows before it; zero iff vec is in their span."""
     v = list(map(Fraction, vec))
-    for row in basis_rref:
+    for row in echelon:
         piv = next((j for j, x in enumerate(row) if x != 0), None)
         if piv is not None and v[piv] != 0:
             f = v[piv]
             v = [x - f * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -145,19 +147,18 @@ class StructureConstants:
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         n = self.dim
+        C = self.C
         out = [Fraction(0)] * n
-        for j in range(n):
-            uj = u[j]
-            if uj == 0:
+        vs = [(k, y) for k, y in enumerate(v) if y]
+        for j, x in enumerate(u):
+            if not x:
                 continue
-            for k in range(n):
-                vk = v[k]
-                if vk == 0:
-                    continue
+            for k, y in vs:
+                w = x * y
                 for i in range(n):
-                    c = self.C[i][j][k]
-                    if c != 0:
-                        out[i] += c * uj * vk
+                    c = C[i][j][k]
+                    if c:
+                        out[i] += c * w
         return out
 
     def ad_matrix(self, j: int) -> Matrix:
@@ -269,30 +270,24 @@ class BasisChange:
 
 def change_basis(sc: StructureConstants, change: BasisChange) -> StructureConstants:
     """Constants in the new basis e given constants in the old basis f,
-    where f_j = P^i_j e_i."""
-    n = sc.dim
+    where f_j = P^i_j e_i: e_i is column i of P^-1 in the old basis."""
     P = change.matrix()
-    Pinv = mat_inverse(P)
-    C = sc.C
-    out = [[[Fraction(0) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                ct = C[c][a][b]
-                if ct == 0:
-                    continue
-                for i in range(n):
-                    pai = Pinv[a][i]
-                    if pai == 0:
-                        continue
-                    for j in range(n):
-                        pbj = Pinv[b][j]
-                        if pbj == 0:
-                            continue
-                        for k in range(n):
-                            pkc = P[k][c]
-                            if pkc != 0:
-                                out[k][i][j] += pkc * ct * pai * pbj
+    return _constants_in_basis(sc, list(zip(*mat_inverse(P))), P)
+
+
+def _constants_in_basis(sc: StructureConstants, basis: Sequence[Vector], P: Matrix) -> StructureConstants:
+    """Constants in the basis of the old-basis vectors `basis`, whose matrix
+    of columns is P^-1: C~[.][i][j] = P [basis_i, basis_j].  Only i < j is
+    bracketed, since sc is antisymmetric: from_brackets writes both entries,
+    and restricted and this function keep the property."""
+    n = sc.dim
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = [(m, x) for m, x in enumerate(sc.bracket(basis[i], basis[j])) if x]
+            for k, row in enumerate(P):
+                c = sum((row[m] * x for m, x in w), Fraction(0))
+                out[k][i][j], out[k][j][i] = c, -c
     return StructureConstants(n, tuple(tuple(tuple(r) for r in pl) for pl in out))
 
 
@@ -349,20 +344,20 @@ def adapted_chain(sc: StructureConstants) -> tuple[BasisChange, AdaptedChain]:
         raise NotSolvable("derived series does not terminate at 0")
     n = sc.dim
     flag: list[Vector] = []
-    flag_rref: list[Vector] = []
+    echelon: list[Vector] = []
     for sub in reversed(series):
         for vec in sub:
-            if not in_span(flag_rref, vec):
+            r = remainder(echelon, vec)
+            lead = next((x for x in r if x != 0), None)
+            if lead is not None:
                 flag.append(vec)
-                flag_rref = rref(flag)
+                echelon.append(tuple(x / lead for x in r))
     if len(flag) != n:
         raise NotSolvable("flag construction failed to reach full dimension")
-    # columns of A are the adapted vectors in input coordinates
-    A = [[flag[j][i] for j in range(n)] for i in range(n)]
-    P = mat_inverse(A)
+    # the columns are the adapted vectors in input coordinates
+    P = mat_inverse(list(zip(*flag)))
     change = BasisChange(tuple(tuple(row) for row in P))
-    adapted = change_basis(sc, change)
-    chain = AdaptedChain(adapted)
+    chain = AdaptedChain(_constants_in_basis(sc, flag, P))
     chain.verify_ideals()
     return change, chain
 

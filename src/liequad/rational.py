@@ -49,8 +49,12 @@ def chart_field(chart: VarSet) -> FracField:
     return K
 
 
+# the numbers a RationalFunction takes as an operand; a float by its exact value
+_NUMBERS = (int, Fraction, float)
+
+
 def _to_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int, float)):
+    if isinstance(value, _NUMBERS):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -168,7 +172,7 @@ class RationalFunction:
             raise MismatchedVarSet(f"{self.chart.names} vs {other.chart.names}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             return RationalFunction(self.chart, self.frac + _to_rational(other))
         if isinstance(other, LogExtendedScalar):
             return other + self
@@ -191,7 +195,7 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
+        if isinstance(other, _NUMBERS):
             return RationalFunction(self.chart, self.frac * _to_rational(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -201,7 +205,7 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             if other == 0:
                 raise ZeroDivisionError("division by the zero rational function")
             return RationalFunction(self.chart, self.frac / _to_rational(other))
@@ -213,7 +217,7 @@ class RationalFunction:
         return RationalFunction(self.chart, self.frac / other.frac)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, _NUMBERS):
             return NotImplemented
         return RationalFunction.constant(self.chart, other) / self
 

@@ -905,3 +905,52 @@ def test_document_with_a_key_deleted_exits_cleanly(tmp_path, name, deleted, doc)
     assert res.exit_code in (0, 1, 2), res.output
     if res.exit_code == 2:
         assert "error" in json.loads(res.stderr.strip().splitlines()[-1])
+
+
+# integer fields given a bool or a non-integral number, each of which the
+# loaders once truncated: 3.5 -> 3, true -> 1, 2.9 -> 2, 1.7 -> 1, 1.6 -> 1
+NON_INTEGRAL_ALGEBRA = {
+    "dim-3.5": lambda a: a.update(dim=a["dim"] + 0.5),
+    "dim-true": lambda a: a.update(dim=True, brackets=[]),
+    "bracket-i-2.9": lambda a: a["brackets"][0].update(i=a["brackets"][0]["i"] + 0.9),
+}
+NON_INTEGRAL_FORM = {
+    "degree-1.7": lambda f: f.update(degree=f["degree"] + 0.7),
+    "idx-1.6": lambda f: f["terms"][0].update(idx=[f["terms"][0]["idx"][0] + 0.6]),
+}
+
+
+def _with(name, mutate, tmp_path):
+    doc = json.loads(open(fixture_path(name)).read())
+    mutate(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGRAL_ALGEBRA))
+@pytest.mark.parametrize("command", ["validate", "reduce", "pfaff"])
+def test_non_integral_algebra_field_is_schema_error(tmp_path, command, case):
+    mutate = NON_INTEGRAL_ALGEBRA[case]
+    if command == "pfaff":
+        args = ["pfaff", _with("pfaffian_third_order_ode.json", lambda d: mutate(d["brackets"]), tmp_path),
+                "--basepoint", BASEPOINT]
+    else:
+        args = [command, _with("algebra_heisenberg.json", mutate, tmp_path)]
+        if command == "reduce":
+            args += [fixture_path("forms_normalized_third_order.json"), "--basepoint", BASEPOINT]
+    _assert_error_document(_run(args), "schema-error")
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGRAL_FORM))
+@pytest.mark.parametrize("command", ["reduce", "pfaff"])
+def test_non_integral_form_field_is_schema_error(tmp_path, command, case):
+    mutate = NON_INTEGRAL_FORM[case]
+    if command == "pfaff":
+        args = ["pfaff", _with("pfaffian_third_order_ode.json", lambda d: mutate(d["theta"][0]), tmp_path),
+                "--basepoint", BASEPOINT]
+    else:
+        args = ["reduce", fixture_path("algebra_heisenberg.json"),
+                _with("forms_normalized_third_order.json", lambda d: mutate(d["forms"][0]), tmp_path),
+                "--basepoint", BASEPOINT]
+    _assert_error_document(_run(args), "schema-error")

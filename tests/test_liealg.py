@@ -16,7 +16,9 @@ from liequad import (
     validate,
 )
 from liequad.catalog import filiform4, five_dim_two_parameter, heisenberg, sl2
-from liequad.liealg import in_span, mat_identity, mat_inverse, rref
+from liequad.liealg import mat_identity, mat_inverse, remainder, rref
+from conftest import borel_constants
+from test_verdicts import filiform, random_basis
 
 F = Fraction
 
@@ -159,6 +161,81 @@ def test_change_basis_preserves_jacobi_and_roundtrips():
         assert change_basis(out, Pinv).C == sc.C
 
 
+def _tensor_law(sc, change):
+    """C~^k_ij = P^k_c C^c_ab (P^-1)^a_i (P^-1)^b_j, index by index."""
+    n = sc.dim
+    P = change.matrix()
+    Pinv = mat_inverse(P)
+    out = [[[F(0) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for c in range(n):
+        for a in range(n):
+            for b in range(n):
+                if sc.C[c][a][b] == 0:
+                    continue
+                for i in range(n):
+                    for j in range(n):
+                        for k in range(n):
+                            out[k][i][j] += P[k][c] * sc.C[c][a][b] * Pinv[a][i] * Pinv[b][j]
+    return tuple(tuple(tuple(r) for r in pl) for pl in out)
+
+
+def _baseline_draw(n, seed):
+    """The invertible P of `random_basis(sc, seed)` for an n-dim sc."""
+    rng = random.Random(seed)
+    while True:
+        P = BasisChange(tuple(tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)))
+        try:
+            P.inverse_matrix()
+            return P
+        except Exception:
+            continue
+
+
+def _cases_for_tensor_law():
+    for sc in (filiform(8), borel_constants(3), borel_constants(4)):
+        for seed in (0, 1):
+            yield sc, _baseline_draw(sc.dim, seed)
+    rng = random.Random(11)
+    for a, b in ((F(1), F(2)), (F(-1, 2), F(3))):
+        for _ in range(3):
+            yield five_dim_two_parameter(a, b), _random_invertible(rng, 5)
+
+
+def test_change_basis_follows_the_tensor_law_index_by_index():
+    """The brackets of the new basis vectors equal the six-index tensor law
+    exactly, with every entry a Fraction."""
+    for sc, P in _cases_for_tensor_law():
+        out = change_basis(sc, P)
+        assert out.C == _tensor_law(sc, P)
+        assert all(type(c) is F for plane in out.C for row in plane for c in row)
+    assert change_basis(filiform(8), _baseline_draw(8, 0)).C == random_basis(filiform(8), 0).C
+
+
+@pytest.mark.parametrize("make", [lambda: filiform(16), lambda: random_basis(borel_constants(4), 0)],
+                         ids=["L16", "b4-random0"])
+def test_adapted_chain_eliminates_once(monkeypatch, make):
+    """One rref per derived-series term, one inversion (itself one rref),
+    and the flag grows without a further elimination."""
+    from liequad import liealg
+
+    sc = make()
+    terms = len(derived_series(sc))
+    calls = {"rref": 0, "mat_inverse": 0}
+
+    def counting(name):
+        inner = getattr(liealg, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    monkeypatch.setattr(liealg, "rref", counting("rref"))
+    monkeypatch.setattr(liealg, "mat_inverse", counting("mat_inverse"))
+    adapted_chain(sc)
+    assert calls == {"rref": terms + 1, "mat_inverse": 1}
+
+
 def test_transformed_forms_satisfy_transformed_structure_equations():
     """Forms for the old constants, pushed through a basis change, satisfy
     the structure equations of the transformed constants."""
@@ -203,8 +280,8 @@ def test_singular_basis_change_rejected():
 def test_rref_and_span_helpers():
     rows = [(F(2), F(0), F(2)), (F(0), F(1), F(1))]
     basis = rref(rows)
-    assert in_span(basis, (F(2), F(1), F(3)))
-    assert not in_span(basis, (F(0), F(0), F(1)))
+    assert not any(remainder(basis, (F(2), F(1), F(3))))
+    assert any(remainder(basis, (F(0), F(0), F(1))))
 
 
 def test_mat_inverse_over_rational_functions():

@@ -54,6 +54,24 @@ def test_number_divided_by_rational_function():
         1 / RationalFunction.zero(V)
 
 
+def test_float_operands_are_taken_by_exact_value():
+    """+, -, *, / and their reflected forms take the same numbers: int,
+    Fraction, and float by its exact value."""
+    r = rf("u_x^2/(x + 1)")
+    assert r + 0.5 == r - Fraction(-1, 2)
+    assert 0.5 + r == r + Fraction(1, 2)
+    assert r - 0.5 == r + Fraction(-1, 2)
+    assert 0.5 - r == Fraction(1, 2) - r
+    assert r * 0.5 == 0.5 * r == r / 2
+    assert r / 0.5 == r * 2
+    assert 0.5 / r == Fraction(1, 2) / r
+    assert r + 0.1 == r + Fraction(0.1)  # exact binary value, not 1/10
+    with pytest.raises(ZeroDivisionError):
+        r / 0.0
+    with pytest.raises(ZeroDivisionError):
+        0.5 / RationalFunction.zero(V)
+
+
 def test_diff_power_rule():
     assert rf("u_x^3/u_xx").diff("u_xx") == rf("-u_x^3/u_xx^2")
 
