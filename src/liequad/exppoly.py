@@ -51,9 +51,9 @@ same keys, term order and coefficient bits as the general formula:
   scaled by c.  The double loop would add zero vectors to each key and
   multiply each coefficient by c, and float `*` commutes.
 - A `substitute` whose bindings are all bare coordinates of the target,
-  in increasing position, is a renaming: each key's k, a and b are copied
-  to the new positions (K shifted, when the positions are consecutive).
-  An order-preserving renaming keeps canonical keys canonical, the first
+  in consecutive increasing positions, is a renaming: each key's K is
+  shifted and its a and b are copied to the new positions.  An
+  order-preserving renaming keeps canonical keys canonical, the first
   nonzero b entry included, so nothing is re-canonicalized; the general
   formula would multiply every coefficient by exp(0) = cos(0) = 1.
 - Negation, that renaming and `at_negated` build their result with
@@ -94,8 +94,8 @@ flat operands of one length, so a term's value does not depend on the
 family that holds it.  Each owner of a set of polynomials compiles its
 family once and keeps it: `forms.PointMap` (components and Jacobian
 entries), `forms.VectorField`, `matexp.ExpMatrix`, and the Ad and frame
-matrices of `liegroup`.  `evaluate_batch` is the one-member family, kept on
-the polynomial, and `evaluate` its one-point case.
+matrices of `liegroup`.  `evaluate_batch` compiles the one-member family,
+and `evaluate` is its one-point case.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ import math
 import struct
 import threading
 from fractions import Fraction
-from operator import add, itemgetter, lt, or_, sub
+from operator import add, itemgetter, or_, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -416,7 +416,7 @@ def _rows(rows: list[int], total: int):
 
 
 class ExpPoly:
-    __slots__ = ("chart", "_lay", "_t", "_family")
+    __slots__ = ("chart", "_lay", "_t")
 
     check_mode = "symbolic"  # the mode a report names for a symbolic check in this class
 
@@ -431,7 +431,6 @@ class ExpPoly:
         self.chart = chart
         self._lay = lay
         self._t = _cut(acc)
-        self._family = None
 
     @classmethod
     def _canonical(cls, chart: VarSet, lay: _Layout, acc: dict) -> "ExpPoly":
@@ -447,7 +446,6 @@ class ExpPoly:
         self.chart = chart
         self._lay = lay
         self._t = terms
-        self._family = None
         return self
 
     @property
@@ -540,7 +538,9 @@ class ExpPoly:
         return ExpPoly._stored(self.chart, self._lay, {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ExpPoly) else -float(other))
+        if not isinstance(other, (ExpPoly, int, float, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -808,10 +808,8 @@ class ExpPoly:
 
     def evaluate_batch(self, points) -> np.ndarray:
         """Values at N points, given as an N x n array in chart order: the
-        one-member family, compiled on first use and kept."""
-        if self._family is None:
-            self._family = Family(self.chart, [self])
-        return self._family.evaluate(points)[:, 0]
+        one-member family."""
+        return Family(self.chart, [self]).evaluate(points)[:, 0]
 
     def evaluate(self, point: Mapping[str, float]) -> float:
         values = [point[name] for name in self.chart.names]
@@ -895,19 +893,12 @@ class ExpPoly:
 
     def _renamed(self, plan: "Substitution") -> "ExpPoly":
         """Variable i moved to target position plan.renaming[i], the
-        positions increasing, so the keys stay canonical (module
-        docstring); consecutive positions shift the packed exponents."""
+        positions consecutive and increasing, so the keys stay canonical
+        and the packed exponents shift (module docstring)."""
         positions = plan.renaming
         moved = self._lay.renamed[(len(plan.target), positions)]
-        if positions == tuple(range(positions[0], positions[0] + len(positions))):
-            shift = _BITS * positions[0]
-            terms = {(K << shift, moved[r], t): c for (K, r, t), c in self._t.items()}
-        else:
-            unpack = self._lay.unpack
-            terms = {
-                (sum(f << (_BITS * j) for f, j in zip(unpack(K), positions)), moved[r], t): c
-                for (K, r, t), c in self._t.items()
-            }
+        shift = _BITS * positions[0]
+        terms = {(K << shift, moved[r], t): c for (K, r, t), c in self._t.items()}
         return ExpPoly._stored(plan.target, plan.layout, terms)
 
     @classmethod
@@ -992,8 +983,8 @@ class Substitution:
     """The bindings x_i -> bindings[x_i] of `ExpPoly.substitute`, prepared
     once for the polynomials over `source`: the binding of every source
     variable, the renaming positions when each is a bare target coordinate
-    in increasing position, and, on first use, the affine part of a
-    binding and the image of each rate pair."""
+    in consecutive increasing positions, and, on first use, the affine
+    part of a binding and the image of each rate pair."""
 
     def __init__(self, source: VarSet, bindings: Mapping[str, ExpPoly]):
         target = next(iter(bindings.values())).chart if bindings else source
@@ -1016,8 +1007,9 @@ class Substitution:
         self.layout = _layout(len(target))
         self.full = full
         positions = [p._coordinate_position() for p in full]
-        increasing = None not in positions and all(map(lt, positions, positions[1:]))
-        self.renaming = tuple(positions) if increasing and positions else None
+        start = positions[0] if positions else None
+        consecutive = start is not None and positions == list(range(start, start + len(positions)))
+        self.renaming = tuple(positions) if consecutive else None
         # affine[i]: (const, {j: lin_j}) of the binding of x_i
         self.affine = _Memo(self._affine)
         # rate_images[r]: what a source rate pair becomes in the target

@@ -4,8 +4,9 @@ Everything in this module is exact Fraction arithmetic: antisymmetry and
 Jacobi validation, derived series, solvability, codimension-one ideal
 chains adapted to the derived series, grown as one incremental echelon
 (`remainder`), and basis changes as brackets of the new basis vectors.
-`lin_comb` and the Gauss-Jordan elimination behind `rref` and
-`mat_inverse` also serve the form layers, whose entries are exact scalars.
+`lin_comb`, the one product of scalar matrices `mat_mul`, and the
+Gauss-Jordan elimination behind `rref` and `mat_inverse` also serve the
+form and group layers, whose entries are scalars.
 """
 
 from __future__ import annotations
@@ -59,6 +60,30 @@ def lin_comb(coeffs: Sequence, items: Sequence):
         piece = item * c
         acc = piece if acc is None else acc + piece
     return items[0] * 0 if acc is None else acc
+
+
+def mat_mul(M: Sequence[Sequence], E: Sequence[Sequence]) -> list[list]:
+    """M E for matrices of numbers or scalars.  Each entry sums
+    M[i][j] * E[j][k] over the j where both are nonzero, in row order with
+    the M entry as the left operand, as `lin_comb` does; an entry with no
+    such j is one shared zero, E[0][0] * 0.  An empty matrix gives []."""
+    if not M or not E:
+        return []
+    columns = [[(j, e) for j, e in enumerate(col) if not _is_zero(e)] for col in zip(*E)]
+    zero = E[0][0] * 0
+    out = []
+    for row in M:
+        nonzero = {j: x for j, x in enumerate(row) if not _is_zero(x)}
+        new_row = []
+        for col in columns:
+            acc = None
+            for j, e in col:
+                x = nonzero.get(j)
+                if x is not None:
+                    acc = x * e if acc is None else acc + x * e
+            new_row.append(zero if acc is None else acc)
+        out.append(new_row)
+    return out
 
 
 def mat_inverse(A: Matrix) -> Matrix:

@@ -5,11 +5,11 @@ builds the left-invariant coframe and frame, the adjoint representation as
 a product of exponentials, and the global multiplication map.  The coframe
 is the un-reduction of the coordinates (`reduction.unreduce` of x^1..x^n):
 the forms whose reduction yields the coordinates, so rho = id.  The frame
-applies the transposes of the forward factors e^{x ad_s} to the coordinate
-vector fields.  For the multiplication map the product-group forms are
-reduced to exact differentials whose functions, normalized at the origin,
-are the components of the group law.  A second, independent derivation of
-the multiplication map (through forms that pull back along
+fields are the columns of the product (`liealg.mat_mul`) of the forward
+factors e^{x ad_s}.  For the multiplication map the product-group forms
+are reduced to exact differentials whose functions, normalized at the
+origin, are the components of the group law.  A second, independent
+derivation of the multiplication map (through forms that pull back along
 (x, y) -> y * x^{-1}) serves as a cross-check oracle; its map at y = 0 is
 the inverse x^{-1}, again in closed form.
 """
@@ -31,12 +31,11 @@ from .forms import (
     VectorField,
     compose,
     lie_bracket,
-    pairing,
     pullback,
     pullback_check,
     structure_residual,
 )
-from .liealg import AdaptedChain, lin_comb
+from .liealg import AdaptedChain, lin_comb, mat_mul
 from .matexp import matrix_batch, matrix_family
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
 from .report import Report
@@ -100,6 +99,11 @@ def _coordinates(chart: VarSet) -> list[ExpPoly]:
     return [ExpPoly.coordinate(chart, nm) for nm in chart.names]
 
 
+def _scalar_identity(chart: VarSet, n: int):
+    zero = ExpPoly.zero(chart)
+    return [[ExpPoly.one(chart) if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def coframe(chain: AdaptedChain) -> list[DiffForm]:
     """Left-invariant coframe over the coordinate chart: the un-reduction
     of the coordinates, the forms whose reduction yields x^1..x^n."""
@@ -107,19 +111,20 @@ def coframe(chain: AdaptedChain) -> list[DiffForm]:
 
 
 def frame(chain: AdaptedChain) -> list[VectorField]:
-    """Dual frame over the coordinate chart: the transposed forward factors
-    e^{x^{n-s} [ad_s]}, from the deepest level up, applied to the
-    coordinate vector fields."""
+    """Dual frame over the coordinate chart: the columns of the product of
+    the forward factors e^{x^{n-s} [ad_s]}, from the deepest level up, each
+    acting on the leading n - s columns."""
     n = chain.n
     chart = coordinate_chart(n)
     x = _coordinates(chart)
-    fields = [VectorField.coordinate(chart, nm, ExpPoly) for nm in chart.names]
+    # the frame matrix, whose columns are the fields
+    F = _scalar_identity(chart, n)
     for s in range(n - 1, -1, -1):
         m = n - s
         E = _factor_matrix(chain.ad_matrix(s), x[m - 1])
         if E is not None:
-            fields = [lin_comb(col, fields[:m]) for col in zip(*E)] + fields[m:]
-    return fields
+            F = [new + row[m:] for new, row in zip(mat_mul([row[:m] for row in F], E), F)]
+    return [VectorField(chart, col, ExpPoly) for col in zip(*F)]
 
 
 def build_group(chain: AdaptedChain) -> SolvGroup:
@@ -128,33 +133,6 @@ def build_group(chain: AdaptedChain) -> SolvGroup:
 
 # ----------------------------------------------------------------------
 # adjoint representation
-
-def _scalar_identity(chart: VarSet, n: int):
-    zero = ExpPoly.zero(chart)
-    return [[ExpPoly.one(chart) if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _times_factor(M, E):
-    """M E for scalar matrices over one chart.  Each entry sums
-    M[i][j] * E[j][k] over the j where both are nonzero, in row order with
-    the M entry as the left operand, as `lin_comb` does; an entry with no
-    such j is one shared zero."""
-    columns = [[(j, e) for j, e in enumerate(col) if not e.is_zero()] for col in zip(*E)]
-    zero = ExpPoly.zero(M[0][0].chart)
-    out = []
-    for row in M:
-        nonzero = {j: x for j, x in enumerate(row) if not x.is_zero()}
-        new_row = []
-        for col in columns:
-            acc = None
-            for j, e in col:
-                x = nonzero.get(j)
-                if x is not None:
-                    acc = x * e if acc is None else acc + x * e
-            new_row.append(zero if acc is None else acc)
-        out.append(new_row)
-    return out
-
 
 def ad_rep(chain: AdaptedChain, inverse: bool = False):
     """Ad(x) = e^{x^1 [ad e_1]} ... e^{x^n [ad e_n]} over the full adjoint
@@ -167,7 +145,7 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
     for j in (range(n - 1, -1, -1) if inverse else range(n)):
         E = _factor_matrix(chain.base.ad_matrix(j), x[j], inverse)
         if E is not None:
-            M = _times_factor(M, E)
+            M = mat_mul(M, E)
     return M
 
 
@@ -232,12 +210,13 @@ def group_invariants_report(
     worst = max((r.max_abs_coeff() for r in res), default=0.0)
     report.add("d tau^i + 1/2 C^i_jk tau^j ^ tau^k = 0", worst <= tol_symbolic, "symbolic", worst)
 
+    tau = [[t.coefficient((k,)) for k in range(n)] for t in group.tau]
+    P = mat_mul(tau, list(zip(*(X.components for X in group.frame))))
     worst_pair = 0.0
     for i in range(n):
         for j in range(n):
-            p = pairing(group.tau[i], group.frame[j])
             target = 1.0 if i == j else 0.0
-            worst_pair = max(worst_pair, (p - ExpPoly.constant(group.chart, target)).max_abs_coeff())
+            worst_pair = max(worst_pair, (P[i][j] - ExpPoly.constant(group.chart, target)).max_abs_coeff())
     report.add("<tau^i, X_j> = delta^i_j", worst_pair <= tol_symbolic, "symbolic", worst_pair)
 
     rng = random.Random(seed)
@@ -252,7 +231,6 @@ def group_invariants_report(
     worst_br = _worst(np.abs(ExpPoly.family(group.chart, brackets).evaluate(points)))
     report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 
-    tau = [[t.coefficient((k,)) for k in range(n)] for t in group.tau]
     dets = np.abs(np.linalg.det(matrix_batch(matrix_family(tau), points, n)))
     worst_det = float(np.min(dets, initial=1.0))
     report.add("coframe pointwise independent", worst_det > 1e-12, "numeric", worst_det)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
-from .liealg import lin_comb
+from .liealg import mat_mul
 from .report import Report
 from .varset import VarSet
 
@@ -301,13 +301,11 @@ def _putzer(Af: tuple, lams: list[complex], chart: VarSet) -> list[list[ExpPoly]
 
 def derivative_residual(E: ExpMatrix) -> float:
     """Max coefficient of d/dt E - A E; zero for a correct exponential."""
-    n = E.n
+    S = mat_mul(E.source, E.entries)
     worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            d = E.entries[a][b].diff(E.var)
-            s = lin_comb(E.source[a], [row[b] for row in E.entries])
-            worst = max(worst, (d - s).max_abs_coeff())
+    for a in range(E.n):
+        for b in range(E.n):
+            worst = max(worst, (E.entries[a][b].diff(E.var) - S[a][b]).max_abs_coeff())
     return worst
 
 
@@ -322,13 +320,12 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     n = E.n
     report = Report()
 
-    Eneg = E.inverse
+    P = mat_mul(E.entries, E.inverse.entries)
     worst = 0.0
     for a in range(n):
         for b in range(n):
-            s = lin_comb([row[b] for row in Eneg.entries], E.entries[a])
             target = 1.0 if a == b else 0.0
-            worst = max(worst, (s - ExpPoly.constant(E.chart, target)).max_abs_coeff())
+            worst = max(worst, (P[a][b] - ExpPoly.constant(E.chart, target)).max_abs_coeff())
     report.add("E(t)E(-t) = I", worst <= EXP_CHECK_TOL, "symbolic", worst)
 
     tr = float(sum(E.source[i][i] for i in range(n)))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateTransversality, NotSolvable, SingularMatrix
 from .exppoly import ZERO_TOL
 from .forms import DiffForm, Domain, VectorField, differential, lie_bracket, pairing
-from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, transform_forms
+from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, mat_mul, transform_forms
 from .reduction import reduce_full
 from .report import Report
 
@@ -67,12 +67,16 @@ class SymmetryAlgebra:
 def transversality(
     theta: Sequence[DiffForm], fields: Sequence[VectorField]
 ) -> tuple[list[list[RationalFunction]], list[list[RationalFunction]]]:
-    """Pairing matrix P^i_j = <theta^i, Z_j> and its exact inverse.  The
+    """Pairing matrix P^i_j = <theta^i, Z_j>, the coefficients of the theta
+    times the components of the fields, and its exact inverse.  The
     determinant of P must not vanish identically (the zero set joins the
     excluded hypersurfaces); the inversion proves it."""
     if len(theta) != len(fields):
         raise ValueError("need as many symmetry fields as generators")
-    P = [[pairing(t, Z) for Z in fields] for t in theta]
+    if any(t.degree != 1 for t in theta):
+        raise ValueError("pairing needs a 1-form")
+    coefficients = [[t.coefficient((k,)) for k in range(len(t.chart))] for t in theta]
+    P = mat_mul(coefficients, list(zip(*(Z.components for Z in fields))))
     try:
         return P, mat_inverse(P)
     except SingularMatrix as exc:

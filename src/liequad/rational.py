@@ -49,7 +49,8 @@ def chart_field(chart: VarSet) -> FracField:
     return K
 
 
-# the numbers a RationalFunction takes as an operand; a float by its exact value
+# the numbers a RationalFunction or a LogExtendedScalar takes as an operand; a
+# float by its exact value
 _NUMBERS = (int, Fraction, float)
 
 
@@ -174,8 +175,6 @@ class RationalFunction:
     def __add__(self, other):
         if isinstance(other, _NUMBERS):
             return RationalFunction(self.chart, self.frac + _to_rational(other))
-        if isinstance(other, LogExtendedScalar):
-            return other + self
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check_chart(other)
@@ -187,9 +186,9 @@ class RationalFunction:
         return RationalFunction(self.chart, -self.frac)
 
     def __sub__(self, other):
-        if isinstance(other, LogExtendedScalar):
-            return (-other) + self
-        return self + (-other if isinstance(other, RationalFunction) else -_to_fraction(other))
+        if not isinstance(other, (RationalFunction, *_NUMBERS)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -467,7 +466,7 @@ class LogExtendedScalar:
         return _log_factor(E, self) if self.log_terms else self.rational_part.exp_matrix(E)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             other = RationalFunction.constant(self.chart, other)
         if isinstance(other, RationalFunction):
             return LogExtendedScalar(
@@ -499,7 +498,7 @@ class LogExtendedScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             q = Fraction(other)
             return LogExtendedScalar(
                 self.chart,

@@ -38,6 +38,18 @@ def test_transversality_identity_case():
             assert P[i][j] == RationalFunction.constant(V, int(i == j))
 
 
+def test_transversality_of_no_generators_is_empty():
+    assert transversality([], []) == ([], [])
+
+
+def test_transversality_pairs_only_one_forms():
+    V = VarSet.of("x1", "x2")
+    dx1, dx2 = (DiffForm.d_coordinate(V, n, RationalFunction) for n in V.names)
+    Z = VectorField.coordinate(V, "x1", RationalFunction)
+    with pytest.raises(ValueError, match="1-form"):
+        transversality([dx1.wedge(dx2)], [Z])
+
+
 def test_transversality_determinant_on_ode_example(
     ode_chart, ode_theta, ode_symmetry_fields
 ):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liequad import (
+    ClassMismatch,
     LogExtendedScalar,
     NonElementaryInClass,
     PoleAtPoint,
@@ -70,6 +71,38 @@ def test_float_operands_are_taken_by_exact_value():
         r / 0.0
     with pytest.raises(ZeroDivisionError):
         0.5 / RationalFunction.zero(V)
+
+
+def test_log_extended_takes_float_operands_by_exact_value():
+    """The numbers a RationalFunction takes: int, Fraction, and float by
+    its exact value; scaling by a non-constant rational function is out
+    of the class."""
+    L = LogExtendedScalar(V, rf("x"), [(Fraction(1, 2), rf("u").expr)])
+    assert L + 0.5 == L + Fraction(1, 2)
+    assert 0.5 + L == L + Fraction(1, 2)
+    assert L - 0.5 == L + Fraction(-1, 2)
+    assert 0.5 - L == Fraction(1, 2) - L
+    assert L * 0.5 == 0.5 * L == L * Fraction(1, 2)
+    assert L * 0.1 == L * Fraction(0.1)  # exact binary value, not 1/10
+    assert L * rf("3") == L * 3
+    with pytest.raises(ClassMismatch):
+        L * rf("u")
+
+
+def test_unknown_operands_raise_type_error_and_logs_dispatch_by_reflection():
+    from liequad import ExpPoly
+
+    r = rf("u_x^2/(x + 1)")
+    L = LogExtendedScalar(V, rf("x"), [(Fraction(1, 2), rf("u").expr)])
+    for x in (r, L, ExpPoly.coordinate(V, "x")):
+        with pytest.raises(TypeError):
+            x - object()
+        with pytest.raises(TypeError):
+            x - "a"
+    # r + L and r - L reach LogExtendedScalar's reflected methods
+    assert r + L == LogExtendedScalar(V, rf("x") + r, L.log_terms)
+    assert r - L == LogExtendedScalar(V, r - rf("x"), [(Fraction(-1, 2), rf("u").expr)])
+    assert L - r == LogExtendedScalar(V, rf("x") - r, L.log_terms)
 
 
 def test_diff_power_rule():

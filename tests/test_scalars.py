@@ -7,6 +7,7 @@ import math
 import pathlib
 import random
 from operator import add, sub
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from liequad import (
     NonFiniteCoefficient,
     SchemaError,
     VarSet,
+    exppoly,
     jsonio,
 )
 from liequad.exppoly import KIND_COS, KIND_ONE, KIND_SIN, MAX_EXPONENT, _canon_trig
@@ -396,9 +398,17 @@ def test_a_term_evaluates_bit_for_bit_alike_in_any_family():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(CHARTS).flatmap(lambda chart: _exppolys(chart, 6)))
 def test_evaluate_at_the_origin_reads_the_constant_terms(p):
-    value = p.evaluate({name: 0 for name in p.chart.names})
+    compiled = []
+    init = exppoly.Family.__init__
+
+    def counting(self, chart, members):
+        compiled.append(1)
+        init(self, chart, members)
+
+    with mock.patch.object(exppoly.Family, "__init__", counting):
+        value = p.evaluate({name: 0 for name in p.chart.names})
     # the shortcut compiles nothing, and equals the kernel up to the sign of a zero
-    assert p._family is None
+    assert not compiled
     assert value == p.evaluate_batch(np.zeros((1, len(p.chart))))[0]
 
 
@@ -651,6 +661,70 @@ def test_lin_comb_skipping_zero_items_equals_the_unskipped_sum(case):
     forms = [DiffForm(p.chart, 1, {(0,): p}, ExpPoly) for p in items]
     want_form = sum((f * c for c, f in zip(coeffs, forms) if c != 0), DiffForm.zero(items[0].chart, 1))
     assert _form_bits(lin_comb(coeffs, forms)) == _form_bits(want_form)
+
+
+def _rational_entries():
+    from liequad import RationalFunction
+
+    W = VarSet.of("x", "y")
+    texts = ["0", "0", "1", "-2/3", "x", "x*y - 3", "1/(1 + y)", "x^2/(x - y)"]
+    return [RationalFunction.parse(W, t) for t in texts]
+
+
+RATIONAL_ENTRIES = _rational_entries()
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """(M, E) with E the ExpPoly or RationalFunction class and M the same
+    class or Fractions (beside ExpPoly); zero entries, rows and columns
+    are likely, and 1 x 1 and empty M occur."""
+    from fractions import Fraction
+
+    kind = draw(st.sampled_from(["exppoly", "fraction", "rational"]))
+    if kind == "rational":
+        left = right = st.sampled_from(RATIONAL_ENTRIES)
+    else:
+        chart = draw(st.sampled_from(CHARTS[:3]))
+        right = st.one_of(st.just(ExpPoly.zero(chart)), _exppolys(chart, 2))
+        left = right if kind == "exppoly" else st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)])
+    r, m, c = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    M = [[draw(left) for _ in range(m)] for _ in range(r)]
+    E = [[draw(right) for _ in range(c)] for _ in range(m)]
+    zero_left, zero_right = M[0][0] * 0 if M else None, E[0][0] * 0
+    if M and draw(st.booleans()):
+        M[draw(st.integers(0, r - 1))] = [zero_left] * m
+    if draw(st.booleans()):
+        k = draw(st.integers(0, c - 1))
+        for row in E:
+            row[k] = zero_right
+    return M, E
+
+
+def _entry_bits(x):
+    from liequad.liealg import _is_zero
+
+    if _is_zero(x):
+        return "0"
+    return _bits(x) if isinstance(x, ExpPoly) else (x.chart, x.frac)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(st.just(([], [])), _matrix_pairs()))
+def test_mat_mul_equals_lin_comb_per_entry(case):
+    """Each entry of M E is `lin_comb` over its row of M and its column of
+    E, bit for bit; an entry with no nonzero term is the one shared zero
+    E[0][0] * 0."""
+    from liequad.liealg import _is_zero, lin_comb, mat_mul
+
+    M, E = case
+    got = mat_mul(M, E)
+    want = [[lin_comb(col, row) for col in zip(*E)] for row in M]
+    assert [[_entry_bits(x) for x in row] for row in got] == [[_entry_bits(x) for x in row] for row in want]
+    empty = [got[i][k] for i, row in enumerate(M) for k, col in enumerate(zip(*E))
+             if all(_is_zero(x) or _is_zero(e) for x, e in zip(row, col))]
+    assert all(z is empty[0] for z in empty)
+    assert all(type(z) is type(E[0][0]) and _is_zero(z) for z in empty)
 
 
 # ----------------------------------------------------------------------
