@@ -11,12 +11,12 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import click
 
 from . import jsonio
 from .errors import LiequadError, SchemaError
+from .exacttext import read_fraction
 from .forms import full_basepoint
 from .liealg import adapted_chain, is_solvable, transform_forms, validate as validate_constants
 from .liegroup import (
@@ -50,7 +50,8 @@ class RunConfig:
             raise SchemaError("sample count must be >= 1")
 
     def basepoint_on(self, chart: VarSet) -> dict | None:
-        """The --basepoint values, every name checked against the chart."""
+        """The --basepoint values, every name checked against the chart and
+        given once."""
         if not self.basepoint:
             return None
         out = {}
@@ -60,10 +61,9 @@ class RunConfig:
                 raise SchemaError(f"bad basepoint entry {piece!r}; expected name=value")
             if name not in chart.names:
                 raise SchemaError(f"basepoint name {name!r} is not in the chart {list(chart.names)}")
-            try:
-                out[name] = Fraction(value)
-            except ValueError as exc:
-                raise SchemaError(f"bad basepoint value {value!r}") from exc
+            if name in out:
+                raise SchemaError(f"basepoint name {name!r} is given twice")
+            out[name] = read_fraction(value, f"basepoint value of {name!r}")
         return out
 
 

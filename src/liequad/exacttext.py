@@ -10,7 +10,9 @@ decimals stay exact), bound names, unary +/-, ``+ - * /``, ``**`` or
 caller allows (exp, cos and sin for exponential polynomials, none for the
 others).  Anything else (other calls, attributes, subscripts,
 comparisons, ...), and an operation the target ring lacks or that
-overflows, is a :class:`~liequad.errors.SchemaError`.
+overflows, is a :class:`~liequad.errors.SchemaError`.  A plain rational
+value (a parameter, a log coefficient, a basepoint coordinate) is read by
+`read_fraction` instead, in the grammar of ``Fraction(str)``.
 """
 
 from __future__ import annotations
@@ -82,3 +84,13 @@ def evaluate_text(
         raise SchemaError(f"bad {what} {text!r}: division by zero") from exc
     except (OverflowError, SyntaxError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def read_fraction(text, what: str) -> Fraction:
+    """The rational ``str(text)`` spells in the grammar of ``Fraction(str)``,
+    such as ``-3/4`` or ``1.5e-3``; malformed text or a zero denominator
+    is a SchemaError that names ``what``."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what} must be rational, got {text!r}") from exc

@@ -56,10 +56,10 @@ same keys, term order and coefficient bits as the general formula:
   order-preserving renaming keeps canonical keys canonical, the first
   nonzero b entry included, so nothing is re-canonicalized; the general
   formula would multiply every coefficient by exp(0) = cos(0) = 1.
-- Negation, that renaming and `at_negated` build their result with
-  `_stored`, which skips the ZERO_TOL cut too: every coefficient keeps the
-  magnitude of a stored one, which exceeds ZERO_TOL and is never NaN, and
-  each maps keys one to one, so no two terms merge.
+- Negation and that renaming build their result with `_stored`, which
+  skips the ZERO_TOL cut too: every coefficient keeps the magnitude of a
+  stored one, which exceeds ZERO_TOL and is never NaN, and each maps keys
+  one to one, so no two terms merge.
 - `evaluate` at the origin sums, in term order, the coefficients of the
   terms whose exponents are all 0, sin terms left out: there exp(0) =
   cos(0) = 1 and sin(0) = 0, and every other term is a zero, so this is
@@ -197,9 +197,6 @@ class _Layout:
         # renamed[(nt, positions)][r]: the id over nt variables of the rates
         # of r moved to increasing positions
         self.renamed = _Memo(self._renaming)
-        # negated[i][r]: (id, flipped) of the rates of r with a_i and b_i
-        # negated, b canonical again (flipped when that negated b)
-        self.negated = _Memo(lambda i: _Memo(functools.partial(self._negation, i)))
 
     def rate(self, a: tuple[float, ...], b: tuple[float, ...]) -> int:
         """The id of a canonical rate pair, interned on first use."""
@@ -256,14 +253,6 @@ class _Layout:
             return target.rate(tuple(a2), tuple(b2))
 
         return _Memo(moved)
-
-    def _negation(self, i: int, r: int) -> tuple[int, bool]:
-        a, b = self.rates[r]
-        a = a[:i] + (0.0 - a[i],) + a[i + 1:]
-        if b[i] == 0.0:
-            return self.rate(a, b), False
-        b, sign = _canonical_b(b[:i] + (0.0 - b[i],) + b[i + 1:])
-        return self.rate(a, b), sign < 0
 
 
 # one layout per number of variables, for the life of the process; the
@@ -782,20 +771,6 @@ class ExpPoly:
                         put((K2, r, KIND_COS), pj.imag)
                         put((K2, r, KIND_SIN), pj.real)
         return ExpPoly._canonical(self.chart, self._lay, acc)
-
-    def at_negated(self, name: str) -> "ExpPoly":
-        """The polynomial at x_name -> -x_name, by a map of the keys: the
-        rates of x_name negated, the coefficient times (-1)^k, and a sin
-        term negated when its rate vector flips back to canonical."""
-        i = self.chart.index(name)
-        shift = _BITS * i
-        negated = self._lay.negated[i]
-        terms = {}
-        for (K, r, kind), c in self._t.items():
-            r2, flipped = negated[r]
-            odd = (K >> shift) & 1 == 1
-            terms[(K, r2, kind)] = -c if odd != (flipped and kind == KIND_SIN) else c
-        return ExpPoly._stored(self.chart, self._lay, terms)
 
     # ------------------------------------------------------------------
     # evaluation and substitution

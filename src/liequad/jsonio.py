@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .errors import SchemaError
-from .exacttext import evaluate_text
+from .exacttext import evaluate_text, read_fraction
 from .exppoly import ExpPoly
 from .forms import DiffForm, Domain, VectorField
 from .liealg import StructureConstants
@@ -36,12 +36,8 @@ def load_algebra(doc: dict) -> StructureConstants:
         raise SchemaError("algebra document needs an integer 'dim'") from exc
     if dim < 1:
         raise SchemaError(f"algebra dimension must be at least 1, got {dim}")
-    params = {}
-    for name, value in (doc.get("params") or {}).items():
-        try:
-            params[name] = Fraction(str(value))
-        except ValueError as exc:
-            raise SchemaError(f"parameter {name!r} must be rational, got {value!r}") from exc
+    params = {name: read_fraction(value, f"parameter {name!r}")
+              for name, value in (doc.get("params") or {}).items()}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in doc.get("brackets", []):
         try:
@@ -120,7 +116,7 @@ def load_scalar(doc: dict, chart: VarSet):
         try:
             rat = RationalFunction.parse(chart, doc["rational"])
             logs = [
-                (Fraction(item["coeff"]), RationalFunction.parse(chart, item["arg"]))
+                (read_fraction(item["coeff"], "log coefficient"), RationalFunction.parse(chart, item["arg"]))
                 for item in doc["logs"]
             ]
             return LogExtendedScalar(chart, rat, logs)
@@ -152,6 +148,8 @@ def load_form(doc: dict, chart: VarSet) -> DiffForm:
                 raise SchemaError(
                     f"form index {term['idx']} outside 1..{len(chart)} of the chart"
                 )
+            if idx in coeffs:
+                raise SchemaError(f"form index {term['idx']} is listed twice")
             coeffs[idx] = scls.parse(chart, term["coeff"])
         return DiffForm(chart, degree, coeffs, scls)
     except SchemaError:

@@ -36,7 +36,7 @@ from .forms import (
     structure_residual,
 )
 from .liealg import AdaptedChain, lin_comb, mat_mul
-from .matexp import matrix_batch, matrix_family
+from .matexp import identity_residual, matrix_batch, matrix_family
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
 from .report import Report
 from .varset import VarSet, coordinate_chart, doubled_chart
@@ -143,7 +143,7 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
     x = _coordinates(chart)
     M = _scalar_identity(chart, n)
     for j in (range(n - 1, -1, -1) if inverse else range(n)):
-        E = _factor_matrix(chain.base.ad_matrix(j), x[j], inverse)
+        E = _factor_matrix(chain.base.ad_matrix(j), -x[j] if inverse else x[j])
         if E is not None:
             M = mat_mul(M, E)
     return M
@@ -191,6 +191,11 @@ def _worst(errors) -> float:
     return float(np.max(errors, initial=0.0))
 
 
+def _box(rng: random.Random, h: float, samples: int, width: int) -> np.ndarray:
+    """A samples x width array drawn from rng, uniform on [-h, h], row by row."""
+    return np.array([[rng.uniform(-h, h) for _ in range(width)] for _ in range(samples)]).reshape(samples, width)
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -211,18 +216,10 @@ def group_invariants_report(
     report.add("d tau^i + 1/2 C^i_jk tau^j ^ tau^k = 0", worst <= tol_symbolic, "symbolic", worst)
 
     tau = [[t.coefficient((k,)) for k in range(n)] for t in group.tau]
-    P = mat_mul(tau, list(zip(*(X.components for X in group.frame))))
-    worst_pair = 0.0
-    for i in range(n):
-        for j in range(n):
-            target = 1.0 if i == j else 0.0
-            worst_pair = max(worst_pair, (P[i][j] - ExpPoly.constant(group.chart, target)).max_abs_coeff())
+    worst_pair = identity_residual(mat_mul(tau, list(zip(*(X.components for X in group.frame)))))
     report.add("<tau^i, X_j> = delta^i_j", worst_pair <= tol_symbolic, "symbolic", worst_pair)
 
-    rng = random.Random(seed)
-    points = np.array(
-        [[rng.uniform(-1.5, 1.5) for _ in group.chart.names] for _ in range(samples)]
-    ).reshape(samples, n)
+    points = _box(random.Random(seed), 1.5, samples, n)
     brackets = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -251,9 +248,7 @@ def verify_group(
     report = Report()
 
     # a, b, c of each sample, drawn in that order
-    draws = np.array(
-        [[rng.uniform(-1.2, 1.2) for _ in range(3 * n)] for _ in range(samples)]
-    ).reshape(samples, 3, n)
+    draws = _box(rng, 1.2, samples, 3 * n).reshape(samples, 3, n)
     a, b, c = draws[:, 0], draws[:, 1], draws[:, 2]
     zero = np.zeros_like(a)
     # the independent products in one evaluation, then the two that use them
@@ -333,11 +328,8 @@ def preadjoint_oracle(
     report.add(name, trace.residuals[0] <= tol_zero, "symbolic", trace.residuals[0])
 
     rho = rho_map(trace)
-    rng = random.Random(seed)
     # x, y of each sample, drawn in that order
-    draws = np.array(
-        [[rng.uniform(-1.0, 1.0) for _ in range(2 * n)] for _ in range(samples)]
-    ).reshape(samples, 2 * n)
+    draws = _box(random.Random(seed), 1.0, samples, 2 * n)
     x, y = draws[:, :n], draws[:, n:]
     # rho at (x, 0) and at (x, y) in one evaluation, then mu at (y, x^{-1})
     # and at (x, x^{-1})

@@ -8,7 +8,8 @@ integer roots and monic integer quadratics, each confirmed by exact
 division; only roots of a leftover factor of degree >= 3 stay numeric.
 A nilpotent A gets the exact series sum t^k A^k / k!; any other spectrum
 feeds Putzer's recursion (complex pairs become cos/sin terms, repeated
-eigenvalues factors t^k).  e^{-tA} is e^{tA} at -t (`ExpMatrix.inverse`).
+eigenvalues factors t^k).  A scalar f gives e^{fA} by `f.exp_matrix(E)`, so
+e^{-fA} is the same E composed with -f, and no matrix is built for -A.
 """
 
 from __future__ import annotations
@@ -204,17 +205,6 @@ class ExpMatrix:
     def at(self, t: float) -> np.ndarray:
         return self.at_batch([t])[0]
 
-    @functools.cached_property
-    def inverse(self) -> "ExpMatrix":
-        """e^{-tA} = E(-t), each nonzero entry by `ExpPoly.at_negated`: each
-        rate negated, the coefficient of t^k times (-1)^k, and sin terms
-        negated; a zero entry stays the same zero."""
-        source = tuple(tuple(-x for x in row) for row in self.source)
-        series = self.series and [[[-x for x in row] for row in S] if k % 2 else S
-                                  for k, S in enumerate(self.series)]
-        entries = [[e if e.is_zero() else e.at_negated(self.var) for e in row] for row in self.entries]
-        return ExpMatrix(self.var, source, entries, series)
-
 
 def sym_exp(A: Sequence[Sequence[object]], var: str = "t") -> ExpMatrix:
     """Closed-form e^{t A} over the exactly decided spectrum (module docstring).
@@ -252,7 +242,7 @@ def _exp(Af: tuple, var: str) -> ExpMatrix:
 def _spectrum(p: list[int], d: int) -> list[tuple[complex, int]]:
     """The eigenvalues of A with multiplicities, from the characteristic
     polynomial p of dA, sorted by modulus: an order negation keeps up to
-    ties, so Putzer's recursion for -A rounds as `ExpMatrix.inverse` does."""
+    ties, so Putzer's recursion for -A rounds as e^{tA} at -t does."""
     return sorted(
         ((z, mult) for f, mult in _square_free([Fraction(c) for c in p]) for z in _factor_roots(f, d)),
         key=lambda c: (abs(c[0]), c[0].real, c[0].imag),
@@ -309,6 +299,12 @@ def derivative_residual(E: ExpMatrix) -> float:
     return worst
 
 
+def identity_residual(P) -> float:
+    """Max coefficient of P - I, for a square matrix P of scalars."""
+    n = len(P)
+    return max(((P[a][b] - float(a == b)).max_abs_coeff() for a in range(n) for b in range(n)), default=0.0)
+
+
 # bound of every exp_identities_check line; numeric lines scale their error
 EXP_CHECK_TOL = 1e-8
 
@@ -320,12 +316,8 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     n = E.n
     report = Report()
 
-    P = mat_mul(E.entries, E.inverse.entries)
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            target = 1.0 if a == b else 0.0
-            worst = max(worst, (P[a][b] - ExpPoly.constant(E.chart, target)).max_abs_coeff())
+    minus_t = -ExpPoly.coordinate(E.chart, E.var)
+    worst = identity_residual(mat_mul(E.entries, minus_t.exp_matrix(E)))
     report.add("E(t)E(-t) = I", worst <= EXP_CHECK_TOL, "symbolic", worst)
 
     tr = float(sum(E.source[i][i] for i in range(n)))

@@ -70,16 +70,16 @@ class ReductionTrace:
         return len(self.steps) == self.chain.n
 
 
-def _factor_matrix(A, f, inverse: bool = False):
-    """e^{f A} (e^{-f A} with inverse) in f's class, or None when A = 0.
+def _factor_matrix(A, f):
+    """e^{f A} in f's class, or None when A = 0; the inverse factor
+    e^{-f A} is the one at -f.
 
     A is a rational matrix and f a scalar, whose `exp_matrix` composes
     e^{tA} with it (a log-extended scalar by `rational._log_factor`).
     """
     if all(x == 0 for row in A for x in row):
         return None
-    E = sym_exp(A, "_t")
-    return f.exp_matrix(E.inverse if inverse else E)
+    return f.exp_matrix(sym_exp(A, "_t"))
 
 
 def _check_level(omegas: Sequence[DiffForm], chain: AdaptedChain, s: int, tol: float) -> float:
@@ -163,13 +163,13 @@ def reduce_full(
 
 def unreduce(chain: AdaptedChain, functions: Sequence) -> list[DiffForm]:
     """The forms whose reduction yields f^1..f^n (functions[i] is f^{i+1}):
-    the inverse factors e^{-f^{n-s} [ad_s]} applied to (df^1..df^n), from
-    the deepest level s = n-1 up to s = 0."""
+    the inverse factors e^{-f^{n-s} [ad_s]}, each the factor at -f^{n-s},
+    applied to (df^1..df^n) from the deepest level s = n-1 up to s = 0."""
     n = chain.n
     forms = [differential(f) for f in functions]
     for s in range(n - 1, -1, -1):
         m = n - s
-        inv_factor = _factor_matrix(chain.ad_matrix(s), functions[m - 1], inverse=True)
+        inv_factor = _factor_matrix(chain.ad_matrix(s), -functions[m - 1])
         if inv_factor is not None:
             forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
     return forms

@@ -535,14 +535,56 @@ def test_negative_stop_after_is_schema_error():
 
 
 @pytest.mark.parametrize("command", ["reduce", "pfaff"])
-def test_basepoint_name_outside_the_chart_is_schema_error(command):
+@pytest.mark.parametrize("basepoint, named", [
+    ("x=0,u=0,u_x=1,u_xx=1,q=5", "'q'"),
+    ("x=1/0,u=0,u_x=1,u_xx=1", "basepoint value of 'x'"),
+    ("x=0,x=1,u=0,u_x=1,u_xx=1", "basepoint name 'x' is given twice"),
+], ids=["outside-the-chart", "zero-denominator", "name-twice"])
+def test_bad_basepoint_is_schema_error(command, basepoint, named):
+    """A name outside the chart, a zero denominator (not a traceback) and a
+    name given twice (not its last value kept) are schema errors."""
     if command == "reduce":
         files = [fixture_path("algebra_heisenberg.json"), fixture_path("forms_normalized_third_order.json")]
     else:
         files = [fixture_path("pfaffian_third_order_ode.json")]
-    res = _run([command, *files, "--basepoint", "x=0,u=0,u_x=1,u_xx=1,q=5"])
+    res = _run([command, *files, "--basepoint", basepoint])
     _assert_error_document(res, "schema-error")
-    assert "'q'" in json.loads(res.stderr)["error"]["message"]
+    assert named in json.loads(res.stderr)["error"]["message"]
+
+
+def test_zero_denominator_in_a_document_is_schema_error(tmp_path):
+    """An algebra parameter and a log coefficient are read by
+    `exacttext.read_fraction`: a zero denominator is a schema error."""
+    doc = {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "a"}}], "params": {"a": "1/0"}}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    res = _run(["validate", str(path)])
+    _assert_error_document(res, "schema-error")
+    assert "parameter 'a'" in json.loads(res.stderr)["error"]["message"]
+    scalar = {"kind": "log-extended", "rational": "0", "logs": [{"coeff": "1/0", "arg": "u"}]}
+    with pytest.raises(SchemaError, match="log coefficient"):
+        jsonio.load_scalar(scalar, VarSet.of("x", "u"))
+
+
+@pytest.mark.parametrize("command", ["reduce", "pfaff"])
+def test_form_index_listed_twice_is_schema_error(tmp_path, command):
+    """A second term with the same idx would overwrite the first; here the
+    term 5 dx comes before the fixture's 1 dx (reduce) or -u_x dx (the
+    Pfaffian theta^1), and the document is rejected instead."""
+    extra = {"idx": [1], "coeff": "5"}
+    if command == "reduce":
+        doc = json.loads(open(fixture_path("forms_normalized_third_order.json")).read())
+        doc["forms"][0]["terms"].insert(0, extra)
+        (tmp_path / "forms.json").write_text(json.dumps(doc))
+        args = [fixture_path("algebra_heisenberg.json"), str(tmp_path / "forms.json")]
+    else:
+        doc = _pfaffian_doc()
+        doc["theta"][0]["terms"].insert(0, extra)
+        (tmp_path / "system.json").write_text(json.dumps(doc))
+        args = [str(tmp_path / "system.json")]
+    res = _run([command, *args, "--basepoint", BASEPOINT])
+    _assert_error_document(res, "schema-error")
+    assert "form index [1] is listed twice" in json.loads(res.stderr)["error"]["message"]
 
 
 def test_reduce_basepoint_on_a_pole_is_an_error_document():
@@ -779,6 +821,46 @@ def test_every_parse_classmethod_reads_text_with_evaluate_text():
                 assert "evaluate_text" in calls, f"{path.name}: {cls.name}.parse does not call evaluate_text"
                 found.append(cls.name)
     assert {"ExpPoly", "RationalFunction"} <= set(found)
+
+
+def _fraction_calls(source: str) -> list[int]:
+    """The lines of the calls Fraction(...) of a non-literal outside a
+    function named read_fraction."""
+    import ast
+
+    found = []
+
+    def walk(node, inside):
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name == "read_fraction"
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            named = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if named == "Fraction":
+                try:
+                    for arg in node.args:
+                        ast.literal_eval(arg)
+                except ValueError:
+                    found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(ast.parse(source), False)
+    return found
+
+
+def test_document_and_flag_values_are_read_by_read_fraction():
+    """cli.py and jsonio.py turn text into a Fraction only through
+    `exacttext.read_fraction`, which makes a zero denominator or malformed
+    text a schema error."""
+    import pathlib
+
+    probe = ("def f(value):\n    a = Fraction(value)\n    b = fractions.Fraction(str(value))\n"
+             "    return a, b, Fraction('1/2'), Fraction(-3)\n\n"
+             "def read_fraction(text):\n    return Fraction(str(text))\n")
+    assert _fraction_calls(probe) == [2, 3]
+    package = pathlib.Path(jsonio.__file__).parent
+    for name in ("cli.py", "jsonio.py"):
+        assert _fraction_calls((package / name).read_text()) == [], name
 
 
 def _uses(name: str) -> set:

@@ -330,7 +330,7 @@ def test_preadjoint_oracle_consistency():
 
 def test_group_law_builds_each_matrix_exponential_once(monkeypatch):
     """The 5-dim law and its cross-check decide 6 spectra: one per matrix
-    up to sign, since e^{-tA} is the key map of e^{tA}, and the frame
+    up to sign, since e^{-fA} is e^{tA} composed with -f, and the frame
     transposes the forward factors that the reduction of the product-group
     forms builds.  Only the three non-nilpotent ones run Putzer's recursion."""
     import liequad.matexp as matexp

@@ -1,5 +1,5 @@
 """Symbolic matrix exponential: the exact spectrum decision, the nilpotent
-series, Putzer's recursion and the key map of e^{-tA}."""
+series, Putzer's recursion and e^{-tA} as e^{tA} at -t."""
 
 import math
 import random
@@ -21,7 +21,7 @@ from liequad import (
 from liequad.catalog import five_dim_two_parameter
 from liequad.errors import SingularMatrix
 from liequad.liealg import BasisChange, adapted_chain, change_basis, mat_inverse
-from liequad.matexp import _charpoly, _exp, _putzer, _spectrum, derivative_residual
+from liequad.matexp import ExpMatrix, _charpoly, _exp, _putzer, _spectrum, derivative_residual
 
 F = Fraction
 T = VarSet.of("t")
@@ -362,18 +362,20 @@ def test_filiform_adjoints_in_random_bases_are_exact(n, seed):
 
 
 # ----------------------------------------------------------------------
-# e^{-tA} as a map of the keys of e^{tA}
+# e^{-tA} as e^{tA} composed with -t
 
 
 def test_inverse_is_the_exponential_at_minus_t():
+    from liequad import RationalFunction
+
     _, chain = adapted_chain(five_dim_two_parameter(F(1), F(2)))
     N = [[F(int(j == i + 1)) for j in range(4)] for i in range(4)]
+    minus_t = -ExpPoly.coordinate(T, "t")
     for A in (chain.ad_matrix(0), chain.ad_matrix(1), [[F(2), F(1)], [F(0), F(2)]], N):
         E = sym_exp(A, "t")
-        inv = E.inverse
-        assert inv.source == tuple(tuple(-x for x in row) for row in E.source)
+        inv = ExpMatrix("t", tuple(tuple(-x for x in row) for row in E.source), minus_t.exp_matrix(E))
         assert derivative_residual(inv) == 0.0
-        assert [[e.terms for e in row] for row in inv.inverse.entries] == [[e.terms for e in row] for row in E.entries]
+        assert [[e.terms for e in row] for row in minus_t.exp_matrix(inv)] == [[e.terms for e in row] for row in E.entries]
         for t in (0.7, -1.3):
             assert np.abs(inv.at(t) - E.at(-t)).max() < 1e-15
             assert np.abs(inv.at(t) @ E.at(t) - np.eye(len(A))).max() < 1e-12
@@ -382,8 +384,9 @@ def test_inverse_is_the_exponential_at_minus_t():
             lams = [-z for z, mult in _decide(A) for _ in range(mult)]
             direct = _putzer(inv.source, lams, T)
             assert [[e.terms for e in row] for row in direct] == [[e.terms for e in row] for row in inv.entries]
-    # the nilpotent series maps with the signs (-1)^k
-    assert sym_exp(N, "t").inverse.series[3][0][3] == F(-1, 6)
+    # the nilpotent series at -t has the signs (-1)^k
+    corner = (-RationalFunction.coordinate(T, "t")).exp_matrix(sym_exp(N, "t"))[0][3]
+    assert corner == RationalFunction.parse(T, "-t^3/6")
 
 
 def _per_sample_exp_errors(E, samples, seed):

@@ -1,6 +1,7 @@
 """Reduction pipeline: single steps, full runs, reassembly, the map rho."""
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -353,14 +354,16 @@ def _corrupt_level_factor(monkeypatch, chain, s, column=0):
     import liequad.reduction as reduction
 
     original = reduction._factor_matrix
+    step_code = reduction.reduce_step.__code__
     forward = chain.ad_matrix(s)
     m = chain.n - s
     hits = []
 
-    def corrupted(A, f, inverse=False):
-        E = original(A, f, inverse)
-        # the forward factor of level s only; unreduce asks for the inverse
-        if E is not None and not inverse and A == forward:
+    def corrupted(A, f):
+        E = original(A, f)
+        # the forward factor of level s only, the one reduce_step builds;
+        # unreduce builds the inverse factors with the same call at -f
+        if E is not None and A == forward and sys._getframe(1).f_code is step_code:
             E = [list(row) for row in E]
             E[m - 2][column] = E[m - 2][column] + f * 0.5
             hits.append(s)

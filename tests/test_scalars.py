@@ -875,14 +875,6 @@ def test_wide_chart_renaming_equals_the_general_formula(case):
     assert _bits(p.substitute(bindings)) == _bits(_general_renaming(p, target, positions))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.one_of(_sparse_exppolys(), _operands().map(lambda ops: ops[1])), st.data())
-def test_at_negated_equals_substituting_minus_the_variable(p, data):
-    name = data.draw(st.sampled_from(p.chart.names))
-    minus = -ExpPoly.coordinate(p.chart, name)
-    assert _bits(p.at_negated(name)) == _bits(p.substitute({name: minus}))
-
-
 def test_the_formulas_cover_cancelling_trig_rates_on_the_wide_chart():
     """sin u cos u, cos u cos(-u) and sin u sin(u + v_32) on the wide chart:
     b1 - b2 vanishes or leads with a negative entry."""
