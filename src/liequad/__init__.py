@@ -35,7 +35,6 @@ from .forms import (
     VectorField,
     full_basepoint,
     lie_bracket,
-    line_integral,
     pairing,
     potential,
     pullback,
@@ -66,7 +65,7 @@ from .liegroup import (
     preadjoint_oracle,
     verify_group,
 )
-from .matexp import ExpMatrix, exp_identities_check, sym_exp
+from .matexp import ExpMatrix, sym_exp
 from .pfaffian import PfaffianSystem, SymmetryAlgebra, first_integrals, normalize, transversality
 from .reduction import ReductionTrace, reassemble, reduce_full, reduce_step, rho_map, unreduce, verify_rho
 from .varset import VarSet, coordinate_chart, doubled_chart

@@ -44,7 +44,8 @@ class RunConfig:
     mode: str = "auto"
 
     def __post_init__(self):
-        if self.tol_zero <= 0 or self.tol_sample <= 0:
+        # written as "not > 0" so that NaN, which fails every comparison, is rejected too
+        if not (self.tol_zero > 0 and self.tol_sample > 0):
             raise SchemaError("tolerances must be positive")
         if self.samples < 1:
             raise SchemaError("sample count must be >= 1")

@@ -1,6 +1,6 @@
 """Exterior calculus over a chart: differential forms, vector fields,
-point maps, structure-equation residuals and the quadrature (potential)
-operator.
+point maps, structure-equation and bracket residuals and the quadrature
+(potential) operator.
 
 Coefficients are either exponential polynomials or exact rational
 functions; the two classes never mix inside one form.  Antisymmetry is
@@ -40,6 +40,7 @@ from .errors import (
     PoleAtPoint,
 )
 from .exppoly import ExpPoly, ZERO_TOL
+from .liealg import lin_comb
 from .varset import VarSet
 
 Index = tuple[int, ...]
@@ -306,6 +307,18 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(chart, comps, X.scls)
 
 
+def bracket_residuals(fields: Sequence[VectorField], sc) -> list[VectorField]:
+    """[X_i, X_j] - C^k_ij X_k for each i < j, in (i, j) order; all zero
+    exactly when the fields satisfy the bracket relations of `sc`."""
+    n = sc.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            rhs = lin_comb([sc.C[k][i][j] for k in range(n)], fields)
+            out.append(lie_bracket(fields[i], fields[j]) - rhs)
+    return out
+
+
 def pairing(alpha: DiffForm, X: VectorField):
     """<alpha, X> for a 1-form; a scalar."""
     if alpha.degree != 1:
@@ -542,32 +555,6 @@ def potential(
         )
     # subtract the value at the basepoint; log terms are left as they are
     return total - total.basepoint_value(full_basepoint(chart, basepoint))
-
-
-def line_integral(
-    omega: DiffForm,
-    start: Mapping[str, float],
-    end: Mapping[str, float],
-) -> float:
-    """Numeric integral of a 1-form along the straight segment start->end;
-    the independent oracle for :func:`potential`."""
-    from scipy.integrate import quad
-
-    chart = omega.chart
-    p = np.array([float(start[n]) for n in chart.names])
-    q = np.array([float(end[n]) for n in chart.names])
-    direction = q - p
-
-    def integrand(s: float) -> float:
-        pt = p + s * direction
-        point = dict(zip(chart.names, pt))
-        total = 0.0
-        for (i,), c in omega.coeffs.items():
-            total += c.evaluate(point) * direction[i]
-        return total
-
-    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)
-    return value
 
 
 @dataclass

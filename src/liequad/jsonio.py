@@ -27,6 +27,22 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _list(value, field: str) -> list:
+    """A list field; any other value is a schema error, not iterated."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{field!r} must be a list, got {value!r}")
+    return value
+
+
+def _chart(doc: dict) -> VarSet:
+    """The chart of a forms or Pfaffian document: a list of names, so that
+    a string "xyz" is not read as the chart x, y, z."""
+    names = _list(doc["chart"], "chart")
+    if not all(isinstance(name, str) for name in names):
+        raise SchemaError(f"'chart' must be a list of names, got {names!r}")
+    return VarSet(tuple(names))
+
+
 def load_algebra(doc: dict) -> StructureConstants:
     """{"dim": n, "brackets": [{"i":…, "j":…, "coeffs": {k: rational-string}}],
     "params": {name: rational-string}}"""
@@ -36,10 +52,12 @@ def load_algebra(doc: dict) -> StructureConstants:
         raise SchemaError("algebra document needs an integer 'dim'") from exc
     if dim < 1:
         raise SchemaError(f"algebra dimension must be at least 1, got {dim}")
-    params = {name: read_fraction(value, f"parameter {name!r}")
-              for name, value in (doc.get("params") or {}).items()}
+    params = doc.get("params") or {}
+    if not isinstance(params, dict):
+        raise SchemaError(f"'params' must be an object, got {params!r}")
+    params = {name: read_fraction(value, f"parameter {name!r}") for name, value in params.items()}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in doc.get("brackets", []):
+    for entry in _list(doc.get("brackets", []), "brackets"):
         try:
             i, j = _integer(entry["i"], "i"), _integer(entry["j"], "j")
             coeffs = {_integer(k, "target"): evaluate_text(v, params) for k, v in entry["coeffs"].items()}
@@ -164,10 +182,10 @@ def dump_forms_file(chart: VarSet, forms) -> dict:
 
 def load_forms_file(doc: dict) -> tuple[VarSet, list[DiffForm]]:
     try:
-        chart = VarSet(tuple(doc["chart"]))
+        chart = _chart(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad chart: {exc}") from exc
-    return chart, [load_form(d, chart) for d in doc.get("forms", [])]
+    return chart, [load_form(d, chart) for d in _list(doc.get("forms", []), "forms")]
 
 
 # ----------------------------------------------------------------------
@@ -180,13 +198,14 @@ def load_pfaffian_file(doc: dict):
     from .rational import RationalFunction
 
     try:
-        chart = VarSet(tuple(doc["chart"]))
-        domain = Domain(chart, tuple(RationalFunction.parse(chart, t) for t in doc.get("excluded", [])))
-        theta = [load_form(d, chart) for d in doc["theta"]]
+        chart = _chart(doc)
+        excluded = _list(doc.get("excluded", []), "excluded")
+        domain = Domain(chart, tuple(RationalFunction.parse(chart, t) for t in excluded))
+        theta = [load_form(d, chart) for d in _list(doc["theta"], "theta")]
         fields = [
-            VectorField(chart, [RationalFunction.parse(chart, t) for t in vf["components"]],
+            VectorField(chart, [RationalFunction.parse(chart, t) for t in _list(vf["components"], "components")],
                         RationalFunction)
-            for vf in doc["symmetry"]
+            for vf in _list(doc["symmetry"], "symmetry")
         ]
         constants = load_algebra(doc["brackets"])
         if not len(theta) == len(fields) == constants.dim:
@@ -236,9 +255,20 @@ def write_json(path: str, doc: dict):
         fh.write("\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of a JSON document; a key listed twice is an error, as a
+    plain dict would keep only its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is listed twice in one object")
+        doc[key] = value
+    return doc
+
+
 def read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc

@@ -29,8 +29,8 @@ from .forms import (
     DiffForm,
     PointMap,
     VectorField,
+    bracket_residuals,
     compose,
-    lie_bracket,
     pullback,
     pullback_check,
     structure_residual,
@@ -220,11 +220,7 @@ def group_invariants_report(
     report.add("<tau^i, X_j> = delta^i_j", worst_pair <= tol_symbolic, "symbolic", worst_pair)
 
     points = _box(random.Random(seed), 1.5, samples, n)
-    brackets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs = lin_comb([sc.C[k][i][j] for k in range(n)], group.frame)
-            brackets += (lie_bracket(group.frame[i], group.frame[j]) - rhs).components
+    brackets = [c for r in bracket_residuals(group.frame, sc) for c in r.components]
     worst_br = _worst(np.abs(ExpPoly.family(group.chart, brackets).evaluate(points)))
     report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,8 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
-from .liealg import mat_mul
-from .report import Report
 from .varset import VarSet
 
 QuasiPoly = dict[tuple[int, complex], complex]  # (power, rate) -> coeff
@@ -289,59 +286,7 @@ def _putzer(Af: tuple, lams: list[complex], chart: VarSet) -> list[list[ExpPoly]
     return [[entry(quasi) if quasi else zero for quasi in row] for row in acc]
 
 
-def derivative_residual(E: ExpMatrix) -> float:
-    """Max coefficient of d/dt E - A E; zero for a correct exponential."""
-    S = mat_mul(E.source, E.entries)
-    worst = 0.0
-    for a in range(E.n):
-        for b in range(E.n):
-            worst = max(worst, (E.entries[a][b].diff(E.var) - S[a][b]).max_abs_coeff())
-    return worst
-
-
 def identity_residual(P) -> float:
     """Max coefficient of P - I, for a square matrix P of scalars."""
     n = len(P)
     return max(((P[a][b] - float(a == b)).max_abs_coeff() for a in range(n) for b in range(n)), default=0.0)
-
-
-# bound of every exp_identities_check line; numeric lines scale their error
-EXP_CHECK_TOL = 1e-8
-
-
-def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Report:
-    """E(t)E(-t) = I symbolically; det E(t) = e^{t tr A} and the one-parameter
-    group law E(s)E(t) = E(s+t) numerically at seeded samples."""
-    rng = random.Random(seed)
-    n = E.n
-    report = Report()
-
-    minus_t = -ExpPoly.coordinate(E.chart, E.var)
-    worst = identity_residual(mat_mul(E.entries, minus_t.exp_matrix(E)))
-    report.add("E(t)E(-t) = I", worst <= EXP_CHECK_TOL, "symbolic", worst)
-
-    tr = float(sum(E.source[i][i] for i in range(n)))
-    # t, s of each sample, drawn in that order
-    draws = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(samples)]
-    E_t = E.at_batch([t for t, _ in draws])
-    E_s = E.at_batch([s for _, s in draws])
-    E_st = E.at_batch([s + t for t, s in draws])
-    worst_det = 0.0
-    worst_group = 0.0
-    for (t, s), Emat, Es, rhs in zip(draws, E_t, E_s, E_st):
-        det = float(np.linalg.det(Emat))
-        expected = float(np.exp(tr * t))
-        # determinants of large-entry exponentials cancel catastrophically;
-        # the resolvable threshold is the entry-noise amplification
-        # n * |E|^n * 1e-13, so errors below that noise floor count as met
-        emax = max(1.0, float(np.abs(Emat).max()))
-        noise = n * emax ** n * 1e-13
-        scale = max(1.0, abs(expected), noise / EXP_CHECK_TOL)
-        worst_det = max(worst_det, abs(det - expected) / scale)
-        lhs = Es @ Emat
-        amp = n * float(np.abs(Es).max()) * emax * 1e-13
-        scale = max(1.0, float(np.abs(rhs).max()), amp / EXP_CHECK_TOL)
-        worst_group = max(worst_group, float(np.abs(lhs - rhs).max()) / scale)
-    report.add("det E(t) = e^{t tr A}", worst_det <= EXP_CHECK_TOL, "numeric", worst_det)
-    report.add("E(s)E(t) = E(s+t)", worst_group <= EXP_CHECK_TOL, "numeric", worst_group)
-    return report

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liealg import StructureConstants
+from liequad.liealg import StructureConstants
 
 F = Fraction
 

@@ -1,0 +1,94 @@
+"""Independent numeric oracles for the test suites: a quadrature of a
+1-form along a segment (against `potential`), the derivative residual
+d/dt E - A E of a matrix exponential, and the identities E(t)E(-t) = I,
+det E(t) = e^{t tr A} and E(s)E(t) = E(s+t)."""
+
+from __future__ import annotations
+
+import random
+from typing import Mapping
+
+import numpy as np
+
+from liequad import DiffForm, ExpPoly
+from liequad.liealg import mat_mul
+from liequad.matexp import ExpMatrix, identity_residual
+from liequad.report import Report
+
+
+def line_integral(
+    omega: DiffForm,
+    start: Mapping[str, float],
+    end: Mapping[str, float],
+) -> float:
+    """Numeric integral of a 1-form along the straight segment start->end;
+    the independent oracle for :func:`potential`."""
+    from scipy.integrate import quad
+
+    chart = omega.chart
+    p = np.array([float(start[n]) for n in chart.names])
+    q = np.array([float(end[n]) for n in chart.names])
+    direction = q - p
+
+    def integrand(s: float) -> float:
+        pt = p + s * direction
+        point = dict(zip(chart.names, pt))
+        total = 0.0
+        for (i,), c in omega.coeffs.items():
+            total += c.evaluate(point) * direction[i]
+        return total
+
+    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)
+    return value
+
+
+def derivative_residual(E: ExpMatrix) -> float:
+    """Max coefficient of d/dt E - A E; zero for a correct exponential."""
+    S = mat_mul(E.source, E.entries)
+    worst = 0.0
+    for a in range(E.n):
+        for b in range(E.n):
+            worst = max(worst, (E.entries[a][b].diff(E.var) - S[a][b]).max_abs_coeff())
+    return worst
+
+
+# bound of every exp_identities_check line; numeric lines scale their error
+EXP_CHECK_TOL = 1e-8
+
+
+def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Report:
+    """E(t)E(-t) = I symbolically; det E(t) = e^{t tr A} and the one-parameter
+    group law E(s)E(t) = E(s+t) numerically at seeded samples."""
+    rng = random.Random(seed)
+    n = E.n
+    report = Report()
+
+    minus_t = -ExpPoly.coordinate(E.chart, E.var)
+    worst = identity_residual(mat_mul(E.entries, minus_t.exp_matrix(E)))
+    report.add("E(t)E(-t) = I", worst <= EXP_CHECK_TOL, "symbolic", worst)
+
+    tr = float(sum(E.source[i][i] for i in range(n)))
+    # t, s of each sample, drawn in that order
+    draws = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(samples)]
+    E_t = E.at_batch([t for t, _ in draws])
+    E_s = E.at_batch([s for _, s in draws])
+    E_st = E.at_batch([s + t for t, s in draws])
+    worst_det = 0.0
+    worst_group = 0.0
+    for (t, s), Emat, Es, rhs in zip(draws, E_t, E_s, E_st):
+        det = float(np.linalg.det(Emat))
+        expected = float(np.exp(tr * t))
+        # determinants of large-entry exponentials cancel catastrophically;
+        # the resolvable threshold is the entry-noise amplification
+        # n * |E|^n * 1e-13, so errors below that noise floor count as met
+        emax = max(1.0, float(np.abs(Emat).max()))
+        noise = n * emax ** n * 1e-13
+        scale = max(1.0, abs(expected), noise / EXP_CHECK_TOL)
+        worst_det = max(worst_det, abs(det - expected) / scale)
+        lhs = Es @ Emat
+        amp = n * float(np.abs(Es).max()) * emax * 1e-13
+        scale = max(1.0, float(np.abs(rhs).max()), amp / EXP_CHECK_TOL)
+        worst_group = max(worst_group, float(np.abs(lhs - rhs).max()) / scale)
+    report.add("det E(t) = e^{t tr A}", worst_det <= EXP_CHECK_TOL, "numeric", worst_det)
+    report.add("E(s)E(t) = E(s+t)", worst_group <= EXP_CHECK_TOL, "numeric", worst_group)
+    return report

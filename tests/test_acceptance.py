@@ -22,7 +22,6 @@ from liequad import (
     build_group,
     first_integrals,
     lie_bracket,
-    line_integral,
     multiplication,
     normalize,
     potential,
@@ -31,11 +30,11 @@ from liequad import (
     structure_residual,
     sym_exp,
 )
-from liequad.catalog import catalog
 from liequad.exppoly import KIND_COS, KIND_SIN
-from liequad.matexp import derivative_residual
 from liequad.pfaffian import PfaffianSystem, SymmetryAlgebra
+from catalog import catalog
 from conftest import five_dim_constants, golden_coframe_a1_b2, golden_mu_a1_b2
+from oracles import derivative_residual, line_integral
 
 F = Fraction
 

@@ -1,7 +1,9 @@
 """CLI surface: JSON I/O, golden outputs, determinism, error codes."""
 
+import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -476,6 +478,66 @@ def test_bracket_pair_listed_twice_is_schema_error(tmp_path, case, command):
     _assert_error_document(res, "schema-error")
 
 
+# a plain dict kept the last of two equal keys, reading the first document
+# as C^1_23 = 5; bytes that are not UTF-8 raised UnicodeDecodeError (exit 1)
+UNREADABLE = {
+    "key-listed-twice": (b'{"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "1", "1": "5"}}]}',
+                         "listed twice"),
+    "not-utf8": (b'{"dim": 3, "brackets": [], "note": "\xff"}', "utf-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_json_is_schema_error(tmp_path, case):
+    data, message = UNREADABLE[case]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    res = _run(["validate", str(path)])
+    _assert_error_document(res, "schema-error")
+    assert message in json.loads(res.stderr)["error"]["message"]
+
+
+def _unit_forms(kind):
+    return [{"degree": 1, "scalar_kind": kind, "terms": [{"idx": [i], "coeff": "1"}]} for i in (1, 2, 3)]
+
+
+# a well-formed document of each kind, with the command that reads it
+SHAPE_READERS = {
+    "algebra": (lambda path: ["validate", path],
+                lambda: {"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "1"}}]}),
+    "forms": (lambda path: ["reduce", fixture_path("algebra_abelian3.json"), path],
+              lambda: {"chart": ["x", "y", "z"], "forms": _unit_forms("exppoly")}),
+    "pfaffian": (lambda path: ["pfaff", path],
+                 lambda: {"chart": ["x", "y", "z"], "theta": _unit_forms("rational"),
+                          "symmetry": [{"components": ["1" if k == i else "0" for k in range(3)]}
+                                       for i in range(3)],
+                          "brackets": {"dim": 3, "brackets": []}}),
+}
+# each of these once ended in a traceback (exit 1), except a string where a
+# list belongs, which was read as its characters: the chart x, y, z, the
+# excluded sets x = 0 and y = 0, or the components 1, 0, 0
+BAD_SHAPES = {
+    "params-list": ("algebra", {"params": [1]}),
+    "brackets-number": ("algebra", {"brackets": 5}),
+    "forms-number": ("forms", {"forms": 5}),
+    "forms-chart-string": ("forms", {"chart": "xyz"}),
+    "pfaffian-chart-string": ("pfaffian", {"chart": "xyz"}),
+    "pfaffian-excluded-string": ("pfaffian", {"excluded": "xy"}),
+    "pfaffian-components-string": ("pfaffian", {"symmetry": [{"components": c} for c in ("100", "010", "001")]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_document_of_the_wrong_shape_is_schema_error(tmp_path, case):
+    kind, change = BAD_SHAPES[case]
+    command, document = SHAPE_READERS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document()))
+    assert _run(command(str(path))).exit_code == 0
+    path.write_text(json.dumps({**document(), **change}))
+    _assert_error_document(_run(command(str(path))), "schema-error")
+
+
 def test_bracket_pair_written_high_index_first_is_legal():
     """[e_2, e_1] = -e_1 alone is [e_1, e_2] = e_1, as filiform generators write it."""
     doc = {"dim": 2, "brackets": [{"i": 2, "j": 1, "coeffs": {"1": "-1"}}]}
@@ -490,6 +552,15 @@ def test_nonpositive_tolerance_rejected():
     res = _run(["coframe", fixture_path("algebra_abelian3.json"), "--tol-zero", "-1"])
     assert res.exit_code == 2
     assert json.loads(res.stderr)["error"]["code"] == "schema-error"
+
+
+@pytest.mark.parametrize("command, flag", [("coframe", "--tol-zero"), ("multiply", "--tol-zero"),
+                                           ("multiply", "--tol-sample")])
+def test_nan_tolerance_rejected(command, flag):
+    """NaN passes a `tol <= 0` test; every check then compares against NaN
+    and fails, so the run reported false FAIL lines and exited 1."""
+    res = _run([command, fixture_path("algebra_abelian3.json"), flag, "nan"])
+    _assert_error_document(res, "schema-error")
 
 
 OPTIONS = {
@@ -752,6 +823,82 @@ except SchemaError as exc:
     sys.exit(2)
 """
     _assert_schema_error(_subprocess(["-c", script], tmp_path))
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+# runs the command line given after -c with every scipy import refused
+WITHOUT_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    from scipy.integrate import quad
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+from liequad.cli import main
+main(sys.argv[1:], prog_name="liequad")
+"""
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each `liequad` line of the README, continuation
+    lines joined, with fixture paths made absolute."""
+    text = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read().replace("\\\n", " ")
+    return [[os.path.join(ROOT, a) if a.startswith("fixtures/") else a for a in shlex.split(line)[1:]]
+            for line in text.splitlines() if line.startswith("liequad ")]
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    """scipy is a test dependency only: the runtime never imports it."""
+    commands = _readme_commands()
+    assert [args[0] for args in commands] == ["validate", "coframe", "multiply", "reduce", "pfaff"]
+    for args in commands:
+        plain = _subprocess(["-m", "liequad.cli", *args], tmp_path)
+        blocked = _subprocess(["-c", WITHOUT_SCIPY, *args], tmp_path)
+        assert plain.returncode == blocked.returncode == 0, (args[0], blocked.stderr)
+        assert blocked.stdout == plain.stdout, args[0]
+
+
+def _test_only_imports(source: str) -> list[int]:
+    """Lines of source, at any depth, that import scipy or the test catalog."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            sep = "" if module.endswith(".") else "."
+            names = [module] + [module + sep + a.name for a in node.names]
+        else:
+            continue
+        if any(n.split(".")[0] == "scipy" or n in (".catalog", "liequad.catalog")
+               or n.startswith((".catalog.", "liequad.catalog.")) for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_package_imports_neither_scipy_nor_the_catalog():
+    import pathlib
+
+    for bad in ("def line_integral():\n    from scipy.integrate import quad", "import scipy.linalg",
+                "from scipy import linalg", "from .catalog import sl2", "from . import catalog",
+                "from liequad import catalog", "import liequad.catalog"):
+        assert _test_only_imports(bad) == [bad.count("\n") + 1], bad
+    assert _test_only_imports("import numpy\nfrom .liealg import lin_comb\nfrom . import forms") == []
+    package = pathlib.Path(jsonio.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        lines = _test_only_imports(path.read_text())
+        assert not lines, f"{path.name} imports scipy or the catalog at lines {lines}"
 
 
 @pytest.mark.parametrize("text", ["sqrt(x)", "x.real", "x[0]", "x < u", "exp(x)", "x^u", "x^(1/2)", "1/(x - x)"])

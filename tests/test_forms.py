@@ -19,13 +19,13 @@ from liequad import (
     VectorField,
     full_basepoint,
     lie_bracket,
-    line_integral,
     pairing,
     potential,
     pullback,
     structure_residual,
 )
 from conftest import five_dim_constants, golden_coframe_a1_b2
+from oracles import line_integral
 
 V = VarSet.of("x1", "x2", "x3")
 

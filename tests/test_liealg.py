@@ -15,8 +15,8 @@ from liequad import (
     is_solvable,
     validate,
 )
-from liequad.catalog import filiform4, five_dim_two_parameter, heisenberg, sl2
 from liequad.liealg import mat_identity, mat_inverse, remainder, rref
+from catalog import filiform4, five_dim_two_parameter, heisenberg, sl2
 from conftest import borel_constants
 from test_verdicts import filiform, random_basis
 

@@ -24,7 +24,7 @@ from liequad import (
     preadjoint_oracle,
     verify_group,
 )
-from liequad.catalog import catalog, filiform4, heisenberg
+from catalog import catalog, filiform4, heisenberg
 from conftest import (
     borel_constants,
     five_dim_constants,

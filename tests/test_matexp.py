@@ -15,13 +15,13 @@ from liequad import (
     ExpPoly,
     StructureConstants,
     VarSet,
-    exp_identities_check,
     sym_exp,
 )
-from liequad.catalog import five_dim_two_parameter
 from liequad.errors import SingularMatrix
 from liequad.liealg import BasisChange, adapted_chain, change_basis, mat_inverse
-from liequad.matexp import ExpMatrix, _charpoly, _exp, _putzer, _spectrum, derivative_residual
+from liequad.matexp import ExpMatrix, _charpoly, _exp, _putzer, _spectrum
+from catalog import five_dim_two_parameter
+from oracles import derivative_residual, exp_identities_check
 
 F = Fraction
 T = VarSet.of("t")

@@ -234,7 +234,7 @@ def test_exppoly_generators_rejected():
 
 
 def test_non_solvable_symmetry_rejected():
-    from liequad.catalog import sl2
+    from catalog import sl2
 
     V = VarSet.of("x1", "x2", "x3")
     theta = [DiffForm.d_coordinate(V, n, RationalFunction) for n in V.names]
