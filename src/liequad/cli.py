@@ -192,6 +192,9 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
     chart, omegas = jsonio.load_forms_file(jsonio.read_json(forms))
     if len(omegas) != sc.dim:
         raise SchemaError(f"expected {sc.dim} forms, found {len(omegas)}")
+    for i, omega in enumerate(omegas, 1):
+        if omega.degree != 1:
+            raise SchemaError(f"form {i} has degree {omega.degree}; reduce takes 1-forms")
     basepoint = cfg.basepoint_on(chart)
     change, chain = adapted_chain(sc)
     omegas_ad = transform_forms(change, omegas)

@@ -91,11 +91,11 @@ sin(b.x), the dot products summed in variable order and each member's
 terms in term order, by running sums (`cumsum` adds in order;
 `np.add.reduceat` need not).  Every power comes from one numpy call on
 flat operands of one length, so a term's value does not depend on the
-family that holds it.  Each owner of a set of polynomials compiles its
-family once and keeps it: `forms.PointMap` (components and Jacobian
-entries), `forms.VectorField`, `matexp.ExpMatrix`, and the Ad and frame
-matrices of `liegroup`.  `evaluate_batch` compiles the one-member family,
-and `evaluate` is its one-point case.
+family that holds it.  A `forms.PointMap` compiles its components and its
+Jacobian entries once and keeps them, since a group law is evaluated
+several times; every other set of polynomials is compiled where it is
+evaluated (a matrix by `matexp.matrix_batch`).  `evaluate_batch` compiles
+the one-member family, and `evaluate` is its one-point case.
 """
 
 from __future__ import annotations

@@ -228,7 +228,7 @@ def _merge_sorted(I: Index, J: Index) -> tuple[Index, int]:
 
 
 class VectorField:
-    __slots__ = ("chart", "components", "scls", "_family")
+    __slots__ = ("chart", "components", "scls")
 
     def __init__(self, chart: VarSet, components: Sequence[object], scls=None):
         components = list(components)
@@ -239,7 +239,6 @@ class VectorField:
         self.chart = chart
         self.components = components
         self.scls = scls
-        self._family = None
 
     @classmethod
     def coordinate(cls, chart: VarSet, name: str, scls=ExpPoly):
@@ -270,15 +269,8 @@ class VectorField:
     def is_zero(self, tol: float = ZERO_TOL) -> bool:
         return all(c.is_zero(tol) for c in self.components)
 
-    def at_batch(self, points) -> np.ndarray:
-        """Components at N points (rows in chart order), as an N x n array;
-        the components are compiled as one family on first use."""
-        if self._family is None:
-            self._family = self.scls.family(self.chart, self.components)
-        return self._family.evaluate(points)
-
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        return self.at_batch([[point[n] for n in self.chart.names]])[0]
+        return self.scls.family(self.chart, self.components).evaluate([[point[n] for n in self.chart.names]])[0]
 
     def __repr__(self):
         parts = [
@@ -290,21 +282,9 @@ class VectorField:
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    if X.chart != Y.chart:
-        raise MismatchedVarSet("chart mismatch")
-    chart = X.chart
-    comps = []
-    for k in range(len(chart)):
-        acc = X.scls.zero(chart)
-        for j, name in enumerate(chart.names):
-            xj = X.components[j]
-            yj = Y.components[j]
-            if not xj.is_zero():
-                acc = acc + xj * Y.components[k].diff(name)
-            if not yj.is_zero():
-                acc = acc - yj * X.components[k].diff(name)
-        comps.append(acc)
-    return VectorField(chart, comps, X.scls)
+    """[X, Y]^k = <dY^k, X> - <dX^k, Y>; a chart mismatch raises in `pairing`."""
+    comps = [pairing(differential(y), X) - pairing(differential(x), Y) for x, y in zip(X.components, Y.components)]
+    return VectorField(X.chart, comps, X.scls)
 
 
 def bracket_residuals(fields: Sequence[VectorField], sc) -> list[VectorField]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .forms import (
     structure_residual,
 )
 from .liealg import AdaptedChain, lin_comb, mat_mul
-from .matexp import identity_residual, matrix_batch, matrix_family
+from .matexp import identity_residual, matrix_batch
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
 from .report import Report
 from .varset import VarSet, coordinate_chart, doubled_chart
@@ -53,16 +52,6 @@ class SolvGroup:
     def n(self) -> int:
         return self.chain.n
 
-    @cached_property
-    def _frame_family(self):
-        """The frame matrix, whose columns are the frame fields, compiled
-        as one family."""
-        return matrix_family(list(zip(*(X.components for X in self.frame))))
-
-    def frame_batch(self, points) -> np.ndarray:
-        """The frame matrix at N group points, as an N x n x n array."""
-        return matrix_batch(self._frame_family, points, self.n)
-
 
 @dataclass
 class GroupLaw:
@@ -70,15 +59,6 @@ class GroupLaw:
     mu: PointMap
     ad: list  # Ad(x) as an ExpPoly matrix over the group chart
     omega: list  # the product-group forms mu pulls the coframe back to
-
-    @cached_property
-    def _ad_family(self):
-        """The entries of Ad(x), compiled as one family."""
-        return matrix_family(self.ad)
-
-    def ad_batch(self, points) -> np.ndarray:
-        """Ad at N group points, as an N x n x n array."""
-        return matrix_batch(self._ad_family, points, self.group.n)
 
     def multiply_batch(self, a, b) -> np.ndarray:
         """Row r is a_r * b_r, for N x n arrays of group points."""
@@ -99,9 +79,17 @@ def _coordinates(chart: VarSet) -> list[ExpPoly]:
     return [ExpPoly.coordinate(chart, nm) for nm in chart.names]
 
 
-def _scalar_identity(chart: VarSet, n: int):
+def _factor_product(chart: VarSet, n: int, factors):
+    """The n x n identity over chart right-multiplied by each factor e^{fA}
+    in turn, skipping a None (A = 0); a k x k factor acts on the leading k
+    columns."""
     zero = ExpPoly.zero(chart)
-    return [[ExpPoly.one(chart) if i == j else zero for j in range(n)] for i in range(n)]
+    M = [[ExpPoly.one(chart) if i == j else zero for j in range(n)] for i in range(n)]
+    for E in factors:
+        if E is not None:
+            k = len(E)
+            M = [new + row[k:] for new, row in zip(mat_mul([row[:k] for row in M], E), M)]
+    return M
 
 
 def coframe(chain: AdaptedChain) -> list[DiffForm]:
@@ -117,13 +105,9 @@ def frame(chain: AdaptedChain) -> list[VectorField]:
     n = chain.n
     chart = coordinate_chart(n)
     x = _coordinates(chart)
+    factors = (_factor_matrix(chain.ad_matrix(s), x[n - s - 1]) for s in range(n - 1, -1, -1))
     # the frame matrix, whose columns are the fields
-    F = _scalar_identity(chart, n)
-    for s in range(n - 1, -1, -1):
-        m = n - s
-        E = _factor_matrix(chain.ad_matrix(s), x[m - 1])
-        if E is not None:
-            F = [new + row[m:] for new, row in zip(mat_mul([row[:m] for row in F], E), F)]
+    F = _factor_product(chart, n, factors)
     return [VectorField(chart, col, ExpPoly) for col in zip(*F)]
 
 
@@ -141,12 +125,9 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
     n = chain.n
     chart = coordinate_chart(n)
     x = _coordinates(chart)
-    M = _scalar_identity(chart, n)
-    for j in (range(n - 1, -1, -1) if inverse else range(n)):
-        E = _factor_matrix(chain.base.ad_matrix(j), -x[j] if inverse else x[j])
-        if E is not None:
-            M = mat_mul(M, E)
-    return M
+    order = range(n - 1, -1, -1) if inverse else range(n)
+    factors = (_factor_matrix(chain.base.ad_matrix(j), -x[j] if inverse else x[j]) for j in order)
+    return _factor_product(chart, n, factors)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +205,7 @@ def group_invariants_report(
     worst_br = _worst(np.abs(ExpPoly.family(group.chart, brackets).evaluate(points)))
     report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 
-    dets = np.abs(np.linalg.det(matrix_batch(matrix_family(tau), points, n)))
+    dets = np.abs(np.linalg.det(matrix_batch(tau, points)))
     worst_det = float(np.min(dets, initial=1.0))
     report.add("coframe pointwise independent", worst_det > 1e-12, "numeric", worst_det)
     return report
@@ -253,13 +234,14 @@ def verify_group(
     worst_assoc = _worst(_rel_error(lhs, rhs))
     worst_ident = _worst(np.abs(np.hstack([za - a, az - a])))
 
-    Ad_a, Ad_b, Ad_ab = np.split(law.ad_batch(np.vstack([a, b, ab])), 3)
+    Ad_a, Ad_b, Ad_ab = np.split(matrix_batch(law.ad, np.vstack([a, b, ab])), 3)
     worst_ad = _worst(_rel_error(Ad_a @ Ad_b, Ad_ab))
 
     # left invariance: dL_a|_b X_i(b) = X_i(a*b); the frame fields are the
     # columns of the frame matrix
     J = law.mu.jacobian_batch(np.hstack([a, b]))[:, :, n:]
-    M_b, M_ab = np.split(group.frame_batch(np.vstack([b, ab])), 2)
+    frame_matrix = list(zip(*(X.components for X in group.frame)))
+    M_b, M_ab = np.split(matrix_batch(frame_matrix, np.vstack([b, ab])), 2)
     worst_left = _worst(_rel_error(J @ M_b, M_ab))
 
     report.add("associativity mu(a, mu(b,c)) = mu(mu(a,b), c)", worst_assoc <= tol, "numeric", worst_assoc)

@@ -159,17 +159,13 @@ def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
     return {k: c for k, c in out.items() if c != 0j}
 
 
-def matrix_family(M):
-    """The entries of a matrix of scalars, row by row, compiled as one
-    family by their class."""
+def matrix_batch(M, points) -> np.ndarray:
+    """A matrix of scalars at N points, as an N x rows x columns array: its
+    entries, row by row, compiled as one family by their class and
+    evaluated together."""
     entries = [e for row in M for e in row]
-    return type(entries[0]).family(entries[0].chart, entries)
-
-
-def matrix_batch(family, points, n: int) -> np.ndarray:
-    """An n x n matrix compiled by `matrix_family` at N points, as an
-    N x n x n array."""
-    return family.evaluate(points).reshape(-1, n, n)
+    values = type(entries[0]).family(entries[0].chart, entries).evaluate(points)
+    return values.reshape(-1, len(M), len(M[0]))
 
 
 @dataclass
@@ -190,17 +186,8 @@ class ExpMatrix:
     def chart(self) -> VarSet:
         return self.entries[0][0].chart
 
-    @functools.cached_property
-    def _family(self):
-        """The entries, compiled as one family."""
-        return matrix_family(self.entries)
-
-    def at_batch(self, ts) -> np.ndarray:
-        """E(t) at N values of t, as an N x n x n array."""
-        return matrix_batch(self._family, np.asarray(ts, dtype=float).reshape(-1, 1), self.n)
-
     def at(self, t: float) -> np.ndarray:
-        return self.at_batch([t])[0]
+        return matrix_batch(self.entries, [[t]])[0]
 
 
 def sym_exp(A: Sequence[Sequence[object]], var: str = "t") -> ExpMatrix:

@@ -21,6 +21,7 @@ from .errors import DegenerateTransversality, NotSolvable, SingularMatrix
 from .exppoly import ZERO_TOL
 from .forms import DiffForm, Domain, VectorField, bracket_residuals, differential, pairing
 from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, mat_mul, transform_forms
+from .matexp import matrix_batch
 from .reduction import reduce_full
 from .report import Report
 
@@ -135,17 +136,15 @@ def first_integrals(
     indep_symbolic = not top.is_zero()
     report.add("df^1 ^ ... ^ df^n not identically zero", indep_symbolic, "exact")
 
-    partials = [[df.coefficient((j,)) for j in range(len(chart))] for df in dfs]
+    # functional independence at sample points: the rank check via the
+    # largest absolute n x n minor of the partials, its smallest value over
+    # the samples recorded
     rng = random.Random(seed)
-    indep_points = True
-    for _ in range(verify_samples):
-        pt = system.domain.sample(rng)
-        grad = np.array([[p.evaluate(pt) for p in row] for row in partials])
-        # rank check via the largest absolute n x n minor
-        best = 0.0
-        for cols in combinations(range(len(chart)), n):
-            best = max(best, abs(float(np.linalg.det(grad[:, cols]))))
-        if best <= 1e-9:
-            indep_points = False
-    report.add("functional independence at sample points", indep_points, "numeric")
+    points = [[pt[nm] for nm in chart.names] for pt in (system.domain.sample(rng) for _ in range(verify_samples))]
+    grads = matrix_batch([[df.coefficient((j,)) for j in range(len(chart))] for df in dfs], points)
+    best = np.zeros(verify_samples)
+    for cols in combinations(range(len(chart)), n):
+        best = np.fmax(best, np.abs(np.linalg.det(grads[:, :, cols])))
+    worst = min(best.tolist(), default=None)
+    report.add("functional independence at sample points", worst is None or worst > 1e-9, "numeric", worst)
     return functions, report

@@ -302,13 +302,6 @@ class RationalFunction:
             return float(Fraction(nval) / dval)
         return float(nval) / float(dval)
 
-    def evaluate_batch(self, points) -> np.ndarray:
-        """Values at N points (rows in chart order), one Horner evaluation
-        per row."""
-        names = self.chart.names
-        rows = points.tolist() if isinstance(points, np.ndarray) else points
-        return np.array([self.evaluate(dict(zip(names, row))) for row in rows], dtype=float)
-
     @classmethod
     def family(cls, chart: VarSet, members) -> "_Family":
         """The members, functions over chart, to be evaluated together."""
@@ -384,22 +377,24 @@ class RationalFunction:
 
 
 class _Family:
-    """Rational functions over one chart, evaluated at N points one member
-    at a time, each by its Horner schemes."""
+    """Rational functions over one chart, evaluated at N points one point
+    at a time, each member by its Horner schemes."""
 
-    __slots__ = ("members",)
+    __slots__ = ("names", "members")
 
     def __init__(self, chart: VarSet, members):
         for f in members:
             if f.chart != chart:
                 raise MismatchedVarSet(f"{f.chart.names} vs {chart.names}")
+        self.names = chart.names
         self.members = list(members)
 
     def evaluate(self, points) -> np.ndarray:
         """Values at N points (rows in chart order), as an N x m array with
         one column per member."""
-        columns = [f.evaluate_batch(points) for f in self.members]
-        return np.column_stack(columns) if columns else np.zeros((len(points), 0))
+        rows = points.tolist() if isinstance(points, np.ndarray) else points
+        values = [[f.evaluate(pt) for f in self.members] for pt in (dict(zip(self.names, row)) for row in rows)]
+        return np.array(values, dtype=float).reshape(len(values), len(self.members))
 
 
 def _poly_text(poly: PolyElement) -> str:

@@ -12,7 +12,7 @@ import numpy as np
 
 from liequad import DiffForm, ExpPoly
 from liequad.liealg import mat_mul
-from liequad.matexp import ExpMatrix, identity_residual
+from liequad.matexp import ExpMatrix, identity_residual, matrix_batch
 from liequad.report import Report
 
 
@@ -70,9 +70,9 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     tr = float(sum(E.source[i][i] for i in range(n)))
     # t, s of each sample, drawn in that order
     draws = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(samples)]
-    E_t = E.at_batch([t for t, _ in draws])
-    E_s = E.at_batch([s for _, s in draws])
-    E_st = E.at_batch([s + t for t, s in draws])
+    E_t = matrix_batch(E.entries, [t for t, _ in draws])
+    E_s = matrix_batch(E.entries, [s for _, s in draws])
+    E_st = matrix_batch(E.entries, [s + t for t, s in draws])
     worst_det = 0.0
     worst_group = 0.0
     for (t, s), Emat, Es, rhs in zip(draws, E_t, E_s, E_st):

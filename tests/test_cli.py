@@ -605,6 +605,23 @@ def test_negative_stop_after_is_schema_error():
     _assert_error_document(res, "schema-error")
 
 
+@pytest.mark.parametrize("degree, idx", [(0, []), (2, [1, 2])], ids=["degree-0", "degree-2"])
+@pytest.mark.parametrize("algebra, forms", [
+    ("algebra_heisenberg.json", "forms_normalized_third_order.json"),
+    ("algebra_fiveparam_a1_b2.json", "forms_product_group_fiveparam_a1_b2.json"),
+], ids=["rational", "exppoly"])
+def test_reduce_rejects_a_form_that_is_not_a_1_form(tmp_path, algebra, forms, degree, idx):
+    """The first form replaced by a 0-form or a 2-form is a schema error,
+    not a traceback from the structure-equation check."""
+    doc = json.loads(open(fixture_path(forms)).read())
+    doc["forms"][0] = {"degree": degree, "scalar_kind": doc["forms"][0]["scalar_kind"],
+                       "terms": [{"idx": idx, "coeff": "1"}]}
+    (tmp_path / "forms.json").write_text(json.dumps(doc))
+    res = _run(["reduce", fixture_path(algebra), str(tmp_path / "forms.json")])
+    _assert_error_document(res, "schema-error")
+    assert f"form 1 has degree {degree}" in json.loads(res.stderr)["error"]["message"]
+
+
 @pytest.mark.parametrize("command", ["reduce", "pfaff"])
 @pytest.mark.parametrize("basepoint, named", [
     ("x=0,u=0,u_x=1,u_xx=1,q=5", "'q'"),

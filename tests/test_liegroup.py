@@ -467,17 +467,10 @@ def test_batched_verify_group_matches_a_per_sample_loop():
     assert batched["assoc"] > 1e-5 and batched["left"] > 1e-5
 
 
-def test_owners_compile_their_family_once(monkeypatch):
-    """A point map (components and Jacobian entries), a vector field, a
-    law's Ad, a group's frame matrix and a matrix exponential each compile
-    one family, on first use, and keep it."""
+def _count_compiled(monkeypatch):
+    """The member count of each exppoly.Family compiled from now on."""
     from liequad import exppoly
-    from liequad.matexp import ExpMatrix, sym_exp
 
-    _, law = _fixture_law()
-    group = law.group
-    E = sym_exp([[F(0), F(1)], [F(-1), F(0)]], "t")
-    E = ExpMatrix(E.var, E.source, E.entries)
     compiled = []
     init = exppoly.Family.__init__
 
@@ -486,18 +479,37 @@ def test_owners_compile_their_family_once(monkeypatch):
         init(self, chart, members)
 
     monkeypatch.setattr(exppoly.Family, "__init__", counting)
+    return compiled
+
+
+def test_a_point_map_compiles_its_family_once(monkeypatch):
+    """A point map compiles its components and its Jacobian entries one
+    family each, on first use, and keeps them."""
+    _, law = _fixture_law()
+    compiled = _count_compiled(monkeypatch)
     rng = np.random.default_rng(3)
     for N in (1, 4, 7):
-        x, xy = rng.uniform(-1, 1, (N, group.n)), rng.uniform(-1, 1, (N, 2 * group.n))
+        xy = rng.uniform(-1, 1, (N, 2 * law.group.n))
         law.mu.evaluate_batch(xy)
         law.mu.jacobian_batch(xy)
-        group.frame[0].at_batch(x)
-        law.ad_batch(x)
-        group.frame_batch(x)
-        E.at_batch(x[:, 0])
-    n = group.n
     jacobian = sum(len(d.coeffs) for d in law.mu.differentials)
-    assert sorted(compiled) == sorted([n, jacobian, n, n * n, n * n, 4])
+    assert sorted(compiled) == sorted([law.group.n, jacobian])
+
+
+def test_the_multiply_path_compiles_five_families(monkeypatch):
+    """adapted_chain, multiplication, verify_group and preadjoint_oracle
+    compile mu, its Jacobian, Ad, the frame and rho once each; the numeric
+    pullback check adds the coefficients of tau and of omega."""
+    sc = jsonio.load_algebra(jsonio.read_json(fixture_path("algebra_fiveparam_a1_b2.json")))
+    compiled = _count_compiled(monkeypatch)
+    for mode, families in (("auto", 5), ("numeric", 7)):
+        compiled.clear()
+        _, chain = adapted_chain(sc)
+        law = multiplication(chain)
+        report = verify_group(law, mode=mode)
+        report.extend(preadjoint_oracle(chain, law, seed=1))
+        assert report.passed
+        assert len(compiled) == families, (mode, compiled)
 
 
 def _ladder_laws():

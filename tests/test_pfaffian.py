@@ -243,3 +243,31 @@ def test_non_solvable_symmetry_rejected():
     sym = SymmetryAlgebra(Z, sl2())
     with pytest.raises(NotSolvable):
         first_integrals(system, sym, {n: F(0) for n in V.names})
+
+
+def test_independence_line_records_the_smallest_largest_minor(
+    ode_domain, ode_theta, ode_symmetry_fields, heisenberg, ode_basepoint
+):
+    """The functional-independence line records the smallest, over the
+    samples, of the largest absolute n x n minor of the partials; here the
+    same points are drawn and evaluated one at a time."""
+    import random
+    from itertools import combinations
+
+    import numpy as np
+
+    from liequad.forms import differential
+
+    system = PfaffianSystem(ode_domain, ode_theta)
+    sym = SymmetryAlgebra(ode_symmetry_fields, heisenberg)
+    fns, report = first_integrals(system, sym, ode_basepoint, verify_samples=12, seed=5)
+    check = next(c for c in report.checks if c.name == "functional independence at sample points")
+    dfs = [differential(f) for f in fns]
+    d = len(ode_domain.chart)
+    rng = random.Random(5)
+    best = []
+    for _ in range(12):
+        pt = ode_domain.sample(rng)
+        grad = np.array([[df.coefficient((j,)).evaluate(pt) for j in range(d)] for df in dfs])
+        best.append(max(abs(float(np.linalg.det(grad[:, cols]))) for cols in combinations(range(d), len(dfs))))
+    assert check.passed and check.error == min(best) > 1e-9
