@@ -68,7 +68,8 @@ same keys, term order and coefficient bits as the general formula:
 Substitution.  `substitute` takes its bindings as a mapping or as a
 `Substitution` prepared once for many polynomials over one chart (a
 `forms.PointMap` keeps one): it holds the renaming positions, and it
-memoizes the affine part of each binding and what each rate pair becomes.
+memoizes the affine part of each binding, what each rate pair becomes and
+each power of a binding.
 The general formula adds its pieces into one accumulator that cuts only
 the keys a piece touches, which is the cut of the running sum.
 
@@ -811,7 +812,6 @@ class ExpPoly:
             plan.affine[i]
         target, tl = plan.target, plan.layout
         unpack = self._lay.unpack
-        powers: dict[tuple[int, int], ExpPoly] = {}
         acc: dict = {}
         get = acc.get
         for (K, r, kind), c in self._t.items():
@@ -842,10 +842,7 @@ class ExpPoly:
             if K:
                 for i, ki in enumerate(unpack(K)):
                     if ki:
-                        power = powers.get((i, ki))
-                        if power is None:
-                            power = powers[(i, ki)] = plan.full[i] ** ki
-                        p = p * power
+                        p = p * plan.powers[(i, ki)]
             # result + p, cutting only the keys p touches
             for key, v in p._t.items():
                 total = get(key, 0.0) + v
@@ -959,7 +956,10 @@ class Substitution:
     once for the polynomials over `source`: the binding of every source
     variable, the renaming positions when each is a bare target coordinate
     in consecutive increasing positions, and, on first use, the affine
-    part of a binding and the image of each rate pair."""
+    part of a binding, the image of each rate pair and each power of a
+    binding, all kept for the life of the plan: over the entries of a factor
+    in `exp_matrix`, and over every composition with mu (a `PointMap` keeps
+    mu's plan)."""
 
     def __init__(self, source: VarSet, bindings: Mapping[str, ExpPoly]):
         target = next(iter(bindings.values())).chart if bindings else source
@@ -989,6 +989,8 @@ class Substitution:
         self.affine = _Memo(self._affine)
         # rate_images[r]: what a source rate pair becomes in the target
         self.rate_images = _Memo(self._rate_image)
+        # powers[(i, k)]: the binding of x_i to the power k
+        self.powers = _Memo(lambda ik: full[ik[0]] ** ik[1])
 
     def _affine(self, i: int) -> tuple[float, dict[int, float]]:
         val = self.full[i]

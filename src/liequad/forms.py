@@ -470,18 +470,16 @@ def _pairings(forms: Sequence[DiffForm], points, vectors) -> list:
 
 
 def structure_residual(omegas: Sequence[DiffForm], sc) -> list[DiffForm]:
-    """d omega^i + (1/2) C^i_{jk} omega^j wedge omega^k for each i."""
+    """d omega^i + (1/2) C^i_{jk} omega^j wedge omega^k for each i, over
+    the nonzero constants with j < k (`StructureConstants.targets`)."""
     n = sc.dim
     if len(omegas) != n:
         raise ValueError(f"expected {n} forms, got {len(omegas)}")
     out = []
-    for i in range(n):
+    for i, target in enumerate(sc.targets):
         res = omegas[i].exterior_d()
-        for j in range(n):
-            for k in range(j + 1, n):
-                c = sc.C[i][j][k]
-                if c != 0:
-                    res = res + omegas[j].wedge(omegas[k]) * c
+        for j, k, c in target:
+            res = res + omegas[j].wedge(omegas[k]) * c
         out.append(res)
     return out
 

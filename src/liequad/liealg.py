@@ -4,15 +4,18 @@ Everything in this module is exact Fraction arithmetic: antisymmetry and
 Jacobi validation, derived series, solvability, codimension-one ideal
 chains adapted to the derived series, grown as one incremental echelon
 (`remainder`), and basis changes as brackets of the new basis vectors.
-`lin_comb`, the one product of scalar matrices `mat_mul`, and the
-Gauss-Jordan elimination behind `rref` and `mat_inverse` also serve the
-form and group layers, whose entries are scalars.
+The constants are read sparsely (`pairs`, `targets`); a chain builds each
+e^{t ad} once (`ad_exp`).  `lin_comb`, the products `mat_mul` and `mat_vec`
+(a scalar matrix times scalars or forms), and the Gauss-Jordan elimination
+behind `rref` and `mat_inverse` also serve the form and group layers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .errors import NotSolvable, SingularMatrix
@@ -39,8 +42,9 @@ def mat_identity(n: int) -> Matrix:
 
 
 def _is_zero(c) -> bool:
-    """Zero test for a number (== 0) or a scalar, form or field (.is_zero())."""
-    if isinstance(c, (Fraction, int, float)):
+    """Zero test for a number (== 0) or a scalar, form or field (.is_zero());
+    a Fraction is matched by type, which skips isinstance's ABC check."""
+    if isinstance(c, (int, float)) or type(c) is Fraction:
         return c == 0
     return c.is_zero()
 
@@ -51,15 +55,17 @@ def lin_comb(coeffs: Sequence, items: Sequence):
     Items are forms, fields or scalars; coefficients are numbers or
     scalars.  The item stays the left operand, because the term order of
     an ExpPoly product depends on it.  With every coefficient zero the
-    result is items[0] * 0.
+    result is items[0] * 0.  One coefficient per item.
     """
-    acc = None
-    for c, item in zip(coeffs, items):
-        if _is_zero(c) or _is_zero(item):
-            continue
-        piece = item * c
-        acc = piece if acc is None else acc + piece
-    return items[0] * 0 if acc is None else acc
+    return mat_vec([coeffs], items)[0]
+
+
+def mat_vec(M: Sequence[Sequence], items: Sequence) -> list:
+    """[lin_comb(row, items) for row in M], testing each item for zero once:
+    each sum runs over the nonzero terms in item order."""
+    live = [(j, item) for j, item in enumerate(items) if not _is_zero(item)]
+    sums = ([item * row[j] for j, item in live if not _is_zero(row[j])] for row in M)
+    return [reduce(operator.add, terms) if terms else items[0] * 0 for terms in sums]
 
 
 def mat_mul(M: Sequence[Sequence], E: Sequence[Sequence]) -> list[list]:
@@ -170,19 +176,36 @@ class StructureConstants:
     def abelian(cls, dim: int):
         return cls.from_brackets(dim, {})
 
+    @cached_property
+    def pairs(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        """pairs[(j, k)] lists the nonzero (i, C^i_jk) in increasing i."""
+        out: dict = {}
+        for i, plane in enumerate(self.C):
+            for j, row in enumerate(plane):
+                for k, c in enumerate(row):
+                    if c:
+                        out.setdefault((j, k), []).append((i, c))
+        return out
+
+    @cached_property
+    def targets(self) -> list[list[tuple[int, int, Fraction]]]:
+        """targets[i] lists (j, k, C^i_jk) for the nonzero constants with
+        j < k, in (j, k) order."""
+        return [[(j, k, c) for j, row in enumerate(plane) for k, c in enumerate(row[j + 1:], j + 1) if c]
+                for plane in self.C]
+
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        n = self.dim
-        C = self.C
-        out = [Fraction(0)] * n
+        pairs = self.pairs
+        out = [Fraction(0)] * self.dim
         vs = [(k, y) for k, y in enumerate(v) if y]
         for j, x in enumerate(u):
             if not x:
                 continue
             for k, y in vs:
-                w = x * y
-                for i in range(n):
-                    c = C[i][j][k]
-                    if c:
+                comps = pairs.get((j, k))
+                if comps:
+                    w = x * y
+                    for i, c in comps:
                         out[i] += c * w
         return out
 
@@ -192,7 +215,9 @@ class StructureConstants:
         return [[self.C[i][j][k] for k in range(n)] for i in range(n)]
 
     def restricted(self, m: int) -> "StructureConstants":
-        """Constants of the subalgebra spanned by the first m basis vectors."""
+        """Constants of the subalgebra of the first m basis vectors (self at m = dim)."""
+        if m == self.dim:
+            return self
         C = tuple(
             tuple(tuple(self.C[i][j][k] for k in range(m)) for j in range(m))
             for i in range(m)
@@ -250,8 +275,7 @@ def _subspace_brackets(sc: StructureConstants, basis: Sequence[Vector]) -> list[
 def derived_series(sc: StructureConstants) -> list[list[Vector]]:
     """g >= [g,g] >= ... as reduced row-echelon bases; the terminal (stable)
     term is included."""
-    n = sc.dim
-    current = rref(mat_identity(n))
+    current = [tuple(row) for row in mat_identity(sc.dim)]
     series = [current]
     while True:
         nxt = rref(_subspace_brackets(sc, current))
@@ -302,23 +326,26 @@ def change_basis(sc: StructureConstants, change: BasisChange) -> StructureConsta
 
 def _constants_in_basis(sc: StructureConstants, basis: Sequence[Vector], P: Matrix) -> StructureConstants:
     """Constants in the basis of the old-basis vectors `basis`, whose matrix
-    of columns is P^-1: C~[.][i][j] = P [basis_i, basis_j].  Only i < j is
-    bracketed, since sc is antisymmetric: from_brackets writes both entries,
-    and restricted and this function keep the property."""
+    of columns is P^-1: C~[.][i][j] = P [basis_i, basis_j], over P's nonzero
+    entries.  Only i < j is bracketed, since sc is antisymmetric:
+    from_brackets writes both entries, and restricted and this keep it."""
     n = sc.dim
+    columns = [[(k, p) for k, p in enumerate(col) if p] for col in zip(*P)]
     out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = [(m, x) for m, x in enumerate(sc.bracket(basis[i], basis[j])) if x]
-            for k, row in enumerate(P):
-                c = sum((row[m] * x for m, x in w), Fraction(0))
+            acc: dict[int, Fraction] = {}
+            for m, x in enumerate(sc.bracket(basis[i], basis[j])):
+                for k, p in columns[m] if x else ():
+                    acc[k] = acc.get(k, 0) + p * x
+            for k, c in acc.items():
                 out[k][i][j], out[k][j][i] = c, -c
     return StructureConstants(n, tuple(tuple(tuple(r) for r in pl) for pl in out))
 
 
 def transform_forms(change: BasisChange, omegas: Sequence) -> list:
     """omega^i = P^i_j omega~^j for any objects supporting + and number *."""
-    return [lin_comb(row, omegas) for row in change.matrix()]
+    return mat_vec(change.P, omegas)
 
 
 # ----------------------------------------------------------------------
@@ -342,20 +369,35 @@ class AdaptedChain:
         C = self.base.C
         return [[C[i][m - 1][k] for k in range(m)] for i in range(m)]
 
+    def ad_exp(self, s: int):
+        """e^{t ad_s} over the variable _t (`matexp.sym_exp`), None when
+        ad_s = 0; each matrix and its exponential are built once per chain."""
+        return self._exp(s, lambda: self.ad_matrix(s))
+
+    def full_ad_exp(self, j: int):
+        """e^{t ad(e_j)} over the full adjoint matrix (0-based j), as `ad_exp`."""
+        return self._exp(self.n + j, lambda: self.base.ad_matrix(j))
+
+    @cached_property
+    def _exps(self) -> dict:
+        return {}  # s for ad_s, n + j for ad(e_j)
+
+    def _exp(self, key: int, matrix):
+        if key not in self._exps:
+            from .matexp import sym_exp  # the exact layer imports no scalar class at load
+            A = matrix()
+            self._exps[key] = sym_exp(A, "_t") if any(map(any, A)) else None
+        return self._exps[key]
+
     def verify_ideals(self):
         """Raise if some k_s is not an ideal in k_{s-1}."""
-        n = self.n
-        C = self.base.C
-        for s in range(1, n + 1):
-            m = n - s  # dim k_s
-            for u in range(m + 1):
-                for v in range(m):
-                    for i in range(m, n):
-                        if C[i][u][v] != 0:
-                            raise NotSolvable(
-                                f"k_{s} is not an ideal in k_{s-1}: "
-                                f"[e_{u+1}, e_{v+1}] has e_{i+1} component {C[i][u][v]}"
-                            )
+        # C^i_uv != 0 with u <= i, v < i breaks each k_s with max(u, v+1) <= n-s
+        # <= i: a loop over s, u, v, i meets the largest i, then least (u, v)
+        bad = [(u, v, i, c) for (u, v), comps in self.base.pairs.items() for i, c in comps if u <= i and v < i]
+        if bad:
+            u, v, i, c = min(bad, key=lambda b: (-b[2], b[0], b[1]))
+            raise NotSolvable(f"k_{self.n - i} is not an ideal in k_{self.n - i - 1}: "
+                              f"[e_{u+1}, e_{v+1}] has e_{i+1} component {c}")
 
 
 def adapted_chain(sc: StructureConstants) -> tuple[BasisChange, AdaptedChain]:

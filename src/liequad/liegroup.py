@@ -34,7 +34,7 @@ from .forms import (
     pullback_check,
     structure_residual,
 )
-from .liealg import AdaptedChain, lin_comb, mat_mul
+from .liealg import AdaptedChain, mat_mul, mat_vec
 from .matexp import identity_residual, matrix_batch
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
 from .report import Report
@@ -105,7 +105,7 @@ def frame(chain: AdaptedChain) -> list[VectorField]:
     n = chain.n
     chart = coordinate_chart(n)
     x = _coordinates(chart)
-    factors = (_factor_matrix(chain.ad_matrix(s), x[n - s - 1]) for s in range(n - 1, -1, -1))
+    factors = (_factor_matrix(chain.ad_exp(s), x[n - s - 1]) for s in range(n - 1, -1, -1))
     # the frame matrix, whose columns are the fields
     F = _factor_product(chart, n, factors)
     return [VectorField(chart, col, ExpPoly) for col in zip(*F)]
@@ -126,7 +126,7 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
     chart = coordinate_chart(n)
     x = _coordinates(chart)
     order = range(n - 1, -1, -1) if inverse else range(n)
-    factors = (_factor_matrix(chain.base.ad_matrix(j), -x[j] if inverse else x[j]) for j in order)
+    factors = (_factor_matrix(chain.full_ad_exp(j), -x[j] if inverse else x[j]) for j in order)
     return _factor_product(chart, n, factors)
 
 
@@ -149,7 +149,7 @@ def product_group_forms(chain: AdaptedChain):
     pi1 = [pullback(p1, t) for t in group.tau]
     pi2 = [pullback(p2, t) for t in group.tau]
     ad_y_inv = [[compose(e, p2) for e in row] for row in ad_rep(chain, inverse=True)]
-    omegas = [t + lin_comb(row, pi1) for t, row in zip(pi2, ad_y_inv)]
+    omegas = [t + w for t, w in zip(pi2, mat_vec(ad_y_inv, pi1))]
     return group, p1.source, omegas
 
 
@@ -206,8 +206,8 @@ def group_invariants_report(
     report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= 1e-9, "numeric", worst_br)
 
     dets = np.abs(np.linalg.det(matrix_batch(tau, points)))
-    worst_det = float(np.min(dets, initial=1.0))
-    report.add("coframe pointwise independent", worst_det > 1e-12, "numeric", worst_det)
+    worst_det = min(dets.tolist(), default=None)
+    report.add("coframe pointwise independent", worst_det is None or worst_det > 1e-12, "numeric", worst_det)
     return report
 
 
@@ -272,7 +272,7 @@ def preadjoint_forms(law: GroupLaw):
     """
     p1, p2 = _projections(law.group.n)
     theta = [pullback(p2, t) - pullback(p1, t) for t in law.group.tau]
-    return p1.source, [lin_comb([compose(e, p1) for e in row], theta) for row in law.ad]
+    return p1.source, mat_vec([[compose(e, p1) for e in row] for row in law.ad], theta)
 
 
 def preadjoint_oracle(

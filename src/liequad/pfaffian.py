@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateTransversality, NotSolvable, SingularMatrix
 from .exppoly import ZERO_TOL
 from .forms import DiffForm, Domain, VectorField, bracket_residuals, differential, pairing
-from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, mat_mul, transform_forms
+from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, mat_mul, mat_vec, transform_forms
 from .matexp import matrix_batch
 from .reduction import reduce_full
 from .report import Report
@@ -91,7 +91,7 @@ def normalize(
     `first_integrals`, in the adapted basis.
     """
     _, Pinv = transversality(theta, fields)
-    return [lin_comb(row, theta) for row in Pinv]
+    return mat_vec(Pinv, theta)
 
 
 def first_integrals(

@@ -33,7 +33,7 @@ from sympy.polys.rings import PolyElement
 from .errors import (BasepointOnPole, ClassMismatch, MismatchedVarSet, NonAffineExponentSubstitution,
                      NonElementaryInClass, PoleAtPoint)
 from .exacttext import evaluate_text
-from .liealg import lin_comb
+from .liealg import mat_vec
 from .varset import VarSet
 
 _FIELDS: dict[tuple[str, ...], FracField] = {}
@@ -355,7 +355,7 @@ class RationalFunction:
             raise NonAffineExponentSubstitution("the matrix is not nilpotent, so its exponential has "
                                                 "exponential/trig terms; cannot compose with a non-exponential scalar")
         powers = [self ** k for k in range(len(E.series))]
-        return [[lin_comb([S[a][b] for S in E.series], powers) for b in range(E.n)] for a in range(E.n)]
+        return [mat_vec([[S[a][b] for S in E.series] for b in range(E.n)], powers) for a in range(E.n)]
 
     # ------------------------------------------------------------------
     # serialization

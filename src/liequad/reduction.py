@@ -41,8 +41,7 @@ from .forms import (
     pullback_check,
     structure_residual,
 )
-from .liealg import AdaptedChain, lin_comb
-from .matexp import sym_exp
+from .liealg import AdaptedChain, mat_vec
 from .report import Report
 from .varset import VarSet, coordinate_chart
 
@@ -70,16 +69,15 @@ class ReductionTrace:
         return len(self.steps) == self.chain.n
 
 
-def _factor_matrix(A, f):
-    """e^{f A} in f's class, or None when A = 0; the inverse factor
-    e^{-f A} is the one at -f.
+def _factor_matrix(E, f):
+    """e^{f A} in f's class, or None when E is None (A = 0); the inverse
+    factor e^{-f A} is the one at -f.
 
-    A is a rational matrix and f a scalar, whose `exp_matrix` composes
-    e^{tA} with it (a log-extended scalar by `rational._log_factor`).
+    E is the chain's e^{tA} (`AdaptedChain.ad_exp` or `full_ad_exp`), built
+    once per chain, and f a scalar, whose `exp_matrix` composes E with it
+    (a log-extended scalar by `rational._log_factor`).
     """
-    if all(x == 0 for row in A for x in row):
-        return None
-    return f.exp_matrix(sym_exp(A, "_t"))
+    return None if E is None else f.exp_matrix(E)
 
 
 def _check_level(omegas: Sequence[DiffForm], chain: AdaptedChain, s: int, tol: float) -> float:
@@ -112,8 +110,8 @@ def reduce_step(
     if len(omegas) != m:
         raise ValueError(f"expected {m} forms at level {s}, got {len(omegas)}")
     f = potential(omegas[m - 1], basepoint, tol=tol)
-    factor = _factor_matrix(chain.ad_matrix(s), f)
-    hat = list(omegas) if factor is None else [lin_comb(row, omegas) for row in factor]
+    factor = _factor_matrix(chain.ad_exp(s), f)
+    hat = list(omegas) if factor is None else mat_vec(factor, omegas)
     return ReductionStep(s, f, factor), hat
 
 
@@ -169,9 +167,9 @@ def unreduce(chain: AdaptedChain, functions: Sequence) -> list[DiffForm]:
     forms = [differential(f) for f in functions]
     for s in range(n - 1, -1, -1):
         m = n - s
-        inv_factor = _factor_matrix(chain.ad_matrix(s), -functions[m - 1])
+        inv_factor = _factor_matrix(chain.ad_exp(s), -functions[m - 1])
         if inv_factor is not None:
-            forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]
+            forms = mat_vec(inv_factor, forms[:m]) + forms[m:]
     return forms
 
 

@@ -1,16 +1,19 @@
-"""Independent numeric oracles for the test suites: a quadrature of a
-1-form along a segment (against `potential`), the derivative residual
-d/dt E - A E of a matrix exponential, and the identities E(t)E(-t) = I,
-det E(t) = e^{t tr A} and E(s)E(t) = E(s+t)."""
+"""Independent oracles for the test suites: a quadrature of a 1-form
+along a segment (against `potential`), the derivative residual
+d/dt E - A E of a matrix exponential, the identities E(t)E(-t) = I,
+det E(t) = e^{t tr A} and E(s)E(t) = E(s+t), and dense loops over the
+structure constants (the bracket, constants in a new basis, the ideal
+check, the structure residual) against the sparse ones of `liealg`."""
 
 from __future__ import annotations
 
 import random
-from typing import Mapping
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from liequad import DiffForm, ExpPoly
+from liequad import DiffForm, ExpPoly, NotSolvable, StructureConstants
 from liequad.liealg import mat_mul
 from liequad.matexp import ExpMatrix, identity_residual, matrix_batch
 from liequad.report import Report
@@ -92,3 +95,69 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     report.add("det E(t) = e^{t tr A}", worst_det <= EXP_CHECK_TOL, "numeric", worst_det)
     report.add("E(s)E(t) = E(s+t)", worst_group <= EXP_CHECK_TOL, "numeric", worst_group)
     return report
+
+
+# ----------------------------------------------------------------------
+# dense loops over the structure constants
+
+def dense_bracket(sc: StructureConstants, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+    """[u, v] by reading C^i_jk for every i of every nonzero (u_j, v_k)."""
+    n = sc.dim
+    C = sc.C
+    out = [Fraction(0)] * n
+    vs = [(k, y) for k, y in enumerate(v) if y]
+    for j, x in enumerate(u):
+        if not x:
+            continue
+        for k, y in vs:
+            w = x * y
+            for i in range(n):
+                c = C[i][j][k]
+                if c:
+                    out[i] += c * w
+    return out
+
+
+def dense_constants_in_basis(sc: StructureConstants, basis, P) -> StructureConstants:
+    """C~[k][i][j] = sum over the rows of P, one row per k, of row . [basis_i, basis_j]."""
+    n = sc.dim
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = [(m, x) for m, x in enumerate(dense_bracket(sc, basis[i], basis[j])) if x]
+            for k, row in enumerate(P):
+                c = sum((row[m] * x for m, x in w), Fraction(0))
+                out[k][i][j], out[k][j][i] = c, -c
+    return StructureConstants(n, tuple(tuple(tuple(r) for r in pl) for pl in out))
+
+
+def dense_verify_ideals(chain) -> None:
+    """Raise at the first (s, u, v, i) where [e_u, e_v] with e_u in
+    k_{s-1} and e_v in k_s leaves k_s."""
+    n = chain.n
+    C = chain.base.C
+    for s in range(1, n + 1):
+        m = n - s
+        for u in range(m + 1):
+            for v in range(m):
+                for i in range(m, n):
+                    if C[i][u][v] != 0:
+                        raise NotSolvable(
+                            f"k_{s} is not an ideal in k_{s-1}: "
+                            f"[e_{u+1}, e_{v+1}] has e_{i+1} component {C[i][u][v]}"
+                        )
+
+
+def dense_structure_residual(omegas, sc: StructureConstants) -> list[DiffForm]:
+    """d omega^i + sum over every j < k, in (j, k) order, of C^i_jk omega^j ^ omega^k."""
+    n = sc.dim
+    out = []
+    for i in range(n):
+        res = omegas[i].exterior_d()
+        for j in range(n):
+            for k in range(j + 1, n):
+                c = sc.C[i][j][k]
+                if c != 0:
+                    res = res + omegas[j].wedge(omegas[k]) * c
+        out.append(res)
+    return out

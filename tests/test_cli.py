@@ -918,6 +918,45 @@ def test_package_imports_neither_scipy_nor_the_catalog():
         assert not lines, f"{path.name} imports scipy or the catalog at lines {lines}"
 
 
+def _lin_comb_per_row(source: str) -> list[int]:
+    """Lines of list comprehensions that call lin_comb with coefficients
+    drawn from the comprehension and items that do not depend on it: a
+    scalar matrix times a vector of items, which is `liealg.mat_vec`."""
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    found = []
+    for comp in ast.walk(ast.parse(source)):
+        if not isinstance(comp, ast.ListComp):
+            continue
+        bound = set().union(*(names(g.target) for g in comp.generators))
+        for call in ast.walk(comp.elt):
+            func = getattr(call, "func", None)
+            if (isinstance(call, ast.Call) and "lin_comb" in (getattr(func, "id", None), getattr(func, "attr", None))
+                    and call.args and names(call.args[0]) & bound
+                    and not any(names(a) & bound for a in call.args[1:])):
+                found.append(comp.lineno)
+    return found
+
+
+def test_package_multiplies_scalar_matrices_and_item_vectors_with_mat_vec():
+    import pathlib
+
+    for bad in ("hat = list(omegas) if factor is None else [lin_comb(row, omegas) for row in factor]",
+                "forms = [lin_comb(row, forms[:m]) for row in inv_factor] + forms[m:]",
+                "omegas = [t + lin_comb(row, pi1) for t, row in zip(pi2, ad_y_inv)]",
+                "theta_t = [lin_comb([compose(e, p1) for e in row], theta) for row in law.ad]",
+                "E = [[liealg.lin_comb([S[a][b] for S in series], powers) for b in r] for a in r]"):
+        assert _lin_comb_per_row(bad), bad
+    for good in ("hat = mat_vec(factor, omegas)", "rhs = lin_comb([C[k][i][j] for k in r], fields)",
+                 "ok = [lin_comb(row, items[i]) for i, row in enumerate(M)]"):
+        assert not _lin_comb_per_row(good), good
+    package = pathlib.Path(jsonio.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        lines = _lin_comb_per_row(path.read_text())
+        assert not lines, f"{path.name} multiplies a matrix and a vector with lin_comb at lines {lines}"
+
+
 @pytest.mark.parametrize("text", ["sqrt(x)", "x.real", "x[0]", "x < u", "exp(x)", "x^u", "x^(1/2)", "1/(x - x)"])
 def test_bad_rational_text_is_schema_error(text):
     from liequad import SchemaError

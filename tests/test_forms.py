@@ -409,3 +409,25 @@ def test_public_constructor_validates_what_the_operations_trust():
     w = dx("x1") * ExpPoly.coordinate(V, "x2")
     assert (w - w).coeffs == {}
     assert dx("x1").wedge(dx("x1")).coeffs == {}
+
+
+def test_structure_residual_adds_in_the_order_of_the_dense_loop():
+    """Over the nonzero constants only, the residual adds the wedge terms
+    in (j, k) order, so constant float forms, whose sums round
+    differently in another order, get the dense loop's bits."""
+    from conftest import borel_constants
+    from oracles import dense_structure_residual
+    from test_verdicts import random_basis
+
+    sc = random_basis(borel_constants(3), 0)
+    n = sc.dim
+    chart = VarSet.of(*[f"x{i}" for i in range(1, n + 1)])
+    rng = random.Random(5)
+    omegas = [DiffForm(chart, 1, {(m,): ExpPoly.constant(chart, rng.uniform(-1, 1)) for m in range(n)}, ExpPoly)
+              for _ in range(n)]
+
+    def bits(form):
+        return [(idx, [(k, c.hex()) for k, c in p.terms.items()]) for idx, p in form.coeffs.items()]
+
+    got = [bits(r) for r in structure_residual(omegas, sc)]
+    assert got == [bits(r) for r in dense_structure_residual(omegas, sc)]

@@ -214,8 +214,9 @@ def test_change_basis_follows_the_tensor_law_index_by_index():
 @pytest.mark.parametrize("make", [lambda: filiform(16), lambda: random_basis(borel_constants(4), 0)],
                          ids=["L16", "b4-random0"])
 def test_adapted_chain_eliminates_once(monkeypatch, make):
-    """One rref per derived-series term, one inversion (itself one rref),
-    and the flag grows without a further elimination."""
+    """One rref per derived-series term after the first (the whole algebra,
+    whose basis is the identity), one inversion (itself one rref), and the
+    flag grows without a further elimination."""
     from liequad import liealg
 
     sc = make()
@@ -233,7 +234,46 @@ def test_adapted_chain_eliminates_once(monkeypatch, make):
     monkeypatch.setattr(liealg, "rref", counting("rref"))
     monkeypatch.setattr(liealg, "mat_inverse", counting("mat_inverse"))
     adapted_chain(sc)
-    assert calls == {"rref": terms + 1, "mat_inverse": 1}
+    assert calls == {"rref": terms, "mat_inverse": 1}
+
+
+_SPARSE_CASES = [pytest.param(make, seed, id=f"{name}-random{seed}")
+                 for name, make in (("L8", lambda: filiform(8)), ("b4", lambda: borel_constants(4)),
+                                    ("b5", lambda: borel_constants(5)))
+                 for seed in range(3)]
+
+
+@pytest.mark.parametrize("make, seed", _SPARSE_CASES)
+def test_sparse_exact_layer_equals_the_dense_loops(monkeypatch, make, seed):
+    """The input constants, the change matrix and the chain constants are
+    the same Fractions when the bracket and the constants in a new basis
+    read every C^i_jk densely."""
+    from liequad import liealg
+    from oracles import dense_bracket, dense_constants_in_basis
+
+    sc = random_basis(make(), seed)
+    change, chain = adapted_chain(sc)
+    got = repr(sc.C), repr(change.P), repr(chain.base.C)
+    monkeypatch.setattr(StructureConstants, "bracket", dense_bracket)
+    monkeypatch.setattr(liealg, "_constants_in_basis", dense_constants_in_basis)
+    dense_sc = random_basis(make(), seed)
+    dense_change, dense_chain = adapted_chain(dense_sc)
+    assert got == (repr(dense_sc.C), repr(dense_change.P), repr(dense_chain.base.C))
+
+
+@pytest.mark.parametrize("make, seed", _SPARSE_CASES)
+def test_verify_ideals_raises_the_first_message_of_the_dense_loop(make, seed):
+    """A random basis is no ideal chain: the sparse check names the same
+    first (s, u, v, i) as the loop over every entry."""
+    from liequad import AdaptedChain
+    from oracles import dense_verify_ideals
+
+    chain = AdaptedChain(random_basis(make(), seed))
+    with pytest.raises(NotSolvable) as dense:
+        dense_verify_ideals(chain)
+    with pytest.raises(NotSolvable) as sparse:
+        chain.verify_ideals()
+    assert str(sparse.value) == str(dense.value)
 
 
 def test_transformed_forms_satisfy_transformed_structure_equations():

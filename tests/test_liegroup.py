@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from liequad import (
     DiffForm,
@@ -348,6 +349,47 @@ def test_group_law_builds_each_matrix_exponential_once(monkeypatch):
     assert not any(B in decided[:i] or B in negated[:i] for i, B in enumerate(decided))
 
 
+@pytest.mark.parametrize("make", [lambda: _filiform(10), lambda: borel_constants(4)], ids=["L10", "b4"])
+def test_each_chain_exponential_is_built_once(monkeypatch, make):
+    """The law, its checks and the oracle look up e^{tA} in matexp once per
+    nonzero restricted ad_s and full ad(e_j) of the chain, however many
+    factors compose it with a scalar."""
+    import liequad.matexp as matexp
+
+    lookups = []
+    exp = matexp._exp
+    monkeypatch.setattr(matexp, "_exp", lambda Af, var: lookups.append(Af) or exp(Af, var))
+    _, chain = adapted_chain(make())
+    law = multiplication(chain)
+    report = verify_group(law, samples=5)
+    report.extend(preadjoint_oracle(chain, law, samples=5))
+    assert report.passed, str(report)
+    n = chain.n
+    matrices = [chain.ad_matrix(s) for s in range(n)] + [chain.base.ad_matrix(j) for j in range(n)]
+    assert 0 < len(lookups) <= sum(any(map(any, A)) for A in matrices)
+
+
+def test_coframe_independence_records_the_smallest_determinant():
+    """The pointwise-independence value is |det tau| at the one sample, not
+    capped at 1, and None without samples."""
+    _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
+    group = build_group(chain)
+    n = group.n
+    rng = random.Random(3)
+    point = dict(zip(group.chart.names, [rng.uniform(-1.5, 1.5) for _ in range(n)]))
+    tau = [[t.coefficient((k,)).evaluate(point) for k in range(n)] for t in group.tau]
+    want = abs(float(np.linalg.det(np.array(tau))))
+
+    def independence(samples):
+        report = group_invariants_report(group, samples=samples, seed=3)
+        return next(c for c in report.checks if c.name == "coframe pointwise independent")
+
+    one = independence(1)
+    assert want > 1 and one.passed and one.error == pytest.approx(want, rel=1e-12)
+    none = independence(0)
+    assert none.passed and none.error is None
+
+
 def test_verify_group_differentiates_once_per_map(monkeypatch):
     """The Jacobian's partial derivatives do not depend on the sample count."""
     calls = []
@@ -587,10 +629,15 @@ def test_preadjoint_forms_reuse_the_law_ad_term_for_term():
         assert [_form_bits(f) for f in got] == [_form_bits(f) for f in want]
 
 
+def _factor_matrix(A, f):
+    """e^{fA} for a rational matrix A, built from A itself; None when A = 0."""
+    from liequad import sym_exp
+
+    return f.exp_matrix(sym_exp(A, "_t")) if any(map(any, A)) else None
+
+
 def _dense_ad_product(chain, chart, names, inverse):
     """Ad(v) (or its inverse) by the full n x n x n matrix products."""
-    from liequad.reduction import _factor_matrix
-
     n = chain.n
     M = [[ExpPoly.one(chart) if i == j else ExpPoly.zero(chart) for j in range(n)] for i in range(n)]
     for j in (range(n - 1, -1, -1) if inverse else range(n)):
@@ -628,7 +675,6 @@ def _reference_coframe(chain):
     """The coframe by its own loop: the inverse factors e^{-x^m [ad_s]}
     applied to the coordinate differentials, from s = n-2 up."""
     from liequad.liealg import lin_comb
-    from liequad.reduction import _factor_matrix
 
     n = chain.n
     chart = coordinate_chart(n)
@@ -646,7 +692,6 @@ def _reference_frame(chain):
     """The frame by exponentiating the transposed matrices ad_s^T."""
     from liequad import VectorField
     from liequad.liealg import lin_comb
-    from liequad.reduction import _factor_matrix
 
     n = chain.n
     chart = coordinate_chart(n)

@@ -60,7 +60,7 @@ def test_single_step_on_ode_forms(heisenberg, omega_normalized, ode_basepoint):
     # the step factor is exp(f * ad(e_3)) = [[1, -f, 0], [0, 1, 0], [0, 0, 1]]
     from liequad.reduction import _factor_matrix
 
-    E = _factor_matrix(chain.ad_matrix(0), f3)
+    E = _factor_matrix(chain.ad_exp(0), f3)
     assert E[0][0] == RationalFunction.one(chart)
     assert E[0][1] == -1 * f3
     assert E[0][2].is_zero() and E[1][0].is_zero()
@@ -229,7 +229,7 @@ def test_step_factor_is_bracket_automorphism():
     f5 = step.f
     from liequad.reduction import _factor_matrix
 
-    E = _factor_matrix(chain.ad_matrix(0), f5)
+    E = _factor_matrix(chain.ad_exp(0), f5)
     rng = random.Random(21)
     for _ in range(10):
         u = [rng.uniform(-1, 1) for _ in range(5)]
@@ -355,15 +355,15 @@ def _corrupt_level_factor(monkeypatch, chain, s, column=0):
 
     original = reduction._factor_matrix
     step_code = reduction.reduce_step.__code__
-    forward = chain.ad_matrix(s)
+    forward = chain.ad_exp(s)
     m = chain.n - s
     hits = []
 
-    def corrupted(A, f):
-        E = original(A, f)
+    def corrupted(exp, f):
+        E = original(exp, f)
         # the forward factor of level s only, the one reduce_step builds;
         # unreduce builds the inverse factors with the same call at -f
-        if E is not None and A == forward and sys._getframe(1).f_code is step_code:
+        if E is not None and exp is forward and sys._getframe(1).f_code is step_code:
             E = [list(row) for row in E]
             E[m - 2][column] = E[m - 2][column] + f * 0.5
             hits.append(s)

@@ -663,6 +663,26 @@ def test_lin_comb_skipping_zero_items_equals_the_unskipped_sum(case):
     assert _form_bits(lin_comb(coeffs, forms)) == _form_bits(want_form)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_combinations())
+def test_mat_vec_equals_lin_comb_per_row(case):
+    """mat_vec is lin_comb row by row, bit for bit and in term order, over
+    scalars and over forms; an all-zero row gives items[0] * 0."""
+    from fractions import Fraction
+
+    from liequad.forms import DiffForm
+    from liequad.liealg import lin_comb, mat_vec
+
+    coeffs, items = case
+    m = len(items)
+    M = [coeffs, [0] * m, coeffs[::-1], [Fraction(0)] * (m - 1) + [coeffs[0]]]
+    forms = [DiffForm(p.chart, 1, {(0,): p}, ExpPoly) for p in items]
+    got, got_forms = mat_vec(M, items), mat_vec(M, forms)
+    assert [_bits(x) for x in got] == [_bits(lin_comb(row, items)) for row in M]
+    assert [_form_bits(f) for f in got_forms] == [_form_bits(lin_comb(row, forms)) for row in M]
+    assert _bits(got[1]) == _bits(items[0] * 0) and _form_bits(got_forms[1]) == _form_bits(forms[0] * 0)
+
+
 def _rational_entries():
     from liequad import RationalFunction
 
