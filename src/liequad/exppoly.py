@@ -62,8 +62,8 @@ same keys, term order and coefficient bits as the general formula:
   one to one, so no two terms merge.
 - `evaluate` at the origin sums, in term order, the coefficients of the
   terms whose exponents are all 0, sin terms left out: there exp(0) =
-  cos(0) = 1 and sin(0) = 0, and every other term is a zero, so this is
-  the kernel's value up to the sign of a zero.
+  cos(0) = 1 and sin(0) = 0, and every other term is a zero; both sums
+  start from 0.0, so this is the kernel's value bit for bit.
 
 Substitution.  `substitute` takes its bindings as a mapping or as a
 `Substitution` prepared once for many polynomials over one chart (a
@@ -83,14 +83,14 @@ not a finite float (a NaN along the way included), is a SchemaError.
 Evaluation.  A `Family` compiles m polynomials over one chart into one
 set of arrays: the T coefficients of all their terms, the nonzero
 exponents of each term by variable, and the distinct exp, cos and sin rate
-rows with an index from each term to its row.  The terms are stored rank by
-rank, the members sorted by decreasing number of terms, so the members
-that still have a term at a rank are a prefix.  `Family.evaluate` evaluates
-all m at N points in one numpy pass, an N x m array, in the order of the
-scalar formula: c * x_i^k_i for i ascending, then * exp(a.x), then * cos or
-sin(b.x), the dot products summed in variable order and each member's
-terms in term order, by running sums (`cumsum` adds in order;
-`np.add.reduceat` need not).  Every power comes from one numpy call on
+rows with an index from each term to its row.  Each member's terms are
+stored consecutively, in term order, with the index of the member of each
+term.  `Family.evaluate` evaluates all m at N points in one numpy pass, an
+N x m array, in the order of the scalar formula: c * x_i^k_i for i
+ascending, then * exp(a.x), then * cos or sin(b.x), the dot products
+summed in variable order and each member's terms in term order from 0.0,
+by one `np.add.at`, which adds the rows one at a time in index order
+(`np.add.reduceat` need not).  Every power comes from one numpy call on
 flat operands of one length, so a term's value does not depend on the
 family that holds it.  A `forms.PointMap` compiles its components and its
 Jacobian entries once and keeps them, since a group law is evaluated
@@ -102,7 +102,6 @@ the one-member family, and `evaluate` is its one-point case.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import struct
 import threading
@@ -302,32 +301,37 @@ def _cut(acc: dict) -> dict:
     return terms
 
 
+def by_parts(c, k: int, z) -> list:
+    """p with (sum_j p[j] v^j) e^{zv} = the integral of c v^k e^{zv} dv, z
+    nonzero: p[k] = c / z and p[j] = -(j + 1) p[j + 1] / z, in the type of
+    the operands (float or complex)."""
+    p = [c / z]
+    for j in range(k, 0, -1):
+        p.append(-j * p[-1] / z)
+    return p[::-1]
+
+
 class Family:
     """m exponential polynomials over one chart, compiled into one set of
     arrays and evaluated at N points in one numpy pass (module docstring)."""
 
-    __slots__ = ("n", "m", "coeff", "powers", "levels", "factors", "blocks", "place")
+    __slots__ = ("n", "m", "coeff", "member", "powers", "levels", "factors")
 
     def __init__(self, chart: VarSet, members: Sequence["ExpPoly"]):
         n = len(chart)
         lay = _layout(n)
-        stores = []
-        for p in members:
+        # each member's terms consecutive, in term order; member[t] is the
+        # member that term t belongs to
+        terms, member = [], []
+        for j, p in enumerate(members):
             if p.chart is not chart and p.chart != chart:
                 raise MismatchedVarSet(f"{p.chart.names} vs {chart.names}")
-            stores.append(list(p._t.items()))
-        # the members by decreasing number of terms, and their terms rank by
-        # rank: the members still summing at each rank are a prefix
-        order = sorted(range(len(stores)), key=lambda j: -len(stores[j]))
-        lengths = [len(stores[j]) for j in order]
-        counts = [sum(length > r for length in lengths) for r in range(lengths[0] if lengths else 0)]
-        terms = [stores[j][r] for r, count in enumerate(counts) for j in order[:count]]
+            terms += p._t.items()
+            member += [j] * len(p._t)
         self.n = n
-        self.m = len(stores)
+        self.m = len(members)
         self.coeff = np.array([c for _, c in terms], dtype=float)
-        # (count, depth): `depth` ranks in a row at which `count` members sum
-        self.blocks = [(count, len(list(run))) for count, run in itertools.groupby(counts)]
-        self.place = np.argsort(np.array(order, dtype=np.int64))
+        self.member = np.array(member, dtype=np.int64)
 
         # the powers x_i^k, k >= 2, that some term has, as rows n, n + 1, ...
         # of a table whose row i < n is x_i (x^1 is x itself); level d
@@ -341,7 +345,7 @@ class Family:
         for d in range(max(map(len, factors), default=0)):
             rows = [t for t, row in enumerate(factors) if len(row) > d]
             index = np.array([factors[t][d] for t in rows], dtype=np.int64)
-            self.levels.append((_rows(rows, len(terms)), index))
+            self.levels.append((np.array(rows, dtype=np.int64), index))
 
         # (fn, rates, cols, rows, index): the terms in rows are multiplied by
         # fn of the rate row `index` dotted with the point, summed over the
@@ -361,7 +365,8 @@ class Family:
             if rows:
                 rates = np.array(list(distinct), dtype=float).reshape(-1, n)
                 cols = np.flatnonzero(rates.any(axis=0)).tolist()
-                self.factors.append((fn, rates, cols, _rows(rows, len(terms)), np.array(index, dtype=np.int64)))
+                self.factors.append((fn, rates, cols, np.array(rows, dtype=np.int64),
+                                     np.array(index, dtype=np.int64)))
 
     def evaluate(self, points) -> np.ndarray:
         """Values at N points, given as an N x n array in chart order, as an
@@ -384,25 +389,11 @@ class Family:
             for i in cols:
                 arg += Pt[i] * rates[:, i, None]
             V[rows] *= fn(arg)[index]
-        # running sums (cumsum adds in order), so each member's terms add up
-        # in term order
+        # add.at adds the rows one at a time in index order, so each member's
+        # terms add up in term order, from 0.0
         out = np.zeros((self.m, N))
-        start = 0
-        for count, depth in self.blocks:
-            block = V[start:start + count * depth].reshape(depth, count, N)
-            if not start:
-                out[:count] = np.cumsum(block, axis=0)[-1]
-            elif depth == 1:
-                out[:count] += block[0]
-            else:
-                out[:count] = np.cumsum(np.concatenate([out[None, :count], block]), axis=0)[-1]
-            start += count * depth
-        return out[self.place].T
-
-
-def _rows(rows: list[int], total: int):
-    """Index of the terms in rows; a full slice when that is all of them."""
-    return slice(None) if len(rows) == total else np.array(rows, dtype=np.int64)
+        np.add.at(out, self.member, V)
+        return out.T
 
 
 class ExpPoly:
@@ -744,22 +735,13 @@ class ExpPoly:
                 put((K + (1 << shift), r, kind), c / (kv + 1))
             elif bv == 0.0:
                 # real rate: integrate v^kv e^{av v} by parts, closed form
-                p = [0.0] * (kv + 1)
-                p[kv] = c / av
-                for j in range(kv - 1, -1, -1):
-                    p[j] = -(j + 1) * p[j + 1] / av
-                for j, pj in enumerate(p):
+                for j, pj in enumerate(by_parts(c, kv, av)):
                     if pj == 0.0:
                         continue
                     put((base + (j << shift), r, kind), pj)
             else:
                 # complexify the v-dependence: z = av + i bv
-                z = complex(av, bv)
-                p = [0j] * (kv + 1)
-                p[kv] = c / z
-                for j in range(kv - 1, -1, -1):
-                    p[j] = -(j + 1) * p[j + 1] / z
-                for j, pj in enumerate(p):
+                for j, pj in enumerate(by_parts(c, kv, complex(av, bv))):
                     if pj == 0j:
                         continue
                     K2 = base + (j << shift)

@@ -244,20 +244,20 @@ def validate(sc: StructureConstants) -> ValidationReport:
             for k in range(j, n):
                 if C[i][j][k] != -C[i][k][j]:
                     anti.append((i + 1, j + 1, k + 1, C[i][j][k] + C[i][k][j]))
-    jac = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            for l in range(k + 1, n):
-                for i in range(n):
-                    total = Fraction(0)
-                    for m in range(n):
-                        total += (
-                            C[m][j][k] * C[i][m][l]
-                            + C[m][k][l] * C[i][m][j]
-                            + C[m][l][j] * C[i][m][k]
-                        )
-                    if total != 0:
-                        jac.append((j + 1, k + 1, l + 1, i + 1, total))
+    # the sum over m and the rotations (a, b, l) of j < k < l of
+    # C^m_ab C^i_ml, over the nonzero constants only: (a, b, l) is a
+    # rotation of a sorted triple when l lies outside [a, b] for a < b, and
+    # between b and a for a > b
+    pairs = sc.pairs
+    totals: dict = {}
+    for (a, b), comps in pairs.items():
+        thirds = [l for l in range(n) if l < a or l > b] if a < b else range(b + 1, a)
+        for m, c in comps:
+            for l in thirds:
+                for i, d in pairs.get((m, l), ()):
+                    key = (*sorted((a, b, l)), i)
+                    totals[key] = totals.get(key, 0) + c * d
+    jac = [(j + 1, k + 1, l + 1, i + 1, total) for (j, k, l, i), total in sorted(totals.items()) if total != 0]
     return ValidationReport(tuple(anti), tuple(jac))
 
 

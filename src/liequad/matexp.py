@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
+from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, by_parts
 from .varset import VarSet
 
 QuasiPoly = dict[tuple[int, complex], complex]  # (power, rate) -> coeff
@@ -147,12 +147,7 @@ def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
         if mu == lam:
             put((k + 1, lam), c / (k + 1))
         else:
-            delta = mu - lam
-            q = [0j] * (k + 1)
-            q[k] = c / delta
-            for i in range(k - 1, -1, -1):
-                q[i] = -(i + 1) * q[i + 1] / delta
-            for i, qi in enumerate(q):
+            for i, qi in enumerate(by_parts(c, k, mu - lam)):
                 put((i, mu), qi)
     v0 = sum(c for (k, _), c in out.items() if k == 0)
     put((0, lam), -v0)

@@ -3,7 +3,8 @@ along a segment (against `potential`), the derivative residual
 d/dt E - A E of a matrix exponential, the identities E(t)E(-t) = I,
 det E(t) = e^{t tr A} and E(s)E(t) = E(s+t), and dense loops over the
 structure constants (the bracket, constants in a new basis, the ideal
-check, the structure residual) against the sparse ones of `liealg`."""
+check, the structure residual, the Jacobi check) against the sparse ones
+of `liealg`."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from liequad import DiffForm, ExpPoly, NotSolvable, StructureConstants
-from liequad.liealg import mat_mul
+from liequad.liealg import ValidationReport, mat_mul
 from liequad.matexp import ExpMatrix, identity_residual, matrix_batch
 from liequad.report import Report
 
@@ -161,3 +162,31 @@ def dense_structure_residual(omegas, sc: StructureConstants) -> list[DiffForm]:
                     res = res + omegas[j].wedge(omegas[k]) * c
         out.append(res)
     return out
+
+
+def dense_validate(sc: StructureConstants) -> ValidationReport:
+    """Antisymmetry, then the Jacobi identity summed over every m for each
+    j < k < l and i."""
+    n = sc.dim
+    C = sc.C
+    anti = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                if C[i][j][k] != -C[i][k][j]:
+                    anti.append((i + 1, j + 1, k + 1, C[i][j][k] + C[i][k][j]))
+    jac = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            for l in range(k + 1, n):
+                for i in range(n):
+                    total = Fraction(0)
+                    for m in range(n):
+                        total += (
+                            C[m][j][k] * C[i][m][l]
+                            + C[m][k][l] * C[i][m][j]
+                            + C[m][l][j] * C[i][m][k]
+                        )
+                    if total != 0:
+                        jac.append((j + 1, k + 1, l + 1, i + 1, total))
+    return ValidationReport(tuple(anti), tuple(jac))

@@ -16,7 +16,7 @@ from liequad import (
     validate,
 )
 from liequad.liealg import mat_identity, mat_inverse, remainder, rref
-from catalog import filiform4, five_dim_two_parameter, heisenberg, sl2
+from catalog import catalog, filiform4, five_dim_two_parameter, heisenberg, sl2
 from conftest import borel_constants
 from test_verdicts import filiform, random_basis
 
@@ -241,6 +241,44 @@ _SPARSE_CASES = [pytest.param(make, seed, id=f"{name}-random{seed}")
                  for name, make in (("L8", lambda: filiform(8)), ("b4", lambda: borel_constants(4)),
                                     ("b5", lambda: borel_constants(5)))
                  for seed in range(3)]
+
+
+def _random_constants(seed: int) -> StructureConstants:
+    """A random tensor C^i_jk with entries in {-2, ..., 2}, two thirds of
+    them zero; antisymmetric in (j, k) for an even seed, unconstrained
+    (diagonal entries included) for an odd one."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    C = [[[F(rng.choice([0, 0, 0, 0, -2, -1, 1, 2])) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if seed % 2 == 0:
+        for plane in C:
+            for j in range(n):
+                plane[j][j] = F(0)
+                for k in range(j + 1, n):
+                    plane[k][j] = -plane[j][k]
+    return StructureConstants(n, tuple(tuple(tuple(row) for row in plane) for plane in C))
+
+
+_VALIDATE_CASES = [
+    pytest.param(lambda: filiform(6), id="L6"),
+    pytest.param(lambda: filiform(10), id="L10"),
+    pytest.param(lambda: borel_constants(3), id="b3"),
+    pytest.param(lambda: borel_constants(4), id="b4"),
+    pytest.param(sl2, id="sl2"),
+    pytest.param(lambda: random_basis(filiform(8), 0), id="L8-random0"),
+    pytest.param(lambda: random_basis(borel_constants(4), 1), id="b4-random1"),
+] + [pytest.param(lambda e=entry: e.constants, id=entry.name) for entry in catalog()] + [
+    pytest.param(lambda seed=seed: _random_constants(seed), id=f"tensor{seed}") for seed in range(24)]
+
+
+@pytest.mark.parametrize("make", _VALIDATE_CASES)
+def test_validate_equals_the_dense_loop(make):
+    """The Jacobi check over the nonzero constants reports the same
+    violations, in the same order, as the loop over every (j, k, l, i, m)."""
+    from oracles import dense_validate
+
+    sc = make()
+    assert validate(sc) == dense_validate(sc)
 
 
 @pytest.mark.parametrize("make, seed", _SPARSE_CASES)

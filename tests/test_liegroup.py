@@ -1,6 +1,7 @@
 """Group synthesis: coframe/frame goldens, adjoint representation,
 multiplication map, axiom verification, the cross-check oracle."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from liequad import (
     GroupLaw,
     PointMap,
     StructureConstants,
+    VectorField,
     ad_rep,
     adapted_chain,
     build_group,
@@ -388,6 +390,28 @@ def test_coframe_independence_records_the_smallest_determinant():
     assert want > 1 and one.passed and one.error == pytest.approx(want, rel=1e-12)
     none = independence(0)
     assert none.passed and none.error is None
+
+
+def test_bracket_relations_are_checked_exactly():
+    """A frame component off by 3e-10 x3 fails the symbolic bracket line,
+    which reads the residual's largest coefficient; sampled at 50 points in
+    [-1.5, 1.5]^5 it stays below 1e-9."""
+    _, chain = adapted_chain(five_dim_constants(F(1), F(2)))
+    group = build_group(chain)
+
+    def bracket_line(g):
+        report = group_invariants_report(g, samples=50, seed=0)
+        return next(c for c in report.checks if c.name == "[X_i, X_j] = C^k_ij X_k")
+
+    good = bracket_line(group)
+    assert good.passed and good.mode == "symbolic" and good.error == 0.0
+    X = group.frame[1]
+    wrong = list(X.components)
+    wrong[0] = wrong[0] + ExpPoly.term(group.chart, 3e-10, powers={"x3": 1})
+    frame = list(group.frame)
+    frame[1] = VectorField(group.chart, wrong, ExpPoly)
+    bad = bracket_line(dataclasses.replace(group, frame=frame))
+    assert not bad.passed and bad.error == pytest.approx(3e-10)
 
 
 def test_verify_group_differentiates_once_per_map(monkeypatch):

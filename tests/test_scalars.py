@@ -2,6 +2,7 @@
 substitution, serialization."""
 
 import ast
+import functools
 import json
 import math
 import pathlib
@@ -378,6 +379,39 @@ def test_each_family_column_is_its_member_evaluated_alone(case):
             assert abs(value - sum(terms)) <= 8 * np.finfo(float).eps * sum(abs(t) for t in terms)
 
 
+def _sum_in_term_order(chart, p, P):
+    """p at the points P, each term's value (its one-term family) added in
+    term order, from 0.0."""
+    singles = [ExpPoly(chart, {key: c}) for key, c in p.terms.items()]
+    values = ExpPoly.family(chart, singles).evaluate(P)
+    return np.array([functools.reduce(add, row.tolist(), 0.0) for row in values])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_families())
+def test_each_family_column_adds_its_terms_in_term_order(case):
+    chart, members, P = case
+    got = ExpPoly.family(chart, members).evaluate(P)
+    for column, p in zip(got.T, members):
+        want = _sum_in_term_order(chart, p, P)
+        assert np.array_equal(column, want) and np.array_equal(np.signbit(column), np.signbit(want))
+
+
+def test_a_family_sum_that_depends_on_the_order_keeps_term_order():
+    """1e16 x1 + 1 - 1e16 x2 at x1 = x2 = 1: three distinct keys, so nothing
+    merges.  In term order 1e16 + 1 rounds to 1e16 and the sum is 0; adding
+    the two large terms first would give 1."""
+    chart = VarSet.of("x1", "x2")
+    p = (ExpPoly.term(chart, 1e16, powers={"x1": 1}) + ExpPoly.constant(chart, 1.0)
+         - ExpPoly.term(chart, 1e16, powers={"x2": 1}))
+    assert list(p.terms.values()) == [1e16, 1.0, -1e16]
+    P = np.array([[1.0, 1.0]])
+    other = ExpPoly.zero(chart)
+    got = ExpPoly.family(chart, [other, p, other]).evaluate(P)[:, 1]
+    assert got.tolist() == _sum_in_term_order(chart, p, P).tolist() == [0.0]
+    assert functools.reduce(add, [1e16, -1e16, 1.0], 0.0) == 1.0
+
+
 def test_a_term_evaluates_bit_for_bit_alike_in_any_family():
     """x1^2 alone, beside x1^2 * x2^2 (zero at x2 = 0), in a family with
     other members, and at one point at a time: numpy computes a square
@@ -407,9 +441,11 @@ def test_evaluate_at_the_origin_reads_the_constant_terms(p):
 
     with mock.patch.object(exppoly.Family, "__init__", counting):
         value = p.evaluate({name: 0 for name in p.chart.names})
-    # the shortcut compiles nothing, and equals the kernel up to the sign of a zero
+    # the shortcut compiles nothing, and equals the kernel bit for bit, the
+    # sign of a zero included
     assert not compiled
-    assert value == p.evaluate_batch(np.zeros((1, len(p.chart))))[0]
+    kernel = p.evaluate_batch(np.zeros((1, len(p.chart))))[0]
+    assert value == kernel and np.signbit(value) == np.signbit(kernel)
 
 
 def _assert_canonical(p):

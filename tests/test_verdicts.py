@@ -22,7 +22,9 @@ from liequad import (
     SingularMatrix,
     StructureConstants,
     adapted_chain,
+    build_group,
     change_basis,
+    group_invariants_report,
     multiplication,
     preadjoint_oracle,
     sym_exp,
@@ -82,6 +84,29 @@ def test_multiply_verdict(make):
     report = verify_group(law, samples=100, seed=1, tol=1e-8)
     report.extend(preadjoint_oracle(chain, law, samples=100, seed=2, tol=1e-8))
     assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+class BracketResidual(Exception):
+    """The frame's bracket relations failed, and only symbolic lines of the
+    `coframe` report failed."""
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: borel_constants(5), id="b5"),
+    pytest.param(lambda: borel_constants(6), id="b6"),
+    pytest.param(lambda: filiform(16), id="L16", marks=pytest.mark.xfail(strict=True, raises=BracketResidual, reason=(
+        "item C-a: float coefficients drop the 1/14! terms; the structure-equation and bracket-relation "
+        "residuals are 1.606e-10"))),
+])
+def test_coframe_verdict(make):
+    """The `coframe` path: the coframe and frame of the chain and their
+    invariants, with the command's defaults."""
+    _, chain = adapted_chain(make())
+    report = group_invariants_report(build_group(chain), samples=50, seed=0, tol_symbolic=1e-10)
+    failed = [c for c in report.checks if not c.passed]
+    if "[X_i, X_j] = C^k_ij X_k" in [c.name for c in failed] and all(c.mode == "symbolic" for c in failed):
+        raise BracketResidual([(c.name, c.error) for c in failed])
+    assert not failed, [c.name for c in failed]
 
 
 class RhoCheckFailed(Exception):
