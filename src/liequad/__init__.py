@@ -42,7 +42,6 @@ from .forms import (
 )
 from .liealg import (
     AdaptedChain,
-    BasisChange,
     StructureConstants,
     adapted_chain,
     chain_from_adapted,

@@ -138,8 +138,8 @@ def cmd_validate(cfg, algebra):
     report.add("solvable", solvable, "exact")
     doc = {"dim": sc.dim, "valid": vr.ok, "solvable": solvable}
     if solvable:
-        change, chain = adapted_chain(sc)
-        doc["basis_change"] = [[str(x) for x in row] for row in change.matrix()]
+        P, chain = adapted_chain(sc)
+        doc["basis_change"] = [[str(x) for x in row] for row in P]
         doc["ad_restricted"] = [
             [[str(x) for x in row] for row in chain.ad_matrix(s)]
             for s in range(chain.n)
@@ -196,8 +196,8 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
         if omega.degree != 1:
             raise SchemaError(f"form {i} has degree {omega.degree}; reduce takes 1-forms")
     basepoint = cfg.basepoint_on(chart)
-    change, chain = adapted_chain(sc)
-    omegas_ad = transform_forms(change, omegas)
+    P, chain = adapted_chain(sc)
+    omegas_ad = transform_forms(P, omegas)
     trace = reduce_full(omegas_ad, chain, basepoint, stop_after=stop_after, tol=cfg.tol_zero)
     report = Report()
     worst = max(trace.residuals.values())

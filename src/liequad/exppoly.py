@@ -622,6 +622,10 @@ class ExpPoly:
     def max_abs_coeff(self) -> float:
         return max(map(abs, self._t.values()), default=0.0)
 
+    def poles(self) -> tuple:
+        """The sets a numeric check avoids: none, an exponential polynomial is finite."""
+        return ()
+
     def is_one(self) -> bool:
         return self._one_constant() == 1.0
 

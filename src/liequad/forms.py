@@ -426,26 +426,28 @@ def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
     return result
 
 
-def pullback_check(phi: PointMap, taus, omegas, mode: str, samples: int, rng, sample_point):
+def pullback_check(phi: PointMap, taus, omegas, mode: str, samples: int, rng, domain: Domain):
     """Worst error of phi^* tau^i = omega^i for each i, and the mode used.
 
     Symbolic unless mode is "numeric" or, in "auto" mode, the composition
-    leaves the class; the numeric check compares both sides on random
-    tangent vectors at `samples` points drawn by `sample_point(rng)`.
+    leaves the class; a symbolic check is named by the forms' class
+    (`check_mode`).  The numeric check compares both sides on random
+    tangent vectors at `samples` points of the domain over phi's source.
     Returns (errors, mode, detail); when a "symbolic" run cannot compose,
     errors is None and detail says why.
     """
     if mode != "numeric":
+        check_mode = omegas[0].scls.check_mode
         try:
             errors = [(pullback(phi, t) - o).max_abs_coeff() for t, o in zip(taus, omegas)]
-            return errors, "symbolic", ""
+            return errors, check_mode, ""
         except (ClassMismatch, NonAffineExponentSubstitution) as exc:
             if mode == "symbolic":
-                return None, "symbolic", str(exc)
+                return None, check_mode, str(exc)
     names = phi.source.names
     draws = []
     for _ in range(samples):
-        pt = sample_point(rng)
+        pt = domain.sample(rng)
         draws.append([pt[nm] for nm in names] + [rng.uniform(-1, 1) for _ in names])
     # a point and a tangent vector at it per sample, drawn in that order
     draws = np.array(draws, dtype=float).reshape(samples, 2, len(names))
@@ -537,15 +539,18 @@ def potential(
 
 @dataclass
 class Domain:
-    """Chart with excluded hypersurfaces (zero sets to avoid when sampling)."""
+    """Chart with excluded hypersurfaces (zero sets to avoid when sampling),
+    sampled in the box [-half_width, half_width]^n."""
 
     chart: VarSet
     excluded: tuple = ()
+    half_width: float = 2.0
 
     def sample(self, rng: random.Random) -> dict[str, float]:
-        """A point of the box [-2, 2]^n at least 0.05 off every excluded set."""
+        """A point of the box at least 0.05 off every excluded set."""
+        h = self.half_width
         for _ in range(200):
-            pt = {n: rng.uniform(-2.0, 2.0) for n in self.chart.names}
+            pt = {n: rng.uniform(-h, h) for n in self.chart.names}
             ok = True
             for p in self.excluded:
                 try:
@@ -557,4 +562,4 @@ class Domain:
                     break
             if ok:
                 return pt
-        raise EmptyDomain("200 points drawn in [-2, 2]^n all fell on or near the excluded sets")
+        raise EmptyDomain(f"200 points drawn in [-{h:g}, {h:g}]^n all fell on or near the excluded sets")

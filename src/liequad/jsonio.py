@@ -100,13 +100,11 @@ def dump_scalar(s) -> dict:
     if isinstance(s, RationalFunction):
         return {"kind": "rational", "text": s.to_text()}
     if isinstance(s, LogExtendedScalar):
-        import sympy as sp
-
         return {
             "kind": "log-extended",
             "rational": s.rational_part.to_text(),
             "logs": [
-                {"coeff": str(c), "arg": sp.sstr(a.as_expr())} for c, a in s.log_terms
+                {"coeff": str(c), "arg": RationalFunction(s.chart, a).to_text()} for c, a in s.log_terms
             ],
         }
     raise SchemaError(f"unknown scalar type {type(s).__name__}")

@@ -295,32 +295,9 @@ def is_solvable(sc: StructureConstants) -> bool:
 # ----------------------------------------------------------------------
 # basis change
 
-@dataclass(frozen=True)
-class BasisChange:
-    """Change matrix P with f_j = P^i_j e_i: old-basis vectors expressed in
-    the new basis.  Forms transform as omega^i = P^i_j omega~^j."""
-
-    P: tuple[Vector, ...]
-
-    @property
-    def n(self):
-        return len(self.P)
-
-    def matrix(self) -> Matrix:
-        return [list(row) for row in self.P]
-
-    def inverse_matrix(self) -> Matrix:
-        return mat_inverse(self.matrix())
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-
-def change_basis(sc: StructureConstants, change: BasisChange) -> StructureConstants:
+def change_basis(sc: StructureConstants, P: Matrix) -> StructureConstants:
     """Constants in the new basis e given constants in the old basis f,
     where f_j = P^i_j e_i: e_i is column i of P^-1 in the old basis."""
-    P = change.matrix()
     return _constants_in_basis(sc, list(zip(*mat_inverse(P))), P)
 
 
@@ -343,9 +320,9 @@ def _constants_in_basis(sc: StructureConstants, basis: Sequence[Vector], P: Matr
     return StructureConstants(n, tuple(tuple(tuple(r) for r in pl) for pl in out))
 
 
-def transform_forms(change: BasisChange, omegas: Sequence) -> list:
+def transform_forms(P: Matrix, omegas: Sequence) -> list:
     """omega^i = P^i_j omega~^j for any objects supporting + and number *."""
-    return mat_vec(change.P, omegas)
+    return mat_vec(P, omegas)
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +377,10 @@ class AdaptedChain:
                               f"[e_{u+1}, e_{v+1}] has e_{i+1} component {c}")
 
 
-def adapted_chain(sc: StructureConstants) -> tuple[BasisChange, AdaptedChain]:
-    """Basis adapted to the derived series, refined to a full flag.
+def adapted_chain(sc: StructureConstants) -> tuple[Matrix, AdaptedChain]:
+    """Basis adapted to the derived series, refined to a full flag, and its
+    change matrix P: f_j = P^i_j e_i expresses the old basis vectors in the
+    adapted basis e, and forms transform as omega^i = P^i_j omega~^j.
 
     Deterministic: complements are taken in echelon order of the input
     basis.  Raises NotSolvable when the derived series does not reach zero.
@@ -423,10 +402,9 @@ def adapted_chain(sc: StructureConstants) -> tuple[BasisChange, AdaptedChain]:
         raise NotSolvable("flag construction failed to reach full dimension")
     # the columns are the adapted vectors in input coordinates
     P = mat_inverse(list(zip(*flag)))
-    change = BasisChange(tuple(tuple(row) for row in P))
     chain = AdaptedChain(_constants_in_basis(sc, flag, P))
     chain.verify_ideals()
-    return change, chain
+    return P, chain
 
 
 def chain_from_adapted(sc: StructureConstants) -> AdaptedChain:

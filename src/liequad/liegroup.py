@@ -26,6 +26,7 @@ from .errors import ResidualNonzero
 from .exppoly import ExpPoly, ZERO_TOL
 from .forms import (
     DiffForm,
+    Domain,
     PointMap,
     VectorField,
     bracket_residuals,
@@ -250,13 +251,11 @@ def verify_group(
     report.add("left invariance dL_a X_i = X_i o L_a", worst_left <= tol, "numeric", worst_left)
 
     # pullback mu^* tau = omega, symbolic when the composition stays in class
-    names = law.mu.source.names
     errors, used, detail = pullback_check(
-        law.mu, group.tau, law.omega, mode, samples, rng,
-        lambda r: {nm: r.uniform(-1.2, 1.2) for nm in names},
+        law.mu, group.tau, law.omega, mode, samples, rng, Domain(law.mu.source, half_width=1.2)
     )
     if errors is None:
-        report.add("mu^* tau^i = omega^i", False, "symbolic", None, detail)
+        report.add("mu^* tau^i = omega^i", False, used, None, detail)
     else:
         worst_pb = max(errors)
         report.add("mu^* tau^i = omega^i", worst_pb <= tol, used, worst_pb)

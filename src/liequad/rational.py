@@ -163,11 +163,6 @@ class RationalFunction:
     # ------------------------------------------------------------------
     # structure
 
-    @property
-    def expr(self) -> sp.Expr:
-        """The value as a sympy expression, built on each access."""
-        return self.frac.as_expr()
-
     def _check_chart(self, other):
         if self.chart != other.chart:
             raise MismatchedVarSet(f"{self.chart.names} vs {other.chart.names}")
@@ -248,6 +243,11 @@ class RationalFunction:
 
     def is_constant(self) -> bool:
         return self.frac.numer.is_ground and self.frac.denom.is_ground
+
+    def poles(self) -> tuple:
+        """The sets a numeric check avoids: the zeros of a non-constant denominator."""
+        den = self.frac.denom
+        return () if den.is_ground else (RationalFunction(self.chart, den),)
 
     def occurring(self) -> list[int]:
         """Positions of the variables in the numerator or denominator: the
@@ -430,9 +430,8 @@ class LogExtendedScalar:
     __slots__ = ("chart", "rational_part", "log_terms")
 
     def __init__(self, chart: VarSet, rational_part: RationalFunction, log_terms):
-        """Log arguments are polynomials of the chart ring, polynomial
-        RationalFunctions or field elements, or sympy expressions, which
-        are converted once."""
+        """Log arguments are polynomial RationalFunctions or polynomials of
+        the chart field's ring."""
         if rational_part.chart != chart:
             raise MismatchedVarSet("rational part chart mismatch")
         merged: dict = {}
@@ -537,8 +536,9 @@ class LogExtendedScalar:
 
     def to_text(self) -> str:
         parts = [self.rational_part.to_text()]
-        for c, a in sorted(self.log_terms, key=lambda t: sp.srepr(t[1].as_expr())):
-            parts.append(f"{c}*log({_poly_text(a)})")
+        # by argument text, which is the RationalFunction text of the argument
+        for text, c in sorted((_poly_text(a), c) for c, a in self.log_terms):
+            parts.append(f"{c}*log({text})")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -604,21 +604,15 @@ def _log_factor(E, f: LogExtendedScalar) -> list[list[RationalFunction]]:
 
 
 def _log_argument(arg, chart: VarSet) -> PolyElement:
-    """A log argument as a polynomial of the chart field's ring."""
-    K = chart_field(chart)
+    """A log argument, a polynomial RationalFunction or a polynomial of the
+    chart field's ring, as a polynomial of that ring."""
     if isinstance(arg, RationalFunction):
         if arg.chart != chart:
             raise MismatchedVarSet("log argument chart mismatch")
-        arg = arg.frac
-    elif isinstance(arg, sp.Expr):
-        arg = K.from_expr(arg)
-    if isinstance(arg, FracElement):
-        if arg.field != K:
-            raise MismatchedVarSet("log argument chart mismatch")
-        if not arg.denom.is_ground:
-            raise ValueError(f"log argument {arg} is not a polynomial")
-        return arg.numer
-    if isinstance(arg, PolyElement) and arg.ring == K.ring:
+        if not arg.frac.denom.is_ground:
+            raise ValueError(f"log argument {arg.to_text()} is not a polynomial")
+        return arg.frac.numer
+    if isinstance(arg, PolyElement) and arg.ring == chart_field(chart).ring:
         return arg
     raise TypeError(f"cannot use {arg!r} as a log argument over {chart.names}")
 

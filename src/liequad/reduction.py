@@ -34,6 +34,7 @@ from .errors import LiequadError, NotClosed, ResidualNonzero
 from .exppoly import ZERO_TOL
 from .forms import (
     DiffForm,
+    Domain,
     PointMap,
     differential,
     full_basepoint,
@@ -197,11 +198,11 @@ def verify_rho(
     samples: int = 100,
     seed: int = 0,
     tol: float = 1e-8,
-    domain=None,
     mode: str = "auto",
 ) -> Report:
     """Check rho^* tau^i = omega^i, symbolically when the composition stays
-    in class, otherwise numerically on random tangent vectors.
+    in class, otherwise numerically on random tangent vectors at points of
+    [-1.5, 1.5]^n off the poles of rho's components and of the forms.
 
     tau is the un-reduction of the coordinates of rho's target chart, in
     the class of rho's components, so the check composes within one class.
@@ -213,19 +214,13 @@ def verify_rho(
     rho = rho_map(trace)
     scls = type(rho.components[0])
     taus = unreduce(trace.chain, [scls.coordinate(rho.target, nm) for nm in rho.target.names])
-    names = trace.chart.names
-
-    def sample_point(rng):
-        if domain is not None:
-            return domain.sample(rng)
-        return {nm: rng.uniform(-1.5, 1.5) for nm in names}
-
-    errors, used, detail = pullback_check(
-        rho, taus, omegas, mode, samples, random.Random(seed), sample_point
-    )
+    coeffs = [*rho.components, *(c for omega in omegas for c in omega.coeffs.values())]
+    poles = tuple(dict.fromkeys(p for c in coeffs for p in c.poles()))
+    domain = Domain(rho.source, poles, half_width=1.5)
+    errors, used, detail = pullback_check(rho, taus, omegas, mode, samples, random.Random(seed), domain)
     report = Report()
     if errors is None:
-        report.add("rho^* tau^i = omega^i", False, "symbolic", None, detail)
+        report.add("rho^* tau^i = omega^i", False, used, None, detail)
         return report
     for i, w in enumerate(errors):
         report.add(f"rho^* tau^{i + 1} = omega^{i + 1}", w <= tol, used, w)

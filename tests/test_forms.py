@@ -350,12 +350,10 @@ def test_pullback_across_classes_falls_back_to_numeric():
     with pytest.raises(ClassMismatch):
         pullback(phi, taus[0])
 
-    def sample_point(rng):
-        return {nm: rng.uniform(-1, 1) for nm in W.names}
-
-    errors, used, _ = pullback_check(phi, taus, omegas, "auto", 20, random.Random(3), sample_point)
+    box = Domain(W, half_width=1.0)
+    errors, used, _ = pullback_check(phi, taus, omegas, "auto", 20, random.Random(3), box)
     assert used == "numeric" and max(errors) < 1e-12
-    errors, used, detail = pullback_check(phi, taus, omegas, "symbolic", 20, random.Random(3), sample_point)
+    errors, used, detail = pullback_check(phi, taus, omegas, "symbolic", 20, random.Random(3), box)
     assert errors is None and used == "symbolic" and "cannot compose" in detail
 
 

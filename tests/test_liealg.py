@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from liequad import (
-    BasisChange,
     NotSolvable,
     StructureConstants,
     adapted_chain,
@@ -62,8 +61,8 @@ def test_solvability():
 
 
 def test_adapted_chain_five_dim_is_identity_with_golden_ad():
-    change, chain = adapted_chain(five_dim_two_parameter(F(1), F(2)))
-    assert change.matrix() == mat_identity(5)
+    P, chain = adapted_chain(five_dim_two_parameter(F(1), F(2)))
+    assert P == mat_identity(5)
     assert chain.ad_matrix(0) == [
         [F(-1), F(0), F(0), F(0), F(0)],
         [F(0), F(0), F(-1), F(0), F(0)],
@@ -82,8 +81,8 @@ def test_adapted_chain_five_dim_is_identity_with_golden_ad():
 
 
 def test_adapted_chain_abelian():
-    change, chain = adapted_chain(StructureConstants.abelian(4))
-    assert change.matrix() == mat_identity(4)
+    P, chain = adapted_chain(StructureConstants.abelian(4))
+    assert P == mat_identity(4)
     for s in range(4):
         assert all(x == 0 for row in chain.ad_matrix(s) for x in row)
 
@@ -92,7 +91,7 @@ def test_adapted_chain_reordered_heisenberg():
     # input basis (f1, f2, f3) = (e3, e1, e2) with [e2, e3] = e1:
     # [f3, f1] = f2 is the only bracket
     sc = StructureConstants.from_brackets(3, {(3, 1): {2: 1}})
-    change, chain = adapted_chain(sc)
+    _, chain = adapted_chain(sc)
     chain.verify_ideals()
     C = chain.base.C
     nonzero = [
@@ -129,12 +128,12 @@ def test_restricted_ad_has_zero_last_row():
 
 def test_change_basis_identity():
     sc = heisenberg()
-    assert change_basis(sc, BasisChange.identity(3)).C == sc.C
+    assert change_basis(sc, mat_identity(3)).C == sc.C
 
 
 def test_change_basis_rescaling_follows_tensor_law():
     sc = heisenberg()
-    P = BasisChange(((F(1, 2), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))))
+    P = [[F(1, 2), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
     out = change_basis(sc, P)
     # f1 = e1/2, so [e2, e3] = f1 = e1/2
     assert out.C[0][1][2] == F(1, 2)
@@ -144,8 +143,8 @@ def _random_invertible(rng, n):
     while True:
         M = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
         try:
-            BasisChange(tuple(tuple(r) for r in M)).inverse_matrix()
-            return BasisChange(tuple(tuple(r) for r in M))
+            mat_inverse(M)
+            return M
         except Exception:
             continue
 
@@ -157,14 +156,12 @@ def test_change_basis_preserves_jacobi_and_roundtrips():
         P = _random_invertible(rng, 5)
         out = change_basis(sc, P)
         assert validate(out).ok
-        Pinv = BasisChange(tuple(tuple(row) for row in P.inverse_matrix()))
-        assert change_basis(out, Pinv).C == sc.C
+        assert change_basis(out, mat_inverse(P)).C == sc.C
 
 
-def _tensor_law(sc, change):
+def _tensor_law(sc, P):
     """C~^k_ij = P^k_c C^c_ab (P^-1)^a_i (P^-1)^b_j, index by index."""
     n = sc.dim
-    P = change.matrix()
     Pinv = mat_inverse(P)
     out = [[[F(0) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for c in range(n):
@@ -183,9 +180,9 @@ def _baseline_draw(n, seed):
     """The invertible P of `random_basis(sc, seed)` for an n-dim sc."""
     rng = random.Random(seed)
     while True:
-        P = BasisChange(tuple(tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)))
+        P = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         try:
-            P.inverse_matrix()
+            mat_inverse(P)
             return P
         except Exception:
             continue
@@ -290,13 +287,13 @@ def test_sparse_exact_layer_equals_the_dense_loops(monkeypatch, make, seed):
     from oracles import dense_bracket, dense_constants_in_basis
 
     sc = random_basis(make(), seed)
-    change, chain = adapted_chain(sc)
-    got = repr(sc.C), repr(change.P), repr(chain.base.C)
+    P, chain = adapted_chain(sc)
+    got = repr(sc.C), repr(P), repr(chain.base.C)
     monkeypatch.setattr(StructureConstants, "bracket", dense_bracket)
     monkeypatch.setattr(liealg, "_constants_in_basis", dense_constants_in_basis)
     dense_sc = random_basis(make(), seed)
-    dense_change, dense_chain = adapted_chain(dense_sc)
-    assert got == (repr(dense_sc.C), repr(dense_change.P), repr(dense_chain.base.C))
+    dense_P, dense_chain = adapted_chain(dense_sc)
+    assert got == (repr(dense_sc.C), repr(dense_P), repr(dense_chain.base.C))
 
 
 @pytest.mark.parametrize("make, seed", _SPARSE_CASES)
@@ -350,7 +347,7 @@ def test_chain_ideal_membership_exact():
 def test_singular_basis_change_rejected():
     from liequad import SingularMatrix
 
-    P = BasisChange(((F(1), F(1)), (F(2), F(2))))
+    P = [[F(1), F(1)], [F(2), F(2)]]
     with pytest.raises(SingularMatrix):
         change_basis(StructureConstants.abelian(2), P)
 

@@ -56,7 +56,7 @@ def test_transversality_determinant_on_ode_example(
     P, _ = transversality(ode_theta, ode_symmetry_fields)
     # independent determinant via sympy on the raw pairing matrix
     M = sp.Matrix(
-        [[P[i][j].expr for j in range(3)] for i in range(3)]
+        [[P[i][j].frac.as_expr() for j in range(3)] for i in range(3)]
     )
     det_direct = sp.cancel(M.det())
     assert det_direct != 0

@@ -17,7 +17,6 @@ import pytest
 from click.testing import CliRunner
 
 from liequad import (
-    BasisChange,
     ResidualNonzero,
     SingularMatrix,
     StructureConstants,
@@ -51,7 +50,7 @@ def random_basis(sc: StructureConstants, seed: int) -> StructureConstants:
             mat_inverse(P)
         except SingularMatrix:
             continue
-        return change_basis(sc, BasisChange(tuple(map(tuple, P))))
+        return change_basis(sc, P)
 
 
 def _level0_failure(reason: str):
