@@ -50,12 +50,17 @@ same keys, term order and coefficient bits as the general formula:
 - A product with a one-term constant operand c is the other operand
   scaled by c.  The double loop would add zero vectors to each key and
   multiply each coefficient by c, and float `*` commutes.
-- A `substitute` whose bindings are all bare coordinates of the target,
-  in consecutive increasing positions, is a renaming: each key's K is
-  shifted and its a and b are copied to the new positions.  An
-  order-preserving renaming keeps canonical keys canonical, the first
-  nonzero b entry included, so nothing is re-canonicalized; the general
-  formula would multiply every coefficient by exp(0) = cos(0) = 1.
+- A `substitute` whose bindings are all signed bare coordinates of the
+  target, x_i -> +-y_j, in consecutive increasing positions j, is a
+  renaming: each key's K is shifted and its a and b are copied to the new
+  positions, negated where the binding is -y_j.  The general formula
+  would multiply each coefficient by exp(0) = cos(0) = 1 and by the
+  binding's power (-1)^k_i, and rewrite a trig term over b' = canonical
+  (+-b), which moves cos(-u) = cos u and sin(-u) = -sin u into the
+  coefficient.  So the renaming negates a coefficient when the exponents
+  of the negated variables have an odd sum, and a sin coefficient once
+  more when its b flips.  Without a negated binding b keeps its first
+  nonzero entry positive, and the coefficients are copied.
 - Negation and that renaming build their result with `_stored`, which
   skips the ZERO_TOL cut too: every coefficient keeps the magnitude of a
   stored one, which exceeds ZERO_TOL and is never NaN, and each maps keys
@@ -67,9 +72,9 @@ same keys, term order and coefficient bits as the general formula:
 
 Substitution.  `substitute` takes its bindings as a mapping or as a
 `Substitution` prepared once for many polynomials over one chart (a
-`forms.PointMap` keeps one): it holds the renaming positions, and it
-memoizes the affine part of each binding, what each rate pair becomes and
-each power of a binding.
+`forms.PointMap` keeps one): it holds the renaming positions and signs,
+and it memoizes the affine part of each binding, what each rate pair
+becomes and each power of a binding.
 The general formula adds its pieces into one accumulator that cuts only
 the keys a piece touches, which is the cut of the running sum.
 
@@ -194,8 +199,9 @@ class _Layout:
         self.difs = _Memo(lambda r1: _Memo(functools.partial(self._dif, r1)))
         # support[r]: the positions where a or b is nonzero
         self.support = _Memo(self._support)
-        # renamed[(nt, positions)][r]: the id over nt variables of the rates
-        # of r moved to increasing positions
+        # renamed[(nt, positions, negated)][r]: (id, flipped) over nt
+        # variables of the rates of r moved to increasing positions, negated
+        # at the source variables `negated`; flipped when canonical b did
         self.renamed = _Memo(self._renaming)
 
     def rate(self, a: tuple[float, ...], b: tuple[float, ...]) -> int:
@@ -241,16 +247,20 @@ class _Layout:
         a, b = self.rates[r]
         return frozenset(i for i in range(self.n) if a[i] != 0.0 or b[i] != 0.0)
 
-    def _renaming(self, spec: tuple[int, tuple[int, ...]]) -> _Memo:
-        nt, positions = spec
+    def _renaming(self, spec: tuple[int, tuple[int, ...], tuple[int, ...]]) -> _Memo:
+        nt, positions, negated = spec
         target = _layout(nt)
 
-        def moved(r: int) -> int:
+        def moved(r: int) -> tuple[int, bool]:
             a, b = self.rates[r]
             a2, b2 = [0.0] * nt, [0.0] * nt
             for i, j in enumerate(positions):
                 a2[j], b2[j] = a[i], b[i]
-            return target.rate(tuple(a2), tuple(b2))
+            for i in negated:
+                j = positions[i]
+                a2[j], b2[j] = -a2[j] + 0.0, -b2[j] + 0.0
+            b2, sign = _canonical_b(tuple(b2))
+            return target.rate(tuple(a2), b2), sign < 0
 
         return _Memo(moved)
 
@@ -840,23 +850,33 @@ class ExpPoly:
                     del acc[key]
         return ExpPoly._stored(target, tl, acc)
 
-    def _coordinate_position(self) -> int | None:
-        """j when the polynomial is the bare coordinate x_j, else None."""
+    def _signed_coordinate(self) -> tuple[int, float] | None:
+        """(j, c) when the polynomial is c x_j with c = 1 or -1, else None."""
         if len(self._t) != 1:
             return None
         (((K, r, kind), c),) = self._t.items()
-        if c != 1.0 or r or kind != KIND_ONE:
+        j = _position(K)
+        if abs(c) != 1.0 or r or kind != KIND_ONE or j is None:
             return None
-        return _position(K)
+        return j, c
 
     def _renamed(self, plan: "Substitution") -> "ExpPoly":
         """Variable i moved to target position plan.renaming[i], the
-        positions consecutive and increasing, so the keys stay canonical
-        and the packed exponents shift (module docstring)."""
-        positions = plan.renaming
-        moved = self._lay.renamed[(len(plan.target), positions)]
+        positions consecutive and increasing, and negated where the binding
+        is -y: the packed exponents shift, and the signs follow the
+        module docstring."""
+        positions, negated = plan.renaming, plan.negated
+        moved = self._lay.renamed[(len(plan.target), positions, negated)]
         shift = _BITS * positions[0]
-        terms = {(K << shift, moved[r], t): c for (K, r, t), c in self._t.items()}
+        # the lowest bit of each negated variable's exponent field: the
+        # parity of its exponent
+        odd = sum(1 << (_BITS * i) for i in negated)
+        terms = {}
+        for (K, r, t), c in self._t.items():
+            r2, flipped = moved[r]
+            if ((K & odd).bit_count() + (flipped and t == KIND_SIN)) & 1:
+                c = -c
+            terms[(K << shift, r2, t)] = c
         return ExpPoly._stored(plan.target, plan.layout, terms)
 
     @classmethod
@@ -940,12 +960,12 @@ class ExpPoly:
 class Substitution:
     """The bindings x_i -> bindings[x_i] of `ExpPoly.substitute`, prepared
     once for the polynomials over `source`: the binding of every source
-    variable, the renaming positions when each is a bare target coordinate
-    in consecutive increasing positions, and, on first use, the affine
-    part of a binding, the image of each rate pair and each power of a
-    binding, all kept for the life of the plan: over the entries of a factor
-    in `exp_matrix`, and over every composition with mu (a `PointMap` keeps
-    mu's plan)."""
+    variable, the renaming positions and the negated variables when each
+    is a signed bare target coordinate +-y_j in consecutive increasing
+    positions, and, on first use, the affine part of a binding, the image
+    of each rate pair and each power of a binding, all kept for the life
+    of the plan: over the entries of a factor in `exp_matrix`, and over
+    every composition with mu (a `PointMap` keeps mu's plan)."""
 
     def __init__(self, source: VarSet, bindings: Mapping[str, ExpPoly]):
         target = next(iter(bindings.values())).chart if bindings else source
@@ -967,10 +987,11 @@ class Substitution:
         self.target = target
         self.layout = _layout(len(target))
         self.full = full
-        positions = [p._coordinate_position() for p in full]
-        start = positions[0] if positions else None
-        consecutive = start is not None and positions == list(range(start, start + len(positions)))
+        signed = [p._signed_coordinate() for p in full]
+        positions = [j for j, _ in signed] if all(signed) else []
+        consecutive = bool(positions) and positions == list(range(positions[0], positions[0] + len(positions)))
         self.renaming = tuple(positions) if consecutive else None
+        self.negated = tuple(i for i, (_, c) in enumerate(signed) if c < 0) if consecutive else ()
         # affine[i]: (const, {j: lin_j}) of the binding of x_i
         self.affine = _Memo(self._affine)
         # rate_images[r]: what a source rate pair becomes in the target

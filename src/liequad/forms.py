@@ -372,9 +372,6 @@ class PointMap:
         J[:, rows, cols] = values
         return J
 
-    def jacobian_at(self, point: Mapping[str, float]) -> np.ndarray:
-        return self.jacobian_batch([[point[n] for n in self.source.names]])[0]
-
     @classmethod
     def identity(cls, chart: VarSet, scls=ExpPoly):
         return cls(chart, chart, [scls.coordinate(chart, n) for n in chart.names])

@@ -72,23 +72,6 @@ def load_algebra(doc: dict) -> StructureConstants:
         raise SchemaError(str(exc)) from exc
 
 
-def dump_algebra(sc: StructureConstants, params: dict | None = None) -> dict:
-    brackets = []
-    for j in range(sc.dim):
-        for k in range(j + 1, sc.dim):
-            coeffs = {}
-            for i in range(sc.dim):
-                c = sc.C[i][j][k]
-                if c != 0:
-                    coeffs[str(i + 1)] = str(c)
-            if coeffs:
-                brackets.append({"i": j + 1, "j": k + 1, "coeffs": coeffs})
-    doc = {"dim": sc.dim, "brackets": brackets}
-    if params:
-        doc["params"] = {k: str(v) for k, v in params.items()}
-    return doc
-
-
 # ----------------------------------------------------------------------
 # scalars
 

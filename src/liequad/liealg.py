@@ -8,6 +8,10 @@ The constants are read sparsely (`pairs`, `targets`); a chain builds each
 e^{t ad} once (`ad_exp`).  `lin_comb`, the products `mat_mul` and `mat_vec`
 (a scalar matrix times scalars or forms), and the Gauss-Jordan elimination
 behind `rref` and `mat_inverse` also serve the form and group layers.
+There is one matrix product, `_sparse_product`, on rows that keep only
+their nonzero entries: `mat_mul` wraps it for dense matrices, and
+`factor_product`, the identity times many factors (`liegroup`'s frame and
+Ad(x)), keeps its sparse rows from one factor to the next.
 """
 
 from __future__ import annotations
@@ -69,26 +73,59 @@ def mat_vec(M: Sequence[Sequence], items: Sequence) -> list:
 
 
 def mat_mul(M: Sequence[Sequence], E: Sequence[Sequence]) -> list[list]:
-    """M E for matrices of numbers or scalars.  Each entry sums
-    M[i][j] * E[j][k] over the j where both are nonzero, in row order with
-    the M entry as the left operand, as `lin_comb` does; an entry with no
-    such j is one shared zero, E[0][0] * 0.  An empty matrix gives []."""
+    """M E for matrices of numbers or scalars, by `_sparse_product`; an entry
+    with no nonzero term is one shared zero, E[0][0] * 0.  An empty matrix
+    gives []."""
     if not M or not E:
         return []
-    columns = [[(j, e) for j, e in enumerate(col) if not _is_zero(e)] for col in zip(*E)]
-    zero = E[0][0] * 0
+    return _dense_rows(_sparse_product(_sparse_rows(M), _sparse_rows(E)), len(E[0]), E[0][0] * 0)
+
+
+def factor_product(n: int, factors: Iterable, one, zero) -> list[list]:
+    """The n x n identity (`one` on the diagonal, `zero` elsewhere)
+    right-multiplied by each factor in turn, skipping a None; a k x k factor
+    acts on the leading k columns.  The running product stays in sparse
+    rows from one factor to the next."""
+    rows = [[(i, one)] for i in range(n)]
+    for E in factors:
+        if E is not None:
+            k = len(E)
+            head = _sparse_product([[(j, x) for j, x in row if j < k] for row in rows], _sparse_rows(E))
+            rows = [new + [(j, x) for j, x in row if j >= k] for new, row in zip(head, rows)]
+    return _dense_rows(rows, n, zero)
+
+
+def _sparse_rows(M: Sequence[Sequence]) -> list[list[tuple]]:
+    """Each row of M as its nonzero entries (j, M[i][j]), in column order."""
+    return [[(j, x) for j, x in enumerate(row) if not _is_zero(x)] for row in M]
+
+
+def _dense_rows(rows: Sequence[Sequence[tuple]], width: int, zero) -> list[list]:
+    """The matrix of sparse rows, `zero` where a row has no entry."""
     out = []
-    for row in M:
-        nonzero = {j: x for j, x in enumerate(row) if not _is_zero(x)}
-        new_row = []
-        for col in columns:
-            acc = None
-            for j, e in col:
-                x = nonzero.get(j)
-                if x is not None:
-                    acc = x * e if acc is None else acc + x * e
-            new_row.append(zero if acc is None else acc)
-        out.append(new_row)
+    for row in rows:
+        dense = [zero] * width
+        for j, x in row:
+            dense[j] = x
+        out.append(dense)
+    return out
+
+
+def _sparse_product(rows: Sequence[Sequence[tuple]], E: Sequence[Sequence[tuple]]) -> list[list[tuple]]:
+    """The sparse rows of M E from those of M and E (`_sparse_rows`): the one
+    matrix product.  Each row of M scatters its entries over the rows of E
+    (Gustavson 1978), so entry (i, k) sums M[i][j] * E[j][k] over the j
+    where both are nonzero, in ascending j with the M entry as the left
+    operand, as `lin_comb` does; a sum that is zero is left out."""
+    out = []
+    for row in rows:
+        acc: dict = {}
+        get = acc.get
+        for j, x in row:
+            for k, e in E[j]:
+                y = get(k)
+                acc[k] = x * e if y is None else y + x * e
+        out.append(sorted((k, y) for k, y in acc.items() if not _is_zero(y)))
     return out
 
 

@@ -5,19 +5,24 @@ builds the left-invariant coframe and frame, the adjoint representation as
 a product of exponentials, and the global multiplication map.  The coframe
 is the un-reduction of the coordinates (`reduction.unreduce` of x^1..x^n):
 the forms whose reduction yields the coordinates, so rho = id.  The frame
-fields are the columns of the product (`liealg.mat_mul`) of the forward
-factors e^{x ad_s}.  For the multiplication map the product-group forms
-are reduced to exact differentials whose functions, normalized at the
-origin, are the components of the group law.  A second, independent
-derivation of the multiplication map (through forms that pull back along
+fields are the columns of the product of the forward factors e^{x ad_s},
+and Ad(x) is the product of the factors e^{x^j ad e_j}; each product keeps
+its running value in sparse rows (`liealg.factor_product`).  For the
+multiplication map the product-group forms are reduced to exact
+differentials whose functions, normalized at the origin, are the
+components of the group law.  A second, independent derivation of the
+multiplication map (through forms that pull back along
 (x, y) -> y * x^{-1}) serves as a cross-check oracle; its map at y = 0 is
-the inverse x^{-1}, again in closed form.
+the inverse x^{-1}, again in closed form.  Both derivations start from
+the coframe pulled back along the projections of G x G, which a group
+builds once (`SolvGroup.pullbacks`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +40,7 @@ from .forms import (
     pullback_check,
     structure_residual,
 )
-from .liealg import AdaptedChain, mat_mul, mat_vec
+from .liealg import AdaptedChain, factor_product, mat_mul, mat_vec
 from .matexp import identity_residual, matrix_batch
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
 from .report import Report
@@ -52,6 +57,14 @@ class SolvGroup:
     @property
     def n(self) -> int:
         return self.chain.n
+
+    @cached_property
+    def pullbacks(self) -> tuple[PointMap, PointMap, list[DiffForm], list[DiffForm]]:
+        """pi_1, pi_2: G x G -> G and the coframe pulled back along each,
+        built once per group: the product-group forms and the preadjoint
+        forms both read them."""
+        p1, p2 = _projections(self.n)
+        return p1, p2, [pullback(p1, t) for t in self.tau], [pullback(p2, t) for t in self.tau]
 
 
 @dataclass
@@ -80,19 +93,6 @@ def _coordinates(chart: VarSet) -> list[ExpPoly]:
     return [ExpPoly.coordinate(chart, nm) for nm in chart.names]
 
 
-def _factor_product(chart: VarSet, n: int, factors):
-    """The n x n identity over chart right-multiplied by each factor e^{fA}
-    in turn, skipping a None (A = 0); a k x k factor acts on the leading k
-    columns."""
-    zero = ExpPoly.zero(chart)
-    M = [[ExpPoly.one(chart) if i == j else zero for j in range(n)] for i in range(n)]
-    for E in factors:
-        if E is not None:
-            k = len(E)
-            M = [new + row[k:] for new, row in zip(mat_mul([row[:k] for row in M], E), M)]
-    return M
-
-
 def coframe(chain: AdaptedChain) -> list[DiffForm]:
     """Left-invariant coframe over the coordinate chart: the un-reduction
     of the coordinates, the forms whose reduction yields x^1..x^n."""
@@ -108,7 +108,7 @@ def frame(chain: AdaptedChain) -> list[VectorField]:
     x = _coordinates(chart)
     factors = (_factor_matrix(chain.ad_exp(s), x[n - s - 1]) for s in range(n - 1, -1, -1))
     # the frame matrix, whose columns are the fields
-    F = _factor_product(chart, n, factors)
+    F = factor_product(n, factors, ExpPoly.one(chart), ExpPoly.zero(chart))
     return [VectorField(chart, col, ExpPoly) for col in zip(*F)]
 
 
@@ -128,7 +128,7 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
     x = _coordinates(chart)
     order = range(n - 1, -1, -1) if inverse else range(n)
     factors = (_factor_matrix(chain.full_ad_exp(j), -x[j] if inverse else x[j]) for j in order)
-    return _factor_product(chart, n, factors)
+    return factor_product(n, factors, ExpPoly.one(chart), ExpPoly.zero(chart))
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +146,7 @@ def product_group_forms(chain: AdaptedChain):
     """The group and the forms Ad(y^{-1}) pi_1^* tau + pi_2^* tau on G x G
     whose reduction yields the multiplication map."""
     group = build_group(chain)
-    p1, p2 = _projections(chain.n)
-    pi1 = [pullback(p1, t) for t in group.tau]
-    pi2 = [pullback(p2, t) for t in group.tau]
+    p1, p2, pi1, pi2 = group.pullbacks
     ad_y_inv = [[compose(e, p2) for e in row] for row in ad_rep(chain, inverse=True)]
     omegas = [t + w for t, w in zip(pi2, mat_vec(ad_y_inv, pi1))]
     return group, p1.source, omegas
@@ -269,8 +267,8 @@ def preadjoint_forms(law: GroupLaw):
     The product of exponentials is the law's `ad`, Ad(x) over the group
     chart, composed with the projection pi_1 onto the first copy.
     """
-    p1, p2 = _projections(law.group.n)
-    theta = [pullback(p2, t) - pullback(p1, t) for t in law.group.tau]
+    p1, _, pi1, pi2 = law.group.pullbacks
+    theta = [b - a for a, b in zip(pi1, pi2)]
     return p1.source, mat_vec([[compose(e, p1) for e in row] for row in law.ad], theta)
 
 

@@ -2,14 +2,18 @@
 
 The spectrum is decided exactly, once per matrix: the characteristic
 polynomial of the integer matrix dA (d the lcm of A's denominators) over
-Z, split square-free by Yun's algorithm for exact multiplicities.  By
+Z.  Its factor x^m gives the eigenvalue 0 with multiplicity m; what is
+left is split square-free by Yun's algorithm for exact multiplicities.  By
 Gauss's lemma, rounded numeric roots give the only candidate factors,
 integer roots and monic integer quadratics, each confirmed by exact
 division; only roots of a leftover factor of degree >= 3 stay numeric.
-A nilpotent A gets the exact series sum t^k A^k / k!; any other spectrum
-feeds Putzer's recursion (complex pairs become cos/sin terms, repeated
-eigenvalues factors t^k).  A scalar f gives e^{fA} by `f.exp_matrix(E)`, so
-e^{-fA} is the same E composed with -f, and no matrix is built for -A.
+A nilpotent A gets the series sum t^k A^k / k!, each float coefficient
+the integer division (dA)^k[a][b] / (d^k k!), correctly rounded as the
+float of the exact Fraction is; the exact series is built on its first
+read (`ExpMatrix.series`).  Any other spectrum feeds Putzer's recursion
+(complex pairs become cos/sin terms, repeated eigenvalues factors t^k).
+A scalar f gives e^{fA} by `f.exp_matrix(E)`, so e^{-fA} is the same E
+composed with -f, and no matrix is built for -A.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -165,13 +170,16 @@ def matrix_batch(M, points) -> np.ndarray:
 
 @dataclass
 class ExpMatrix:
-    """Symbolic e^{t A} with exponential-polynomial entries in one variable.
-    `series` holds the exact A^k / k! (k = 0, 1, ...) when A is nilpotent."""
+    """Symbolic e^{t A} with exponential-polynomial entries in one variable,
+    for A = dA / d with dA an integer matrix.  `powers` holds the powers
+    (dA)^k (k = 0, 1, ...) when A is nilpotent, from which `series` reads
+    the exact A^k / k!."""
 
     var: str
-    source: tuple[tuple[Fraction, ...], ...]
+    dA: tuple[tuple[int, ...], ...]
+    d: int
     entries: list[list[ExpPoly]]
-    series: list | None = None
+    powers: list | None = None
 
     @property
     def n(self) -> int:
@@ -181,6 +189,15 @@ class ExpMatrix:
     def chart(self) -> VarSet:
         return self.entries[0][0].chart
 
+    @cached_property
+    def series(self) -> list | None:
+        """The exact A^k / k! (k = 0, 1, ...) when A is nilpotent, else None;
+        built on the first read (only the rational class reads it)."""
+        if self.powers is None:
+            return None
+        return [[[Fraction(x, self.d ** k * math.factorial(k)) if x else 0 for x in row] for row in P]
+                for k, P in enumerate(self.powers)]
+
     def at(self, t: float) -> np.ndarray:
         return matrix_batch(self.entries, [[t]])[0]
 
@@ -188,42 +205,50 @@ class ExpMatrix:
 def sym_exp(A: Sequence[Sequence[object]], var: str = "t") -> ExpMatrix:
     """Closed-form e^{t A} over the exactly decided spectrum (module docstring).
 
-    Memoized on the exact matrix and the variable: callers share the
-    result and must not modify its entries.  Entries that are Fractions
-    already enter the cache key as they are.
+    Memoized on the integer matrix dA, d and the variable, so a lookup
+    hashes ints, not Fractions: callers share the result and must not
+    modify its entries.
     """
-    Af = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in A)
+    Af = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in A]
     if any(len(row) != len(Af) for row in Af):
         raise ValueError("matrix must be square")
-    return _exp(Af, var)
+    d = math.lcm(*(x.denominator for row in Af for x in row))
+    B = tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in Af)
+    return _exp(B, d, var)
 
 
 @functools.lru_cache(maxsize=256)
-def _exp(Af: tuple, var: str) -> ExpMatrix:
-    n = len(Af)
+def _exp(B: tuple, d: int, var: str) -> ExpMatrix:
+    n = len(B)
     chart = VarSet.of(var)
-    d = math.lcm(*(x.denominator for row in Af for x in row))
-    B = [[x.numerator * (d // x.denominator) for x in row] for row in Af]
     p, powers = _charpoly(B)
     if not any(p[:n]):
-        series = [[[Fraction(x, d ** k * math.factorial(k)) if x else 0 for x in row] for row in P]
-                  for k, P in enumerate(powers)]
+        scales = [d ** k * math.factorial(k) for k in range(len(powers))]
         # an entry that is zero in every power is one shared zero
         support = {(a, b) for P in powers for a, row in enumerate(P) for b, x in enumerate(row) if x}
         zero = ExpPoly.zero(chart)
-        entries = [[ExpPoly.polynomial_in(chart, var, [float(S[a][b]) for S in series])
+        entries = [[ExpPoly.polynomial_in(chart, var, [P[a][b] / q for P, q in zip(powers, scales)])
                     if (a, b) in support else zero for b in range(n)] for a in range(n)]
-        return ExpMatrix(var, Af, entries, series)
+        return ExpMatrix(var, B, d, entries, powers)
     lams = [z for z, mult in _spectrum(p, d) for _ in range(mult)]
-    return ExpMatrix(var, Af, _putzer(Af, lams, chart))
+    return ExpMatrix(var, B, d, _putzer(_rational(B, d), lams, chart))
+
+
+def _rational(B: tuple, d: int) -> tuple:
+    """The matrix B / d, exact."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in B)
 
 
 def _spectrum(p: list[int], d: int) -> list[tuple[complex, int]]:
     """The eigenvalues of A with multiplicities, from the characteristic
     polynomial p of dA, sorted by modulus: an order negation keeps up to
-    ties, so Putzer's recursion for -A rounds as e^{tA} at -t does."""
+    ties, so Putzer's recursion for -A rounds as e^{tA} at -t does.  The
+    factor x^m of p is the eigenvalue 0 of multiplicity m, and Yun's split
+    runs on the rest."""
+    m = next(i for i, c in enumerate(p) if c)
+    zero = [(0j, m)] if m else []
     return sorted(
-        ((z, mult) for f, mult in _square_free([Fraction(c) for c in p]) for z in _factor_roots(f, d)),
+        zero + [(z, mult) for f, mult in _square_free([Fraction(c) for c in p[m:]]) for z in _factor_roots(f, d)],
         key=lambda c: (abs(c[0]), c[0].real, c[0].imag),
     )
 

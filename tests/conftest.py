@@ -22,6 +22,15 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def exppoly_bits(p):
+    """An exponential polynomial's terms in order, every float as its exact
+    hex form."""
+    return p.chart, [
+        (k, tuple(map(float.hex, a)), tuple(map(float.hex, b)), kind, c.hex())
+        for (k, a, b, kind), c in p.terms.items()
+    ]
+
+
 # ----------------------------------------------------------------------
 # third-order ODE example
 

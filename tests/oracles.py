@@ -16,7 +16,7 @@ import numpy as np
 
 from liequad import DiffForm, ExpPoly, NotSolvable, StructureConstants
 from liequad.liealg import ValidationReport, mat_mul
-from liequad.matexp import ExpMatrix, identity_residual, matrix_batch
+from liequad.matexp import ExpMatrix, _rational, identity_residual, matrix_batch
 from liequad.report import Report
 
 
@@ -48,7 +48,7 @@ def line_integral(
 
 def derivative_residual(E: ExpMatrix) -> float:
     """Max coefficient of d/dt E - A E; zero for a correct exponential."""
-    S = mat_mul(E.source, E.entries)
+    S = mat_mul(_rational(E.dA, E.d), E.entries)
     worst = 0.0
     for a in range(E.n):
         for b in range(E.n):
@@ -71,7 +71,8 @@ def exp_identities_check(E: ExpMatrix, samples: int = 20, seed: int = 0) -> Repo
     worst = identity_residual(mat_mul(E.entries, minus_t.exp_matrix(E)))
     report.add("E(t)E(-t) = I", worst <= EXP_CHECK_TOL, "symbolic", worst)
 
-    tr = float(sum(E.source[i][i] for i in range(n)))
+    A = _rational(E.dA, E.d)
+    tr = float(sum(A[i][i] for i in range(n)))
     # t, s of each sample, drawn in that order
     draws = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(samples)]
     E_t = matrix_batch(E.entries, [t for t, _ in draws])

@@ -26,6 +26,18 @@ def _run(args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def _dump_algebra(sc: StructureConstants) -> dict:
+    """The algebra document of sc: each nonzero bracket [e_i, e_j], i < j,
+    with its coefficients as exact text."""
+    brackets = []
+    for j in range(sc.dim):
+        for k in range(j + 1, sc.dim):
+            coeffs = {str(i + 1): str(sc.C[i][j][k]) for i in range(sc.dim) if sc.C[i][j][k] != 0}
+            if coeffs:
+                brackets.append({"i": j + 1, "j": k + 1, "coeffs": coeffs})
+    return {"dim": sc.dim, "brackets": brackets}
+
+
 def test_validate_abelian(tmp_path):
     out = tmp_path / "report.json"
     res = _run(["validate", fixture_path("algebra_abelian3.json"), "-o", str(out)])
@@ -90,7 +102,7 @@ def test_multiply_tol_zero_reaches_the_oracle(tmp_path):
     n = 16
     sc = StructureConstants.from_brackets(n, {(n, k): {k - 1: Fraction(1)} for k in range(2, n)})
     algebra = tmp_path / "filiform16.json"
-    jsonio.write_json(str(algebra), jsonio.dump_algebra(sc))
+    jsonio.write_json(str(algebra), _dump_algebra(sc))
     res = _run(["multiply", str(algebra), "--tol-zero", "1e-6", "-o", str(tmp_path / "grouplaw.json")])
     line = next(ln for ln in res.output.splitlines() if "d theta~^i" in ln)
     assert line.startswith("[pass]"), res.output
@@ -251,7 +263,7 @@ def test_reduce_exact_filiform16_forms(tmp_path):
     U = coordinate_chart(n, "u")
     forms = unreduce(chain, [RationalFunction.coordinate(U, nm) for nm in U.names])
     algebra, forms_file, out = tmp_path / "algebra.json", tmp_path / "forms.json", tmp_path / "trace.json"
-    jsonio.write_json(str(algebra), jsonio.dump_algebra(sc))
+    jsonio.write_json(str(algebra), _dump_algebra(sc))
     jsonio.write_json(str(forms_file), jsonio.dump_forms_file(U, forms))
     res = _run(["reduce", str(algebra), str(forms_file), "-o", str(out)])
     assert res.exit_code == 0, res.output
@@ -384,7 +396,7 @@ def test_scalar_round_trip_log_extended():
 def test_algebra_round_trip():
     doc = jsonio.read_json(fixture_path("algebra_fiveparam_a1_b2.json"))
     sc = jsonio.load_algebra(doc)
-    doc2 = jsonio.dump_algebra(sc)
+    doc2 = _dump_algebra(sc)
     sc2 = jsonio.load_algebra(doc2)
     assert sc2.C == sc.C
 
@@ -406,7 +418,7 @@ def test_reduce_from_non_adapted_presentation(tmp_path):
     disguised = transform_forms(mat_inverse(P), group.tau)
     algebra_path = tmp_path / "algebra.json"
     forms_path = tmp_path / "forms.json"
-    algebra_path.write_text(json.dumps(jsonio.dump_algebra(sc)))
+    algebra_path.write_text(json.dumps(_dump_algebra(sc)))
     forms_doc = jsonio.dump_forms_file(group.chart, disguised)
     forms_path.write_text(json.dumps(forms_doc))
     out = tmp_path / "trace.json"
@@ -1174,6 +1186,13 @@ def test_pipeline_modules_never_test_the_scalar_class():
     for stem in ("forms", "matexp", "reduction", "liegroup", "cli"):
         lines = _scalar_class_tests((package / f"{stem}.py").read_text())
         assert not lines, f"{stem}.py tests the scalar class or imports rational at lines {lines}"
+
+
+def test_one_matrix_product():
+    """`liealg._sparse_product` is the one matrix product: `mat_mul` wraps
+    it, and `factor_product`, behind the frame and Ad(x), keeps its sparse
+    rows from one factor to the next."""
+    assert _uses("_sparse_product") == {("liealg", "mat_mul"), ("liealg", "factor_product")}
 
 
 def test_no_numeric_eigenvalues_outside_the_root_step():

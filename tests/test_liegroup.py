@@ -360,7 +360,7 @@ def test_each_chain_exponential_is_built_once(monkeypatch, make):
 
     lookups = []
     exp = matexp._exp
-    monkeypatch.setattr(matexp, "_exp", lambda Af, var: lookups.append(Af) or exp(Af, var))
+    monkeypatch.setattr(matexp, "_exp", lambda B, d, var: lookups.append(B) or exp(B, d, var))
     _, chain = adapted_chain(make())
     law = multiplication(chain)
     report = verify_group(law, samples=5)
@@ -505,7 +505,7 @@ def _per_sample_errors(law, samples, seed):
         worst["ident"] = max(worst["ident"], np.abs(law.multiply(zero, a) - a).max(),
                              np.abs(law.multiply(a, zero) - a).max())
         worst["ad"] = max(worst["ad"], rel(ad(a) @ ad(b), ad(ab)))
-        J = law.mu.jacobian_at(dict(zip(law.mu.source.names, np.concatenate([a, b]))))[:, n:]
+        J = law.mu.jacobian_batch([np.concatenate([a, b])])[0][:, n:]
         worst["left"] = max(worst["left"], rel(J @ frame(b), frame(ab)))
     return worst
 

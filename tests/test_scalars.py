@@ -27,7 +27,7 @@ from liequad import (
     jsonio,
 )
 from liequad.exppoly import KIND_COS, KIND_ONE, KIND_SIN, MAX_EXPONENT, _canon_trig
-from conftest import fixture_path
+from conftest import exppoly_bits as _bits, fixture_path
 
 
 V = VarSet.of("x", "y", "t")
@@ -483,28 +483,23 @@ def test_sin_cos_products_with_equal_rates_are_canonical():
 # properties: the shortcuts equal the general formulas they skip, with
 # the same keys, in the same order, and bit-equal coefficients
 
-def _bits(p):
-    """Terms in order, every float as its exact hex form."""
-    return p.chart, [
-        (k, tuple(map(float.hex, a)), tuple(map(float.hex, b)), kind, c.hex())
-        for (k, a, b, kind), c in p.terms.items()
-    ]
-
-
-def _general_renaming(p, target, positions):
-    """The term-by-term substitution formula for x_i -> y_positions[i]:
-    the rates re-indexed, the phase and exponential constant 0, then the
-    monomial multiplied in one variable at a time."""
+def _general_renaming(p, target, positions, signs=None):
+    """The term-by-term substitution formula for x_i -> signs[i] *
+    y_positions[i] (signs +-1.0, all 1.0 by default): the rates re-indexed
+    and scaled by the signs, the phase and exponential constant 0, then
+    the monomial multiplied in one variable at a time, each power of the
+    binding with the coefficient signs[i]^k."""
     nt = len(target)
+    signs = signs or [1.0] * len(positions)
     zk, zr = (0,) * nt, (0.0,) * nt
     result = ExpPoly.zero(target)
     for (k, a, b, kind), c in p.terms.items():
         a_new, b_new = [0.0] * nt, [0.0] * nt
         for i, j in enumerate(positions):
             if a[i] != 0.0:
-                a_new[j] += a[i] * 1.0
+                a_new[j] += a[i] * signs[i]
             if b[i] != 0.0:
-                b_new[j] += b[i] * 1.0
+                b_new[j] += b[i] * signs[i]
         rates = (zk, tuple(a_new), tuple(b_new))
         if kind == KIND_ONE:
             terms = {(zk, tuple(a_new), zr, KIND_ONE): c * 1.0}
@@ -517,7 +512,7 @@ def _general_renaming(p, target, positions):
             if ki:
                 power = [0] * nt
                 power[positions[i]] = ki
-                piece = piece * ExpPoly(target, {(tuple(power), zr, zr, KIND_ONE): 1.0})
+                piece = piece * ExpPoly(target, {(tuple(power), zr, zr, KIND_ONE): signs[i] ** ki})
         result = result + piece
     return result
 
@@ -554,6 +549,37 @@ def _renamings(draw, charts=CHARTS, polys=None, extra=3):
 def test_renaming_substitute_equals_the_general_formula(case):
     p, target, positions, bindings = case
     assert _bits(p.substitute(bindings)) == _bits(_general_renaming(p, target, positions))
+
+
+@st.composite
+def _signed_renamings(draw, charts=CHARTS, polys=None, extra=3):
+    """A renaming case with some bound names bound to -y instead of y."""
+    p, target, positions, bindings = draw(_renamings(charts, polys, extra))
+    negated = draw(st.lists(st.sampled_from(sorted(bindings)), unique=True))
+    signs = [-1.0 if name in negated else 1.0 for name in p.chart.names]
+    return p, target, positions, {name: -y if name in negated else y for name, y in bindings.items()}, signs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_signed_renamings())
+def test_signed_renaming_substitute_equals_the_general_formula(case):
+    """Bindings x_i -> -y_j in consecutive positions take the signed
+    renaming, other orders the general path; both equal the formula."""
+    p, target, positions, bindings, signs = case
+    assert _bits(p.substitute(bindings)) == _bits(_general_renaming(p, target, positions, signs))
+
+
+def test_signed_renaming_flips_sin_and_odd_powers():
+    W = VarSet.of("u", "v")
+    D = VarSet.of("x1", "x2", "y1", "y2")
+    p = ExpPoly.term(W, -1.5, powers={"u": 1, "v": 2}, exp_rates={"u": -0.5},
+                     trig_rates={"u": 1.0, "v": -2.0}, kind=KIND_SIN)
+    y1, y2 = ExpPoly.coordinate(D, "y1"), ExpPoly.coordinate(D, "y2")
+    q = p.substitute({"u": -y1, "v": y2})
+    # -1.5 (-y1) y2^2 exp(0.5 y1) sin(-y1 - 2 y2) = -1.5 y1 y2^2 exp(0.5 y1) sin(y1 + 2 y2)
+    assert q == ExpPoly.term(D, -1.5, powers={"y1": 1, "y2": 2}, exp_rates={"y1": 0.5},
+                             trig_rates={"y1": 1.0, "y2": 2.0}, kind=KIND_SIN)
+    assert _bits(q) == _bits(_general_renaming(p, D, [2, 3], [-1.0, 1.0]))
 
 
 def test_renaming_keeps_trig_signs_and_negative_rates():
@@ -929,6 +955,13 @@ def test_wide_chart_diff_and_antideriv_equal_the_tuple_formulas(p, name):
 def test_wide_chart_renaming_equals_the_general_formula(case):
     p, target, positions, bindings = case
     assert _bits(p.substitute(bindings)) == _bits(_general_renaming(p, target, positions))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_signed_renamings(charts=[WIDE], polys=_sparse_exppolys, extra=32))
+def test_wide_chart_signed_renaming_equals_the_general_formula(case):
+    p, target, positions, bindings, signs = case
+    assert _bits(p.substitute(bindings)) == _bits(_general_renaming(p, target, positions, signs))
 
 
 def test_the_formulas_cover_cancelling_trig_rates_on_the_wide_chart():
