@@ -28,7 +28,7 @@ from .liegroup import (
 )
 from .pfaffian import first_integrals
 from .reduction import reduce_full, verify_rho
-from .report import Report
+from .report import TOL_ZERO, Report
 from .varset import VarSet
 
 
@@ -36,7 +36,7 @@ from .varset import VarSet
 class RunConfig:
     """The settings of one run; its defaults are the option defaults."""
 
-    tol_zero: float = 1e-10
+    tol_zero: float = TOL_ZERO
     tol_sample: float = 1e-8
     samples: int = 100
     seed: int = 0
@@ -44,9 +44,9 @@ class RunConfig:
     mode: str = "auto"
 
     def __post_init__(self):
-        # written as "not > 0" so that NaN, which fails every comparison, is rejected too
-        if not (self.tol_zero > 0 and self.tol_sample > 0):
-            raise SchemaError("tolerances must be positive")
+        # NaN fails every comparison; below 1, a nonzero exact residual (size 1.0) fails
+        if not (0 < self.tol_zero < 1 and 0 < self.tol_sample < 1):
+            raise SchemaError("tolerances must be numbers in (0, 1)")
         if self.samples < 1:
             raise SchemaError("sample count must be >= 1")
 
@@ -156,7 +156,7 @@ def cmd_coframe(cfg, algebra):
     _, chain = adapted_chain(sc)
     group = build_group(chain)
     report = group_invariants_report(group, samples=cfg.samples, seed=cfg.seed,
-                                     tol_symbolic=cfg.tol_zero)
+                                     tol_zero=cfg.tol_zero)
     doc = jsonio.dump_forms_file(group.chart, group.tau)
     doc["frame"] = [
         [c.to_text() for c in X.components] for X in group.frame

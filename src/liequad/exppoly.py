@@ -7,8 +7,8 @@ An :class:`ExpPoly` is a finite sum of terms
 with float coefficient c, nonnegative integer exponents k and real rate
 vectors a, b.  Products of trigonometric factors are rewritten to sums
 (product-to-sum identities), so the class is a genuine commutative ring
-with a unique canonical form and decidable zero testing up to the
-coefficient tolerance.
+with a unique canonical form, in which zero is the polynomial with no
+term.
 
 Rates are plain floats and are only ever copied or added, never
 recomputed from scratch, so structurally equal keys compare exactly.
@@ -16,15 +16,16 @@ recomputed from scratch, so structurally equal keys compare exactly.
 Canonical keys.  A term (k, a, b, kind) has its -0.0 rate entries
 normalized to 0.0; a "one" term has b = 0; a trig term has b != 0 with its
 first nonzero entry positive (cos(-u) = cos u, sin(-u) = -sin u move the
-sign into the coefficient).  Every stored coefficient exceeds ZERO_TOL.
-The cut keeps no NaN: a NaN coefficient (an overflow that cancels, inf -
-inf) raises NonFiniteCoefficient instead of passing as zero.  `__init__`,
-`term`, `parse` and `substitute` establish this from arbitrary input.
-The ring operations build their results from terms that are canonical
-already: sums, negation, scaling and `diff`/`antideriv` keep b and only
-swap cos and sin on a nonzero b, and `__mul__` canonicalizes each new trig
-part.  They go through `_canonical`, which applies only the ZERO_TOL cut
-(`_cut`).
+sign into the coefficient).  One keep rule, `_kept`, applied by the cut
+`_cut`, stores a coefficient when its magnitude exceeds ZERO_TOL, so
+`is_zero()` is "holds no term".  A NaN coefficient (an overflow that
+cancels, inf - inf) raises NonFiniteCoefficient instead of passing as
+zero.  `__init__`, `term`, `parse` and `substitute` establish this from
+arbitrary input.  The ring operations build their results from terms that
+are canonical already: sums, negation, scaling and `diff`/`antideriv`
+keep b and only swap cos and sin on a nonzero b, and `__mul__`
+canonicalizes each new trig part.  They go through `_canonical`, which
+applies only the cut.
 
 Packed keys.  A polynomial stores the term (k, a, b, kind) under the key
 (K, r, kind), private to this module.  K packs the exponents into one
@@ -75,8 +76,9 @@ Substitution.  `substitute` takes its bindings as a mapping or as a
 `forms.PointMap` keeps one): it holds the renaming positions and signs,
 and it memoizes the affine part of each binding, what each rate pair
 becomes and each power of a binding.
-The general formula adds its pieces into one accumulator that cuts only
-the keys a piece touches, which is the cut of the running sum.
+The general formula adds its pieces into one running sum and cuts it
+after each piece, on the keys the piece touches: a dropped key is popped,
+and a later piece starts it again from 0.0.
 
 Text.  `to_text` writes the terms in key order; `parse` reads text with
 the one exact parser, `exacttext.evaluate_text`, evaluating it in the
@@ -127,7 +129,7 @@ from .errors import (
 from .exacttext import evaluate_text
 from .varset import VarSet
 
-# Coefficients at or below this magnitude are treated as zero.
+# The ring's truncation (`_kept`); a residual bound is `report.TOL_ZERO`.
 ZERO_TOL = 1e-10
 
 KIND_ONE = 0
@@ -296,19 +298,19 @@ def _exponent_bits(store) -> int:
     return functools.reduce(or_, map(itemgetter(0), store), 0)
 
 
-_above_tol = ZERO_TOL.__lt__
+# the keep rule, on |c|; NaN fails it too
+_kept = ZERO_TOL.__lt__
 
 
 def _cut(acc: dict) -> dict:
-    """The terms above ZERO_TOL, acc itself when that is all of them.  A
-    NaN fails that test too, so the coefficients the cut removes are
-    checked for one."""
-    if all(map(_above_tol, map(abs, acc.values()))):
+    """The terms of acc that the keep rule stores, acc itself when that is
+    all of them.  A NaN coefficient raises NonFiniteCoefficient instead of
+    passing as zero."""
+    if all(map(_kept, map(abs, acc.values()))):
         return acc
-    terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
     if any(map(math.isnan, acc.values())):
         raise NonFiniteCoefficient("an exponential-polynomial coefficient is NaN")
-    return terms
+    return {k: c for k, c in acc.items() if _kept(abs(c))}
 
 
 def by_parts(c, k: int, z) -> list:
@@ -623,11 +625,9 @@ class ExpPoly:
     # ------------------------------------------------------------------
     # predicates
 
-    def is_zero(self, tol: float = ZERO_TOL) -> bool:
-        if tol <= ZERO_TOL:
-            # every stored coefficient exceeds ZERO_TOL
-            return not self._t
-        return all(abs(c) <= tol for c in self._t.values())
+    def is_zero(self) -> bool:
+        """Holds no term."""
+        return not self._t
 
     def max_abs_coeff(self) -> float:
         return max(map(abs, self._t.values()), default=0.0)
@@ -692,7 +692,7 @@ class ExpPoly:
         return hash((self.chart, frozenset(self._t.items())))
 
     def isclose(self, other: "ExpPoly", tol: float = ZERO_TOL) -> bool:
-        return (self - other).is_zero(tol)
+        return (self - other).max_abs_coeff() <= tol
 
     # ------------------------------------------------------------------
     # calculus
@@ -839,15 +839,12 @@ class ExpPoly:
                 for i, ki in enumerate(unpack(K)):
                     if ki:
                         p = p * plan.powers[(i, ki)]
-            # result + p, cutting only the keys p touches
-            for key, v in p._t.items():
-                total = get(key, 0.0) + v
-                if abs(total) > ZERO_TOL:
-                    acc[key] = total
-                elif math.isnan(total):
-                    raise NonFiniteCoefficient("an exponential-polynomial coefficient is NaN")
-                else:
-                    del acc[key]
+            # result + p, the running sum cut on the keys p touches
+            sums = {key: get(key, 0.0) + v for key, v in p._t.items()}
+            kept = _cut(sums)
+            for key in sums.keys() - kept.keys():
+                acc.pop(key, None)
+            acc.update(kept)
         return ExpPoly._stored(target, tl, acc)
 
     def _signed_coordinate(self) -> tuple[int, float] | None:

@@ -39,8 +39,9 @@ from .errors import (
     NotClosed,
     PoleAtPoint,
 )
-from .exppoly import ExpPoly, ZERO_TOL
+from .exppoly import ExpPoly
 from .liealg import lin_comb
+from .report import TOL_ZERO
 from .varset import VarSet
 
 Index = tuple[int, ...]
@@ -151,14 +152,11 @@ class DiffForm:
 
     __rmul__ = __mul__
 
-    def is_zero(self, tol: float = ZERO_TOL) -> bool:
-        return all(c.is_zero(tol) for c in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return not self.coeffs  # construction drops the zero coefficients
 
     def max_abs_coeff(self) -> float:
         return max((c.max_abs_coeff() for c in self.coeffs.values()), default=0.0)
-
-    def isclose(self, other: "DiffForm", tol: float = ZERO_TOL) -> bool:
-        return (self - other).is_zero(tol)
 
     # ------------------------------------------------------------------
     def wedge(self, other: "DiffForm") -> "DiffForm":
@@ -266,8 +264,8 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def is_zero(self, tol: float = ZERO_TOL) -> bool:
-        return all(c.is_zero(tol) for c in self.components)
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.components)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         return self.scls.family(self.chart, self.components).evaluate([[point[n] for n in self.chart.names]])[0]
@@ -494,7 +492,7 @@ def full_basepoint(chart: VarSet, basepoint: Mapping[str, object] | None = None)
 def potential(
     omega: DiffForm,
     basepoint: Mapping[str, object] | None = None,
-    tol: float = ZERO_TOL,
+    tol: float = TOL_ZERO,
 ):
     """Scalar f with df = omega for a closed 1-form, by peeling the chart
     variables in order.  The antiderivative's value at the basepoint
@@ -520,12 +518,12 @@ def potential(
             remaining = remaining - differential(g)
     except NonElementaryInClass as exc:
         # an out-of-class antiderivative may come from a form that is not closed
-        if not omega.exterior_d().is_zero(tol):
+        if not omega.exterior_d().max_abs_coeff() <= tol:
             raise NotClosed("d(omega) is nonzero; the form is not closed") from exc
         raise
     if total is None:
         total = scls.zero(chart)
-    if not remaining.is_zero(tol):
+    if not remaining.max_abs_coeff() <= tol:
         raise NotClosed(
             "variable peeling left a nonzero residual; the form is not exact "
             "over this chart"

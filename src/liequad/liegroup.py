@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResidualNonzero
-from .exppoly import ExpPoly, ZERO_TOL
+from .exppoly import ExpPoly
 from .forms import (
     DiffForm,
     Domain,
@@ -43,7 +43,7 @@ from .forms import (
 from .liealg import AdaptedChain, factor_product, mat_mul, mat_vec
 from .matexp import identity_residual, matrix_batch
 from .reduction import _factor_matrix, reduce_full, rho_map, unreduce
-from .report import Report
+from .report import TOL_ZERO, Report
 from .varset import VarSet, coordinate_chart, doubled_chart
 
 
@@ -152,7 +152,7 @@ def product_group_forms(chain: AdaptedChain):
     return group, p1.source, omegas
 
 
-def multiplication(chain: AdaptedChain, tol: float = ZERO_TOL) -> GroupLaw:
+def multiplication(chain: AdaptedChain, tol: float = TOL_ZERO) -> GroupLaw:
     """Group law with identity at the origin, by n quadratures on G x G."""
     group, D, omegas = product_group_forms(chain)
     trace = reduce_full(omegas, chain, basepoint=None, tol=tol)
@@ -183,7 +183,7 @@ def group_invariants_report(
     group: SolvGroup,
     samples: int = 50,
     seed: int = 0,
-    tol_symbolic: float = ZERO_TOL,
+    tol_zero: float = TOL_ZERO,
 ) -> Report:
     """Structure equations of the coframe, duality pairing and bracket
     relations of the frame (symbolic), and pointwise independence
@@ -193,15 +193,15 @@ def group_invariants_report(
     n = group.n
     res = structure_residual(group.tau, sc)
     worst = max((r.max_abs_coeff() for r in res), default=0.0)
-    report.add("d tau^i + 1/2 C^i_jk tau^j ^ tau^k = 0", worst <= tol_symbolic, "symbolic", worst)
+    report.add("d tau^i + 1/2 C^i_jk tau^j ^ tau^k = 0", worst <= tol_zero, "symbolic", worst)
 
     tau = [[t.coefficient((k,)) for k in range(n)] for t in group.tau]
     worst_pair = identity_residual(mat_mul(tau, list(zip(*(X.components for X in group.frame)))))
-    report.add("<tau^i, X_j> = delta^i_j", worst_pair <= tol_symbolic, "symbolic", worst_pair)
+    report.add("<tau^i, X_j> = delta^i_j", worst_pair <= tol_zero, "symbolic", worst_pair)
 
     worst_br = max((c.max_abs_coeff() for r in bracket_residuals(group.frame, sc) for c in r.components),
                    default=0.0)
-    report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= tol_symbolic, "symbolic", worst_br)
+    report.add("[X_i, X_j] = C^k_ij X_k", worst_br <= tol_zero, "symbolic", worst_br)
 
     points = _box(random.Random(seed), 1.5, samples, n)
     dets = np.abs(np.linalg.det(matrix_batch(tau, points)))
@@ -279,7 +279,7 @@ def preadjoint_oracle(
     seed: int = 0,
     tol: float = 1e-8,
     *,
-    tol_zero: float = ZERO_TOL,
+    tol_zero: float = TOL_ZERO,
 ) -> Report:
     """Independent derivation of the multiplication map.
 

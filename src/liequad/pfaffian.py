@@ -18,12 +18,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateTransversality, NotSolvable, SingularMatrix
-from .exppoly import ZERO_TOL
 from .forms import DiffForm, Domain, VectorField, bracket_residuals, differential, pairing
 from .liealg import StructureConstants, adapted_chain, is_solvable, lin_comb, mat_inverse, mat_mul, mat_vec, transform_forms
 from .matexp import matrix_batch
 from .reduction import reduce_full
-from .report import Report
+from .report import TOL_ZERO, Report
 
 if TYPE_CHECKING:
     from .rational import RationalFunction
@@ -115,9 +114,9 @@ def first_integrals(
     fields = symmetry.fields
     omegas = normalize(theta, fields, sc)
     change, chain = adapted_chain(sc)
-    trace = reduce_full(transform_forms(change, omegas), chain, basepoint, tol=ZERO_TOL)
+    trace = reduce_full(transform_forms(change, omegas), chain, basepoint, tol=TOL_ZERO)
     residual = trace.residuals[0]
-    report.add("structure equations of omega = P^{-1} theta", residual <= ZERO_TOL, "exact", residual)
+    report.add("structure equations of omega = P^{-1} theta", residual <= TOL_ZERO, "exact", residual)
     functions = trace.functions
 
     chart = system.domain.chart

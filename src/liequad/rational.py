@@ -231,7 +231,7 @@ class RationalFunction:
     # ------------------------------------------------------------------
     # predicates
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self) -> bool:
         return not self.frac
 
     def is_one(self) -> bool:
@@ -505,7 +505,7 @@ class LogExtendedScalar:
 
     __rmul__ = __mul__
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self) -> bool:
         return self.rational_part.is_zero() and not self.log_terms
 
     def occurring(self) -> list[int]:

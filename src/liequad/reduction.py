@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import LiequadError, NotClosed, ResidualNonzero
-from .exppoly import ZERO_TOL
 from .forms import (
     DiffForm,
     Domain,
@@ -43,7 +42,7 @@ from .forms import (
     structure_residual,
 )
 from .liealg import AdaptedChain, mat_vec
-from .report import Report
+from .report import TOL_ZERO, Report
 from .varset import VarSet, coordinate_chart
 
 
@@ -99,7 +98,7 @@ def reduce_step(
     chain: AdaptedChain,
     s: int,
     basepoint: Mapping[str, object] | None = None,
-    tol: float = ZERO_TOL,
+    tol: float = TOL_ZERO,
 ) -> tuple[ReductionStep, list[DiffForm]]:
     """One reduction at ideal depth s: returns the step and the omega-hat list.
 
@@ -121,7 +120,7 @@ def reduce_full(
     chain: AdaptedChain,
     basepoint: Mapping[str, object] | None = None,
     stop_after: int | None = None,
-    tol: float = ZERO_TOL,
+    tol: float = TOL_ZERO,
 ) -> ReductionTrace:
     """Run the reduction to exact differentials (or stop after r steps).
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# The default bound on a measured residual, `max_abs_coeff() <= TOL_ZERO`;
+# `exppoly` keeps its own truncation constant.
+TOL_ZERO = 1e-10
+
 
 @dataclass
 class Check:

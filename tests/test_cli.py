@@ -376,7 +376,7 @@ def test_forms_round_trip():
     doc3 = jsonio.dump_forms_file(chart3, forms3)
     _, forms4 = jsonio.load_forms_file(doc3)
     for a, b in zip(forms3, forms4):
-        assert a.isclose(b, 1e-14)
+        assert (a - b).max_abs_coeff() <= 1e-14
 
 
 def test_scalar_round_trip_log_extended():
@@ -582,13 +582,27 @@ def test_nonpositive_tolerance_rejected():
     assert json.loads(res.stderr)["error"]["code"] == "schema-error"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1", "2"])
 @pytest.mark.parametrize("command, flag", [("coframe", "--tol-zero"), ("multiply", "--tol-zero"),
                                            ("multiply", "--tol-sample")])
-def test_nan_tolerance_rejected(command, flag):
-    """NaN passes a `tol <= 0` test; every check then compares against NaN
-    and fails, so the run reported false FAIL lines and exited 1."""
-    res = _run([command, fixture_path("algebra_abelian3.json"), flag, "nan"])
+def test_nan_tolerance_rejected(command, flag, value):
+    """A tolerance is a number in (0, 1).  NaN passes a `tol <= 0` test;
+    every check then compares against NaN and fails, so the run reported
+    false FAIL lines and exited 1.  At inf every bounded line passes, and
+    from 1 on a nonzero exact residual, whose size is 1.0, passes too."""
+    res = _run([command, fixture_path("algebra_abelian3.json"), flag, value])
     _assert_error_document(res, "schema-error")
+
+
+def test_tolerance_below_one_rejects_a_nonzero_exact_residual(tmp_path):
+    """dx, dy, dz fail the Heisenberg structure equations; their exact
+    residual has size 1.0, so any tolerance below 1 stops the run at level 0."""
+    forms = [{"degree": 1, "scalar_kind": "rational", "terms": [{"idx": [i], "coeff": "1"}]} for i in (1, 2, 3)]
+    (tmp_path / "forms.json").write_text(json.dumps({"chart": ["x", "y", "z"], "forms": forms}))
+    res = _run(["reduce", fixture_path("algebra_heisenberg.json"), str(tmp_path / "forms.json"),
+                "--tol-zero", "0.999"])
+    _assert_error_document(res, "residual-nonzero")
+    assert "level-0" in json.loads(res.stderr)["error"]["message"]
 
 
 OPTIONS = {
@@ -966,6 +980,45 @@ def test_only_the_rational_class_imports_sympy():
     assert importers == ["hermite.py", "rational.py"]
 
 
+def test_only_exppoly_names_its_truncation_constant():
+    """`exppoly.ZERO_TOL` is the ring's truncation; a residual bound
+    defaults to `report.TOL_ZERO`, so no other module reads the first."""
+    for bad in ("from .exppoly import ZERO_TOL", "from .exppoly import ExpPoly, ZERO_TOL as Z",
+                "tol = exppoly.ZERO_TOL",
+                "def closed(omega):\n    return omega.exterior_d().max_abs_coeff() <= ZERO_TOL"):
+        assert _uses("ZERO_TOL", {"bad": bad}), bad
+    assert not _uses("ZERO_TOL", {"good": "from .report import TOL_ZERO\n# ZERO_TOL\ntol = TOL_ZERO"})
+    assert {module for module, _ in _uses("ZERO_TOL")} == {"exppoly"}
+
+
+def _bounded_is_zero(source: str) -> list[int]:
+    """Lines of the `def is_zero` in source that take a parameter besides self."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "is_zero":
+            a = fn.args
+            if len(a.posonlyargs + a.args) > 1 or a.vararg or a.kwonlyargs or a.kwarg:
+                found.append(fn.lineno)
+    return found
+
+
+def test_is_zero_takes_no_tolerance():
+    """`is_zero()` means "holds no term"; a bound on a measured value is
+    `max_abs_coeff() <= tol`."""
+    import pathlib
+
+    for bad in ("class A:\n    def is_zero(self, tol=1e-10):\n        pass",
+                "def is_zero(self, tol: float | None = None):\n    pass",
+                "def is_zero(self, *, tol):\n    pass", "def is_zero(self, *args):\n    pass",
+                "def is_zero(self, **kw):\n    pass"):
+        assert _bounded_is_zero(bad) == [bad.count("\n")], bad
+    assert _bounded_is_zero("def is_zero(self):\n    return not self._t\ndef isclose(self, o, tol):\n    pass") == []
+    package = pathlib.Path(jsonio.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        lines = _bounded_is_zero(path.read_text())
+        assert not lines, f"{path.name} has an is_zero with a parameter at lines {lines}"
+
+
 def _lin_comb_per_row(source: str) -> list[int]:
     """Lines of list comprehensions that call lin_comb with coefficients
     drawn from the comprehension and items that do not depend on it: a
@@ -1114,20 +1167,23 @@ def test_document_and_flag_values_are_read_by_read_fraction():
         assert _fraction_calls((package / name).read_text()) == [], name
 
 
-def _uses(name: str) -> set:
-    """(module, top-level definition) of every use of a name or attribute in
-    the package."""
-    import ast
+def _uses(name: str, sources: dict | None = None) -> set:
+    """(module, top-level definition) of every use of a name, as a name, an
+    attribute or an import, in sources ({module: text}, the package's
+    modules by default)."""
     import pathlib
 
-    package = pathlib.Path(jsonio.__file__).parent
+    if sources is None:
+        package = pathlib.Path(jsonio.__file__).parent
+        sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     found = set()
-    for path in sorted(package.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
             for node in ast.walk(top):
                 if (isinstance(node, ast.Attribute) and node.attr == name) or (
-                        isinstance(node, ast.Name) and node.id == name):
-                    found.add((path.stem, getattr(top, "name", f"line {top.lineno}")))
+                        isinstance(node, ast.Name) and node.id == name) or (
+                        isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)):
+                    found.add((module, getattr(top, "name", f"line {top.lineno}")))
     return found
 
 

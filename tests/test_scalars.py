@@ -146,7 +146,7 @@ def test_antideriv_diff_roundtrip_200_random():
         p = _random_exppoly(rng)
         v = rng.choice(V.names)
         F = p.antideriv(v)
-        assert (F.diff(v) - p).is_zero(1e-10), f"case {i} failed"
+        assert (F.diff(v) - p).max_abs_coeff() <= 1e-10, f"case {i} failed"
 
 
 def test_canonical_idempotence():
@@ -244,6 +244,30 @@ def test_nan_from_a_ring_operation_is_a_typed_error():
     # a cut without a NaN still drops the cancelled term
     x1 = ExpPoly.coordinate(X3, "x1")
     assert (x1 + ExpPoly.one(X3) - x1) == ExpPoly.one(X3)
+
+
+def test_substitute_cuts_the_running_sum():
+    """`substitute` adds its pieces into one sum and cuts that sum after
+    each piece: 0.1 + 0.2 - 0.3 is 5.55e-17, below the cut, so the sum
+    restarts from 0.0 before 0.001 is added.  A cut of the final sum only
+    would keep the 5.55e-17 and give 0x1.0624dd2f1aafcp-10."""
+    X4 = VarSet.of("x1", "x2", "x3", "x4")
+    Y = VarSet.of("y")
+    x1, x2, x3, x4 = (ExpPoly.coordinate(X4, n) for n in X4.names)
+    y = ExpPoly.coordinate(Y, "y")
+    got = (x1 * 0.1 + x2 * 0.2 - x3 * 0.3 + x4 * 0.001).substitute({n: y for n in X4.names})
+    assert _bits(got) == _bits(y * float.fromhex("0x1.0624dd2f1a9fcp-10"))
+    assert (0.1 + 0.2 - 0.3 + 0.001).hex() == "0x1.0624dd2f1aafcp-10"
+
+
+def test_substitute_sum_of_opposite_infinities_is_a_typed_error():
+    """Two pieces +inf and -inf landing on one key make the running sum NaN,
+    which the cut must not pass as zero."""
+    x1, x2 = ExpPoly.coordinate(X3, "x1"), ExpPoly.coordinate(X3, "x2")
+    p = x1 * math.inf - x2 * math.inf
+    with pytest.raises(NonFiniteCoefficient) as info:
+        p.substitute({"x1": x2})
+    assert info.value.code == "non-finite-coefficient"
 
 
 def test_substitution_overflowing_an_exponential_is_a_typed_error():

@@ -101,7 +101,7 @@ def test_coframe_verdict(make):
     """The `coframe` path: the coframe and frame of the chain and their
     invariants, with the command's defaults."""
     _, chain = adapted_chain(make())
-    report = group_invariants_report(build_group(chain), samples=50, seed=0, tol_symbolic=1e-10)
+    report = group_invariants_report(build_group(chain), samples=50, seed=0, tol_zero=1e-10)
     failed = [c for c in report.checks if not c.passed]
     if "[X_i, X_j] = C^k_ij X_k" in [c.name for c in failed] and all(c.mode == "symbolic" for c in failed):
         raise BracketResidual([(c.name, c.error) for c in failed])
