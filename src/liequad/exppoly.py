@@ -747,19 +747,15 @@ class ExpPoly:
                 if kv == MAX_EXPONENT:
                     raise ExponentOverflow(f"an antiderivative has a monomial exponent above {MAX_EXPONENT}")
                 put((K + (1 << shift), r, kind), c / (kv + 1))
-            elif bv == 0.0:
-                # real rate: integrate v^kv e^{av v} by parts, closed form
-                for j, pj in enumerate(by_parts(c, kv, av)):
-                    if pj == 0.0:
-                        continue
-                    put((base + (j << shift), r, kind), pj)
             else:
-                # complexify the v-dependence: z = av + i bv
-                for j, pj in enumerate(by_parts(c, kv, complex(av, bv))):
-                    if pj == 0j:
+                # by parts at z = av, or complexified at z = av + i bv
+                for j, pj in enumerate(by_parts(c, kv, complex(av, bv) if bv else av)):
+                    if pj == 0:
                         continue
                     K2 = base + (j << shift)
-                    if kind == KIND_COS:
+                    if not bv:
+                        put((K2, r, kind), pj)
+                    elif kind == KIND_COS:
                         # Re[p e^{(a+ib).x}]
                         put((K2, r, KIND_COS), pj.real)
                         put((K2, r, KIND_SIN), -pj.imag)
@@ -887,7 +883,10 @@ class ExpPoly:
 
     def basepoint_value(self, point: Mapping[str, object]) -> float:
         """The value `forms.potential` subtracts at the basepoint; finite."""
-        value = self.evaluate(point)
+        try:
+            value = self.evaluate(point)
+        except OverflowError:
+            raise NonFiniteCoefficient("a basepoint coordinate is too large for a float") from None
         if not math.isfinite(value):
             raise NonFiniteCoefficient(f"the antiderivative is {value} at the basepoint {point}")
         return value
@@ -1021,30 +1020,29 @@ class Substitution:
         negated b'."""
         a, b = _layout(len(self.source)).rates[r]
         nt = len(self.target)
-        a_new = [0.0] * nt
-        exp_const = 0.0
-        for i, ai in enumerate(a):
-            if ai == 0.0:
-                continue
-            const, lin = self.affine[i]
-            exp_const += ai * const
-            for j, lj in lin.items():
-                a_new[j] += ai * lj
-        b_new = [0.0] * nt
-        phase = 0.0
-        for i, bi in enumerate(b):
-            if bi == 0.0:
-                continue
-            const, lin = self.affine[i]
-            phase += bi * const
-            for j, lj in lin.items():
-                b_new[j] += bi * lj
+        exp_const, a_new = _affine_image(a, self.affine, nt)
+        phase, b_new = _affine_image(b, self.affine, nt)
         a2 = tuple(v + 0.0 for v in a_new)
         b2, sign = _canonical_b(tuple(b_new))
         one = self.layout.rate(a2, (0.0,) * nt)
         trig = self.layout.rate(a2, b2) if sign else None
         flipped = sign < 0
         return exp_const, one, trig, flipped, math.cos(phase), math.sin(phase)
+
+
+def _affine_image(v, affine, nt: int) -> tuple[float, list[float]]:
+    """(c, v') with v.x = c + v'.y, when affine[i] = (const, {j: lin_j})
+    binds x_i to const + sum_j lin_j y_j over nt target coordinates."""
+    const = 0.0
+    out = [0.0] * nt
+    for i, vi in enumerate(v):
+        if vi == 0.0:
+            continue
+        ci, lin = affine[i]
+        const += vi * ci
+        for j, lj in lin.items():
+            out[j] += vi * lj
+    return const, out
 
 
 def _lin_text(chart: VarSet, rates: Iterable[float]) -> str:

@@ -337,10 +337,6 @@ class PointMap:
         in target chart order."""
         return self._family.evaluate(points)
 
-    def __call__(self, point: Mapping[str, float]) -> dict[str, float]:
-        values = self.evaluate_batch([[point[n] for n in self.source.names]])[0]
-        return dict(zip(self.target.names, values.tolist()))
-
     @cached_property
     def composition(self):
         """A scalar over the target composed with the map, as a callable
@@ -499,7 +495,7 @@ def potential(
     (missing coordinates are 0) is subtracted, so f vanishes there; with
     log terms only the rational part's value is.  A form that is not
     closed leaves a residual above ``tol`` after the peeling and raises
-    NotClosed; only an exactly zero coefficient is skipped.
+    NotClosed; a variable without a coefficient is skipped.
     """
     if omega.degree != 1:
         raise ValueError("potential needs a 1-form")
@@ -507,22 +503,20 @@ def potential(
     scls = omega.scls
 
     remaining = omega
-    total = None
+    total = scls.zero(chart)
     try:
         for vi, name in enumerate(chart.names):
             coeff = remaining.coeffs.get((vi,))
-            if coeff is None or coeff.is_zero():
+            if coeff is None:
                 continue
             g = coeff.antideriv(name)
-            total = g if total is None else total + g
+            total = total + g
             remaining = remaining - differential(g)
     except NonElementaryInClass as exc:
         # an out-of-class antiderivative may come from a form that is not closed
         if not omega.exterior_d().max_abs_coeff() <= tol:
             raise NotClosed("d(omega) is nonzero; the form is not closed") from exc
         raise
-    if total is None:
-        total = scls.zero(chart)
     if not remaining.max_abs_coeff() <= tol:
         raise NotClosed(
             "variable peeling left a nonzero residual; the form is not exact "

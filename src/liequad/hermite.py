@@ -115,10 +115,6 @@ def integrate_rational(rf: RationalFunction, name: str):
         lc = D.LC
         D = D.monic()
         rem = rem.quo_ground(lc)
-        g = rem.gcd(D)
-        if g.degree() > 0:
-            rem = rem.exquo(g)
-            D = D.exquo(g)
         _, sqf = D.sqf_list()
         pieces = _split_prime_powers(rem, sqf)
 

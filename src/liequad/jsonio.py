@@ -106,8 +106,12 @@ def _scalar_class(kind: str):
 
 
 def load_scalar(doc: dict, chart: VarSet):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a scalar must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind in ("exppoly", "rational"):
+        if "text" not in doc:
+            raise SchemaError(f"{kind} scalar needs a 'text'")
         return _scalar_class(kind).parse(chart, doc["text"])
     if kind == "log-extended":
         from .rational import LogExtendedScalar, RationalFunction
@@ -142,7 +146,7 @@ def load_form(doc: dict, chart: VarSet) -> DiffForm:
         scls = _scalar_class(doc["scalar_kind"])
         coeffs = {}
         for term in doc["terms"]:
-            idx = tuple(_integer(i, "idx") - 1 for i in term["idx"])
+            idx = tuple(_integer(i, "idx") - 1 for i in _list(term["idx"], "idx"))
             if not all(0 <= i < len(chart) for i in idx):
                 raise SchemaError(
                     f"form index {term['idx']} outside 1..{len(chart)} of the chart"

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NonFiniteCoefficient
 from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, by_parts
 from .varset import VarSet
 
@@ -207,14 +208,18 @@ def sym_exp(A: Sequence[Sequence[object]], var: str = "t") -> ExpMatrix:
 
     Memoized on the integer matrix dA, d and the variable, so a lookup
     hashes ints, not Fractions: callers share the result and must not
-    modify its entries.
+    modify its entries.  A number too large for a float is a
+    NonFiniteCoefficient.
     """
     Af = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in A]
     if any(len(row) != len(Af) for row in Af):
         raise ValueError("matrix must be square")
     d = math.lcm(*(x.denominator for row in Af for x in row))
     B = tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in Af)
-    return _exp(B, d, var)
+    try:
+        return _exp(B, d, var)
+    except OverflowError:
+        raise NonFiniteCoefficient("a matrix entry or an eigenvalue is too large for a float") from None
 
 
 @functools.lru_cache(maxsize=256)

@@ -216,7 +216,8 @@ class RationalFunction:
         return RationalFunction.constant(self.chart, other) / self
 
     def __pow__(self, n: int):
-        return RationalFunction(self.chart, self.frac ** int(n))
+        # x^0 is 1 for every x, as in `ExpPoly`; the field raises on 0**0
+        return RationalFunction(self.chart, self.frac ** int(n) if n else 1)
 
     def __eq__(self, other):
         return (
@@ -293,14 +294,8 @@ class RationalFunction:
         return [_to_fraction(point[n]) for n in self.chart.names]
 
     def evaluate(self, point: Mapping[str, float]) -> float:
-        nval, dval = self._substitute(self._point(point))
-        if dval == 0:
-            raise PoleAtPoint(f"denominator vanishes at {dict(point)}")
-        if self.frac.denom.is_ground and len(self.frac.numer) > 1:
-            # a polynomial with several terms is rounded once, as one exact
-            # sum; report numbers depend on this rounding bit for bit
-            return float(Fraction(nval) / dval)
-        return float(nval) / float(dval)
+        """The exact value, rounded once."""
+        return float(self.evaluate_exact(point))
 
     @classmethod
     def family(cls, chart: VarSet, members) -> "_Family":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 # The default bound on a measured residual, `max_abs_coeff() <= TOL_ZERO`;
 # `exppoly` keeps its own truncation constant.
@@ -42,19 +42,7 @@ class Report:
         return [c.line() for c in self.checks]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "mode": c.mode,
-                    "error": c.error,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
     def __str__(self):
         return "\n".join(self.lines())

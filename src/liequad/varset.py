@@ -39,12 +39,6 @@ class VarSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __iter__(self):
-        return iter(self.names)
-
-    def __getitem__(self, i: int) -> str:
-        return self.names[i]
-
 
 def coordinate_chart(n: int, prefix: str = "x") -> VarSet:
     """Chart x1..xn used for the synthesized group structures."""

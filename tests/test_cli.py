@@ -1350,3 +1350,94 @@ def test_non_integral_form_field_is_schema_error(tmp_path, command, case):
                 _with("forms_normalized_third_order.json", lambda d: mutate(d["forms"][0]), tmp_path),
                 "--basepoint", BASEPOINT]
     _assert_error_document(_run(args), "schema-error")
+
+
+# ----------------------------------------------------------------------
+# one table of malformed and extreme input, run in-process: each case exits
+# 0 or 2 with its documented error code, and none ends in a traceback
+
+def _forms(*forms, chart=("x", "y", "z")):
+    return {"chart": list(chart), "forms": list(forms)}
+
+
+def _form(terms, degree=1, kind="exppoly"):
+    return {"degree": degree, "scalar_kind": kind, "terms": terms}
+
+
+UNIT_FORMS = _unit_forms("exppoly")
+# a number too large for a float, as the only bracket of a nilpotent algebra
+# and as the nonzero eigenvalue of [e1, e2] = c e1
+HUGE_NILPOTENT = {"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "1e400"}}]}
+HUGE_SPECTRUM = {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "1e400"}}]}
+ZERO_RATIONAL_FORMS = _forms(*[_form([], kind="rational")] * 3, chart=("x1", "x2", "x3"))
+ABELIAN3 = fixture_path("algebra_abelian3.json")
+# case -> (arguments, "{}" standing for the document; the document; exit
+# code; error code).  The first five once ended in a traceback: an
+# OverflowError in `matexp` or at the basepoint, and 0**0 in the rational
+# class.  A string idx was read as its characters.
+BAD_INPUT = {
+    "coframe-huge-nilpotent": (["coframe", "{}"], HUGE_NILPOTENT, 2, "non-finite-coefficient"),
+    "multiply-huge-nilpotent": (["multiply", "{}"], HUGE_NILPOTENT, 2, "non-finite-coefficient"),
+    "multiply-huge-spectrum": (["multiply", "{}"], HUGE_SPECTRUM, 2, "non-finite-coefficient"),
+    "reduce-huge-basepoint": (["reduce", fixture_path("algebra_fiveparam_a1_b2.json"),
+                               fixture_path("forms_product_group_fiveparam_a1_b2.json"), "--basepoint", "x4=1e400"],
+                              None, 2, "non-finite-coefficient"),
+    "reduce-zero-rational-forms": (["reduce", fixture_path("algebra_heisenberg.json"), "{}"],
+                                   ZERO_RATIONAL_FORMS, 0, None),
+    "reduce-idx-string": (["reduce", ABELIAN3, "{}"],
+                          _forms(_form([{"idx": "1", "coeff": "1"}]), *UNIT_FORMS[1:]), 2, "schema-error"),
+    "reduce-chart-missing": (["reduce", ABELIAN3, "{}"], {"forms": UNIT_FORMS}, 2, "schema-error"),
+    "reduce-terms-not-a-list": (["reduce", ABELIAN3, "{}"], _forms(_form(5), *UNIT_FORMS[1:]), 2, "schema-error"),
+    "reduce-unknown-scalar-kind": (["reduce", ABELIAN3, "{}"],
+                                   _forms(*(dict(f, scalar_kind="complex") for f in UNIT_FORMS)), 2, "schema-error"),
+    "reduce-chart-name-twice": (["reduce", ABELIAN3, "{}"], _forms(*UNIT_FORMS, chart=("x", "x", "z")),
+                                2, "schema-error"),
+    "reduce-0-form": (["reduce", ABELIAN3, "{}"], _forms(_form([{"idx": [], "coeff": "1"}], degree=0),
+                                                         *UNIT_FORMS[1:]), 2, "schema-error"),
+    "reduce-no-basepoint-value": (["reduce", fixture_path("algebra_heisenberg.json"),
+                                   fixture_path("forms_normalized_third_order.json"), "--basepoint", "x"],
+                                  None, 2, "schema-error"),
+    "coframe-samples-0": (["coframe", ABELIAN3, "--samples", "0"], None, 2, "schema-error"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_with_its_documented_code(tmp_path, case):
+    args, doc, exit_code, code = BAD_INPUT[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    res = _run([str(path) if arg == "{}" else arg for arg in args])
+    assert "Traceback" not in res.output + res.stderr
+    if exit_code == 0:
+        assert res.exit_code == 0, res.output
+        return
+    _assert_error_document(res, code)
+    # the message names no 400-digit number
+    assert "0" * 20 not in res.stderr
+
+
+def test_reduce_of_zero_rational_forms_gives_zero_functions(tmp_path):
+    """Zero forms satisfy the abelian structure equations of any chain; each
+    quadrature gives 0, and e^{0 A} is the identity."""
+    forms = tmp_path / "forms.json"
+    forms.write_text(json.dumps(ZERO_RATIONAL_FORMS))
+    out = tmp_path / "trace.json"
+    res = _run(["reduce", fixture_path("algebra_heisenberg.json"), str(forms), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    assert doc["complete"] is True
+    assert doc["functions"] == [{"kind": "rational", "text": "0"}] * 3
+
+
+def test_string_idx_is_schema_error():
+    """"13" is not the indices 1, 3 of a 2-form, as "xyz" is not a chart."""
+    doc = _form([{"idx": "13", "coeff": "1"}], degree=2)
+    with pytest.raises(SchemaError, match="'idx' must be a list"):
+        jsonio.load_form(doc, VarSet.of("x", "y", "z"))
+
+
+@pytest.mark.parametrize("doc", [{"kind": "exppoly"}, {"kind": "rational"}, "x", ["x"]],
+                         ids=["exppoly-no-text", "rational-no-text", "string", "list"])
+def test_malformed_scalar_document_is_schema_error(doc):
+    with pytest.raises(SchemaError):
+        jsonio.load_scalar(doc, VarSet.of("x", "u"))

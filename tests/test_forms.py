@@ -170,6 +170,23 @@ def test_pullback_projection():
     assert back.coefficient((3,)).is_zero()
 
 
+def test_pullback_of_a_function_is_its_composition():
+    """A 0-form pulls back to the composition of its function with the map,
+    in either class; the zero 0-form to zero."""
+    W = VarSet.of("s", "t")
+    s, t = (ExpPoly.coordinate(W, n) for n in W.names)
+    comps = [s + t, s * t, t * t - 1.0]
+    f = ExpPoly.coordinate(V, "x1") * ExpPoly.coordinate(V, "x2") + ExpPoly.coordinate(V, "x3") * 3.0
+    back = pullback(PointMap(W, V, comps), DiffForm.function(f))
+    assert back.degree == 0
+    assert back.coefficient(()) == f.substitute(dict(zip(V.names, comps)))
+    rcomps = [RationalFunction.parse(W, text) for text in ("s + t", "s/t", "t^2 - 1")]
+    g = RationalFunction.parse(V, "x1*x2/(x3 + 2)")
+    rback = pullback(PointMap(W, V, rcomps), DiffForm.function(g))
+    assert rback.coefficient(()) == g.compose(dict(zip(V.names, rcomps)))
+    assert pullback(PointMap(W, V, comps), DiffForm.zero(V, 0)).is_zero()
+
+
 def test_pullback_commutes_with_d():
     rng = random.Random(16)
     W = VarSet.of("s", "t")

@@ -344,3 +344,18 @@ def test_field_arithmetic_matches_sympy_cancel(fa, fb, point):
         value = sp.cancel(ea).subs(dict(zip(SYMS, map(sp.Rational, point))))
         assert a.evaluate_exact(dict(zip(W3.names, point))) == Fraction(int(value.p), int(value.q))
     assert RationalFunction.parse(W3, a.to_text()) == a
+
+
+def test_zeroth_power_is_one():
+    """x^0 = 1 for every x, zero included, as for exponential polynomials:
+    the field raised on 0**0, and `exp_matrix` takes f^0 of every f."""
+    assert RationalFunction.zero(V) ** 0 == RationalFunction.one(V)
+    assert rf("u_x/u") ** 0 == RationalFunction.one(V)
+
+
+def test_evaluate_rounds_the_exact_value_once():
+    """(2^53 + 1)/3 rounded once; rounding the numerator first gives
+    0x1.5555555555555p+51."""
+    point = {"x": 0, "u": 2**53 + 1, "u_x": 0, "u_xx": 0}
+    assert rf("u/3").evaluate(point).hex() == "0x1.5555555555556p+51"
+    assert (float(2**53 + 1) / 3.0).hex() == "0x1.5555555555555p+51"

@@ -260,6 +260,16 @@ def test_substitute_cuts_the_running_sum():
     assert (0.1 + 0.2 - 0.3 + 0.001).hex() == "0x1.0624dd2f1aafcp-10"
 
 
+def test_constant_binding_of_a_trig_argument_gives_the_math_value():
+    """cos(x) and sin(x) at x = 2 keep no rate: each is one constant, the
+    value of math.cos or math.sin at 2.0 bit for bit."""
+    X, Y = VarSet.of("x"), VarSet.of("y")
+    two = ExpPoly.constant(Y, 2.0)
+    for kind, value in ((KIND_COS, math.cos(2.0)), (KIND_SIN, math.sin(2.0))):
+        p = ExpPoly.term(X, 1.0, trig_rates={"x": 1.0}, kind=kind)
+        assert _bits(p.substitute({"x": two})) == _bits(ExpPoly.constant(Y, value))
+
+
 def test_substitute_sum_of_opposite_infinities_is_a_typed_error():
     """Two pieces +inf and -inf landing on one key make the running sum NaN,
     which the cut must not pass as zero."""
