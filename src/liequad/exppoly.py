@@ -17,7 +17,8 @@ Canonical keys.  A term (k, a, b, kind) has its -0.0 rate entries
 normalized to 0.0; a "one" term has b = 0; a trig term has b != 0 with its
 first nonzero entry positive (cos(-u) = cos u, sin(-u) = -sin u move the
 sign into the coefficient).  One keep rule, `_kept`, applied by the cut
-`_cut`, stores a coefficient when its magnitude exceeds ZERO_TOL, so
+`_cut` and by the running sum `_add_terms` (Sums, below), stores a
+coefficient when its magnitude exceeds ZERO_TOL, so
 `is_zero()` is "holds no term".  A NaN coefficient (an overflow that
 cancels, inf - inf) raises NonFiniteCoefficient instead of passing as
 zero.  `__init__`, `term`, `parse` and `substitute` establish this from
@@ -25,7 +26,7 @@ arbitrary input.  The ring operations build their results from terms that
 are canonical already: sums, negation, scaling and `diff`/`antideriv`
 keep b and only swap cos and sin on a nonzero b, and `__mul__`
 canonicalizes each new trig part.  They go through `_canonical`, which
-applies only the cut.
+applies only the cut, or, for sums, `_add_terms`.
 
 Packed keys.  A polynomial stores the term (k, a, b, kind) under the key
 (K, r, kind), private to this module.  K packs the exponents into one
@@ -75,10 +76,17 @@ Substitution.  `substitute` takes its bindings as a mapping or as a
 `Substitution` prepared once for many polynomials over one chart (a
 `forms.PointMap` keeps one): it holds the renaming positions and signs,
 and it memoizes the affine part of each binding, what each rate pair
-becomes and each power of a binding.
-The general formula adds its pieces into one running sum and cuts it
-after each piece, on the keys the piece touches: a dropped key is popped,
-and a later piece starts it again from 0.0.
+becomes and each power of a binding.  `exp_matrix` composes each distinct
+entry of e^{tA} once.
+
+Sums.  `+`, `sum`, `sums` and the general formula of `substitute` add
+into one running term dict with `_add_terms`, which cuts only the keys a
+piece touches, the others being above the cut already.  A dropped key is
+popped, and a later piece starts it again from 0.0 at the end, where the
+cut of a left fold of `+` puts it.  So `sum(items)` is that fold bit for
+bit, without a copy of the growing sum per item, and `sums(pairs)` is one
+such sum per key, which drops a key whose sum is zero, as a form drops an
+index (`forms.DiffForm.sum`).
 
 Text.  `to_text` writes the terms in key order; `parse` reads text with
 the one exact parser, `exacttext.evaluate_text`, evaluating it in the
@@ -127,6 +135,7 @@ from .errors import (
     SchemaError,
 )
 from .exacttext import evaluate_text
+from .liealg import SparseMatrix
 from .varset import VarSet
 
 # The ring's truncation (`_kept`); a residual bound is `report.TOL_ZERO`.
@@ -311,6 +320,20 @@ def _cut(acc: dict) -> dict:
     if any(map(math.isnan, acc.values())):
         raise NonFiniteCoefficient("an exponential-polynomial coefficient is NaN")
     return {k: c for k, c in acc.items() if _kept(abs(c))}
+
+
+def _add_terms(acc: dict, terms: dict) -> None:
+    """acc + terms in place, cut only on the keys terms touches (module
+    docstring, Sums)."""
+    get = acc.get
+    for key, c in terms.items():
+        v = get(key, 0.0) + c
+        if _kept(abs(v)):
+            acc[key] = v
+        elif math.isnan(v):
+            raise NonFiniteCoefficient("an exponential-polynomial coefficient is NaN")
+        else:
+            acc.pop(key, None)
 
 
 def by_parts(c, k: int, z) -> list:
@@ -520,12 +543,39 @@ class ExpPoly:
         if not self._t:
             return other
         acc = self._t.copy()
-        get = acc.get
-        for key, c in other._t.items():
-            acc[key] = get(key, 0.0) + c
-        return ExpPoly._canonical(self.chart, self._lay, acc)
+        _add_terms(acc, other._t)
+        return ExpPoly._stored(self.chart, self._lay, acc)
 
     __radd__ = __add__
+
+    @classmethod
+    def sum(cls, items: Sequence["ExpPoly"]) -> "ExpPoly":
+        """The sum of one or more items (one item is itself), by `sums`
+        under one key."""
+        if len(items) == 1:
+            return items[0]
+        return cls.sums((0, p) for p in items).get(0, ExpPoly.zero(items[0].chart))
+
+    @classmethod
+    def sums(cls, pairs: Iterable[tuple[object, "ExpPoly"]]) -> dict:
+        """{key: the sum of the polynomials paired with key}, one running
+        term dict per key (module docstring, Sums)."""
+        runs: dict = {}  # key -> [its first piece, its running term dict from the second on]
+        for key, p in pairs:
+            run = runs.get(key)
+            if run is None:
+                runs[key] = [p, None]
+                continue
+            first, acc = run
+            first._check_chart(p)
+            if acc is None:
+                # 0.0 + c is c for a stored c: the first piece's terms are copied
+                acc = run[1] = dict(first._t)
+            _add_terms(acc, p._t)
+            if not acc:
+                del runs[key]
+        return {key: first if acc is None else ExpPoly._stored(first.chart, first._lay, acc)
+                for key, (first, acc) in runs.items()}
 
     def __neg__(self):
         return ExpPoly._stored(self.chart, self._lay, {k: -c for k, c in self._t.items()})
@@ -554,12 +604,10 @@ class ExpPoly:
         if not self._t or not other._t:
             return ExpPoly._stored(self.chart, self._lay, {})
         # a one-term constant scales the other operand (module docstring)
-        f = other._one_constant()
-        if f is not None:
-            return self._scaled(f)
-        f = self._one_constant()
-        if f is not None:
-            return other._scaled(f)
+        if len(other._t) == 1 and _CONSTANT in other._t:
+            return self._scaled(other._t[_CONSTANT])
+        if len(self._t) == 1 and _CONSTANT in self._t:
+            return other._scaled(self._t[_CONSTANT])
         lay = self._lay
         sums, difs = lay.sums, lay.difs
         acc: dict = {}
@@ -637,15 +685,7 @@ class ExpPoly:
         return ()
 
     def is_one(self) -> bool:
-        return self._one_constant() == 1.0
-
-    def _one_constant(self) -> float | None:
-        """The coefficient when the polynomial is one constant term."""
-        if len(self._t) == 1:
-            ((key, c),) = self._t.items()
-            if key == _CONSTANT:
-                return c
-        return None
+        return len(self._t) == 1 and self._t.get(_CONSTANT) == 1.0
 
     def is_polynomial(self) -> bool:
         """No exponential or trigonometric part in any term."""
@@ -805,7 +845,6 @@ class ExpPoly:
         target, tl = plan.target, plan.layout
         unpack = self._lay.unpack
         acc: dict = {}
-        get = acc.get
         for (K, r, kind), c in self._t.items():
             exp_const, one, trig, flipped, cth, sth = plan.rate_images[r]
             coeff = c
@@ -835,12 +874,7 @@ class ExpPoly:
                 for i, ki in enumerate(unpack(K)):
                     if ki:
                         p = p * plan.powers[(i, ki)]
-            # result + p, the running sum cut on the keys p touches
-            sums = {key: get(key, 0.0) + v for key, v in p._t.items()}
-            kept = _cut(sums)
-            for key in sums.keys() - kept.keys():
-                acc.pop(key, None)
-            acc.update(kept)
+            _add_terms(acc, p._t)
         return ExpPoly._stored(target, tl, acc)
 
     def _signed_coordinate(self) -> tuple[int, float] | None:
@@ -891,11 +925,15 @@ class ExpPoly:
             raise NonFiniteCoefficient(f"the antiderivative is {value} at the basepoint {point}")
         return value
 
-    def exp_matrix(self, E) -> list[list["ExpPoly"]]:
-        """The entries of the `matexp.ExpMatrix` E = e^{tA} at t = self."""
+    def exp_matrix(self, E) -> SparseMatrix:
+        """The entries of the `matexp.ExpMatrix` E = e^{tA} at t = self, from
+        E's sparse rows, each distinct entry composed once; an entry the
+        composition cuts to zero is left out."""
         bind = Substitution(E.chart, {E.var: self})
-        zero = ExpPoly.zero(self.chart)
-        return [[zero if e.is_zero() else e.substitute(bind) for e in row] for row in E.entries]
+        distinct = {id(e): e for row in E.rows for _, e in row}
+        images = {key: e.substitute(bind) for key, e in distinct.items()}
+        rows = [[(b, images[id(e)]) for b, e in row if images[id(e)]._t] for row in E.rows]
+        return SparseMatrix(rows, E.n, ExpPoly.zero(self.chart))
 
     # ------------------------------------------------------------------
     # serialization

@@ -14,9 +14,9 @@ the operands.  Two shortcuts rest on that:
   would give every coefficient back unchanged (`ExpPoly` scaling by 1.0
   returns the polynomial), so no value moves.  A `lin_comb` over a unit
   row of a factor matrix therefore passes its form on without a copy.
-- `+`, `-`, scalar `*`, `wedge`, `exterior_d` and `differential` build
-  their results from index tuples that are valid already, through the
-  trusted constructor `DiffForm._trusted`: it drops zero coefficients
+- `+`, `-`, `sum`, scalar `*`, `wedge`, `exterior_d` and `differential`
+  build their results from index tuples that are valid already, through
+  the trusted constructor `DiffForm._trusted`: it drops zero coefficients
   but skips the index validation of the public `DiffForm(...)`.
 """
 
@@ -126,6 +126,22 @@ class DiffForm:
         for idx, c in other.coeffs.items():
             acc[idx] = acc[idx] + c if idx in acc else c
         return DiffForm._trusted(self.chart, self.degree, acc, self.scls)
+
+    @classmethod
+    def sum(cls, forms: Sequence["DiffForm"]) -> "DiffForm":
+        """The sum of one or more forms (one form is itself): the
+        coefficients of each index are summed by their class's `sums`,
+        which drops an index whose sum is zero; it re-enters at the end.
+        So a sum of more forms is their left fold of `+`, bit for bit."""
+        first = forms[0]
+        if len(forms) == 1:
+            return first
+        for form in forms[1:]:
+            first._check(form)
+            if form.degree != first.degree:
+                raise ValueError("cannot add forms of different degree")
+        coeffs = first.scls.sums((idx, c) for form in forms for idx, c in form.coeffs.items())
+        return DiffForm._trusted(first.chart, first.degree, coeffs, first.scls)
 
     def __neg__(self):
         neg = {i: -c for i, c in self.coeffs.items()}
@@ -253,6 +269,11 @@ class VectorField:
             self.scls,
         )
 
+    @classmethod
+    def sum(cls, fields: Sequence["VectorField"]) -> "VectorField":
+        """The left fold of `+` over one or more fields."""
+        return sum(fields[1:], fields[0])
+
     def __neg__(self):
         return VectorField(self.chart, [-a for a in self.components], self.scls)
 
@@ -344,6 +365,15 @@ class PointMap:
         return type(self.components[0]).bind(self.target, dict(zip(self.target.names, self.components)))
 
     @cached_property
+    def renaming(self) -> list[int] | None:
+        """j for each component that is the bare source coordinate x_j, when
+        every component is one and the j are distinct, else None."""
+        scls = type(self.components[0])
+        bare = {scls.coordinate(self.source, name): j for j, name in enumerate(self.source.names)}
+        positions = [bare.get(c) for c in self.components]
+        return positions if None not in positions and len(set(positions)) == len(positions) else None
+
+    @cached_property
     def differentials(self) -> list[DiffForm]:
         """The differential of each component, computed once per map."""
         return [differential(comp) for comp in self.components]
@@ -392,7 +422,9 @@ def differential(f) -> DiffForm:
 
 
 def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
-    """phi^* alpha, exact via the chain rule.
+    """phi^* alpha, exact via the chain rule.  Along a map whose components
+    are distinct bare source coordinates x_j, d(x_j) is dx_j with the
+    coefficient one, so a 1-form's indices are renamed.
 
     Raises NonAffineExponentSubstitution when an exponential-polynomial
     coefficient composition leaves the class, and ClassMismatch when the
@@ -407,14 +439,17 @@ def pullback(phi: PointMap, alpha: DiffForm) -> DiffForm:
         if c is None:
             return DiffForm.zero(phi.source, 0, scls)
         return DiffForm.function(compose(c, phi))
+    if alpha.degree == 1 and phi.renaming is not None:
+        return DiffForm._trusted(phi.source, 1, {(phi.renaming[i],): compose(a, phi)
+                                                 for (i,), a in alpha.coeffs.items()}, scls)
     dphi = phi.differentials
-    result = DiffForm.zero(phi.source, alpha.degree, scls)
+    pieces = [DiffForm.zero(phi.source, alpha.degree, scls)]
     for I, a in alpha.coeffs.items():
         piece = DiffForm.function(compose(a, phi))
         for i in I:
             piece = piece.wedge(dphi[i])
-        result = result + piece
-    return result
+        pieces.append(piece)
+    return DiffForm.sum(pieces)
 
 
 def pullback_check(phi: PointMap, taus, omegas, mode: str, samples: int, rng, domain: Domain):
@@ -468,13 +503,8 @@ def structure_residual(omegas: Sequence[DiffForm], sc) -> list[DiffForm]:
     n = sc.dim
     if len(omegas) != n:
         raise ValueError(f"expected {n} forms, got {len(omegas)}")
-    out = []
-    for i, target in enumerate(sc.targets):
-        res = omegas[i].exterior_d()
-        for j, k, c in target:
-            res = res + omegas[j].wedge(omegas[k]) * c
-        out.append(res)
-    return out
+    return [DiffForm.sum([omegas[i].exterior_d()] + [omegas[j].wedge(omegas[k]) * c for j, k, c in target])
+            for i, target in enumerate(sc.targets)]
 
 
 def full_basepoint(chart: VarSet, basepoint: Mapping[str, object] | None = None) -> dict:

@@ -7,19 +7,21 @@ chains adapted to the derived series, grown as one incremental echelon
 The constants are read sparsely (`pairs`, `targets`); a chain builds each
 e^{t ad} once (`ad_exp`).  `lin_comb`, the products `mat_mul` and `mat_vec`
 (a scalar matrix times scalars or forms), and the Gauss-Jordan elimination
-behind `rref` and `mat_inverse` also serve the form and group layers.
-There is one matrix product, `_sparse_product`, on rows that keep only
-their nonzero entries: `mat_mul` wraps it for dense matrices, and
-`factor_product`, the identity times many factors (`liegroup`'s frame and
-Ad(x)), keeps its sparse rows from one factor to the next.
+behind `rref` and `mat_inverse` also serve the form and group layers;
+`mat_vec` adds each row's terms by their class's `sum`.  There is one
+matrix product, `_sparse_product`, on rows that keep only their nonzero
+entries: `mat_mul` wraps it for dense matrices, and `factor_product`, the
+identity times many factors (`liegroup`'s frame and Ad(x)), reads each
+factor's own sparse rows (a `SparseMatrix`: an entry that is exactly one
+costs no product) and keeps its running product in sparse rows from one
+factor to the next.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import NotSolvable, SingularMatrix
@@ -53,6 +55,19 @@ def _is_zero(c) -> bool:
     return c.is_zero()
 
 
+class SparseMatrix(list):
+    """A matrix of scalars from the nonzero entries (j, x) of its rows, in
+    column order: the list of its dense rows (`zero` elsewhere), which
+    keeps those sparse rows as `rows`, x None where it is exactly one, so
+    that `_sparse_product` takes the other operand itself there."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[list[tuple]], width: int, zero):
+        super().__init__(_dense_rows(rows, width, zero))
+        self.rows = [[(j, None if x.is_one() else x) for j, x in row] for row in rows]
+
+
 def lin_comb(coeffs: Sequence, items: Sequence):
     """sum_j items[j] * coeffs[j], skipping zero coefficients and items.
 
@@ -66,10 +81,11 @@ def lin_comb(coeffs: Sequence, items: Sequence):
 
 def mat_vec(M: Sequence[Sequence], items: Sequence) -> list:
     """[lin_comb(row, items) for row in M], testing each item for zero once:
-    each sum runs over the nonzero terms in item order."""
+    each sum runs over the nonzero terms in item order, by the terms'
+    class `sum`, bit for bit their left fold of `+`."""
     live = [(j, item) for j, item in enumerate(items) if not _is_zero(item)]
     sums = ([item * row[j] for j, item in live if not _is_zero(row[j])] for row in M)
-    return [reduce(operator.add, terms) if terms else items[0] * 0 for terms in sums]
+    return [type(terms[0]).sum(terms) if terms else items[0] * 0 for terms in sums]
 
 
 def mat_mul(M: Sequence[Sequence], E: Sequence[Sequence]) -> list[list]:
@@ -81,16 +97,17 @@ def mat_mul(M: Sequence[Sequence], E: Sequence[Sequence]) -> list[list]:
     return _dense_rows(_sparse_product(_sparse_rows(M), _sparse_rows(E)), len(E[0]), E[0][0] * 0)
 
 
-def factor_product(n: int, factors: Iterable, one, zero) -> list[list]:
+def factor_product(n: int, factors: Iterable[SparseMatrix | None], one, zero) -> list[list]:
     """The n x n identity (`one` on the diagonal, `zero` elsewhere)
     right-multiplied by each factor in turn, skipping a None; a k x k factor
     acts on the leading k columns.  The running product stays in sparse
-    rows from one factor to the next."""
+    rows from one factor to the next, and each factor's are its own
+    (`SparseMatrix.rows`)."""
     rows = [[(i, one)] for i in range(n)]
     for E in factors:
         if E is not None:
             k = len(E)
-            head = _sparse_product([[(j, x) for j, x in row if j < k] for row in rows], _sparse_rows(E))
+            head = _sparse_product([[(j, x) for j, x in row if j < k] for row in rows], E.rows)
             rows = [new + [(j, x) for j, x in row if j >= k] for new, row in zip(head, rows)]
     return _dense_rows(rows, n, zero)
 
@@ -116,15 +133,18 @@ def _sparse_product(rows: Sequence[Sequence[tuple]], E: Sequence[Sequence[tuple]
     matrix product.  Each row of M scatters its entries over the rows of E
     (Gustavson 1978), so entry (i, k) sums M[i][j] * E[j][k] over the j
     where both are nonzero, in ascending j with the M entry as the left
-    operand, as `lin_comb` does; a sum that is zero is left out."""
+    operand, as `lin_comb` does; a sum that is zero is left out.  An E
+    entry None is exactly one (`SparseMatrix`): the product is x itself,
+    as a product by the one-term constant 1.0 returns its operand."""
     out = []
     for row in rows:
         acc: dict = {}
         get = acc.get
         for j, x in row:
             for k, e in E[j]:
+                p = x if e is None else x * e
                 y = get(k)
-                acc[k] = x * e if y is None else y + x * e
+                acc[k] = p if y is None else y + p
         out.append(sorted((k, y) for k, y in acc.items() if not _is_zero(y)))
     return out
 

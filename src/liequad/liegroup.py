@@ -172,8 +172,11 @@ def _worst(errors) -> float:
 
 
 def _box(rng: random.Random, h: float, samples: int, width: int) -> np.ndarray:
-    """A samples x width array drawn from rng, uniform on [-h, h], row by row."""
-    return np.array([[rng.uniform(-h, h) for _ in range(width)] for _ in range(samples)]).reshape(samples, width)
+    """A samples x width array drawn from rng, uniform on [-h, h], row by
+    row: `rng.uniform(-h, h)`'s formula, -h + (h - -h) * u, on one
+    `rng.random()` per value."""
+    u = np.array([rng.random() for _ in range(samples * width)]).reshape(samples, width)
+    return -h + (h - -h) * u
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +290,9 @@ def preadjoint_oracle(
     reduces it to a map rho, reporting the structure residual the
     reduction measured at level 0, and verifies rho(x, y) = mu(y, x^{-1})
     at seeded sample points.  The inverse is rho's own x^{-1} = rho(x, 0),
-    so the same line also measures mu(x, x^{-1}) = 0.  The reduction
-    accepts residuals up to ``tol_zero``, as in `multiplication`.
+    so the same line also measures mu(x, x^{-1}) = 0, relative to
+    max(1, |x|, |x^{-1}|).  The reduction accepts residuals up to
+    ``tol_zero``, as in `multiplication`.
     """
     n = law.group.n
     _, theta_t = preadjoint_forms(law)
@@ -310,6 +314,7 @@ def preadjoint_oracle(
     # and at (x, x^{-1})
     x_inv, rho_xy = np.split(rho.evaluate_batch(np.vstack([np.hstack([x, np.zeros_like(x)]), draws])), 2)
     mu_val, unit = np.split(law.multiply_batch(np.vstack([y, x]), np.vstack([x_inv, x_inv])), 2)
-    worst = _worst(np.concatenate([_rel_error(rho_xy, mu_val), np.abs(unit).max(axis=1)]))
+    scale = np.maximum(1.0, np.abs(np.hstack([x, x_inv])).max(axis=1))
+    worst = _worst(np.concatenate([_rel_error(rho_xy, mu_val), np.abs(unit).max(axis=1) / scale]))
     report.add("rho(x,y) = mu(y, x^{-1})", worst <= tol, "numeric", worst)
     return report

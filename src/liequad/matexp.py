@@ -3,17 +3,23 @@
 The spectrum is decided exactly, once per matrix: the characteristic
 polynomial of the integer matrix dA (d the lcm of A's denominators) over
 Z.  Its factor x^m gives the eigenvalue 0 with multiplicity m; what is
-left is split square-free by Yun's algorithm for exact multiplicities.  By
-Gauss's lemma, rounded numeric roots give the only candidate factors,
-integer roots and monic integer quadratics, each confirmed by exact
-division; only roots of a leftover factor of degree >= 3 stay numeric.
-A nilpotent A gets the series sum t^k A^k / k!, each float coefficient
-the integer division (dA)^k[a][b] / (d^k k!), correctly rounded as the
-float of the exact Fraction is; the exact series is built on its first
-read (`ExpMatrix.series`).  Any other spectrum feeds Putzer's recursion
+left, monic, is split square-free by Yun's algorithm for exact
+multiplicities, over Z: its gcds come from the primitive pseudo-remainder
+sequence (monic, since they divide a monic polynomial), and every other
+division is by a monic integer factor.  By Gauss's lemma, rounded numeric
+roots give the only candidate factors, integer roots and monic integer
+quadratics, each confirmed by exact division; only roots of a leftover
+factor of degree >= 3 stay numeric.  A nilpotent A gets the series sum
+t^k A^k / k!, each float coefficient the integer division
+(dA)^k[a][b] / (d^k k!), correctly rounded as the float of the exact
+Fraction is; the exact series is built on its first read
+(`ExpMatrix.series`).  Any other spectrum feeds Putzer's recursion
 (complex pairs become cos/sin terms, repeated eigenvalues factors t^k).
-A scalar f gives e^{fA} by `f.exp_matrix(E)`, so e^{-fA} is the same E
-composed with -f, and no matrix is built for -A.
+Equal entries of e^{tA}, those with one column of powers (dA)^k[a][b] or
+one quasi-polynomial, are one object, and `ExpMatrix.rows` lists the
+nonzero ones once.  A scalar f gives e^{fA} by `f.exp_matrix(E)`, which
+composes each distinct entry once, so e^{-fA} is the same E composed
+with -f, and no matrix is built for -A.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ def _charpoly(B: list[list[int]]) -> tuple[list[int], list]:
     return c, Ms
 
 
-# Polynomials over Q are coefficient lists, constant first, with no
-# trailing zero (the zero polynomial is []).
+# Polynomials over Z are coefficient lists of ints, constant first, with
+# no trailing zero (the zero polynomial is []).
 
 def _trim(p: list) -> list:
     while p and not p[-1]:
@@ -69,10 +75,12 @@ def _trim(p: list) -> list:
 
 
 def _divmod(p: list, q: list) -> tuple[list, list]:
+    """Quotient and remainder of p by q in integers: exact when q is monic,
+    or when p is scaled by lc(q)^(deg p - deg q + 1) (pseudo-division)."""
     r = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
     for i in range(len(quo) - 1, -1, -1):
-        quo[i] = c = r[i + len(q) - 1] / q[-1]
+        quo[i] = c = r[i + len(q) - 1] // q[-1]
         for j, qj in enumerate(q):
             r[i + j] -= c * qj
     return quo, _trim(r[: len(q) - 1])
@@ -83,15 +91,19 @@ def _deriv(p: list) -> list:
 
 
 def _gcd(p: list, q: list) -> list:
-    """The monic gcd of a nonzero p and q."""
+    """The monic gcd of a monic p and any q, by the primitive
+    pseudo-remainder sequence: the last primitive remainder divides p, so
+    its leading coefficient is 1 or -1."""
     while q:
-        p, q = q, _divmod(p, q)[1]
-    return [c / p[-1] for c in p]
+        g = math.gcd(*q)
+        q = [c // g for c in q]
+        p, q = q, _divmod([c * q[-1] ** max(len(p) - len(q) + 1, 0) for c in p], q)[1]
+    return [c // p[-1] for c in p]
 
 
 def _square_free(p: list) -> list[tuple[list, int]]:
-    """Yun's split of a monic p into pairwise coprime, monic, square-free
-    factors, each with its multiplicity."""
+    """Yun's split of a monic integer p into pairwise coprime, monic,
+    square-free integer factors, each with its multiplicity."""
     a = _gcd(p, _deriv(p))
     b, c = _divmod(p, a)[0], _divmod(_deriv(p), a)[0]
     out = []
@@ -191,6 +203,11 @@ class ExpMatrix:
         return self.entries[0][0].chart
 
     @cached_property
+    def rows(self) -> list[list[tuple[int, ExpPoly]]]:
+        """The nonzero entries (b, e) of each row, in column order."""
+        return [[(b, e) for b, e in enumerate(row) if not e.is_zero()] for row in self.entries]
+
+    @cached_property
     def series(self) -> list | None:
         """The exact A^k / k! (k = 0, 1, ...) when A is nilpotent, else None;
         built on the first read (only the rational class reads it)."""
@@ -229,12 +246,11 @@ def _exp(B: tuple, d: int, var: str) -> ExpMatrix:
     p, powers = _charpoly(B)
     if not any(p[:n]):
         scales = [d ** k * math.factorial(k) for k in range(len(powers))]
-        # an entry that is zero in every power is one shared zero
-        support = {(a, b) for P in powers for a, row in enumerate(P) for b, x in enumerate(row) if x}
-        zero = ExpPoly.zero(chart)
-        entries = [[ExpPoly.polynomial_in(chart, var, [P[a][b] / q for P, q in zip(powers, scales)])
-                    if (a, b) in support else zero for b in range(n)] for a in range(n)]
-        return ExpMatrix(var, B, d, entries, powers)
+        # one polynomial per distinct column of powers (dA)^k[a][b]
+        keys = [list(zip(*(P[a] for P in powers))) for a in range(n)]
+        distinct = {key: ExpPoly.polynomial_in(chart, var, [x / q for x, q in zip(key, scales)])
+                    for key in dict.fromkeys(key for row in keys for key in row)}
+        return ExpMatrix(var, B, d, [[distinct[key] for key in row] for row in keys], powers)
     lams = [z for z, mult in _spectrum(p, d) for _ in range(mult)]
     return ExpMatrix(var, B, d, _putzer(_rational(B, d), lams, chart))
 
@@ -253,7 +269,7 @@ def _spectrum(p: list[int], d: int) -> list[tuple[complex, int]]:
     m = next(i for i, c in enumerate(p) if c)
     zero = [(0j, m)] if m else []
     return sorted(
-        zero + [(z, mult) for f, mult in _square_free([Fraction(c) for c in p[m:]]) for z in _factor_roots(f, d)],
+        zero + [(z, mult) for f, mult in _square_free(p[m:]) for z in _factor_roots(f, d)],
         key=lambda c: (abs(c[0]), c[0].real, c[0].imag),
     )
 
@@ -294,8 +310,10 @@ def _putzer(Af: tuple, lams: list[complex], chart: VarSet) -> list[list[ExpPoly]
                 terms[key] = terms.get(key, 0.0) + v
         return ExpPoly(chart, terms)
 
-    zero = ExpPoly.zero(chart)
-    return [[entry(quasi) if quasi else zero for quasi in row] for row in acc]
+    # one polynomial per distinct quasi-polynomial, the zero one included
+    keys = [[tuple(quasi.items()) for quasi in row] for row in acc]
+    distinct = {key: entry(dict(key)) for key in dict.fromkeys(key for row in keys for key in row)}
+    return [[distinct[key] for key in row] for row in keys]
 
 
 def identity_residual(P) -> float:

@@ -177,6 +177,22 @@ class RationalFunction:
 
     __radd__ = __add__
 
+    @classmethod
+    def sum(cls, items):
+        """The left fold of `+` over one or more items."""
+        return sum(items[1:], items[0])
+
+    @classmethod
+    def sums(cls, pairs) -> dict:
+        """{key: the left fold of `+` over the items paired with key}; a key
+        whose sum is zero is dropped and re-enters at the end."""
+        out: dict = {}
+        for key, x in pairs:
+            out[key] = out[key] + x if key in out else x
+            if out[key].is_zero():
+                del out[key]
+        return out
+
     def __neg__(self):
         return RationalFunction(self.chart, -self.frac)
 

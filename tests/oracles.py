@@ -1,5 +1,6 @@
 """Independent oracles for the test suites: a quadrature of a 1-form
-along a segment (against `potential`), the derivative residual
+along a segment (against `potential`), Yun's square-free split over Q
+(against the integer one of `matexp`), the derivative residual
 d/dt E - A E of a matrix exponential, the identities E(t)E(-t) = I,
 det E(t) = e^{t tr A} and E(s)E(t) = E(s+t), and dense loops over the
 structure constants (the bracket, constants in a new basis, the ideal
@@ -44,6 +45,55 @@ def line_integral(
 
     value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)
     return value
+
+
+# Yun's square-free split over Q, on Fraction coefficient lists, constant
+# first, with no trailing zero: the reference for `matexp._square_free`,
+# which runs over Z
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _fraction_divmod(p: list, q: list) -> tuple[list, list]:
+    r = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = c = r[i + len(q) - 1] / q[-1]
+        for j, qj in enumerate(q):
+            r[i + j] -= c * qj
+    return quo, _trim(r[: len(q) - 1])
+
+
+def _deriv(p: list) -> list:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _fraction_gcd(p: list, q: list) -> list:
+    """The monic gcd of a nonzero p and q, by Euclid's remainders over Q."""
+    while q:
+        p, q = q, _fraction_divmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+def fraction_square_free(p: Sequence[int]) -> list[tuple[list, int]]:
+    """Yun's split of a monic p over Q: pairwise coprime, monic,
+    square-free factors with their multiplicities, as Fraction lists."""
+    p = [Fraction(c) for c in p]
+    a = _fraction_gcd(p, _deriv(p))
+    b, c = _fraction_divmod(p, a)[0], _fraction_divmod(_deriv(p), a)[0]
+    out = []
+    for mult in range(1, len(p)):
+        if len(b) == 1:
+            break
+        d = _trim([x - y for x, y in zip(c + [0] * len(b), _deriv(b) + [0] * len(c))])
+        a = _fraction_gcd(b, d)
+        b, c = _fraction_divmod(b, a)[0], _fraction_divmod(d, a)[0]
+        if len(a) > 1:
+            out.append((a, mult))
+    return out
 
 
 def derivative_residual(E: ExpMatrix) -> float:

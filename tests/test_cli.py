@@ -1251,6 +1251,45 @@ def test_one_matrix_product():
     assert _uses("_sparse_product") == {("liealg", "mat_mul"), ("liealg", "factor_product")}
 
 
+def _folds_of_add(source: str) -> list[int]:
+    """Lines of source that call `reduce` (or `functools.reduce`) with
+    `operator.add` or a bare `add`: a left fold that copies its growing sum
+    once per piece."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args:
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            first = node.args[0]
+            if name == "reduce" and "add" in (getattr(first, "id", None), getattr(first, "attr", None)):
+                found.append(node.lineno)
+    return found
+
+
+def test_matrix_rows_and_residuals_sum_without_a_fold_of_add():
+    """`liealg.mat_vec` and `forms.structure_residual` sum by the class
+    `sum` of their terms, one running sum for `ExpPoly` and `DiffForm`."""
+    import pathlib
+
+    for bad in ("total = reduce(operator.add, terms)", "from functools import reduce\nx = reduce(add, xs, zero)",
+                "x = functools.reduce(operator.add, xs)"):
+        assert _folds_of_add(bad) == [bad.count("\n") + 1], bad
+    assert _folds_of_add("x = type(terms[0]).sum(terms)\ny = reduce(max, xs)") == []
+    package = pathlib.Path(jsonio.__file__).parent
+    for stem in ("liealg", "forms"):
+        lines = _folds_of_add((package / f"{stem}.py").read_text())
+        assert not lines, f"{stem}.py folds with operator.add at lines {lines}"
+
+
+def test_multiply_with_large_constants_passes_the_rho_line(tmp_path):
+    """mu(x, x^{-1}) = 0 is measured relative to max(1, |x|, |x^{-1}|): with
+    a constant 1e200 every line passes (it failed at 1.700e+184)."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "1e200"}}]}))
+    res = _run(["multiply", str(path)])
+    assert res.exit_code == 0, res.output
+    assert "rho(x,y) = mu(y, x^{-1})" in res.output and "[FAIL]" not in res.output
+
+
 def test_no_numeric_eigenvalues_outside_the_root_step():
     """No module asks numpy for eigenvalues; numeric roots are taken only of
     the square-free factors in `matexp._factor_roots`."""

@@ -170,6 +170,45 @@ def test_pullback_projection():
     assert back.coefficient((3,)).is_zero()
 
 
+def _chain_rule_pullback(phi, alpha):
+    """phi^* alpha by the chain rule: each coefficient composed with phi and
+    wedged with the differentials of the components, summed in index order."""
+    from liequad.forms import compose, differential
+
+    result = DiffForm.zero(phi.source, alpha.degree, type(phi.components[0]))
+    for I, a in alpha.coeffs.items():
+        piece = DiffForm.function(compose(a, phi))
+        for i in I:
+            piece = piece.wedge(differential(phi.components[i]))
+        result = result + piece
+    return result
+
+
+def test_pullback_along_a_renaming_equals_the_chain_rule():
+    """Components that are distinct bare source coordinates, in any order,
+    rename a 1-form's indices: bit for bit the chain rule, index order
+    included, in either class.  A repeated, scaled or shifted coordinate
+    is no renaming."""
+    from conftest import exppoly_bits
+
+    W = VarSet.of("y1", "x1", "x2", "x3", "y2")
+    rng = random.Random(3)
+    for names in (("x1", "x2", "x3"), ("x3", "y1", "x1"), ("y2", "x2", "y1")):
+        phi = PointMap(W, V, [ExpPoly.coordinate(W, n) for n in names])
+        assert phi.renaming == [W.index(n) for n in names]
+        for _ in range(5):
+            alpha = _random_form(rng, V, 1)
+            got, want = pullback(phi, alpha), _chain_rule_pullback(phi, alpha)
+            assert [(I, exppoly_bits(c)) for I, c in got.coeffs.items()] == \
+                [(I, exppoly_bits(c)) for I, c in want.coeffs.items()]
+    rphi = PointMap(W, V, [RationalFunction.coordinate(W, n) for n in ("x2", "y2", "x1")])
+    ralpha = DiffForm(V, 1, {(0,): RationalFunction.parse(V, "x1/(x2 + 3)"), (2,): RationalFunction.parse(V, "x3^2")})
+    assert list(pullback(rphi, ralpha).coeffs.items()) == list(_chain_rule_pullback(rphi, ralpha).coeffs.items())
+    x1, x2, x3 = (ExpPoly.coordinate(W, n) for n in ("x1", "x2", "x3"))
+    for comps in ([x1, x1, x2], [x1 * 2.0, x2, x3], [x1 + 1.0, x2, x3], [x1 * x2, x2, x3]):
+        assert PointMap(W, V, comps).renaming is None
+
+
 def test_pullback_of_a_function_is_its_composition():
     """A 0-form pulls back to the composition of its function with the map,
     in either class; the zero 0-form to zero."""

@@ -791,3 +791,17 @@ def test_level_residuals_equal_those_of_fresh_copies(monkeypatch):
                 res = structure_residual(fresh, chain.base.restricted(chain.n - s))
                 worst = max((r.max_abs_coeff() for r in res), default=0.0)
                 assert worst == trace.residuals[s], (sc.dim, s)
+
+
+def test_box_draws_equal_uniform_draws():
+    """`_box` scales one `rng.random()` per value with `uniform`'s formula:
+    the same values, bit for bit and row by row, as `rng.uniform(-h, h)`."""
+    from liequad.liegroup import _box
+
+    for seed in range(10):
+        for h, samples, width in ((1.5, 50, 4), (1.2, 100, 9), (1.0, 7, 32)):
+            rng = random.Random(seed)
+            want = [[rng.uniform(-h, h) for _ in range(width)] for _ in range(samples)]
+            got = _box(random.Random(seed), h, samples, width)
+            assert got.shape == (samples, width)
+            assert [[v.hex() for v in row] for row in got.tolist()] == [[v.hex() for v in row] for row in want]

@@ -19,10 +19,10 @@ from liequad import (
 )
 from liequad.errors import SingularMatrix
 from liequad.liealg import adapted_chain, change_basis, mat_inverse
-from liequad.matexp import ExpMatrix, _charpoly, _exp, _putzer, _rational, _spectrum, matrix_batch
+from liequad.matexp import ExpMatrix, _charpoly, _exp, _putzer, _rational, _spectrum, _square_free, matrix_batch
 from catalog import five_dim_two_parameter
 from conftest import exppoly_bits as _bits
-from oracles import derivative_residual, exp_identities_check
+from oracles import derivative_residual, exp_identities_check, fraction_square_free
 
 F = Fraction
 T = VarSet.of("t")
@@ -549,3 +549,88 @@ def test_multiplication_never_builds_the_series(monkeypatch):
         report = verify_group(law, samples=5)
         report.extend(preadjoint_oracle(chain, law, samples=5))
     assert reads == []
+
+
+# ----------------------------------------------------------------------
+# Yun's split over Z
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _monic_with_repeated_factors(draw):
+    """Monic integer polynomials, constant first: products of linear and
+    quadratic monic factors with small coefficients, each to a power up to
+    3, the factors possibly equal or sharing roots.  No factor gives 1,
+    what is left of the zero matrix's x^n, whose derivative is 0."""
+    p = [1]
+    for _ in range(draw(st.integers(0, 4))):
+        f = [draw(st.integers(-3, 3)) for _ in range(draw(st.integers(1, 2)))] + [1]
+        for _ in range(draw(st.integers(1, 3))):
+            p = _poly_mul(p, f)
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_monic_with_repeated_factors())
+def test_integer_square_free_split_equals_the_fraction_split(p):
+    """The primitive pseudo-remainder sequence over Z gives the factors
+    and multiplicities of Yun's split over Q, as ints."""
+    got = _square_free(p)
+    assert got == fraction_square_free(p)
+    assert all(type(c) is int for f, _ in got for c in f)
+
+
+def test_zero_matrix_has_the_eigenvalue_zero_only():
+    """x^n leaves the constant 1, whose derivative is 0: no factor."""
+    assert _square_free([1]) == fraction_square_free([1]) == []
+    assert _decide([[F(0)] * 3 for _ in range(3)]) == [(0j, 3)]
+    E = sym_exp([[F(0)] * 3 for _ in range(3)], "t")
+    assert [[e.terms for e in row] for row in E.entries] == [[{((0,), (0.0,), (0.0,), 0): 1.0} if a == b else {}
+                                                              for b in range(3)] for a in range(3)]
+
+
+# ----------------------------------------------------------------------
+# one polynomial per distinct entry, composed once
+
+
+def test_equal_entries_are_one_object_and_composed_once(monkeypatch):
+    """The entries of e^{tA} with one column of powers (dA)^k[a][b], or,
+    outside the nilpotent case, with one quasi-polynomial (here: equal
+    entries), are one object, and `exp_matrix` composes each distinct
+    nonzero entry once: L10's ad_0 has 10 entries 1 on its diagonal.  The
+    factor's sparse rows hold its nonzero entries, None for those that are
+    exactly one."""
+    L10 = StructureConstants.from_brackets(10, {(10, k): {k - 1: F(1)} for k in range(2, 10)})
+    _, chain = adapted_chain(L10)
+    for A in CHAIN_MATRICES:
+        E = sym_exp(A, "t")
+        ids: dict = {}
+        for a, row in enumerate(E.entries):
+            for b, e in enumerate(row):
+                key = str(_bits(e)) if E.powers is None else tuple(P[a][b] for P in E.powers)
+                ids.setdefault(key, set()).add(id(e))
+        assert all(len(v) == 1 for v in ids.values()), A
+
+    E = chain.ad_exp(0)
+    nonzero = [e for row in E.entries for e in row if not e.is_zero()]
+    assert sum(e.is_one() for e in nonzero) == 10
+    chart = VarSet.of("x", "y")
+    f = ExpPoly.coordinate(chart, "y") * 2.0 + ExpPoly.coordinate(chart, "x")
+    calls = []
+    substitute = ExpPoly.substitute
+    monkeypatch.setattr(ExpPoly, "substitute", lambda self, b: calls.append(id(self)) or substitute(self, b))
+    M = f.exp_matrix(E)
+    assert sorted(calls) == sorted({id(e) for e in nonzero}) and len(calls) < len(nonzero)
+    monkeypatch.undo()
+    want = [[e.substitute({"_t": f}) for e in row] for row in E.entries]
+    assert [[_bits(e) for e in row] for row in M] == [[_bits(e) for e in row] for row in want]
+    for row, sparse in zip(M, M.rows):
+        assert [b for b, _ in sparse] == [b for b, e in enumerate(row) if not e.is_zero()]
+        assert all(x is row[b] if x is not None else row[b].is_one() for b, x in sparse)

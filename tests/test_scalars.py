@@ -779,6 +779,55 @@ def test_mat_vec_equals_lin_comb_per_row(case):
     assert _bits(got[1]) == _bits(items[0] * 0) and _form_bits(got_forms[1]) == _form_bits(forms[0] * 0)
 
 
+def test_running_sums_equal_the_left_folds_where_a_key_or_an_index_comes_back():
+    """`ExpPoly.sum` and `DiffForm.sum` are the left folds of `+` bit for
+    bit, in term and index order.  0.1 x + 0.2 x - 0.3 x is 5.55e-17 x,
+    below the cut: the key of x is dropped, and 0.001 x starts it again at
+    the end.  The dx coefficient cancels after the second form and comes
+    back after the dy one: dx then follows dy."""
+    from liequad.forms import DiffForm
+
+    X = VarSet.of("x", "y")
+    x, y = (ExpPoly.coordinate(X, n) for n in X.names)
+    items = [x * 0.1 + y, x * 0.2, x * -0.3, y * 2.0, x * 0.001]
+    got = ExpPoly.sum(items)
+    assert _bits(got) == _bits(functools.reduce(add, items))
+    assert [k for k, _, _, _ in got.terms] == [(0, 1), (1, 0)]
+    a, b = x * 0.1 + y * y, ExpPoly.constant(X, 3.0)
+    forms = [DiffForm(X, 1, {(0,): a, (1,): b}), DiffForm(X, 1, {(0,): -a}), DiffForm(X, 1, {(1,): b}),
+             DiffForm(X, 1, {(0,): x * 0.2})]
+    got_form = DiffForm.sum(forms)
+    assert _form_bits(got_form) == _form_bits(functools.reduce(add, forms))
+    assert list(got_form.coeffs) == [(1,), (0,)]
+    assert ExpPoly.sum([a]) is a and DiffForm.sum(forms[:1]) is forms[0]
+
+
+@st.composite
+def _sum_items(draw):
+    """2 to 6 polynomials over one chart, each new or the negation of an
+    earlier one, so that keys cancel and come back."""
+    chart = draw(st.sampled_from(CHARTS[:3]))
+    items = []
+    for _ in range(draw(st.integers(2, 6))):
+        if items and draw(st.booleans()):
+            items.append(-draw(st.sampled_from(items)))
+        else:
+            items.append(draw(_exppolys(chart, 3)))
+    return items
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sum_items(), st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_running_sums_equal_the_left_folds(items, indices):
+    """The same on random items; the forms put item j at the index
+    indices[j] of a 1-form, the last index where the chart is smaller."""
+    from liequad.forms import DiffForm
+
+    assert _bits(ExpPoly.sum(items)) == _bits(functools.reduce(add, items))
+    forms = [DiffForm(p.chart, 1, {(min(i, len(p.chart) - 1),): p}, ExpPoly) for p, i in zip(items, indices)]
+    assert _form_bits(DiffForm.sum(forms)) == _form_bits(functools.reduce(add, forms))
+
+
 def _rational_entries():
     from liequad import RationalFunction
 
