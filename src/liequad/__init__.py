@@ -73,7 +73,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # the rational classes load sympy, so they are imported on first use
+    # the rational classes are imported on first use, which keeps compiling
+    # them out of `import liequad`
     if name in ("LogExtendedScalar", "RationalFunction"):
         from . import rational
 

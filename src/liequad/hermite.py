@@ -2,70 +2,167 @@
 class.
 
 The integrand's numerator and denominator are read as polynomials in the
-integration variable v over K = Q(other chart variables), elements of
-sympy's sparse ring K[v].  The rational part of the antiderivative is
-produced by Hermite reduction (integration by parts against the
-squarefree factorization, no linear solves; Bronstein, *Symbolic
-Integration I*, ch. 2), the transcendental part only by exact
-factorization over Q: a squarefree denominator factor p contributes
-``c*log(p)`` when its partial fraction numerator is exactly ``c * dp/dv``
-with constant rational ``c``.  Everything else (algebraic or complex log
-arguments, non-constant log coefficients) raises
-:class:`~liequad.errors.NonElementaryInClass`.  Results go back to the
-chart's rational function field.
+integration variable v over K = Q(other chart variables): coefficient
+lists whose entries are `Frac`s over the chart without v.  The rational
+part of the antiderivative is produced by Hermite reduction (integration
+by parts against Yun's squarefree factorization, by extended Euclid and
+division, no linear solves; Bronstein, *Symbolic Integration I*, ch. 2),
+the transcendental part only by exact factorization over Q: a squarefree
+denominator factor p contributes ``c*log(p)`` when its partial fraction
+numerator is exactly ``c * dp/dv`` with constant rational ``c``.  The
+factors come from sympy's factorization in K[v], the one place sympy is
+loaded, and each log argument is the numerator of its factor in the
+chart's field.  Everything else (algebraic or complex log arguments, non-constant log
+coefficients) raises :class:`~liequad.errors.NonElementaryInClass`.
+Results go back to the chart's field.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
-
-from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyElement, PolyRing
+from itertools import zip_longest
 
 from .errors import NonElementaryInClass
-from .rational import LogExtendedScalar, RationalFunction, _integer_or_fraction, chart_field
+from .qpoly import Frac
+from .rational import LogExtendedScalar, RationalFunction
 from .varset import VarSet
 
 
-@lru_cache(maxsize=None)
-def _univariate_ring(chart: VarSet, name: str) -> PolyRing:
-    """K[v] for v = name and K = Q(other chart variables), or Q[v]."""
-    symbols = chart_field(chart).symbols
-    i = chart.index(name)
-    others = symbols[:i] + symbols[i + 1:]
-    K = QQ.frac_field(*others) if others else QQ
-    return PolyRing((symbols[i],), K)
+class _Poly:
+    """A polynomial in v over K: its coefficients, constant first and
+    without trailing zeros, each a `Frac` without v; ``zero`` is K's 0."""
+
+    __slots__ = ("c", "zero")
+
+    def __init__(self, coeffs: list, zero: Frac):
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.c = coeffs
+        self.zero = zero
+
+    @classmethod
+    def of(cls, f: dict, i: int, n: int) -> "_Poly":
+        """An integer polynomial over the n chart variables as one in x_i."""
+        zero = Frac.number(n, 0)
+        groups: dict[int, dict] = {}
+        for m, c in f.items():
+            groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+        coeffs = [zero] * (max(groups, default=-1) + 1)
+        for e, g in groups.items():
+            coeffs[e] = Frac.polynomial(g, n)
+        return cls(coeffs, zero)
+
+    def constant(self, c) -> "_Poly":
+        return _Poly([self.zero + c], self.zero)
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def degree(self) -> int:
+        return len(self.c) - 1
+
+    @property
+    def lc(self) -> Frac:
+        return self.c[-1]
+
+    def is_one(self) -> bool:
+        return len(self.c) == 1 and self.c[0].is_one()
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        z = self.zero
+        return _Poly([a + b for a, b in zip_longest(self.c, other.c, fillvalue=z)], z)
+
+    def __neg__(self) -> "_Poly":
+        return _Poly([-a for a in self.c], self.zero)
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_Poly":
+        """The product with a polynomial, or with a scalar of K or Q."""
+        if not isinstance(other, _Poly):
+            return _Poly([a * other for a in self.c], self.zero)
+        if not self or not other:
+            return _Poly([], self.zero)
+        out = [self.zero] * (len(self.c) + len(other.c) - 1)
+        for j, a in enumerate(self.c):
+            if a:
+                for k, b in enumerate(other.c):
+                    if b:
+                        out[j + k] = out[j + k] + a * b
+        return _Poly(out, self.zero)
+
+    def __divmod__(self, other: "_Poly") -> tuple["_Poly", "_Poly"]:
+        r = list(self.c)
+        dq = len(r) - len(other.c)
+        q = [self.zero] * max(dq + 1, 0)
+        inv = other.lc.inverse()
+        for k in range(dq, -1, -1):
+            top = r.pop()
+            if top:
+                a = top * inv
+                q[k] = a
+                for j, b in enumerate(other.c[:-1]):
+                    if b:
+                        r[j + k] = r[j + k] - a * b
+        return _Poly(q, self.zero), _Poly(r, self.zero)
+
+    def __floordiv__(self, other: "_Poly") -> "_Poly":
+        return divmod(self, other)[0]
+
+    def diff(self) -> "_Poly":
+        return _Poly([a * k for k, a in enumerate(self.c) if k], self.zero)
+
+    def integral(self) -> "_Poly":
+        """The antiderivative without a constant term."""
+        return _Poly([self.zero] + [a / (k + 1) for k, a in enumerate(self.c)], self.zero)
+
+    def monic(self) -> "_Poly":
+        return self * self.lc.inverse()
+
+    def gcdex(self, other: "_Poly") -> tuple["_Poly", "_Poly", "_Poly"]:
+        """(s, t, g) with s*self + t*other = g, the monic gcd, by the
+        extended Euclidean algorithm."""
+        r0, r1 = self, other
+        s0, s1 = self.constant(1), self.constant(0)
+        t0, t1 = self.constant(0), self.constant(1)
+        while r1:
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        inv = r0.lc.inverse()
+        return s0 * inv, t0 * inv, r0 * inv
+
+    def to_chart(self, i: int) -> Frac:
+        """The polynomial as an element of the chart's field, v = x_i."""
+        v = Frac.gen(self.zero.nvars, i)
+        acc = self.zero
+        for a in reversed(self.c):
+            acc = acc * v + a
+        return acc
 
 
-def _to_univariate(poly: PolyElement, R: PolyRing, i: int) -> PolyElement:
-    """A chart polynomial as an element of K[v], v the i-th variable."""
-    K = R.domain
-    if K is QQ:
-        return R.from_dict({(m[i],): c for m, c in poly.items()})
-    inner = K.field.ring
-    groups: dict[int, dict] = {}
-    for m, c in poly.items():
-        groups.setdefault(m[i], {})[m[:i] + m[i + 1:]] = c
-    return R.from_dict({(e,): K.field(inner.from_dict(d)) for e, d in groups.items()})
+def _square_free(f: _Poly) -> list[tuple[_Poly, int]]:
+    """Yun's squarefree split of the monic f: [(a_k, k)] with f the product
+    of the a_k^k, each a_k monic and non-constant, k increasing."""
+    out = []
+    df = f.diff()
+    g = f.gcdex(df)[2]
+    b, d = f // g, df // g - (f // g).diff()
+    k = 1
+    while b.degree() > 0:
+        a = b.gcdex(d)[2]
+        b, c = b // a, d // a
+        d = c - b.diff()
+        if a.degree() > 0:
+            out.append((a, k))
+        k += 1
+    return out
 
 
-def _to_chart(p: PolyElement, chart: VarSet, i: int):
-    """An element of K[v] as an element of the chart field."""
-    F = chart_field(chart)
-    if p.ring.domain is QQ:  # v is the only chart variable
-        return F(F.ring.from_dict(dict(p.items())))
-
-    def lift(q, e):
-        return F.ring.from_dict({m[:i] + (e,) + m[i:]: c for m, c in q.items()})
-
-    total = F(0)
-    for (e,), c in p.items():
-        total += F.new(lift(c.numer, e), lift(c.denom, 0))
-    return total
-
-
-def _split_prime_powers(A, factors):
+def _split_prime_powers(A: _Poly, factors):
     """Partial fractions of A / prod(d**m) over pairwise coprime factors.
 
     Returns [(A_i, d_i, m_i)] with A/prod = sum A_i/d_i^m_i, assuming the
@@ -75,22 +172,19 @@ def _split_prime_powers(A, factors):
         d, m = factors[0]
         return [(A, d, m)]
     d, m = factors[0]
-    P = d ** m
-    Q = A.ring.one
+    P = d.constant(1)
+    for _ in range(m):
+        P = P * d
+    Q = d.constant(1)
     for dj, mj in factors[1:]:
-        Q = Q * dj ** mj
+        for _ in range(mj):
+            Q = Q * dj
     s, t, g = P.gcdex(Q)
-    if g != 1:
+    if not g.is_one():
         raise NonElementaryInClass("denominator factors are not coprime")
     carry, A1 = divmod(A * t, P)
     A2 = A * s + carry * Q
     return [(A1, d, m)] + _split_prime_powers(A2, factors[1:])
-
-
-def _integrate_poly_part(Q: PolyElement) -> PolyElement:
-    """Antiderivative of a polynomial in v (coefficients may involve other
-    variables)."""
-    return Q.ring.from_dict({(k + 1,): c / (k + 1) for (k,), c in Q.items()})
 
 
 def integrate_rational(rf: RationalFunction, name: str):
@@ -100,38 +194,31 @@ def integrate_rational(rf: RationalFunction, name: str):
     """
     chart = rf.chart
     i = chart.index(name)
-    R = _univariate_ring(chart, name)
-    K = R.domain
-    v = R.gens[0]
+    n = len(chart)
 
-    N = _to_univariate(rf.frac.numer, R, i)
-    D = _to_univariate(rf.frac.denom, R, i)
+    N = _Poly.of(rf.frac.num, i, n)
+    D = _Poly.of(rf.frac.den, i, n)
 
     quo, rem = divmod(N, D)
-    total_rational = _to_chart(_integrate_poly_part(quo), chart, i)
-    log_terms: list[tuple[Fraction, PolyElement]] = []
+    total_rational = quo.integral().to_chart(i)
+    log_terms: list[tuple[Fraction, Frac]] = []
 
     if rem:
-        lc = D.LC
-        D = D.monic()
-        rem = rem.quo_ground(lc)
-        _, sqf = D.sqf_list()
-        pieces = _split_prime_powers(rem, sqf)
+        rem = rem * D.lc.inverse()
+        pieces = _split_prime_powers(rem, _square_free(D.monic()))
 
         for A, d, m in pieces:
-            dp = d.diff(v)
+            dp = d.diff()
             while m > 1:
                 s, t, g = d.gcdex(dp)
-                if g != 1:
+                if not g.is_one():
                     raise NonElementaryInClass("squarefree factor shares a root with its derivative")
                 u = A * t
-                total_rational += _to_chart(u.quo_ground(K.convert(1 - m)), chart, i) / _to_chart(
-                    d, chart, i
-                ) ** (m - 1)
-                A = A * s + u.diff(v).quo_ground(K.convert(m - 1))
+                total_rational += (u * Fraction(1, 1 - m)).to_chart(i) / d.to_chart(i) ** (m - 1)
+                A = A * s + u.diff() * Fraction(1, m - 1)
                 m -= 1
             pq, pr = divmod(A, d)
-            total_rational += _to_chart(_integrate_poly_part(pq), chart, i)
+            total_rational += pq.integral().to_chart(i)
             if pr:
                 log_terms.extend(_log_part(pr, d, chart, i))
 
@@ -142,40 +229,76 @@ def integrate_rational(rf: RationalFunction, name: str):
     return result
 
 
-def _log_part(r, d, chart: VarSet, i: int):
+def _log_part(r: _Poly, d: _Poly, chart: VarSet, i: int):
     """Logarithmic contributions of the proper fraction r/d with d squarefree.
 
     Each irreducible factor p of d over Q must receive a numerator which is
     an exact constant multiple of dp/dv; the constant must be rational.
     """
-    K = r.ring.domain
-    v = r.ring.gens[0]
-    const, factors = d.factor_list()
-    fs = []
-    for p, mult in factors:
-        if p.degree() <= 0:
-            continue
-        if mult != 1:
-            raise NonElementaryInClass("repeated factor survived squarefree reduction")
-        fs.append((p, 1))
-    A = r.quo_ground(K.convert(const))
-    pieces = _split_prime_powers(A, fs)
+    fs = [(p, 1) for p in _factors(d, chart, i)]
+    const = d.lc  # d = const * prod(p) in K[v]
+    for p, _ in fs:
+        const = const / p.lc
     out = []
-    for B, p, _ in pieces:
-        q, rem = divmod(B, p.diff(v))
+    for B, p, _ in _split_prime_powers(r * const.inverse(), fs):
+        q, rem = divmod(B, p.diff())
         if rem or q.degree() > 0:
             raise NonElementaryInClass(
-                f"integrand needs log arguments outside Q-factorization: {p.as_expr()}"
+                f"integrand needs log arguments outside Q-factorization: {_text(p, chart, i)}"
             )
-        c = q.LC
-        if K is not QQ:
-            if not (c.numer.is_ground and c.denom.is_ground):
-                raise NonElementaryInClass(
-                    f"log coefficient {q.as_expr()} is not a rational constant"
-                )
-            c = c.numer.LC / c.denom.LC
-        out.append((Fraction(_integer_or_fraction(c)), _to_chart(p, chart, i).numer))
+        c = q.lc if q else d.zero
+        if not c.is_constant():
+            raise NonElementaryInClass(f"log coefficient {_text(q, chart, i)} is not a rational constant")
+        out.append((RationalFunction(chart, c).constant_value(), Frac.polynomial(p.to_chart(i).num, len(chart))))
     return out
+
+
+def _factors(d: _Poly, chart: VarSet, i: int) -> list[_Poly]:
+    """The irreducible factors over Q of the squarefree d that contain v,
+    by sympy's factorization in K[v], in its order; each is converted to
+    sympy and back here, the one place sympy is loaded."""
+    from sympy import Symbol
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import PolyRing
+
+    symbols = [Symbol(name) for name in chart.names]
+    others = symbols[:i] + symbols[i + 1:]
+    K = QQ.frac_field(*others) if others else QQ
+    n = len(chart)
+
+    def to_k(c: Frac):
+        if not others:
+            return QQ(c.num.get((0,), 0), c.den[(0,)])
+        ring = K.field.ring
+        num, den = ({m[:i] + m[i + 1:]: QQ(a) for m, a in f.items()} for f in (c.num, c.den))
+        return K.field.new(ring.from_dict(num), ring.from_dict(den))
+
+    def from_k(c) -> Frac:
+        if not others:
+            return Frac.number(n, Fraction(int(c.numerator), int(c.denominator)))
+        num, den = (
+            {m[:i] + (0,) + m[i:]: Fraction(int(a.numerator), int(a.denominator)) for m, a in f.items()}
+            for f in (c.numer, c.denom)
+        )
+        scale = math.lcm(*(q.denominator for q in (*num.values(), *den.values())))
+        return Frac.reduced({m: int(q * scale) for m, q in num.items()}, {m: int(q * scale) for m, q in den.items()})
+
+    R = PolyRing((symbols[i],), K)
+    _, factors = R.from_dict({(e,): to_k(c) for e, c in enumerate(d.c) if c}).factor_list()
+    out = []
+    for p, mult in factors:
+        if p.degree() > 0:
+            if mult != 1:
+                raise NonElementaryInClass("repeated factor survived squarefree reduction")
+            coeffs = [d.zero] * (p.degree() + 1)
+            for (e,), c in p.items():
+                coeffs[e] = from_k(c)
+            out.append(_Poly(coeffs, d.zero))
+    return out
+
+
+def _text(p: _Poly, chart: VarSet, i: int) -> str:
+    return RationalFunction(chart, p.to_chart(i)).to_text()
 
 
 def _check_derivative(result, rf: RationalFunction, name: str):

@@ -1,13 +1,12 @@
 """Exact multivariate rational functions and their log extension.
 
 :class:`RationalFunction` holds an element of the rational function field
-Q(chart), one sympy sparse field per chart (``sympy.polys.fields``).  The
-field keeps numerator and denominator as coprime integer polynomials with
-a positive lex-leading denominator coefficient, so every value has one
-representation: arithmetic never runs a separate cancellation, and
-equality and zero testing are structural.  Evaluation runs Horner's
-method on the two polynomials, over Fractions at a point or over the
-target field for a composition.
+Q(chart) as a :class:`~liequad.qpoly.Frac` over the chart's variables in
+chart order.  Numerator and denominator are coprime integer polynomials
+with a positive lex-leading denominator coefficient, so every value has
+one representation: equality and zero testing are structural.  Evaluation
+runs Horner's method on the two polynomials, over Fractions at a point or
+over the target field for a composition.
 :class:`LogExtendedScalar` adjoins terms ``c * log(p)`` with exact rational
 ``c`` and primitive integer polynomial arguments ``p``; this is the closure
 of the supported quadrature over rational coefficients.
@@ -15,7 +14,9 @@ of the supported quadrature over rational coefficients.
 One-variable antidifferentiation reduces the rational part with Hermite's
 method and only accepts log arguments that arise from exact factorization
 over Q; anything requiring algebraic or complex log arguments raises
-:class:`~liequad.errors.NonElementaryInClass`.
+:class:`~liequad.errors.NonElementaryInClass`.  Neither this module nor
+:mod:`~liequad.hermite` loads sympy, except to factor the denominator of
+a log part.
 """
 
 from __future__ import annotations
@@ -25,29 +26,14 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.rings import PolyElement
 
+from . import qpoly
 from .errors import (BasepointOnPole, ClassMismatch, MismatchedVarSet, NonAffineExponentSubstitution,
                      NonElementaryInClass, PoleAtPoint)
 from .exacttext import evaluate_text
 from .liealg import mat_vec
+from .qpoly import Frac
 from .varset import VarSet
-
-_FIELDS: dict[tuple[str, ...], FracField] = {}
-
-
-def chart_field(chart: VarSet) -> FracField:
-    """Q(chart), built once per chart; its generators follow the chart order
-    and its monomial order is lex."""
-    K = _FIELDS.get(chart.names)
-    if K is None:
-        K = FracField(tuple(sp.Symbol(n) for n in chart.names), QQ)
-        _FIELDS[chart.names] = K
-    return K
-
 
 # the numbers a RationalFunction or a LogExtendedScalar takes as an operand; a
 # float by its exact value
@@ -60,24 +46,11 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _to_rational(value):
-    """An exact number as an element of QQ (field arithmetic can return
-    such elements, since a zero operand yields the other one unchanged)."""
-    if isinstance(value, QQ.dtype):
-        return value
-    q = _to_fraction(value)
-    return QQ(q.numerator, q.denominator)
-
-
-def _integer_or_fraction(c):
-    return int(c.numerator) if c.denominator == 1 else Fraction(int(c.numerator), int(c.denominator))
-
-
-def _horner_scheme(poly: PolyElement, n: int):
-    """Nested sparse Horner form of a polynomial in n variables: a number at
-    depth n, else the pairs (exponent, inner scheme) of the variable at
-    that depth in descending exponent order."""
-    return _nest([(m, _integer_or_fraction(c)) for m, c in poly.items()], 0, n)
+def _horner_scheme(poly: dict, n: int):
+    """Nested sparse Horner form of an integer polynomial in n variables: a
+    number at depth n, else the pairs (exponent, inner scheme) of the
+    variable at that depth in descending exponent order."""
+    return _nest(list(poly.items()), 0, n)
 
 
 def _nest(terms, depth: int, n: int):
@@ -111,18 +84,12 @@ class RationalFunction:
     check_mode = "exact"  # the mode a report names for a symbolic check in this class
 
     def __init__(self, chart: VarSet, value):
-        """``value`` is an element of ``chart_field(chart)`` or anything it
-        converts: a polynomial of its ring or an exact number."""
-        K = chart_field(chart)
-        if isinstance(value, FracElement):
-            if value.field is not K:
+        """``value`` is a `Frac` over the chart's variables or an exact number."""
+        if isinstance(value, Frac):
+            if value.nvars != len(chart):
                 raise MismatchedVarSet(f"value lies outside the field of chart {chart.names}")
-        elif isinstance(value, PolyElement):
-            if value.ring is not K.ring:
-                raise MismatchedVarSet(f"value lies outside the field of chart {chart.names}")
-            value = K(value)
         else:
-            value = K(_to_rational(value))
+            value = Frac.number(len(chart), _to_fraction(value))
         self.chart = chart
         self.frac = value
         self._schemes = None
@@ -144,17 +111,17 @@ class RationalFunction:
 
     @classmethod
     def coordinate(cls, chart: VarSet, name: str) -> "RationalFunction":
-        return cls(chart, chart_field(chart).gens[chart.index(name)])
+        return cls(chart, Frac.gen(len(chart), chart.index(name)))
 
     @classmethod
     def parse(cls, chart: VarSet, text: str) -> "RationalFunction":
         """Exact value of document text over the chart variables (see
         :mod:`liequad.exacttext`); malformed text raises SchemaError."""
-        K = chart_field(chart)
+        n = len(chart)
         value = evaluate_text(
             text,
-            dict(zip(chart.names, K.gens)),
-            number=lambda q: K(QQ(q.numerator, q.denominator)),
+            {name: Frac.gen(n, i) for i, name in enumerate(chart.names)},
+            number=lambda q: Frac.number(n, q),
             what="rational function",
             unbound=f"names must be chart variables {chart.names}",
         )
@@ -169,7 +136,7 @@ class RationalFunction:
 
     def __add__(self, other):
         if isinstance(other, _NUMBERS):
-            return RationalFunction(self.chart, self.frac + _to_rational(other))
+            return RationalFunction(self.chart, self.frac + _to_fraction(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check_chart(other)
@@ -206,7 +173,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, _NUMBERS):
-            return RationalFunction(self.chart, self.frac * _to_rational(other))
+            return RationalFunction(self.chart, self.frac * _to_fraction(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check_chart(other)
@@ -218,7 +185,7 @@ class RationalFunction:
         if isinstance(other, _NUMBERS):
             if other == 0:
                 raise ZeroDivisionError("division by the zero rational function")
-            return RationalFunction(self.chart, self.frac / _to_rational(other))
+            return RationalFunction(self.chart, self.frac / _to_fraction(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check_chart(other)
@@ -252,39 +219,38 @@ class RationalFunction:
         return not self.frac
 
     def is_one(self) -> bool:
-        return self.frac == 1
+        return self.frac.is_one()
 
     def max_abs_coeff(self) -> float:
         """1.0 unless the function is zero: an exact residual has no size."""
         return 0.0 if self.is_zero() else 1.0
 
     def is_constant(self) -> bool:
-        return self.frac.numer.is_ground and self.frac.denom.is_ground
+        return self.frac.is_constant()
 
     def poles(self) -> tuple:
         """The sets a numeric check avoids: the zeros of a non-constant denominator."""
-        den = self.frac.denom
-        return () if den.is_ground else (RationalFunction(self.chart, den),)
+        den = self.frac.den
+        if qpoly.is_constant(den):
+            return ()
+        return (RationalFunction(self.chart, Frac.polynomial(den, len(self.chart))),)
 
     def occurring(self) -> list[int]:
         """Positions of the variables in the numerator or denominator: the
         only ones with a nonzero derivative."""
-        degrees = zip(self.frac.numer.degrees(), self.frac.denom.degrees())
-        return [i for i, (p, q) in enumerate(degrees) if p > 0 or q > 0]
+        return [i for i, d in enumerate(self.frac.degrees()) if d > 0]
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant")
-        return Fraction(_integer_or_fraction(self.frac.numer.LC)) / _integer_or_fraction(
-            self.frac.denom.LC
-        )
+        num = self.frac.num
+        return Fraction(next(iter(num.values())) if num else 0, next(iter(self.frac.den.values())))
 
     # ------------------------------------------------------------------
     # calculus
 
     def diff(self, name: str) -> "RationalFunction":
-        x = chart_field(self.chart).gens[self.chart.index(name)]
-        return RationalFunction(self.chart, self.frac.diff(x))
+        return RationalFunction(self.chart, self.frac.diff(self.chart.index(name)))
 
     def antideriv(self, name: str):
         """Exact antiderivative in ``name`` within the rational+log class,
@@ -301,7 +267,7 @@ class RationalFunction:
         if self._schemes is None:
             n = len(self.chart)
             self._schemes = (
-                _horner_scheme(self.frac.numer, n), _horner_scheme(self.frac.denom, n)
+                _horner_scheme(self.frac.num, n), _horner_scheme(self.frac.den, n)
             )
         num, den = self._schemes
         return _horner_eval(num, values), _horner_eval(den, values)
@@ -329,7 +295,7 @@ class RationalFunction:
             target = next(iter(bindings.values())).chart
         else:
             target = self.chart
-        K = chart_field(target)
+        n = len(target)
         point = []
         for name in self.chart.names:
             if name in bindings:
@@ -338,13 +304,13 @@ class RationalFunction:
                     raise MismatchedVarSet("bindings must share one target chart")
                 point.append(b.frac)
             elif name in target:
-                point.append(K.gens[target.index(name)])
+                point.append(Frac.gen(n, target.index(name)))
             else:
                 raise MismatchedVarSet(f"unbound variable {name!r}")
-        nval, dval = self._substitute(point)
+        nval, dval = (v if isinstance(v, Frac) else Frac.number(n, v) for v in self._substitute(point))
         if not dval:
             raise PoleAtPoint("composition hits a pole identically")
-        return RationalFunction(target, K(nval) / K(dval))
+        return RationalFunction(target, nval / dval)
 
     @classmethod
     def bind(cls, chart: VarSet, bindings: Mapping[str, "RationalFunction"]):
@@ -372,16 +338,17 @@ class RationalFunction:
     # serialization
 
     def to_text(self) -> str:
-        num, den = self.frac.numer, self.frac.denom
-        if den.is_ground:
+        num, den, names = self.frac.num, self.frac.den, self.chart.names
+        if qpoly.is_constant(den):
             # the canonical text writes a single term with a fractional
             # coefficient as (c*m)/(1), any other polynomial as its terms
-            if den.LC == 1 or len(num) > 1:
-                return _poly_text(num.quo_ground(den.LC))
-            return f"({_poly_text(num.quo_ground(den.LC))})/(1)"
-        # the field keeps the lex-leading denominator coefficient positive
-        content, prim = den.primitive()
-        return f"({_poly_text(num.quo_ground(content))})/({_poly_text(prim)})"
+            c = den[next(iter(den))]
+            if c == 1 or len(num) > 1:
+                return _poly_text(num, names, c)
+            return f"({_poly_text(num, names, c)})/(1)"
+        # the lex-leading denominator coefficient is positive, so is the content
+        content = qpoly.content(den)
+        return f"({_poly_text(num, names, content)})/({_poly_text(qpoly.quo_int(den, content), names)})"
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()})"
@@ -408,14 +375,14 @@ class _Family:
         return np.array(values, dtype=float).reshape(len(values), len(self.members))
 
 
-def _poly_text(poly: PolyElement) -> str:
-    """Terms in lex order, each as coefficient * powers, joined by " + "."""
+def _poly_text(poly: dict, names, scale: int = 1) -> str:
+    """The terms of poly / scale in descending lex order, each as
+    coefficient * powers, joined by " + "."""
     if not poly:
         return "0"
-    names = [str(s) for s in poly.ring.symbols]
     parts = []
-    for monom, coeff in poly.terms():
-        coeff = _integer_or_fraction(coeff)
+    for monom, coeff in sorted(poly.items(), reverse=True):
+        coeff = coeff // scale if coeff % scale == 0 else Fraction(coeff, scale)
         factors = []
         if not any(monom):
             factors.append(str(coeff))
@@ -435,20 +402,20 @@ def _poly_text(poly: PolyElement) -> str:
 
 class LogExtendedScalar:
     """rational part + sum of c_i * log(p_i) with rational c_i and primitive
-    integer-polynomial arguments p_i (elements of the chart field's
-    polynomial ring), pairwise distinct."""
+    integer-polynomial arguments p_i (polynomial `Frac`s over the chart),
+    pairwise distinct."""
 
     __slots__ = ("chart", "rational_part", "log_terms")
 
     def __init__(self, chart: VarSet, rational_part: RationalFunction, log_terms):
-        """Log arguments are polynomial RationalFunctions or polynomials of
-        the chart field's ring."""
+        """Log arguments are polynomial RationalFunctions or polynomial
+        `Frac`s over the chart."""
         if rational_part.chart != chart:
             raise MismatchedVarSet("rational part chart mismatch")
         merged: dict = {}
         for coeff, arg in log_terms:
             coeff = Fraction(coeff)
-            arg = _normalize_log_argument(_log_argument(arg, chart))
+            arg = _normalize_log_argument(_log_argument(arg, chart), len(chart))
             if coeff == 0 or arg is None:
                 continue
             merged[arg] = merged.get(arg, 0) + coeff
@@ -527,11 +494,10 @@ class LogExtendedScalar:
         return sorted(used)
 
     def diff(self, name: str) -> RationalFunction:
-        K = chart_field(self.chart)
-        x = K.ring.gens[self.chart.index(name)]
+        i = self.chart.index(name)
         out = self.rational_part.diff(name)
         for c, a in self.log_terms:
-            out = out + RationalFunction(self.chart, K(a.diff(x)) / K(a)) * c
+            out = out + RationalFunction(self.chart, a.diff(i) / a) * c
         return out
 
     def evaluate(self, point: Mapping[str, float]) -> float:
@@ -539,7 +505,7 @@ class LogExtendedScalar:
         total = self.rational_part.evaluate(point)
         values = [_to_fraction(point[n]) for n in self.chart.names]
         for c, a in self.log_terms:
-            val = float(_horner_eval(_horner_scheme(a, len(values)), values))
+            val = float(_horner_eval(_horner_scheme(a.num, len(values)), values))
             if val == 0.0:
                 raise PoleAtPoint(f"log argument vanishes at {dict(point)}")
             total += float(c) * math.log(abs(val))
@@ -548,7 +514,7 @@ class LogExtendedScalar:
     def to_text(self) -> str:
         parts = [self.rational_part.to_text()]
         # by argument text, which is the RationalFunction text of the argument
-        for text, c in sorted((_poly_text(a), c) for c, a in self.log_terms):
+        for text, c in sorted((_poly_text(a.num, self.chart.names), c) for c, a in self.log_terms):
             parts.append(f"{c}*log({text})")
         return " + ".join(parts)
 
@@ -614,26 +580,26 @@ def _log_factor(E, f: LogExtendedScalar) -> list[list[RationalFunction]]:
     return out
 
 
-def _log_argument(arg, chart: VarSet) -> PolyElement:
-    """A log argument, a polynomial RationalFunction or a polynomial of the
-    chart field's ring, as a polynomial of that ring."""
+def _log_argument(arg, chart: VarSet) -> dict:
+    """A log argument, a polynomial RationalFunction or a polynomial `Frac`
+    over the chart, as an integer polynomial (its numerator)."""
     if isinstance(arg, RationalFunction):
         if arg.chart != chart:
             raise MismatchedVarSet("log argument chart mismatch")
-        if not arg.frac.denom.is_ground:
-            raise ValueError(f"log argument {arg.to_text()} is not a polynomial")
-        return arg.frac.numer
-    if isinstance(arg, PolyElement) and arg.ring == chart_field(chart).ring:
-        return arg
-    raise TypeError(f"cannot use {arg!r} as a log argument over {chart.names}")
+        arg = arg.frac
+    elif not (isinstance(arg, Frac) and arg.nvars == len(chart)):
+        raise TypeError(f"cannot use {arg!r} as a log argument over {chart.names}")
+    if not qpoly.is_constant(arg.den):
+        raise ValueError(f"log argument {RationalFunction(chart, arg).to_text()} is not a polynomial")
+    return arg.num
 
 
-def _normalize_log_argument(arg: PolyElement) -> PolyElement | None:
-    """Factor out rational content and fix the sign so arguments are
-    primitive integer polynomials with positive lex-leading coefficient;
-    None for a constant.  Dropped constants only shift the antiderivative
-    by a constant."""
-    if arg.is_ground:
+def _normalize_log_argument(arg: dict, n: int) -> Frac | None:
+    """Factor out the content and fix the sign so arguments are primitive
+    integer polynomials with positive lex-leading coefficient; None for a
+    constant.  Dropped constants only shift the antiderivative by a
+    constant."""
+    if qpoly.is_constant(arg):
         return None
-    _, prim = arg.primitive()
-    return -prim if prim.LC < 0 else prim
+    prim = qpoly.primitive(arg)
+    return Frac.polynomial(qpoly.neg(prim) if qpoly.leading_coeff(prim) < 0 else prim, n)

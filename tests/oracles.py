@@ -5,7 +5,8 @@ d/dt E - A E of a matrix exponential, the identities E(t)E(-t) = I,
 det E(t) = e^{t tr A} and E(s)E(t) = E(s+t), and dense loops over the
 structure constants (the bracket, constants in a new basis, the ideal
 check, the structure residual, the Jacobi check) against the sparse ones
-of `liealg`."""
+of `liealg`, and sympy's view of an exact rational function (against the
+in-house field of `qpoly`)."""
 
 from __future__ import annotations
 
@@ -19,6 +20,19 @@ from liequad import DiffForm, ExpPoly, NotSolvable, StructureConstants
 from liequad.liealg import ValidationReport, mat_mul
 from liequad.matexp import ExpMatrix, _rational, identity_residual, matrix_batch
 from liequad.report import Report
+
+
+def sympy_fraction(f):
+    """(numerator, denominator) of a RationalFunction as sympy expressions
+    over its chart's names, exactly as the field stores them."""
+    import sympy as sp
+
+    xs = [sp.Symbol(name) for name in f.chart.names]
+
+    def expr(poly):
+        return sp.Add(*[c * sp.Mul(*[x**e for x, e in zip(xs, m)]) for m, c in poly.items()])
+
+    return expr(f.frac.num), expr(f.frac.den)
 
 
 def line_integral(

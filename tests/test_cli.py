@@ -813,7 +813,7 @@ for command in ("validate", "coframe", "multiply"):
 main(["reduce", {algebra!r}, {forms!r}, "-o", {str(tmp_path / "out.json")!r}], standalone_mode=False)
 assert "sympy" not in sys.modules, "sympy was loaded"
 from liequad import RationalFunction
-assert "sympy" in sys.modules
+assert "sympy" not in sys.modules, "the rational class loaded sympy"
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(jsonio.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -966,9 +966,10 @@ def test_package_imports_neither_scipy_nor_the_catalog():
         assert not lines, f"{path.name} imports scipy or the catalog at lines {lines}"
 
 
-def test_only_the_rational_class_imports_sympy():
-    """sympy backs the rational field and Hermite's method; every other
-    module, jsonio's log-argument text included, does without it."""
+def test_only_the_log_part_factorization_imports_sympy():
+    """sympy only factors the denominator of a log part (`hermite._factors`);
+    every other module and function, the rational field included, does
+    without it."""
     import pathlib
 
     for bad in ("import sympy as sp", "import numpy, sympy", "from sympy.polys.rings import PolyElement",
@@ -977,7 +978,48 @@ def test_only_the_rational_class_imports_sympy():
     assert _sympy_imports("import numpy\nfrom .rational import RationalFunction\nfrom . import hermite") == []
     package = pathlib.Path(jsonio.__file__).parent
     importers = [path.name for path in sorted(package.rglob("*.py")) if _sympy_imports(path.read_text())]
-    assert importers == ["hermite.py", "rational.py"]
+    assert importers == ["hermite.py"]
+    source = (package / "hermite.py").read_text()
+    factors = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_factors")
+    lines = _sympy_imports(source)
+    assert lines and all(factors.lineno < line <= factors.end_lineno for line in lines), lines
+
+
+def test_reduce_and_pfaff_run_without_sympy(tmp_path):
+    """The rational class and Hermite's method need no sympy: `reduce` and
+    `pfaff` on the README fixtures never load it, and `import liequad`
+    loads no rational module."""
+    commands = [args for args in _readme_commands() if args[0] in ("reduce", "pfaff")]
+    assert [args[0] for args in commands] == ["reduce", "pfaff"]
+    script = """
+import sys
+import liequad
+assert "liequad.rational" not in sys.modules, "import liequad loaded the rational class"
+from liequad.cli import main
+try:
+    main(sys.argv[1:], prog_name="liequad")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+assert "sympy" not in sys.modules, "sympy was loaded"
+"""
+    for args in commands:
+        proc = _subprocess(["-c", script, *args], tmp_path)
+        assert proc.returncode == 0, (args[0], proc.stdout + proc.stderr)
+
+
+def test_log_part_loads_sympy(tmp_path):
+    """A log part is factored by sympy, loaded then and only then."""
+    script = """
+import sys
+from liequad import LogExtendedScalar, RationalFunction, VarSet
+f = RationalFunction.parse(VarSet.of("x", "u"), "1/x")
+assert "sympy" not in sys.modules
+assert isinstance(f.antideriv("x"), LogExtendedScalar)
+assert "sympy" in sys.modules
+"""
+    proc = _subprocess(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_only_exppoly_names_its_truncation_constant():

@@ -24,6 +24,7 @@ from liequad import (
     pairing,
     transversality,
 )
+from oracles import sympy_fraction
 
 F = Fraction
 
@@ -55,9 +56,11 @@ def test_transversality_determinant_on_ode_example(
 ):
     P, _ = transversality(ode_theta, ode_symmetry_fields)
     # independent determinant via sympy on the raw pairing matrix
-    M = sp.Matrix(
-        [[P[i][j].frac.as_expr() for j in range(3)] for i in range(3)]
-    )
+    def expr(f):
+        num, den = sympy_fraction(f)
+        return num / den
+
+    M = sp.Matrix([[expr(P[i][j]) for j in range(3)] for i in range(3)])
     det_direct = sp.cancel(M.det())
     assert det_direct != 0
     # the paired matrix entries match hand-computed pairings
