@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import NonElementaryInClass
-from .qpoly import Frac
+from .qpoly import Frac, coefficients_in
 from .rational import LogExtendedScalar, RationalFunction
 from .varset import VarSet
 
@@ -45,9 +45,7 @@ class _Poly:
     def of(cls, f: dict, i: int, n: int) -> "_Poly":
         """An integer polynomial over the n chart variables as one in x_i."""
         zero = Frac.number(n, 0)
-        groups: dict[int, dict] = {}
-        for m, c in f.items():
-            groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+        groups = coefficients_in(f, i)
         coeffs = [zero] * (max(groups, default=-1) + 1)
         for e, g in groups.items():
             coeffs[e] = Frac.polynomial(g, n)

@@ -82,15 +82,9 @@ def lin_comb(coeffs: Sequence, items: Sequence):
 def mat_vec(M: Sequence[Sequence], items: Sequence) -> list:
     """[lin_comb(row, items) for row in M], testing each item for zero once:
     each sum runs over the nonzero terms in item order, by the terms'
-    class `sum`, bit for bit their left fold of `+`.  A `SparseMatrix`
-    lists its nonzero entries in its rows, so none of them is tested."""
+    class `sum`, bit for bit their left fold of `+`."""
     live = [(j, item) for j, item in enumerate(items) if not _is_zero(item)]
-    if isinstance(M, SparseMatrix):
-        alive = dict(live)
-        sums = ([alive[j] * (dense[j] if x is None else x) for j, x in row if j in alive]
-                for row, dense in zip(M.rows, M))
-    else:
-        sums = ([item * row[j] for j, item in live if not _is_zero(row[j])] for row in M)
+    sums = ([item * row[j] for j, item in live if not _is_zero(row[j])] for row in M)
     return [type(terms[0]).sum(terms) if terms else items[0] * 0 for terms in sums]
 
 

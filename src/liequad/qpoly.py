@@ -19,7 +19,9 @@ Geddes & Gonnet 1989, *J. Symbolic Comput.* 7:31-48): evaluate one
 variable at a large integer, take the gcd of the images one variable
 fewer, read the candidate back from its balanced digits, and keep it only
 when it divides both operands exactly.  When six evaluation points give
-no candidate, the primitive pseudo-remainder sequence computes the gcd.
+no candidate, the subresultant pseudo-remainder sequence (Collins 1967;
+Brown & Traub 1971) computes the gcd; its exact divisions keep the
+coefficients from growing exponentially.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ import math
 from fractions import Fraction
 from operator import add as _add_exp, sub as _sub_exp
 
-HEU_GCD_MAX = 6  # evaluation points the heuristic gcd tries before the PRS
-
 _ONES: dict[int, dict] = {}
-
-
-class HeuristicGCDFailed(Exception):
-    """No evaluation point gave a candidate that divides both operands."""
 
 
 # ----------------------------------------------------------------------
@@ -204,10 +200,7 @@ def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
         return h, cf, cg
     n = len(next(iter(f)))
     active = [i for i in range(n) if degree(f, i) > 0 or degree(g, i) > 0]
-    try:
-        return _heugcd(f, g, active)
-    except HeuristicGCDFailed:
-        return prs_gcd(f, g)
+    return _heugcd(f, g, active) or prs_gcd(f, g)
 
 
 def _gcd_term(t: dict, g: dict) -> tuple[dict, dict, dict]:
@@ -227,11 +220,12 @@ def _gcd_term(t: dict, g: dict) -> tuple[dict, dict, dict]:
     )
 
 
-def _heugcd(f: dict, g: dict, active: list[int]) -> tuple[dict, dict, dict]:
+def _heugcd(f: dict, g: dict, active: list[int]) -> tuple[dict, dict, dict] | None:
     """Heuristic gcd of f and g in Z[x_i : i in active] (every other
-    exponent zero), with cofactors.  The first evaluation point is at
-    least 2 min(|f|, |g|) + 2, the bound under which a candidate that
-    divides both operands is their gcd."""
+    exponent zero), with cofactors; None when six evaluation points give
+    no candidate.  The first point is at least 2 min(|f|, |g|) + 2, the
+    bound under which a candidate that divides both operands is their
+    gcd."""
     if not active:
         ((z, a),) = f.items()
         b = g[z]
@@ -241,10 +235,13 @@ def _heugcd(f: dict, g: dict, active: list[int]) -> tuple[dict, dict, dict]:
     f, g = quo_int(f, c), quo_int(g, c)
     i, rest = active[0], active[1:]
     x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-    for _ in range(HEU_GCD_MAX):
+    for _ in range(6):
         ff, gg = _evaluate(f, i, x), _evaluate(g, i, x)
         if ff and gg:
-            h, cff, cfg = _heugcd(ff, gg, rest)
+            images = _heugcd(ff, gg, rest)
+            if images is None:
+                return None
+            h, cff, cfg = images
             h = primitive(_interpolate(h, i, x))
             qf = divexact(f, h)
             if qf is not None:
@@ -264,7 +261,7 @@ def _heugcd(f: dict, g: dict, active: list[int]) -> tuple[dict, dict, dict]:
                 if qf is not None:
                     return scale(h, c), qf, cfg
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
-    raise HeuristicGCDFailed("no evaluation point gave the gcd")
+    return None
 
 
 def _evaluate(f: dict, i: int, x: int) -> dict:
@@ -302,28 +299,31 @@ def _interpolate(h: dict, i: int, x: int) -> dict:
 
 
 def prs_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
-    """(h, f/h, g/h) by the primitive pseudo-remainder sequence in the
-    first variable of f or g, contents by `gcd` in the others."""
+    """(h, f/h, g/h) by the subresultant PRS in the first variable of f or
+    g, contents by `gcd` in the others; f and g have two terms or more."""
     n = len(next(iter(f)))
-    i = next((i for i in range(n) if degree(f, i) > 0 or degree(g, i) > 0), None)
-    if i is None:
-        return _gcd_term(f, g)
+    i = next(i for i in range(n) if degree(f, i) > 0 or degree(g, i) > 0)
     cf, pf = _primitive_in(f, i)
     cg, pg = _primitive_in(g, i)
-    c = gcd(cf, cg)[0]
     if degree(pf, i) < degree(pg, i):
         pf, pg = pg, pf
-    while pg:
-        if degree(pg, i) == 0:  # a primitive constant in x_i is a unit
-            pf = one(n)
-            break
+    beta = psi = one(n)
+    while degree(pg, i) > 0:
+        d = degree(pf, i) - degree(pg, i)
         r = _pseudo_remainder(pf, pg, i)
-        pf, pg = pg, (_primitive_in(r, i)[1] if r else {})
-    h = mul(c, pf)
+        if not r:
+            break
+        pf, pg = pg, divexact(r, mul(beta, power(psi, d, n)))
+        beta = coefficients_in(pf, i)[degree(pf, i)]
+        if d:
+            psi = divexact(power(beta, d, n), power(psi, d - 1, n))
+    else:  # a remainder free of x_i: the primitive parts are coprime
+        pg = one(n)
+    h = mul(gcd(cf, cg)[0], _primitive_in(pg, i)[1])
     return h, divexact(f, h), divexact(g, h)
 
 
-def _coefficients_in(f: dict, i: int) -> dict[int, dict]:
+def coefficients_in(f: dict, i: int) -> dict[int, dict]:
     """{k: the coefficient of x_i^k}, each without x_i."""
     out: dict[int, dict] = {}
     for m, c in f.items():
@@ -334,7 +334,7 @@ def _coefficients_in(f: dict, i: int) -> dict[int, dict]:
 def _primitive_in(f: dict, i: int) -> tuple[dict, dict]:
     """(content, primitive part) of f as a polynomial in x_i over the
     integer polynomials in the other variables."""
-    coeffs = iter(_coefficients_in(f, i).values())
+    coeffs = iter(coefficients_in(f, i).values())
     cont = next(coeffs)
     for a in coeffs:
         if is_one(cont):
@@ -344,14 +344,18 @@ def _primitive_in(f: dict, i: int) -> tuple[dict, dict]:
 
 
 def _pseudo_remainder(f: dict, g: dict, i: int) -> dict:
-    """A remainder of lc(g)^k f by g in x_i, of degree below g's."""
+    """The remainder of lc(g)^(deg f - deg g + 1) f by g in x_i, deg f >=
+    deg g: one multiplication by lc(g) per degree, even where f has no
+    term of that degree."""
     dg = degree(g, i)
-    lg = _coefficients_in(g, i)[dg]
+    lg = coefficients_in(g, i)[dg]
     n = len(next(iter(g)))
-    while f and (df := degree(f, i)) >= dg:
-        lf = _coefficients_in(f, i)[df]
-        shift = {tuple(df - dg if j == i else 0 for j in range(n)): 1}
-        f = sub(mul(lg, f), mul(mul(lf, shift), g))
+    for d in range(degree(f, i), dg - 1, -1):
+        lf = coefficients_in(f, i).get(d)
+        f = mul(lg, f)
+        if lf is not None:
+            shift = {tuple(d - dg if j == i else 0 for j in range(n)): 1}
+            f = sub(f, mul(mul(lf, shift), g))
     return f
 
 

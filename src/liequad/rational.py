@@ -84,7 +84,10 @@ class RationalFunction:
     check_mode = "exact"  # the mode a report names for a symbolic check in this class
 
     def __init__(self, chart: VarSet, value):
-        """``value`` is a `Frac` over the chart's variables or an exact number."""
+        """``value`` is a `Frac` over the chart's variables, in chart order,
+        or an exact number.  A `Frac` carries no variable names, so only
+        their count is checked: the caller must not pass one built over
+        another chart of the same size."""
         if isinstance(value, Frac):
             if value.nvars != len(chart):
                 raise MismatchedVarSet(f"value lies outside the field of chart {chart.names}")
@@ -582,7 +585,8 @@ def _log_factor(E, f: LogExtendedScalar) -> list[list[RationalFunction]]:
 
 def _log_argument(arg, chart: VarSet) -> dict:
     """A log argument, a polynomial RationalFunction or a polynomial `Frac`
-    over the chart, as an integer polynomial (its numerator)."""
+    over the chart, as an integer polynomial (its numerator).  Of a `Frac`
+    only the number of variables is checked, as in the constructor."""
     if isinstance(arg, RationalFunction):
         if arg.chart != chart:
             raise MismatchedVarSet("log argument chart mismatch")

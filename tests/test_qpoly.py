@@ -1,9 +1,7 @@
 """The in-house field Q(x, y, z) of `qpoly` against sympy as the oracle:
 gcds of products of integer polynomials with a planted common factor, by
-the single-term shortcut, the heuristic gcd and the PRS fallback, and the
-canonical numerator and denominator of a quotient."""
-
-from unittest import mock
+the single-term shortcut, the heuristic gcd and the subresultant PRS, and
+the canonical numerator and denominator of a quotient."""
 
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
@@ -56,16 +54,21 @@ def test_gcd_equals_sympy_gcd_up_to_sign(pair):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_pairs())
-def test_gcd_falls_back_to_the_prs_gcd(pair):
-    """With no evaluation point left the heuristic gives up, and the
-    primitive PRS gives the same gcd."""
-    f, g = pair
-    with mock.patch.object(qpoly, "HEU_GCD_MAX", 0), mock.patch.object(
-            qpoly, "prs_gcd", wraps=qpoly.prs_gcd) as prs:
-        _assert_gcd(f, g, qpoly.gcd(f, g))
-    assert prs.called == (len(f) > 1 and len(g) > 1)
-    _assert_gcd(f, g, qpoly.prs_gcd(f, g))
+@given(_pairs(), st.booleans())
+def test_prs_gcd_equals_sympy_gcd_up_to_sign(pair, swap):
+    """The subresultant PRS, the fallback when the heuristic gives up,
+    alone on the pairs of two terms or more."""
+    f, g = pair[::-1] if swap else pair
+    if len(f) > 1 and len(g) > 1:
+        _assert_gcd(f, g, qpoly.prs_gcd(f, g))
+
+
+def test_heuristic_gcd_finds_a_planted_factor_of_several_terms():
+    """`_heugcd` alone, without the PRS, returns the gcd and cofactors of
+    products with a common factor of three terms."""
+    c = {(1, 1, 0): 2, (0, 0, 2): -3, (0, 0, 0): 1}
+    f, g = qpoly.mul({(2, 0, 0): 1, (0, 1, 0): 5}, c), qpoly.mul({(0, 2, 1): 4, (1, 0, 0): -1}, c)
+    _assert_gcd(f, g, qpoly._heugcd(f, g, [0, 1, 2]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -79,13 +82,3 @@ def test_reduced_quotient_equals_sympy_cancel(pair):
     assert (q.num, q.den) == (dict(p.items()), dict(r.items()))
     assert q == Frac.polynomial(f, 3) / Frac.polynomial(g, 3)
 
-
-def test_heuristic_gcd_runs_without_the_fallback():
-    """Planted factors of several terms reach `_heugcd`, which finds their
-    gcd at its first evaluation point."""
-    c = {(1, 1, 0): 2, (0, 0, 2): -3, (0, 0, 0): 1}
-    f, g = qpoly.mul({(2, 0, 0): 1, (0, 1, 0): 5}, c), qpoly.mul({(0, 2, 1): 4, (1, 0, 0): -1}, c)
-    with mock.patch.object(qpoly, "prs_gcd", side_effect=AssertionError("fallback")), mock.patch.object(
-            qpoly, "_evaluate", wraps=qpoly._evaluate) as evaluate:
-        _assert_gcd(f, g, qpoly.gcd(f, g))
-    assert evaluate.call_count == 2 * 3  # f and g at one point per variable

@@ -780,37 +780,6 @@ def test_mat_vec_equals_lin_comb_per_row(case):
     assert _bits(got[1]) == _bits(items[0] * 0) and _form_bits(got_forms[1]) == _form_bits(forms[0] * 0)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(_combinations(), st.data())
-def test_mat_vec_reads_a_sparse_matrix_by_its_rows(case, data):
-    """mat_vec of a `SparseMatrix` (a factor e^{fA}) tests no entry for
-    zero, and equals mat_vec of its dense rows bit for bit, over scalars and
-    over forms; an entry that is exactly one is read from its dense row."""
-    from liequad import liealg
-    from liequad.forms import DiffForm
-    from liequad.liealg import SparseMatrix, mat_vec
-
-    _, items = case
-    chart, m = items[0].chart, len(items)
-    one, zero = ExpPoly.constant(chart, 1.0), ExpPoly.zero(chart)
-    entry = st.one_of(st.just(None), st.just(one), _exppolys(chart, 3).filter(lambda p: not p.is_zero()))
-    rows = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        row = [(j, data.draw(entry)) for j in range(m)]
-        rows.append([(j, x) for j, x in row if x is not None])
-    M = SparseMatrix(rows, m, zero)
-    forms = [DiffForm(p.chart, 1, {(0,): p}, ExpPoly) for p in items]
-    want, want_forms = mat_vec([list(r) for r in M], items), mat_vec([list(r) for r in M], forms)
-    entries = {id(x) for row in M for x in row}
-    tested = []
-    real = liealg._is_zero
-    with mock.patch.object(liealg, "_is_zero", side_effect=lambda x: tested.append(id(x)) or real(x)):
-        got, got_forms = mat_vec(M, items), mat_vec(M, forms)
-    assert not entries & set(tested)
-    assert [_bits(x) for x in got] == [_bits(x) for x in want]
-    assert [_form_bits(f) for f in got_forms] == [_form_bits(f) for f in want_forms]
-
-
 def test_running_sums_equal_the_left_folds_where_a_key_or_an_index_comes_back():
     """`ExpPoly.sum` and `DiffForm.sum` are the left folds of `+` bit for
     bit, in term and index order.  0.1 x + 0.2 x - 0.3 x is 5.55e-17 x,
