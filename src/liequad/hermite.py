@@ -5,8 +5,9 @@ The integrand's numerator and denominator are read as polynomials in the
 integration variable v over K = Q(other chart variables): coefficient
 lists whose entries are `Frac`s over the chart without v.  The rational
 part of the antiderivative is produced by Hermite reduction (integration
-by parts against Yun's squarefree factorization, by extended Euclid and
-division, no linear solves; Bronstein, *Symbolic Integration I*, ch. 2),
+by parts against the denominator's square-free split, Yun's over Z by
+`qpoly.square_free` made monic over K, then extended Euclid and division,
+no linear solves; Bronstein, *Symbolic Integration I*, ch. 2),
 the transcendental part only by exact factorization over Q: a squarefree
 denominator factor p contributes ``c*log(p)`` when its partial fraction
 numerator is exactly ``c * dp/dv`` with constant rational ``c``.  The
@@ -23,6 +24,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
+from . import qpoly
 from .errors import NonElementaryInClass
 from .qpoly import Frac, coefficients_in
 from .rational import LogExtendedScalar, RationalFunction
@@ -106,9 +108,6 @@ class _Poly:
                         r[j + k] = r[j + k] - a * b
         return _Poly(q, self.zero), _Poly(r, self.zero)
 
-    def __floordiv__(self, other: "_Poly") -> "_Poly":
-        return divmod(self, other)[0]
-
     def diff(self) -> "_Poly":
         return _Poly([a * k for k, a in enumerate(self.c) if k], self.zero)
 
@@ -140,24 +139,6 @@ class _Poly:
         for a in reversed(self.c):
             acc = acc * v + a
         return acc
-
-
-def _square_free(f: _Poly) -> list[tuple[_Poly, int]]:
-    """Yun's squarefree split of the monic f: [(a_k, k)] with f the product
-    of the a_k^k, each a_k monic and non-constant, k increasing."""
-    out = []
-    df = f.diff()
-    g = f.gcdex(df)[2]
-    b, d = f // g, df // g - (f // g).diff()
-    k = 1
-    while b.degree() > 0:
-        a = b.gcdex(d)[2]
-        b, c = b // a, d // a
-        d = c - b.diff()
-        if a.degree() > 0:
-            out.append((a, k))
-        k += 1
-    return out
 
 
 def _split_prime_powers(A: _Poly, factors):
@@ -203,9 +184,8 @@ def integrate_rational(rf: RationalFunction, name: str):
 
     if rem:
         rem = rem * D.lc.inverse()
-        pieces = _split_prime_powers(rem, _square_free(D.monic()))
-
-        for A, d, m in pieces:
+        factors = [(_Poly.of(a, i, n).monic(), k) for a, k in qpoly.square_free(rf.frac.den, i)]
+        for A, d, m in _split_prime_powers(rem, factors):
             dp = d.diff()
             while m > 1:
                 s, t, g = d.gcdex(dp)

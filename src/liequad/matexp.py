@@ -3,10 +3,9 @@
 The spectrum is decided exactly, once per matrix: the characteristic
 polynomial of the integer matrix dA (d the lcm of A's denominators) over
 Z.  Its factor x^m gives the eigenvalue 0 with multiplicity m; what is
-left, monic, is split square-free by Yun's algorithm for exact
-multiplicities, over Z: its gcds come from the primitive pseudo-remainder
-sequence (monic, since they divide a monic polynomial), and every other
-division is by a monic integer factor.  By Gauss's lemma, rounded numeric
+left, monic, is split square-free over Z for exact multiplicities by
+`qpoly.square_free` (Yun's algorithm), whose factors are monic since they
+divide a monic polynomial.  By Gauss's lemma, rounded numeric
 roots give the only candidate factors, integer roots and monic integer
 quadratics, each confirmed by exact division; only roots of a leftover
 factor of degree >= 3 stay numeric.  A nilpotent A gets the series sum
@@ -65,66 +64,14 @@ def _charpoly(B: list[list[int]]) -> tuple[list[int], list]:
     return c, Ms
 
 
-# Polynomials over Z are coefficient lists of ints, constant first, with
-# no trailing zero (the zero polynomial is []).
-
-def _trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _divmod(p: list, q: list) -> tuple[list, list]:
-    """Quotient and remainder of p by q in integers: exact when q is monic,
-    or when p is scaled by lc(q)^(deg p - deg q + 1) (pseudo-division)."""
-    r = list(p)
-    quo = [0] * max(len(p) - len(q) + 1, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        quo[i] = c = r[i + len(q) - 1] // q[-1]
-        for j, qj in enumerate(q):
-            r[i + j] -= c * qj
-    return quo, _trim(r[: len(q) - 1])
-
-
-def _deriv(p: list) -> list:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _gcd(p: list, q: list) -> list:
-    """The monic gcd of a monic p and any q, by the primitive
-    pseudo-remainder sequence: the last primitive remainder divides p, so
-    its leading coefficient is 1 or -1."""
-    while q:
-        g = math.gcd(*q)
-        q = [c // g for c in q]
-        p, q = q, _divmod([c * q[-1] ** max(len(p) - len(q) + 1, 0) for c in p], q)[1]
-    return [c // p[-1] for c in p]
-
-
-def _square_free(p: list) -> list[tuple[list, int]]:
-    """Yun's split of a monic integer p into pairwise coprime, monic,
-    square-free integer factors, each with its multiplicity."""
-    a = _gcd(p, _deriv(p))
-    b, c = _divmod(p, a)[0], _divmod(_deriv(p), a)[0]
-    out = []
-    for mult in range(1, len(p)):
-        if len(b) == 1:
-            break
-        d = _trim([x - y for x, y in zip(c + [0] * len(b), _deriv(b) + [0] * len(c))])
-        a = _gcd(b, d)
-        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
-        if len(a) > 1:
-            out.append((a, mult))
-    return out
-
-
-def _low_roots(g: list, d: int) -> list[complex]:
-    """The roots, divided by d, of a monic g of degree 1 or 2; a square root
-    is exact when its argument is a rational square, else rounded once."""
-    if len(g) == 2:
-        return [complex(float(Fraction(-g[0], d)))]
-    a = Fraction(-g[1], 2 * d)
-    disc = a * a - Fraction(g[0], d * d)
+def _low_roots(g: dict, d: int) -> list[complex]:
+    """The roots, divided by d, of a monic g in x of degree 1 or 2; a square
+    root is exact when its argument is a rational square, else rounded once."""
+    c0, c1 = g.get((0,), 0), g.get((1,), 0)
+    if (2,) not in g:
+        return [complex(float(Fraction(-c0, d)))]
+    a = Fraction(-c1, 2 * d)
+    disc = a * a - Fraction(c0, d * d)
     r = Fraction(math.isqrt(abs(disc).numerator), math.isqrt(abs(disc).denominator))
     if r * r != abs(disc):
         r = math.sqrt(abs(disc))
@@ -133,19 +80,22 @@ def _low_roots(g: list, d: int) -> list[complex]:
     return [complex(float(a), -float(r)), complex(float(a), float(r))]
 
 
-def _factor_roots(f: list, d: int) -> list[complex]:
-    """The roots, divided by d, of a monic square-free integer factor f:
-    exact for each integer root and each integer quadratic factor, whose
-    candidates are rounded from the numeric roots; numeric for what is left
-    of degree >= 3."""
+def _factor_roots(f: dict, d: int) -> list[complex]:
+    """The roots, divided by d, of a monic square-free integer factor f in
+    x: exact for each integer root and each integer quadratic factor, whose
+    candidates are rounded from the numeric roots and kept when they divide
+    f exactly; numeric for what is left of degree >= 3."""
+    from . import qpoly  # loaded by `_spectrum`
+
     roots = []
-    while len(f) > 3:
-        zs = [complex(z) for z in np.roots([float(c) for c in reversed(f)])]
+    while qpoly.degree(f, 0) > 2:
+        zs = [complex(z) for z in np.roots([float(f.get((e,), 0)) for e in range(qpoly.degree(f, 0), -1, -1)])]
         candidates = [[-round(z.real), 1] for z in zs] + [[round((z * w).real), -round((z + w).real), 1]
                                                           for i, z in enumerate(zs) for w in zs[i + 1:]]
         for g in candidates:
-            quo, rem = _divmod(f, g)
-            if not rem:
+            g = {(e,): c for e, c in enumerate(g) if c}
+            quo = qpoly.divexact(f, g)
+            if quo is not None:
                 break
         else:
             return roots + [z / d for z in zs]
@@ -266,10 +216,13 @@ def _spectrum(p: list[int], d: int) -> list[tuple[complex, int]]:
     ties, so Putzer's recursion for -A rounds as e^{tA} at -t does.  The
     factor x^m of p is the eigenvalue 0 of multiplicity m, and Yun's split
     runs on the rest."""
+    from . import qpoly  # here, not at the top: `import liequad` compiles no field
+
     m = next(i for i, c in enumerate(p) if c)
     zero = [(0j, m)] if m else []
+    rest = {(e,): c for e, c in enumerate(p[m:]) if c}
     return sorted(
-        zero + [(z, mult) for f, mult in _square_free(p[m:]) for z in _factor_roots(f, d)],
+        zero + [(z, mult) for f, mult in qpoly.square_free(rest, 0) for z in _factor_roots(f, d)],
         key=lambda c: (abs(c[0]), c[0].real, c[0].imag),
     )
 

@@ -22,6 +22,10 @@ when it divides both operands exactly.  When six evaluation points give
 no candidate, the subresultant pseudo-remainder sequence (Collins 1967;
 Brown & Traub 1971) computes the gcd; its exact divisions keep the
 coefficients from growing exponentially.
+
+`square_free` is Yun's square-free split (Yun 1976) over Z, in one
+variable over the field of the others: `matexp` splits a characteristic
+polynomial with it, `hermite` the denominator of an integrand.
 """
 
 from __future__ import annotations
@@ -341,6 +345,25 @@ def _primitive_in(f: dict, i: int) -> tuple[dict, dict]:
             break
         cont = gcd(cont, a)[0]
     return cont, divexact(f, cont)
+
+
+def square_free(f: dict, i: int) -> list[tuple[dict, int]]:
+    """Yun's split of f in x_i over Q(the other variables): [(a_k, k)], k
+    increasing, f's primitive part in x_i the product of the a_k^k up to
+    sign, each a_k primitive with a positive lex-leading coefficient; []
+    for f of degree 0 in x_i.  A gcd with 0 is the other operand."""
+    if degree(f, i) <= 0:
+        return []
+    f = _primitive_in(f, i)[1]
+    _, b, c = gcd(f, diff(f, i))
+    out, k = [], 0
+    while degree(b, i) > 0:
+        k += 1
+        d = sub(c, diff(b, i))
+        a, b, c = gcd(b, d) if d else (b, one(len(next(iter(b)))), {})
+        if degree(a, i) > 0:
+            out.append((neg(a) if leading_coeff(a) < 0 else a, k))
+    return out
 
 
 def _pseudo_remainder(f: dict, g: dict, i: int) -> dict:

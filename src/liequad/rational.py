@@ -275,9 +275,6 @@ class RationalFunction:
         num, den = self._schemes
         return _horner_eval(num, values), _horner_eval(den, values)
 
-    def _point(self, point: Mapping[str, object]) -> list[Fraction]:
-        return [_to_fraction(point[n]) for n in self.chart.names]
-
     def evaluate(self, point: Mapping[str, float]) -> float:
         """The exact value, rounded once."""
         return float(self.evaluate_exact(point))
@@ -288,7 +285,11 @@ class RationalFunction:
         return _Family(chart, members)
 
     def evaluate_exact(self, point: Mapping[str, Fraction]) -> Fraction:
-        nval, dval = self._substitute(self._point(point))
+        return self._exact_at([_to_fraction(point[n]) for n in self.chart.names], point)
+
+    def _exact_at(self, values: list[Fraction], point: Mapping[str, object]) -> Fraction:
+        """The exact value at `values`, the Fractions of `point` in chart order."""
+        nval, dval = self._substitute(values)
         if dval == 0:
             raise PoleAtPoint(f"denominator vanishes at {dict(point)}")
         return Fraction(nval) / dval
@@ -359,7 +360,8 @@ class RationalFunction:
 
 class _Family:
     """Rational functions over one chart, evaluated at N points one point
-    at a time, each member by its Horner schemes."""
+    at a time: the point is converted to Fractions once, and each member
+    is evaluated on them by its Horner schemes."""
 
     __slots__ = ("names", "members")
 
@@ -374,7 +376,8 @@ class _Family:
         """Values at N points (rows in chart order), as an N x m array with
         one column per member."""
         rows = points.tolist() if isinstance(points, np.ndarray) else points
-        values = [[f.evaluate(pt) for f in self.members] for pt in (dict(zip(self.names, row)) for row in rows)]
+        points = ((dict(zip(self.names, row)), [_to_fraction(x) for x in row]) for row in rows)
+        values = [[float(f._exact_at(exact, point)) for f in self.members] for point, exact in points]
         return np.array(values, dtype=float).reshape(len(values), len(self.members))
 
 

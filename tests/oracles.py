@@ -62,7 +62,7 @@ def line_integral(
 
 
 # Yun's square-free split over Q, on Fraction coefficient lists, constant
-# first, with no trailing zero: the reference for `matexp._square_free`,
+# first, with no trailing zero: the reference for `qpoly.square_free`,
 # which runs over Z
 
 def _trim(p: list) -> list:

@@ -996,6 +996,7 @@ def test_reduce_and_pfaff_run_without_sympy(tmp_path):
 import sys
 import liequad
 assert "liequad.rational" not in sys.modules, "import liequad loaded the rational class"
+assert "liequad.qpoly" not in sys.modules, "import liequad loaded the field"
 from liequad.cli import main
 try:
     main(sys.argv[1:], prog_name="liequad")
@@ -1209,15 +1210,20 @@ def test_document_and_flag_values_are_read_by_read_fraction():
         assert _fraction_calls((package / name).read_text()) == [], name
 
 
+def _package_sources() -> dict:
+    """{module: text} of the package's modules."""
+    import pathlib
+
+    package = pathlib.Path(jsonio.__file__).parent
+    return {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+
+
 def _uses(name: str, sources: dict | None = None) -> set:
     """(module, top-level definition) of every use of a name, as a name, an
     attribute or an import, in sources ({module: text}, the package's
     modules by default)."""
-    import pathlib
-
     if sources is None:
-        package = pathlib.Path(jsonio.__file__).parent
-        sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+        sources = _package_sources()
     found = set()
     for module, text in sources.items():
         for top in ast.parse(text).body:
@@ -1227,6 +1233,30 @@ def _uses(name: str, sources: dict | None = None) -> set:
                         isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)):
                     found.add((module, getattr(top, "name", f"line {top.lineno}")))
     return found
+
+
+def _definitions(sources: dict | None = None) -> set:
+    """(module, name) of every function or method defined in sources
+    ({module: text}, the package's modules by default)."""
+    if sources is None:
+        sources = _package_sources()
+    return {(module, node.name) for module, text in sources.items() for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_one_gcd_and_one_square_free_split():
+    """Integer gcds and Yun's square-free split live in `qpoly`, and the
+    split runs in two places: `matexp._spectrum` (a characteristic
+    polynomial) and `hermite.integrate_rational` (a denominator).  The
+    one gcd elsewhere is `hermite._Poly.gcdex`, the extended Euclid over
+    K[v] whose Bezout cofactors split partial fractions; `qpoly` gives no
+    cofactors of that kind."""
+    probe = {"bad": "def _gcd(p, q):\n    pass\nclass P:\n    def _square_free(self):\n        pass\n"}
+    assert _definitions(probe) == {("bad", "_gcd"), ("bad", "_square_free")}
+    outside = {(module, name) for module, name in _definitions()
+               if module != "qpoly" and ("gcd" in name or "square_free" in name)}
+    assert outside == {("hermite", "gcdex")}
+    assert _uses("square_free") == {("matexp", "_spectrum"), ("hermite", "integrate_rational")}
 
 
 def test_limit_denominator_only_where_exactness_is_confirmed():

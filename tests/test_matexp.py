@@ -19,7 +19,8 @@ from liequad import (
 )
 from liequad.errors import SingularMatrix
 from liequad.liealg import adapted_chain, change_basis, mat_inverse
-from liequad.matexp import ExpMatrix, _charpoly, _exp, _putzer, _rational, _spectrum, _square_free, matrix_batch
+from liequad import qpoly
+from liequad.matexp import ExpMatrix, _charpoly, _exp, _putzer, _rational, _spectrum, matrix_batch
 from catalog import five_dim_two_parameter
 from conftest import exppoly_bits as _bits
 from oracles import derivative_residual, exp_identities_check, fraction_square_free
@@ -580,16 +581,23 @@ def _monic_with_repeated_factors(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_monic_with_repeated_factors())
 def test_integer_square_free_split_equals_the_fraction_split(p):
-    """The primitive pseudo-remainder sequence over Z gives the factors
-    and multiplicities of Yun's split over Q, as ints."""
-    got = _square_free(p)
+    """`qpoly.square_free` over Z, on the one-variable dict of p, gives the
+    factors and multiplicities of Yun's split over Q, as ints."""
+    got = _integer_split(p)
     assert got == fraction_square_free(p)
     assert all(type(c) is int for f, _ in got for c in f)
 
 
+def _integer_split(p: list) -> list[tuple[list, int]]:
+    """`qpoly.square_free` of a coefficient list p, constant first, with its
+    factors read back as lists."""
+    factors = qpoly.square_free({(e,): c for e, c in enumerate(p) if c}, 0)
+    return [([f.get((e,), 0) for e in range(qpoly.degree(f, 0) + 1)], k) for f, k in factors]
+
+
 def test_zero_matrix_has_the_eigenvalue_zero_only():
     """x^n leaves the constant 1, whose derivative is 0: no factor."""
-    assert _square_free([1]) == fraction_square_free([1]) == []
+    assert _integer_split([1]) == fraction_square_free([1]) == []
     assert _decide([[F(0)] * 3 for _ in range(3)]) == [(0j, 3)]
     E = sym_exp([[F(0)] * 3 for _ in range(3)], "t")
     assert [[e.terms for e in row] for row in E.entries] == [[{((0,), (0.0,), (0.0,), 0): 1.0} if a == b else {}

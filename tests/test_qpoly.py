@@ -3,6 +3,8 @@ gcds of products of integer polynomials with a planted common factor, by
 the single-term shortcut, the heuristic gcd and the subresultant PRS, and
 the canonical numerator and denominator of a quotient."""
 
+import functools
+
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
@@ -82,3 +84,54 @@ def test_reduced_quotient_equals_sympy_cancel(pair):
     assert (q.num, q.den) == (dict(p.items()), dict(r.items()))
     assert q == Frac.polynomial(f, 3) / Frac.polynomial(g, 3)
 
+
+
+def _positive(f: dict) -> dict:
+    return qpoly.neg(f) if qpoly.leading_coeff(f) < 0 else f
+
+
+def _sympy_square_free(f: dict, i: int) -> list:
+    """sympy's `sqf_list` of f's primitive part in x_i (every irreducible
+    factor of it has x_i, so its split over Z is the split over Q(the
+    other variables)), each factor with a positive lex-leading coefficient."""
+    coeffs = {}
+    for m, c in f.items():
+        coeffs.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+    content = functools.reduce(lambda a, b: a.gcd(b), map(_sympy, coeffs.values()))
+    _, factors = _sympy(f).exquo(content).sqf_list()
+    return [(_positive(dict(p.items())), k) for p, k in factors]
+
+
+@st.composite
+def _planted_powers(draw):
+    """A product of up to three polynomials, each to a power up to 3, and
+    of a single term (the content in some variable)."""
+    f = draw(_terms)
+    for _ in range(draw(st.integers(0, 3))):
+        f = qpoly.mul(f, qpoly.power(draw(_polys), draw(st.integers(1, 3)), 3))
+    return f
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_planted_powers())
+def test_square_free_equals_sympy_sqf_list_in_each_variable(f):
+    """Yun's split in x, y and z: the factors and multiplicities of sympy's
+    `sqf_list` of the primitive part, each factor primitive with a positive
+    lex-leading coefficient."""
+    for i in range(3):
+        got = qpoly.square_free(f, i)
+        assert got == _sympy_square_free(f, i), i
+        assert all(qpoly.leading_coeff(a) > 0 and qpoly.content(a) == 1 for a, _ in got)
+
+
+def test_square_free_pinned_cases():
+    """The content in x_i goes, the d = 0 branch ends a square-free input,
+    degree 0 gives [], and a negative leading coefficient is normalized."""
+    x, y = {(1, 0, 0): 1}, {(0, 1, 0): 1}
+    assert qpoly.square_free(qpoly.mul(qpoly.power(y, 2, 3), x), 0) == [(x, 1)]
+    square_free = {(2, 0, 0): 1, (0, 1, 0): -1}
+    assert qpoly.square_free(square_free, 0) == [(square_free, 1)]
+    assert qpoly.square_free({(0, 3, 1): 5, (0, 0, 0): 2}, 0) == []
+    negative = {(1, 0, 0): -1, (0, 0, 1): 2}
+    f = qpoly.mul(qpoly.power(negative, 2, 3), {(1, 0, 0): 1, (0, 0, 0): 1})
+    assert qpoly.square_free(f, 0) == [({(1, 0, 0): 1, (0, 0, 0): 1}, 1), (qpoly.neg(negative), 2)]

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liequad import (
@@ -363,3 +364,26 @@ def test_evaluate_rounds_the_exact_value_once():
     point = {"x": 0, "u": 2**53 + 1, "u_x": 0, "u_xx": 0}
     assert rf("u/3").evaluate(point).hex() == "0x1.5555555555556p+51"
     assert (float(2**53 + 1) / 3.0).hex() == "0x1.5555555555555p+51"
+
+
+def test_family_columns_are_each_member_evaluated_alone():
+    """A family converts each point to Fractions once and evaluates every
+    member on them: each column is bit for bit the member's `evaluate`, the
+    rounded-once value included, and a point on a pole still raises."""
+    members = [rf("u/3"), rf("(x^2 + u_x)/(u_xx - 1)"), rf("1/u_x"), RationalFunction.constant(V, Fraction(1, 7))]
+    rng = random.Random(1)
+    points = [[rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 2), rng.uniform(-2, 0.5)] for _ in range(6)]
+    points.append([0, 2**53 + 1, 1, 3])
+    got = RationalFunction.family(V, members).evaluate(points)
+    assert got.shape == (len(points), len(members))
+    for row, values in zip(points, got):
+        point = dict(zip(V.names, row))
+        assert [v.hex() for v in values] == [f.evaluate(point).hex() for f in members]
+    assert got[-1, 0].hex() == "0x1.5555555555556p+51"
+    assert np.array_equal(RationalFunction.family(V, members).evaluate(np.array(points[:-1])), got[:-1])
+    pole = [0.0, 0.0, 0.0, 2.0]
+    with pytest.raises(PoleAtPoint) as alone:
+        rf("1/u_x").evaluate(dict(zip(V.names, pole)))
+    with pytest.raises(PoleAtPoint) as together:
+        RationalFunction.family(V, members).evaluate([pole])
+    assert str(together.value) == str(alone.value)
