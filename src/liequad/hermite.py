@@ -7,25 +7,23 @@ lists whose entries are `Frac`s over the chart without v.  The rational
 part of the antiderivative is produced by Hermite reduction (integration
 by parts against the denominator's square-free split, Yun's over Z by
 `qpoly.square_free` made monic over K, then extended Euclid and division,
-no linear solves; Bronstein, *Symbolic Integration I*, ch. 2),
-the transcendental part only by exact factorization over Q: a squarefree
-denominator factor p contributes ``c*log(p)`` when its partial fraction
-numerator is exactly ``c * dp/dv`` with constant rational ``c``.  The
-factors come from sympy's factorization in K[v], the one place sympy is
-loaded, and each log argument is the numerator of its factor in the
-chart's field.  Everything else (algebraic or complex log arguments, non-constant log
-coefficients) raises :class:`~liequad.errors.NonElementaryInClass`.
-Results go back to the chart's field.
+no linear solves; Bronstein, *Symbolic Integration I*, ch. 2).  The log
+part needs no factorization (Rothstein 1977; Trager 1976; Lazard &
+Rioboo 1990): each residue c of the squarefree part r/d must be a
+rational constant and contributes c*log(gcd(d, r - c*dd/dv)).  Anything
+else raises :class:`~liequad.errors.NonElementaryInClass`.  Results go
+back to the chart's field.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 from . import qpoly
-from .errors import NonElementaryInClass
+from .errors import NonElementaryInClass, PoleAtPoint
+from .matexp import _charpoly
 from .qpoly import Frac, coefficients_in
 from .rational import LogExtendedScalar, RationalFunction
 from .varset import VarSet
@@ -71,7 +69,7 @@ class _Poly:
 
     def __add__(self, other: "_Poly") -> "_Poly":
         z = self.zero
-        return _Poly([a + b for a, b in zip_longest(self.c, other.c, fillvalue=z)], z)
+        return _Poly([a + b for a, b in itertools.zip_longest(self.c, other.c, fillvalue=z)], z)
 
     def __neg__(self) -> "_Poly":
         return _Poly([-a for a in self.c], self.zero)
@@ -208,80 +206,54 @@ def integrate_rational(rf: RationalFunction, name: str):
 
 
 def _log_part(r: _Poly, d: _Poly, chart: VarSet, i: int):
-    """Logarithmic contributions of the proper fraction r/d with d squarefree.
-
-    Each irreducible factor p of d over Q must receive a numerator which is
-    an exact constant multiple of dp/dv; the constant must be rational.
-    """
-    fs = [(p, 1) for p in _factors(d, chart, i)]
-    const = d.lc  # d = const * prod(p) in K[v]
-    for p, _ in fs:
-        const = const / p.lc
-    out = []
-    for B, p, _ in _split_prime_powers(r * const.inverse(), fs):
-        q, rem = divmod(B, p.diff())
-        if rem or q.degree() > 0:
-            raise NonElementaryInClass(
-                f"integrand needs log arguments outside Q-factorization: {_text(p, chart, i)}"
-            )
-        c = q.lc if q else d.zero
-        if not c.is_constant():
-            raise NonElementaryInClass(f"log coefficient {_text(q, chart, i)} is not a rational constant")
-        out.append((RationalFunction(chart, c).constant_value(), Frac.polynomial(p.to_chart(i).num, len(chart))))
-    return out
+    """The terms c*log(g_c) of the proper r/d, d monic and squarefree: c
+    runs over the residues r/d' at the roots of d, which must be rational
+    constants, and g_c, gcd(d, r - c*d') over K, is the primitive part in
+    v of the gcd of the numerators.  Their degrees add up to deg d exactly
+    when every residue is a candidate from `_residues`."""
+    dp, dc = d.diff(), d.to_chart(i)
+    args = {c: qpoly.primitive_in(qpoly.gcd(dc.num, (r - dp * c).to_chart(i).num)[0], i)[1]
+            for c in _residues(r, d, chart, i)}
+    if sum(qpoly.degree(g, i) for g in args.values()) != d.degree():
+        text = RationalFunction(chart, dc).to_text()
+        raise NonElementaryInClass(f"a residue over {text} is not a rational constant")
+    return [(c, Frac.polynomial(g, len(chart))) for c, g in args.items()]
 
 
-def _factors(d: _Poly, chart: VarSet, i: int) -> list[_Poly]:
-    """The irreducible factors over Q of the squarefree d that contain v,
-    by sympy's factorization in K[v], in its order; each is converted to
-    sympy and back here, the one place sympy is loaded."""
-    from sympy import Symbol
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import PolyRing
-
-    symbols = [Symbol(name) for name in chart.names]
-    others = symbols[:i] + symbols[i + 1:]
-    K = QQ.frac_field(*others) if others else QQ
-    n = len(chart)
-
-    def to_k(c: Frac):
-        if not others:
-            return QQ(c.num.get((0,), 0), c.den[(0,)])
-        ring = K.field.ring
-        num, den = ({m[:i] + m[i + 1:]: QQ(a) for m, a in f.items()} for f in (c.num, c.den))
-        return K.field.new(ring.from_dict(num), ring.from_dict(den))
-
-    def from_k(c) -> Frac:
-        if not others:
-            return Frac.number(n, Fraction(int(c.numerator), int(c.denominator)))
-        num, den = (
-            {m[:i] + (0,) + m[i:]: Fraction(int(a.numerator), int(a.denominator)) for m, a in f.items()}
-            for f in (c.numer, c.denom)
-        )
-        scale = math.lcm(*(q.denominator for q in (*num.values(), *den.values())))
-        return Frac.reduced({m: int(q * scale) for m, q in num.items()}, {m: int(q * scale) for m, q in den.items()})
-
-    R = PolyRing((symbols[i],), K)
-    _, factors = R.from_dict({(e,): to_k(c) for e, c in enumerate(d.c) if c}).factor_list()
-    out = []
-    for p, mult in factors:
-        if p.degree() > 0:
-            if mult != 1:
-                raise NonElementaryInClass("repeated factor survived squarefree reduction")
-            coeffs = [d.zero] * (p.degree() + 1)
-            for (e,), c in p.items():
-                coeffs[e] = from_k(c)
-            out.append(_Poly(coeffs, d.zero))
-    return out
-
-
-def _text(p: _Poly, chart: VarSet, i: int) -> str:
-    return RationalFunction(chart, p.to_chart(i)).to_text()
+def _residues(r: _Poly, d: _Poly, chart: VarSet, i: int) -> list[Fraction]:
+    """The rational residues r/d' at the roots of d with the other chart
+    variables at the first integer point, box by growing box, where r and
+    d are defined and d stays squarefree (a nonzero polynomial does not
+    vanish on a box wider than its degree), since a constant residue does
+    not move there.  They are the eigenvalues of multiplication by
+    h = r/d' mod d on Q[v]/(d); one that is not rational raises."""
+    zero = d.zero
+    others = [name for j, name in enumerate(chart.names) if j != i]
+    boxes = (p for b in itertools.count() for p in itertools.product(range(-b, b + 1), repeat=len(others))
+             if max(map(abs, p), default=0) == b)
+    for p in boxes:
+        point = dict(zip(others, p), **{chart.names[i]: 0})
+        try:
+            ra, da = (_Poly([zero + RationalFunction(chart, a).evaluate_exact(point) for a in f.c], zero)
+                      for f in (r, d))
+        except PoleAtPoint:
+            continue
+        inv, _, g = da.diff().gcdex(da)
+        if g.is_one():
+            break
+    h, cols = divmod(ra * inv, da)[1], []
+    for _ in range(da.degree()):
+        cols.append([RationalFunction(chart, x).constant_value() for x in h.c] + [0] * (da.degree() - len(h.c)))
+        h = divmod(_Poly([zero] + h.c, zero), da)[1]
+    # scale*h has an integer matrix, whose rational eigenvalues are integers
+    scale = math.lcm(*(x.denominator for col in cols for x in col))
+    char = _charpoly([[int(x * scale) for x in col] for col in cols])[0]
+    split = [qpoly.low_factors(f) for f, _ in qpoly.square_free({(e,): c for e, c in enumerate(char) if c}, 0)]
+    if any(zs or any(qpoly.degree(g, 0) > 1 for g in factors) for factors, zs in split):
+        raise NonElementaryInClass("a residue of the integrand is irrational or complex")
+    return [Fraction(-g.get((0,), 0), scale) for factors, _ in split for g in factors]
 
 
 def _check_derivative(result, rf: RationalFunction, name: str):
-    back = result.diff(name)
-    if not (back - rf).is_zero():
-        raise AssertionError(
-            f"internal error: d/d{name} of the antiderivative disagrees with the integrand"
-        )
+    if not (result.diff(name) - rf).is_zero():
+        raise AssertionError(f"internal error: d/d{name} of the antiderivative disagrees with the integrand")

@@ -7,11 +7,11 @@ left, monic, is split square-free over Z for exact multiplicities by
 `qpoly.square_free` (Yun's algorithm), whose factors are monic since they
 divide a monic polynomial.  By Gauss's lemma, rounded numeric
 roots give the only candidate factors, integer roots and monic integer
-quadratics, each confirmed by exact division; only roots of a leftover
-factor of degree >= 3 stay numeric.  A nilpotent A gets the series sum
-t^k A^k / k!, each float coefficient the integer division
-(dA)^k[a][b] / (d^k k!), correctly rounded as the float of the exact
-Fraction is; the exact series is built on its first read
+quadratics, each confirmed by exact division (`qpoly.low_factors`); only
+roots of a leftover factor of degree >= 3 stay numeric.  A nilpotent A
+gets the series sum t^k A^k / k!, each float coefficient the integer
+division (dA)^k[a][b] / (d^k k!), correctly rounded as the float of the
+exact Fraction is; the exact series is built on its first read
 (`ExpMatrix.series`).  Any other spectrum feeds Putzer's recursion
 (complex pairs become cos/sin terms, repeated eigenvalues factors t^k).
 Equal entries of e^{tA}, those with one column of powers (dA)^k[a][b] or
@@ -78,30 +78,6 @@ def _low_roots(g: dict, d: int) -> list[complex]:
     if disc > 0:
         return [complex(float(a - r)), complex(float(a + r))]
     return [complex(float(a), -float(r)), complex(float(a), float(r))]
-
-
-def _factor_roots(f: dict, d: int) -> list[complex]:
-    """The roots, divided by d, of a monic square-free integer factor f in
-    x: exact for each integer root and each integer quadratic factor, whose
-    candidates are rounded from the numeric roots and kept when they divide
-    f exactly; numeric for what is left of degree >= 3."""
-    from . import qpoly  # loaded by `_spectrum`
-
-    roots = []
-    while qpoly.degree(f, 0) > 2:
-        zs = [complex(z) for z in np.roots([float(f.get((e,), 0)) for e in range(qpoly.degree(f, 0), -1, -1)])]
-        candidates = [[-round(z.real), 1] for z in zs] + [[round((z * w).real), -round((z + w).real), 1]
-                                                          for i, z in enumerate(zs) for w in zs[i + 1:]]
-        for g in candidates:
-            g = {(e,): c for e, c in enumerate(g) if c}
-            quo = qpoly.divexact(f, g)
-            if quo is not None:
-                break
-        else:
-            return roots + [z / d for z in zs]
-        roots += _low_roots(g, d)
-        f = quo
-    return roots + _low_roots(f, d)
 
 
 def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
@@ -219,12 +195,11 @@ def _spectrum(p: list[int], d: int) -> list[tuple[complex, int]]:
     from . import qpoly  # here, not at the top: `import liequad` compiles no field
 
     m = next(i for i, c in enumerate(p) if c)
-    zero = [(0j, m)] if m else []
-    rest = {(e,): c for e, c in enumerate(p[m:]) if c}
-    return sorted(
-        zero + [(z, mult) for f, mult in qpoly.square_free(rest, 0) for z in _factor_roots(f, d)],
-        key=lambda c: (abs(c[0]), c[0].real, c[0].imag),
-    )
+    out = [(0j, m)] if m else []
+    for f, mult in qpoly.square_free({(e,): c for e, c in enumerate(p[m:]) if c}, 0):
+        factors, zs = qpoly.low_factors(f)
+        out += [(z, mult) for g in factors for z in _low_roots(g, d)] + [(z / d, mult) for z in zs]
+    return sorted(out, key=lambda c: (abs(c[0]), c[0].real, c[0].imag))
 
 
 def _putzer(Af: tuple, lams: list[complex], chart: VarSet) -> list[list[ExpPoly]]:

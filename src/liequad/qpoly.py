@@ -25,7 +25,9 @@ coefficients from growing exponentially.
 
 `square_free` is Yun's square-free split (Yun 1976) over Z, in one
 variable over the field of the others: `matexp` splits a characteristic
-polynomial with it, `hermite` the denominator of an integrand.
+polynomial with it, `hermite` a denominator and a residue polynomial.
+`low_factors`, the one root step of both, finds the integer factors of
+degree 1 and 2 of a polynomial in one variable.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add as _add_exp, sub as _sub_exp
+
+import numpy as np
 
 _ONES: dict[int, dict] = {}
 
@@ -195,8 +199,12 @@ def divexact(f: dict, g: dict) -> dict | None:
 
 
 def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
-    """(h, f/h, g/h) with h a gcd of the nonzero polynomials f and g in
-    Z[x] (of either sign)."""
+    """(h, f/h, g/h) with h a gcd of the polynomials f and g in Z[x] (of
+    either sign), not both zero; a gcd with 0 is the other operand."""
+    if not g:
+        return f, one(len(next(iter(f)))), {}
+    if not f:
+        return g, {}, one(len(next(iter(g))))
     if len(f) == 1:
         return _gcd_term(f, g)
     if len(g) == 1:
@@ -307,8 +315,8 @@ def prs_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     g, contents by `gcd` in the others; f and g have two terms or more."""
     n = len(next(iter(f)))
     i = next(i for i in range(n) if degree(f, i) > 0 or degree(g, i) > 0)
-    cf, pf = _primitive_in(f, i)
-    cg, pg = _primitive_in(g, i)
+    cf, pf = primitive_in(f, i)
+    cg, pg = primitive_in(g, i)
     if degree(pf, i) < degree(pg, i):
         pf, pg = pg, pf
     beta = psi = one(n)
@@ -323,7 +331,7 @@ def prs_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
             psi = divexact(power(beta, d, n), power(psi, d - 1, n))
     else:  # a remainder free of x_i: the primitive parts are coprime
         pg = one(n)
-    h = mul(gcd(cf, cg)[0], _primitive_in(pg, i)[1])
+    h = mul(gcd(cf, cg)[0], primitive_in(pg, i)[1])
     return h, divexact(f, h), divexact(g, h)
 
 
@@ -335,7 +343,7 @@ def coefficients_in(f: dict, i: int) -> dict[int, dict]:
     return out
 
 
-def _primitive_in(f: dict, i: int) -> tuple[dict, dict]:
+def primitive_in(f: dict, i: int) -> tuple[dict, dict]:
     """(content, primitive part) of f as a polynomial in x_i over the
     integer polynomials in the other variables."""
     coeffs = iter(coefficients_in(f, i).values())
@@ -351,19 +359,62 @@ def square_free(f: dict, i: int) -> list[tuple[dict, int]]:
     """Yun's split of f in x_i over Q(the other variables): [(a_k, k)], k
     increasing, f's primitive part in x_i the product of the a_k^k up to
     sign, each a_k primitive with a positive lex-leading coefficient; []
-    for f of degree 0 in x_i.  A gcd with 0 is the other operand."""
+    for f of degree 0 in x_i."""
     if degree(f, i) <= 0:
         return []
-    f = _primitive_in(f, i)[1]
+    f = primitive_in(f, i)[1]
     _, b, c = gcd(f, diff(f, i))
     out, k = [], 0
     while degree(b, i) > 0:
         k += 1
         d = sub(c, diff(b, i))
-        a, b, c = gcd(b, d) if d else (b, one(len(next(iter(b)))), {})
+        a, b, c = gcd(b, d)
         if degree(a, i) > 0:
             out.append((neg(a) if leading_coeff(a) < 0 else a, k))
     return out
+
+
+def low_factors(f: dict) -> tuple[list[dict], list[complex]]:
+    """(factors, roots) of a monic square-free integer f in one variable:
+    monic integer factors of degree 1 or 2 (integer roots split off) whose
+    product is f, and []; or those found and the numeric roots of a
+    leftover of degree >= 3.  Candidates come from the numeric roots,
+    rounded (`_newton`) or, above degree 2, paired, and divide f exactly."""
+    out = []
+    while (m := degree(f, 0)) > 1:
+        # t = z / 2^k, the roots of f(2^k t) / 2^(km), whose coefficients are below 2^961
+        k = max([0] + [(abs(c).bit_length() - 960) // (m - e) + 1 for (e,), c in f.items() if e < m])
+        unit = 2**k
+        coeffs = [f.get((e,), 0) / unit ** (m - e) for e in range(m, -1, -1)]
+        ts = [complex(t) for t in np.roots(coeffs)]
+        candidates = [[-_newton(f, round(Fraction(t.real) * unit)), 1] for t in ts]
+        if m > 2:
+            candidates += [[round(Fraction((t * w).real) * unit**2), -round(Fraction((t + w).real) * unit), 1]
+                           for i, t in enumerate(ts) for w in ts[i + 1:]]
+        for g in candidates:
+            g = {(e,): c for e, c in enumerate(g) if c}
+            quo = divexact(f, g)
+            if quo is not None:
+                out.append(g)
+                f = quo
+                break
+        else:
+            if m > 2:
+                return out, [t * unit for t in ts]
+            break
+    return out + [f], []
+
+
+def _newton(f: dict, y: int) -> int:
+    """y after Newton steps for f on the integers, each rounded, while they
+    shrink: they end on an integer root that a float only approximates."""
+    df, step = diff(f, 0), math.inf
+    while True:
+        num, den = (_evaluate(g, 0, y).get((0,), 0) for g in (f, df))
+        new = round(Fraction(num, den)) if den else 0
+        if not new or abs(new) >= step:
+            return y
+        y, step = y - new, abs(new)
 
 
 def _pseudo_remainder(f: dict, g: dict, i: int) -> dict:

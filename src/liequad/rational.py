@@ -12,11 +12,11 @@ over the target field for a composition.
 of the supported quadrature over rational coefficients.
 
 One-variable antidifferentiation reduces the rational part with Hermite's
-method and only accepts log arguments that arise from exact factorization
-over Q; anything requiring algebraic or complex log arguments raises
+method and only accepts log terms whose coefficients, the residues of the
+integrand, are rational constants; anything requiring algebraic or
+complex log coefficients raises
 :class:`~liequad.errors.NonElementaryInClass`.  Neither this module nor
-:mod:`~liequad.hermite` loads sympy, except to factor the denominator of
-a log part.
+:mod:`~liequad.hermite` loads sympy.
 """
 
 from __future__ import annotations
@@ -409,7 +409,7 @@ def _poly_text(poly: dict, names, scale: int = 1) -> str:
 class LogExtendedScalar:
     """rational part + sum of c_i * log(p_i) with rational c_i and primitive
     integer-polynomial arguments p_i (polynomial `Frac`s over the chart),
-    pairwise distinct."""
+    pairwise distinct and sorted by their text."""
 
     __slots__ = ("chart", "rational_part", "log_terms")
 
@@ -427,7 +427,8 @@ class LogExtendedScalar:
             merged[arg] = merged.get(arg, 0) + coeff
         self.chart = chart
         self.rational_part = rational_part
-        self.log_terms = tuple((c, a) for a, c in merged.items() if c != 0)
+        self.log_terms = tuple(sorted(((c, a) for a, c in merged.items() if c != 0),
+                                      key=lambda t: _poly_text(t[1].num, chart.names)))
 
     def map_component(self) -> RationalFunction:
         """The value as a component of a point map: rational, without log terms."""
@@ -519,9 +520,9 @@ class LogExtendedScalar:
 
     def to_text(self) -> str:
         parts = [self.rational_part.to_text()]
-        # by argument text, which is the RationalFunction text of the argument
-        for text, c in sorted((_poly_text(a.num, self.chart.names), c) for c, a in self.log_terms):
-            parts.append(f"{c}*log({text})")
+        # the argument text is the RationalFunction text of the argument
+        for c, a in self.log_terms:
+            parts.append(f"{c}*log({_poly_text(a.num, self.chart.names)})")
         return " + ".join(parts)
 
     def __repr__(self):

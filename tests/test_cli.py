@@ -966,10 +966,9 @@ def test_package_imports_neither_scipy_nor_the_catalog():
         assert not lines, f"{path.name} imports scipy or the catalog at lines {lines}"
 
 
-def test_only_the_log_part_factorization_imports_sympy():
-    """sympy only factors the denominator of a log part (`hermite._factors`);
-    every other module and function, the rational field included, does
-    without it."""
+def test_no_module_imports_sympy():
+    """sympy is the tests' oracle only: no module imports it, the log part
+    of a quadrature included (`hermite._residues`)."""
     import pathlib
 
     for bad in ("import sympy as sp", "import numpy, sympy", "from sympy.polys.rings import PolyElement",
@@ -978,12 +977,7 @@ def test_only_the_log_part_factorization_imports_sympy():
     assert _sympy_imports("import numpy\nfrom .rational import RationalFunction\nfrom . import hermite") == []
     package = pathlib.Path(jsonio.__file__).parent
     importers = [path.name for path in sorted(package.rglob("*.py")) if _sympy_imports(path.read_text())]
-    assert importers == ["hermite.py"]
-    source = (package / "hermite.py").read_text()
-    factors = next(node for node in ast.parse(source).body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_factors")
-    lines = _sympy_imports(source)
-    assert lines and all(factors.lineno < line <= factors.end_lineno for line in lines), lines
+    assert importers == []
 
 
 def test_reduce_and_pfaff_run_without_sympy(tmp_path):
@@ -1009,15 +1003,14 @@ assert "sympy" not in sys.modules, "sympy was loaded"
         assert proc.returncode == 0, (args[0], proc.stdout + proc.stderr)
 
 
-def test_log_part_loads_sympy(tmp_path):
-    """A log part is factored by sympy, loaded then and only then."""
+def test_log_part_leaves_sympy_unloaded(tmp_path):
+    """A log part is integrated without sympy."""
     script = """
 import sys
 from liequad import LogExtendedScalar, RationalFunction, VarSet
-f = RationalFunction.parse(VarSet.of("x", "u"), "1/x")
-assert "sympy" not in sys.modules
+f = RationalFunction.parse(VarSet.of("x", "u"), "1/x + 2*x/(x^2-u)")
 assert isinstance(f.antideriv("x"), LogExtendedScalar)
-assert "sympy" in sys.modules
+assert "sympy" not in sys.modules, "the log part loaded sympy"
 """
     proc = _subprocess(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -1246,8 +1239,9 @@ def _definitions(sources: dict | None = None) -> set:
 
 def test_one_gcd_and_one_square_free_split():
     """Integer gcds and Yun's square-free split live in `qpoly`, and the
-    split runs in two places: `matexp._spectrum` (a characteristic
-    polynomial) and `hermite.integrate_rational` (a denominator).  The
+    split runs in three places: `matexp._spectrum` (a characteristic
+    polynomial), `hermite.integrate_rational` (a denominator) and
+    `hermite._residues` (the polynomial of the residues).  The
     one gcd elsewhere is `hermite._Poly.gcdex`, the extended Euclid over
     K[v] whose Bezout cofactors split partial fractions; `qpoly` gives no
     cofactors of that kind."""
@@ -1256,7 +1250,8 @@ def test_one_gcd_and_one_square_free_split():
     outside = {(module, name) for module, name in _definitions()
                if module != "qpoly" and ("gcd" in name or "square_free" in name)}
     assert outside == {("hermite", "gcdex")}
-    assert _uses("square_free") == {("matexp", "_spectrum"), ("hermite", "integrate_rational")}
+    assert _uses("square_free") == {("matexp", "_spectrum"), ("hermite", "integrate_rational"),
+                                    ("hermite", "_residues")}
 
 
 def test_limit_denominator_only_where_exactness_is_confirmed():
@@ -1364,9 +1359,12 @@ def test_multiply_with_large_constants_passes_the_rho_line(tmp_path):
 
 def test_no_numeric_eigenvalues_outside_the_root_step():
     """No module asks numpy for eigenvalues; numeric roots are taken only of
-    the square-free factors in `matexp._factor_roots`."""
+    square-free factors, in the one root step `qpoly.low_factors`, which
+    `matexp._spectrum` (eigenvalues) and `hermite._residues` (residues)
+    read."""
     assert not _uses("eigvals") | _uses("eig")
-    assert _uses("roots") == {("matexp", "_factor_roots")}
+    assert _uses("roots") == {("qpoly", "low_factors")}
+    assert _uses("low_factors") == {("matexp", "_spectrum"), ("hermite", "_residues")}
 
 
 # ----------------------------------------------------------------------

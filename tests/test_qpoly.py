@@ -5,6 +5,7 @@ the canonical numerator and denominator of a quotient."""
 
 import functools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
@@ -135,3 +136,51 @@ def test_square_free_pinned_cases():
     negative = {(1, 0, 0): -1, (0, 0, 1): 2}
     f = qpoly.mul(qpoly.power(negative, 2, 3), {(1, 0, 0): 1, (0, 0, 0): 1})
     assert qpoly.square_free(f, 0) == [({(1, 0, 0): 1, (0, 0, 0): 1}, 1), (qpoly.neg(negative), 2)]
+
+
+def test_gcd_with_zero_is_the_other_operand():
+    """gcd(f, 0) is f with cofactors 1 and 0, and gcd(0, f) likewise, for
+    a single term and for several terms."""
+    one = qpoly.one(3)
+    for f in ({(0, 2, 1): -3}, {(1, 0, 0): 1, (0, 1, 0): -2}, {(2, 0, 0): 4, (0, 1, 1): 6, (0, 0, 0): -2}):
+        assert qpoly.gcd(f, {}) == (f, one, {})
+        assert qpoly.gcd({}, f) == (f, {}, one)
+
+
+def _x(*coeffs) -> dict:
+    """The polynomial in one variable with these coefficients, constant first."""
+    return {(e,): c for e, c in enumerate(coeffs) if c}
+
+
+def _as_set(factors) -> set:
+    return {frozenset(f.items()) for f in factors}
+
+
+def test_low_factors_pinned_cases():
+    """Integer roots come out as linear factors, at degree 2 too; an
+    irreducible quadratic stays whole, split from a cubic or left over;
+    an irreducible cubic gives its numeric roots."""
+    assert qpoly.low_factors(_x(5, 1)) == ([_x(5, 1)], [])
+    factors, zs = qpoly.low_factors(_x(-2, 1, 1))  # (x - 1)(x + 2)
+    assert _as_set(factors) == _as_set([_x(-1, 1), _x(2, 1)]) and zs == []
+    factors, zs = qpoly.low_factors(qpoly.mul(_x(-2, 0, 1), _x(-3, 1)))  # (x^2 - 2)(x - 3)
+    assert _as_set(factors) == _as_set([_x(-2, 0, 1), _x(-3, 1)]) and zs == []
+    factors, zs = qpoly.low_factors(qpoly.mul(_x(1, 1, 1), _x(1, 0, 1)))  # two quadratics
+    assert _as_set(factors) == _as_set([_x(1, 1, 1), _x(1, 0, 1)]) and zs == []
+    factors, zs = qpoly.low_factors(qpoly.mul(_x(-2, 0, 0, 1), _x(4, 1)))  # (x^3 - 2)(x + 4)
+    assert factors == [_x(4, 1)] and len(zs) == 3
+    assert sorted(z.real for z in zs if z.imag == 0) == [pytest.approx(2 ** (1 / 3), rel=1e-12)]
+
+
+def test_low_factors_find_integer_roots_beyond_floats():
+    """An integer root that a float only approximates (10^30 + 7), and
+    roots of a polynomial whose coefficients exceed the float range, come
+    out exactly."""
+    big = 10**30 + 7
+    f = qpoly.mul(qpoly.mul(_x(-big, 1), _x(big + 2, 1)), _x(1, 0, 1))
+    factors, zs = qpoly.low_factors(f)
+    assert _as_set(factors) == _as_set([_x(-big, 1), _x(big + 2, 1), _x(1, 0, 1)]) and zs == []
+    huge = 10**200 + 1
+    f = qpoly.mul(qpoly.mul(_x(-huge, 1), _x(-2 * huge, 1)), _x(3 * huge, 1))
+    factors, zs = qpoly.low_factors(f)
+    assert _as_set(factors) == _as_set([_x(-huge, 1), _x(-2 * huge, 1), _x(3 * huge, 1)]) and zs == []

@@ -387,3 +387,93 @@ def test_family_columns_are_each_member_evaluated_alone():
     with pytest.raises(PoleAtPoint) as together:
         RationalFunction.family(V, members).evaluate([pole])
     assert str(together.value) == str(alone.value)
+
+
+# ----------------------------------------------------------------------
+# planted antiderivatives: d/dv of a rational part plus logs, integrated back
+
+PLANTED = VarSet.of("x", "u", "w")
+LOG_COEFFS = [Fraction(c) for c in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "2/3", "-3/2")]
+
+
+def _planted_poly(rng, v: str, degree: int, terms: int) -> RationalFunction:
+    """A polynomial of degree `degree` in v and at most 1 in each other
+    variable: a nonzero leading term and `terms` terms of lower degree."""
+    others = [n for n in PLANTED.names if n != v]
+    parts = [f"{rng.choice([1, 2, -1, 3])}*{v}^{degree}"]
+    for _ in range(terms):
+        monomial = [f"{v}^{rng.randint(0, max(degree - 1, 0))}"] + [f"{n}^{rng.randint(0, 1)}" for n in others]
+        parts.append(f"({rng.randint(-3, 3)})*" + "*".join(monomial))
+    return RationalFunction.parse(PLANTED, " + ".join(parts))
+
+
+def planted_antiderivative(k: int):
+    """(integrand, v, rational part) of case k, drawn from random.Random(k):
+    v cycles through (x, u, w), and the antiderivative is a rational part
+    a/b^m (a of degree <= 1 in v, b of degree 1, m = 1 or 2) plus one to
+    three c_j*log(p_j) with distinct rational c_j and p_j of degree 1 or 2
+    in v.  Every residue is a sum of c_j, so the integrand is in class."""
+    rng = random.Random(k)
+    v = PLANTED.names[k % 3]
+    rational = _planted_poly(rng, v, rng.randint(0, 1), 1) / _planted_poly(rng, v, 1, 1) ** rng.randint(1, 2)
+    integrand = rational.diff(v)
+    for c in rng.sample(LOG_COEFFS, rng.randint(1, 3)):
+        p = _planted_poly(rng, v, rng.randint(1, 2), 2)
+        integrand = integrand + p.diff(v) / p * c
+    return integrand, v, rational
+
+
+@pytest.mark.parametrize("k", range(40))
+def test_planted_antiderivative_integrates_back(k):
+    """The antiderivative differentiates back to the integrand, and its
+    rational part is the planted one up to a constant in v (a derivative
+    has no simple poles, so the log terms cannot absorb any of it)."""
+    integrand, v, rational = planted_antiderivative(k)
+    G = integrand.antideriv(v)
+    assert G.diff(v) == integrand
+    rational_part = G.rational_part if isinstance(G, LogExtendedScalar) else G
+    assert (rational_part - rational).diff(v).is_zero()
+
+
+@pytest.mark.parametrize("text", ["1/(x^2+1)", "1/(x^2-2)", "u/(x-u^2)", "1/(x^3-2)"])
+def test_integrand_with_a_residue_outside_q_raises(text):
+    """Complex, irrational and non-constant residues are outside the class."""
+    with pytest.raises(NonElementaryInClass):
+        RationalFunction.parse(PLANTED, text).antideriv("x")
+
+
+@pytest.mark.parametrize("text", ["1/((x - 1/1000000007)*(x + 3/1000000009))",
+                                  "1/((x - 123456789123)*(x - 987654321987)*(x + 5))",
+                                  "1/((x - 1/10^30)*(x - 2/10^30)*(x - 3/10^30)*(x - 5/10^30))"])
+def test_residues_beyond_float_precision_are_found(text):
+    """Rational residues whose scaled values a float only approximates, or
+    whose polynomial has coefficients beyond the float range, are found."""
+    f = RationalFunction.parse(PLANTED, text)
+    G = f.antideriv("x")
+    assert isinstance(G, LogExtendedScalar) and len(G.log_terms) == f.frac.degrees()[0]
+    assert G.diff("x") == f
+
+
+def test_factors_with_one_residue_merge_into_one_log():
+    """2x/(x^2 - 1) has residue 1 at x = 1 and at x = -1: one log term,
+    equal to log(x - 1) + log(x + 1) under the log|.| convention; so is
+    1/x + 2x/(x^2 - u), with residue 1 at all three roots."""
+    from liequad import jsonio
+
+    G = RationalFunction.parse(PLANTED, "2*x/(x^2-1)").antideriv("x")
+    assert G.to_text() == "0 + 1*log(x^2 + -1)"
+    assert jsonio.dump_scalar(G)["logs"] == [{"coeff": "1", "arg": "x^2 + -1"}]
+    H = RationalFunction.parse(PLANTED, "1/x + 2*x/(x^2-u)").antideriv("x")
+    assert H.to_text() == "0 + 1*log(x^3 + -1*x*u)"
+
+
+def test_log_terms_are_stored_in_argument_text_order():
+    """The order `to_text` and `jsonio.dump_scalar` both write."""
+    from liequad import jsonio
+
+    terms = [(Fraction(1), rf("x + 1")), (Fraction(2), rf("u")), (Fraction(-1), rf("x - 1"))]
+    L = LogExtendedScalar(V, rf("x"), terms)
+    texts = [RationalFunction(V, a).to_text() for _, a in L.log_terms]
+    assert texts == ["u", "x + -1", "x + 1"]
+    assert [t["arg"] for t in jsonio.dump_scalar(L)["logs"]] == texts
+    assert L.to_text() == "x + 2*log(u) + -1*log(x + -1) + 1*log(x + 1)"
