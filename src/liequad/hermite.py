@@ -4,16 +4,18 @@ class.
 The integrand's numerator and denominator are read as polynomials in the
 integration variable v over K = Q(other chart variables): coefficient
 lists whose entries are `Frac`s over the chart without v.  The rational
-part of the antiderivative is produced by Hermite reduction (integration
-by parts against the denominator's square-free split, Yun's over Z by
-`qpoly.square_free` made monic over K, then extended Euclid and division,
-no linear solves; Bronstein, *Symbolic Integration I*, ch. 2).  The log
-part needs no factorization (Rothstein 1977; Trager 1976; Lazard &
-Rioboo 1990): each residue c of the squarefree part r/d must be a
-rational constant and contributes c*log(gcd(d, r - c*dd/dv)).  Anything
-else raises :class:`~liequad.errors.NonElementaryInClass`.  Results go
-back to the chart's field.
-"""
+part of the antiderivative comes from Hermite's reduction over the
+denominator's square-free split, Yun's over Z by `qpoly.square_free` made
+monic over K, in its quadratic version (Bronstein, *Symbolic Integration
+I*, 2nd ed., 2005, section 2.2): no partial fractions, one extended
+Euclid per factor V of multiplicity m >= 2, which solves each of its
+m - 1 steps.  What is left, r/D with D square-free, has no rational
+part.  The log part needs no factorization (Rothstein 1977; Trager 1976;
+Lazard & Rioboo 1990) and is taken one square-free factor d of D at a
+time: each residue c of r/D at the roots of d must be a rational
+constant and contributes c*log(gcd(d, r - c*dD/dv)).  Anything else
+raises :class:`~liequad.errors.NonElementaryInClass`.  Results go back
+to the chart's field."""
 
 from __future__ import annotations
 
@@ -139,31 +141,6 @@ class _Poly:
         return acc
 
 
-def _split_prime_powers(A: _Poly, factors):
-    """Partial fractions of A / prod(d**m) over pairwise coprime factors.
-
-    Returns [(A_i, d_i, m_i)] with A/prod = sum A_i/d_i^m_i, assuming the
-    input fraction is proper.
-    """
-    if len(factors) == 1:
-        d, m = factors[0]
-        return [(A, d, m)]
-    d, m = factors[0]
-    P = d.constant(1)
-    for _ in range(m):
-        P = P * d
-    Q = d.constant(1)
-    for dj, mj in factors[1:]:
-        for _ in range(mj):
-            Q = Q * dj
-    s, t, g = P.gcdex(Q)
-    if not g.is_one():
-        raise NonElementaryInClass("denominator factors are not coprime")
-    carry, A1 = divmod(A * t, P)
-    A2 = A * s + carry * Q
-    return [(A1, d, m)] + _split_prime_powers(A2, factors[1:])
-
-
 def integrate_rational(rf: RationalFunction, name: str):
     """Antiderivative of ``rf`` in ``name``; result is a RationalFunction or
     a LogExtendedScalar.  The constant of integration is not fixed;
@@ -176,27 +153,31 @@ def integrate_rational(rf: RationalFunction, name: str):
     N = _Poly.of(rf.frac.num, i, n)
     D = _Poly.of(rf.frac.den, i, n)
 
-    quo, rem = divmod(N, D)
+    quo, A = divmod(N, D)
     total_rational = quo.integral().to_chart(i)
     log_terms: list[tuple[Fraction, Frac]] = []
 
-    if rem:
-        rem = rem * D.lc.inverse()
-        factors = [(_Poly.of(a, i, n).monic(), k) for a, k in qpoly.square_free(rf.frac.den, i)]
-        for A, d, m in _split_prime_powers(rem, factors):
-            dp = d.diff()
-            while m > 1:
-                s, t, g = d.gcdex(dp)
-                if not g.is_one():
-                    raise NonElementaryInClass("squarefree factor shares a root with its derivative")
-                u = A * t
-                total_rational += (u * Fraction(1, 1 - m)).to_chart(i) / d.to_chart(i) ** (m - 1)
-                A = A * s + u.diff() * Fraction(1, m - 1)
-                m -= 1
-            pq, pr = divmod(A, d)
-            total_rational += pq.integral().to_chart(i)
-            if pr:
-                log_terms.extend(_log_part(pr, d, chart, i))
+    if A:
+        A, D = A * D.lc.inverse(), D.monic()
+        factors = [(_Poly.of(a, i, n).monic(), m) for a, m in qpoly.square_free(rf.frac.den, i)]
+        for V, m in factors:
+            if m == 1:
+                continue
+            U = divmod(D, math.prod([V] * (m - 1), start=V))[0]
+            UVp = U * V.diff()
+            # B*U*V' + C*V = -A/j with deg B < deg V, from one Bezout pair
+            s = UVp.gcdex(V)[0]
+            for j in range(m - 1, 0, -1):
+                rhs = A * Fraction(-1, j)
+                B = divmod(rhs * s, V)[1]
+                C = divmod(rhs - B * UVp, V)[0]
+                total_rational += B.to_chart(i) / V.to_chart(i) ** j
+                A = C * -j - U * B.diff()
+            D = U * V
+        # D is now the square-free part of the denominator
+        if A:
+            for d, _ in factors:
+                log_terms.extend(_log_part(A, D, d, chart, i))
 
     result = RationalFunction(chart, total_rational)
     if log_terms:
@@ -205,28 +186,31 @@ def integrate_rational(rf: RationalFunction, name: str):
     return result
 
 
-def _log_part(r: _Poly, d: _Poly, chart: VarSet, i: int):
-    """The terms c*log(g_c) of the proper r/d, d monic and squarefree: c
-    runs over the residues r/d' at the roots of d, which must be rational
-    constants, and g_c, gcd(d, r - c*d') over K, is the primitive part in
-    v of the gcd of the numerators.  Their degrees add up to deg d exactly
-    when every residue is a candidate from `_residues`."""
-    dp, dc = d.diff(), d.to_chart(i)
-    args = {c: qpoly.primitive_in(qpoly.gcd(dc.num, (r - dp * c).to_chart(i).num)[0], i)[1]
-            for c in _residues(r, d, chart, i)}
+def _log_part(r: _Poly, D: _Poly, d: _Poly, chart: VarSet, i: int):
+    """The terms c*log(g_c) of the proper r/D, D monic and squarefree, at
+    the roots of its monic factor d: c runs over the residues r/D' there,
+    which must be rational constants, and g_c, gcd(d, r - c*D') over K,
+    is the primitive part in v of the gcd of the numerators.  Their
+    degrees add up to deg d exactly when every residue is a candidate
+    from `_residues`.  Equal residues at roots of other factors of D give
+    other terms: each factor has its own candidates."""
+    Dp, dc = D.diff(), d.to_chart(i)
+    args = {c: qpoly.primitive_in(qpoly.gcd(dc.num, (r - Dp * c).to_chart(i).num)[0], i)[1]
+            for c in _residues(r, Dp, d, chart, i)}
     if sum(qpoly.degree(g, i) for g in args.values()) != d.degree():
         text = RationalFunction(chart, dc).to_text()
         raise NonElementaryInClass(f"a residue over {text} is not a rational constant")
     return [(c, Frac.polynomial(g, len(chart))) for c, g in args.items()]
 
 
-def _residues(r: _Poly, d: _Poly, chart: VarSet, i: int) -> list[Fraction]:
-    """The rational residues r/d' at the roots of d with the other chart
-    variables at the first integer point, box by growing box, where r and
-    d are defined and d stays squarefree (a nonzero polynomial does not
-    vanish on a box wider than its degree), since a constant residue does
-    not move there.  They are the eigenvalues of multiplication by
-    h = r/d' mod d on Q[v]/(d); one that is not rational raises."""
+def _residues(r: _Poly, Dp: _Poly, d: _Poly, chart: VarSet, i: int) -> list[Fraction]:
+    """The rational residues r/D' at the roots of d, a factor of D, with
+    the other chart variables at the first integer point, box by growing
+    box, where r, D' and d are defined and D' stays prime to d (a nonzero
+    resultant does not vanish on a box wider than its degree), since a
+    constant residue does not move there.  They are the eigenvalues of
+    multiplication by h = r/D' mod d on Q[v]/(d); one that is not
+    rational raises."""
     zero = d.zero
     others = [name for j, name in enumerate(chart.names) if j != i]
     boxes = (p for b in itertools.count() for p in itertools.product(range(-b, b + 1), repeat=len(others))
@@ -234,11 +218,11 @@ def _residues(r: _Poly, d: _Poly, chart: VarSet, i: int) -> list[Fraction]:
     for p in boxes:
         point = dict(zip(others, p), **{chart.names[i]: 0})
         try:
-            ra, da = (_Poly([zero + RationalFunction(chart, a).evaluate_exact(point) for a in f.c], zero)
-                      for f in (r, d))
+            ra, dpa, da = (_Poly([zero + RationalFunction(chart, a).evaluate_exact(point) for a in f.c], zero)
+                           for f in (r, Dp, d))
         except PoleAtPoint:
             continue
-        inv, _, g = da.diff().gcdex(da)
+        inv, _, g = dpa.gcdex(da)
         if g.is_one():
             break
     h, cols = divmod(ra * inv, da)[1], []

@@ -510,9 +510,8 @@ class LogExtendedScalar:
     def evaluate(self, point: Mapping[str, float]) -> float:
         """Numeric value using the log|p| convention for the log terms."""
         total = self.rational_part.evaluate(point)
-        values = [_to_fraction(point[n]) for n in self.chart.names]
         for c, a in self.log_terms:
-            val = float(_horner_eval(_horner_scheme(a.num, len(values)), values))
+            val = RationalFunction(self.chart, a).evaluate(point)
             if val == 0.0:
                 raise PoleAtPoint(f"log argument vanishes at {dict(point)}")
             total += float(c) * math.log(abs(val))

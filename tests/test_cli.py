@@ -1243,7 +1243,7 @@ def test_one_gcd_and_one_square_free_split():
     polynomial), `hermite.integrate_rational` (a denominator) and
     `hermite._residues` (the polynomial of the residues).  The
     one gcd elsewhere is `hermite._Poly.gcdex`, the extended Euclid over
-    K[v] whose Bezout cofactors split partial fractions; `qpoly` gives no
+    K[v] whose Bezout cofactors solve each Hermite step; `qpoly` gives no
     cofactors of that kind."""
     probe = {"bad": "def _gcd(p, q):\n    pass\nclass P:\n    def _square_free(self):\n        pass\n"}
     assert _definitions(probe) == {("bad", "_gcd"), ("bad", "_square_free")}

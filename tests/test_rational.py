@@ -1,5 +1,6 @@
 """Exact rational functions, the log extension, and in-class integration."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from liequad import (
     PoleAtPoint,
     RationalFunction,
     VarSet,
+    qpoly,
 )
 
 V = VarSet.of("x", "u", "u_x", "u_xx")
@@ -433,6 +435,89 @@ def test_planted_antiderivative_integrates_back(k):
     assert G.diff(v) == integrand
     rational_part = G.rational_part if isinstance(G, LogExtendedScalar) else G
     assert (rational_part - rational).diff(v).is_zero()
+    assert _is_proper(rational_part, v)
+
+
+def _is_proper(f: RationalFunction, v: str) -> bool:
+    """Whether f's numerator has a lower degree in v than its denominator:
+    the integrands here have no polynomial part, so neither has their
+    antiderivative's rational part."""
+    i = PLANTED.index(v)
+    return qpoly.degree(f.frac.num, i) < qpoly.degree(f.frac.den, i)
+
+
+@pytest.mark.parametrize("text, antiderivative", [
+    ("1/(x^2*(x+1))", "(-1)/(x) + -1*log(x) + 1*log(x + 1)"),
+    ("x/(x+1)^2", "(1)/(x + 1) + 1*log(x + 1)"),
+    ("1/x + 1/(x-1) + 1/(x-1)^2", "(-1)/(x + -1) + 1*log(x) + 1*log(x + -1)"),
+])
+def test_antiderivative_text_is_pinned(text, antiderivative):
+    """The rational part is proper in v, with no term constant in v; and
+    the log part is taken one square-free factor at a time, so residue 1
+    at the simple pole x = 0 and at the double pole x = 1 gives two logs,
+    not one log(x^2 - x)."""
+    assert RationalFunction.parse(PLANTED, text).antideriv("x").to_text() == antiderivative
+
+
+def repeated_factor_integrand(k: int):
+    """(integrand, v, rational part, [(m_j, c_j)]) of case k, drawn from
+    random.Random(1000 + k): v cycles through (x, u, w); one or two
+    factors p_j of degree 1 or 2 in v, drawn again until their product is
+    square-free in v, of multiplicity m_j from 1 to 3 in the integrand,
+    each with a log term c_j*log(p_j), c_j shared by both factors in about
+    half the cases; the rational part is a/prod(p_j^(m_j - 1)), a of
+    degree 0 in v."""
+    rng = random.Random(1000 + k)
+    v = PLANTED.names[k % 3]
+    count = rng.randint(1, 2)
+    while True:
+        factors = [_planted_poly(rng, v, rng.randint(1, 2), 2) for _ in range(count)]
+        product = math.prod(factors[1:], start=factors[0])
+        if [m for _, m in qpoly.square_free(product.frac.num, PLANTED.index(v))] == [1]:
+            break
+    multiplicities = [rng.randint(1, 3) for _ in factors]
+    coeffs = rng.sample(LOG_COEFFS, len(factors))
+    if rng.random() < 0.5:
+        coeffs = coeffs[:1] * len(factors)
+    rational = _planted_poly(rng, v, 0, 1)
+    for p, m in zip(factors, multiplicities):
+        rational = rational / p ** (m - 1)
+    integrand = rational.diff(v)
+    for p, c in zip(factors, coeffs):
+        integrand = integrand + p.diff(v) / p * c
+    return integrand, v, rational, list(zip(multiplicities, coeffs))
+
+
+@pytest.mark.parametrize("k", range(30))
+def test_repeated_factor_integrand_integrates_back(k):
+    """One log term per square-free factor and residue: factors of equal
+    multiplicity and residue share one log, factors of different
+    multiplicity keep one each, whatever their residues."""
+    integrand, v, rational, planted = repeated_factor_integrand(k)
+    i = PLANTED.index(v)
+    assert sorted({m for m, _ in planted}) == [m for _, m in qpoly.square_free(integrand.frac.den, i)]
+    G = integrand.antideriv(v)
+    assert G.diff(v) == integrand
+    assert len(G.log_terms) == len(set(planted))
+    assert (G.rational_part - rational).diff(v).is_zero()
+    assert _is_proper(G.rational_part, v)
+
+
+def test_clustered_residues_on_distinct_factors_are_found():
+    """Residues 10^20 and 10^20 + 1 on the square-free factor x(x - 1), and
+    10^20 + 2 on (x - 2), which has multiplicity two."""
+    f = RationalFunction.parse(PLANTED, "10^20/x + (10^20+1)/(x-1) + (10^20+2)/(x-2) + 1/(x-2)^2")
+    G = f.antideriv("x")
+    assert sorted(c for c, _ in G.log_terms) == [10**20, 10**20 + 1, 10**20 + 2]
+    assert G.diff("x") == f
+
+
+@pytest.mark.xfail(strict=True, raises=NonElementaryInClass, reason=(
+    "item E: the three clustered integer residues of one square-free factor come back from the "
+    "numeric root step as numeric roots"))
+def test_three_clustered_residues_on_one_factor_are_found():
+    f = RationalFunction.parse(PLANTED, "10^8/x + (10^8+1)/(x-1) + (10^8+2)/(x-2)")
+    assert f.antideriv("x").diff("x") == f
 
 
 @pytest.mark.parametrize("text", ["1/(x^2+1)", "1/(x^2-2)", "u/(x-u^2)", "1/(x^3-2)"])
