@@ -710,13 +710,6 @@ class ExpPoly:
         used.update(i for i, f in enumerate(fields) if f)
         return sorted(used)
 
-    def exponential_terms(self) -> list[tuple[tuple[float, ...] | None, float]]:
-        """(a, c) for each term c * exp(a.x), in term order; a is None for
-        a term with a monomial or a trigonometric factor."""
-        rates = self._lay.rates
-        return [(rates[r][0] if not K and t == KIND_ONE else None, c)
-                for (K, r, t), c in self._t.items()]
-
     def __reduce__(self):
         # rate ids belong to this process: pickle and copy the decoded terms
         return ExpPoly, (self.chart, dict(self.terms))

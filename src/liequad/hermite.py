@@ -13,9 +13,11 @@ m - 1 steps.  What is left, r/D with D square-free, has no rational
 part.  The log part needs no factorization (Rothstein 1977; Trager 1976;
 Lazard & Rioboo 1990) and is taken one square-free factor d of D at a
 time: each residue c of r/D at the roots of d must be a rational
-constant and contributes c*log(gcd(d, r - c*dD/dv)).  Anything else
-raises :class:`~liequad.errors.NonElementaryInClass`.  Results go back
-to the chart's field."""
+constant and contributes c*log(gcd(d, r - c*dD/dv)).  The candidate
+residues are the eigenvalues of multiplication by r/D' mod d, decided by
+`matexp._spectrum`, the one exact spectrum of the package.  Anything
+else raises :class:`~liequad.errors.NonElementaryInClass`.  Results go
+back to the chart's field, log arguments as RationalFunctions."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from . import qpoly
 from .errors import NonElementaryInClass, PoleAtPoint
-from .matexp import _charpoly
+from .matexp import _charpoly, _spectrum
 from .qpoly import Frac, coefficients_in
 from .rational import LogExtendedScalar, RationalFunction
 from .varset import VarSet
@@ -155,7 +157,7 @@ def integrate_rational(rf: RationalFunction, name: str):
 
     quo, A = divmod(N, D)
     total_rational = quo.integral().to_chart(i)
-    log_terms: list[tuple[Fraction, Frac]] = []
+    log_terms: list[tuple[Fraction, RationalFunction]] = []
 
     if A:
         A, D = A * D.lc.inverse(), D.monic()
@@ -200,7 +202,7 @@ def _log_part(r: _Poly, D: _Poly, d: _Poly, chart: VarSet, i: int):
     if sum(qpoly.degree(g, i) for g in args.values()) != d.degree():
         text = RationalFunction(chart, dc).to_text()
         raise NonElementaryInClass(f"a residue over {text} is not a rational constant")
-    return [(c, Frac.polynomial(g, len(chart))) for c, g in args.items()]
+    return [(c, RationalFunction(chart, Frac.polynomial(g, len(chart)))) for c, g in args.items()]
 
 
 def _residues(r: _Poly, Dp: _Poly, d: _Poly, chart: VarSet, i: int) -> list[Fraction]:
@@ -209,8 +211,8 @@ def _residues(r: _Poly, Dp: _Poly, d: _Poly, chart: VarSet, i: int) -> list[Frac
     box, where r, D' and d are defined and D' stays prime to d (a nonzero
     resultant does not vanish on a box wider than its degree), since a
     constant residue does not move there.  They are the eigenvalues of
-    multiplication by h = r/D' mod d on Q[v]/(d); one that is not
-    rational raises."""
+    multiplication by h = r/D' mod d on Q[v]/(d), read from
+    `matexp._spectrum`; one that is not rational raises."""
     zero = d.zero
     others = [name for j, name in enumerate(chart.names) if j != i]
     boxes = (p for b in itertools.count() for p in itertools.product(range(-b, b + 1), repeat=len(others))
@@ -229,13 +231,12 @@ def _residues(r: _Poly, Dp: _Poly, d: _Poly, chart: VarSet, i: int) -> list[Frac
     for _ in range(da.degree()):
         cols.append([RationalFunction(chart, x).constant_value() for x in h.c] + [0] * (da.degree() - len(h.c)))
         h = divmod(_Poly([zero] + h.c, zero), da)[1]
-    # scale*h has an integer matrix, whose rational eigenvalues are integers
+    # scale*h has an integer matrix; _spectrum divides its eigenvalues by scale
     scale = math.lcm(*(x.denominator for col in cols for x in col))
-    char = _charpoly([[int(x * scale) for x in col] for col in cols])[0]
-    split = [qpoly.low_factors(f) for f, _ in qpoly.square_free({(e,): c for e, c in enumerate(char) if c}, 0)]
-    if any(zs or any(qpoly.degree(g, 0) > 1 for g in factors) for factors, zs in split):
+    spectrum = _spectrum(_charpoly([[int(x * scale) for x in col] for col in cols])[0], scale)
+    if any(type(c) is not Fraction for c, _ in spectrum):
         raise NonElementaryInClass("a residue of the integrand is irrational or complex")
-    return [Fraction(-g.get((0,), 0), scale) for factors, _ in split for g in factors]
+    return [c for c, _ in spectrum]
 
 
 def _check_derivative(result, rf: RationalFunction, name: str):

@@ -87,7 +87,7 @@ def dump_scalar(s) -> dict:
             "kind": "log-extended",
             "rational": s.rational_part.to_text(),
             "logs": [
-                {"coeff": str(c), "arg": RationalFunction(s.chart, a).to_text()} for c, a in s.log_terms
+                {"coeff": str(c), "arg": a.to_text()} for c, a in s.log_terms
             ],
         }
     raise SchemaError(f"unknown scalar type {type(s).__name__}")

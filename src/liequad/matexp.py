@@ -8,12 +8,16 @@ left, monic, is split square-free over Z for exact multiplicities by
 divide a monic polynomial.  By Gauss's lemma, rounded numeric
 roots give the only candidate factors, integer roots and monic integer
 quadratics, each confirmed by exact division (`qpoly.low_factors`); only
-roots of a leftover factor of degree >= 3 stay numeric.  A nilpotent A
-gets the series sum t^k A^k / k!, each float coefficient the integer
+roots of a leftover factor of degree >= 3 stay numeric.  Each rational
+eigenvalue is an exact Fraction, any other a complex float, and
+`ExpMatrix.spectrum` keeps them: `rational._log_factor` reads it for
+Sylvester's formula, and `hermite._residues` calls `_spectrum` for the
+residues of an integrand.  A nilpotent A gets the series sum t^k A^k / k!, each float coefficient the integer
 division (dA)^k[a][b] / (d^k k!), correctly rounded as the float of the
 exact Fraction is; the exact series is built on its first read
-(`ExpMatrix.series`).  Any other spectrum feeds Putzer's recursion
-(complex pairs become cos/sin terms, repeated eigenvalues factors t^k).
+(`ExpMatrix.series`).  Any other spectrum feeds Putzer's recursion as
+floats (complex pairs become cos/sin terms, repeated eigenvalues factors
+t^k).
 Equal entries of e^{tA}, those with one column of powers (dA)^k[a][b] or
 one quasi-polynomial, are one object, and `ExpMatrix.rows` lists the
 nonzero ones once.  A scalar f gives e^{fA} by `f.exp_matrix(E)`, which
@@ -64,20 +68,21 @@ def _charpoly(B: list[list[int]]) -> tuple[list[int], list]:
     return c, Ms
 
 
-def _low_roots(g: dict, d: int) -> list[complex]:
-    """The roots, divided by d, of a monic g in x of degree 1 or 2; a square
-    root is exact when its argument is a rational square, else rounded once."""
+def _low_roots(g: dict, d: int) -> list:
+    """The roots, divided by d, of a monic g in x of degree 1 or 2: a
+    rational one as a Fraction, any other as a complex float, its square
+    root rounded once."""
     c0, c1 = g.get((0,), 0), g.get((1,), 0)
     if (2,) not in g:
-        return [complex(float(Fraction(-c0, d)))]
+        return [Fraction(-c0, d)]
     a = Fraction(-c1, 2 * d)
     disc = a * a - Fraction(c0, d * d)
     r = Fraction(math.isqrt(abs(disc).numerator), math.isqrt(abs(disc).denominator))
     if r * r != abs(disc):
         r = math.sqrt(abs(disc))
-    if disc > 0:
-        return [complex(float(a - r)), complex(float(a + r))]
-    return [complex(float(a), -float(r)), complex(float(a), float(r))]
+    if disc < 0:
+        return [complex(float(a), -float(r)), complex(float(a), float(r))]
+    return [a - r, a + r] if type(r) is Fraction else [complex(a - r), complex(a + r)]
 
 
 def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
@@ -110,14 +115,16 @@ def matrix_batch(M, points) -> np.ndarray:
 @dataclass
 class ExpMatrix:
     """Symbolic e^{t A} with exponential-polynomial entries in one variable,
-    for A = dA / d with dA an integer matrix.  `powers` holds the powers
-    (dA)^k (k = 0, 1, ...) when A is nilpotent, from which `series` reads
-    the exact A^k / k!."""
+    for A = dA / d with dA an integer matrix.  `spectrum` is A's decided
+    spectrum (`_spectrum`), [(0, n)] for a nilpotent A.  `powers` holds the
+    powers (dA)^k (k = 0, 1, ...) when A is nilpotent, from which `series`
+    reads the exact A^k / k!."""
 
     var: str
     dA: tuple[tuple[int, ...], ...]
     d: int
     entries: list[list[ExpPoly]]
+    spectrum: list
     powers: list | None = None
 
     @property
@@ -170,15 +177,16 @@ def _exp(B: tuple, d: int, var: str) -> ExpMatrix:
     n = len(B)
     chart = VarSet.of(var)
     p, powers = _charpoly(B)
-    if not any(p[:n]):
+    spectrum = _spectrum(p, d)
+    if spectrum == [(0, n)]:
         scales = [d ** k * math.factorial(k) for k in range(len(powers))]
         # one polynomial per distinct column of powers (dA)^k[a][b]
         keys = [list(zip(*(P[a] for P in powers))) for a in range(n)]
         distinct = {key: ExpPoly.polynomial_in(chart, var, [x / q for x, q in zip(key, scales)])
                     for key in dict.fromkeys(key for row in keys for key in row)}
-        return ExpMatrix(var, B, d, [[distinct[key] for key in row] for row in keys], powers)
-    lams = [z for z, mult in _spectrum(p, d) for _ in range(mult)]
-    return ExpMatrix(var, B, d, _putzer(_rational(B, d), lams, chart))
+        return ExpMatrix(var, B, d, [[distinct[key] for key in row] for row in keys], spectrum, powers)
+    lams = [complex(z) for z, mult in spectrum for _ in range(mult)]
+    return ExpMatrix(var, B, d, _putzer(_rational(B, d), lams, chart), spectrum)
 
 
 def _rational(B: tuple, d: int) -> tuple:
@@ -186,19 +194,22 @@ def _rational(B: tuple, d: int) -> tuple:
     return tuple(tuple(Fraction(x, d) for x in row) for row in B)
 
 
-def _spectrum(p: list[int], d: int) -> list[tuple[complex, int]]:
+def _spectrum(p: list[int], d: int) -> list[tuple[Fraction | complex, int]]:
     """The eigenvalues of A with multiplicities, from the characteristic
-    polynomial p of dA, sorted by modulus: an order negation keeps up to
-    ties, so Putzer's recursion for -A rounds as e^{tA} at -t does.  The
-    factor x^m of p is the eigenvalue 0 of multiplicity m, and Yun's split
-    runs on the rest."""
-    from . import qpoly  # here, not at the top: `import liequad` compiles no field
-
+    polynomial p of dA: each rational one an exact Fraction, any other a
+    complex float.  They are sorted by modulus, compared exactly (a
+    Fraction beyond the float range still sorts): an order negation keeps
+    up to ties, so Putzer's recursion for -A rounds as e^{tA} at -t does.
+    The factor x^m of p is the eigenvalue 0 of multiplicity m, and Yun's
+    split runs on the rest."""
     m = next(i for i, c in enumerate(p) if c)
-    out = [(0j, m)] if m else []
-    for f, mult in qpoly.square_free({(e,): c for e, c in enumerate(p[m:]) if c}, 0):
-        factors, zs = qpoly.low_factors(f)
-        out += [(z, mult) for g in factors for z in _low_roots(g, d)] + [(z / d, mult) for z in zs]
+    out = [(Fraction(0), m)] if m else []
+    if m < len(p) - 1:
+        from . import qpoly  # here, not at the top: `import liequad` compiles no field
+
+        for f, mult in qpoly.square_free({(e,): c for e, c in enumerate(p[m:]) if c}, 0):
+            factors, zs = qpoly.low_factors(f)
+            out += [(z, mult) for g in factors for z in _low_roots(g, d)] + [(z / d, mult) for z in zs]
     return sorted(out, key=lambda c: (abs(c[0]), c[0].real, c[0].imag))
 
 

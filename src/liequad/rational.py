@@ -17,10 +17,16 @@ integrand, are rational constants; anything requiring algebraic or
 complex log coefficients raises
 :class:`~liequad.errors.NonElementaryInClass`.  Neither this module nor
 :mod:`~liequad.hermite` loads sympy.
+
+The exponential e^{fA} of a log quadrature f = sum c_i log p_i, the
+classical integrating factor, is built exactly by Sylvester's formula
+over the spectrum `ExpMatrix.spectrum` that :mod:`~liequad.matexp`
+decides (`_log_factor`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -31,7 +37,7 @@ from . import qpoly
 from .errors import (BasepointOnPole, ClassMismatch, MismatchedVarSet, NonAffineExponentSubstitution,
                      NonElementaryInClass, PoleAtPoint)
 from .exacttext import evaluate_text
-from .liealg import mat_vec
+from .liealg import mat_identity, mat_mul, mat_vec
 from .qpoly import Frac
 from .varset import VarSet
 
@@ -408,27 +414,25 @@ def _poly_text(poly: dict, names, scale: int = 1) -> str:
 
 class LogExtendedScalar:
     """rational part + sum of c_i * log(p_i) with rational c_i and primitive
-    integer-polynomial arguments p_i (polynomial `Frac`s over the chart),
-    pairwise distinct and sorted by their text."""
+    integer-polynomial arguments p_i (polynomial RationalFunctions over the
+    chart), pairwise distinct and sorted by their text."""
 
     __slots__ = ("chart", "rational_part", "log_terms")
 
     def __init__(self, chart: VarSet, rational_part: RationalFunction, log_terms):
-        """Log arguments are polynomial RationalFunctions or polynomial
-        `Frac`s over the chart."""
+        """Log arguments are polynomial RationalFunctions over the chart."""
         if rational_part.chart != chart:
             raise MismatchedVarSet("rational part chart mismatch")
         merged: dict = {}
         for coeff, arg in log_terms:
             coeff = Fraction(coeff)
-            arg = _normalize_log_argument(_log_argument(arg, chart), len(chart))
+            arg = _log_argument(arg, chart)
             if coeff == 0 or arg is None:
                 continue
             merged[arg] = merged.get(arg, 0) + coeff
         self.chart = chart
         self.rational_part = rational_part
-        self.log_terms = tuple(sorted(((c, a) for a, c in merged.items() if c != 0),
-                                      key=lambda t: _poly_text(t[1].num, chart.names)))
+        self.log_terms = tuple(sorted(((c, a) for a, c in merged.items() if c != 0), key=lambda t: t[1].to_text()))
 
     def map_component(self) -> RationalFunction:
         """The value as a component of a point map: rational, without log terms."""
@@ -497,21 +501,20 @@ class LogExtendedScalar:
         """Positions of the variables in the rational part or a log argument."""
         used = set(self.rational_part.occurring())
         for _, a in self.log_terms:
-            used.update(i for i, d in enumerate(a.degrees()) if d > 0)
+            used.update(a.occurring())
         return sorted(used)
 
     def diff(self, name: str) -> RationalFunction:
-        i = self.chart.index(name)
         out = self.rational_part.diff(name)
         for c, a in self.log_terms:
-            out = out + RationalFunction(self.chart, a.diff(i) / a) * c
+            out = out + a.diff(name) / a * c
         return out
 
     def evaluate(self, point: Mapping[str, float]) -> float:
         """Numeric value using the log|p| convention for the log terms."""
         total = self.rational_part.evaluate(point)
         for c, a in self.log_terms:
-            val = RationalFunction(self.chart, a).evaluate(point)
+            val = a.evaluate(point)
             if val == 0.0:
                 raise PoleAtPoint(f"log argument vanishes at {dict(point)}")
             total += float(c) * math.log(abs(val))
@@ -519,9 +522,8 @@ class LogExtendedScalar:
 
     def to_text(self) -> str:
         parts = [self.rational_part.to_text()]
-        # the argument text is the RationalFunction text of the argument
         for c, a in self.log_terms:
-            parts.append(f"{c}*log({_poly_text(a.num, self.chart.names)})")
+            parts.append(f"{c}*log({a.to_text()})")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -537,76 +539,57 @@ class LogExtendedScalar:
 
 
 def _log_factor(E, f: LogExtendedScalar) -> list[list[RationalFunction]]:
-    """exp of (sum c_i log p_i) times the adjoint: rational exactly when
-    every eigenvalue times every log coefficient is an integer, turning
-    e^{lambda f} into a product of integer powers p_i^{lambda c_i}.
-    The classical integrating-factor situation."""
+    """e^{fA} for f = sum c_i log p_i and A = E.dA / E.d, exact, by
+    Sylvester's formula (Higham, *Functions of Matrices*, 2008, section
+    1.2): for a diagonalizable A with rational spectrum it is the sum over
+    the eigenvalues lambda of prod_i p_i^{lambda c_i} P_lambda, with the
+    projector P_lambda = prod_{mu != lambda} (A - mu I) / (lambda - mu).
+    It is rational exactly when every power lambda c_i is an integer: the
+    classical integrating factor."""
     chart = f.chart
     if not f.rational_part.is_zero():
-        raise NonElementaryInClass(
-            "quadrature produced a log term with a nonzero rational part and "
-            "the next adjoint matrix is nonzero; the exponential factor "
-            "leaves the supported class"
-        )
-
-    def _as_fraction(x: float) -> Fraction:
-        fr = Fraction(x).limit_denominator(10 ** 9)
-        if abs(float(fr) - x) > 1e-9 * max(1.0, abs(x)):
-            raise NonElementaryInClass(
-                f"matrix exponential coefficient {x} is not recognizably rational"
-            )
-        return fr
-
-    out = []
-    for row in E.entries:
-        new_row = []
-        for entry in row:
-            acc = RationalFunction.zero(chart)
-            for a, c in entry.exponential_terms():
-                if a is None:
-                    raise NonElementaryInClass(
-                        "polynomial or trigonometric dependence on the "
-                        "quadrature function leaves the supported class"
-                    )
-                lam = _as_fraction(a[0])
-                piece = RationalFunction.constant(chart, _as_fraction(c))
-                for coeff, arg in f.log_terms:
-                    power = lam * coeff
-                    if power.denominator != 1:
-                        raise NonElementaryInClass(
-                            f"factor needs the non-integer power {power} of a "
-                            "log argument; outside the rational class"
-                        )
-                    if power != 0:
-                        base = RationalFunction(chart, arg)
-                        piece = piece * base ** int(power)
-                acc = acc + piece
-            new_row.append(acc)
-        out.append(new_row)
-    return out
+        raise NonElementaryInClass("quadrature produced a log term with a nonzero rational part and the next "
+                                   "adjoint matrix is nonzero; the exponential factor leaves the supported class")
+    lams = [z for z, _ in E.spectrum]
+    if any(type(z) is not Fraction for z in lams):
+        raise NonElementaryInClass("an irrational or complex eigenvalue of the adjoint matrix gives "
+                                   "irrational powers or trigonometric factors; outside the rational class")
+    # A - lambda I for each eigenvalue; their product is 0 exactly when A is diagonalizable
+    shifted = {z: [[Fraction(x, E.d) - (z if a == b else 0) for b, x in enumerate(row)] for a, row in enumerate(E.dA)]
+               for z in lams}
+    if any(map(any, functools.reduce(mat_mul, shifted.values()))):
+        raise NonElementaryInClass("the adjoint matrix is not diagonalizable, so its exponential is "
+                                   "polynomial in the quadrature function; outside the rational class")
+    projectors, factors = [], []
+    for z in lams:
+        others = [mu for mu in lams if mu != z]
+        scale = math.prod(z - mu for mu in others)
+        P = functools.reduce(mat_mul, (shifted[mu] for mu in others), mat_identity(E.n))
+        projectors.append([[x / scale for x in row] for row in P])
+        factor = RationalFunction.one(chart)
+        for c, p in f.log_terms:
+            power = z * c
+            if power.denominator != 1:
+                raise NonElementaryInClass(f"factor needs the non-integer power {power} of a "
+                                           "log argument; outside the rational class")
+            factor = factor * p ** int(power)
+        factors.append(factor)
+    return [mat_vec([[P[a][b] for P in projectors] for b in range(E.n)], factors) for a in range(E.n)]
 
 
-def _log_argument(arg, chart: VarSet) -> dict:
-    """A log argument, a polynomial RationalFunction or a polynomial `Frac`
-    over the chart, as an integer polynomial (its numerator).  Of a `Frac`
-    only the number of variables is checked, as in the constructor."""
-    if isinstance(arg, RationalFunction):
-        if arg.chart != chart:
-            raise MismatchedVarSet("log argument chart mismatch")
-        arg = arg.frac
-    elif not (isinstance(arg, Frac) and arg.nvars == len(chart)):
+def _log_argument(arg, chart: VarSet) -> RationalFunction | None:
+    """A log argument, a polynomial RationalFunction over the chart, as a
+    primitive integer polynomial with positive lex-leading coefficient;
+    None for a constant.  Dropped constants only shift the antiderivative
+    by a constant."""
+    if not isinstance(arg, RationalFunction):
         raise TypeError(f"cannot use {arg!r} as a log argument over {chart.names}")
-    if not qpoly.is_constant(arg.den):
-        raise ValueError(f"log argument {RationalFunction(chart, arg).to_text()} is not a polynomial")
-    return arg.num
-
-
-def _normalize_log_argument(arg: dict, n: int) -> Frac | None:
-    """Factor out the content and fix the sign so arguments are primitive
-    integer polynomials with positive lex-leading coefficient; None for a
-    constant.  Dropped constants only shift the antiderivative by a
-    constant."""
-    if qpoly.is_constant(arg):
+    if arg.chart != chart:
+        raise MismatchedVarSet("log argument chart mismatch")
+    if not qpoly.is_constant(arg.frac.den):
+        raise ValueError(f"log argument {arg.to_text()} is not a polynomial")
+    if qpoly.is_constant(arg.frac.num):
         return None
-    prim = qpoly.primitive(arg)
-    return Frac.polynomial(qpoly.neg(prim) if qpoly.leading_coeff(prim) < 0 else prim, n)
+    prim = qpoly.primitive(arg.frac.num)
+    return RationalFunction(chart, Frac.polynomial(qpoly.neg(prim) if qpoly.leading_coeff(prim) < 0 else prim,
+                                                   len(chart)))

@@ -273,6 +273,23 @@ def test_reduce_exact_filiform16_forms(tmp_path):
     assert all(c["mode"] == "exact" and c["error"] == 0.0 for c in rho_lines)
 
 
+def test_reduce_with_a_log_integrating_factor_and_a_small_bracket(tmp_path):
+    """[e3, e1] = e1, [e3, e2] = a e1 with a = 1/1000000007 and the forms
+    (dx/u - a dy, dy, du/u): the integrating factor keeps a exactly, so the
+    reduction completes (it stopped as not closed when a was guessed from a
+    float), and the run ends where rho meets the log term, as for dx/x."""
+    algebra, forms = tmp_path / "algebra.json", tmp_path / "forms.json"
+    algebra.write_text(json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 3, "coeffs": {"1": "-1"}},
+                                                          {"i": 2, "j": 3, "coeffs": {"1": "-1/1000000007"}}]}))
+    forms.write_text(json.dumps({"chart": ["x", "y", "u"], "forms": [
+        {"degree": 1, "scalar_kind": "rational",
+         "terms": [{"idx": [1], "coeff": "1/u"}, {"idx": [2], "coeff": "-1/1000000007"}]},
+        {"degree": 1, "scalar_kind": "rational", "terms": [{"idx": [2], "coeff": "1"}]},
+        {"degree": 1, "scalar_kind": "rational", "terms": [{"idx": [3], "coeff": "1/u"}]}]}))
+    res = _run(["reduce", str(algebra), str(forms), "--basepoint", "x=0,y=0,u=1"])
+    _assert_error_document(res, "class-mismatch")
+
+
 def test_rational_numeric_rho_check_samples_off_the_poles(tmp_path):
     """The normalized third-order forms have u_x and u_xx in their
     denominators; the numeric check of rho draws its points away from those
@@ -1239,26 +1256,25 @@ def _definitions(sources: dict | None = None) -> set:
 
 def test_one_gcd_and_one_square_free_split():
     """Integer gcds and Yun's square-free split live in `qpoly`, and the
-    split runs in three places: `matexp._spectrum` (a characteristic
-    polynomial), `hermite.integrate_rational` (a denominator) and
-    `hermite._residues` (the polynomial of the residues).  The
-    one gcd elsewhere is `hermite._Poly.gcdex`, the extended Euclid over
-    K[v] whose Bezout cofactors solve each Hermite step; `qpoly` gives no
-    cofactors of that kind."""
+    split runs in two places: `matexp._spectrum` (a characteristic
+    polynomial, of a matrix or of the residues of an integrand) and
+    `hermite.integrate_rational` (a denominator).  The one gcd elsewhere
+    is `hermite._Poly.gcdex`, the extended Euclid over K[v] whose Bezout
+    cofactors solve each Hermite step; `qpoly` gives no cofactors of that
+    kind."""
     probe = {"bad": "def _gcd(p, q):\n    pass\nclass P:\n    def _square_free(self):\n        pass\n"}
     assert _definitions(probe) == {("bad", "_gcd"), ("bad", "_square_free")}
     outside = {(module, name) for module, name in _definitions()
                if module != "qpoly" and ("gcd" in name or "square_free" in name)}
     assert outside == {("hermite", "gcdex")}
-    assert _uses("square_free") == {("matexp", "_spectrum"), ("hermite", "integrate_rational"),
-                                    ("hermite", "_residues")}
+    assert _uses("square_free") == {("matexp", "_spectrum"), ("hermite", "integrate_rational")}
 
 
-def test_limit_denominator_only_where_exactness_is_confirmed():
-    """No float is guessed back into a rational outside
-    `rational._log_factor` (still to be made exact): `matexp` decides each
-    spectrum from the exact characteristic polynomial."""
-    assert _uses("limit_denominator") == {("rational", "_log_factor")}
+def test_no_float_is_guessed_back_into_a_rational():
+    """No float is guessed back into a rational: `matexp` decides each
+    spectrum from the exact characteristic polynomial, and `hermite` and
+    `rational._log_factor` read it."""
+    assert _uses("limit_denominator") == set()
 
 
 SCALAR_CLASSES = {"ExpPoly", "RationalFunction", "LogExtendedScalar"}
@@ -1360,11 +1376,12 @@ def test_multiply_with_large_constants_passes_the_rho_line(tmp_path):
 def test_no_numeric_eigenvalues_outside_the_root_step():
     """No module asks numpy for eigenvalues; numeric roots are taken only of
     square-free factors, in the one root step `qpoly.low_factors`, which
-    `matexp._spectrum` (eigenvalues) and `hermite._residues` (residues)
-    read."""
+    `matexp._spectrum` reads (for eigenvalues, and for residues in
+    `hermite._residues`)."""
     assert not _uses("eigvals") | _uses("eig")
     assert _uses("roots") == {("qpoly", "low_factors")}
-    assert _uses("low_factors") == {("matexp", "_spectrum"), ("hermite", "_residues")}
+    assert _uses("low_factors") == {("matexp", "_spectrum")}
+    assert ("hermite", "_residues") in _uses("_spectrum")
 
 
 # ----------------------------------------------------------------------

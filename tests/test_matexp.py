@@ -128,7 +128,7 @@ def test_close_eigenvalues_are_decided_exactly():
     A = [[F(0), F(0), F(0)],
          [F(0), F(1, 20000000), F(0)],
          [F(0), F(0), F(3, 25000000)]]
-    assert _decide(A) == [(0j, 1), (complex(float(F(1, 20000000))), 1), (complex(float(F(3, 25000000))), 1)]
+    assert _decide(A) == [(F(0), 1), (F(1, 20000000), 1), (F(3, 25000000), 1)]
     E = sym_exp(A, "t")
     assert E.entries[0][0] == ExpPoly.one(T)
     for i, rate in ((1, F(1, 20000000)), (2, F(3, 25000000))):
@@ -278,7 +278,9 @@ def test_snap_accepts_exactly_the_roots_of_the_characteristic_polynomial(A):
         if abs(float(cr) - value.real) > 1e-7 or abs(float(ci) - value.imag) > 1e-7:
             continue
         is_root = sp.expand(charpoly.subs(lam, root)) == 0
-        assert (value == complex(float(cr), float(ci))) == is_root, (A, value)
+        # a rational eigenvalue is its exact Fraction, any other a complex float
+        want = cr if type(value) is F else complex(float(cr), float(ci))
+        assert (value == want) == is_root, (A, value)
         if is_root:
             assert multiplicity[root] == mult, (A, value)
 
@@ -375,7 +377,8 @@ def test_inverse_is_the_exponential_at_minus_t():
     minus_t = -ExpPoly.coordinate(T, "t")
     for A in (chain.ad_matrix(0), chain.ad_matrix(1), [[F(2), F(1)], [F(0), F(2)]], N):
         E = sym_exp(A, "t")
-        inv = ExpMatrix("t", tuple(tuple(-x for x in row) for row in E.dA), E.d, minus_t.exp_matrix(E))
+        inv = ExpMatrix("t", tuple(tuple(-x for x in row) for row in E.dA), E.d, minus_t.exp_matrix(E),
+                        [(-z, mult) for z, mult in E.spectrum])
         assert derivative_residual(inv) == 0.0
         assert [[e.terms for e in row] for row in minus_t.exp_matrix(inv)] == [[e.terms for e in row] for row in E.entries]
         for t in (0.7, -1.3):
@@ -383,7 +386,7 @@ def test_inverse_is_the_exponential_at_minus_t():
             assert np.abs(inv.at(t) @ E.at(t) - np.eye(len(A))).max() < 1e-12
         if E.series is None:
             # Putzer's recursion for -A over the negated spectrum rounds alike
-            lams = [-z for z, mult in _decide(A) for _ in range(mult)]
+            lams = [-complex(z) for z, mult in _decide(A) for _ in range(mult)]
             direct = _putzer(_rational(inv.dA, inv.d), lams, T)
             assert [[e.terms for e in row] for row in direct] == [[e.terms for e in row] for row in inv.entries]
     # the nilpotent series at -t has the signs (-1)^k
@@ -494,8 +497,8 @@ def test_signed_renaming_equals_the_general_formula(sign):
 
 def _sympy_spectrum_matches(A, spectrum):
     """Each eigenvalue of sympy's `eigenvals` with its multiplicity: equal
-    to the decided float when it is rational or Gaussian rational, else
-    within 1e-12 relative."""
+    to the decided Fraction when it is rational, to the decided float when
+    it is Gaussian rational, else within 1e-12 relative."""
     want = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in A]).eigenvals()
     assert sum(want.values()) == sum(mult for _, mult in spectrum) == len(A)
     assert len(want) == len(spectrum)
@@ -505,7 +508,8 @@ def _sympy_spectrum_matches(A, spectrum):
         near = [(w, m) for w, m in spectrum if abs(w - z) <= 1e-12 * max(1.0, abs(z))]
         assert [m for _, m in near] == [mult], (A, value)
         if re.is_rational and im.is_rational:
-            assert near[0][0] == complex(float(re), float(im)), (A, value)
+            want = F(int(re.p), int(re.q)) if im == 0 else complex(float(re), float(im))
+            assert near[0][0] == want and type(near[0][0]) is type(want), (A, value)
 
 
 def test_spectrum_equals_sympy_eigenvals():

@@ -512,6 +512,16 @@ def test_clustered_residues_on_distinct_factors_are_found():
     assert G.diff("x") == f
 
 
+@pytest.mark.parametrize("text", ["10^30/x + (10^30+1)/(x-1)", "(3*10^40+7)/(x-1) + (3*10^40+8)/(x-2)"])
+def test_two_clustered_residues_on_one_factor_are_found(text):
+    """Two clustered integer residues on one square-free quadratic factor:
+    the root step leaves their quadratic unsplit, and `matexp._spectrum`
+    takes its two roots exactly from the rational square root."""
+    f = RationalFunction.parse(PLANTED, text)
+    G = f.antideriv("x")
+    assert len(G.log_terms) == 2 and G.diff("x") == f
+
+
 @pytest.mark.xfail(strict=True, raises=NonElementaryInClass, reason=(
     "item E: the three clustered integer residues of one square-free factor come back from the "
     "numeric root step as numeric roots"))
@@ -558,7 +568,100 @@ def test_log_terms_are_stored_in_argument_text_order():
 
     terms = [(Fraction(1), rf("x + 1")), (Fraction(2), rf("u")), (Fraction(-1), rf("x - 1"))]
     L = LogExtendedScalar(V, rf("x"), terms)
-    texts = [RationalFunction(V, a).to_text() for _, a in L.log_terms]
+    texts = [a.to_text() for _, a in L.log_terms]
     assert texts == ["u", "x + -1", "x + 1"]
     assert [t["arg"] for t in jsonio.dump_scalar(L)["logs"]] == texts
     assert L.to_text() == "x + 2*log(u) + -1*log(x + -1) + 1*log(x + 1)"
+
+
+def test_log_argument_must_be_a_rational_function_over_the_chart():
+    """A bare `Frac` carries no chart, so it is no log argument; a
+    RationalFunction over another chart is a chart mismatch."""
+    from liequad import MismatchedVarSet
+    from liequad.qpoly import Frac
+
+    with pytest.raises(TypeError):
+        LogExtendedScalar(V, RationalFunction.zero(V), [(Fraction(1), Frac.gen(len(V), 1))])
+    W = VarSet.of("a", "b", "c", "d")
+    with pytest.raises(MismatchedVarSet):
+        LogExtendedScalar(V, RationalFunction.zero(V), [(Fraction(1), RationalFunction.coordinate(W, "b"))])
+
+
+# ----------------------------------------------------------------------
+# the integrating factor e^{fA} of a log quadrature, by Sylvester's formula
+
+U = VarSet.of("x", "u")
+
+
+def _log_scalar(terms) -> LogExtendedScalar:
+    """sum c log(p) over U, from (c, p) pairs with p a RationalFunction or its text."""
+    return LogExtendedScalar(U, RationalFunction.zero(U),
+                             [(c, RationalFunction.parse(U, p) if isinstance(p, str) else p) for c, p in terms])
+
+
+@pytest.mark.parametrize("a, entry", [
+    (Fraction(1, 1000000007), "1/1000000007*u + -1/1000000007"),
+    (Fraction(7, 3) + Fraction(1, 10**12), "7000000000003/3000000000000*u + -7000000000003/3000000000000"),
+    (Fraction(1, 10**11), "1/100000000000*u + -1/100000000000"),
+])
+def test_log_factor_keeps_each_entry_exact(a, entry):
+    """A = [[1, a], [0, 0]] and f = log u give e^{fA} = [[u, a(u - 1)], [0, 1]]
+    for every rational a: none is rounded, guessed or cut."""
+    from liequad import sym_exp
+
+    M = _log_scalar([(1, "u")]).exp_matrix(sym_exp([[Fraction(1), a], [Fraction(0), Fraction(0)]], "t"))
+    assert [[e.to_text() for e in row] for row in M] == [["u", entry], ["0", "1"]]
+
+
+def _planted_diagonalizable(seed: int):
+    """(S, eigenvalues, terms) for a derandomized A = S diag(eigenvalues) S^{-1}
+    and f = sum c log(p) over the terms (c, p):
+    S with entries in {-2, ..., 2} and determinant 1 (a unit lower times a
+    unit upper triangular matrix), integer eigenvalues in {-2, ..., 2}
+    (repeated ones included), and f a sum of one or two logs whose
+    coefficients make every power an integer."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4])
+    L = [[Fraction(int(i == j)) if j >= i else Fraction(rng.randint(-2, 2)) for j in range(n)] for i in range(n)]
+    R = [[Fraction(int(i == j)) if j <= i else Fraction(rng.randint(-2, 2)) for j in range(n)] for i in range(n)]
+    S = [[sum(L[i][k] * R[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    half = rng.random() < 0.3  # then even eigenvalues and a coefficient 1/2
+    lams = [Fraction(2 * rng.randint(-1, 1) if half else rng.randint(-2, 2)) for _ in range(n)]
+    terms = [(Fraction(1, 2) if half else Fraction(rng.choice([1, -1, 2])), "u")]
+    if rng.random() < 0.5:
+        terms.append((Fraction(rng.choice([1, -1])), rng.choice(["x + 1", "x^2 + u", "x - 2*u"])))
+    return S, lams, [(c, RationalFunction.parse(U, p)) for c, p in terms]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_log_factor_equals_the_planted_diagonal_factor(seed):
+    """e^{fA} for A = S D S^{-1} against the oracle S diag(prod p^{lambda c}) S^{-1},
+    built from the planted D alone."""
+    from liequad import sym_exp
+    from liequad.liealg import mat_inverse
+
+    S, lams, terms = _planted_diagonalizable(seed)
+    n = len(S)
+    Sinv = mat_inverse(S)
+    A = [[sum(S[a][k] * lams[k] * Sinv[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    diag = [math.prod((p ** int(lam * c) for c, p in terms), start=RationalFunction.one(U)) for lam in lams]
+    want = [[RationalFunction.sum([diag[k] * (S[a][k] * Sinv[k][b]) for k in range(n)]) for b in range(n)]
+            for a in range(n)]
+    assert _log_scalar(terms).exp_matrix(sym_exp(A, "t")) == want
+
+
+@pytest.mark.parametrize("A", [
+    [[1, 1], [0, 1]],  # a Jordan block
+    [[2, 1, 0], [0, 2, 0], [0, 0, -1]],  # a Jordan block beside a simple eigenvalue
+    [[0, 1], [0, 0]],  # nilpotent
+    [[0, -2], [2, 0]],  # +- 2i
+    [[0, 2], [1, 0]],  # +- sqrt(2)
+], ids=["jordan", "jordan-beside-simple", "nilpotent", "pm-2i", "pm-sqrt2"])
+def test_log_factor_outside_the_rational_class_raises(A):
+    """A defective A makes e^{fA} polynomial in f, a complex or irrational
+    spectrum gives trigonometric factors or irrational powers."""
+    from liequad import sym_exp
+
+    E = sym_exp([[Fraction(x) for x in row] for row in A], "t")
+    with pytest.raises(NonElementaryInClass):
+        _log_scalar([(1, "u")]).exp_matrix(E)

@@ -342,6 +342,27 @@ def test_log_factor_guards_reject_out_of_class_scalars():
         _log_factor(E, mixed)
 
 
+def test_log_factor_with_a_small_rational_bracket_reduces():
+    """[e3, e1] = e1, [e3, e2] = a e1 with a = 1/1000000007: the level-2
+    factor e^{log(u) ad} carries a(u - 1) exactly, so the forms
+    (dx/u - a dy, dy, du/u) reduce to (x - a y, y, log u) and reassemble."""
+    from liequad import LogExtendedScalar
+
+    a = F(1, 1000000007)
+    sc = StructureConstants.from_brackets(3, {(3, 1): {1: F(1)}, (3, 2): {1: a}})
+    _, chain = adapted_chain(sc)
+    V = VarSet.of("x", "y", "u")
+    rf = lambda s: RationalFunction.parse(V, s)
+    omega = [DiffForm(V, 1, {(0,): rf("1/u"), (1,): rf(f"-{a}")}), DiffForm(V, 1, {(1,): rf("1")}),
+             DiffForm(V, 1, {(2,): rf("1/u")})]
+    assert all(r.is_zero() for r in structure_residual(omega, sc))
+    trace = reduce_full(omega, chain, {"x": F(0), "y": F(0), "u": F(1)})
+    assert trace.functions[:2] == [rf(f"x - {a}*y"), rf("y")]
+    assert trace.functions[2] == LogExtendedScalar(V, rf("0"), [(1, rf("u"))])
+    back = reassemble(trace)
+    assert all((b - w).is_zero() for b, w in zip(back, omega))
+
+
 # ----------------------------------------------------------------------
 # a corrupted factor below the checked input block is still caught
 
