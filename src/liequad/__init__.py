@@ -7,7 +7,14 @@ coframe and frame on R^n in closed form, reduces structure-equation forms
 to exact differentials by one quadrature per chain level, synthesizes the
 global multiplication map of the simply connected group, and computes
 first integrals of Pfaffian systems with transverse solvable symmetry.
+
+`import liequad` loads neither numpy nor a scalar ring.  The scalar
+classes `ExpPoly` (which loads numpy), `RationalFunction` and
+`LogExtendedScalar` are imported on their first use, so a process that
+evaluates no floats never loads numpy.
 """
+
+import importlib
 
 from .errors import (
     BasepointOnPole,
@@ -27,7 +34,6 @@ from .errors import (
     SchemaError,
     SingularMatrix,
 )
-from .exppoly import ExpPoly
 from .forms import (
     DiffForm,
     Domain,
@@ -72,11 +78,20 @@ from .varset import VarSet, coordinate_chart, doubled_chart
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    # the rational classes are imported on first use, which keeps compiling
-    # them out of `import liequad`
-    if name in ("LogExtendedScalar", "RationalFunction"):
-        from . import rational
+# the scalar classes, each imported from its module on first use
+_LAZY = {"ExpPoly": "exppoly", "LogExtendedScalar": "rational", "RationalFunction": "rational"}
 
-        return getattr(rational, name)
+# every public class and function, the lazy ones included
+__all__ = sorted([name for name, value in globals().items() if callable(value) and not name.startswith("_")]
+                 + list(_LAZY))
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

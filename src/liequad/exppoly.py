@@ -435,6 +435,7 @@ class ExpPoly:
     __slots__ = ("chart", "_lay", "_t")
 
     check_mode = "symbolic"  # the mode a report names for a symbolic check in this class
+    kind = "exppoly"  # the scalar kind a document names
 
     def __init__(self, chart: VarSet, terms: Mapping[Key, float] | None = None):
         lay = _layout(len(chart))

@@ -28,8 +28,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     ClassMismatch,
     EmptyDomain,
@@ -39,12 +37,20 @@ from .errors import (
     NotClosed,
     PoleAtPoint,
 )
-from .exppoly import ExpPoly
 from .liealg import lin_comb
 from .report import TOL_ZERO
 from .varset import VarSet
 
 Index = tuple[int, ...]
+
+
+def _default_class(scls):
+    """scls, or the exponential-polynomial class when none is given."""
+    if scls is None:
+        from .exppoly import ExpPoly
+
+        return ExpPoly
+    return scls
 
 
 class DiffForm:
@@ -91,8 +97,8 @@ class DiffForm:
 
     # ------------------------------------------------------------------
     @classmethod
-    def zero(cls, chart: VarSet, degree: int, scls=ExpPoly):
-        return cls(chart, degree, {}, scls)
+    def zero(cls, chart: VarSet, degree: int, scls=None):
+        return cls(chart, degree, {}, _default_class(scls))
 
     @classmethod
     def function(cls, f):
@@ -100,7 +106,8 @@ class DiffForm:
         return cls(f.chart, 0, {(): f}, type(f))
 
     @classmethod
-    def d_coordinate(cls, chart: VarSet, name: str, scls=ExpPoly):
+    def d_coordinate(cls, chart: VarSet, name: str, scls=None):
+        scls = _default_class(scls)
         i = chart.index(name)
         return cls(chart, 1, {(i,): scls.one(chart)}, scls)
 
@@ -255,7 +262,8 @@ class VectorField:
         self.scls = scls
 
     @classmethod
-    def coordinate(cls, chart: VarSet, name: str, scls=ExpPoly):
+    def coordinate(cls, chart: VarSet, name: str, scls=None):
+        scls = _default_class(scls)
         comps = [scls.zero(chart) for _ in chart.names]
         comps[chart.index(name)] = scls.one(chart)
         return cls(chart, comps, scls)
@@ -382,6 +390,8 @@ class PointMap:
     def _jacobian(self):
         """The nonzero Jacobian entries, compiled as one family by their
         class, and their rows and columns."""
+        import numpy as np
+
         entries = [(i, j, c) for i, dcomp in enumerate(self.differentials) for (j,), c in dcomp.coeffs.items()]
         family = self.differentials[0].scls.family(self.source, [c for _, _, c in entries])
         rows = np.array([i for i, _, _ in entries], dtype=np.int64)
@@ -390,6 +400,8 @@ class PointMap:
 
     def jacobian_batch(self, points) -> np.ndarray:
         """Jacobian matrices at N source points, as an N x m x n array."""
+        import numpy as np
+
         family, rows, cols = self._jacobian
         values = family.evaluate(points)
         J = np.zeros((len(values), len(self.target), len(self.source)))
@@ -397,8 +409,8 @@ class PointMap:
         return J
 
     @classmethod
-    def identity(cls, chart: VarSet, scls=ExpPoly):
-        return cls(chart, chart, [scls.coordinate(chart, n) for n in chart.names])
+    def identity(cls, chart: VarSet, scls=None):
+        return cls(chart, chart, [_default_class(scls).coordinate(chart, n) for n in chart.names])
 
 
 def compose(c, phi: PointMap):
@@ -470,6 +482,8 @@ def pullback_check(phi: PointMap, taus, omegas, mode: str, samples: int, rng, do
         except (ClassMismatch, NonAffineExponentSubstitution) as exc:
             if mode == "symbolic":
                 return None, check_mode, str(exc)
+    import numpy as np
+
     names = phi.source.names
     draws = []
     for _ in range(samples):

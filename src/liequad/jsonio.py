@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .exacttext import evaluate_text, read_fraction
-from .exppoly import ExpPoly
-from .forms import DiffForm, Domain, VectorField
 from .liealg import StructureConstants
 from .varset import VarSet
 
@@ -76,13 +74,11 @@ def load_algebra(doc: dict) -> StructureConstants:
 # scalars
 
 def dump_scalar(s) -> dict:
-    if isinstance(s, ExpPoly):
-        return {"kind": "exppoly", "text": s.to_text()}
-    from .rational import LogExtendedScalar, RationalFunction
-
-    if isinstance(s, RationalFunction):
-        return {"kind": "rational", "text": s.to_text()}
-    if isinstance(s, LogExtendedScalar):
+    """The document of a scalar, by the `kind` its class names."""
+    kind = getattr(s, "kind", None)
+    if kind in ("exppoly", "rational"):
+        return {"kind": kind, "text": s.to_text()}
+    if kind == "log-extended":
         return {
             "kind": "log-extended",
             "rational": s.rational_part.to_text(),
@@ -94,9 +90,11 @@ def dump_scalar(s) -> dict:
 
 
 def _scalar_class(kind: str):
-    """ExpPoly for "exppoly", RationalFunction for "rational", which
-    loads the rational class on first use."""
+    """ExpPoly for "exppoly", RationalFunction for "rational", each
+    class loaded on first use."""
     if kind == "exppoly":
+        from .exppoly import ExpPoly
+
         return ExpPoly
     if kind == "rational":
         from .rational import RationalFunction
@@ -132,15 +130,16 @@ def load_scalar(doc: dict, chart: VarSet):
 # forms
 
 def dump_form(form: DiffForm) -> dict:
-    kind = "exppoly" if form.scls is ExpPoly else "rational"
     terms = []
     for idx in sorted(form.coeffs):
         c = form.coeffs[idx]
         terms.append({"idx": [i + 1 for i in idx], "coeff": c.to_text()})
-    return {"degree": form.degree, "scalar_kind": kind, "terms": terms}
+    return {"degree": form.degree, "scalar_kind": form.scls.kind, "terms": terms}
 
 
 def load_form(doc: dict, chart: VarSet) -> DiffForm:
+    from .forms import DiffForm
+
     try:
         degree = _integer(doc["degree"], "degree")
         scls = _scalar_class(doc["scalar_kind"])
@@ -179,6 +178,7 @@ def load_forms_file(doc: dict) -> tuple[VarSet, list[DiffForm]]:
 def load_pfaffian_file(doc: dict):
     """{"chart": [...], "excluded": [poly-strings], "theta": [form-docs],
     "symmetry": [{"components": [rational-strings]}], "brackets": algebra-doc}"""
+    from .forms import Domain, VectorField
     from .pfaffian import PfaffianSystem, SymmetryAlgebra
     from .rational import RationalFunction
 

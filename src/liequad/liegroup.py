@@ -25,10 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ResidualNonzero
-from .exppoly import ExpPoly
 from .forms import (
     DiffForm,
     Domain,
@@ -76,6 +73,8 @@ class GroupLaw:
 
     def multiply_batch(self, a, b) -> np.ndarray:
         """Row r is a_r * b_r, for N x n arrays of group points."""
+        import numpy as np
+
         n = self.group.n
         a = np.asarray(a, dtype=float).reshape(-1, n)
         b = np.asarray(b, dtype=float).reshape(-1, n)
@@ -90,6 +89,8 @@ class GroupLaw:
 # coframe / frame
 
 def _coordinates(chart: VarSet) -> list[ExpPoly]:
+    from .exppoly import ExpPoly
+
     return [ExpPoly.coordinate(chart, nm) for nm in chart.names]
 
 
@@ -103,6 +104,8 @@ def frame(chain: AdaptedChain) -> list[VectorField]:
     """Dual frame over the coordinate chart: the columns of the product of
     the forward factors e^{x^{n-s} [ad_s]}, from the deepest level up, each
     acting on the leading n - s columns."""
+    from .exppoly import ExpPoly
+
     n = chain.n
     chart = coordinate_chart(n)
     x = _coordinates(chart)
@@ -123,6 +126,8 @@ def ad_rep(chain: AdaptedChain, inverse: bool = False):
     """Ad(x) = e^{x^1 [ad e_1]} ... e^{x^n [ad e_n]} over the full adjoint
     matrices and the group chart; with inverse,
     Ad(x)^{-1} = e^{-x^n [ad e_n]} ... e^{-x^1 [ad e_1]}."""
+    from .exppoly import ExpPoly
+
     n = chain.n
     chart = coordinate_chart(n)
     x = _coordinates(chart)
@@ -162,12 +167,16 @@ def multiplication(chain: AdaptedChain, tol: float = TOL_ZERO) -> GroupLaw:
 
 def _rel_error(got: np.ndarray, want: np.ndarray) -> np.ndarray:
     """Per sample (first axis): max |got - want| / max(1, max |want|)."""
+    import numpy as np
+
     axes = tuple(range(1, want.ndim))
     return np.abs(got - want).max(axis=axes) / np.maximum(1.0, np.abs(want).max(axis=axes))
 
 
 def _worst(errors) -> float:
     """The largest of the errors, 0 when there are none."""
+    import numpy as np
+
     return float(np.max(errors, initial=0.0))
 
 
@@ -175,6 +184,8 @@ def _box(rng: random.Random, h: float, samples: int, width: int) -> np.ndarray:
     """A samples x width array drawn from rng, uniform on [-h, h], row by
     row: `rng.uniform(-h, h)`'s formula, -h + (h - -h) * u, on one
     `rng.random()` per value."""
+    import numpy as np
+
     u = np.array([rng.random() for _ in range(samples * width)]).reshape(samples, width)
     return -h + (h - -h) * u
 
@@ -191,6 +202,8 @@ def group_invariants_report(
     """Structure equations of the coframe, duality pairing and bracket
     relations of the frame (symbolic), and pointwise independence
     (numeric)."""
+    import numpy as np
+
     report = Report()
     sc = group.chain.base
     n = group.n
@@ -221,6 +234,8 @@ def verify_group(
     mode: str = "auto",
 ) -> Report:
     """Group axioms and compatibility checks at seeded random points."""
+    import numpy as np
+
     group = law.group
     n = group.n
     rng = random.Random(seed)
@@ -294,6 +309,8 @@ def preadjoint_oracle(
     max(1, |x|, |x^{-1}|).  The reduction accepts residuals up to
     ``tol_zero``, as in `multiplication`.
     """
+    import numpy as np
+
     n = law.group.n
     _, theta_t = preadjoint_forms(law)
 

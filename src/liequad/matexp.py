@@ -12,12 +12,16 @@ roots of a leftover factor of degree >= 3 stay numeric.  Each rational
 eigenvalue is an exact Fraction, any other a complex float, and
 `ExpMatrix.spectrum` keeps them: `rational._log_factor` reads it for
 Sylvester's formula, and `hermite._residues` calls `_spectrum` for the
-residues of an integrand.  A nilpotent A gets the series sum t^k A^k / k!, each float coefficient the integer
-division (dA)^k[a][b] / (d^k k!), correctly rounded as the float of the
-exact Fraction is; the exact series is built on its first read
-(`ExpMatrix.series`).  Any other spectrum feeds Putzer's recursion as
-floats (complex pairs become cos/sin terms, repeated eigenvalues factors
-t^k).
+residues of an integrand.  `sym_exp` decides only the spectrum and, for
+a nilpotent A, the powers (dA)^k.  Both kinds of entries are built on
+their first read: the exact series t^k A^k / k! (`ExpMatrix.series`),
+which the rational class reads, and the float entries
+(`ExpMatrix.entries`), which the exponential-polynomial class reads, so
+the rational class never builds an ExpPoly.  For a nilpotent A
+each float coefficient is the integer division (dA)^k[a][b] / (d^k k!),
+correctly rounded as the float of the exact Fraction is.  Any other
+spectrum feeds Putzer's recursion as floats (complex pairs become cos/sin
+terms, repeated eigenvalues factors t^k).
 Equal entries of e^{tA}, those with one column of powers (dA)^k[a][b] or
 one quasi-polynomial, are one object, and `ExpMatrix.rows` lists the
 nonzero ones once.  A scalar f gives e^{fA} by `f.exp_matrix(E)`, which
@@ -34,13 +38,12 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NonFiniteCoefficient
-from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly, by_parts
 from .varset import VarSet
 
 QuasiPoly = dict[tuple[int, complex], complex]  # (power, rate) -> coeff
+
+_TOO_LARGE = "a matrix entry or an eigenvalue is too large for a float"
 
 
 def _charpoly(B: list[list[int]]) -> tuple[list[int], list]:
@@ -87,6 +90,8 @@ def _low_roots(g: dict, d: int) -> list:
 
 def _ode_step(rhs: QuasiPoly, lam: complex) -> QuasiPoly:
     """Solve r' = lam*r + rhs with r(0) = 0, rhs a quasi-polynomial."""
+    from .exppoly import by_parts
+
     out: QuasiPoly = {}
 
     def put(key, c):
@@ -114,26 +119,45 @@ def matrix_batch(M, points) -> np.ndarray:
 
 @dataclass
 class ExpMatrix:
-    """Symbolic e^{t A} with exponential-polynomial entries in one variable,
-    for A = dA / d with dA an integer matrix.  `spectrum` is A's decided
-    spectrum (`_spectrum`), [(0, n)] for a nilpotent A.  `powers` holds the
-    powers (dA)^k (k = 0, 1, ...) when A is nilpotent, from which `series`
-    reads the exact A^k / k!."""
+    """Symbolic e^{t A} in one variable, for A = dA / d with dA an integer
+    matrix.  `spectrum` is A's decided spectrum (`_spectrum`), [(0, n)] for
+    a nilpotent A.  `powers` holds the powers (dA)^k (k = 0, 1, ...) when A
+    is nilpotent, from which `series` reads the exact A^k / k!.  The float
+    entries are built on their first read (`entries`)."""
 
     var: str
     dA: tuple[tuple[int, ...], ...]
     d: int
-    entries: list[list[ExpPoly]]
     spectrum: list
     powers: list | None = None
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.dA)
 
-    @property
+    @cached_property
     def chart(self) -> VarSet:
-        return self.entries[0][0].chart
+        return VarSet.of(self.var)
+
+    @cached_property
+    def entries(self) -> list[list[ExpPoly]]:
+        """The float entries, built on the first read: the series for a
+        nilpotent A, else Putzer's recursion.  A number too large for a
+        float is a NonFiniteCoefficient."""
+        from .exppoly import ExpPoly
+
+        try:
+            if self.powers is None:
+                lams = [complex(z) for z, mult in self.spectrum for _ in range(mult)]
+                return _putzer(_rational(self.dA, self.d), lams, self.chart)
+            scales = [self.d ** k * math.factorial(k) for k in range(len(self.powers))]
+            # one polynomial per distinct column of powers (dA)^k[a][b]
+            keys = [list(zip(*(P[a] for P in self.powers))) for a in range(self.n)]
+            distinct = {key: ExpPoly.polynomial_in(self.chart, self.var, [x / q for x, q in zip(key, scales)])
+                        for key in dict.fromkeys(key for row in keys for key in row)}
+            return [[distinct[key] for key in row] for row in keys]
+        except OverflowError:
+            raise NonFiniteCoefficient(_TOO_LARGE) from None
 
     @cached_property
     def rows(self) -> list[list[tuple[int, ExpPoly]]]:
@@ -169,24 +193,14 @@ def sym_exp(A: Sequence[Sequence[object]], var: str = "t") -> ExpMatrix:
     try:
         return _exp(B, d, var)
     except OverflowError:
-        raise NonFiniteCoefficient("a matrix entry or an eigenvalue is too large for a float") from None
+        raise NonFiniteCoefficient(_TOO_LARGE) from None
 
 
 @functools.lru_cache(maxsize=256)
 def _exp(B: tuple, d: int, var: str) -> ExpMatrix:
-    n = len(B)
-    chart = VarSet.of(var)
     p, powers = _charpoly(B)
     spectrum = _spectrum(p, d)
-    if spectrum == [(0, n)]:
-        scales = [d ** k * math.factorial(k) for k in range(len(powers))]
-        # one polynomial per distinct column of powers (dA)^k[a][b]
-        keys = [list(zip(*(P[a] for P in powers))) for a in range(n)]
-        distinct = {key: ExpPoly.polynomial_in(chart, var, [x / q for x, q in zip(key, scales)])
-                    for key in dict.fromkeys(key for row in keys for key in row)}
-        return ExpMatrix(var, B, d, [[distinct[key] for key in row] for row in keys], spectrum, powers)
-    lams = [complex(z) for z, mult in spectrum for _ in range(mult)]
-    return ExpMatrix(var, B, d, _putzer(_rational(B, d), lams, chart), spectrum)
+    return ExpMatrix(var, B, d, spectrum, powers if spectrum == [(0, len(B))] else None)
 
 
 def _rational(B: tuple, d: int) -> tuple:
@@ -216,6 +230,10 @@ def _spectrum(p: list[int], d: int) -> list[tuple[Fraction | complex, int]]:
 def _putzer(Af: tuple, lams: list[complex], chart: VarSet) -> list[list[ExpPoly]]:
     """The entries of e^{tA} by Putzer's recursion over the eigenvalues lams,
     each listed as often as its multiplicity."""
+    import numpy as np
+
+    from .exppoly import KIND_COS, KIND_SIN, KIND_ONE, ExpPoly
+
     n = len(Af)
     An = np.array([[float(x) for x in row] for row in Af])
     # Putzer matrices P_0 = I, P_j = prod_{k<=j} (A - lam_k I), coefficients r_j

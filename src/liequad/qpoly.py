@@ -36,8 +36,6 @@ import math
 from fractions import Fraction
 from operator import add as _add_exp, sub as _sub_exp
 
-import numpy as np
-
 _ONES: dict[int, dict] = {}
 
 
@@ -380,6 +378,8 @@ def low_factors(f: dict) -> tuple[list[dict], list[complex]]:
     product is f, and []; or those found and the numeric roots of a
     leftover of degree >= 3.  Candidates come from the numeric roots,
     rounded (`_newton`) or, above degree 2, paired, and divide f exactly."""
+    import numpy as np
+
     out = []
     while (m := degree(f, 0)) > 1:
         # t = z / 2^k, the roots of f(2^k t) / 2^(km), whose coefficients are below 2^961

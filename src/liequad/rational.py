@@ -31,8 +31,6 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from . import qpoly
 from .errors import (BasepointOnPole, ClassMismatch, MismatchedVarSet, NonAffineExponentSubstitution,
                      NonElementaryInClass, PoleAtPoint)
@@ -88,6 +86,7 @@ class RationalFunction:
     __slots__ = ("chart", "frac", "_schemes")
 
     check_mode = "exact"  # the mode a report names for a symbolic check in this class
+    kind = "rational"  # the scalar kind a document names
 
     def __init__(self, chart: VarSet, value):
         """``value`` is a `Frac` over the chart's variables, in chart order,
@@ -381,6 +380,8 @@ class _Family:
     def evaluate(self, points) -> np.ndarray:
         """Values at N points (rows in chart order), as an N x m array with
         one column per member."""
+        import numpy as np
+
         rows = points.tolist() if isinstance(points, np.ndarray) else points
         points = ((dict(zip(self.names, row)), [_to_fraction(x) for x in row]) for row in rows)
         values = [[float(f._exact_at(exact, point)) for f in self.members] for point, exact in points]
@@ -418,6 +419,8 @@ class LogExtendedScalar:
     chart), pairwise distinct and sorted by their text."""
 
     __slots__ = ("chart", "rational_part", "log_terms")
+
+    kind = "log-extended"  # the scalar kind a document names
 
     def __init__(self, chart: VarSet, rational_part: RationalFunction, log_terms):
         """Log arguments are polynomial RationalFunctions over the chart."""

@@ -945,10 +945,22 @@ def test_readme_commands_run_without_scipy(tmp_path):
         assert blocked.stdout == plain.stdout, args[0]
 
 
-def _imports(source: str):
-    """(line, names) of each import in source, at any depth: the modules
-    and the dotted names it imports, a relative one with its leading dots."""
-    for node in ast.walk(ast.parse(source)):
+def _at_load(tree):
+    """The nodes of tree outside function bodies: what runs when a module
+    loads."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(n for n in ast.iter_child_nodes(node)
+                    if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def _imports(source: str, walk=ast.walk):
+    """(line, names) of each import in source, at any depth (or only those
+    `walk` reaches): the modules and the dotted names it imports, a
+    relative one with its leading dots."""
+    for node in walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             yield node.lineno, [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -1018,6 +1030,89 @@ assert "sympy" not in sys.modules, "sympy was loaded"
     for args in commands:
         proc = _subprocess(["-c", script, *args], tmp_path)
         assert proc.returncode == 0, (args[0], proc.stdout + proc.stderr)
+
+
+def test_only_the_float_commands_load_numpy(tmp_path):
+    """`import liequad` loads neither numpy nor the float class `exppoly`,
+    and `validate`, `reduce` and `pfaff` on the README fixtures, which run
+    on the rational class, load neither; `coframe` and `multiply` load
+    both."""
+    script = """
+import sys
+import liequad
+assert "numpy" not in sys.modules, "import liequad loaded numpy"
+assert "liequad.exppoly" not in sys.modules, "import liequad loaded the float class"
+from liequad.cli import main
+try:
+    main(sys.argv[1:], prog_name="liequad")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted({"numpy", "liequad.exppoly"} & set(sys.modules)))
+"""
+    commands = _readme_commands()
+    assert [args[0] for args in commands] == ["validate", "coframe", "multiply", "reduce", "pfaff"]
+    for args in commands:
+        proc = _subprocess(["-c", script, *args], tmp_path)
+        assert proc.returncode == 0, (args[0], proc.stdout + proc.stderr)
+        floats = args[0] in ("coframe", "multiply")
+        assert proc.stdout.splitlines()[-1] == ("['liequad.exppoly', 'numpy']" if floats else "[]"), args[0]
+
+
+def test_the_float_class_loads_numpy_with_its_module(tmp_path):
+    """`exppoly` imports numpy when it loads, so a process that evaluates
+    floats pays for numpy at its import, not inside its first operation."""
+    script = """
+import sys
+import liequad.exppoly
+assert "numpy" in sys.modules, "import liequad.exppoly left numpy unloaded"
+"""
+    proc = _subprocess(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _numpy_and_exppoly_at_load(sources: dict) -> tuple[set, set]:
+    """The modules of sources ({module: text}) that import numpy, and those
+    that import `exppoly`, when they load (outside function bodies)."""
+    numpy, exppoly = set(), set()
+    for module, text in sources.items():
+        for _, names in _imports(text, _at_load):
+            if any(n.split(".")[0] == "numpy" for n in names):
+                numpy.add(module)
+            if any(n.removeprefix("liequad").lstrip(".").split(".")[0] == "exppoly" for n in names):
+                exppoly.add(module)
+    return numpy, exppoly
+
+
+def test_numpy_loads_only_with_the_float_class():
+    """numpy is imported at module level only in `exppoly`, and no module
+    imports `exppoly` at module level, so numpy loads with the float class
+    and nothing else; a function may import either where it runs."""
+    probes = {
+        "top": "import numpy as np\n",
+        "from": "from numpy.linalg import det\n",
+        "cls": "class A:\n    import numpy\n",
+        "guarded": "try:\n    from .exppoly import ExpPoly\nexcept ImportError:\n    pass\n",
+        "pkg": "from . import exppoly\n",
+        "local": "def f():\n    import numpy as np\n    from .exppoly import ExpPoly\n",
+        "method": "class B:\n    def f(self):\n        from liequad.exppoly import ExpPoly\n",
+    }
+    assert _numpy_and_exppoly_at_load(probes) == ({"top", "from", "cls"}, {"guarded", "pkg"})
+    assert _numpy_and_exppoly_at_load(_package_sources()) == ({"exppoly"}, set())
+
+
+def test_star_import_binds_the_lazy_scalar_classes():
+    """`from liequad import *` and `dir(liequad)` include the scalar
+    classes that load on first use."""
+    import liequad
+    from liequad import LogExtendedScalar, RationalFunction
+
+    namespace = {}
+    exec("from liequad import *", namespace)
+    assert namespace["ExpPoly"] is ExpPoly
+    assert namespace["RationalFunction"] is RationalFunction
+    assert namespace["LogExtendedScalar"] is LogExtendedScalar
+    assert {"ExpPoly", "RationalFunction", "LogExtendedScalar", "sym_exp"} <= set(dir(liequad))
+    assert set(liequad.__all__) <= set(dir(liequad))
 
 
 def test_log_part_leaves_sympy_unloaded(tmp_path):
