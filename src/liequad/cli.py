@@ -1,18 +1,21 @@
-"""Command-line surface: validate / coframe / multiply / reduce / pfaff.
+"""Solvable Lie algebras: coframes, group laws and first integrals by
+quadratures and matrix exponentials.
 
 Every command reads JSON, prints a verification report (one line per
 check, each naming the mode that ran), writes a JSON result and exits 0
-iff every check passed.  Runs are deterministic under a fixed seed.
+iff every check passed, 1 if one failed, and 2 with a JSON error document
+on stderr if a LiequadError stopped it.  A usage error also exits 2, with
+a usage message on stderr and no document.  Runs are deterministic under
+a fixed seed.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
-
-import click
 
 from . import jsonio
 from .errors import LiequadError, SchemaError
@@ -42,6 +45,7 @@ class RunConfig:
     seed: int = 0
     basepoint: str | None = None
     mode: str = "auto"
+    stop_after: int | None = None
 
     def __post_init__(self):
         # NaN fails every comparison; below 1, a nonzero exact residual (size 1.0) fails
@@ -49,6 +53,8 @@ class RunConfig:
             raise SchemaError("tolerances must be numbers in (0, 1)")
         if self.samples < 1:
             raise SchemaError("sample count must be >= 1")
+        if self.stop_after is not None and self.stop_after < 0:
+            raise SchemaError(f"--stop-after must be >= 0, got {self.stop_after}")
 
     def basepoint_on(self, chart: VarSet) -> dict | None:
         """The --basepoint values, every name checked against the chart and
@@ -68,63 +74,18 @@ class RunConfig:
         return out
 
 
-# RunConfig field -> (click type, help); the flag is the field name in dashes
+# RunConfig field -> argparse keywords; the flag is the field name in dashes
 OPTIONS = {
-    "tol_zero": (float, "bound on the measured symbolic residuals"),
-    "tol_sample": (float, "numeric sampling tolerance"),
-    "samples": (int, "number of sample points per numeric check"),
-    "seed": (int, "seed for all sampling"),
-    "basepoint": (str, "quadrature basepoint, e.g. 'x=0,u_x=1'"),
-    "mode": (click.Choice(["auto", "symbolic", "numeric"]), "verification mode for pullback checks"),
+    "tol_zero": dict(type=float, help="bound on the measured symbolic residuals (default: %(default)s)"),
+    "tol_sample": dict(type=float, help="numeric sampling tolerance (default: %(default)s)"),
+    "samples": dict(type=int, help="number of sample points per numeric check (default: %(default)s)"),
+    "seed": dict(type=int, help="seed for all sampling (default: %(default)s)"),
+    "basepoint": dict(help="quadrature basepoint, e.g. 'x=0,u_x=1'"),
+    "mode": dict(choices=["auto", "symbolic", "numeric"], help="mode of the pullback checks (default: %(default)s)"),
+    "stop_after": dict(type=int, help="partial reduction: stop after r quadratures"),
 }
 
 
-def run_options(*names: str, **defaults):
-    """Give a command the options `names` of OPTIONS (defaults from RunConfig
-    unless `defaults` overrides them) and -o.  The body gets the RunConfig
-    and returns (doc, report); a LiequadError becomes the exit-2 error
-    document."""
-
-    def decorate(body):
-        @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
-                      help="write the JSON result here (default: stdout)")
-        @functools.wraps(body)
-        def command(output, **params):
-            try:
-                doc, report = body(RunConfig(**{name: params.pop(name) for name in names}), **params)
-            except LiequadError as exc:
-                error = {"error": {"code": exc.code, "message": str(exc)}}
-                click.echo(json.dumps(error, sort_keys=True), err=True)
-                sys.exit(2)
-            for line in report.lines():
-                click.echo(line)
-            doc = {**doc, "report": report.to_dict()}
-            if output:
-                jsonio.write_json(output, doc)
-                click.echo(f"wrote {output}")
-            else:
-                click.echo(json.dumps(doc, indent=2, sort_keys=True))
-            if not report.passed:
-                sys.exit(1)
-
-        for name in reversed(names):
-            kind, text = OPTIONS[name]
-            command = click.option("--" + name.replace("_", "-"), name, type=kind, show_default=True,
-                                   default=defaults.get(name, getattr(RunConfig, name)), help=text)(command)
-        return command
-
-    return decorate
-
-
-@click.group()
-def main():
-    """Solvable Lie algebras: coframes, group laws and first integrals by
-    quadratures and matrix exponentials."""
-
-
-@main.command("validate")
-@click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@run_options("seed")
 def cmd_validate(cfg, algebra):
     """Check antisymmetry/Jacobi, solvability, and build the adapted chain."""
     sc = jsonio.load_algebra(jsonio.read_json(algebra))
@@ -147,9 +108,6 @@ def cmd_validate(cfg, algebra):
     return doc, report
 
 
-@main.command("coframe")
-@click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@run_options("tol_zero", "samples", "seed", samples=50)
 def cmd_coframe(cfg, algebra):
     """Left-invariant coframe and frame on R^n, with invariant checks."""
     sc = jsonio.load_algebra(jsonio.read_json(algebra))
@@ -164,9 +122,6 @@ def cmd_coframe(cfg, algebra):
     return doc, report
 
 
-@main.command("multiply")
-@click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@run_options("tol_zero", "tol_sample", "samples", "seed", "mode")
 def cmd_multiply(cfg, algebra):
     """Global multiplication map, verified and cross-checked."""
     sc = jsonio.load_algebra(jsonio.read_json(algebra))
@@ -178,16 +133,8 @@ def cmd_multiply(cfg, algebra):
     return jsonio.dump_grouplaw(law), report
 
 
-@main.command("reduce")
-@click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@click.argument("forms", type=click.Path(exists=True, dir_okay=False))
-@click.option("--stop-after", type=int, default=None,
-              help="partial reduction: stop after r quadratures")
-@run_options("tol_zero", "tol_sample", "samples", "seed", "basepoint", "mode")
-def cmd_reduce(cfg, algebra, forms, stop_after):
+def cmd_reduce(cfg, algebra, forms):
     """Reduce structure-equation forms to exact differentials; emit the trace."""
-    if stop_after is not None and stop_after < 0:
-        raise SchemaError(f"--stop-after must be >= 0, got {stop_after}")
     sc = jsonio.load_algebra(jsonio.read_json(algebra))
     chart, omegas = jsonio.load_forms_file(jsonio.read_json(forms))
     if len(omegas) != sc.dim:
@@ -198,7 +145,7 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
     basepoint = cfg.basepoint_on(chart)
     P, chain = adapted_chain(sc)
     omegas_ad = transform_forms(P, omegas)
-    trace = reduce_full(omegas_ad, chain, basepoint, stop_after=stop_after, tol=cfg.tol_zero)
+    trace = reduce_full(omegas_ad, chain, basepoint, stop_after=cfg.stop_after, tol=cfg.tol_zero)
     report = Report()
     worst = max(trace.residuals.values())
     checked = "the input forms" if trace.complete else "the input and the remaining forms"
@@ -212,9 +159,6 @@ def cmd_reduce(cfg, algebra, forms, stop_after):
     return jsonio.dump_trace(trace), report
 
 
-@main.command("pfaff")
-@click.argument("system", type=click.Path(exists=True, dir_okay=False))
-@run_options("samples", "seed", "basepoint", samples=20)
 def cmd_pfaff(cfg, system):
     """First integrals of a Pfaffian system with solvable symmetry."""
     psys, sym = jsonio.load_pfaffian_file(jsonio.read_json(system))
@@ -227,6 +171,62 @@ def cmd_pfaff(cfg, system):
         "integrals": [jsonio.dump_scalar(f) for f in functions],
     }
     return doc, report
+
+
+# command -> (body, input files, options, default overrides); each also takes -o
+COMMANDS = {
+    "validate": (cmd_validate, ["algebra"], ["seed"], {}),
+    "coframe": (cmd_coframe, ["algebra"], ["tol_zero", "samples", "seed"], {"samples": 50}),
+    "multiply": (cmd_multiply, ["algebra"], ["tol_zero", "tol_sample", "samples", "seed", "mode"], {}),
+    "reduce": (cmd_reduce, ["algebra", "forms"],
+               ["tol_zero", "tol_sample", "samples", "seed", "basepoint", "mode", "stop_after"], {}),
+    "pfaff": (cmd_pfaff, ["system"], ["samples", "seed", "basepoint"], {"samples": 20}),
+}
+
+
+def _file(path: str, exists: bool = True) -> str:
+    """path, unless it is a directory or, for an input (`exists`), missing."""
+    if os.path.isdir(path) or exists and not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"no such file: {path!r}")
+    return path
+
+
+def build_parser(prog_name: str = "liequad") -> argparse.ArgumentParser:
+    """The parser of every command: its input files, its OPTIONS (defaults
+    from RunConfig unless the command overrides them) and -o."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (body, files, options, defaults) in COMMANDS.items():
+        sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__, allow_abbrev=False)
+        for file in files:
+            sub.add_argument(file, type=_file)
+        for option in options:
+            sub.add_argument("--" + option.replace("_", "-"), dest=option, **OPTIONS[option],
+                             default=defaults.get(option, getattr(RunConfig, option)))
+        sub.add_argument("-o", "--output", type=lambda path: _file(path, False),
+                         help="write the JSON result here (default: stdout)")
+    return parser
+
+
+def main(argv: list[str] | None = None, prog_name: str = "liequad") -> None:
+    """Run the command that argv (default: sys.argv[1:]) names."""
+    args = vars(build_parser(prog_name).parse_args(argv))
+    body, files, options, _ = COMMANDS[args["command"]]
+    try:
+        doc, report = body(RunConfig(**{name: args[name] for name in options}), *(args[f] for f in files))
+    except LiequadError as exc:
+        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}, sort_keys=True), file=sys.stderr)
+        sys.exit(2)
+    for line in report.lines():
+        print(line)
+    doc = {**doc, "report": report.to_dict()}
+    if args["output"]:
+        jsonio.write_json(args["output"], doc)
+        print(f"wrote {args['output']}")
+    else:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    if not report.passed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@ polynomial of the integer matrix dA (d the lcm of A's denominators) over
 Z.  Its factor x^m gives the eigenvalue 0 with multiplicity m; what is
 left, monic, is split square-free over Z for exact multiplicities by
 `qpoly.square_free` (Yun's algorithm), whose factors are monic since they
-divide a monic polynomial.  By Gauss's lemma, rounded numeric
-roots give the only candidate factors, integer roots and monic integer
-quadratics, each confirmed by exact division (`qpoly.low_factors`); only
-roots of a leftover factor of degree >= 3 stay numeric.  Each rational
+divide a monic polynomial.  By Gauss's lemma, a monic integer quadratic
+splits over Q only into integer roots, which its discriminant decides
+exactly; above degree 2, rounded numeric roots give the only candidate
+factors, integer roots and monic integer quadratics, each confirmed by
+exact division (`qpoly.low_factors`); only roots of a leftover factor of
+degree >= 3 stay numeric, and only they load numpy.  Each rational
 eigenvalue is an exact Fraction, any other a complex float, and
 `ExpMatrix.spectrum` keeps them: `rational._log_factor` reads it for
 Sylvester's formula, and `hermite._residues` calls `_spectrum` for the

@@ -27,7 +27,9 @@ coefficients from growing exponentially.
 variable over the field of the others: `matexp` splits a characteristic
 polynomial with it, `hermite` a denominator and a residue polynomial.
 `low_factors`, the one root step of both, finds the integer factors of
-degree 1 and 2 of a polynomial in one variable.
+degree 1 and 2 of a polynomial in one variable: a quadratic splits by its
+discriminant, exactly, and only a factor of degree >= 3 takes a numeric
+root step (numpy's `roots`).
 """
 
 from __future__ import annotations
@@ -376,21 +378,22 @@ def low_factors(f: dict) -> tuple[list[dict], list[complex]]:
     """(factors, roots) of a monic square-free integer f in one variable:
     monic integer factors of degree 1 or 2 (integer roots split off) whose
     product is f, and []; or those found and the numeric roots of a
-    leftover of degree >= 3.  Candidates come from the numeric roots,
-    rounded (`_newton`) or, above degree 2, paired, and divide f exactly."""
-    import numpy as np
-
+    leftover of degree >= 3.  A quadratic x^2 + bx + c splits exactly, when
+    b^2 - 4c is a square.  Above degree 2, candidates come from the numeric
+    roots, rounded (`_newton`) or paired, and divide f exactly; only this
+    root step loads numpy."""
     out = []
-    while (m := degree(f, 0)) > 1:
+    while (m := degree(f, 0)) > 2:
+        import numpy as np
+
         # t = z / 2^k, the roots of f(2^k t) / 2^(km), whose coefficients are below 2^961
         k = max([0] + [(abs(c).bit_length() - 960) // (m - e) + 1 for (e,), c in f.items() if e < m])
         unit = 2**k
         coeffs = [f.get((e,), 0) / unit ** (m - e) for e in range(m, -1, -1)]
         ts = [complex(t) for t in np.roots(coeffs)]
         candidates = [[-_newton(f, round(Fraction(t.real) * unit)), 1] for t in ts]
-        if m > 2:
-            candidates += [[round(Fraction((t * w).real) * unit**2), -round(Fraction((t + w).real) * unit), 1]
-                           for i, t in enumerate(ts) for w in ts[i + 1:]]
+        candidates += [[round(Fraction((t * w).real) * unit**2), -round(Fraction((t + w).real) * unit), 1]
+                       for i, t in enumerate(ts) for w in ts[i + 1:]]
         for g in candidates:
             g = {(e,): c for e, c in enumerate(g) if c}
             quo = divexact(f, g)
@@ -399,9 +402,13 @@ def low_factors(f: dict) -> tuple[list[dict], list[complex]]:
                 f = quo
                 break
         else:
-            if m > 2:
-                return out, [t * unit for t in ts]
-            break
+            return out, [t * unit for t in ts]
+    b, c = f.get((1,), 0), f.get((0,), 0)
+    s = math.isqrt(max(b * b - 4 * c, 0))
+    if m == 2 and s * s == b * b - 4 * c:
+        # the integer roots (-b -+ s) / 2, since s and b have one parity
+        out.append({(e,): a for e, a in enumerate(((b + s) // 2, 1)) if a})
+        f = {(e,): a for e, a in enumerate(((b - s) // 2, 1)) if a}
     return out + [f], []
 
 

@@ -1,7 +1,11 @@
-"""Shared builders: the third-order ODE system and the 5-dim family."""
+"""Shared builders: the third-order ODE system and the 5-dim family; the
+in-process command-line runner."""
 
+import contextlib
+import io
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +24,34 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+class _Tee(io.StringIO):
+    """A stream that also writes everything to `also`."""
+
+    def __init__(self, also):
+        super().__init__()
+        self.also = also
+
+    def write(self, text):
+        self.also.write(text)
+        return super().write(text)
+
+
+def run_cli(args):
+    """Run `liequad.cli.main(args)` in-process: its exit code, its stdout
+    and stderr interleaved as `output`, and its `stderr` alone."""
+    from liequad.cli import main
+
+    output = io.StringIO()
+    stderr = _Tee(output)
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(stderr):
+        try:
+            main(args)
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return SimpleNamespace(exit_code=code, output=output.getvalue(), stderr=stderr.getvalue())
 
 
 def exppoly_bits(p):

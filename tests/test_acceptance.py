@@ -71,23 +71,18 @@ def test_criterion_1_golden_coframe():
 def test_criterion_2_golden_multiplication(tmp_path):
     import json
 
-    from click.testing import CliRunner
-
-    from liequad.cli import main
-    from conftest import fixture_path
+    from conftest import fixture_path, run_cli
     from liequad.varset import doubled_chart
 
     out = tmp_path / "grouplaw.json"
     t0 = time.perf_counter()
-    result = CliRunner().invoke(
-        main,
+    result = run_cli(
         [
             "multiply",
             fixture_path("algebra_fiveparam_a1_b2.json"),
             "--samples", "100", "--seed", "0", "--tol-sample", "1e-8",
             "-o", str(out),
         ],
-        catch_exceptions=False,
     )
     elapsed = time.perf_counter() - t0
     ok = result.exit_code == 0

@@ -1,5 +1,6 @@
 """CLI surface: JSON I/O, golden outputs, determinism, error codes."""
 
+import argparse
 import ast
 import json
 import os
@@ -7,23 +8,13 @@ import shlex
 import subprocess
 import sys
 
-import click
 import pytest
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 from liequad import ExpPoly, RationalFunction, SchemaError, StructureConstants, VarSet, adapted_chain, multiplication
-from liequad.cli import main
+from liequad.cli import build_parser
 from liequad import jsonio
-from conftest import fixture_path
-
-
-runner = CliRunner()
-
-
-def _run(args):
-    return runner.invoke(main, args, catch_exceptions=False)
+from conftest import fixture_path, run_cli as _run
 
 
 def _dump_algebra(sc: StructureConstants) -> dict:
@@ -636,7 +627,9 @@ FLAG_VALUES = {"--tol-zero": "1e-10", "--tol-sample": "1e-8", "--samples": "5", 
 
 @pytest.mark.parametrize("command", sorted(OPTIONS))
 def test_each_command_takes_only_the_options_it_reads(command):
-    listed = {p.opts[0] for p in main.commands[command].params if isinstance(p, click.Option)}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    listed = {a.option_strings[0] for a in subparsers.choices[command]._actions
+              if a.option_strings and not isinstance(a, argparse._HelpAction)}
     assert listed == OPTIONS[command]
     help_text = _run([command, "--help"]).output
     for flag in FLAG_VALUES:
@@ -650,7 +643,41 @@ def test_each_command_takes_only_the_options_it_reads(command):
 def test_removed_flag_is_a_usage_error(command, flag):
     res = _run([command, fixture_path("algebra_abelian3.json"), flag, FLAG_VALUES[flag]])
     assert res.exit_code == 2
-    assert "No such option" in res.output and flag in res.output
+    assert "unrecognized arguments" in res.output and flag in res.output
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["frobnicate"],
+    ["validate"],
+    ["validate", "{algebra}", "--frobnicate"],
+    ["coframe", "{algebra}", "--se", "3"],
+    ["multiply", "{algebra}", "--samp", "5"],
+    ["multiply", "{algebra}", "--samples", "five"],
+    ["multiply", "{algebra}", "--tol-zero", "small"],
+    ["reduce", "{algebra}", "{algebra}", "--stop-after", "1.5"],
+    ["multiply", "{algebra}", "--mode", "exact"],
+    ["validate", "{tmp}/missing.json"],
+    ["validate", "{tmp}"],
+    ["validate", "{algebra}", "-o", "{tmp}"],
+    ["reduce", "{algebra}", "{tmp}/missing.json"],
+], ids=lambda args: " ".join(args) or "no-command")
+def test_usage_error_exits_2_without_a_document(tmp_path, args):
+    """A malformed command line exits 2 with a usage message on stderr, and
+    prints no report and no JSON document; an abbreviated option is not
+    taken for the option it starts."""
+    res = _run([a.format(algebra=fixture_path("algebra_abelian3.json"), tmp=tmp_path) for a in args])
+    assert res.exit_code == 2
+    assert res.output == res.stderr and "usage: " in res.stderr and "error: " in res.stderr
+    assert '"error"' not in res.stderr
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("args", [["--help"], *([command, "--help"] for command in sorted(OPTIONS))])
+def test_help_exits_0(args):
+    res = _run(args)
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.output.startswith("usage: liequad")
 
 
 def _assert_error_document(res, code):
@@ -826,8 +853,8 @@ import sys
 import liequad
 from liequad.cli import main
 for command in ("validate", "coframe", "multiply"):
-    main([command, {algebra!r}, "-o", {str(tmp_path / "out.json")!r}], standalone_mode=False)
-main(["reduce", {algebra!r}, {forms!r}, "-o", {str(tmp_path / "out.json")!r}], standalone_mode=False)
+    main([command, {algebra!r}, "-o", {str(tmp_path / "out.json")!r}])
+main(["reduce", {algebra!r}, {forms!r}, "-o", {str(tmp_path / "out.json")!r}])
 assert "sympy" not in sys.modules, "sympy was loaded"
 from liequad import RationalFunction
 assert "sympy" not in sys.modules, "the rational class loaded sympy"
@@ -922,7 +949,7 @@ except ImportError:
 else:
     sys.exit("scipy was not blocked")
 from liequad.cli import main
-main(sys.argv[1:], prog_name="liequad")
+main(sys.argv[1:])
 """
 
 
@@ -976,9 +1003,10 @@ def _test_only_imports(source: str) -> list[int]:
                    or n.startswith((".catalog.", "liequad.catalog.")) for n in names)]
 
 
-def _sympy_imports(source: str) -> list[int]:
-    """Lines of source, at any depth, that import sympy or a part of it."""
-    return [line for line, names in _imports(source) if any(n.split(".")[0] == "sympy" for n in names)]
+def _imports_of(top: str, source: str) -> list[int]:
+    """Lines of source, at any depth, that import the package `top` or a
+    part of it."""
+    return [line for line, names in _imports(source) if any(n.split(".")[0] == top for n in names)]
 
 
 def test_package_imports_neither_scipy_nor_the_catalog():
@@ -1002,10 +1030,24 @@ def test_no_module_imports_sympy():
 
     for bad in ("import sympy as sp", "import numpy, sympy", "from sympy.polys.rings import PolyElement",
                 "from sympy import QQ", "def dump(s):\n    import sympy as sp", "def f():\n    from sympy import sstr"):
-        assert _sympy_imports(bad) == [bad.count("\n") + 1], bad
-    assert _sympy_imports("import numpy\nfrom .rational import RationalFunction\nfrom . import hermite") == []
+        assert _imports_of("sympy", bad) == [bad.count("\n") + 1], bad
+    assert _imports_of("sympy", "import numpy\nfrom .rational import RationalFunction\nfrom . import hermite") == []
     package = pathlib.Path(jsonio.__file__).parent
-    importers = [path.name for path in sorted(package.rglob("*.py")) if _sympy_imports(path.read_text())]
+    importers = [path.name for path in sorted(package.rglob("*.py")) if _imports_of("sympy", path.read_text())]
+    assert importers == []
+
+
+def test_no_module_imports_click():
+    """The command line parses with the standard library's argparse: no
+    module imports click, so numpy is the one runtime dependency."""
+    import pathlib
+
+    for bad in ("import click", "from click.testing import CliRunner", "import json, click",
+                "def main():\n    import click"):
+        assert _imports_of("click", bad) == [bad.count("\n") + 1], bad
+    assert _imports_of("click", "import argparse\nfrom .clickable import x\nimport clicks") == []
+    package = pathlib.Path(jsonio.__file__).parent
+    importers = [path.name for path in sorted(package.rglob("*.py")) if _imports_of("click", path.read_text())]
     assert importers == []
 
 
@@ -1022,7 +1064,7 @@ assert "liequad.rational" not in sys.modules, "import liequad loaded the rationa
 assert "liequad.qpoly" not in sys.modules, "import liequad loaded the field"
 from liequad.cli import main
 try:
-    main(sys.argv[1:], prog_name="liequad")
+    main(sys.argv[1:])
 except SystemExit as exc:
     assert not exc.code, exc.code
 assert "sympy" not in sys.modules, "sympy was loaded"
@@ -1036,7 +1078,7 @@ def test_only_the_float_commands_load_numpy(tmp_path):
     """`import liequad` loads neither numpy nor the float class `exppoly`,
     and `validate`, `reduce` and `pfaff` on the README fixtures, which run
     on the rational class, load neither; `coframe` and `multiply` load
-    both."""
+    both.  No command loads click."""
     script = """
 import sys
 import liequad
@@ -1044,9 +1086,10 @@ assert "numpy" not in sys.modules, "import liequad loaded numpy"
 assert "liequad.exppoly" not in sys.modules, "import liequad loaded the float class"
 from liequad.cli import main
 try:
-    main(sys.argv[1:], prog_name="liequad")
+    main(sys.argv[1:])
 except SystemExit as exc:
     assert not exc.code, exc.code
+assert "click" not in sys.modules, "the command line loaded click"
 print(sorted({"numpy", "liequad.exppoly"} & set(sys.modules)))
 """
     commands = _readme_commands()
@@ -1113,6 +1156,33 @@ def test_star_import_binds_the_lazy_scalar_classes():
     assert namespace["LogExtendedScalar"] is LogExtendedScalar
     assert {"ExpPoly", "RationalFunction", "LogExtendedScalar", "sym_exp"} <= set(dir(liequad))
     assert set(liequad.__all__) <= set(dir(liequad))
+
+
+def test_quadratic_log_parts_leave_numpy_unloaded(tmp_path):
+    """A monic integer quadratic splits by its discriminant, exactly, so a
+    log part whose factors have degree <= 2 loads no numpy: integer roots,
+    clustered ones beyond the float spacing too, split off, and an
+    irrational pair stays whole and raises its typed error."""
+    script = """
+import sys
+from liequad import LogExtendedScalar, NonElementaryInClass, RationalFunction, VarSet, qpoly
+chart = VarSet.of("x", "u")
+for text in ("1/x + 2*x/(x^2-u)", "1/(x^2-1)"):
+    assert isinstance(RationalFunction.parse(chart, text).antideriv("x"), LogExtendedScalar), text
+try:
+    RationalFunction.parse(chart, "1/(x^2-2)").antideriv("x")
+except NonElementaryInClass:
+    pass
+else:
+    sys.exit("1/(x^2-2) integrated in the class")
+r = 10**20  # (x - r)(x - r - 1): the roots are 1 apart, below the float spacing at r
+factors, roots = qpoly.low_factors({(2,): 1, (1,): -(2 * r + 1), (0,): r * (r + 1)})
+assert sorted(factors, key=str) == sorted([{(0,): -r, (1,): 1}, {(0,): -r - 1, (1,): 1}], key=str), factors
+assert roots == []
+assert "numpy" not in sys.modules, "a quadratic log part loaded numpy"
+"""
+    proc = _subprocess(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_log_part_leaves_sympy_unloaded(tmp_path):

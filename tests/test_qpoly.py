@@ -172,6 +172,21 @@ def test_low_factors_pinned_cases():
     assert sorted(z.real for z in zs if z.imag == 0) == [pytest.approx(2 ** (1 / 3), rel=1e-12)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**25, 10**25), st.integers(-10**25, 10**25), st.integers(0, 3))
+def test_low_factors_split_a_quadratic_exactly(b, c, gap):
+    """A monic quadratic splits into linear factors exactly when sympy
+    factors it so: planted integer roots 1 to 3 apart, clustered below the
+    float spacing at any size, and x^2 + bx + c (gap 0), which stays whole
+    unless b^2 - 4c is a square."""
+    f = qpoly.mul(_x(-b, 1), _x(-b - gap, 1)) if gap else _x(c, b, 1)
+    x = R.gens[0]
+    _, oracle = (x**2 + f.get((1,), 0) * x + f.get((0,), 0)).factor_list()
+    factors, zs = qpoly.low_factors(f)
+    assert zs == [] and functools.reduce(qpoly.mul, factors) == f
+    assert _as_set(factors) == _as_set([{(e[0],): a for e, a in g.to_dict().items()} for g, _ in oracle])
+
+
 def test_low_factors_find_integer_roots_beyond_floats():
     """An integer root that a float only approximates (10^30 + 7), and
     roots of a polynomial whose coefficients exceed the float range, come

@@ -14,7 +14,6 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from liequad import (
     ResidualNonzero,
@@ -29,9 +28,8 @@ from liequad import (
     sym_exp,
     verify_group,
 )
-from liequad.cli import main
 from liequad.liealg import mat_inverse
-from conftest import borel_constants, fixture_path
+from conftest import borel_constants, fixture_path, run_cli
 
 
 def filiform(n: int) -> StructureConstants:
@@ -120,10 +118,10 @@ class RhoCheckFailed(Exception):
 ])
 def test_far_basepoint_reduce_verdict(tmp_path, basepoint, mode):
     out = tmp_path / "trace.json"
-    res = CliRunner().invoke(main, [
+    res = run_cli([
         "reduce", fixture_path("algebra_fiveparam_a1_b2.json"),
         fixture_path("forms_product_group_fiveparam_a1_b2.json"),
-        "--basepoint", basepoint, "--mode", mode, "-o", str(out)], catch_exceptions=False)
+        "--basepoint", basepoint, "--mode", mode, "-o", str(out)])
     assert res.exit_code in (0, 1), res.output
     failed = [c["name"] for c in json.loads(out.read_text())["report"]["checks"] if not c["passed"]]
     if failed and all(name.startswith("rho^* tau^") for name in failed):
